@@ -138,12 +138,16 @@ void BM_GroundTruthEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundTruthEvents);
 
+void NoOpEvent(void* /*context*/, uint64_t /*payload*/, double /*t*/) {}
+
 void BM_SimulationEventChurn(benchmark::State& state) {
   Simulation sim;
+  sim.RegisterHandler(kObjectUpdateEvent, &NoOpEvent, nullptr);
   double t = 0.0;
+  uint64_t payload = 0;
   for (auto _ : state) {
     t += 1.0;
-    sim.ScheduleAt(t, [](double) {});
+    sim.ScheduleAt(t, kObjectUpdateEvent, payload++);
     sim.RunUntil(t);
   }
 }

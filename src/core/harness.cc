@@ -1,7 +1,9 @@
 #include "core/harness.h"
 
 #include <cmath>
+#include <typeinfo>
 
+#include "data/update_process.h"
 #include "util/logging.h"
 
 namespace besync {
@@ -9,6 +11,26 @@ namespace besync {
 double NextWeightRefreshDeadline(double t, double interval) {
   BESYNC_CHECK_GT(interval, 0.0);
   return (std::floor(t / interval) + 1.0) * interval;
+}
+
+ObjectRuntime::ObjectRuntime(const ObjectSpec* s)
+    : rng(s->rng_seed),
+      lambda(s->lambda),
+      max_divergence_rate(s->max_divergence_rate),
+      spec(s) {
+  // Exact type matches only: a subclass may override the draws.
+  if (s->process != nullptr &&
+      typeid(*s->process) == typeid(PoissonRandomWalkProcess)) {
+    const auto& walk = static_cast<const PoissonRandomWalkProcess&>(*s->process);
+    update_kind = UpdateKind::kPoissonWalk;
+    update_rate = walk.rate();
+    update_step = walk.step();
+  }
+  if (s->weight != nullptr && typeid(*s->weight) == typeid(ConstantFluctuation)) {
+    constant_weight = true;
+    weight = s->weight->ValueAt(0.0);
+  }
+  costly = s->refresh_cost > 1;
 }
 
 Harness::Harness(const Workload* workload, const DivergenceMetric* metric,
@@ -33,28 +55,27 @@ Harness::Harness(const Workload* workload, const DivergenceMetric* metric,
     objects_.emplace_back(&spec);
     total_replicas += static_cast<size_t>(spec.num_replicas());
   }
-  DivergenceTracker* trackers =
-      arena_.AllocateArray<DivergenceTracker>(total_replicas, metric);
+  trackers_ = arena_.AllocateArray<DivergenceTracker>(total_replicas, metric);
+  DivergenceTracker* trackers = trackers_;
   for (ObjectRuntime& object : objects_) {
     object.trackers = trackers;
-    object.num_replicas = object.spec->num_replicas();
+    object.num_replicas = static_cast<int32_t>(object.spec->num_replicas());
     trackers += object.num_replicas;
   }
+  sim_.RegisterHandler(kObjectUpdateEvent, &Harness::DispatchUpdate, this);
 }
 
 void Harness::AddGroundTruth(GroundTruth* ground_truth) {
   BESYNC_CHECK(!ran_) << "AddGroundTruth must precede Run";
   BESYNC_CHECK(ground_truth != nullptr);
+  BESYNC_CHECK_EQ(ground_truth->total_replicas(), primary_ground_truth_->total_replicas())
+      << "an added ground truth must cover this harness's replicas";
   ground_truths_.push_back(ground_truth);
-}
-
-double Harness::WeightAt(ObjectIndex index, double t) const {
-  return objects_[index].spec->weight->ValueAt(t);
 }
 
 double Harness::SourceWeightAt(ObjectIndex index, double t) const {
   const ObjectSpec& spec = *objects_[index].spec;
-  return spec.source_weight ? spec.source_weight->ValueAt(t) : spec.weight->ValueAt(t);
+  return spec.source_weight ? spec.source_weight->ValueAt(t) : WeightAt(index, t);
 }
 
 Message Harness::MakeRefreshMessage(ObjectIndex index, int32_t cache_id, double t) {
@@ -103,26 +124,44 @@ void Harness::RefreshInstant(ObjectIndex index, double t) {
   }
 }
 
+void Harness::DispatchUpdate(void* harness, uint64_t index, double t) {
+  static_cast<Harness*>(harness)->OnUpdateEvent(static_cast<ObjectIndex>(index), t);
+}
+
 void Harness::OnUpdateEvent(ObjectIndex index, double t) {
   ObjectRuntime& object = objects_[index];
-  object.state.value = object.spec->process->ApplyUpdate(object.state.value, &object.rng);
+  if (object.update_kind == ObjectRuntime::UpdateKind::kPoissonWalk) {
+    // PoissonRandomWalkProcess::ApplyUpdate, inline.
+    object.state.value +=
+        object.rng.Bernoulli(0.5) ? object.update_step : -object.update_step;
+  } else {
+    object.state.value = object.spec->process->ApplyUpdate(object.state.value, &object.rng);
+  }
   ++object.state.version;
   object.state.last_update_time = t;
   for (int r = 0; r < object.num_replicas; ++r) {
     object.trackers[r].OnUpdate(t, object.state.value, object.state.version);
   }
+  const size_t replica_base = static_cast<size_t>(object.trackers - trackers_);
   for (GroundTruth* ground_truth : ground_truths_) {
-    ground_truth->OnSourceUpdate(index, t, object.state.value, object.state.version);
+    ground_truth->OnSourceUpdate(replica_base, object.num_replicas, t, object.state.value,
+                                 object.state.version);
   }
   scheduler_->OnObjectUpdate(index, t);
-  ScheduleNextUpdate(index, t);
+  ScheduleNextUpdate(object, index, t);
 }
 
-void Harness::ScheduleNextUpdate(ObjectIndex index, double now) {
-  ObjectRuntime& object = objects_[index];
-  const double next = object.spec->process->NextUpdateTime(now, &object.rng);
+void Harness::ScheduleNextUpdate(ObjectRuntime& object, ObjectIndex index, double now) {
+  double next;
+  if (object.update_kind == ObjectRuntime::UpdateKind::kPoissonWalk) {
+    // PoissonRandomWalkProcess::NextUpdateTime, inline.
+    if (object.update_rate <= 0.0) return;
+    next = now + object.rng.Exponential(object.update_rate);
+  } else {
+    next = object.spec->process->NextUpdateTime(now, &object.rng);
+  }
   if (!std::isfinite(next)) return;
-  sim_.ScheduleAt(next, [this, index](double t) { OnUpdateEvent(index, t); });
+  sim_.ScheduleAt(next, kObjectUpdateEvent, static_cast<uint64_t>(index));
 }
 
 Status Harness::Run(Scheduler* scheduler) {
@@ -143,7 +182,7 @@ Status Harness::Run(Scheduler* scheduler) {
   }
   for (GroundTruth* ground_truth : ground_truths_) ground_truth->Initialize(0.0);
   for (size_t i = 0; i < objects_.size(); ++i) {
-    ScheduleNextUpdate(static_cast<ObjectIndex>(i), 0.0);
+    ScheduleNextUpdate(objects_[i], static_cast<ObjectIndex>(i), 0.0);
   }
   scheduler->Initialize(this);
 

@@ -48,26 +48,53 @@ struct HarnessConfig {
   uint64_t seed = 7;
 };
 
-/// Per-object mutable state during a simulation run.
-struct ObjectRuntime {
-  const ObjectSpec* spec = nullptr;
+/// Per-object mutable state during a simulation run — the hot record of the
+/// serial update path. For the common object shape (a Poisson random walk
+/// with a constant weight) an update event, its rescheduling, the weight
+/// lookup and the source's priority context read only this record: the
+/// process parameters, the weight and the oracle constants are copied in
+/// from the ObjectSpec when the harness is built. Any other process or a
+/// fluctuating weight takes the virtual call through `spec` instead; which
+/// path an object takes follows from the types of its own process and
+/// weight. Budget: 128 bytes (two cache lines).
+struct alignas(64) ObjectRuntime {
+  /// How the update stream is generated: inline (the Poisson random walk's
+  /// draws, made here with the same Rng calls in the same order as
+  /// PoissonRandomWalkProcess) or through spec->process.
+  enum class UpdateKind : uint8_t { kPoissonWalk, kVirtual };
+
+  /// Private RNG stream driving this object's updates.
+  Rng rng;
   ObjectState state;
   /// Source-side divergence bookkeeping, one tracker per replica (vs. the
   /// value last shipped to that cache), aligned with spec->caches. Points
   /// into the harness arena's flat tracker array — every object's trackers
   /// are consecutive slices of one allocation, not a million tiny vectors.
   DivergenceTracker* trackers = nullptr;
-  int num_replicas = 0;
-  /// Private RNG stream driving this object's updates.
-  Rng rng;
+  int32_t num_replicas = 0;
+  UpdateKind update_kind = UpdateKind::kVirtual;
+  /// True when the weight is a ConstantFluctuation (its value is `weight`).
+  bool constant_weight = false;
+  /// spec->refresh_cost > 1 (non-unit costs scale priorities).
+  bool costly = false;
+  /// kPoissonWalk only: the process's rate and step.
+  double update_rate = 0.0;
+  double update_step = 0.0;
+  /// Constant weight value (meaningful when constant_weight).
+  double weight = 0.0;
+  /// Copies of spec->lambda and spec->max_divergence_rate.
+  double lambda = 0.0;
+  double max_divergence_rate = 0.0;
+  const ObjectSpec* spec = nullptr;
 
-  explicit ObjectRuntime(const ObjectSpec* s) : spec(s), rng(s->rng_seed) {}
+  explicit ObjectRuntime(const ObjectSpec* s);
 
   /// Tracker of replica slot `r` (slot 0 is the only replica in the paper's
   /// single-cache topology).
   DivergenceTracker& tracker(int r = 0) { return trackers[r]; }
   const DivergenceTracker& tracker(int r = 0) const { return trackers[r]; }
 };
+static_assert(sizeof(ObjectRuntime) <= 128, "ObjectRuntime outgrew two cache lines");
 
 /// Statistics a scheduler reports after a run (fields irrelevant to a given
 /// scheduler stay zero).
@@ -178,7 +205,9 @@ class Harness {
           const HarnessConfig& config);
 
   /// Registers an additional ground-truth observer (e.g. the source-objective
-  /// view in the competitive experiments). Must be called before Run.
+  /// view in the competitive experiments). Must be called before Run, and
+  /// `ground_truth` must be built over this harness's workload: updates
+  /// reach it by flat replica index.
   void AddGroundTruth(GroundTruth* ground_truth);
 
   /// Runs `scheduler` over warm-up + measurement. Call once.
@@ -202,7 +231,10 @@ class Harness {
   Arena* arena() { return &arena_; }
 
   /// Cache-scheme weight W(O_i, t).
-  double WeightAt(ObjectIndex index, double t) const;
+  double WeightAt(ObjectIndex index, double t) const {
+    const ObjectRuntime& object = objects_[index];
+    return object.constant_weight ? object.weight : object.spec->weight->ValueAt(t);
+  }
   /// Source-scheme weight (falls back to the cache scheme when the object
   /// defines no separate source weight).
   double SourceWeightAt(ObjectIndex index, double t) const;
@@ -236,8 +268,10 @@ class Harness {
   void RefreshInstant(ObjectIndex index, double t);
 
  private:
+  /// kObjectUpdateEvent handler (context = the harness).
+  static void DispatchUpdate(void* harness, uint64_t index, double t);
   void OnUpdateEvent(ObjectIndex index, double t);
-  void ScheduleNextUpdate(ObjectIndex index, double now);
+  void ScheduleNextUpdate(ObjectRuntime& object, ObjectIndex index, double now);
 
   const Workload* workload_;
   const DivergenceMetric* metric_;
@@ -247,6 +281,9 @@ class Harness {
   /// entries; declared before the structures pointing into it.
   Arena arena_;
   std::vector<ObjectRuntime> objects_;
+  /// Start of the flat tracker array: `object.trackers - trackers_` is the
+  /// object's flat replica base, shared with every GroundTruth's entries.
+  DivergenceTracker* trackers_ = nullptr;
   std::unique_ptr<GroundTruth> owned_ground_truth_;
   GroundTruth* primary_ground_truth_;
   std::vector<GroundTruth*> ground_truths_;

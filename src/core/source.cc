@@ -112,20 +112,22 @@ SourceAgent::ChannelEpoch SourceAgent::MakeEpochFn(const Channel* channel) const
 PriorityContext SourceAgent::MakeContext(const Channel& channel, ObjectIndex index,
                                          double now, bool use_source_weight) const {
   const int slot = ChannelSlot(channel, index);
+  // Reads only the object's hot record unless the object has a fluctuating
+  // weight or a non-unit cost.
   const ObjectRuntime& object = harness_->object(index);
   const DivergenceTracker& tracker = object.tracker(channel.replica_slots[slot]);
   PriorityContext context;
   context.tracker = &tracker;
   context.weight = use_source_weight ? harness_->SourceWeightAt(index, now)
                                      : harness_->WeightAt(index, now);
-  if (config_.cost_aware_priority && object.spec->refresh_cost > 1) {
+  if (config_.cost_aware_priority && object.costly) {
     // Section 10.1: non-uniform costs enter the weight inversely.
     context.weight /= static_cast<double>(object.spec->refresh_cost);
   }
-  context.max_divergence_rate = object.spec->max_divergence_rate;
+  context.max_divergence_rate = object.max_divergence_rate;
   context.history_rate = channel.locals[slot].history.rate();
   context.lambda_estimate = EstimateLambda(
-      config_.lambda_mode, object.spec->lambda, object.state.version, now,
+      config_.lambda_mode, object.lambda, object.state.version, now,
       tracker.updates_since_refresh(), now - tracker.last_refresh_time());
   return context;
 }
@@ -190,21 +192,34 @@ void SourceAgent::Start(Simulation* sim, double tick_length) {
     }
   }
   if (config_.monitor == MonitorMode::kSampling) {
+    BESYNC_CHECK(sim->has_handler(kSampleEvent))
+        << "sampling source " << index_ << " started without RegisterSampleEventHandler";
+    BESYNC_CHECK_LT(index_, 1 << 24) << "sample payloads hold a 24-bit source index";
+    uint64_t next_base = 0;
+    for (Channel& channel : channels_) {
+      channel.sample_base = static_cast<uint32_t>(next_base);
+      next_base += static_cast<uint64_t>(channel.num_members);
+    }
+    BESYNC_CHECK_LE(next_base, uint64_t{1} << 32) << "source " << index_
+                                                  << " has too many replicas to sample";
     Rng* rng = harness_->scheduler_rng();
     // Object-major so the single-cache draw sequence (one offset per object)
     // is preserved; each replica gets its own staggered schedule.
     for (size_t k = 0; k < members_.size(); ++k) {
-      const ObjectIndex index = members_[k];
       for (int c = 0; c < num_channels(); ++c) {
-        if (channels_[c].slot_of[k] < 0) continue;
+        const int32_t slot = channels_[c].slot_of[k];
+        if (slot < 0) continue;
         // Stagger initial samples so sampling load is spread over time.
         const double offset = rng->Uniform(0.0, config_.sampling_interval);
-        sim->ScheduleAt(offset, [this, c, index](double t) {
-          OnSampleEvent(c, index, t, sim_);
-        });
+        sim->ScheduleAt(offset, kSampleEvent, SamplePayload(channels_[c], slot));
       }
     }
   }
+}
+
+uint64_t SourceAgent::SamplePayload(const Channel& channel, int32_t slot) const {
+  return (static_cast<uint64_t>(index_) << 32) |
+         (channel.sample_base + static_cast<uint32_t>(slot));
 }
 
 void SourceAgent::RecordTrace(TraceEventKind kind, double t, int32_t cache_id,
@@ -279,10 +294,21 @@ void SourceAgent::MaybeCompact(Channel* channel) {
   }
 }
 
-void SourceAgent::OnSampleEvent(int channel_index, ObjectIndex index, double t,
-                                Simulation* sim) {
+void SourceAgent::HandleSampleEvent(uint32_t sample_id, double t) {
+  // The channel whose id range holds sample_id: the last one starting at or
+  // before it.
+  const auto after = std::upper_bound(
+      channels_.begin(), channels_.end(), sample_id,
+      [](uint32_t id, const Channel& channel) { return id < channel.sample_base; });
+  BESYNC_DCHECK(after != channels_.begin());
+  const int channel_index = static_cast<int>(after - channels_.begin()) - 1;
+  OnSampleEvent(channel_index,
+                static_cast<int32_t>(sample_id - channels_[channel_index].sample_base), t);
+}
+
+void SourceAgent::OnSampleEvent(int channel_index, int32_t slot, double t) {
   Channel& channel = channels_[channel_index];
-  const int slot = ChannelSlot(channel, index);
+  const ObjectIndex index = channel.members[slot];
   LocalState& state = channel.locals[slot];
   // Direct measurement: the source compares its live value against the copy
   // it last shipped to this cache — exactly what the exact tracker's current
@@ -294,16 +320,15 @@ void SourceAgent::OnSampleEvent(int channel_index, ObjectIndex index, double t,
   const double weight = harness_->WeightAt(index, t);
   channel.queue.Push(state.sampled.EstimatedPriority(t) * weight, index, state.epoch);
   MaybeCompact(&channel);
-  ScheduleNextSample(channel_index, index, t, sim);
+  ScheduleNextSample(channel_index, slot, t);
 }
 
-void SourceAgent::ScheduleNextSample(int channel_index, ObjectIndex index, double now,
-                                     Simulation* sim) {
+void SourceAgent::ScheduleNextSample(int channel_index, int32_t slot, double now) {
+  const Channel& channel = channels_[channel_index];
   double next = now + config_.sampling_interval;
   if (config_.predictive_sampling) {
-    Channel& channel = channels_[channel_index];
-    const LocalState& state = channel.locals[ChannelSlot(channel, index)];
-    const double weight = harness_->WeightAt(index, now);
+    const LocalState& state = channel.locals[slot];
+    const double weight = harness_->WeightAt(channel.members[slot], now);
     const double predicted =
         state.sampled.PredictCrossTime(channel.controller.threshold(), weight, now);
     // Sample "somewhat before" the predicted crossing, but never more often
@@ -311,9 +336,7 @@ void SourceAgent::ScheduleNextSample(int channel_index, ObjectIndex index, doubl
     const double candidate = std::max(now + config_.min_sampling_gap, predicted * 0.95);
     next = std::min(next, candidate);
   }
-  sim->ScheduleAt(next, [this, channel_index, index](double t) {
-    OnSampleEvent(channel_index, index, t, sim_);
-  });
+  sim_->ScheduleAt(next, kSampleEvent, SamplePayload(channel, slot));
 }
 
 void SourceAgent::OnFeedback(const Message& message, double t) {
@@ -790,6 +813,22 @@ int64_t SourceAgent::SendRefreshesTimeVarying(Channel* channel, double now,
                              candidate.epoch);
   }
   return sent;
+}
+
+namespace {
+
+void DispatchSampleEvent(void* agents, uint64_t payload, double t) {
+  auto& list = *static_cast<std::vector<std::unique_ptr<SourceAgent>>*>(agents);
+  SourceAgent& agent = *list[payload >> 32];
+  BESYNC_DCHECK(static_cast<uint64_t>(agent.index()) == payload >> 32);
+  agent.HandleSampleEvent(static_cast<uint32_t>(payload), t);
+}
+
+}  // namespace
+
+void RegisterSampleEventHandler(Simulation* sim,
+                                std::vector<std::unique_ptr<SourceAgent>>* agents) {
+  sim->RegisterHandler(kSampleEvent, &DispatchSampleEvent, agents);
 }
 
 }  // namespace besync

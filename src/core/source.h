@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "core/harness.h"
@@ -119,6 +120,10 @@ class SourceAgent {
   /// Trigger-mode notification that object `index` was updated at time `t`.
   void OnObjectUpdate(ObjectIndex index, double t);
 
+  /// Fires the sampling event of flat sample id `sample_id` (the low 32
+  /// bits of a kSampleEvent payload; see RegisterSampleEventHandler).
+  void HandleSampleEvent(uint32_t sample_id, double t);
+
   /// Handles a positive feedback message received at time `t`; the
   /// message's cache_id selects which threshold T_{j,c} is adjusted.
   void OnFeedback(const Message& message, double t);
@@ -230,10 +235,14 @@ class SourceAgent {
   double ComputeSourcePriority(ObjectIndex index, double now, int channel) const;
 
  private:
+  /// Per-replica monitoring state. `epoch` and `history` lead: every
+  /// trigger-mode update reads both (the lazy-heap epoch and the history
+  /// rate in the priority context), so they share a cache line; the
+  /// sampling-mode tracker trails.
   struct LocalState {
     uint64_t epoch = 0;
-    SampledTracker sampled;
     HistoryRateEstimator history;
+    SampledTracker sampled;
   };
 
   /// The source's model of one replica under the invalidation protocol:
@@ -264,6 +273,9 @@ class SourceAgent {
     /// Objects replicated at this cache (ascending global indices).
     ObjectIndex* members = nullptr;
     int32_t num_members = 0;
+    /// Sampling mode: the channel's first flat sample id (its slots take
+    /// ids sample_base .. sample_base + num_members - 1, channel-major).
+    uint32_t sample_base = 0;
     /// Source-local object offset -> channel slot, -1 if not replicated
     /// (size = the source's total object count).
     int32_t* slot_of = nullptr;
@@ -326,9 +338,10 @@ class SourceAgent {
     }
   };
 
-  void OnSampleEvent(int channel_index, ObjectIndex index, double t, Simulation* sim);
-  void ScheduleNextSample(int channel_index, ObjectIndex index, double now,
-                          Simulation* sim);
+  /// kSampleEvent payload of `channel`'s slot `slot`.
+  uint64_t SamplePayload(const Channel& channel, int32_t slot) const;
+  void OnSampleEvent(int channel_index, int32_t slot, double t);
+  void ScheduleNextSample(int channel_index, int32_t slot, double now);
   /// Sends one refresh for `index` to `channel`'s cache (budget already
   /// secured). Threshold bumping applies only to refreshes governed by the
   /// threshold protocol. `priority` is the queue key that won the send slot,
@@ -384,6 +397,15 @@ class SourceAgent {
   std::vector<QueueEntry> scratch_batch_;
   std::vector<QueueEntry> scratch_due_;
 };
+
+/// Installs the kSampleEvent handler of `sim` (sim/simulation.h). A
+/// sampling event's payload is the agent's source index in the bits above
+/// 32 and the agent's flat (channel, slot) sample id below; the handler
+/// routes it to `(*agents)[source]`, so `agents` must hold every sampling
+/// agent at the position of its index() and outlive the simulation's
+/// events. Register once, before any sampling agent Start()s.
+void RegisterSampleEventHandler(Simulation* sim,
+                                std::vector<std::unique_ptr<SourceAgent>>* agents);
 
 }  // namespace besync
 

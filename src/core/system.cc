@@ -171,6 +171,9 @@ void CooperativeScheduler::Initialize(Harness* harness) {
     object_source_[i] = j;
     sources_[j]->AddObject(static_cast<ObjectIndex>(i));
   }
+  if (config_.source.monitor == MonitorMode::kSampling) {
+    RegisterSampleEventHandler(&harness->simulation(), &sources_);
+  }
   for (auto& source : sources_) {
     source->SetSyncProtocol(protocol_.get());
     source->Start(&harness->simulation(), tick);

@@ -53,6 +53,8 @@ class PoissonRandomWalkProcess : public UpdateProcess {
     return std::make_unique<PoissonRandomWalkProcess>(lambda_, step_);
   }
 
+  double step() const { return step_; }
+
  private:
   double lambda_;
   double step_;

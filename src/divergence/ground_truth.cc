@@ -101,12 +101,13 @@ void GroundTruth::RebuildSums() {
   }
 }
 
-void GroundTruth::OnSourceUpdate(ObjectIndex index, double t, double value,
-                                 int64_t version) {
+void GroundTruth::OnSourceUpdate(size_t replica_base, int num_replicas, double t,
+                                 double value, int64_t version) {
+  BESYNC_DCHECK(replica_base + static_cast<size_t>(num_replicas) <= num_entries_);
   AdvanceTo(t);
-  const int replicas = workload_->objects[index].num_replicas();
-  for (int r = 0; r < replicas; ++r) {
-    Entry& entry = entries_[replica_base_[index] + r];
+  Entry* entries = entries_ + replica_base;
+  for (int r = 0; r < num_replicas; ++r) {
+    Entry& entry = entries[r];
     entry.source_value = value;
     entry.source_version = version;
     SetDivergence(&entry, metric_->Divergence(value, version, entry.cached_value,

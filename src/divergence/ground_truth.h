@@ -43,7 +43,19 @@ class GroundTruth {
 
   /// Records that source object `index` now has (value, version); every
   /// replica of the object diverges accordingly.
-  void OnSourceUpdate(ObjectIndex index, double t, double value, int64_t version);
+  void OnSourceUpdate(ObjectIndex index, double t, double value, int64_t version) {
+    OnSourceUpdate(replica_base_[index], workload_->objects[index].num_replicas(), t,
+                   value, version);
+  }
+
+  /// The same update addressed by the object's flat replica range: entries
+  /// `replica_base` .. `replica_base + num_replicas - 1`. Entries are laid
+  /// out object-major in ObjectSpec::caches order, so the base is the
+  /// number of replicas of all lower-indexed objects — the offset of the
+  /// object's trackers in the harness's flat tracker array. Skips the
+  /// per-object spec and base-table loads of the index form.
+  void OnSourceUpdate(size_t replica_base, int num_replicas, double t, double value,
+                      int64_t version);
 
   /// Records that cache `cache_id` applied a refresh for object `index`
   /// carrying (value, version) — the message content, which may itself be

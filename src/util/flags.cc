@@ -1,6 +1,10 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace besync {
@@ -43,20 +47,60 @@ std::string Flags::GetString(const std::string& name, const std::string& fallbac
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Bad flag values are usage errors, reported the way unknown flags are:
+/// a message on stderr and exit code 2, never a silent prefix parse.
+[[noreturn]] void BadValue(const std::string& name, const std::string& value,
+                           const char* expected) {
+  std::fprintf(stderr, "--%s: expected %s, got '%s'\n", name.c_str(), expected,
+               value.c_str());
+  std::exit(2);
+}
+
+/// strtoll/strtod accept leading blanks; a flag value may not have them.
+bool StartsBlank(const std::string& value) {
+  return std::isspace(static_cast<unsigned char>(value[0])) != 0;
+}
+
+}  // namespace
+
 int64_t Flags::GetInt(const std::string& name, int64_t fallback) const {
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  const std::string& value = it->second;
+  if (value.empty() || StartsBlank(value)) BadValue(name, value, "an integer");
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (*end != '\0') BadValue(name, value, "an integer");
+  if (errno == ERANGE) BadValue(name, value, "an integer in range");
+  return static_cast<int64_t>(parsed);
 }
 
 double Flags::GetDouble(const std::string& name, double fallback) const {
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  const std::string& value = it->second;
+  if (value.empty() || StartsBlank(value)) BadValue(name, value, "a number");
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (*end != '\0') BadValue(name, value, "a number");
+  // ERANGE also flags underflow to a denormal or zero, which is harmless.
+  if (errno == ERANGE && std::fabs(parsed) == HUGE_VAL) {
+    BadValue(name, value, "a number in range");
+  }
+  return parsed;
 }
 
 bool Flags::GetBool(const std::string& name, bool fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& value = it->second;
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value == "false" || value == "0" || value == "no") return false;
+  BadValue(name, value, "true/false/1/0/yes/no");
 }
 
 }  // namespace besync

@@ -22,6 +22,11 @@ class Flags {
 
   bool Has(const std::string& name) const;
   std::string GetString(const std::string& name, const std::string& fallback) const;
+
+  /// Typed getters return `fallback` for an absent flag. A present value
+  /// must parse completely — no empty value, leading blanks, trailing junk
+  /// or out-of-range number; GetBool takes only true/false/1/0/yes/no —
+  /// else the getter prints a usage error and exits with code 2.
   int64_t GetInt(const std::string& name, int64_t fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
   bool GetBool(const std::string& name, bool fallback) const;

@@ -111,9 +111,10 @@ int64_t Rng::Poisson(double mean) {
 }
 
 double Rng::Normal(double mean, double stddev) {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return mean + stddev * cached_normal_;
+  if (!std::isnan(cached_normal_)) {
+    const double cached = cached_normal_;
+    cached_normal_ = kNoCachedNormal;
+    return mean + stddev * cached;
   }
   // Box-Muller.
   double u1;
@@ -124,7 +125,6 @@ double Rng::Normal(double mean, double stddev) {
   const double radius = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * M_PI * u2;
   cached_normal_ = radius * std::sin(theta);
-  has_cached_normal_ = true;
   return mean + stddev * radius * std::cos(theta);
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/logging.h"
 
@@ -41,28 +40,18 @@ int64_t TimerWheel::BucketOf(double time) const {
   return static_cast<int64_t>(bucket);
 }
 
-void TimerWheel::Push(double time, WheelCallback callback) {
-  uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<uint32_t>(callbacks_.size());
-    callbacks_.push_back(std::move(callback));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    callbacks_[slot] = std::move(callback);
-  }
-  const Item item{time, next_seq_++, slot};
+void TimerWheel::Push(double time, TimerKey key) {
   ++size_;
-  const int64_t bucket = BucketOf(time);
+  Route(Item{time, next_seq_++, key});
+}
+
+void TimerWheel::Route(const Item& item) {
+  const int64_t bucket = BucketOf(item.time);
   if (bucket <= cur_bucket_) {
     near_.push_back(item);
     std::push_heap(near_.begin(), near_.end(), LaterCmp{});
     return;
   }
-  PlaceInWheel(item, bucket);
-}
-
-void TimerWheel::PlaceInWheel(Item item, int64_t bucket) {
   if (bucket - cur_bucket_ <= slots_) {
     level0_[bucket % slots_].push_back(item);
     ++level0_count_;
@@ -80,18 +69,24 @@ void TimerWheel::PlaceInWheel(Item item, int64_t bucket) {
 
 void TimerWheel::Cascade(int64_t b1) {
   std::vector<Item>& bucket = level1_[b1 % slots_];
-  if (bucket.empty()) return;
-  level1_count_ -= bucket.size();
-  for (const Item& item : bucket) {
-    const int64_t b0 = BucketOf(item.time);
-    if (b0 <= cur_bucket_) {
-      near_.push_back(item);
-      std::push_heap(near_.begin(), near_.end(), LaterCmp{});
-    } else {
-      PlaceInWheel(item, b0);
-    }
+  if (!bucket.empty()) {
+    level1_count_ -= bucket.size();
+    for (const Item& item : bucket) Route(item);
+    bucket.clear();
   }
-  bucket.clear();
+  // The level-1 horizon just grew by one bucket: far timers it now covers
+  // must join the wheels, or later pushes into that bucket would pop ahead
+  // of them.
+  if (!far_.empty() &&
+      FloorDiv(BucketOf(far_min_time_), slots_) - b1 <= slots_) {
+    RouteFar();
+  }
+}
+
+void TimerWheel::RouteFar() {
+  std::vector<Item> pending;
+  pending.swap(far_);
+  for (const Item& item : pending) Route(item);
 }
 
 void TimerWheel::Prepare() {
@@ -116,17 +111,7 @@ void TimerWheel::Prepare() {
       // Wheels are dry: jump to the far list's minimum and re-bucket it.
       BESYNC_CHECK(!far_.empty()) << "TimerWheel::Prepare on an empty wheel";
       cur_bucket_ = BucketOf(far_min_time_) - 1;
-      std::vector<Item> pending;
-      pending.swap(far_);
-      for (const Item& item : pending) {
-        const int64_t b0 = BucketOf(item.time);
-        if (b0 <= cur_bucket_) {
-          near_.push_back(item);
-          std::push_heap(near_.begin(), near_.end(), LaterCmp{});
-        } else {
-          PlaceInWheel(item, b0);
-        }
-      }
+      RouteFar();
     }
   }
 }
@@ -137,16 +122,14 @@ double TimerWheel::NextTime() {
   return near_.front().time;
 }
 
-void TimerWheel::PopInto(double* time, WheelCallback* callback) {
+void TimerWheel::PopInto(double* time, TimerKey* key) {
   BESYNC_CHECK(size_ > 0) << "TimerWheel::PopInto on an empty wheel";
   Prepare();
   std::pop_heap(near_.begin(), near_.end(), LaterCmp{});
   const Item item = near_.back();
   near_.pop_back();
   *time = item.time;
-  *callback = std::move(callbacks_[item.slot]);
-  callbacks_[item.slot] = nullptr;
-  free_slots_.push_back(item.slot);
+  *key = item.key;
   --size_;
 }
 

@@ -3,13 +3,26 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace besync {
 
-/// Callback fired when a timer is popped; receives the timer's timestamp.
-using WheelCallback = std::function<void(double)>;
+/// A timer's identity: an 8-bit kind in the top byte and a 56-bit payload
+/// below it. The wheel never interprets a key; Simulation (sim/simulation.h)
+/// uses the kind to pick a handler and hands it the payload.
+using TimerKey = uint64_t;
+
+constexpr int kTimerPayloadBits = 56;
+constexpr uint64_t kMaxTimerPayload = (uint64_t{1} << kTimerPayloadBits) - 1;
+
+/// Packs (kind, payload); `payload` must fit in 56 bits.
+constexpr TimerKey MakeTimerKey(uint8_t kind, uint64_t payload) {
+  return (static_cast<uint64_t>(kind) << kTimerPayloadBits) | payload;
+}
+constexpr uint8_t TimerKeyKind(TimerKey key) {
+  return static_cast<uint8_t>(key >> kTimerPayloadBits);
+}
+constexpr uint64_t TimerKeyPayload(TimerKey key) { return key & kMaxTimerPayload; }
 
 /// Hierarchical timer wheel with an *exact* global pop order: timers pop in
 /// strictly increasing (time, insertion-sequence) order — bit-for-bit the
@@ -26,8 +39,10 @@ using WheelCallback = std::function<void(double)>;
 ///     (time, seq), and it is a plain binary heap.
 ///   - level 0: the next N buckets of width r, unsorted vectors.
 ///   - level 1: the next N buckets of width N*r, unsorted.
-///   - far list: everything beyond the N*N*r horizon, with a cached minimum
-///     time; re-bucketed wholesale when the wheels drain past it.
+///   - far list: everything beyond the level-1 horizon, with a cached
+///     minimum time; re-routed wholesale as soon as the advancing level-1
+///     horizon covers that minimum (or the wheels run dry), so a far timer
+///     is never overtaken by a later push into the wheels.
 ///
 /// Exactness argument: floor-bucketing partitions the time axis, so every
 /// timer outside the near heap has time >= (current bucket + 1) * r, which
@@ -39,10 +54,9 @@ using WheelCallback = std::function<void(double)>;
 /// (including past times) go straight to the near heap, preserving the
 /// invariant.
 ///
-/// The callbacks themselves live in a recycled slab; the items routed
-/// through the buckets and sifted through the near heap are 24-byte PODs
-/// carrying a slab slot. Heap maintenance therefore never touches
-/// std::function move machinery — the dominant cost of a heap of closures.
+/// A timer is a 24-byte POD (time, seq, key): nothing type-erased is stored,
+/// moved or destroyed per timer, so push and pop cost only the bucket
+/// append and the near-heap sift.
 ///
 /// Not thread-safe; one wheel per simulation.
 class TimerWheel {
@@ -62,7 +76,7 @@ class TimerWheel {
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
 
-  void Push(double time, WheelCallback callback);
+  void Push(double time, TimerKey key);
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
@@ -71,17 +85,17 @@ class TimerWheel {
   /// may advance buckets into the near heap.
   double NextTime();
 
-  /// Pops the earliest timer into (time, callback); wheel must be non-empty.
-  void PopInto(double* time, WheelCallback* callback);
+  /// Pops the earliest timer into (time, key); wheel must be non-empty.
+  void PopInto(double* time, TimerKey* key);
 
  private:
-  /// POD routed through buckets and the near heap; `slot` indexes the
-  /// callback slab.
+  /// POD routed through buckets and the near heap.
   struct Item {
     double time;
     uint64_t seq;
-    uint32_t slot;
+    TimerKey key;
   };
+  static_assert(sizeof(Item) == 24, "timer items stay 24 bytes");
 
   // Near-heap ordering: earlier time first; FIFO for equal times. A struct
   // (not a free function) so std::push_heap/pop_heap inline the comparison.
@@ -98,11 +112,16 @@ class TimerWheel {
   /// wheels/far list when empty). Requires size_ > 0.
   void Prepare();
 
-  /// Moves every timer of level-1 bucket `b1` into level 0 / the near heap.
+  /// Moves every timer of level-1 bucket `b1` into level 0 / the near heap,
+  /// then pulls in far timers the grown level-1 horizon now covers.
   void Cascade(int64_t b1);
 
-  /// Routes one item already known not to belong to the near heap.
-  void PlaceInWheel(Item item, int64_t bucket);
+  /// Places one timer by its bucket relative to cur_bucket_: near heap,
+  /// level 0, level 1 or the far list.
+  void Route(const Item& item);
+
+  /// Re-routes the whole far list against the current horizon.
+  void RouteFar();
 
   const double resolution_;
   const int64_t slots_;
@@ -110,9 +129,6 @@ class TimerWheel {
   std::vector<std::vector<Item>> level0_;   // bucket b at slot b % slots_
   std::vector<std::vector<Item>> level1_;
   std::vector<Item> far_;
-  /// Callback slab indexed by Item::slot, with a free list of popped slots.
-  std::vector<WheelCallback> callbacks_;
-  std::vector<uint32_t> free_slots_;
   double far_min_time_ = 0.0;
   int64_t cur_bucket_;                      // near/wheel boundary (absolute)
   size_t level0_count_ = 0;

@@ -1,10 +1,14 @@
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/cache.h"
 #include "core/harness.h"
 #include "core/system.h"
+#include "data/update_process.h"
+#include "data/weight.h"
 #include "divergence/metric.h"
 #include "exp/experiment.h"
 
@@ -278,6 +282,127 @@ TEST(HarnessTest, UpdateStreamsIdenticalAcrossSchedulers) {
     for (auto& object : harness.objects()) versions_b.push_back(object.state.version);
   }
   EXPECT_EQ(versions_a, versions_b);
+}
+
+// ------------------------------- update stream of the hot object record
+
+/// Counts OnObjectUpdate notifications per object; schedules nothing.
+class UpdateCountingScheduler : public Scheduler {
+ public:
+  std::string name() const override { return "update-counter"; }
+  void Initialize(Harness* harness) override {
+    counts_.assign(harness->objects().size(), 0);
+  }
+  void OnObjectUpdate(ObjectIndex index, double) override { ++counts_[index]; }
+  void Tick(double) override {}
+
+  std::vector<int64_t> counts_;
+};
+
+/// A Poisson random walk whose updates move twice as far: same type family
+/// as the inline fast path, so it must still take the virtual call.
+class DoubleStepWalk : public PoissonRandomWalkProcess {
+ public:
+  using PoissonRandomWalkProcess::PoissonRandomWalkProcess;
+  double ApplyUpdate(double current_value, Rng* rng) override {
+    return current_value + 2.0 * (PoissonRandomWalkProcess::ApplyUpdate(0.0, rng));
+  }
+  std::unique_ptr<UpdateProcess> Clone() const override {
+    return std::make_unique<DoubleStepWalk>(rate(), step());
+  }
+};
+
+TEST(HarnessTest, UpdateStreamMatchesDirectProcessLoopForEveryProcessKind) {
+  // Poisson objects take the inline path of the hot record; everything
+  // else (and the Poisson subclass) takes the virtual call. Both must give
+  // exactly the stream a plain loop over spec.process with a fresh
+  // Rng(spec.rng_seed) gives.
+  Workload workload = std::move(MakeWorkload(SmallWorkload(3, 8, 5))).ValueOrDie();
+  std::vector<TracePoint> trace;
+  for (int k = 1; k <= 40; ++k) trace.push_back({3.5 * k, std::sin(0.3 * k)});
+  for (ObjectSpec& spec : workload.objects) {
+    const double lambda = spec.lambda;
+    switch (spec.index % 7) {
+      case 0: spec.process = std::make_unique<PoissonRandomWalkProcess>(lambda, 0.75); break;
+      case 1: spec.process = std::make_unique<BernoulliRandomWalkProcess>(lambda); break;
+      case 2:
+        spec.process = std::make_unique<RegimeSwitchingProcess>(lambda, 4 * lambda, 30.0);
+        break;
+      case 3: spec.process = std::make_unique<DriftProcess>(lambda, 0.5); break;
+      case 4: spec.process = std::make_unique<TraceProcess>(trace); break;
+      case 5: spec.process = std::make_unique<DoubleStepWalk>(lambda); break;
+      default: spec.process = std::make_unique<PoissonRandomWalkProcess>(0.0); break;
+    }
+    spec.lambda = spec.process->rate();
+  }
+  // Fresh copies for the reference loop: the harness advances the
+  // originals' cursors.
+  std::vector<std::unique_ptr<UpdateProcess>> reference;
+  for (const ObjectSpec& spec : workload.objects) {
+    reference.push_back(spec.process->Clone());
+  }
+
+  auto metric = MakeMetric(MetricKind::kValueDeviation);
+  HarnessConfig config;
+  config.warmup = 10.0;
+  config.measure = 120.0;
+  Harness harness(&workload, metric.get(), config);
+  UpdateCountingScheduler scheduler;
+  ASSERT_TRUE(harness.Run(&scheduler).ok());
+
+  const double end = harness.end_time();
+  int64_t total_updates = 0;
+  for (size_t i = 0; i < workload.objects.size(); ++i) {
+    const ObjectSpec& spec = workload.objects[i];
+    UpdateProcess& process = *reference[i];
+    process.Reset();
+    Rng rng(spec.rng_seed);
+    ObjectState expected;
+    expected.value = spec.initial_value;
+    int64_t updates = 0;
+    double t = process.NextUpdateTime(0.0, &rng);
+    while (std::isfinite(t) && t <= end) {
+      expected.value = process.ApplyUpdate(expected.value, &rng);
+      ++expected.version;
+      expected.last_update_time = t;
+      ++updates;
+      t = process.NextUpdateTime(t, &rng);
+    }
+    const ObjectState& actual = harness.object(static_cast<ObjectIndex>(i)).state;
+    EXPECT_EQ(actual.value, expected.value) << "object " << i;
+    EXPECT_EQ(actual.version, expected.version) << "object " << i;
+    EXPECT_EQ(actual.last_update_time, expected.last_update_time) << "object " << i;
+    EXPECT_EQ(scheduler.counts_[i], updates) << "object " << i;
+    total_updates += updates;
+  }
+  EXPECT_GT(total_updates, 100);
+}
+
+TEST(HarnessTest, WeightAtMatchesSpecWeightForConstantAndFluctuatingWeights) {
+  WorkloadConfig config = SmallWorkload(2, 6, 9);
+  config.weight_fluctuation_amplitude = 0.6;
+  config.weight_period_min = 20.0;
+  config.weight_period_max = 50.0;
+  Workload workload = std::move(MakeWorkload(config)).ValueOrDie();
+  ASSERT_TRUE(workload.has_fluctuating_weights);
+  // Mix in the other weight shapes: constant (the inline path) and a
+  // product of a constant and a sine (the virtual call).
+  for (ObjectSpec& spec : workload.objects) {
+    if (spec.index % 3 == 0) spec.weight = MakeConstantWeight(1.5 + spec.index);
+    if (spec.index % 3 == 1) {
+      spec.weight = std::make_unique<ProductWeight>(
+          MakeConstantWeight(2.0), std::make_unique<SineFluctuation>(1.0, 0.5, 30.0, 0.1));
+    }
+  }
+  auto metric = MakeMetric(MetricKind::kValueDeviation);
+  Harness harness(&workload, metric.get(), HarnessConfig{});
+  for (double t : {0.0, 0.37, 5.0, 17.25, 100.0, 999.5}) {
+    for (size_t i = 0; i < workload.objects.size(); ++i) {
+      EXPECT_EQ(harness.WeightAt(static_cast<ObjectIndex>(i), t),
+                workload.objects[i].weight->ValueAt(t))
+          << "object " << i << " t " << t;
+    }
+  }
 }
 
 // ------------------------------------ batched-payload delivery (Harness)

@@ -1,5 +1,6 @@
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
@@ -373,6 +374,63 @@ TEST(FlagsTest, RejectsPositionalArgument) {
   const char* argv[] = {"prog", "oops"};
   Flags flags;
   EXPECT_FALSE(Flags::Parse(2, const_cast<char**>(argv), {"alpha"}, &flags).ok());
+}
+
+/// Parses one `--name=value` pair against the known flags alpha/count/on.
+Flags ParseOne(const char* arg) {
+  const char* argv[] = {"prog", arg};
+  Flags flags;
+  EXPECT_TRUE(Flags::Parse(2, const_cast<char**>(argv), {"alpha", "count", "on"},
+                           &flags)
+                  .ok());
+  return flags;
+}
+
+TEST(FlagsTest, TypedGettersAcceptWellFormedValues) {
+  EXPECT_EQ(ParseOne("--count=-42").GetInt("count", 0), -42);
+  EXPECT_EQ(ParseOne("--count=9223372036854775807").GetInt("count", 0),
+            INT64_MAX);
+  EXPECT_DOUBLE_EQ(ParseOne("--alpha=2.5e-3").GetDouble("alpha", 0.0), 2.5e-3);
+  EXPECT_DOUBLE_EQ(ParseOne("--alpha=7").GetDouble("alpha", 0.0), 7.0);
+  for (const char* yes : {"--on=true", "--on=1", "--on=yes", "--on"}) {
+    EXPECT_TRUE(ParseOne(yes).GetBool("on", false)) << yes;
+  }
+  for (const char* no : {"--on=false", "--on=0", "--on=no"}) {
+    EXPECT_FALSE(ParseOne(no).GetBool("on", true)) << no;
+  }
+}
+
+TEST(FlagsDeathTest, IntRejectsJunkEmptyAndOverflow) {
+  EXPECT_EXIT(ParseOne("--count=1x").GetInt("count", 0),
+              ::testing::ExitedWithCode(2), "--count: expected an integer, got '1x'");
+  EXPECT_EXIT(ParseOne("--count=").GetInt("count", 0), ::testing::ExitedWithCode(2),
+              "--count: expected an integer");
+  EXPECT_EXIT(ParseOne("--count=1.5").GetInt("count", 0),
+              ::testing::ExitedWithCode(2), "expected an integer");
+  EXPECT_EXIT(ParseOne("--count= 3").GetInt("count", 0), ::testing::ExitedWithCode(2),
+              "expected an integer");
+  EXPECT_EXIT(ParseOne("--count=9223372036854775808").GetInt("count", 0),
+              ::testing::ExitedWithCode(2), "in range");
+}
+
+TEST(FlagsDeathTest, DoubleRejectsJunkEmptyAndOverflow) {
+  EXPECT_EXIT(ParseOne("--alpha=1x").GetDouble("alpha", 0.0),
+              ::testing::ExitedWithCode(2), "--alpha: expected a number, got '1x'");
+  EXPECT_EXIT(ParseOne("--alpha=abc").GetDouble("alpha", 0.0),
+              ::testing::ExitedWithCode(2), "expected a number");
+  EXPECT_EXIT(ParseOne("--alpha=").GetDouble("alpha", 0.0),
+              ::testing::ExitedWithCode(2), "expected a number");
+  EXPECT_EXIT(ParseOne("--alpha=1e999").GetDouble("alpha", 0.0),
+              ::testing::ExitedWithCode(2), "in range");
+}
+
+TEST(FlagsDeathTest, BoolRejectsAnythingButTheSixSpellings) {
+  EXPECT_EXIT(ParseOne("--on=ture").GetBool("on", false), ::testing::ExitedWithCode(2),
+              "--on: expected true/false/1/0/yes/no, got 'ture'");
+  EXPECT_EXIT(ParseOne("--on=").GetBool("on", false), ::testing::ExitedWithCode(2),
+              "expected true/false");
+  EXPECT_EXIT(ParseOne("--on=TRUE").GetBool("on", false), ::testing::ExitedWithCode(2),
+              "expected true/false");
 }
 
 // ---------------------------------------------------------- TablePrinter
