@@ -282,6 +282,22 @@ inline void EmitObsOutputs(const std::vector<JobResult>& results,
   emit(obs.trace_out, &WriteTraceFile);
 }
 
+/// Exits 2 with the message when `config` fails ValidateExperimentConfig:
+/// a bad --warmup / --measure is a usage error, reported before any job
+/// runs.
+inline void ValidateConfigOrExit(const ExperimentConfig& config) {
+  const Status status = ValidateExperimentConfig(config);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    std::exit(2);
+  }
+}
+
+/// ValidateConfigOrExit over every job of a grid.
+inline void ValidateJobsOrExit(const std::vector<ExperimentJob>& jobs) {
+  for (const ExperimentJob& job : jobs) ValidateConfigOrExit(job.config);
+}
+
 /// Exits nonzero on the first failed job, printing its name and status —
 /// the bench equivalent of BESYNC_CHECK_OK per job.
 inline void CheckJobsOk(const std::vector<JobResult>& results) {

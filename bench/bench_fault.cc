@@ -70,8 +70,6 @@ int Run(const BenchOptions& options) {
   // A finite source uplink makes recovery a real allocation decision: the
   // resync traffic and the fresh updates compete for the same budget.
   config.base.source_bandwidth_avg = options.flags.GetDouble("source_bw", 3.0);
-  config.base.run_threads =
-      static_cast<int>(options.flags.GetInt("run_threads", 1));
   config.threads = options.threads;
   // Observability outputs (--timeseries_out / --trace_out; bench_common.h).
   // The fault sweep is cooperative-only, so the config applies to every job
@@ -113,6 +111,7 @@ int Run(const BenchOptions& options) {
                         SyncProtocolKind::kInvalidation};
   }
 
+  ValidateConfigOrExit(config.base);
   std::vector<JobResult> raw;
   const auto points = RunFaultSweep(config, &raw);
   if (!points.ok()) {
@@ -190,7 +189,7 @@ int Run(const BenchOptions& options) {
 int main(int argc, char** argv) {
   std::vector<std::string> flags{
       "sources", "objects", "caches", "tiers", "protocols", "relay_factor",
-      "warmup", "measure", "cache_bw", "source_bw", "run_threads",
+      "warmup", "measure", "cache_bw", "source_bw",
       "fault_crashes", "fault_crash_duration", "fault_window_start",
       "fault_window_end", "fault_read_rate", "fault_relay_failures",
       "fault_seed"};

@@ -111,6 +111,7 @@ int Run(const BenchOptions& options) {
     }
   }
 
+  ValidateJobsOrExit(jobs);
   const std::vector<JobResult> results = RunExperiments(jobs, options.runner("fig4"));
   CheckJobsOk(results);
   EmitJson(results, options);

@@ -76,6 +76,7 @@ int Run(const BenchOptions& options) {
     }
   }
 
+  ValidateJobsOrExit(jobs);
   const std::vector<JobResult> results =
       RunExperimentsOnWorkload(workload, jobs, options.runner("fig5"));
   CheckJobsOk(results);

@@ -72,6 +72,7 @@ int Run(const BenchOptions& options) {
     }
   }
 
+  ValidateJobsOrExit(jobs);
   const std::vector<JobResult> results = RunExperiments(jobs, options.runner("fig6"));
   CheckJobsOk(results);
   EmitJson(results, options);

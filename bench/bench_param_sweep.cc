@@ -78,6 +78,7 @@ int Run(const BenchOptions& options) {
     }
   }
 
+  ValidateJobsOrExit(jobs);
   const std::vector<JobResult> results =
       RunExperiments(jobs, options.runner("param sweep"));
   CheckJobsOk(results);

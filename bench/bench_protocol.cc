@@ -73,8 +73,6 @@ int Run(const BenchOptions& options) {
   // many objects per unit (batching) and refills on demand-priority pulls.
   config.base.source_bandwidth_avg = options.flags.GetDouble("source_bw", 1.0);
   config.base.loss_rate = options.flags.GetDouble("loss", 0.0);
-  config.base.run_threads =
-      static_cast<int>(options.flags.GetInt("run_threads", 1));
   config.ttl = options.flags.GetDouble("ttl", 50.0);
   config.invalidate_batch =
       static_cast<int>(options.flags.GetInt("invalidate_batch", 4));
@@ -101,6 +99,7 @@ int Run(const BenchOptions& options) {
     }
   }
 
+  ValidateConfigOrExit(config.base);
   std::vector<JobResult> raw;
   const auto points = RunProtocolSweep(config, &raw);
   if (!points.ok()) {
@@ -170,5 +169,5 @@ int main(int argc, char** argv) {
       argc, argv,
       {"sources", "objects", "caches", "bandwidths", "read_rates", "protocols",
        "ttl", "invalidate_batch", "tiers", "relay_factor", "warmup", "measure",
-       "loss", "zipf", "source_bw", "run_threads"}));
+       "loss", "zipf", "source_bw"}));
 }

@@ -87,6 +87,7 @@ int Run(const BenchOptions& options) {
     }
   }
 
+  ValidateConfigOrExit(config.base);
   std::vector<JobResult> raw;
   const auto points = RunReadSweep(config, &raw);
   if (!points.ok()) {

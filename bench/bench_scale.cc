@@ -1,26 +1,18 @@
 // Per-run scale trajectory: the cooperative protocol on one big workload,
 // swept over (sources x objects-per-source x caches) points up to the
-// 1M-object x 1k-cache configuration. Reports, per (point, run_threads)
-// row:
+// 1M-object x 1k-cache configuration. Reports, per point:
 //
 //   - the objective (sanity: the protocol still converges at scale),
 //   - refreshes delivered, wall seconds, microseconds per delivered
-//     refresh, simulation ticks per wall second, peak RSS, and the
-//     parallel efficiency versus the first-listed thread count.
+//     refresh, simulation ticks per wall second, and peak RSS.
 //
 // This is the bench behind BENCH_scale.json (tools/record_bench.py): the
 // recorded grid is small and deterministic; the --full trajectory exercises
-// the 100k and 1M points. `--run_threads_list` (default 1,2) zips every
-// point against each thread count (`--run_threads=N` pins a single count)
-// — rows keep the thread-count-free point name, so equal-named rows being
-// byte-identical in the JSON IS the recorded determinism proof
-// (CooperativeConfig::run_threads changes nothing but wall time), and
-// `--run_threads=4 --json=a.json` byte-equals `--run_threads=1`.
+// the 100k and 1M points.
 //
-// With --perf the JSON gains the nondeterministic "perf" member: the
-// aggregate phase_breakdown (util/phase_timer.h, wall seconds per tick
-// phase) plus a "scaling" row per (point, run_threads) with that run's
-// wall_seconds, us_per_refresh and its own phase_breakdown.
+// With --perf the JSON gains the nondeterministic "perf" member, including
+// the aggregate phase_breakdown (util/phase_timer.h, wall seconds per tick
+// phase summed over the points).
 //
 // Points are zipped from --sources_list/--objects_list/--caches_list (equal
 // lengths), with per-source object counts: point i runs sources_list[i]
@@ -88,19 +80,6 @@ int Run(const BenchOptions& options) {
     return 2;
   }
 
-  // The thread-count axis: every point runs once per entry.
-  // --run_threads_list wins over --run_threads (which pins one count); the
-  // default {1, 2} keeps a parallel-vs-serial determinism pair in every
-  // recorded baseline.
-  std::vector<int> run_threads_list{1, 2};
-  if (options.flags.GetInt("run_threads", 0) > 0) {
-    run_threads_list = {static_cast<int>(options.flags.GetInt("run_threads", 1))};
-  }
-  if (!options.flags.GetString("run_threads_list", "").empty()) {
-    run_threads_list = ParseIntList(
-        "run_threads_list", options.flags.GetString("run_threads_list", ""));
-  }
-
   const double warmup = options.flags.GetDouble("warmup", 10.0);
   const double measure = options.flags.GetDouble("measure", 60.0);
   // Low per-object update rates: at 1M objects the update-event stream, not
@@ -115,44 +94,38 @@ int Run(const BenchOptions& options) {
 
   // One timer per job (constructed up front: PhaseTimer is not movable),
   // so concurrently running jobs (--threads > 1) never share accumulators.
-  std::vector<PhaseTimer> timers(sources_list.size() * run_threads_list.size());
+  std::vector<PhaseTimer> timers(sources_list.size());
 
   std::vector<ExperimentJob> jobs;
-  std::vector<int> job_run_threads;
   for (size_t i = 0; i < sources_list.size(); ++i) {
-    for (int run_threads : run_threads_list) {
-      ExperimentJob job;
-      const int64_t total_objects =
-          static_cast<int64_t>(sources_list[i]) * objects_list[i];
-      // The name stays thread-count-free on purpose: the JSON rows of one
-      // point at different run_threads values must be byte-identical.
-      job.name = std::to_string(total_objects) + "obj," +
-                 std::to_string(caches_list[i]) + "caches";
-      job.config.scheduler = SchedulerKind::kCooperative;
-      job.config.workload.num_sources = sources_list[i];
-      job.config.workload.objects_per_source = objects_list[i];
-      job.config.workload.num_caches = caches_list[i];
-      job.config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
-      job.config.workload.rate_lo = 0.0;
-      job.config.workload.rate_hi = rate_hi;
-      job.config.workload.seed = options.seed;
-      job.config.harness.warmup = warmup;
-      job.config.harness.measure = measure;
-      job.config.cache_bandwidth_avg = cache_bandwidth;
-      job.config.source_bandwidth_avg = source_bandwidth;
-      job.config.run_threads = run_threads;
-      job.config.obs = obs.config;
-      if (options.perf) job.config.phase_timer = &timers[jobs.size()];
-      job_run_threads.push_back(run_threads);
-      jobs.push_back(std::move(job));
-    }
+    ExperimentJob job;
+    const int64_t total_objects =
+        static_cast<int64_t>(sources_list[i]) * objects_list[i];
+    job.name = std::to_string(total_objects) + "obj," +
+               std::to_string(caches_list[i]) + "caches";
+    job.config.scheduler = SchedulerKind::kCooperative;
+    job.config.workload.num_sources = sources_list[i];
+    job.config.workload.objects_per_source = objects_list[i];
+    job.config.workload.num_caches = caches_list[i];
+    job.config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
+    job.config.workload.rate_lo = 0.0;
+    job.config.workload.rate_hi = rate_hi;
+    job.config.workload.seed = options.seed;
+    job.config.harness.warmup = warmup;
+    job.config.harness.measure = measure;
+    job.config.cache_bandwidth_avg = cache_bandwidth;
+    job.config.source_bandwidth_avg = source_bandwidth;
+    job.config.obs = obs.config;
+    if (options.perf) job.config.phase_timer = &timers[i];
+    jobs.push_back(std::move(job));
   }
+  ValidateJobsOrExit(jobs);
 
   const std::vector<JobResult> results =
       RunExperiments(jobs, options.runner("bench_scale"));
 
   // --perf: the common aggregate block plus phase_breakdown (summed over
-  // jobs) and one scaling row per (point, run_threads).
+  // jobs).
   if (options.json.empty()) {
     // fall through to the table only
   } else if (!options.perf) {
@@ -170,22 +143,7 @@ int Run(const BenchOptions& options) {
     fragment.pop_back();  // reopen the perf object to append members
     std::ostringstream extra;
     extra << fragment << ", \"phase_breakdown\": " << PhaseBreakdownJson(total)
-          << ", \"scaling\": [";
-    for (size_t i = 0; i < results.size(); ++i) {
-      const JobResult& job = results[i];
-      const int64_t delivered = job.result.scheduler.refreshes_delivered;
-      const double us_per_refresh =
-          delivered > 0 ? job.wall_seconds * 1e6 / static_cast<double>(delivered)
-                        : 0.0;
-      if (i > 0) extra << ", ";
-      extra << std::fixed << std::setprecision(6) << "{\"point\": \"" << job.name
-            << "\", \"run_threads\": " << job_run_threads[i]
-            << ", \"wall_seconds\": " << job.wall_seconds
-            << ", \"us_per_refresh\": " << std::setprecision(4) << us_per_refresh
-            << std::setprecision(6)
-            << ", \"phase_breakdown\": " << PhaseBreakdownJson(timers[i]) << '}';
-    }
-    extra << "]}";
+          << '}';
     const Status status = WriteResultsJson(options.json, results, extra.str());
     if (!status.ok()) {
       std::fprintf(stderr, "JSON write failed: %s\n", status.ToString().c_str());
@@ -196,28 +154,9 @@ int Run(const BenchOptions& options) {
   EmitObsOutputs(results, obs);
   CheckJobsOk(results);
 
-  // Per-point reference cost for the parallel-efficiency column: the
-  // first-listed thread count's us/refresh. par_eff = speedup / extra
-  // threads relative to that reference (1.0 at the reference row; ideal
-  // linear scaling keeps it at 1.0).
-  std::vector<double> reference_us(results.size(), 0.0);
-  for (size_t i = 0; i < results.size(); i += run_threads_list.size()) {
-    const JobResult& base = results[i];
-    const int64_t base_delivered = base.result.scheduler.refreshes_delivered;
-    const double base_us =
-        base_delivered > 0
-            ? base.wall_seconds * 1e6 / static_cast<double>(base_delivered)
-            : 0.0;
-    for (size_t k = 0; k < run_threads_list.size(); ++k) {
-      reference_us[i + k] = base_us;
-    }
-  }
-
   const double ticks = (warmup + measure) / 1.0;  // tick_length = 1 s
-  TablePrinter table({"point", "run_threads", "total_div", "delivered", "wall_ms",
-                      "us_per_refresh", "ticks_per_sec", "par_eff",
-                      "peak_rss_mb"});
-  const int reference_threads = run_threads_list.front();
+  TablePrinter table({"point", "total_div", "delivered", "wall_ms",
+                      "us_per_refresh", "ticks_per_sec", "peak_rss_mb"});
   for (size_t i = 0; i < results.size(); ++i) {
     const JobResult& job = results[i];
     const int64_t delivered = job.result.scheduler.refreshes_delivered;
@@ -225,18 +164,12 @@ int Run(const BenchOptions& options) {
         delivered > 0 ? job.wall_seconds * 1e6 / static_cast<double>(delivered) : 0.0;
     const double ticks_per_sec =
         job.wall_seconds > 0.0 ? ticks / job.wall_seconds : 0.0;
-    const double par_eff =
-        us_per_refresh > 0.0 && reference_us[i] > 0.0
-            ? (reference_us[i] * static_cast<double>(reference_threads)) /
-                  (us_per_refresh * static_cast<double>(job_run_threads[i]))
-            : 0.0;
     table.AddRow({TablePrinter::Cell(job.name),
-                  TablePrinter::Cell(job_run_threads[i]),
                   TablePrinter::Cell(job.result.total_weighted_divergence),
                   TablePrinter::Cell(delivered),
                   TablePrinter::Cell(job.wall_seconds * 1e3),
                   TablePrinter::Cell(us_per_refresh),
-                  TablePrinter::Cell(ticks_per_sec), TablePrinter::Cell(par_eff),
+                  TablePrinter::Cell(ticks_per_sec),
                   TablePrinter::Cell(static_cast<double>(ReadPeakRssBytes()) /
                                      (1024.0 * 1024.0))});
   }
@@ -249,9 +182,8 @@ int Run(const BenchOptions& options) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> flags{
-      "sources_list", "objects_list", "caches_list", "run_threads",
-      "run_threads_list", "warmup", "measure", "rate_hi", "bandwidth",
-      "source_bandwidth"};
+      "sources_list", "objects_list", "caches_list", "warmup", "measure",
+      "rate_hi", "bandwidth", "source_bandwidth"};
   for (std::string& flag : besync::ObsFlagNames()) flags.push_back(std::move(flag));
   return besync::Run(besync::BenchOptions::Parse(argc, argv, std::move(flags)));
 }

@@ -50,6 +50,7 @@ int Run(const BenchOptions& options) {
   config.fanout = static_cast<int>(options.flags.GetInt("fanout", 2));
   config.threads = options.threads;
 
+  ValidateConfigOrExit(config.base);
   std::vector<JobResult> raw;
   const auto points = RunTopologySweep(config, &raw);
   if (!points.ok()) {

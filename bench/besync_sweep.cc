@@ -310,6 +310,7 @@ int Run(const BenchOptions& options) {
     }
   }
 
+  ValidateJobsOrExit(jobs);
   std::fprintf(stderr, "besync_sweep: %d configurations on %d thread(s)%s\n",
                static_cast<int>(jobs.size()),
                options.threads <= 0 ? ThreadPool::HardwareThreads() : options.threads,

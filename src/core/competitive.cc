@@ -24,12 +24,6 @@ CompetitiveScheduler::CompetitiveScheduler(const CompetitiveConfig& config)
     : CooperativeScheduler(config.base), competitive_(config) {
   BESYNC_CHECK_GE(config.psi, 0.0);
   BESYNC_CHECK_LT(config.psi, 1.0);
-  // The competitive send phase interleaves threshold and source-priority
-  // sends against the shared cache link as it goes, so it is inherently
-  // sequential; run it (and the base tick phases) on one thread, with the
-  // historical main-thread send-order draws.
-  config_.run_threads = 1;
-  config_.send_order_shards = 0;
 }
 
 std::string CompetitiveScheduler::name() const {

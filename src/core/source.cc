@@ -373,7 +373,7 @@ void SourceAgent::PushWake(Channel* channel, ObjectIndex index, double now) {
 }
 
 void SourceAgent::EmitRefresh(Channel* channel, ObjectIndex index, double now,
-                              const EmitSink& sink, bool bump_threshold,
+                              Link* cache_link, bool bump_threshold,
                               double priority) {
   const int slot = ChannelSlot(*channel, index);
   LocalState& state = channel->locals[slot];
@@ -397,7 +397,7 @@ void SourceAgent::EmitRefresh(Channel* channel, ObjectIndex index, double now,
     RecordTrace(TraceEventKind::kSend, now, channel->cache_id, index,
                 message.version, /*is_pull=*/false);
   }
-  sink.Deliver(std::move(message));
+  cache_link->Enqueue(std::move(message));
   ++state.epoch;
   ++refreshes_sent_;
   channel->last_emit_time = now;
@@ -514,7 +514,6 @@ int64_t SourceAgent::SendRecovery(double now, Link* source_link, Link* cache_lin
                                   int channel_index) {
   BESYNC_DCHECK(channel_index >= 0 && channel_index < num_channels());
   Channel* channel = &channels_[channel_index];
-  const EmitSink sink{cache_link, nullptr};
   int64_t sent = 0;
   while (!channel->recovery_queue.empty()) {
     const int32_t slot = channel->recovery_queue.front();
@@ -522,7 +521,7 @@ int64_t SourceAgent::SendRecovery(double now, Link* source_link, Link* cache_lin
     const int64_t cost = harness_->object(index).spec->refresh_cost;
     if (!source_link->TryConsumeAllowingDeficit(cost)) break;
     channel->recovery_queue.pop_front();
-    EmitRefresh(channel, index, now, sink, /*bump_threshold=*/false,
+    EmitRefresh(channel, index, now, cache_link, /*bump_threshold=*/false,
                 std::numeric_limits<double>::infinity());
     // The refill closes the invalidation episode, exactly like a pull.
     if (channel->invalid_state != nullptr) {
@@ -537,7 +536,7 @@ int64_t SourceAgent::SendRecovery(double now, Link* source_link, Link* cache_lin
 }
 
 void SourceAgent::EmitBatch(Channel* channel, const std::vector<QueueEntry>& batch,
-                            double now, const EmitSink& sink) {
+                            double now, Link* cache_link) {
   BESYNC_DCHECK(!batch.empty());
   Message message;
   for (size_t k = 0; k < batch.size(); ++k) {
@@ -576,56 +575,29 @@ void SourceAgent::EmitBatch(Channel* channel, const std::vector<QueueEntry>& bat
   message.piggyback_threshold = channel->controller.threshold();
   // The batch was popped in priority order, so entry 0 holds its maximum.
   message.forward_priority = batch.front().key;
-  sink.Deliver(std::move(message));
+  cache_link->Enqueue(std::move(message));
   channel->last_emit_time = now;
 }
 
 int64_t SourceAgent::SendRefreshes(double now, Link* source_link, Link* cache_link,
                                    int channel_index) {
-  return SendRefreshesToSink(now, source_link, EmitSink{cache_link, nullptr},
-                             channel_index);
-}
-
-int64_t SourceAgent::SendRefreshesBuffered(double now, Link* source_link,
-                                           std::vector<Message>* out,
-                                           int channel_index) {
-  return SendRefreshesToSink(now, source_link, EmitSink{nullptr, out},
-                             channel_index);
-}
-
-int64_t SourceAgent::SendRefreshesToSink(double now, Link* source_link,
-                                         const EmitSink& sink, int channel_index) {
   BESYNC_DCHECK(channel_index >= 0 && channel_index < num_channels());
   Channel* channel = &channels_[channel_index];
   // Channel 0 opens the source's send phase for this tick; the flag then
   // accumulates across the remaining channels (they share the source link).
   if (channel_index == 0) at_full_capacity_ = false;
   if (policy_->time_varying()) {
-    return SendRefreshesTimeVarying(channel, now, source_link, sink);
+    return SendRefreshesTimeVarying(channel, now, source_link, cache_link);
   }
-  return SendRefreshesEventKeyed(channel, now, source_link, sink);
+  return SendRefreshesEventKeyed(channel, now, source_link, cache_link);
 }
 
 int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
                                        Link* cache_link, int channel_index) {
-  return SendInvalidationsToSink(now, source_link, EmitSink{cache_link, nullptr},
-                                 channel_index);
-}
-
-int64_t SourceAgent::SendInvalidationsBuffered(double now, Link* source_link,
-                                               std::vector<Message>* out,
-                                               int channel_index) {
-  return SendInvalidationsToSink(now, source_link, EmitSink{nullptr, out},
-                                 channel_index);
-}
-
-int64_t SourceAgent::SendInvalidationsToSink(double now, Link* source_link,
-                                             const EmitSink& sink,
-                                             int channel_index) {
   BESYNC_DCHECK(channel_index >= 0 && channel_index < num_channels());
   BESYNC_CHECK(protocol_ != nullptr && protocol_->emits_invalidations());
   Channel* channel = &channels_[channel_index];
-  // Same tick-opening contract as SendRefreshesToSink: channel 0 clears the
+  // Same tick-opening contract as SendRefreshes: channel 0 clears the
   // shared full-capacity flag, the remaining channels accumulate into it.
   if (channel_index == 0) at_full_capacity_ = false;
   const int64_t cost = protocol_->config().invalidate_cost;
@@ -673,16 +645,16 @@ int64_t SourceAgent::SendInvalidationsToSink(double now, Link* source_link,
       }
     }
     channel->last_emit_time = now;
-    sink.Deliver(std::move(message));
+    cache_link->Enqueue(std::move(message));
     ++messages;
   }
   return messages;
 }
 
 int64_t SourceAgent::SendRefreshesEventKeyed(Channel* channel, double now,
-                                             Link* source_link, const EmitSink& sink) {
+                                             Link* source_link, Link* cache_link) {
   if (config_.max_batch > 1) {
-    return SendRefreshesBatched(channel, now, source_link, sink);
+    return SendRefreshesBatched(channel, now, source_link, cache_link);
   }
   const ChannelEpoch epoch_fn = MakeEpochFn(channel);
   int64_t sent = 0;
@@ -700,7 +672,7 @@ int64_t SourceAgent::SendRefreshesEventKeyed(Channel* channel, double now,
       at_full_capacity_ = true;
       break;
     }
-    EmitRefresh(channel, top.index, now, sink, /*bump_threshold=*/true,
+    EmitRefresh(channel, top.index, now, cache_link, /*bump_threshold=*/true,
                 top.key);
     ++sent;
   }
@@ -708,7 +680,7 @@ int64_t SourceAgent::SendRefreshesEventKeyed(Channel* channel, double now,
 }
 
 int64_t SourceAgent::SendRefreshesBatched(Channel* channel, double now,
-                                          Link* source_link, const EmitSink& sink) {
+                                          Link* source_link, Link* cache_link) {
   const ChannelEpoch epoch_fn = MakeEpochFn(channel);
   int64_t messages = 0;
   while (true) {
@@ -738,7 +710,7 @@ int64_t SourceAgent::SendRefreshesBatched(Channel* channel, double now,
       at_full_capacity_ = true;
       break;
     }
-    EmitBatch(channel, batch, now, sink);
+    EmitBatch(channel, batch, now, cache_link);
     ++messages;
     if (!full) break;  // the queue is drained below the batch size
   }
@@ -750,7 +722,6 @@ int64_t SourceAgent::SendSecondary(double now, int64_t max_count, Link* source_l
   BESYNC_CHECK(secondary_enabled_);
   Channel* channel = &channels_[channel_index];
   const ChannelEpoch epoch_fn = MakeEpochFn(channel);
-  const EmitSink sink{cache_link, nullptr};
   int64_t sent = 0;
   QueueEntry top;
   while (sent < max_count && channel->secondary_queue.PopValid(epoch_fn, &top)) {
@@ -764,7 +735,7 @@ int64_t SourceAgent::SendSecondary(double now, int64_t max_count, Link* source_l
       at_full_capacity_ = true;
       break;
     }
-    EmitRefresh(channel, top.index, now, sink, /*bump_threshold=*/false,
+    EmitRefresh(channel, top.index, now, cache_link, /*bump_threshold=*/false,
                 top.key);
     ++sent;
   }
@@ -772,7 +743,7 @@ int64_t SourceAgent::SendSecondary(double now, int64_t max_count, Link* source_l
 }
 
 int64_t SourceAgent::SendRefreshesTimeVarying(Channel* channel, double now,
-                                              Link* source_link, const EmitSink& sink) {
+                                              Link* source_link, Link* cache_link) {
   const ChannelEpoch epoch_fn = MakeEpochFn(channel);
   // Collect all wake-ups that are due and compute their live priorities
   // (reused scratch; the unstable sort below is over exactly the same
@@ -795,7 +766,7 @@ int64_t SourceAgent::SendRefreshesTimeVarying(Channel* channel, double now,
     const int64_t cost = harness_->object(candidate.index).spec->refresh_cost;
     if (over_threshold && !at_full_capacity_ &&
         source_link->TryConsumeAllowingDeficit(cost)) {
-      EmitRefresh(channel, candidate.index, now, sink, /*bump_threshold=*/true,
+      EmitRefresh(channel, candidate.index, now, cache_link, /*bump_threshold=*/true,
                   candidate.key);
       ++sent;
       PushWake(channel, candidate.index, now);  // re-arm from the new t_last

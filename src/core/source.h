@@ -136,26 +136,14 @@ class SourceAgent {
   int64_t SendRefreshes(double now, Link* source_link, Link* cache_link,
                         int channel = 0);
 
-  /// SendRefreshes with the emitted messages appended to `out` instead of
-  /// enqueued on the cache link — the compute half of the sharded send
-  /// phase. Everything the call touches (channel queues, trackers,
-  /// controller, the source link's budget) is private to this source, so
-  /// buffered sends run concurrently across sources; the scheduler then
-  /// enqueues the buffers onto the (shared) cache links serially, in the
-  /// shuffled source order, reproducing the serial phase bit for bit.
-  int64_t SendRefreshesBuffered(double now, Link* source_link,
-                                std::vector<Message>* out, int channel = 0);
-
   /// Invalidation-protocol send phase for channel `channel`: drains the
   /// channel's pending-invalidation queue into kInvalidate messages (up to
   /// max_invalidate_batch replica notifications per message) while the
   /// shared source-side budget allows. Mirrors SendRefreshes' channel-0
-  /// tick-opening contract and the buffered/direct sink split. Returns the
-  /// number of messages emitted. Requires an invalidation protocol.
+  /// tick-opening contract. Returns the number of messages emitted.
+  /// Requires an invalidation protocol.
   int64_t SendInvalidations(double now, Link* source_link, Link* cache_link,
                             int channel = 0);
-  int64_t SendInvalidationsBuffered(double now, Link* source_link,
-                                    std::vector<Message>* out, int channel = 0);
 
   /// Enables the secondary, source-objective priority queues used by the
   /// competitive protocol (Section 7): updates are additionally prioritized
@@ -212,8 +200,7 @@ class SourceAgent {
   /// events — update enqueues, refresh sends, invalidation sends, resync
   /// re-enqueues — into `trace`. Null (the default) disables recording at
   /// the cost of one pointer test per hook. Sources record only into their
-  /// own buffer, so the sharded send phase stays race-free and the
-  /// per-source event order is identical at any thread count.
+  /// own buffer.
   void SetTraceBuffer(TraceBuffer* trace) { trace_ = trace; }
 
   /// Resets statistics counters (measurement start).
@@ -323,40 +310,22 @@ class SourceAgent {
   double ChannelSourcePriority(const Channel& channel, ObjectIndex index,
                                double now) const;
 
-  /// Destination of emitted refreshes: the cache's tier-1 edge link
-  /// (serial send phase, direct enqueue) or a per-source buffer the
-  /// scheduler flushes in the canonical order (sharded send phase).
-  struct EmitSink {
-    Link* link = nullptr;
-    std::vector<Message>* buffer = nullptr;
-    void Deliver(Message&& message) const {
-      if (link != nullptr) {
-        link->Enqueue(std::move(message));
-      } else {
-        buffer->push_back(std::move(message));
-      }
-    }
-  };
-
   /// kSampleEvent payload of `channel`'s slot `slot`.
   uint64_t SamplePayload(const Channel& channel, int32_t slot) const;
   void OnSampleEvent(int channel_index, int32_t slot, double t);
   void ScheduleNextSample(int channel_index, int32_t slot, double now);
-  /// Sends one refresh for `index` to `channel`'s cache (budget already
-  /// secured). Threshold bumping applies only to refreshes governed by the
-  /// threshold protocol. `priority` is the queue key that won the send slot,
-  /// stamped on the message for priority-preserving relay forwarding.
+  /// Sends one refresh for `index` to `channel`'s cache through
+  /// `cache_link`, the cache's tier-1 edge (budget already secured).
+  /// Threshold bumping applies only to refreshes governed by the threshold
+  /// protocol. `priority` is the queue key that won the send slot, stamped
+  /// on the message for priority-preserving relay forwarding.
   void EmitRefresh(Channel* channel, ObjectIndex index, double now,
-                   const EmitSink& sink, bool bump_threshold, double priority);
+                   Link* cache_link, bool bump_threshold, double priority);
   /// Sends one batched message covering all of `batch` (unit cost).
   void EmitBatch(Channel* channel, const std::vector<QueueEntry>& batch, double now,
-                 const EmitSink& sink);
+                 Link* cache_link);
   /// Re-arms the wake-up entry of `index` (time-varying policies).
   void PushWake(Channel* channel, ObjectIndex index, double now);
-  int64_t SendRefreshesToSink(double now, Link* source_link, const EmitSink& sink,
-                              int channel);
-  int64_t SendInvalidationsToSink(double now, Link* source_link,
-                                  const EmitSink& sink, int channel);
   /// Whether the push-refresh machinery (queues, wake-ups, sampling) drives
   /// this source. True without a protocol — the historical default.
   bool push_protocol() const {
@@ -366,11 +335,11 @@ class SourceAgent {
   void RecordTrace(TraceEventKind kind, double t, int32_t cache_id,
                    ObjectIndex index, int64_t version, bool is_pull);
   int64_t SendRefreshesEventKeyed(Channel* channel, double now, Link* source_link,
-                                  const EmitSink& sink);
+                                  Link* cache_link);
   int64_t SendRefreshesBatched(Channel* channel, double now, Link* source_link,
-                               const EmitSink& sink);
+                               Link* cache_link);
   int64_t SendRefreshesTimeVarying(Channel* channel, double now, Link* source_link,
-                                   const EmitSink& sink);
+                                   Link* cache_link);
   void MaybeCompact(Channel* channel);
 
   int index_;

@@ -8,19 +8,8 @@
 namespace besync {
 namespace {
 
-/// Split key of send-order child stream 0 ("SORD"); logical shard ls uses
-/// kSendOrderSplitKey + ls. Changing it changes every send_order_shards > 0
-/// run (the default path never splits).
-constexpr uint64_t kSendOrderSplitKey = 0x534F5244ULL;
-/// Per-ring slot count of the send-order cross-shard rings. Overflow is
-/// handled (spill vectors), so this only tunes how much traffic moves
-/// through the lock-free path.
-constexpr size_t kSendRingCapacity = 256;
-
 /// Records the kDeliver + kApply pair for a refresh-shaped message (primary
-/// payload and batch mates). Lives at the apply site — the one point with an
-/// identical per-cache message order in the serial and sharded engines — so
-/// trace bytes are independent of run_threads; kDeliver and kApply share the
+/// payload and batch mates) at the apply site; kDeliver and kApply share the
 /// timestamp because the engine applies at arrival.
 void RecordDeliveryTrace(TraceBuffer* trace, const Message& message, double t) {
   TraceEvent event;
@@ -196,61 +185,6 @@ void CooperativeScheduler::Initialize(Harness* harness) {
   }
   read_path_.Initialize(harness, num_caches, protocol_.get(), has_cache_faults);
 
-  resync_notes_.clear();
-  if (!fault_events_.empty()) {
-    resync_notes_.assign(static_cast<size_t>(num_caches), ResyncNote{});
-  }
-
-  // Intra-run sharding team. The sharded phases are bitwise identical to
-  // the sequential ones (see SendPhaseSharded / ApplyDeliveriesSharded),
-  // so run_threads is a pure throughput knob. The team is clamped to the
-  // widest shardable axis: lanes past it would get empty ShardRange slices
-  // and idle through every barrier (see ShardPool::ShardRange).
-  shard_pool_.reset();
-  send_rings_.clear();
-  send_spill_.clear();
-  send_order_rngs_.clear();
-  send_order_sources_.clear();
-  const int team =
-      std::min(config_.run_threads,
-               std::max({m, num_caches, network_->num_nodes()}));
-  if (team > 1) {
-    shard_pool_ = std::make_unique<ShardPool>(team);
-    deliver_buffers_.assign(static_cast<size_t>(num_caches), {});
-  }
-  if (shard_pool_ != nullptr || config_.send_order_shards > 0) {
-    send_buffers_.assign(static_cast<size_t>(m), {});
-  }
-  if (config_.send_order_shards > 0) {
-    const int order_shards = config_.send_order_shards;
-    send_order_rngs_.reserve(static_cast<size_t>(order_shards));
-    send_order_sources_.resize(static_cast<size_t>(order_shards));
-    for (int ls = 0; ls < order_shards; ++ls) {
-      // Child streams are keyed by the LOGICAL shard id, never the lane:
-      // the draws each shard makes are pinned regardless of run_threads.
-      send_order_rngs_.push_back(harness->scheduler_rng()->Split(
-          kSendOrderSplitKey + static_cast<uint64_t>(ls)));
-      const auto range =
-          ShardPool::ShardRange(static_cast<int64_t>(m), ls, order_shards);
-      std::vector<int>& list = send_order_sources_[ls];
-      list.clear();
-      list.reserve(static_cast<size_t>(range.second - range.first));
-      for (int64_t j = range.first; j < range.second; ++j) {
-        list.push_back(static_cast<int>(j));
-      }
-    }
-    if (shard_pool_ != nullptr) {
-      const size_t rings = static_cast<size_t>(order_shards) *
-                           static_cast<size_t>(shard_pool_->num_shards());
-      send_rings_.reserve(rings);
-      for (size_t i = 0; i < rings; ++i) {
-        send_rings_.push_back(
-            std::make_unique<SpscRing<Message>>(kSendRingCapacity));
-      }
-      send_spill_.assign(rings, {});
-    }
-  }
-
   // Observability (config_.obs.enabled only): build the collector, fix the
   // time-series columns, and hand every recording site its per-entity trace
   // buffer. Disabled, nothing is allocated and every hook in the engine
@@ -333,14 +267,6 @@ void CooperativeScheduler::FillFeedback(Message* /*feedback*/, int /*source_inde
                                         double /*t*/) {}
 
 void CooperativeScheduler::SendPhase(double t) {
-  if (config_.send_order_shards > 0) {
-    SendPhaseShardOrdered(t, /*invalidations=*/false);
-    return;
-  }
-  if (shard_pool_ != nullptr) {
-    SendPhaseSharded(t);
-    return;
-  }
   // Random source visiting order so no source systematically wins the race
   // for queue positions on a shared cache link.
   harness_->scheduler_rng()->Shuffle(&source_order_);
@@ -357,87 +283,10 @@ void CooperativeScheduler::SendPhase(double t) {
   }
 }
 
-void CooperativeScheduler::SendPhaseSharded(double t) {
-  // Compute: each shard owns a contiguous source-id slice. A source's
-  // emission decisions depend only on its own state (queues, trackers,
-  // controllers, its source link) — never on what other sources emitted
-  // this tick — so the partition may ignore the shuffled visiting order.
-  // The shuffle itself runs as a prelude overlapped with the workers: it
-  // draws from the scheduler RNG on the main thread (the same stream
-  // position as the serial phase — the buffered emissions draw nothing)
-  // and writes source_order_, which only the post-barrier flush reads.
-  shard_pool_->Run(
-      [this, t](int shard) {
-        const auto range = ShardPool::ShardRange(
-            static_cast<int64_t>(sources_.size()), shard, shard_pool_->num_shards());
-        for (int64_t j = range.first; j < range.second; ++j) {
-          SourceAgent& agent = *sources_[j];
-          std::vector<Message>& buffer = send_buffers_[j];
-          Link* source_link = &network_->source_link(static_cast<int>(j));
-          for (int k = 0; k < agent.num_channels(); ++k) {
-            agent.SendRefreshesBuffered(t, source_link, &buffer, k);
-          }
-        }
-      },
-      [this] { harness_->scheduler_rng()->Shuffle(&source_order_); });
-  // Flush: enqueue onto the shared tier-1 edges in the shuffled source
-  // order — the exact order the serial phase enqueues in. Within a source
-  // the buffer holds its channels' messages in emission order. The flush
-  // itself is sharded by first-hop node.
-  FlushSendBuffersSharded();
-}
-
-void CooperativeScheduler::FlushSendBuffersSharded() {
-  const int64_t num_nodes = network_->num_nodes();
-  shard_pool_->Run([this, num_nodes](int shard) {
-    // Every shard walks the full shuffled order and takes only the
-    // messages whose first-hop node it owns: link L sees its messages in
-    // the global scan order, and only shard OwnerOf(L) touches L. Reading
-    // message.cache_id next to another shard's move is race-free —
-    // cache_id and the moved vector header are distinct bytes, and
-    // cache_id is never written here.
-    const auto range =
-        ShardPool::ShardRange(num_nodes, shard, shard_pool_->num_shards());
-    for (int j : source_order_) {
-      for (Message& message : send_buffers_[j]) {
-        const int32_t node = network_->first_hop(message.cache_id);
-        if (node < range.first || node >= range.second) continue;
-        network_->first_hop_link(message.cache_id).Enqueue(std::move(message));
-      }
-    }
-  });
-  for (int j : source_order_) send_buffers_[j].clear();
-}
-
 void CooperativeScheduler::SendInvalidationPhase(double t) {
-  // Same fairness and determinism contract as the refresh send phase: the
-  // visiting order is shuffled (invalidations race for shared tier-1 edge
-  // queue positions exactly like refreshes), the sharded mode overlaps the
-  // shuffle with the buffered per-source drains, and the buffers flush in
-  // the shuffled order.
-  if (config_.send_order_shards > 0) {
-    SendPhaseShardOrdered(t, /*invalidations=*/true);
-    return;
-  }
-  if (shard_pool_ != nullptr) {
-    shard_pool_->Run(
-        [this, t](int shard) {
-          const auto range = ShardPool::ShardRange(
-              static_cast<int64_t>(sources_.size()), shard,
-              shard_pool_->num_shards());
-          for (int64_t j = range.first; j < range.second; ++j) {
-            SourceAgent& agent = *sources_[j];
-            std::vector<Message>& buffer = send_buffers_[j];
-            Link* source_link = &network_->source_link(static_cast<int>(j));
-            for (int k = 0; k < agent.num_channels(); ++k) {
-              agent.SendInvalidationsBuffered(t, source_link, &buffer, k);
-            }
-          }
-        },
-        [this] { harness_->scheduler_rng()->Shuffle(&source_order_); });
-    FlushSendBuffersSharded();
-    return;
-  }
+  // Same fairness contract as the refresh send phase: the visiting order
+  // is shuffled (invalidations race for shared tier-1 edge queue positions
+  // exactly like refreshes).
   harness_->scheduler_rng()->Shuffle(&source_order_);
   for (int j : source_order_) {
     SourceAgent& agent = *sources_[j];
@@ -448,156 +297,6 @@ void CooperativeScheduler::SendInvalidationPhase(double t) {
                               k);
     }
   }
-}
-
-void CooperativeScheduler::SendPhaseShardOrdered(double t, bool invalidations) {
-  const int order_shards = config_.send_order_shards;
-  if (shard_pool_ == nullptr) {
-    // Sequential reference: logical shards in ascending order, each
-    // shuffling its pinned source slice with its own child stream. The
-    // pooled path below reproduces this exact per-link enqueue order.
-    for (int ls = 0; ls < order_shards; ++ls) {
-      std::vector<int>& order = send_order_sources_[ls];
-      send_order_rngs_[ls].Shuffle(&order);
-      for (int j : order) {
-        SourceAgent& agent = *sources_[j];
-        Link* source_link = &network_->source_link(j);
-        for (int k = 0; k < agent.num_channels(); ++k) {
-          Link* first_hop = &network_->first_hop_link(agent.channel_cache_id(k));
-          if (invalidations) {
-            agent.SendInvalidations(t, source_link, first_hop, k);
-          } else {
-            agent.SendRefreshes(t, source_link, first_hop, k);
-          }
-        }
-      }
-    }
-    return;
-  }
-  const int lanes = shard_pool_->num_shards();
-  const int64_t num_nodes = network_->num_nodes();
-  // Produce: lane p serves logical shards ShardRange(order_shards, p,
-  // lanes) in ascending order, so every logical shard has exactly one
-  // producer and a pinned draw sequence. Each emitted message is routed to
-  // the lane owning its first-hop node through ring (ls, d); a full ring
-  // spills, preserving order (the consumer side is quiet until the
-  // barrier, so ring contents always precede the spill).
-  shard_pool_->Run([this, t, invalidations, order_shards, lanes,
-                    num_nodes](int p) {
-    const auto ls_range = ShardPool::ShardRange(order_shards, p, lanes);
-    for (int64_t ls = ls_range.first; ls < ls_range.second; ++ls) {
-      std::vector<int>& order = send_order_sources_[ls];
-      send_order_rngs_[ls].Shuffle(&order);
-      for (int j : order) {
-        SourceAgent& agent = *sources_[j];
-        std::vector<Message>& buffer = send_buffers_[j];
-        Link* source_link = &network_->source_link(j);
-        for (int k = 0; k < agent.num_channels(); ++k) {
-          if (invalidations) {
-            agent.SendInvalidationsBuffered(t, source_link, &buffer, k);
-          } else {
-            agent.SendRefreshesBuffered(t, source_link, &buffer, k);
-          }
-        }
-        for (Message& message : buffer) {
-          const int32_t node = network_->first_hop(message.cache_id);
-          const int d = ShardPool::ShardOf(num_nodes, node, lanes);
-          const size_t ring =
-              static_cast<size_t>(ls) * static_cast<size_t>(lanes) +
-              static_cast<size_t>(d);
-          if (!send_rings_[ring]->TryPush(std::move(message))) {
-            send_spill_[ring].push_back(std::move(message));
-          }
-        }
-        buffer.clear();
-      }
-    }
-  });
-  // Merge: lane d drains its ring column in logical-shard-major order —
-  // the same ls-ascending, within-ls-shuffled order as the sequential
-  // reference — touching only the links of its own node slice.
-  shard_pool_->Run([this, order_shards, lanes](int d) {
-    for (int ls = 0; ls < order_shards; ++ls) {
-      const size_t index =
-          static_cast<size_t>(ls) * static_cast<size_t>(lanes) +
-          static_cast<size_t>(d);
-      SpscRing<Message>& ring = *send_rings_[index];
-      Message message;
-      while (ring.TryPop(&message)) {
-        network_->first_hop_link(message.cache_id).Enqueue(std::move(message));
-      }
-      for (Message& spilled : send_spill_[index]) {
-        network_->first_hop_link(spilled.cache_id).Enqueue(std::move(spilled));
-      }
-      send_spill_[index].clear();
-    }
-  });
-}
-
-void CooperativeScheduler::CollectDeliveriesSharded() {
-  shard_pool_->Run([this](int shard) {
-    const auto range = ShardPool::ShardRange(
-        static_cast<int64_t>(caches_.size()), shard, shard_pool_->num_shards());
-    for (int64_t c = range.first; c < range.second; ++c) {
-      if (caches_[c] == nullptr) continue;
-      network_->cache_link(static_cast<int>(c))
-          .CollectDeliverable(&deliver_buffers_[c]);
-    }
-  });
-}
-
-void CooperativeScheduler::ApplyDeliveriesSharded(double t) {
-  // Hoist the one cross-cache step of the apply: GroundTruth integrating
-  // its running sums up to t. The serial loop does this implicitly inside
-  // the FIRST OnCacheApply of the tick — so the hoist must fire exactly
-  // when such a first apply exists (a live, agent-bearing cache with a
-  // non-invalidate message); advancing on an apply-free tick would split
-  // the integration step and change float bits. After the hoist every
-  // apply call touches only per-cache state (the inner AdvanceTo sees
-  // dt == 0 and writes nothing), so caches can apply concurrently.
-  bool any_apply = false;
-  for (int c = 0; c < num_caches() && !any_apply; ++c) {
-    if (caches_[c] == nullptr) continue;
-    if (!cache_down_.empty() && cache_down_[c] != 0) continue;
-    for (const Message& message : deliver_buffers_[c]) {
-      if (message.kind != MessageKind::kInvalidate) {
-        any_apply = true;
-        break;
-      }
-    }
-  }
-  if (any_apply) harness_->AdvanceGroundTruths(t);
-  const bool reads = read_path_.enabled();
-  shard_pool_->Run([this, t, reads](int shard) {
-    const auto range = ShardPool::ShardRange(
-        static_cast<int64_t>(caches_.size()), shard, shard_pool_->num_shards());
-    for (int64_t c = range.first; c < range.second; ++c) {
-      CacheAgent* cache = caches_[c].get();
-      if (cache == nullptr) continue;
-      std::vector<Message>& collected = deliver_buffers_[c];
-      if (!cache_down_.empty() && cache_down_[c] != 0) {
-        // Crashed cache: the wire delivered (budget and loss accounting
-        // already happened in the collect half) but the process is gone.
-        collected.clear();
-        continue;
-      }
-      const bool track_resync = !resync_.empty() && resync_[c].open;
-      TraceBuffer* const trace =
-          obs_ != nullptr ? obs_->cache_buffer(static_cast<int>(c)) : nullptr;
-      for (const Message& message : collected) {
-        if (message.kind == MessageKind::kInvalidate) {
-          read_path_.OnInvalidateDelivered(message, t);
-        } else {
-          if (trace != nullptr) RecordDeliveryTrace(trace, message, t);
-          harness_->DeliverRefresh(message, t);
-          cache->RecordRefresh(message, t);
-          if (reads) read_path_.OnRefreshDelivered(message, t);
-          if (track_resync) NoteResyncDelivery(static_cast<int>(c), message, t);
-        }
-      }
-      collected.clear();
-    }
-  });
 }
 
 void CooperativeScheduler::RelayPhase(double t) {
@@ -634,7 +333,7 @@ void CooperativeScheduler::Tick(double t) {
     ApplyDueFaults(t);
 
     const double tick = harness_->config().tick_length;
-    network_->BeginTick(t, tick, shard_pool_.get());
+    network_->BeginTick(t, tick);
 
     // 1. Deliver control messages (feedback) that arrived since last tick;
     //    feedback from cache c adjusts T_{j,c} only. In a tree the relays
@@ -685,50 +384,34 @@ void CooperativeScheduler::Tick(double t) {
     RelayPhase(t);
   }
 
-  // 3. Every cache-side link delivers queued refreshes within its budget.
-  //    Sharded mode splits this in two: links pop their deliverable
-  //    messages concurrently, then each cache's messages are applied on
-  //    the shard owning the cache — cross-cache accumulation is hoisted or
-  //    replayed in the serial order (see ApplyDeliveriesSharded), so the
-  //    result is bitwise identical to the sequential loop.
+  // 3. Every cache-side link delivers queued refreshes within its budget,
+  //    cache by cache in ascending id order.
   const bool reads = read_path_.enabled();
   {
     PhaseTimer::Scope phase(timer, PhaseTimer::Phase::kDeliverApply);
-    if (shard_pool_ != nullptr) {
-      CollectDeliveriesSharded();
-      ApplyDeliveriesSharded(t);
-    } else {
-      for (int c = 0; c < num_caches(); ++c) {
-        CacheAgent* cache = caches_[c].get();
-        if (cache == nullptr) continue;
-        if (!cache_down_.empty() && cache_down_[c] != 0) {
-          // Crashed cache: the wire still delivers (budget spent, loss
-          // drawn, delivery counted) but every message is lost at the dead
-          // process.
-          network_->cache_link(c).DeliverQueued([](const Message&) {});
-          continue;
-        }
-        const bool track_resync = !resync_.empty() && resync_[c].open;
-        TraceBuffer* const trace =
-            obs_ != nullptr ? obs_->cache_buffer(c) : nullptr;
-        network_->cache_link(c).DeliverQueued([&](const Message& message) {
-          if (message.kind == MessageKind::kInvalidate) {
-            read_path_.OnInvalidateDelivered(message, t);
-          } else {
-            if (trace != nullptr) RecordDeliveryTrace(trace, message, t);
-            harness_->DeliverRefresh(message, t);
-            cache->RecordRefresh(message, t);
-            if (reads) read_path_.OnRefreshDelivered(message, t);
-            if (track_resync) NoteResyncDelivery(c, message, t);
-          }
-        });
+    for (int c = 0; c < num_caches(); ++c) {
+      CacheAgent* cache = caches_[c].get();
+      if (cache == nullptr) continue;
+      if (!cache_down_.empty() && cache_down_[c] != 0) {
+        // Crashed cache: the wire still delivers (budget spent, loss drawn,
+        // delivery counted) but every message is lost at the dead process.
+        network_->cache_link(c).DeliverQueued([](const Message&) {});
+        continue;
       }
+      const bool track_resync = !resync_.empty() && resync_[c].open;
+      TraceBuffer* const trace = obs_ != nullptr ? obs_->cache_buffer(c) : nullptr;
+      network_->cache_link(c).DeliverQueued([&](const Message& message) {
+        if (message.kind == MessageKind::kInvalidate) {
+          read_path_.OnInvalidateDelivered(message, t);
+        } else {
+          if (trace != nullptr) RecordDeliveryTrace(trace, message, t);
+          harness_->DeliverRefresh(message, t);
+          cache->RecordRefresh(message, t);
+          if (reads) read_path_.OnRefreshDelivered(message, t);
+          if (track_resync) NoteResyncDelivery(c, message, t);
+        }
+      });
     }
-    // Both branches record global-counter contributions into per-cache
-    // scratch; drain it in ascending cache order (the serial accumulation
-    // sequence) now that the applies are done.
-    read_path_.FlushDeliveryCounters();
-    DrainResyncNotes();
   }
 
   // 3b. Client reads up to this tick are served from the (just refreshed)
@@ -944,16 +627,12 @@ void CooperativeScheduler::RecoveryPhase(double t) {
 
 void CooperativeScheduler::NoteResyncDelivery(int c, const Message& message,
                                               double t) {
-  // Runs inside the (possibly parallel) delivery apply: everything written
-  // here is per-cache — the global tallies get their contributions from
-  // DrainResyncNotes after the apply barrier.
   ResyncState& resync = resync_[c];
-  ResyncNote& scratch = resync_notes_[c];
   const auto note = [&](ObjectIndex index) {
     if (resync.outstanding[index] == 0) return;
     resync.outstanding[index] = 0;
     --resync.remaining;
-    ++scratch.deliveries;
+    resync_deliveries_->Increment();
   };
   note(message.object_index);
   for (const RefreshPayload& payload : message.extra_refreshes) {
@@ -965,8 +644,7 @@ void CooperativeScheduler::NoteResyncDelivery(int c, const Message& message,
     // duration enters the digest once per such message, matching the
     // historical accounting exactly.
     if (resync.open && obs_ != nullptr) {
-      // First closing call only (resync.open is still set). Runs inside the
-      // possibly-parallel apply, so the event goes to cache c's own buffer.
+      // First closing call only (resync.open is still set).
       TraceBuffer* const trace = obs_->cache_buffer(c);
       if (trace != nullptr) {
         TraceEvent event;
@@ -979,19 +657,7 @@ void CooperativeScheduler::NoteResyncDelivery(int c, const Message& message,
       }
     }
     resync.open = false;
-    ++scratch.close_adds;
-    scratch.duration = t - resync.start;
-  }
-}
-
-void CooperativeScheduler::DrainResyncNotes() {
-  for (ResyncNote& note : resync_notes_) {
-    resync_deliveries_->Increment(note.deliveries);
-    note.deliveries = 0;
-    for (int64_t i = 0; i < note.close_adds; ++i) {
-      resync_digest_->Add(note.duration);
-    }
-    note.close_adds = 0;
+    resync_digest_->Add(t - resync.start);
   }
 }
 

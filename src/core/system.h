@@ -21,8 +21,6 @@
 #include "util/quantile.h"
 #include "util/random.h"
 #include "util/result.h"
-#include "util/shard_pool.h"
-#include "util/spsc_ring.h"
 
 namespace besync {
 
@@ -83,27 +81,6 @@ struct CooperativeConfig {
   RecoveryPolicy recovery_policy = RecoveryPolicy::kNaiveReenqueue;
   /// Fate of the refreshes stored at (and queued toward) a failed relay.
   RelayStorePolicy relay_store_policy = RelayStorePolicy::kDrop;
-  /// Intra-run worker threads for the sharded tick phases (send-phase
-  /// emission and flush, per-cache delivery pop and apply). 1 (default)
-  /// runs the historical sequential path; N > 1 partitions sources, caches
-  /// and tier-1 nodes across N shards with a per-tick barrier (clamped to
-  /// the widest shardable axis — extra lanes would only idle). Results are
-  /// bitwise identical at any value: the sharded phases draw no shared
-  /// randomness, cross-cache float accumulation is hoisted or replayed in
-  /// the sequential order, and per-link enqueue order is preserved by
-  /// partitioning the flush by first-hop node (see DESIGN.md, "Two-axis
-  /// sharding: link-major pop, cache-major apply").
-  int run_threads = 1;
-  /// Opt-in parallel send-order drawing: 0 (default) shuffles the source
-  /// visiting order from the main scheduler stream — the historical
-  /// bitwise-stable path. S > 0 splits the order into S pinned logical
-  /// shards, each shuffling its own child RNG stream
-  /// (scheduler_rng.Split(kSendOrderSplitKey + shard)) so the draws run
-  /// inside the send-phase workers, routed to the link-owning lanes
-  /// through SPSC rings. Any S > 0 changes the emission order versus the
-  /// default (it is a different — equally valid — run), but a given S is
-  /// bitwise deterministic at every run_threads value.
-  int send_order_shards = 0;
   /// Optional per-phase wall-time profiler (util/phase_timer.h); not
   /// owned, may be shared across runs. The timings are wall clock and
   /// nondeterministic — surface them only in opt-in perf output, never in
@@ -179,61 +156,12 @@ class CooperativeScheduler : public Scheduler {
   /// interleave source-priority refreshes.
   virtual void SendPhase(double t);
 
-  /// Sharded send phase (run_threads > 1): sources compute their emissions
-  /// concurrently into per-source buffers (every mutated structure —
-  /// channel queues, trackers, threshold controllers, the source link — is
-  /// private to one source), then the buffers are flushed onto the shared
-  /// cache links serially in the shuffled source order. The send-order
-  /// shuffle itself runs as a main-thread prelude overlapped with the
-  /// worker dispatch (the emission compute reads neither the scheduler RNG
-  /// nor source_order_). Bitwise identical to the serial SendPhase at any
-  /// shard count.
-  void SendPhaseSharded(double t);
-
   /// Step 2 under the invalidation protocol: sources drain their pending
   /// invalidation queues instead of the threshold priority queues, with the
-  /// same shuffled visiting order, source-side budgets, and serial/sharded
-  /// split as the refresh send phase. TTL runs no step-2 phase at all (and
+  /// same shuffled visiting order and source-side budgets as the refresh
+  /// send phase. TTL runs no step-2 phase at all (and
   /// draws no shuffle randomness — updates are silent at the source).
   void SendInvalidationPhase(double t);
-
-  /// Parallel flush of the per-source send buffers (sharded send phases):
-  /// every shard replays the full shuffled source order but enqueues only
-  /// the messages whose first-hop node falls in its slice of the node
-  /// range. Per-link enqueue order — the flush's only observable — is
-  /// exactly the serial flush order, because each link belongs to one
-  /// shard and every shard scans in the same global order. Clears the
-  /// buffers.
-  void FlushSendBuffersSharded();
-
-  /// Step 2 under send_order_shards > 0 (both refresh and invalidation
-  /// sends): each logical shard shuffles its pinned source slice with its
-  /// own child RNG stream and emits in that order; with a pool, producer
-  /// lanes route the buffered messages through SPSC rings to the lanes
-  /// owning their first-hop links, which enqueue in logical-shard-major
-  /// order. The per-link enqueue order is a pure function of the S child
-  /// streams — independent of run_threads (see DESIGN.md).
-  void SendPhaseShardOrdered(double t, bool invalidations);
-
-  /// Sharded half of tick step 3: each cache link pops this tick's
-  /// deliverable refreshes concurrently (budget, loss draws and stats are
-  /// per-link state) into per-cache scratch for ApplyDeliveriesSharded.
-  void CollectDeliveriesSharded();
-
-  /// Second half of sharded step 3: applies each cache's collected
-  /// deliveries on the shard owning the cache. The one cross-cache step —
-  /// GroundTruth integrating its running sums up to t — is hoisted onto
-  /// the main thread first (only on ticks where at least one refresh will
-  /// be applied, matching the serial integration points bit for bit);
-  /// after it, every apply touches per-cache state only. Global counters
-  /// the apply hooks feed (read-path totals, resync bookkeeping) go to
-  /// per-cache scratch, drained in ascending cache order after the
-  /// barrier — the exact serial accumulation sequence.
-  void ApplyDeliveriesSharded(double t);
-
-  /// Drains the per-cache resync scratch (deliveries, closed episodes)
-  /// into resync_deliveries_ / resync_digest_ in ascending cache order.
-  void DrainResyncNotes();
 
   /// The relay phase of the tick: each relay (parents first) drains its
   /// ingress edge into its store, then forwards eligible refreshes one hop
@@ -292,31 +220,6 @@ class CooperativeScheduler : public Scheduler {
   /// Client read streams, residency/eviction and pull bookkeeping; inert
   /// (and branch-free on the hot paths) when the workload disables reads.
   ReadPath read_path_;
-  /// Worker team for the sharded tick phases; null when run_threads <= 1
-  /// (every phase then takes its historical sequential path).
-  std::unique_ptr<ShardPool> shard_pool_;
-  /// Per-source emission buffers (sharded send phase), reused across ticks.
-  std::vector<std::vector<Message>> send_buffers_;
-  /// Per-cache collected deliveries (sharded delivery), reused across ticks.
-  std::vector<std::vector<Message>> deliver_buffers_;
-
-  // --- opt-in parallel send-order state (send_order_shards > 0) ---
-
-  /// One child RNG stream per logical send-order shard, split once at
-  /// Initialize (Split never advances the parent, so enabling the mode
-  /// leaves every other draw of the scheduler stream untouched).
-  std::vector<Rng> send_order_rngs_;
-  /// Logical shard -> its pinned ascending source ids (ShardRange over the
-  /// source count); each list is shuffled in place by its own stream.
-  std::vector<std::vector<int>> send_order_sources_;
-  /// (logical shard ls, consumer lane d) -> ring ls * num_shards + d; the
-  /// producer lane owning ls pushes, lane d (owner of the message's
-  /// first-hop node) pops. Sized only when the mode runs with a pool.
-  std::vector<std::unique_ptr<SpscRing<Message>>> send_rings_;
-  /// Per-ring overflow, drained after the ring so per-producer order
-  /// survives a full ring.
-  std::vector<std::vector<Message>> send_spill_;
-
   // --- fault injection (all empty / zero on an empty schedule) ---
 
   /// One crashed cache's outstanding post-restart refill: the replicas the
@@ -340,24 +243,11 @@ class CooperativeScheduler : public Scheduler {
   std::vector<ResyncState> resync_;
   /// Scratch for collecting the sources' resynced object lists.
   std::vector<ObjectIndex> resync_scratch_;
-  /// Per-cache delivery-phase scratch for the global resync tallies (the
-  /// parallel apply must not touch resync_deliveries_ / resync_digest_
-  /// directly). Drained by DrainResyncNotes; sized alongside cache_down_.
-  /// close_adds counts digest samples, not episodes: the historical serial
-  /// loop re-samples the episode duration for every tracked delivery in
-  /// the closing tick once remaining hits zero, and the recorded baselines
-  /// pin that behavior bit for bit.
-  struct ResyncNote {
-    int64_t deliveries = 0;
-    int64_t close_adds = 0;
-    double duration = 0.0;
-  };
-  std::vector<ResyncNote> resync_notes_;
 
   // --- scheduler-level metrics (obs/metrics.h) ---
 
   /// Every counter the scheduler itself tallies (as opposed to per-agent /
-  /// per-link state, which stays on its entity for shard safety), plus the
+  /// per-link state, which stays on its entity), plus the
   /// time-to-resync digest. Registered once in the constructor; zeroed as a
   /// whole by Initialize and OnMeasurementStart. The handles below are
   /// owned by the registry and each has exactly one increment site.

@@ -130,18 +130,11 @@ class GroundTruth {
     return weighted_sum_[cache_id];
   }
 
-  /// Integrates the running sums up to `t`. Normally implicit in the
-  /// event entry points, but exposed so the scheduler's parallel delivery
-  /// apply can hoist the one cross-cache step of OnCacheApply: after
-  /// AdvanceTo(t), concurrent OnCacheApply(..., t, ...) calls for distinct
-  /// caches touch disjoint state (the inner AdvanceTo sees dt == 0 and
-  /// writes nothing). Must be called with t >= the time of every
-  /// subsequent concurrent apply, and only on ticks where at least one
-  /// apply follows — an early advance on an apply-free tick would split
-  /// the integration step and change float bits vs the serial order.
+ private:
+  /// Integrates the running sums up to `t`; every event entry point calls
+  /// it first.
   void AdvanceTo(double t);
 
- private:
   struct Entry {
     double source_value = 0.0;
     int64_t source_version = 0;

@@ -46,8 +46,6 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config) {
       cooperative.protocol = config.protocol;
       cooperative.recovery_policy = config.recovery_policy;
       cooperative.relay_store_policy = config.relay_store_policy;
-      cooperative.run_threads = config.run_threads;
-      cooperative.send_order_shards = config.send_order_shards;
       cooperative.phase_timer = config.phase_timer;
       cooperative.obs = config.obs;
       return std::make_unique<CooperativeScheduler>(cooperative);
@@ -89,8 +87,30 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config) {
   return nullptr;
 }
 
+Status ValidateExperimentConfig(const ExperimentConfig& config) {
+  // Negated comparisons so NaN fails too.
+  const HarnessConfig& harness = config.harness;
+  if (!(harness.tick_length > 0.0)) {
+    return Status::InvalidArgument("tick_length must be > 0, got ",
+                                   harness.tick_length);
+  }
+  if (!(harness.warmup >= 0.0)) {
+    return Status::InvalidArgument("warmup must be >= 0, got ", harness.warmup);
+  }
+  if (!(harness.measure > 0.0)) {
+    return Status::InvalidArgument("measure must be > 0, got ", harness.measure);
+  }
+  if (config.run_threads != 1) {
+    return Status::InvalidArgument(
+        "run_threads must be 1 (the tick is single-threaded), got ",
+        config.run_threads);
+  }
+  return Status::OK();
+}
+
 Result<RunResult> RunExperimentOnWorkload(const ExperimentConfig& config,
                                           const Workload* workload) {
+  BESYNC_RETURN_IF_ERROR(ValidateExperimentConfig(config));
   if (workload == nullptr) return Status::InvalidArgument("null workload");
   const bool tree_topology =
       !config.topology.flat() || !workload->topology.flat();

@@ -84,15 +84,10 @@ struct ExperimentConfig {
   int max_batch = 1;
   double max_batch_delay = 5.0;
   double loss_rate = 0.0;
-  /// Intra-run worker threads for the cooperative scheduler's sharded tick
-  /// phases (CooperativeConfig::run_threads); results are bitwise identical
-  /// at any value. Ignored by the baseline schedulers (single-threaded).
+  /// The tick is single-threaded (DESIGN.md, "Single-threaded tick"); this
+  /// field stays only so callers that pin it to 1 keep compiling. Any other
+  /// value is an InvalidArgument (ValidateExperimentConfig).
   int run_threads = 1;
-  /// Opt-in per-shard send-order drawing
-  /// (CooperativeConfig::send_order_shards); 0 keeps the historical
-  /// main-thread shuffle. Any S > 0 is a different (still deterministic)
-  /// run. Ignored by the baseline schedulers.
-  int send_order_shards = 0;
   /// Optional per-phase tick profiler (CooperativeConfig::phase_timer);
   /// not owned. Wall-clock numbers — perf output only.
   PhaseTimer* phase_timer = nullptr;
@@ -109,8 +104,14 @@ struct ExperimentConfig {
 /// Builds the scheduler named by `config` (bandwidth knobs applied).
 std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config);
 
+/// Rejects the values that would otherwise abort inside the engine:
+/// harness.tick_length and harness.measure must be > 0, harness.warmup
+/// >= 0, and run_threads must be 1. InvalidArgument names the field.
+Status ValidateExperimentConfig(const ExperimentConfig& config);
+
 /// Runs the configured scheduler on `workload` (which is Reset and may be
 /// reused across calls — update streams are identical across schedulers).
+/// Returns ValidateExperimentConfig's error, if any, before running.
 Result<RunResult> RunExperimentOnWorkload(const ExperimentConfig& config,
                                           const Workload* workload);
 

@@ -15,7 +15,7 @@ namespace besync {
 /// schedule is *data*, not behavior — it consumes no generator or scheduler
 /// randomness, so a run with an empty schedule reproduces the fault-free
 /// goldens bitwise, and two runs with the same schedule are bitwise
-/// identical at any thread count.
+/// identical.
 ///
 /// Event semantics (applied by CooperativeScheduler at the first tick whose
 /// time is >= the event time, in schedule order):

@@ -73,7 +73,8 @@ void Link::Enqueue(Message message) {
   max_queue_size_ = std::max(max_queue_size_, queue_.size());
 }
 
-bool Link::PopDeliverable(Message* out) {
+int64_t Link::DeliverQueued(const std::function<void(const Message&)>& sink) {
+  int64_t delivered = 0;
   while (remaining_ > 0 && !queue_.empty()) {
     Message message = std::move(queue_.front());
     queue_.pop_front();
@@ -86,28 +87,8 @@ bool Link::PopDeliverable(Message* out) {
       continue;  // transmission spent, content lost
     }
     ++messages_delivered_;
-    *out = std::move(message);
-    return true;
-  }
-  return false;
-}
-
-int64_t Link::DeliverQueued(const std::function<void(const Message&)>& sink) {
-  int64_t delivered = 0;
-  Message message;
-  while (PopDeliverable(&message)) {
     ++delivered;
     sink(message);
-  }
-  return delivered;
-}
-
-int64_t Link::CollectDeliverable(std::vector<Message>* out) {
-  int64_t delivered = 0;
-  Message message;
-  while (PopDeliverable(&message)) {
-    ++delivered;
-    out->push_back(std::move(message));
   }
   return delivered;
 }

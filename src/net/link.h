@@ -53,13 +53,6 @@ class Link {
   /// lost).
   int64_t DeliverQueued(const std::function<void(const Message&)>& sink);
 
-  /// Exactly DeliverQueued, but the delivered messages are appended to
-  /// `out` instead of being sunk inline — the collect half of the sharded
-  /// two-phase delivery (budget, loss draws and statistics are all
-  /// per-link state, so collection parallelizes across links; the caller
-  /// applies the collected messages serially in the canonical order).
-  int64_t CollectDeliverable(std::vector<Message>* out);
-
   /// Attempts to consume `amount` units of remaining budget; returns the
   /// number of units actually granted (possibly fewer).
   int64_t ConsumeBudget(int64_t amount);
@@ -138,11 +131,6 @@ class Link {
   void ResetStats();
 
  private:
-  /// Pops the next message DeliverQueued would deliver (charging budget,
-  /// drawing loss, updating delivery stats); false when budget or queue is
-  /// exhausted.
-  bool PopDeliverable(Message* out);
-
   /// Records a kDrop event for `message` (callers test trace_ first).
   /// `blackholed` distinguishes down-link blackholing (aux=1) from random
   /// loss (aux=0).

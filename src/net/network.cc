@@ -125,21 +125,8 @@ size_t Network::MailSlot(int node, int source_index) const {
          static_cast<size_t>(source_index);
 }
 
-void Network::BeginTick(double tick_start, double tick_len, ShardPool* pool) {
-  if (pool != nullptr && pool->num_shards() > 1) {
-    // Each link's tick state (budget, credit, stats) is self-contained, so
-    // advancing disjoint slices in parallel is bitwise identical to the
-    // sequential loop.
-    pool->Run([this, tick_start, tick_len, pool](int shard) {
-      const auto range = ShardPool::ShardRange(
-          static_cast<int64_t>(all_links_.size()), shard, pool->num_shards());
-      for (int64_t i = range.first; i < range.second; ++i) {
-        all_links_[i]->BeginTick(tick_start, tick_len);
-      }
-    });
-  } else {
-    for (Link* link : all_links_) link->BeginTick(tick_start, tick_len);
-  }
+void Network::BeginTick(double tick_start, double tick_len) {
+  for (Link* link : all_links_) link->BeginTick(tick_start, tick_len);
   for (size_t slot : dirty_incoming_) {
     for (auto& message : mail_incoming_[slot]) {
       mail_deliverable_[slot].push_back(std::move(message));

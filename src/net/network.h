@@ -8,7 +8,6 @@
 #include "net/link.h"
 #include "net/message.h"
 #include "util/random.h"
-#include "util/shard_pool.h"
 
 namespace besync {
 
@@ -61,12 +60,8 @@ class Network {
 
   /// Advances all links (leaf, source, relay ingress/egress) into the tick
   /// [tick_start, tick_start+tick_len) and makes control messages deposited
-  /// during the previous tick deliverable. With a non-null `pool` the link
-  /// advancement is sharded across the pool (every link's budget, credit
-  /// and statistics are self-contained, so per-link advancement commutes);
-  /// mail promotion stays on the calling thread. Bitwise identical at any
-  /// pool size.
-  void BeginTick(double tick_start, double tick_len, ShardPool* pool = nullptr);
+  /// during the previous tick deliverable.
+  void BeginTick(double tick_start, double tick_len);
 
   /// Flushes the final tick's usage into every link's utilization stat
   /// (call once at end of run — see Link::FinishTick).
@@ -208,8 +203,7 @@ class Network {
   /// so visiting only the dirty slots is behavior-identical to the scan.
   std::vector<size_t> dirty_incoming_;
   /// Every link (cache, source, relay ingress, relay egress), flattened for
-  /// the sharded BeginTick partition. Built once; link sets never change
-  /// after construction.
+  /// BeginTick. Built once; link sets never change after construction.
   std::vector<Link*> all_links_;
 };
 

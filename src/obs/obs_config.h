@@ -14,8 +14,8 @@ namespace besync {
 ///
 /// With `enabled == true` the collectors only *read* engine state (no
 /// generator or scheduler randomness is drawn, no shared state is mutated),
-/// so run results stay byte-identical to a disabled run at any
-/// `run_threads`; see DESIGN.md "Observability without perturbation".
+/// so run results stay byte-identical to a disabled run; see DESIGN.md
+/// "Observability without perturbation".
 struct ObsConfig {
   /// Master switch: sample the per-tick time series (and allocate the
   /// collector). Everything below is ignored when false.

@@ -10,7 +10,7 @@ namespace besync {
 /// A fixed-budget multi-column time series: named columns, one row per
 /// sample, and deterministic decimation when the budget fills. Appends are
 /// pure functions of the appended sequence — no randomness, no wall clock —
-/// so the retained rows are identical across runs and thread counts.
+/// so the retained rows are identical across runs.
 ///
 /// Downsampling: when the row count reaches `max_samples` (>= 2), every
 /// odd-indexed retained row is dropped (rows 0, 2, 4, ... survive) and the

@@ -98,8 +98,7 @@ std::shared_ptr<ObsOutput> ObsCollector::Finish() {
   // Merge: concatenate in buffer order (main, sources, caches, relays —
   // each buffer internally in record order), then stable-sort on keys that
   // are all functions of the event itself. Ties beyond the key keep the
-  // concatenation order, i.e. (buffer id, in-buffer sequence) — every
-  // component independent of run_threads, so the merged order is too.
+  // concatenation order, i.e. (buffer id, in-buffer sequence).
   size_t total = 0;
   for (const TraceBuffer& buffer : buffers_) {
     total += buffer.events().size();

@@ -30,8 +30,7 @@ enum class TraceEventKind : int32_t {
   kDeliver = 4,
   /// ...and was applied to the replica. The engine applies at arrival time,
   /// so kDeliver/kApply share a timestamp; both are recorded at the apply
-  /// site because that is the one point with an identical per-cache message
-  /// order in the serial and sharded engines.
+  /// site.
   kApply = 5,
   /// The read path sent a pull request for a missed/invalid replica.
   kPullRequest = 6,
@@ -91,13 +90,9 @@ struct TraceFilter {
 };
 
 /// An append-only event buffer owned by exactly one entity (one source, one
-/// cache, one relay node, or the scheduler main loop). Each engine entity
-/// is recorded by exactly one thread per tick phase regardless of
-/// `run_threads`, so per-entity buffering needs no locks and — unlike
-/// per-thread buffering — yields buffer contents that are independent of
-/// the thread count. Record() applies the shared filter and a per-buffer
-/// event cap inline; a disabled trace is a null buffer pointer at the call
-/// site, not a no-op Record.
+/// cache, one relay node, or the scheduler main loop). Record() applies the
+/// shared filter and a per-buffer event cap inline; a disabled trace is a
+/// null buffer pointer at the call site, not a no-op Record.
 class TraceBuffer {
  public:
   void Init(const TraceFilter* filter, int64_t cap) {
@@ -131,7 +126,7 @@ struct ObsOutput {
   TimeSeries series;
   /// All buffers merged into one deterministic order: ascending (t, kind,
   /// cache, node, source, object, version), ties broken by buffer id and
-  /// in-buffer sequence — every key independent of `run_threads`.
+  /// in-buffer sequence.
   std::vector<TraceEvent> trace;
   /// Events lost to the per-buffer caps plus merge-stage truncation.
   int64_t trace_dropped = 0;

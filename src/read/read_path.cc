@@ -90,7 +90,7 @@ void ReadPath::ProcessReads(double t) {
   if (!reads_enabled_) return;
   // Global time order across caches (ties to the lowest cache id), so the
   // staleness digest's insertion order — and therefore its compressed state
-  // — is a pure function of the run, independent of thread count.
+  // — is a pure function of the run.
   while (true) {
     CacheState* next = nullptr;
     for (CacheState& cache : caches_) {
@@ -193,7 +193,7 @@ void ReadPath::ResolveDelivery(CacheState* cache, ObjectIndex index, double t,
                                bool is_pull) {
   const int64_t slot = cache->store.SlotOf(index);
   if (slot < 0) return;
-  if (is_pull) ++cache->scratch_pulls_delivered;
+  if (is_pull) ++pulls_delivered_;
   const int64_t evicted =
       cache->store.Install(slot, t, [this, cache](ObjectIndex member) {
         return ReplicaDivergence(*cache, member);
@@ -223,9 +223,9 @@ void ReadPath::ResolveDelivery(CacheState* cache, ObjectIndex index, double t,
   if (pending.waiting_reads > 0) {
     cache->staleness.Add(ReplicaDivergence(*cache, index), pending.waiting_reads);
   }
-  cache->scratch_latency_terms.push_back(
-      static_cast<double>(pending.waiting_reads) * t - pending.waiting_time_sum);
-  cache->scratch_latency_count += pending.waiting_reads;
+  miss_latency_sum_ +=
+      static_cast<double>(pending.waiting_reads) * t - pending.waiting_time_sum;
+  miss_latency_count_ += pending.waiting_reads;
   pending = PendingPull{};
 }
 
@@ -243,7 +243,7 @@ void ReadPath::ApplyInvalidate(CacheState* cache, ObjectIndex index, double t) {
   const int64_t slot = cache->store.SlotOf(index);
   if (slot < 0) return;
   protocol_->OnInvalidate(&cache->store.sync_state(slot), t);
-  ++cache->scratch_invalidations;
+  ++invalidations_received_;
   if (TraceBuffer* trace = trace_for(cache->cache_id)) {
     TraceEvent event;
     event.kind = TraceEventKind::kInvalidateApply;
@@ -280,22 +280,6 @@ void ReadPath::OnCacheRestart(int cache_id) {
   caches_[cache_id].down = false;
 }
 
-void ReadPath::FlushDeliveryCounters() {
-  if (!enabled_) return;
-  for (CacheState& cache : caches_) {
-    pulls_delivered_ += cache.scratch_pulls_delivered;
-    cache.scratch_pulls_delivered = 0;
-    invalidations_received_ += cache.scratch_invalidations;
-    cache.scratch_invalidations = 0;
-    miss_latency_count_ += cache.scratch_latency_count;
-    cache.scratch_latency_count = 0;
-    // Term-by-term, so the global sum's float rounding replays the serial
-    // cache-major apply exactly.
-    for (double term : cache.scratch_latency_terms) miss_latency_sum_ += term;
-    cache.scratch_latency_terms.clear();
-  }
-}
-
 void ReadPath::OnMeasurementStart() {
   if (!enabled_) return;
   reads_ = hits_ = misses_ = pull_requests_ = pulls_delivered_ = 0;
@@ -306,12 +290,6 @@ void ReadPath::OnMeasurementStart() {
   for (CacheState& cache : caches_) {
     cache.staleness.Reset();
     cache.store.ResetCounters();
-    // Scratch is drained every tick, so it is empty here — clear anyway so
-    // a warmup tick can never leak into the measured totals.
-    cache.scratch_pulls_delivered = 0;
-    cache.scratch_invalidations = 0;
-    cache.scratch_latency_count = 0;
-    cache.scratch_latency_terms.clear();
     // Warmup reads no longer count: pulls still in flight keep resolving
     // residency, but the reads waiting on them were never added to the
     // measured totals, so they must not inject staleness/latency samples.

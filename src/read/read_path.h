@@ -111,17 +111,6 @@ class ReadPath {
   /// Pending pulls cancelled by crashes (measurement window).
   int64_t crash_dropped_pulls() const { return crash_dropped_pulls_; }
 
-  /// Drains the per-cache delivery scratch counters into the global
-  /// totals, in ascending cache order. The delivery hooks
-  /// (OnRefreshDelivered / OnInvalidateDelivered) record into per-cache
-  /// scratch so the scheduler may apply different caches' deliveries
-  /// concurrently; the scheduler calls this once per tick, after the apply
-  /// barrier, on the main thread. Because the serial path uses the same
-  /// scratch-then-drain sequence, the float addition order of
-  /// miss_latency_sum_ — and hence every reported bit — is identical at
-  /// any thread count.
-  void FlushDeliveryCounters();
-
   /// Measurement-window reset (residency and pending pulls persist; only
   /// statistics are zeroed).
   void OnMeasurementStart();
@@ -181,14 +170,6 @@ class ReadPath {
     /// Slots with an unsent pull request, in miss order.
     std::deque<int64_t> request_queue;
     QuantileDigest staleness;
-    // Delivery-phase scratch, drained by FlushDeliveryCounters(). Integer
-    // tallies are order-free; the float miss-latency contributions are
-    // kept as individual terms so the drain can replay the exact serial
-    // addition sequence.
-    int64_t scratch_pulls_delivered = 0;
-    int64_t scratch_invalidations = 0;
-    int64_t scratch_latency_count = 0;
-    std::vector<double> scratch_latency_terms;
   };
 
   /// Cache `cache_id`'s trace buffer, or null when tracing is off.

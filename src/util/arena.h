@@ -21,8 +21,7 @@ namespace besync {
 ///    destructor, matching the run lifetime of everything stored here;
 ///  - destructors are never run, so every allocated type must be trivially
 ///    destructible (enforced at compile time by the typed helpers);
-///  - not thread-safe — each run owns its arena, and the sharded tick
-///    phases only read arena-backed state they partitioned beforehand.
+///  - not thread-safe — each run owns its arena.
 class Arena {
  public:
   static constexpr size_t kDefaultBlockBytes = size_t{1} << 20;

@@ -160,17 +160,4 @@ int64_t Rng::Zipf(int64_t n, double s) {
 
 Rng Rng::Fork() { return Rng(NextUint64()); }
 
-Rng Rng::Split(uint64_t key) const {
-  // Mix the full 256-bit state down with the key through SplitMix64 — the
-  // same finalizer the seeding path uses — reading, never mutating, the
-  // parent. Nearby keys land in unrelated streams.
-  uint64_t sm = key;
-  uint64_t seed = SplitMix64(&sm);
-  for (const uint64_t word : state_) {
-    sm = word ^ Rotl(seed, 23);
-    seed ^= SplitMix64(&sm);
-  }
-  return Rng(seed);
-}
-
 }  // namespace besync

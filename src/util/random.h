@@ -54,13 +54,6 @@ class Rng {
   /// streams whose draws must not depend on iteration order elsewhere).
   Rng Fork();
 
-  /// Keyed variant of Fork() that does NOT advance this generator: the
-  /// child stream is a pure function of (current state, key), so any number
-  /// of children — e.g. one per shard, keyed by shard id — can be derived
-  /// concurrently, in any order, without perturbing the parent stream.
-  /// Distinct keys give unrelated streams.
-  Rng Split(uint64_t key) const;
-
   /// Fisher-Yates shuffle of `values`.
   template <typename T>
   void Shuffle(std::vector<T>* values) {

@@ -3,7 +3,7 @@
 // draws no randomness even when the generator knobs are armed), cache
 // crash/restart semantics end to end under both recovery policies, relay
 // failover, link partitions, slowdowns, the crashed-pull regression, and
-// determinism of faulted runs across run_threads and sweep threads.
+// determinism of faulted runs across repeat runs and sweep threads.
 
 #include <cmath>
 #include <cstdint>
@@ -400,7 +400,7 @@ TEST(FaultLinkTest, SlowdownThrottlesDeliveries) {
 
 // ----------------------------------------------------------- determinism
 
-TEST(FaultDeterminismTest, FaultedRunIsRunThreadInvariant) {
+TEST(FaultDeterminismTest, FaultedRunIsRepeatable) {
   ExperimentConfig config = MultiCacheConfig();
   config.workload.read.read_rate = 3.0;
   config.workload.fault.cache_crashes = 2;
@@ -411,35 +411,31 @@ TEST(FaultDeterminismTest, FaultedRunIsRunThreadInvariant) {
   config.workload.fault.window_end = 120.0;
   config.recovery_policy = RecoveryPolicy::kRecoveryPriority;
 
-  auto run_at = [&config](int run_threads) {
-    ExperimentConfig at = config;
-    at.run_threads = run_threads;
-    auto result = RunExperiment(at);
+  auto run = [&config]() {
+    auto result = RunExperiment(config);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).ValueOrDie();
   };
-  const RunResult serial = run_at(1);
-  for (int threads : {2, 4}) {
-    const RunResult sharded = run_at(threads);
-    EXPECT_EQ(serial.total_weighted_divergence, sharded.total_weighted_divergence);
-    ASSERT_EQ(serial.per_cache_weighted.size(), sharded.per_cache_weighted.size());
-    for (size_t c = 0; c < serial.per_cache_weighted.size(); ++c) {
-      EXPECT_EQ(serial.per_cache_weighted[c], sharded.per_cache_weighted[c]);
-    }
-    EXPECT_EQ(serial.scheduler.refreshes_delivered,
-              sharded.scheduler.refreshes_delivered);
-    EXPECT_EQ(serial.scheduler.cache_crashes, sharded.scheduler.cache_crashes);
-    EXPECT_EQ(serial.scheduler.cache_restarts, sharded.scheduler.cache_restarts);
-    EXPECT_EQ(serial.scheduler.resync_deliveries,
-              sharded.scheduler.resync_deliveries);
-    EXPECT_EQ(serial.scheduler.resync_pending, sharded.scheduler.resync_pending);
-    EXPECT_EQ(serial.scheduler.time_to_resync_mean,
-              sharded.scheduler.time_to_resync_mean);
-    EXPECT_EQ(serial.scheduler.time_to_resync_p95,
-              sharded.scheduler.time_to_resync_p95);
-    EXPECT_EQ(serial.scheduler.crash_dropped_pulls,
-              sharded.scheduler.crash_dropped_pulls);
+  const RunResult first = run();
+  const RunResult second = run();
+  EXPECT_GT(first.scheduler.resync_deliveries, 0);
+  EXPECT_EQ(first.total_weighted_divergence, second.total_weighted_divergence);
+  ASSERT_EQ(first.per_cache_weighted.size(), second.per_cache_weighted.size());
+  for (size_t c = 0; c < first.per_cache_weighted.size(); ++c) {
+    EXPECT_EQ(first.per_cache_weighted[c], second.per_cache_weighted[c]);
   }
+  EXPECT_EQ(first.scheduler.refreshes_delivered,
+            second.scheduler.refreshes_delivered);
+  EXPECT_EQ(first.scheduler.cache_crashes, second.scheduler.cache_crashes);
+  EXPECT_EQ(first.scheduler.cache_restarts, second.scheduler.cache_restarts);
+  EXPECT_EQ(first.scheduler.resync_deliveries, second.scheduler.resync_deliveries);
+  EXPECT_EQ(first.scheduler.resync_pending, second.scheduler.resync_pending);
+  EXPECT_EQ(first.scheduler.time_to_resync_mean,
+            second.scheduler.time_to_resync_mean);
+  EXPECT_EQ(first.scheduler.time_to_resync_p95,
+            second.scheduler.time_to_resync_p95);
+  EXPECT_EQ(first.scheduler.crash_dropped_pulls,
+            second.scheduler.crash_dropped_pulls);
 }
 
 TEST(FaultDeterminismTest, SweepJsonIsThreadCountInvariant) {

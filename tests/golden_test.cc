@@ -3,7 +3,7 @@
 // values were captured from the pre-multi-cache engine (the paper's
 // single-cache code paths); the topology-aware engine must reproduce them
 // to 1e-9 — the refactor is required to be behavior-preserving at one
-// cache.
+// cache. PartitionedLossy adds one exact multi-cache pin.
 
 #include <gtest/gtest.h>
 
@@ -149,6 +149,28 @@ TEST(GoldenTest, RoundRobin) {
   const auto result = RunExperiment(config);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->total_weighted_divergence, 96.44131748074895, kTolerance);
+}
+
+/// Three caches with disjoint partitions and lossy, bandwidth-constrained
+/// links on both sides: source-link budgets, the shuffled send order over
+/// shared tier-1 links, and per-link loss draws all feed this number.
+/// Pinned exactly, not to kTolerance.
+TEST(GoldenTest, PartitionedLossy) {
+  ExperimentConfig config;
+  config.workload.num_sources = 6;
+  config.workload.objects_per_source = 20;
+  config.workload.num_caches = 3;
+  config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
+  config.workload.seed = 11;
+  config.harness.warmup = 20.0;
+  config.harness.measure = 120.0;
+  config.harness.seed = 5;
+  config.cache_bandwidth_avg = 6.0;
+  config.source_bandwidth_avg = 3.0;
+  config.loss_rate = 0.05;
+  const auto result = RunExperiment(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_DOUBLE_EQ(result->total_weighted_divergence, 77.886079675343225);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Observability-layer tests: compiled-in-but-disabled obs reproduces the
-// seed goldens exactly, enabling it never changes run results at any
-// run_threads, the exported time-series/trace bytes are identical across
-// thread counts (including the sharded send-order mode), the fixed-budget
+// seed goldens exactly, enabling it never changes run results, the exported
+// time-series/trace bytes are identical across repeat runs, the fixed-budget
 // downsampler is deterministic, and recorded message lifecycles are
 // complete and monotone (enqueue <= send <= apply on matching identities;
 // every resync episode opens and closes).
@@ -129,21 +128,17 @@ TEST(ObsInertnessTest, DisabledObsKeepsSeedGoldens) {
   EXPECT_EQ(result->obs, nullptr);  // no collector allocated when disabled
 }
 
-TEST(ObsInertnessTest, EnabledObsKeepsSeedGoldensAtAnyThreadCount) {
-  for (int run_threads : {1, 2, 8}) {
-    ExperimentConfig config = GoldenConfig();
-    config.run_threads = run_threads;
-    config.obs = FullObs();
-    const auto result = RunExperiment(config);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->total_weighted_divergence, kGoldenDivergence)
-        << "run_threads=" << run_threads;
-    EXPECT_EQ(result->scheduler.refreshes_sent, kGoldenRefreshes);
-    EXPECT_EQ(result->scheduler.feedback_sent, kGoldenFeedback);
-    ASSERT_NE(result->obs, nullptr);
-    EXPECT_FALSE(result->obs->series.rows().empty());
-    EXPECT_FALSE(result->obs->trace.empty());
-  }
+TEST(ObsInertnessTest, EnabledObsKeepsSeedGoldens) {
+  ExperimentConfig config = GoldenConfig();
+  config.obs = FullObs();
+  const auto result = RunExperiment(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->total_weighted_divergence, kGoldenDivergence);
+  EXPECT_EQ(result->scheduler.refreshes_sent, kGoldenRefreshes);
+  EXPECT_EQ(result->scheduler.feedback_sent, kGoldenFeedback);
+  ASSERT_NE(result->obs, nullptr);
+  EXPECT_FALSE(result->obs->series.rows().empty());
+  EXPECT_FALSE(result->obs->trace.empty());
 }
 
 TEST(ObsInertnessTest, EnabledObsIsResultInertOnFaultTreeWithReads) {
@@ -153,15 +148,12 @@ TEST(ObsInertnessTest, EnabledObsIsResultInertOnFaultTreeWithReads) {
   ASSERT_GT(baseline->scheduler.cache_crashes, 0);  // the fault really fired
   ASSERT_GT(baseline->scheduler.reads_total, 0);
 
-  for (int run_threads : {1, 2, 8}) {
-    ExperimentConfig on = FaultTreeConfig();
-    on.run_threads = run_threads;
-    on.obs = FullObs();
-    const auto result = RunExperiment(on);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(ResultKey::Of(*result) == ResultKey::Of(*baseline))
-        << "observability perturbed the run at run_threads=" << run_threads;
-  }
+  ExperimentConfig on = FaultTreeConfig();
+  on.obs = FullObs();
+  const auto result = RunExperiment(on);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(ResultKey::Of(*result) == ResultKey::Of(*baseline))
+      << "observability perturbed the run";
 }
 
 TEST(ObsInertnessTest, ObsOnBaselineSchedulerIsInvalidArgument) {
@@ -174,46 +166,19 @@ TEST(ObsInertnessTest, ObsOnBaselineSchedulerIsInvalidArgument) {
 
 // -------------------------------------------- byte-stability of the export
 
-TEST(ObsExportTest, BytesIdenticalAcrossRunThreads) {
-  std::string series_bytes;
-  std::string trace_bytes;
-  for (int run_threads : {1, 2, 8}) {
-    ExperimentConfig config = FaultTreeConfig();
-    config.run_threads = run_threads;
-    config.obs = FullObs();
-    const auto result = RunExperiment(config);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_NE(result->obs, nullptr);
-    if (run_threads == 1) {
-      series_bytes = TimeSeriesBytes(*result);
-      trace_bytes = TraceBytes(*result);
-      EXPECT_FALSE(trace_bytes.empty());
-      continue;
-    }
-    EXPECT_EQ(TimeSeriesBytes(*result), series_bytes)
-        << "time-series bytes diverged at run_threads=" << run_threads;
-    EXPECT_EQ(TraceBytes(*result), trace_bytes)
-        << "trace bytes diverged at run_threads=" << run_threads;
-  }
-}
-
-TEST(ObsExportTest, BytesIdenticalUnderShardedSendOrder) {
-  // send_order_shards > 0 is a *different* deterministic run; the invariant
-  // is that, at a fixed shard count, the bytes are still thread-invariant.
-  std::string trace_bytes;
-  for (int run_threads : {1, 8}) {
-    ExperimentConfig config = FaultTreeConfig();
-    config.run_threads = run_threads;
-    config.send_order_shards = 4;
-    config.obs = FullObs();
-    const auto result = RunExperiment(config);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    if (run_threads == 1) {
-      trace_bytes = TraceBytes(*result);
-      continue;
-    }
-    EXPECT_EQ(TraceBytes(*result), trace_bytes);
-  }
+TEST(ObsExportTest, BytesIdenticalAcrossRepeatRuns) {
+  ExperimentConfig config = FaultTreeConfig();
+  config.obs = FullObs();
+  const auto first = RunExperiment(config);
+  const auto second = RunExperiment(config);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_NE(first->obs, nullptr);
+  ASSERT_NE(second->obs, nullptr);
+  const std::string trace_bytes = TraceBytes(*first);
+  EXPECT_FALSE(trace_bytes.empty());
+  EXPECT_EQ(TimeSeriesBytes(*second), TimeSeriesBytes(*first));
+  EXPECT_EQ(TraceBytes(*second), trace_bytes);
 }
 
 TEST(ObsExportTest, TraceFilterSelectsSubset) {

@@ -293,32 +293,26 @@ TEST(TtlLeaseTest, ConsumesNoGeneratorRandomness) {
   EXPECT_LT(long_ttl.scheduler.read_misses, short_ttl.scheduler.read_misses);
 }
 
-// ---------------------------------------------- thread-count independence
+// ------------------------------------------------------------ determinism
 
-TEST(ProtocolThreadingTest, JsonIsRunThreadCountInvariant) {
-  // All three protocols, serialized JSON byte-identical at run_threads
-  // 1 / 2 / 4 (the intra-run sharding axis, not the grid runner's).
+TEST(ProtocolThreadingTest, JsonIsRepeatable) {
+  // All three protocols, serialized JSON byte-identical across two runs.
   for (const SyncProtocolKind kind :
        {SyncProtocolKind::kPushRefresh, SyncProtocolKind::kInvalidation,
         SyncProtocolKind::kTtlLease}) {
-    std::string baseline;
-    for (const int run_threads : {1, 2, 4}) {
-      std::vector<ExperimentJob> jobs(1);
-      jobs[0].name = SyncProtocolKindToString(kind);
-      jobs[0].config = ReadConfig();
-      jobs[0].config.protocol.kind = kind;
-      jobs[0].config.run_threads = run_threads;
+    std::vector<ExperimentJob> jobs(1);
+    jobs[0].name = SyncProtocolKindToString(kind);
+    jobs[0].config = ReadConfig();
+    jobs[0].config.protocol.kind = kind;
+    std::string runs[2];
+    for (std::string& json_text : runs) {
       const std::vector<JobResult> results = RunExperiments(jobs, RunnerOptions{});
       ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
       std::ostringstream json;
       WriteResultsJson(json, results);
-      if (run_threads == 1) {
-        baseline = json.str();
-      } else {
-        EXPECT_EQ(json.str(), baseline)
-            << SyncProtocolKindToString(kind) << " at run_threads=" << run_threads;
-      }
+      json_text = json.str();
     }
+    EXPECT_EQ(runs[1], runs[0]) << SyncProtocolKindToString(kind);
   }
 }
 

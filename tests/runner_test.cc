@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -148,6 +149,42 @@ TEST(RunnerTest, PerJobErrorsAreCapturedNotFatal) {
   WriteResultsJson(json, results);
   EXPECT_NE(json.str().find("\"ok\": false"), std::string::npos);
   EXPECT_NE(json.str().find("\"ok\": true"), std::string::npos);
+}
+
+/// Each bad field comes back as a per-job InvalidArgument naming the
+/// field, instead of a CHECK abort inside the harness.
+TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
+  ExperimentConfig base;
+  base.workload.num_sources = 1;
+  base.workload.objects_per_source = 4;
+  base.harness.warmup = 5.0;
+  base.harness.measure = 20.0;
+  EXPECT_TRUE(ValidateExperimentConfig(base).ok());
+
+  std::vector<ExperimentJob> jobs(6);
+  for (ExperimentJob& job : jobs) job.config = base;
+  jobs[0].name = "tick_length";
+  jobs[0].config.harness.tick_length = 0.0;
+  jobs[1].name = "warmup";
+  jobs[1].config.harness.warmup = -1.0;
+  jobs[2].name = "measure";
+  jobs[2].config.harness.measure = -5.0;
+  jobs[3].name = "measure";
+  jobs[3].config.harness.measure = 0.0;
+  jobs[4].name = "measure";
+  jobs[4].config.harness.measure = std::nan("");
+  jobs[5].name = "run_threads";
+  jobs[5].config.run_threads = 2;
+
+  const std::vector<JobResult> results = RunExperiments(jobs, RunnerOptions{});
+  ASSERT_EQ(results.size(), jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_TRUE(results[i].status.IsInvalidArgument())
+        << i << ": " << results[i].status.ToString();
+    EXPECT_NE(results[i].status.message().find(jobs[i].name), std::string::npos)
+        << results[i].status.ToString();
+    EXPECT_FALSE(ValidateExperimentConfig(jobs[i].config).ok()) << i;
+  }
 }
 
 TEST(RunnerTest, EmptyJobListProducesEmptyJson) {

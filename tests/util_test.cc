@@ -1,4 +1,3 @@
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -10,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "util/flags.h"
-#include "util/shard_pool.h"
 #include "util/fluctuation.h"
 #include "util/random.h"
 #include "util/result.h"
@@ -201,46 +199,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
   // The child stream should not equal the parent's continued stream.
   int differing = 0;
   for (int i = 0; i < 64; ++i) differing += parent.NextUint64() != child.NextUint64();
-  EXPECT_GT(differing, 60);
-}
-
-TEST(RngTest, SplitIsDeterministicAndDoesNotAdvanceParent) {
-  // Split is the shard-stream derivation: a pure function of (parent
-  // state, key) that leaves the parent's stream untouched, so shards can
-  // draw their streams without perturbing the main-thread sequence.
-  Rng parent(42);
-  Rng probe(42);
-  Rng child_a = parent.Split(3);
-  Rng child_a2 = parent.Split(3);
-  Rng child_b = parent.Split(4);
-  // Same key twice: identical child stream.
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(child_a.NextUint64(), child_a2.NextUint64());
-  }
-  // Different keys: different streams.
-  int differing = 0;
-  Rng child_b_probe = probe.Split(3);
-  for (int i = 0; i < 64; ++i) {
-    differing += child_b.NextUint64() != child_b_probe.NextUint64();
-  }
-  EXPECT_GT(differing, 60);
-  // The parent's own stream is exactly where an un-split copy's is.
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(parent.NextUint64(), probe.NextUint64());
-  }
-}
-
-TEST(RngTest, SplitDependsOnParentState) {
-  // Two parents with different states must derive different children for
-  // the same key (the derivation folds the full state, not just the key).
-  Rng a(1);
-  Rng b(2);
-  Rng child_a = a.Split(7);
-  Rng child_b = b.Split(7);
-  int differing = 0;
-  for (int i = 0; i < 64; ++i) {
-    differing += child_a.NextUint64() != child_b.NextUint64();
-  }
   EXPECT_GT(differing, 60);
 }
 
@@ -463,82 +421,6 @@ TEST(TablePrinterTest, CsvEscapesSpecials) {
   const std::string text = os.str();
   EXPECT_NE(text.find("\"with,comma\""), std::string::npos);
   EXPECT_NE(text.find("\"quote\"\"inside\""), std::string::npos);
-}
-
-// ------------------------------------------------------------- ShardPool
-
-TEST(ShardPoolTest, ShardRangeCoversEveryItemExactlyOnce) {
-  for (int64_t count : {0, 1, 3, 7, 8, 100}) {
-    for (int shards : {1, 2, 3, 4, 8}) {
-      int64_t next = 0;
-      for (int s = 0; s < shards; ++s) {
-        const auto range = ShardPool::ShardRange(count, s, shards);
-        EXPECT_EQ(range.first, next) << count << "/" << shards << " shard " << s;
-        EXPECT_LE(range.first, range.second);
-        // Balanced: sizes differ by at most one.
-        EXPECT_LE(range.second - range.first, count / shards + 1);
-        next = range.second;
-      }
-      EXPECT_EQ(next, count);
-    }
-  }
-}
-
-TEST(ShardPoolTest, ShardRangeTrailingShardsEmptyWhenCountBelowShards) {
-  // The footgun documented on ShardRange: a team wider than the item count
-  // leaves the trailing lanes with empty ranges. The ranges must still
-  // tile [0, count) — work is never lost, only lanes idle.
-  const auto r0 = ShardPool::ShardRange(2, 0, 4);
-  const auto r1 = ShardPool::ShardRange(2, 1, 4);
-  const auto r2 = ShardPool::ShardRange(2, 2, 4);
-  const auto r3 = ShardPool::ShardRange(2, 3, 4);
-  EXPECT_EQ(r0, (std::pair<int64_t, int64_t>{0, 1}));
-  EXPECT_EQ(r1, (std::pair<int64_t, int64_t>{1, 2}));
-  EXPECT_EQ(r2.first, r2.second);
-  EXPECT_EQ(r3.first, r3.second);
-}
-
-TEST(ShardPoolTest, ShardOfInvertsShardRange) {
-  for (int64_t count : {1, 2, 5, 8, 17, 100}) {
-    for (int shards : {1, 2, 3, 4, 7, 16}) {
-      for (int s = 0; s < shards; ++s) {
-        const auto range = ShardPool::ShardRange(count, s, shards);
-        for (int64_t i = range.first; i < range.second; ++i) {
-          EXPECT_EQ(ShardPool::ShardOf(count, i, shards), s)
-              << "count=" << count << " shards=" << shards << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(ShardPoolTest, OversubscribedPoolStillProcessesEveryItemOnce) {
-  // More lanes than items: trailing shards see empty ranges and must be
-  // harmless — every item still processed exactly once across the team.
-  constexpr int kItems = 3;
-  ShardPool pool(8);
-  std::vector<std::atomic<int>> hits(kItems);
-  for (auto& h : hits) h.store(0);
-  pool.Run([&hits](int shard) {
-    const auto range = ShardPool::ShardRange(kItems, shard, 8);
-    for (int64_t i = range.first; i < range.second; ++i) {
-      hits[static_cast<size_t>(i)].fetch_add(1);
-    }
-  });
-  for (int i = 0; i < kItems; ++i) EXPECT_EQ(hits[i].load(), 1) << "item " << i;
-}
-
-TEST(ShardPoolTest, MainPreludeRunsBeforeShardZero) {
-  ShardPool pool(4);
-  std::atomic<bool> prelude_done{false};
-  bool shard0_saw_prelude = false;
-  pool.Run(
-      [&](int shard) {
-        if (shard == 0) shard0_saw_prelude = prelude_done.load();
-      },
-      [&prelude_done] { prelude_done.store(true); });
-  EXPECT_TRUE(shard0_saw_prelude);
-  EXPECT_TRUE(prelude_done.load());
 }
 
 }  // namespace

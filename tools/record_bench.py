@@ -15,19 +15,9 @@ Usage:
   tools/record_bench.py [--build-dir build]          # record all baselines
   tools/record_bench.py --out BENCH_scale.json       # record one baseline
   tools/record_bench.py --check   # validate the committed baselines only
-  tools/record_bench.py --scaling-check scale.json   # validate a --perf run
 
---check additionally enforces the bench_scale determinism layout: every
-point name appears at least twice (once per recorded run_threads value)
-and all rows of one name are exactly identical — the committed baseline IS
-the thread-invariance proof.
-
---scaling-check validates an (uncommitted) `bench_scale --perf` output:
-the perf member must carry a phase_breakdown and per-(point, run_threads)
-scaling rows whose phase sums stay within their wall time, and the widest
-point must show either a real parallel speedup (>= --min-speedup when the
-host has >= 4 CPUs) or near-zero parallel overhead (< --max-overhead on
-smaller hosts, e.g. a 1-core CI container).
+--check additionally enforces the bench_scale layout: at least two
+distinct points, each recorded exactly once.
 """
 
 import argparse
@@ -199,116 +189,15 @@ def check_fault_recovery(results, context):
 
 
 def check_scale_determinism(results, context):
-    """BENCH_scale.json rows keep thread-count-free names, one row per
-    recorded run_threads value: each name must appear at least twice and
-    every row of one name must be exactly identical — the recorded
-    parallel-vs-serial byte equality is the determinism proof."""
-    groups = {}
-    for row in results:
-        groups.setdefault(row["name"], []).append(row)
-    if len(groups) < 2:
+    """BENCH_scale.json holds one row per recorded point: at least two
+    distinct point names, none repeated."""
+    names = [row["name"] for row in results]
+    if len(set(names)) < 2:
         fail(f"{context}: bench_scale recorded fewer than 2 distinct points")
-    for name, rows in groups.items():
-        if len(rows) < 2:
-            fail(f"{context}: scale point {name!r} recorded only once — the "
-                 f"baseline must keep a run_threads pair per point "
-                 f"(bench_scale's default run_threads_list is 1,2)")
-        for i, row in enumerate(rows[1:], 1):
-            if row != rows[0]:
-                diff = sorted(k for k in rows[0]
-                              if rows[0][k] != row.get(k))
-                fail(f"{context}: scale point {name!r} row {i} differs from "
-                     f"row 0 in {diff} — run_threads leaked into results")
-
-
-PHASE_NAMES = ("begin_tick", "send", "relay", "deliver_apply", "read_path",
-               "feedback")
-
-
-def check_scaling(path, min_speedup, max_overhead):
-    """Validates a `bench_scale --perf --json=FILE` capture: phase
-    accounting must be consistent (phase sums never exceed wall time) and
-    the widest recorded point must demonstrate parallel scaling — a real
-    speedup on >= 4-CPU hosts, or bounded overhead on narrower ones."""
-    context = os.path.basename(path)
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as error:
-        fail(f"{context}: cannot load: {error}")
-    validate_run_results(doc, context)
-    perf = doc.get("perf")
-    if not isinstance(perf, dict):
-        fail(f"{context}: no perf member — run bench_scale with --perf")
-    breakdown = perf.get("phase_breakdown")
-    if not isinstance(breakdown, dict):
-        fail(f"{context}: perf carries no phase_breakdown")
-    missing = set(PHASE_NAMES) - breakdown.keys()
-    if missing:
-        fail(f"{context}: phase_breakdown missing phases {sorted(missing)}")
-    epsilon = 1e-6
-    run_seconds = perf.get("run_seconds", 0.0)
-    total_phase = sum(breakdown[p] for p in PHASE_NAMES)
-    if any(breakdown[p] < 0.0 for p in PHASE_NAMES):
-        fail(f"{context}: negative phase time in {breakdown}")
-    if total_phase > run_seconds + epsilon:
-        fail(f"{context}: phase_breakdown sums to {total_phase:.6f}s, more "
-             f"than the perf run_seconds {run_seconds:.6f}s — phases must "
-             f"nest inside the measured wall time")
-    scaling = perf.get("scaling")
-    if not isinstance(scaling, list) or not scaling:
-        fail(f"{context}: perf carries no scaling rows")
-    by_point = {}
-    for row in scaling:
-        for key in ("point", "run_threads", "wall_seconds", "us_per_refresh",
-                    "phase_breakdown"):
-            if key not in row:
-                fail(f"{context}: scaling row missing {key!r}: {row}")
-        row_phase = sum(row["phase_breakdown"].get(p, 0.0)
-                        for p in PHASE_NAMES)
-        if row_phase > row["wall_seconds"] + epsilon:
-            fail(f"{context}: scaling row {row['point']!r} rt="
-                 f"{row['run_threads']} phase sum {row_phase:.6f}s exceeds "
-                 f"its wall_seconds {row['wall_seconds']:.6f}s")
-        by_point.setdefault(row["point"], {})[row["run_threads"]] = row
-    candidates = {point: rows for point, rows in by_point.items()
-                  if 1 in rows and any(rt > 1 for rt in rows)}
-    if not candidates:
-        fail(f"{context}: scaling rows never pair run_threads=1 with a "
-             f"run_threads>1 run — use --run_threads_list=1,N")
-
-    def point_caches(point):
-        for part in point.split(","):
-            if part.endswith("caches"):
-                return int(part[:-len("caches")])
-        return 0
-
-    widest = max(candidates, key=point_caches)
-    rows = candidates[widest]
-    base_us = rows[1]["us_per_refresh"]
-    best_rt = max(rt for rt in rows if rt > 1)
-    par_us = rows[best_rt]["us_per_refresh"]
-    if base_us <= 0.0 or par_us <= 0.0:
-        fail(f"{context}: zero us_per_refresh on point {widest!r}")
-    speedup = base_us / par_us
-    cpus = os.cpu_count() or 1
-    if cpus >= 4:
-        if speedup < min_speedup:
-            fail(f"{context}: point {widest!r} run_threads={best_rt} speedup "
-                 f"{speedup:.3f}x < required {min_speedup:.3f}x on a "
-                 f"{cpus}-CPU host")
-        verdict = f"speedup {speedup:.3f}x (>= {min_speedup:.3f}x)"
-    else:
-        overhead = par_us / base_us - 1.0
-        if overhead > max_overhead:
-            fail(f"{context}: point {widest!r} run_threads={best_rt} adds "
-                 f"{overhead:.1%} overhead on a {cpus}-CPU host (limit "
-                 f"{max_overhead:.1%}) — the parallel engine must stay "
-                 f"near-free when cores are scarce")
-        verdict = f"overhead {max(overhead, 0.0):.1%} (< {max_overhead:.1%})"
-    print(f"record_bench: {context} scaling OK — point {widest!r} "
-          f"run_threads={best_rt} vs 1: {verdict}; phase sum "
-          f"{total_phase:.3f}s <= run {run_seconds:.3f}s")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        fail(f"{context}: scale points {repeated} recorded more than once — "
+             f"the baseline holds one row per point")
 
 
 def validate_baseline(doc, context, profile):
@@ -386,20 +275,7 @@ def main():
     parser.add_argument("--check", action="store_true",
                         help="validate the committed baselines and exit "
                              "(no benches are run)")
-    parser.add_argument("--scaling-check", metavar="FILE", default=None,
-                        help="validate a `bench_scale --perf` JSON capture "
-                             "(phase accounting + parallel speedup) and exit")
-    parser.add_argument("--min-speedup", type=float, default=1.2,
-                        help="minimum run_threads>1 speedup required by "
-                             "--scaling-check on hosts with >= 4 CPUs")
-    parser.add_argument("--max-overhead", type=float, default=0.15,
-                        help="maximum parallel overhead tolerated by "
-                             "--scaling-check on hosts with < 4 CPUs")
     args = parser.parse_args()
-
-    if args.scaling_check:
-        check_scaling(args.scaling_check, args.min_speedup, args.max_overhead)
-        return
 
     profiles = [args.out] if args.out else sorted(PROFILES)
     if args.check:
