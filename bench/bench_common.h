@@ -21,21 +21,16 @@ namespace besync {
 ///   --json <path> dump raw per-job RunResults as JSON (exp/runner.h schema)
 ///   --threads <n> experiment-runner worker threads (0 = hardware cores)
 ///   --seed <n>    workload seed override
-///   --perf        add a "perf" member (wall time, peak RSS, us/refresh) to
-///                 the --json output; off by default because those fields
-///                 are nondeterministic and would break the byte-identical
-///                 JSON guarantee the trajectory baselines rely on
 struct BenchOptions {
   bool full = false;
   std::string csv;
   std::string json;
   int threads = 1;
   uint64_t seed = 1;
-  bool perf = false;
 
   static BenchOptions Parse(int argc, char** argv,
                             std::vector<std::string> extra_flags = {}) {
-    std::vector<std::string> known{"full", "csv", "json", "threads", "seed", "perf"};
+    std::vector<std::string> known{"full", "csv", "json", "threads", "seed"};
     for (auto& flag : extra_flags) known.push_back(std::move(flag));
     Flags flags;
     const Status status = Flags::Parse(argc, argv, known, &flags);
@@ -49,7 +44,6 @@ struct BenchOptions {
     options.json = flags.GetString("json", "");
     options.threads = static_cast<int>(flags.GetInt("threads", 1));
     options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-    options.perf = flags.GetBool("perf", false);
     options.flags = flags;
     return options;
   }
@@ -154,58 +148,14 @@ inline int64_t ReadPeakRssBytes() {
   return bytes;
 }
 
-/// Run-cost summary of a bench invocation: total per-job wall seconds
-/// (overlapping under --threads > 1), peak RSS, and the headline
-/// microseconds-per-delivered-refresh. Emitted into --json output under the
-/// stable "perf" member when --perf is set.
-struct BenchPerf {
-  double run_seconds = 0.0;
-  int64_t peak_rss_bytes = 0;
-  int64_t refreshes_delivered = 0;
-  double us_per_refresh = 0.0;
-};
-
-inline BenchPerf BenchPerfFromResults(const std::vector<JobResult>& results) {
-  BenchPerf perf;
-  for (const JobResult& job : results) {
-    perf.run_seconds += job.wall_seconds;
-    if (job.status.ok()) {
-      perf.refreshes_delivered += job.result.scheduler.refreshes_delivered;
-    }
-  }
-  perf.peak_rss_bytes = ReadPeakRssBytes();
-  perf.us_per_refresh =
-      perf.refreshes_delivered > 0
-          ? perf.run_seconds * 1e6 / static_cast<double>(perf.refreshes_delivered)
-          : 0.0;
-  return perf;
-}
-
-/// Serializes `perf` as the pre-rendered top-level JSON member consumed by
-/// WriteResultsJson's `extra_top_level` parameter.
-inline std::string PerfJsonFragment(const BenchPerf& perf) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "\"perf\": {\"run_seconds\": %.6f, \"peak_rss_bytes\": %lld, "
-                "\"refreshes_delivered\": %lld, \"us_per_refresh\": %.4f}",
-                perf.run_seconds, static_cast<long long>(perf.peak_rss_bytes),
-                static_cast<long long>(perf.refreshes_delivered),
-                perf.us_per_refresh);
-  return buffer;
-}
-
 /// Writes the raw runner results to --json when requested (BENCH_*.json
-/// trajectory tracking; byte-identical at any --threads). With --perf the
-/// output additionally carries the nondeterministic "perf" member — never
-/// use --perf for recorded baselines. Exits nonzero when the requested
-/// output cannot be written — a caller scripting trajectory capture must
-/// not mistake a silent no-op for success.
+/// trajectory tracking; byte-identical at any --threads). Exits nonzero
+/// when the requested output cannot be written — a caller scripting
+/// trajectory capture must not mistake a silent no-op for success.
 inline void EmitJson(const std::vector<JobResult>& results,
                      const BenchOptions& options) {
   if (options.json.empty()) return;
-  const std::string extra =
-      options.perf ? PerfJsonFragment(BenchPerfFromResults(results)) : std::string();
-  const Status status = WriteResultsJson(options.json, results, extra);
+  const Status status = WriteResultsJson(options.json, results);
   if (!status.ok()) {
     std::fprintf(stderr, "JSON write failed: %s\n", status.ToString().c_str());
     std::exit(1);
@@ -282,20 +232,30 @@ inline void EmitObsOutputs(const std::vector<JobResult>& results,
   emit(obs.trace_out, &WriteTraceFile);
 }
 
-/// Exits 2 with the message when `config` fails ValidateExperimentConfig:
-/// a bad --warmup / --measure is a usage error, reported before any job
-/// runs.
-inline void ValidateConfigOrExit(const ExperimentConfig& config) {
-  const Status status = ValidateExperimentConfig(config);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    std::exit(2);
+/// Exits 2 with the message when a job's config fails
+/// ValidateExperimentConfig: a bad --warmup / --measure / --bandwidth is a
+/// usage error, reported before any job runs.
+inline void ValidateJobsOrExit(const std::vector<ExperimentJob>& jobs) {
+  for (const ExperimentJob& job : jobs) {
+    const Status status = ValidateExperimentConfig(job.config);
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
+      std::exit(2);
+    }
   }
 }
 
-/// ValidateConfigOrExit over every job of a grid.
-inline void ValidateJobsOrExit(const std::vector<ExperimentJob>& jobs) {
-  for (const ExperimentJob& job : jobs) ValidateConfigOrExit(job.config);
+/// Unwraps a grid builder's jobs (exp/*_sweep.h, exp/multicache.h) and
+/// runs ValidateJobsOrExit on them. A builder's InvalidArgument — an empty
+/// axis, a read rate <= 0, ... — is a usage error like a bad config field:
+/// exits 2 with the message before any job runs.
+inline std::vector<ExperimentJob> JobsOrExit(Result<std::vector<ExperimentJob>> jobs) {
+  if (!jobs.ok()) {
+    std::fprintf(stderr, "%s\n", jobs.status().ToString().c_str());
+    std::exit(2);
+  }
+  ValidateJobsOrExit(*jobs);
+  return std::move(jobs).ValueOrDie();
 }
 
 /// Exits nonzero on the first failed job, printing its name and status —

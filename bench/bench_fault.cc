@@ -44,6 +44,16 @@ SyncProtocolKind ParseProtocolKind(const std::string& flag, const std::string& n
   std::exit(2);
 }
 
+/// Summed time-averaged divergence of the caches that never crash
+/// (everything but leaf 0) — what recovery aggressiveness costs.
+double WarmDivergence(const RunResult& result) {
+  double sum = 0.0;
+  for (size_t c = 1; c < result.per_cache_weighted.size(); ++c) {
+    sum += result.per_cache_weighted[c];
+  }
+  return sum;
+}
+
 int Run(const BenchOptions& options) {
   FaultSweepConfig config;
   config.base.scheduler = SchedulerKind::kCooperative;
@@ -70,7 +80,6 @@ int Run(const BenchOptions& options) {
   // A finite source uplink makes recovery a real allocation decision: the
   // resync traffic and the fresh updates compete for the same budget.
   config.base.source_bandwidth_avg = options.flags.GetDouble("source_bw", 3.0);
-  config.threads = options.threads;
   // Observability outputs (--timeseries_out / --trace_out; bench_common.h).
   // The fault sweep is cooperative-only, so the config applies to every job
   // — this is the bench that shows a crash -> resync timeline in Perfetto.
@@ -111,75 +120,67 @@ int Run(const BenchOptions& options) {
                         SyncProtocolKind::kInvalidation};
   }
 
-  ValidateConfigOrExit(config.base);
-  std::vector<JobResult> raw;
-  const auto points = RunFaultSweep(config, &raw);
-  if (!points.ok()) {
-    std::fprintf(stderr, "fault sweep failed: %s\n",
-                 points.status().ToString().c_str());
-    return 1;
-  }
+  const std::vector<JobResult> results =
+      RunExperiments(JobsOrExit(FaultSweepJobs(config)), options.runner("bench_fault"));
+  CheckJobsOk(results);
 
   TablePrinter table({"crashes", "protocol", "tiers", "policy", "total_div",
                       "warm_div", "resync_p95", "resync_pend", "dropped_pulls",
                       "delivered", "wall_ms"});
-  for (const FaultSweepPoint& point : *points) {
-    const SchedulerStats& s = point.result.scheduler;
-    table.AddRow({TablePrinter::Cell(point.crashes),
-                  SyncProtocolKindToString(point.protocol),
-                  TablePrinter::Cell(point.relay_tiers),
-                  RecoveryPolicyToString(point.policy),
-                  TablePrinter::Cell(point.result.total_weighted_divergence),
-                  TablePrinter::Cell(point.warm_divergence()),
-                  TablePrinter::Cell(point.time_to_resync_p95()),
+  for (const JobResult& job : results) {
+    const SchedulerStats& s = job.result.scheduler;
+    table.AddRow({TablePrinter::Cell(job.config.workload.fault.cache_crashes),
+                  SyncProtocolKindToString(job.config.protocol.kind),
+                  TablePrinter::Cell(job.config.workload.relay_tiers),
+                  RecoveryPolicyToString(job.config.recovery_policy),
+                  TablePrinter::Cell(job.result.total_weighted_divergence),
+                  TablePrinter::Cell(WarmDivergence(job.result)),
+                  TablePrinter::Cell(s.time_to_resync_p95),
                   TablePrinter::Cell(s.resync_pending),
                   TablePrinter::Cell(s.crash_dropped_pulls),
                   TablePrinter::Cell(s.refreshes_delivered),
-                  TablePrinter::Cell(point.wall_seconds * 1e3)});
+                  TablePrinter::Cell(job.wall_seconds * 1e3)});
   }
   EmitTable(table, options);
 
   // Recovery summary: policies are innermost in the sweep order, so each
-  // regime is one consecutive block of |policies| points. A regime's row
+  // regime is one consecutive block of |policies| jobs. A regime's row
   // names the policy with the better (lower) resync p95 — treating an
   // unfinished resync (resync_pending > 0) as worse than any finished one —
   // and the warm-divergence cost of choosing it.
   const size_t stride = config.policies.size();
   TablePrinter recovery({"crashes", "protocol", "tiers", "resync_winner",
                          "warm_div_naive", "warm_div_priority"});
-  for (size_t base = 0; base + stride <= points->size(); base += stride) {
+  for (size_t base = 0; base + stride <= results.size(); base += stride) {
     size_t best = base;
-    auto resync_key = [&points](size_t k) {
-      const FaultSweepPoint& point = (*points)[k];
-      return point.result.scheduler.resync_pending > 0
-                 ? std::numeric_limits<double>::infinity()
-                 : point.time_to_resync_p95();
+    auto resync_key = [&results](size_t k) {
+      const SchedulerStats& s = results[k].result.scheduler;
+      return s.resync_pending > 0 ? std::numeric_limits<double>::infinity()
+                                  : s.time_to_resync_p95;
     };
     double warm_naive = 0.0;
     double warm_priority = 0.0;
     for (size_t k = base; k < base + stride; ++k) {
       if (resync_key(k) < resync_key(best)) best = k;
-      const FaultSweepPoint& point = (*points)[k];
-      if (point.policy == RecoveryPolicy::kNaiveReenqueue) {
-        warm_naive = point.warm_divergence();
+      if (results[k].config.recovery_policy == RecoveryPolicy::kNaiveReenqueue) {
+        warm_naive = WarmDivergence(results[k].result);
       } else {
-        warm_priority = point.warm_divergence();
+        warm_priority = WarmDivergence(results[k].result);
       }
     }
-    const FaultSweepPoint& regime = (*points)[base];
-    recovery.AddRow({TablePrinter::Cell(regime.crashes),
-                     SyncProtocolKindToString(regime.protocol),
-                     TablePrinter::Cell(regime.relay_tiers),
-                     RecoveryPolicyToString((*points)[best].policy),
+    const ExperimentConfig& regime = results[base].config;
+    recovery.AddRow({TablePrinter::Cell(regime.workload.fault.cache_crashes),
+                     SyncProtocolKindToString(regime.protocol.kind),
+                     TablePrinter::Cell(regime.workload.relay_tiers),
+                     RecoveryPolicyToString(results[best].config.recovery_policy),
                      TablePrinter::Cell(warm_naive),
                      TablePrinter::Cell(warm_priority)});
   }
   std::printf("\nrecovery (better resync p95 per regime):\n");
   recovery.Print(std::cout);
 
-  EmitJson(raw, options);
-  EmitObsOutputs(raw, obs);
-  CheckJobsOk(raw);
+  EmitJson(results, options);
+  EmitObsOutputs(results, obs);
   return 0;
 }
 

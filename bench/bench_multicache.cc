@@ -24,7 +24,6 @@ int Run(const BenchOptions& options) {
             << "popular objects replicated at several caches.\n\n";
 
   MulticacheConfig config;
-  config.threads = options.threads;
   config.base.workload.num_sources = options.full ? 64 : 16;
   config.base.workload.objects_per_source = options.full ? 25 : 10;
   config.base.workload.rate_lo = 0.0;
@@ -43,30 +42,34 @@ int Run(const BenchOptions& options) {
 
   // Per-point wall times below are measured inside worker threads; with
   // --threads > 1 they overlap, so compare them only at --threads=1.
-  std::vector<JobResult> raw_results;
-  auto points = RunMulticacheSweep(config, &raw_results);
-  EmitJson(raw_results, options);
-  if (!points.ok()) {
-    std::fprintf(stderr, "%s\n", points.status().ToString().c_str());
-    return 1;
-  }
+  const std::vector<JobResult> results = RunExperiments(
+      JobsOrExit(MulticacheSweepJobs(config)), options.runner("bench_multicache"));
+  EmitJson(results, options);
+  CheckJobsOk(results);
 
   TablePrinter table({"pattern", "caches", "replicas", "total_div", "per_replica",
                       "delivered", "wall_ms", "us_per_refresh"});
-  for (const MulticachePoint& point : *points) {
-    const int64_t delivered = point.result.scheduler.refreshes_delivered;
-    const double us_per_refresh =
-        delivered > 0 ? point.wall_seconds * 1e6 / static_cast<double>(delivered)
-                      : 0.0;
-    table.AddRow({TablePrinter::Cell(InterestPatternToString(point.pattern)),
-                  TablePrinter::Cell(point.num_caches),
-                  TablePrinter::Cell(point.total_replicas),
-                  TablePrinter::Cell(point.result.total_weighted_divergence),
-                  TablePrinter::Cell(point.result.total_weighted_divergence /
-                                     static_cast<double>(point.total_replicas)),
-                  TablePrinter::Cell(delivered),
-                  TablePrinter::Cell(point.wall_seconds * 1e3),
-                  TablePrinter::Cell(us_per_refresh)});
+  // The jobs are pattern-major; walking the same axes recovers the requested
+  // pattern, which N=1 jobs map to the canonical single-cache one.
+  size_t k = 0;
+  for (InterestPattern pattern : config.patterns) {
+    for (int num_caches : config.cache_counts) {
+      const JobResult& job = results[k++];
+      const RunResult& r = job.result;
+      const int64_t delivered = r.scheduler.refreshes_delivered;
+      const double us_per_refresh =
+          delivered > 0 ? job.wall_seconds * 1e6 / static_cast<double>(delivered)
+                        : 0.0;
+      table.AddRow({TablePrinter::Cell(InterestPatternToString(pattern)),
+                    TablePrinter::Cell(num_caches),
+                    TablePrinter::Cell(r.total_replicas),
+                    TablePrinter::Cell(r.total_weighted_divergence),
+                    TablePrinter::Cell(r.total_weighted_divergence /
+                                       static_cast<double>(r.total_replicas)),
+                    TablePrinter::Cell(delivered),
+                    TablePrinter::Cell(job.wall_seconds * 1e3),
+                    TablePrinter::Cell(us_per_refresh)});
+    }
   }
   EmitTable(table, options);
   return 0;

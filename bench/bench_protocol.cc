@@ -76,7 +76,6 @@ int Run(const BenchOptions& options) {
   config.ttl = options.flags.GetDouble("ttl", 50.0);
   config.invalidate_batch =
       static_cast<int>(options.flags.GetInt("invalidate_batch", 4));
-  config.threads = options.threads;
 
   if (options.flags.Has("read_rates")) {
     config.read_rates =
@@ -99,65 +98,61 @@ int Run(const BenchOptions& options) {
     }
   }
 
-  ValidateConfigOrExit(config.base);
-  std::vector<JobResult> raw;
-  const auto points = RunProtocolSweep(config, &raw);
-  if (!points.ok()) {
-    std::fprintf(stderr, "protocol sweep failed: %s\n",
-                 points.status().ToString().c_str());
-    return 1;
-  }
+  const std::vector<JobResult> results = RunExperiments(
+      JobsOrExit(ProtocolSweepJobs(config)), options.runner("bench_protocol"));
+  CheckJobsOk(results);
 
   TablePrinter table({"rate", "B_C", "tiers", "protocol", "total_div",
                       "stale_p95", "hit_rate", "refreshes", "invals", "pulls",
                       "wall_ms"});
-  for (const ProtocolSweepPoint& point : *points) {
-    const SchedulerStats& s = point.result.scheduler;
-    table.AddRow({TablePrinter::Cell(point.read_rate),
-                  TablePrinter::Cell(point.bandwidth),
-                  TablePrinter::Cell(point.relay_tiers),
-                  SyncProtocolKindToString(point.protocol),
-                  TablePrinter::Cell(point.result.total_weighted_divergence),
+  for (const JobResult& job : results) {
+    const SchedulerStats& s = job.result.scheduler;
+    table.AddRow({TablePrinter::Cell(job.config.workload.read.read_rate),
+                  TablePrinter::Cell(job.config.cache_bandwidth_avg),
+                  TablePrinter::Cell(job.config.workload.relay_tiers),
+                  SyncProtocolKindToString(job.config.protocol.kind),
+                  TablePrinter::Cell(job.result.total_weighted_divergence),
                   TablePrinter::Cell(s.read_staleness_p95),
-                  TablePrinter::Cell(point.hit_rate()),
+                  TablePrinter::Cell(HitRate(s)),
                   TablePrinter::Cell(s.refreshes_delivered),
                   TablePrinter::Cell(s.invalidations_received),
                   TablePrinter::Cell(s.pulls_delivered),
-                  TablePrinter::Cell(point.wall_seconds * 1e3)});
+                  TablePrinter::Cell(job.wall_seconds * 1e3)});
   }
   EmitTable(table, options);
 
   // Crossover summary: protocols are innermost in the sweep order, so each
-  // regime is one consecutive block of |protocols| points.
+  // regime is one consecutive block of |protocols| jobs.
   const size_t stride = config.protocols.size();
   TablePrinter crossover(
       {"rate", "B_C", "tiers", "div_winner", "stale_p95_winner"});
-  for (size_t base = 0; base + stride <= points->size(); base += stride) {
+  for (size_t base = 0; base + stride <= results.size(); base += stride) {
     size_t best_div = base;
     size_t best_stale = base;
     for (size_t k = base + 1; k < base + stride; ++k) {
-      const ProtocolSweepPoint& point = (*points)[k];
-      if (point.result.total_weighted_divergence <
-          (*points)[best_div].result.total_weighted_divergence) {
+      const RunResult& r = results[k].result;
+      if (r.total_weighted_divergence <
+          results[best_div].result.total_weighted_divergence) {
         best_div = k;
       }
-      if (point.result.scheduler.read_staleness_p95 <
-          (*points)[best_stale].result.scheduler.read_staleness_p95) {
+      if (r.scheduler.read_staleness_p95 <
+          results[best_stale].result.scheduler.read_staleness_p95) {
         best_stale = k;
       }
     }
-    const ProtocolSweepPoint& regime = (*points)[base];
-    crossover.AddRow({TablePrinter::Cell(regime.read_rate),
-                      TablePrinter::Cell(regime.bandwidth),
-                      TablePrinter::Cell(regime.relay_tiers),
-                      SyncProtocolKindToString((*points)[best_div].protocol),
-                      SyncProtocolKindToString((*points)[best_stale].protocol)});
+    const ExperimentConfig& regime = results[base].config;
+    const auto protocol = [&results](size_t k) {
+      return SyncProtocolKindToString(results[k].config.protocol.kind);
+    };
+    crossover.AddRow({TablePrinter::Cell(regime.workload.read.read_rate),
+                      TablePrinter::Cell(regime.cache_bandwidth_avg),
+                      TablePrinter::Cell(regime.workload.relay_tiers),
+                      protocol(best_div), protocol(best_stale)});
   }
   std::printf("\ncrossover (winner per regime):\n");
   crossover.Print(std::cout);
 
-  EmitJson(raw, options);
-  CheckJobsOk(raw);
+  EmitJson(results, options);
   return 0;
 }
 

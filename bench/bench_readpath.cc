@@ -50,7 +50,6 @@ int Run(const BenchOptions& options) {
       options.flags.GetDouble("measure", options.full ? 5000.0 : 1000.0);
   config.base.cache_bandwidth_avg = options.flags.GetDouble("bandwidth", 8.0);
   config.base.source_bandwidth_avg = -1.0;
-  config.threads = options.threads;
 
   if (options.flags.Has("read_rates")) {
     config.read_rates =
@@ -87,38 +86,34 @@ int Run(const BenchOptions& options) {
     }
   }
 
-  ValidateConfigOrExit(config.base);
-  std::vector<JobResult> raw;
-  const auto points = RunReadSweep(config, &raw);
-  if (!points.ok()) {
-    std::fprintf(stderr, "read sweep failed: %s\n", points.status().ToString().c_str());
-    return 1;
-  }
+  const std::vector<JobResult> results =
+      RunExperiments(JobsOrExit(ReadSweepJobs(config)), options.runner("bench_readpath"));
+  CheckJobsOk(results);
 
   TablePrinter table({"rate", "capacity", "eviction", "reads", "hit_rate",
                       "stale_p50", "stale_p95", "stale_p99", "miss_lat_s",
                       "pull_share", "evictions", "total_div", "wall_ms"});
-  for (const ReadSweepPoint& point : *points) {
-    const SchedulerStats& s = point.result.scheduler;
-    table.AddRow({TablePrinter::Cell(point.read_rate),
-                  point.capacity <= 0 ? std::string("inf")
-                                      : TablePrinter::Cell(point.capacity),
-                  point.capacity <= 0 ? std::string("-")
-                                      : EvictionPolicyToString(point.eviction),
+  for (const JobResult& job : results) {
+    const ReadWorkloadConfig& read = job.config.workload.read;
+    const SchedulerStats& s = job.result.scheduler;
+    table.AddRow({TablePrinter::Cell(read.read_rate),
+                  read.capacity <= 0 ? std::string("inf")
+                                     : TablePrinter::Cell(read.capacity),
+                  read.capacity <= 0 ? std::string("-")
+                                     : EvictionPolicyToString(read.eviction),
                   TablePrinter::Cell(s.reads_total),
-                  TablePrinter::Cell(point.hit_rate()),
+                  TablePrinter::Cell(HitRate(s)),
                   TablePrinter::Cell(s.read_staleness_p50),
                   TablePrinter::Cell(s.read_staleness_p95),
                   TablePrinter::Cell(s.read_staleness_p99),
                   TablePrinter::Cell(s.read_miss_latency_mean),
                   TablePrinter::Cell(s.pull_bandwidth_share),
                   TablePrinter::Cell(s.cache_evictions),
-                  TablePrinter::Cell(point.result.total_weighted_divergence),
-                  TablePrinter::Cell(point.wall_seconds * 1e3)});
+                  TablePrinter::Cell(job.result.total_weighted_divergence),
+                  TablePrinter::Cell(job.wall_seconds * 1e3)});
   }
   EmitTable(table, options);
-  EmitJson(raw, options);
-  CheckJobsOk(raw);
+  EmitJson(results, options);
   return 0;
 }
 

@@ -10,9 +10,9 @@
 // recorded grid is small and deterministic; the --full trajectory exercises
 // the 100k and 1M points.
 //
-// With --perf the JSON gains the nondeterministic "perf" member, including
-// the aggregate phase_breakdown (util/phase_timer.h, wall seconds per tick
-// phase summed over the points).
+// The table's wall-clock columns are indicative only; hostbench/ is the
+// repo's wall-clock instrument (per-layer attribution, repetitions, host
+// info).
 //
 // Points are zipped from --sources_list/--objects_list/--caches_list (equal
 // lengths), with per-source object counts: point i runs sources_list[i]
@@ -21,30 +21,13 @@
 // constant as the topology grows and the cost of scale is isolated to the
 // engine.
 
-#include <iomanip>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "util/phase_timer.h"
 
 namespace besync {
 namespace {
-
-/// {"begin_tick": 1.234567, ...} — wall seconds per phase.
-std::string PhaseBreakdownJson(const PhaseTimer& timer) {
-  std::ostringstream out;
-  out << '{' << std::fixed << std::setprecision(6);
-  for (int p = 0; p < PhaseTimer::kNumPhases; ++p) {
-    const auto phase = static_cast<PhaseTimer::Phase>(p);
-    if (p > 0) out << ", ";
-    out << '"' << PhaseTimer::Name(phase)
-        << "\": " << static_cast<double>(timer.nanos(phase)) * 1e-9;
-  }
-  out << '}';
-  return out.str();
-}
 
 int Run(const BenchOptions& options) {
   std::cout << "== Per-run scale trajectory (cooperative protocol) ==\n"
@@ -92,10 +75,6 @@ int Run(const BenchOptions& options) {
   // The whole grid is cooperative, so the config applies to every job.
   const ObsBenchOptions obs = ObsFromFlags(options);
 
-  // One timer per job (constructed up front: PhaseTimer is not movable),
-  // so concurrently running jobs (--threads > 1) never share accumulators.
-  std::vector<PhaseTimer> timers(sources_list.size());
-
   std::vector<ExperimentJob> jobs;
   for (size_t i = 0; i < sources_list.size(); ++i) {
     ExperimentJob job;
@@ -116,7 +95,6 @@ int Run(const BenchOptions& options) {
     job.config.cache_bandwidth_avg = cache_bandwidth;
     job.config.source_bandwidth_avg = source_bandwidth;
     job.config.obs = obs.config;
-    if (options.perf) job.config.phase_timer = &timers[i];
     jobs.push_back(std::move(job));
   }
   ValidateJobsOrExit(jobs);
@@ -124,33 +102,7 @@ int Run(const BenchOptions& options) {
   const std::vector<JobResult> results =
       RunExperiments(jobs, options.runner("bench_scale"));
 
-  // --perf: the common aggregate block plus phase_breakdown (summed over
-  // jobs).
-  if (options.json.empty()) {
-    // fall through to the table only
-  } else if (!options.perf) {
-    EmitJson(results, options);
-  } else {
-    PhaseTimer total;
-    for (const PhaseTimer& timer : timers) {
-      for (int p = 0; p < PhaseTimer::kNumPhases; ++p) {
-        const auto phase = static_cast<PhaseTimer::Phase>(p);
-        total.Add(phase, timer.nanos(phase));
-      }
-    }
-    std::string fragment = PerfJsonFragment(BenchPerfFromResults(results));
-    BESYNC_CHECK(!fragment.empty() && fragment.back() == '}');
-    fragment.pop_back();  // reopen the perf object to append members
-    std::ostringstream extra;
-    extra << fragment << ", \"phase_breakdown\": " << PhaseBreakdownJson(total)
-          << '}';
-    const Status status = WriteResultsJson(options.json, results, extra.str());
-    if (!status.ok()) {
-      std::fprintf(stderr, "JSON write failed: %s\n", status.ToString().c_str());
-      std::exit(1);
-    }
-    std::fprintf(stderr, "wrote %s\n", options.json.c_str());
-  }
+  EmitJson(results, options);
   EmitObsOutputs(results, obs);
   CheckJobsOk(results);
 

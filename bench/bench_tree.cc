@@ -6,7 +6,7 @@
 // relay tier) and 3-tier (two relay tiers) — while holding the *total*
 // edge bandwidth constant: the flat budget N x B_C is redistributed over
 // every edge of each tree proportionally to the leaves below it
-// (exp/multicache.h, RunTopologySweep). Deeper topologies therefore trade
+// (exp/multicache.h, TopologySweepJobs). Deeper topologies therefore trade
 // per-hop capacity for aggregation, and the bench reports what that does
 // to total weighted divergence, relay queueing delay, and delivery counts,
 // under both FIFO and priority-preserving relay forwarding.
@@ -48,33 +48,27 @@ int Run(const BenchOptions& options) {
   config.base.source_bandwidth_avg = -1.0;
   config.relay_tier_counts = {0, 1, 2};
   config.fanout = static_cast<int>(options.flags.GetInt("fanout", 2));
-  config.threads = options.threads;
 
-  ValidateConfigOrExit(config.base);
-  std::vector<JobResult> raw;
-  const auto points = RunTopologySweep(config, &raw);
-  if (!points.ok()) {
-    std::fprintf(stderr, "topology sweep failed: %s\n",
-                 points.status().ToString().c_str());
-    return 1;
-  }
+  const std::vector<JobResult> results =
+      RunExperiments(JobsOrExit(TopologySweepJobs(config)), options.runner("bench_tree"));
+  CheckJobsOk(results);
 
   TablePrinter table({"topology", "forward", "edges", "leaf_B", "total_div",
                       "per_replica", "delivered", "relay_fwd", "transit_s",
                       "max_store", "util", "wall_ms"});
-  for (const TopologySweepPoint& point : *points) {
-    const RunResult& r = point.result;
+  for (const JobResult& job : results) {
+    const RunResult& r = job.result;
+    const int relay_tiers = job.config.topology.depth() - 1;
     const double per_replica =
         r.total_replicas > 0
             ? r.total_weighted_divergence / static_cast<double>(r.total_replicas)
             : 0.0;
-    table.AddRow({point.relay_tiers == 0
-                      ? std::string("flat")
-                      : std::to_string(point.relay_tiers + 1) + "-tier",
-                  point.relay_tiers == 0 ? std::string("-")
-                                         : RelayForwardPolicyToString(point.forward),
-                  TablePrinter::Cell(point.num_edges),
-                  TablePrinter::Cell(point.leaf_edge_bandwidth),
+    table.AddRow({relay_tiers == 0 ? std::string("flat")
+                                   : std::to_string(relay_tiers + 1) + "-tier",
+                  relay_tiers == 0 ? std::string("-")
+                                   : RelayForwardPolicyToString(job.config.relay_forward),
+                  TablePrinter::Cell(job.config.topology.num_nodes()),
+                  TablePrinter::Cell(job.config.cache_bandwidth_avg),
                   TablePrinter::Cell(r.total_weighted_divergence),
                   TablePrinter::Cell(per_replica),
                   TablePrinter::Cell(r.scheduler.refreshes_delivered),
@@ -82,11 +76,10 @@ int Run(const BenchOptions& options) {
                   TablePrinter::Cell(r.scheduler.relay_transit_delay_mean),
                   TablePrinter::Cell(r.scheduler.max_relay_store),
                   TablePrinter::Cell(r.scheduler.cache_utilization),
-                  TablePrinter::Cell(point.wall_seconds * 1e3)});
+                  TablePrinter::Cell(job.wall_seconds * 1e3)});
   }
   EmitTable(table, options);
-  EmitJson(raw, options);
-  CheckJobsOk(raw);
+  EmitJson(results, options);
   return 0;
 }
 

@@ -211,15 +211,6 @@ void CooperativeScheduler::Initialize(Harness* harness) {
     columns.push_back("staleness_mean");
     columns.push_back("pending_pulls");
     columns.push_back("resync_outstanding");
-    if (config_.obs.sample_phase_nanos && config_.phase_timer != nullptr) {
-      // Opt-in wall-clock columns: nondeterministic by nature, so they are
-      // never part of the byte-stable default schema.
-      for (int p = 0; p < PhaseTimer::kNumPhases; ++p) {
-        columns.push_back(std::string("phase_") +
-                          PhaseTimer::Name(static_cast<PhaseTimer::Phase>(p)) +
-                          "_nanos");
-      }
-    }
     obs_->series()->Configure(std::move(columns), config_.obs.sample_interval,
                               config_.obs.max_samples);
     obs_row_.assign(obs_->series()->columns().size(), 0.0);
@@ -239,9 +230,6 @@ void CooperativeScheduler::Initialize(Harness* harness) {
         network_->edge_link(relays_[r]->node_id()).SetTrace(buffer,
                                                             relays_[r]->node_id());
       }
-    }
-    if (config_.phase_timer != nullptr) {
-      obs_prev_phase_ = config_.phase_timer->TakeSnapshot();
     }
   }
 }
@@ -745,14 +733,6 @@ void CooperativeScheduler::ObsSample(double t) {
     if (resync.open) outstanding += static_cast<double>(resync.remaining);
   }
   row[i++] = outstanding;
-  if (config_.obs.sample_phase_nanos && config_.phase_timer != nullptr) {
-    const PhaseTimer::Snapshot snapshot = config_.phase_timer->TakeSnapshot();
-    const PhaseTimer::Snapshot delta = PhaseTimer::Delta(snapshot, obs_prev_phase_);
-    obs_prev_phase_ = snapshot;
-    for (int p = 0; p < PhaseTimer::kNumPhases; ++p) {
-      row[i++] = static_cast<double>(delta.nanos[p]);
-    }
-  }
   BESYNC_DCHECK(i == row.size());
   obs_->series()->Append(t, row);
 }

@@ -82,9 +82,9 @@ struct CooperativeConfig {
   /// Fate of the refreshes stored at (and queued toward) a failed relay.
   RelayStorePolicy relay_store_policy = RelayStorePolicy::kDrop;
   /// Optional per-phase wall-time profiler (util/phase_timer.h); not
-  /// owned, may be shared across runs. The timings are wall clock and
-  /// nondeterministic — surface them only in opt-in perf output, never in
-  /// the run JSON. Null (default) costs one branch per phase.
+  /// owned, one per run. The timings are wall clock and nondeterministic —
+  /// hostbench reads them; they never enter the run JSON. Null (default)
+  /// costs one branch per phase.
   PhaseTimer* phase_timer = nullptr;
   /// Observability (src/obs/): per-tick time series and message-lifecycle
   /// tracing. Disabled (default) allocates nothing and leaves every hook a
@@ -269,8 +269,6 @@ class CooperativeScheduler : public Scheduler {
   std::unique_ptr<ObsCollector> obs_;
   /// Row scratch for ObsSample, reused across samples.
   std::vector<double> obs_row_;
-  /// Last PhaseTimer snapshot (opt-in sample_phase_nanos columns).
-  PhaseTimer::Snapshot obs_prev_phase_;
 
   /// End-of-tick observability: registers the tick for phase slices and
   /// appends a time-series row when one is due. Never touches engine state.

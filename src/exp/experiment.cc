@@ -100,6 +100,14 @@ Status ValidateExperimentConfig(const ExperimentConfig& config) {
   if (!(harness.measure > 0.0)) {
     return Status::InvalidArgument("measure must be > 0, got ", harness.measure);
   }
+  if (!(config.cache_bandwidth_avg > 0.0)) {
+    return Status::InvalidArgument("cache_bandwidth_avg must be > 0, got ",
+                                   config.cache_bandwidth_avg);
+  }
+  if (!(config.loss_rate >= 0.0 && config.loss_rate < 1.0)) {
+    return Status::InvalidArgument("loss_rate must be in [0, 1), got ",
+                                   config.loss_rate);
+  }
   if (config.run_threads != 1) {
     return Status::InvalidArgument(
         "run_threads must be 1 (the tick is single-threaded), got ",

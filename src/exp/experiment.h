@@ -89,7 +89,8 @@ struct ExperimentConfig {
   /// value is an InvalidArgument (ValidateExperimentConfig).
   int run_threads = 1;
   /// Optional per-phase tick profiler (CooperativeConfig::phase_timer);
-  /// not owned. Wall-clock numbers — perf output only.
+  /// not owned, one per run (hostbench attaches it). Wall-clock numbers,
+  /// never part of the results.
   PhaseTimer* phase_timer = nullptr;
   /// Observability (CooperativeConfig::obs): off by default; enabling it
   /// never changes run results. A cooperative-engine feature — enabled on a
@@ -104,9 +105,11 @@ struct ExperimentConfig {
 /// Builds the scheduler named by `config` (bandwidth knobs applied).
 std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config);
 
-/// Rejects the values that would otherwise abort inside the engine:
-/// harness.tick_length and harness.measure must be > 0, harness.warmup
-/// >= 0, and run_threads must be 1. InvalidArgument names the field.
+/// Rejects the values that would otherwise abort inside the engine (or, for
+/// a negative loss rate, silently run lossless): harness.tick_length,
+/// harness.measure and cache_bandwidth_avg must be > 0, harness.warmup
+/// >= 0, loss_rate in [0, 1) and run_threads 1; NaN fails every check.
+/// InvalidArgument names the field.
 Status ValidateExperimentConfig(const ExperimentConfig& config);
 
 /// Runs the configured scheduler on `workload` (which is Reset and may be

@@ -2,8 +2,7 @@
 
 namespace besync {
 
-Result<std::vector<FaultSweepPoint>> RunFaultSweep(
-    const FaultSweepConfig& config, std::vector<JobResult>* raw_results) {
+Result<std::vector<ExperimentJob>> FaultSweepJobs(const FaultSweepConfig& config) {
   if (config.crash_counts.empty()) {
     return Status::InvalidArgument("crash_counts must be non-empty");
   }
@@ -38,14 +37,7 @@ Result<std::vector<FaultSweepPoint>> RunFaultSweep(
     }
   }
 
-  struct PointShape {
-    int crashes;
-    SyncProtocolKind protocol;
-    int relay_tiers;
-    RecoveryPolicy policy;
-  };
   std::vector<ExperimentJob> jobs;
-  std::vector<PointShape> shapes;
   for (int crashes : config.crash_counts) {
     for (SyncProtocolKind protocol : config.protocols) {
       for (int tiers : config.relay_tiers) {
@@ -77,32 +69,11 @@ Result<std::vector<FaultSweepPoint>> RunFaultSweep(
                      ",tiers=" + std::to_string(tiers) +
                      ",policy=" + RecoveryPolicyToString(policy);
           jobs.push_back(std::move(job));
-          shapes.push_back({crashes, protocol, tiers, policy});
         }
       }
     }
   }
-
-  RunnerOptions options;
-  options.threads = config.threads;
-  const std::vector<JobResult> results = RunExperiments(jobs, options);
-  if (raw_results != nullptr) *raw_results = results;
-
-  std::vector<FaultSweepPoint> points;
-  points.reserve(results.size());
-  for (size_t k = 0; k < results.size(); ++k) {
-    const JobResult& job = results[k];
-    if (!job.status.ok()) return job.status;
-    FaultSweepPoint point;
-    point.crashes = shapes[k].crashes;
-    point.protocol = shapes[k].protocol;
-    point.relay_tiers = shapes[k].relay_tiers;
-    point.policy = shapes[k].policy;
-    point.result = job.result;
-    point.wall_seconds = job.wall_seconds;
-    points.push_back(std::move(point));
-  }
-  return points;
+  return jobs;
 }
 
 }  // namespace besync

@@ -48,43 +48,16 @@ struct FaultSweepConfig {
   /// pull-based protocol (invalidation / TTL) is swept: without reads
   /// nothing refills invalid replicas — crashed or not.
   double read_rate = 4.0;
-  /// Worker threads; 1 = sequential, <= 0 = hardware concurrency.
-  int threads = 1;
 };
 
-/// One fault sweep point.
-struct FaultSweepPoint {
-  int crashes = 0;
-  SyncProtocolKind protocol = SyncProtocolKind::kPushRefresh;
-  int relay_tiers = 0;
-  RecoveryPolicy policy = RecoveryPolicy::kNaiveReenqueue;
-  RunResult result;
-  double wall_seconds = 0.0;
-
-  /// Summed time-averaged divergence of the caches that never crash
-  /// (everything but leaf 0) — what recovery aggressiveness costs.
-  double warm_divergence() const {
-    double sum = 0.0;
-    for (size_t c = 1; c < result.per_cache_weighted.size(); ++c) {
-      sum += result.per_cache_weighted[c];
-    }
-    return sum;
-  }
-  double time_to_resync_p95() const {
-    return result.scheduler.time_to_resync_p95;
-  }
-};
-
-/// Runs the sweep, regime-major (crashes / protocol / tiers) with the
-/// recovery policies innermost, so consecutive points are the head-to-head
-/// competitors of one regime. Each point rebuilds its private workload; the
-/// fault schedule draws from its own seed, so points differing only in
-/// policy observe bit-identical update streams and fault timings. When
-/// `raw_results` is non-null it receives the underlying runner JobResults
-/// in the same order, even when the sweep returns an error.
-Result<std::vector<FaultSweepPoint>> RunFaultSweep(
-    const FaultSweepConfig& config,
-    std::vector<JobResult>* raw_results = nullptr);
+/// Builds the sweep's runner jobs, regime-major (crashes / protocol /
+/// tiers) with the recovery policies innermost, so consecutive jobs are the
+/// head-to-head competitors of one regime. Each job rebuilds its private
+/// workload; the fault schedule draws from its own seed, so jobs differing
+/// only in policy observe bit-identical update streams and fault timings.
+/// A job's coordinates are its `workload.fault.cache_crashes`,
+/// `protocol.kind`, `workload.relay_tiers` and `recovery_policy`.
+Result<std::vector<ExperimentJob>> FaultSweepJobs(const FaultSweepConfig& config);
 
 }  // namespace besync
 

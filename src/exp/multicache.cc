@@ -1,14 +1,11 @@
 #include "exp/multicache.h"
 
-#include "exp/runner.h"
-
 namespace besync {
 
-Result<std::vector<MulticachePoint>> RunMulticacheSweep(
-    const MulticacheConfig& config, std::vector<JobResult>* raw_results) {
+Result<std::vector<ExperimentJob>> MulticacheSweepJobs(const MulticacheConfig& config) {
   // One runner job per (pattern, cache count), pattern-major. Each job
   // builds its own workload (see the sharing hazard in exp/runner.h), so
-  // points are safe to run concurrently.
+  // jobs are safe to run concurrently.
   std::vector<ExperimentJob> jobs;
   for (InterestPattern pattern : config.patterns) {
     for (int num_caches : config.cache_counts) {
@@ -42,33 +39,10 @@ Result<std::vector<MulticachePoint>> RunMulticacheSweep(
       jobs.push_back(std::move(job));
     }
   }
-
-  RunnerOptions options;
-  options.threads = config.threads;
-  const std::vector<JobResult> results = RunExperiments(jobs, options);
-  if (raw_results != nullptr) *raw_results = results;
-
-  std::vector<MulticachePoint> points;
-  points.reserve(results.size());
-  size_t k = 0;
-  for (InterestPattern pattern : config.patterns) {
-    for (int num_caches : config.cache_counts) {
-      const JobResult& job = results[k++];
-      if (!job.status.ok()) return job.status;
-      MulticachePoint point;
-      point.num_caches = num_caches;
-      point.pattern = pattern;
-      point.total_replicas = job.result.total_replicas;
-      point.result = job.result;
-      point.wall_seconds = job.wall_seconds;
-      points.push_back(std::move(point));
-    }
-  }
-  return points;
+  return jobs;
 }
 
-Result<std::vector<TopologySweepPoint>> RunTopologySweep(
-    const TopologySweepConfig& config, std::vector<JobResult>* raw_results) {
+Result<std::vector<ExperimentJob>> TopologySweepJobs(const TopologySweepConfig& config) {
   const int leaves = config.base.workload.num_caches;
   if (leaves < 1) return Status::InvalidArgument("workload.num_caches must be >= 1");
   if (config.fanout < 1) return Status::InvalidArgument("fanout must be >= 1");
@@ -80,14 +54,7 @@ Result<std::vector<TopologySweepPoint>> RunTopologySweep(
   const double total_bandwidth =
       config.base.cache_bandwidth_avg * static_cast<double>(leaves);
 
-  struct PointShape {
-    int relay_tiers;
-    RelayForwardPolicy forward;
-    int num_edges;
-    double leaf_edge_bandwidth;
-  };
   std::vector<ExperimentJob> jobs;
-  std::vector<PointShape> shapes;
   for (int tiers : config.relay_tier_counts) {
     if (tiers < 0) return Status::InvalidArgument("relay tier counts must be >= 0");
     TopologySpec spec = MakeRelayTree(leaves, config.fanout, tiers);
@@ -96,7 +63,6 @@ Result<std::vector<TopologySweepPoint>> RunTopologySweep(
     const std::vector<int64_t> weights = spec.SubtreeLeafCounts();
     double weight_sum = 0.0;
     for (int64_t w : weights) weight_sum += static_cast<double>(w);
-    const int num_edges = tiers == 0 ? leaves : spec.num_nodes();
     const double leaf_bandwidth =
         tiers == 0 ? config.base.cache_bandwidth_avg
                    : total_bandwidth / weight_sum;
@@ -129,29 +95,9 @@ Result<std::vector<TopologySweepPoint>> RunTopologySweep(
                                   std::to_string(config.fanout) + ")," +
                                   RelayForwardPolicyToString(forward);
       jobs.push_back(std::move(job));
-      shapes.push_back(PointShape{tiers, forward, num_edges, leaf_bandwidth});
     }
   }
-
-  RunnerOptions options;
-  options.threads = config.threads;
-  const std::vector<JobResult> results = RunExperiments(jobs, options);
-  if (raw_results != nullptr) *raw_results = results;
-
-  std::vector<TopologySweepPoint> points;
-  points.reserve(results.size());
-  for (size_t k = 0; k < results.size(); ++k) {
-    if (!results[k].status.ok()) return results[k].status;
-    TopologySweepPoint point;
-    point.relay_tiers = shapes[k].relay_tiers;
-    point.forward = shapes[k].forward;
-    point.num_edges = shapes[k].num_edges;
-    point.leaf_edge_bandwidth = shapes[k].leaf_edge_bandwidth;
-    point.result = results[k].result;
-    point.wall_seconds = results[k].wall_seconds;
-    points.push_back(std::move(point));
-  }
-  return points;
+  return jobs;
 }
 
 }  // namespace besync

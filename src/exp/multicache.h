@@ -37,32 +37,17 @@ struct MulticacheConfig {
   /// (data/read_process.h). The defaults keep the sweep write-only — the
   /// historical behavior, byte for byte.
   ReadWorkloadConfig read;
-  /// Worker threads for the sweep; 1 = sequential, <= 0 = hardware
-  /// concurrency. Each point is an independent job that rebuilds its private
-  /// workload from the base config (the runner's config-rebuild path —
-  /// correct here because every point *varies* the workload topology; a
-  /// shared-by-clone base workload, RunExperimentsOnWorkload, suits grids
-  /// that score one fixed workload instead).
-  int threads = 1;
 };
 
-/// One sweep point result.
-struct MulticachePoint {
-  int num_caches = 1;
-  InterestPattern pattern = InterestPattern::kPartitionedBySource;
-  /// Replicas in the workload (the objective's summation domain).
-  int64_t total_replicas = 0;
-  RunResult result;
-  /// Wall-clock seconds spent in the run (scaling diagnostics).
-  double wall_seconds = 0.0;
-};
-
-/// Runs the sweep: one cooperative run per (pattern, cache count) pair, in
-/// pattern-major order. When `raw_results` is non-null it receives the
-/// underlying runner JobResults (for WriteResultsJson / --json output),
-/// also in pattern-major order, even when the sweep returns an error.
-Result<std::vector<MulticachePoint>> RunMulticacheSweep(
-    const MulticacheConfig& config, std::vector<JobResult>* raw_results = nullptr);
+/// Builds the sweep's runner jobs: one cooperative run per (pattern, cache
+/// count) pair, in pattern-major order. Each job rebuilds its private
+/// workload from the base config (the runner's config-rebuild path —
+/// correct here because every job *varies* the workload topology; a
+/// shared-by-clone base workload, RunExperimentsOnWorkload, suits grids
+/// that score one fixed workload instead). N=1 jobs carry the canonical
+/// kSingleCache pattern, so a caller that reports the requested pattern
+/// walks the axes in this order.
+Result<std::vector<ExperimentJob>> MulticacheSweepJobs(const MulticacheConfig& config);
 
 /// Sweep over relay-tree depths at matched total edge bandwidth: the flat
 /// per-cache budget base.cache_bandwidth_avg x num_caches is redistributed
@@ -84,27 +69,14 @@ struct TopologySweepConfig {
   /// no relays to order).
   std::vector<RelayForwardPolicy> forward_policies = {RelayForwardPolicy::kFifo,
                                                       RelayForwardPolicy::kPriority};
-  /// Worker threads; 1 = sequential, <= 0 = hardware concurrency.
-  int threads = 1;
 };
 
-/// One topology sweep point.
-struct TopologySweepPoint {
-  int relay_tiers = 0;
-  RelayForwardPolicy forward = RelayForwardPolicy::kFifo;
-  /// Edges in the topology (leaves + relays) and the per-leaf-edge share of
-  /// the matched total bandwidth.
-  int num_edges = 0;
-  double leaf_edge_bandwidth = 0.0;
-  RunResult result;
-  double wall_seconds = 0.0;
-};
-
-/// Runs the sweep, tiers-major / policy-minor. When `raw_results` is
-/// non-null it receives the underlying runner JobResults in the same order,
-/// even when the sweep returns an error.
-Result<std::vector<TopologySweepPoint>> RunTopologySweep(
-    const TopologySweepConfig& config, std::vector<JobResult>* raw_results = nullptr);
+/// Builds the sweep's runner jobs, tiers-major / policy-minor. A job's
+/// coordinates live in its config: tiers are `topology.depth() - 1`, edges
+/// (leaves + relays) are `topology.num_nodes()`, the per-leaf-edge share of
+/// the matched total bandwidth is `cache_bandwidth_avg`, and the forwarding
+/// policy is `relay_forward`.
+Result<std::vector<ExperimentJob>> TopologySweepJobs(const TopologySweepConfig& config);
 
 }  // namespace besync
 

@@ -4,8 +4,8 @@
 
 namespace besync {
 
-Result<std::vector<ProtocolSweepPoint>> RunProtocolSweep(
-    const ProtocolSweepConfig& config, std::vector<JobResult>* raw_results) {
+Result<std::vector<ExperimentJob>> ProtocolSweepJobs(
+    const ProtocolSweepConfig& config) {
   if (config.protocols.empty()) {
     return Status::InvalidArgument("protocols must be non-empty");
   }
@@ -35,14 +35,7 @@ Result<std::vector<ProtocolSweepPoint>> RunProtocolSweep(
                                    config.invalidate_batch);
   }
 
-  struct PointShape {
-    SyncProtocolKind protocol;
-    double read_rate;
-    double bandwidth;
-    int relay_tiers;
-  };
   std::vector<ExperimentJob> jobs;
-  std::vector<PointShape> shapes;
   for (double read_rate : config.read_rates) {
     for (double bandwidth : config.bandwidths) {
       for (int tiers : config.relay_tiers) {
@@ -61,32 +54,11 @@ Result<std::vector<ProtocolSweepPoint>> RunProtocolSweep(
                      ",bw=" + TablePrinter::Cell(bandwidth) +
                      ",tiers=" + std::to_string(tiers);
           jobs.push_back(std::move(job));
-          shapes.push_back({protocol, read_rate, bandwidth, tiers});
         }
       }
     }
   }
-
-  RunnerOptions options;
-  options.threads = config.threads;
-  const std::vector<JobResult> results = RunExperiments(jobs, options);
-  if (raw_results != nullptr) *raw_results = results;
-
-  std::vector<ProtocolSweepPoint> points;
-  points.reserve(results.size());
-  for (size_t k = 0; k < results.size(); ++k) {
-    const JobResult& job = results[k];
-    if (!job.status.ok()) return job.status;
-    ProtocolSweepPoint point;
-    point.protocol = shapes[k].protocol;
-    point.read_rate = shapes[k].read_rate;
-    point.bandwidth = shapes[k].bandwidth;
-    point.relay_tiers = shapes[k].relay_tiers;
-    point.result = job.result;
-    point.wall_seconds = job.wall_seconds;
-    points.push_back(std::move(point));
-  }
-  return points;
+  return jobs;
 }
 
 }  // namespace besync

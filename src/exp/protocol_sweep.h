@@ -33,38 +33,17 @@ struct ProtocolSweepConfig {
   double ttl = 50.0;
   /// Invalidation batching limit applied at every invalidation point.
   int invalidate_batch = 1;
-  /// Worker threads; 1 = sequential, <= 0 = hardware concurrency.
-  int threads = 1;
 };
 
-/// One protocol sweep point.
-struct ProtocolSweepPoint {
-  SyncProtocolKind protocol = SyncProtocolKind::kPushRefresh;
-  double read_rate = 0.0;
-  double bandwidth = 0.0;
-  int relay_tiers = 0;
-  RunResult result;
-  double wall_seconds = 0.0;
-
-  /// Fraction of client reads served fresh from a resident replica.
-  double hit_rate() const {
-    return result.scheduler.reads_total > 0
-               ? static_cast<double>(result.scheduler.read_hits) /
-                     static_cast<double>(result.scheduler.reads_total)
-               : 0.0;
-  }
-};
-
-/// Runs the sweep, regime-major (read_rate / bandwidth / tiers) with the
-/// protocols innermost, so consecutive points are the head-to-head
-/// competitors of one regime. Each point rebuilds its private workload —
-/// correct because points share one workload config and differ only in
-/// knobs that consume no generator randomness. When `raw_results` is
-/// non-null it receives the underlying runner JobResults in the same
-/// order, even when the sweep returns an error.
-Result<std::vector<ProtocolSweepPoint>> RunProtocolSweep(
-    const ProtocolSweepConfig& config,
-    std::vector<JobResult>* raw_results = nullptr);
+/// Builds the sweep's runner jobs, regime-major (read_rate / bandwidth /
+/// tiers) with the protocols innermost, so consecutive jobs are the
+/// head-to-head competitors of one regime. Each job rebuilds its private
+/// workload — correct because jobs share one workload config and differ
+/// only in knobs that consume no generator randomness. A job's coordinates
+/// are its `workload.read.read_rate`, `cache_bandwidth_avg`,
+/// `workload.relay_tiers` and `protocol.kind`.
+Result<std::vector<ExperimentJob>> ProtocolSweepJobs(
+    const ProtocolSweepConfig& config);
 
 }  // namespace besync
 

@@ -4,8 +4,7 @@
 
 namespace besync {
 
-Result<std::vector<ReadSweepPoint>> RunReadSweep(
-    const ReadSweepConfig& config, std::vector<JobResult>* raw_results) {
+Result<std::vector<ExperimentJob>> ReadSweepJobs(const ReadSweepConfig& config) {
   if (config.read_rates.empty()) {
     return Status::InvalidArgument("read_rates must be non-empty");
   }
@@ -21,13 +20,7 @@ Result<std::vector<ReadSweepPoint>> RunReadSweep(
     }
   }
 
-  struct PointShape {
-    double read_rate;
-    int64_t capacity;
-    EvictionPolicy eviction;
-  };
   std::vector<ExperimentJob> jobs;
-  std::vector<PointShape> shapes;
   for (double read_rate : config.read_rates) {
     for (int64_t capacity : config.capacities) {
       // An unbounded store never evicts; running each policy there would
@@ -47,30 +40,10 @@ Result<std::vector<ReadSweepPoint>> RunReadSweep(
                    ",evict=" +
                    (capacity <= 0 ? std::string("-") : EvictionPolicyToString(eviction));
         jobs.push_back(std::move(job));
-        shapes.push_back({read_rate, capacity, eviction});
       }
     }
   }
-
-  RunnerOptions options;
-  options.threads = config.threads;
-  const std::vector<JobResult> results = RunExperiments(jobs, options);
-  if (raw_results != nullptr) *raw_results = results;
-
-  std::vector<ReadSweepPoint> points;
-  points.reserve(results.size());
-  for (size_t k = 0; k < results.size(); ++k) {
-    const JobResult& job = results[k];
-    if (!job.status.ok()) return job.status;
-    ReadSweepPoint point;
-    point.read_rate = shapes[k].read_rate;
-    point.capacity = shapes[k].capacity;
-    point.eviction = shapes[k].eviction;
-    point.result = job.result;
-    point.wall_seconds = job.wall_seconds;
-    points.push_back(std::move(point));
-  }
-  return points;
+  return jobs;
 }
 
 }  // namespace besync

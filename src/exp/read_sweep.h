@@ -30,36 +30,15 @@ struct ReadSweepConfig {
   std::vector<EvictionPolicy> evictions = {EvictionPolicy::kLru,
                                            EvictionPolicy::kLfu,
                                            EvictionPolicy::kDivergenceAware};
-  /// Worker threads; 1 = sequential, <= 0 = hardware concurrency.
-  int threads = 1;
 };
 
-/// One read sweep point.
-struct ReadSweepPoint {
-  double read_rate = 0.0;
-  int64_t capacity = 0;
-  EvictionPolicy eviction = EvictionPolicy::kLru;
-  RunResult result;
-  double wall_seconds = 0.0;
-
-  /// Fraction of client reads served from a resident replica.
-  double hit_rate() const {
-    return result.scheduler.reads_total > 0
-               ? static_cast<double>(result.scheduler.read_hits) /
-                     static_cast<double>(result.scheduler.reads_total)
-               : 0.0;
-  }
-};
-
-/// Runs the sweep, read_rate-major / capacity / eviction-minor, on the
-/// parallel runner (each point rebuilds its private workload — the
-/// config-rebuild path of exp/runner.h, correct because points share one
-/// workload config and differ only in read knobs, which consume no
-/// generator randomness). When `raw_results` is non-null it receives the
-/// underlying runner JobResults in the same order, even when the sweep
-/// returns an error.
-Result<std::vector<ReadSweepPoint>> RunReadSweep(
-    const ReadSweepConfig& config, std::vector<JobResult>* raw_results = nullptr);
+/// Builds the sweep's runner jobs, read_rate-major / capacity /
+/// eviction-minor. Each job rebuilds its private workload (the
+/// config-rebuild path of exp/runner.h), which is correct because jobs share
+/// one workload config and differ only in read knobs, which consume no
+/// generator randomness. A job's coordinates are its
+/// `config.workload.read` fields.
+Result<std::vector<ExperimentJob>> ReadSweepJobs(const ReadSweepConfig& config);
 
 }  // namespace besync
 

@@ -186,8 +186,13 @@ std::vector<JobResult> RunExperimentsOnWorkload(const Workload& base_workload,
                 });
 }
 
-void WriteResultsJson(std::ostream& os, const std::vector<JobResult>& results,
-                      const std::string& extra_top_level) {
+double HitRate(const SchedulerStats& stats) {
+  return stats.reads_total > 0 ? static_cast<double>(stats.read_hits) /
+                                     static_cast<double>(stats.reads_total)
+                               : 0.0;
+}
+
+void WriteResultsJson(std::ostream& os, const std::vector<JobResult>& results) {
   os << "{\n  \"schema\": \"besync.run_results.v1\",\n  \"results\": [";
   for (size_t i = 0; i < results.size(); ++i) {
     const JobResult& job = results[i];
@@ -219,10 +224,6 @@ void WriteResultsJson(std::ostream& os, const std::vector<JobResult>& results,
        << ", \"cache_utilization\": " << JsonNumber(r.scheduler.cache_utilization);
     if (ReadFieldsApply(job)) {
       const SchedulerStats& s = r.scheduler;
-      const double hit_rate =
-          s.reads_total > 0 ? static_cast<double>(s.read_hits) /
-                                  static_cast<double>(s.reads_total)
-                            : 0.0;
       os << ",\n     \"read_rate\": " << JsonNumber(job.config.workload.read.read_rate)
          << ", \"capacity\": " << job.config.workload.read.capacity
          << ", \"eviction\": "
@@ -230,7 +231,7 @@ void WriteResultsJson(std::ostream& os, const std::vector<JobResult>& results,
          << ", \"reads_total\": " << s.reads_total
          << ", \"read_hits\": " << s.read_hits
          << ", \"read_misses\": " << s.read_misses
-         << ", \"hit_rate\": " << JsonNumber(hit_rate)
+         << ", \"hit_rate\": " << JsonNumber(HitRate(s))
          << ", \"pull_requests_sent\": " << s.pull_requests_sent
          << ", \"pulls_delivered\": " << s.pulls_delivered
          << ", \"cache_evictions\": " << s.cache_evictions
@@ -269,15 +270,13 @@ void WriteResultsJson(std::ostream& os, const std::vector<JobResult>& results,
     os << "}";
   }
   os << (results.empty() ? "]" : "\n  ]");
-  if (!extra_top_level.empty()) os << ",\n  " << extra_top_level;
   os << "\n}\n";
 }
 
-Status WriteResultsJson(const std::string& path, const std::vector<JobResult>& results,
-                        const std::string& extra_top_level) {
+Status WriteResultsJson(const std::string& path, const std::vector<JobResult>& results) {
   std::ofstream file(path);
   if (!file) return Status::IOError("cannot open ", path);
-  WriteResultsJson(file, results, extra_top_level);
+  WriteResultsJson(file, results);
   if (!file.good()) return Status::IOError("write failed for ", path);
   return Status::OK();
 }
@@ -377,15 +376,11 @@ TablePrinter ResultsCsv(const std::vector<JobResult>& results) {
         JsonNumber(r.scheduler.cache_utilization)};
     if (reads) {
       const SchedulerStats& s = r.scheduler;
-      const double hit_rate =
-          s.reads_total > 0 ? static_cast<double>(s.read_hits) /
-                                  static_cast<double>(s.reads_total)
-                            : 0.0;
       row.push_back(JsonNumber(job.config.workload.read.read_rate));
       row.push_back(std::to_string(job.config.workload.read.capacity));
       row.push_back(EvictionPolicyToString(job.config.workload.read.eviction));
       row.push_back(TablePrinter::Cell(s.reads_total));
-      row.push_back(JsonNumber(hit_rate));
+      row.push_back(JsonNumber(HitRate(s)));
       row.push_back(TablePrinter::Cell(s.pull_requests_sent));
       row.push_back(TablePrinter::Cell(s.pulls_delivered));
       row.push_back(TablePrinter::Cell(s.cache_evictions));

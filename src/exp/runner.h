@@ -113,16 +113,12 @@ std::vector<JobResult> RunExperimentsOnWorkload(
 /// "pull_bandwidth_share" — read-free rows keep their historical bytes.
 /// Doubles use shortest round-trip formatting; timings are excluded, so the
 /// bytes depend only on the job configs (BENCH_*.json trajectory tracking).
-///
-/// `extra_top_level` may carry one additional pre-serialized top-level
-/// member (e.g. "\"perf\": {...}"). Empty (the default) keeps the
-/// historical bytes; nonempty output is opt-in precisely because such
-/// members (wall time, peak RSS) are nondeterministic and would break the
-/// byte-identical-at-any-thread-count guarantee above.
-void WriteResultsJson(std::ostream& os, const std::vector<JobResult>& results,
-                      const std::string& extra_top_level = "");
-Status WriteResultsJson(const std::string& path, const std::vector<JobResult>& results,
-                        const std::string& extra_top_level = "");
+void WriteResultsJson(std::ostream& os, const std::vector<JobResult>& results);
+Status WriteResultsJson(const std::string& path, const std::vector<JobResult>& results);
+
+/// Fraction of client reads served from a resident replica (0 when the run
+/// counted no reads) — the "hit_rate" JSON/CSV field.
+double HitRate(const SchedulerStats& stats);
 
 /// Standard summary table over the grid dimensions and headline metrics
 /// (benches with bespoke layouts assemble their own from the results).

@@ -1,6 +1,5 @@
 #include "exp/sweep.h"
 
-#include <cmath>
 #include <cstdio>
 
 #include "util/logging.h"
@@ -13,22 +12,6 @@ std::vector<double> LinSpace(double lo, double hi, int count) {
   std::vector<double> values(count);
   const double step = (hi - lo) / static_cast<double>(count - 1);
   for (int i = 0; i < count; ++i) values[i] = lo + step * i;
-  return values;
-}
-
-std::vector<double> GeomSpace(double lo, double hi, int count) {
-  BESYNC_CHECK_GT(lo, 0.0);
-  BESYNC_CHECK_GT(hi, 0.0);
-  BESYNC_CHECK_GE(count, 1);
-  if (count == 1) return {lo};
-  std::vector<double> values(count);
-  const double ratio = std::pow(hi / lo, 1.0 / static_cast<double>(count - 1));
-  double value = lo;
-  for (int i = 0; i < count; ++i) {
-    values[i] = value;
-    value *= ratio;
-  }
-  values[count - 1] = hi;  // avoid drift on the endpoint
   return values;
 }
 

@@ -10,10 +10,6 @@ namespace besync {
 /// `count` evenly spaced values from `lo` to `hi` inclusive.
 std::vector<double> LinSpace(double lo, double hi, int count);
 
-/// `count` geometrically spaced values from `lo` to `hi` inclusive
-/// (lo, hi > 0).
-std::vector<double> GeomSpace(double lo, double hi, int count);
-
 /// Simple stderr progress line for long sweeps: "label: k/n". Thread-safe:
 /// Step() may be called concurrently from experiment-runner workers.
 class SweepProgress {

@@ -170,7 +170,7 @@ void WriteTraceJson(std::ostream& os, const std::vector<ObsJob>& jobs) {
     // Tick-phase duration slices: each recorded tick is split into the six
     // engine phases in execution order, equal sim-time widths. These show
     // the cadence and phase sequence deterministically; wall-clock phase
-    // costs stay in the opt-in --perf path.
+    // costs are hostbench's to measure (hostbench/README.md).
     const double slice = obs.tick_length / PhaseTimer::kNumPhases;
     for (double tick : obs.tick_times) {
       for (int phase = 0; phase < PhaseTimer::kNumPhases; ++phase) {

@@ -53,13 +53,6 @@ struct ObsConfig {
   /// Tick-phase slices are emitted for at most this many ticks inside the
   /// trace window (they exist to show cadence, not to be exhaustive).
   int max_phase_slice_ticks = 2000;
-
-  /// Opt-in, wall-clock-derived per-phase nanosecond columns sampled from
-  /// the run's PhaseTimer (requires one to be attached). These are NOT
-  /// deterministic and therefore break the byte-identical-across-threads
-  /// guarantee for the time-series file — never enable them in goldens or
-  /// recorded benches.
-  bool sample_phase_nanos = false;
 };
 
 }  // namespace besync

@@ -4,20 +4,10 @@
 
 namespace besync {
 
-int64_t PhaseTimer::total_nanos() const {
-  int64_t total = 0;
-  for (const auto& phase : nanos_) total += phase.load(std::memory_order_relaxed);
-  return total;
-}
-
-void PhaseTimer::Reset() {
-  for (auto& phase : nanos_) phase.store(0, std::memory_order_relaxed);
-}
-
 PhaseTimer::Snapshot PhaseTimer::TakeSnapshot() const {
   Snapshot snapshot;
   for (int phase = 0; phase < kNumPhases; ++phase) {
-    snapshot.nanos[phase] = nanos_[phase].load(std::memory_order_relaxed);
+    snapshot.nanos[phase] = nanos_[phase];
   }
   return snapshot;
 }

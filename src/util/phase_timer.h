@@ -1,18 +1,16 @@
 #ifndef BESYNC_UTIL_PHASE_TIMER_H_
 #define BESYNC_UTIL_PHASE_TIMER_H_
 
-#include <atomic>
 #include <cstdint>
 
 namespace besync {
 
 /// Wall-clock accumulator for the cooperative tick's phases: each phase of
-/// every tick adds its duration, and the totals show where a run's wall
-/// time went (the Amdahl ledger behind bench_scale --perf's
-/// "phase_breakdown" block). Accumulation is atomic so one timer can be
-/// shared across concurrently running jobs (exp/runner.h); the numbers are
-/// wall times and therefore nondeterministic — they must never enter the
-/// deterministic run JSON, only the opt-in perf member.
+/// every tick adds its duration. hostbench (hostbench/hostbench.cc) attaches
+/// one per run and snapshots it around every Tick to split the tick's wall
+/// time into named spans. One timer serves one run on one thread, so the
+/// accumulators are plain integers. The numbers are wall times and
+/// therefore nondeterministic — they never enter run results.
 ///
 /// A null-timer Scope is a branch and nothing else, so wiring the timer
 /// through the hot loop costs nothing when profiling is off.
@@ -38,42 +36,22 @@ class PhaseTimer {
   PhaseTimer(const PhaseTimer&) = delete;
   PhaseTimer& operator=(const PhaseTimer&) = delete;
 
-  void Add(Phase phase, int64_t nanos) {
-    nanos_[static_cast<int>(phase)].fetch_add(nanos, std::memory_order_relaxed);
-  }
+  void Add(Phase phase, int64_t nanos) { nanos_[static_cast<int>(phase)] += nanos; }
 
-  int64_t nanos(Phase phase) const {
-    return nanos_[static_cast<int>(phase)].load(std::memory_order_relaxed);
-  }
-
-  /// Sum over all phases.
-  int64_t total_nanos() const;
-
-  void Reset();
-
-  /// A consistent-enough copy of the accumulators, readable mid-run (each
-  /// phase is one relaxed load; phases that are mid-accumulation on another
-  /// thread simply show their last completed scope). Lets callers take
-  /// per-window breakdowns — e.g. per-measurement-interval phase costs —
-  /// instead of one aggregate at exit: snapshot at the window edges and
-  /// Delta() the two.
+  /// A copy of the accumulators. Snapshot at the edges of a window (e.g.
+  /// one tick) and Delta() the two for that window's per-phase cost.
   struct Snapshot {
     int64_t nanos[kNumPhases] = {};
-    int64_t total() const {
-      int64_t sum = 0;
-      for (int64_t phase : nanos) sum += phase;
-      return sum;
-    }
   };
   Snapshot TakeSnapshot() const;
   /// Per-phase `now - prev` (the cost of the window between two snapshots).
   static Snapshot Delta(const Snapshot& now, const Snapshot& prev);
 
   /// Stable snake_case phase name ("begin_tick", "send", "relay",
-  /// "deliver_apply", "read_path", "feedback") — the JSON key.
+  /// "deliver_apply", "read_path", "feedback").
   static const char* Name(Phase phase);
 
-  /// Monotonic now, in nanoseconds (exposed for tests).
+  /// Monotonic now, in nanoseconds.
   static int64_t NowNanos();
 
   /// RAII phase section: measures construction-to-destruction and adds it
@@ -96,7 +74,7 @@ class PhaseTimer {
   };
 
  private:
-  std::atomic<int64_t> nanos_[kNumPhases] = {};
+  int64_t nanos_[kNumPhases] = {};
 };
 
 }  // namespace besync

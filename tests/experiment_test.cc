@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "exp/experiment.h"
+#include "exp/fault_sweep.h"
+#include "exp/multicache.h"
+#include "exp/protocol_sweep.h"
+#include "exp/read_sweep.h"
 #include "exp/sweep.h"
 
 namespace besync {
@@ -15,12 +22,73 @@ TEST(SweepTest, LinSpace) {
   EXPECT_EQ(LinSpace(3.0, 9.0, 1), std::vector<double>{3.0});
 }
 
-TEST(SweepTest, GeomSpace) {
-  const auto values = GeomSpace(1.0, 100.0, 3);
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_DOUBLE_EQ(values[0], 1.0);
-  EXPECT_NEAR(values[1], 10.0, 1e-9);
-  EXPECT_DOUBLE_EQ(values[2], 100.0);
+using Jobs = Result<std::vector<ExperimentJob>>;
+
+/// Runs `build` on a default `Config` after `edit`.
+template <typename Config>
+Jobs BuildWith(Jobs (*build)(const Config&), void (*edit)(Config*)) {
+  Config config;
+  edit(&config);
+  return build(config);
+}
+
+// Every grid builder turns a malformed axis into InvalidArgument and builds
+// no jobs, before anything runs.
+TEST(GridBuilderTest, MalformedAxesAreInvalidArgument) {
+  const std::pair<const char*, Jobs> cases[] = {
+      {"read: empty read_rates",
+       BuildWith(&ReadSweepJobs, +[](ReadSweepConfig* c) { c->read_rates.clear(); })},
+      {"read: empty evictions",
+       BuildWith(&ReadSweepJobs, +[](ReadSweepConfig* c) { c->evictions.clear(); })},
+      {"read: read rate 0",
+       BuildWith(&ReadSweepJobs,
+                 +[](ReadSweepConfig* c) { c->read_rates = {4.0, 0.0}; })},
+      {"protocol: empty protocols",
+       BuildWith(&ProtocolSweepJobs,
+                 +[](ProtocolSweepConfig* c) { c->protocols.clear(); })},
+      {"protocol: empty relay_tiers",
+       BuildWith(&ProtocolSweepJobs,
+                 +[](ProtocolSweepConfig* c) { c->relay_tiers.clear(); })},
+      {"protocol: read rate -1",
+       BuildWith(&ProtocolSweepJobs,
+                 +[](ProtocolSweepConfig* c) { c->read_rates = {-1.0}; })},
+      {"fault: empty policies",
+       BuildWith(&FaultSweepJobs, +[](FaultSweepConfig* c) { c->policies.clear(); })},
+      {"fault: read rate 0 under invalidation",
+       BuildWith(&FaultSweepJobs, +[](FaultSweepConfig* c) {
+         c->protocols = {SyncProtocolKind::kInvalidation};
+         c->read_rate = 0.0;
+       })},
+      {"fault: crash_duration 0",
+       BuildWith(&FaultSweepJobs, +[](FaultSweepConfig* c) { c->crash_duration = 0.0; })},
+      {"fault: crash_duration -5",
+       BuildWith(&FaultSweepJobs,
+                 +[](FaultSweepConfig* c) { c->crash_duration = -5.0; })},
+      {"multicache: cache count 0",
+       BuildWith(&MulticacheSweepJobs,
+                 +[](MulticacheConfig* c) { c->cache_counts = {1, 0}; })},
+      {"multicache: cache count -2",
+       BuildWith(&MulticacheSweepJobs,
+                 +[](MulticacheConfig* c) { c->cache_counts = {-2}; })},
+      {"topology: empty forward_policies",
+       BuildWith(&TopologySweepJobs, +[](TopologySweepConfig* c) {
+         c->base.workload.num_caches = 4;
+         c->forward_policies.clear();
+       })},
+      {"topology: fanout 0",
+       BuildWith(&TopologySweepJobs, +[](TopologySweepConfig* c) {
+         c->base.workload.num_caches = 4;
+         c->fanout = 0;
+       })},
+      {"topology: cache count 0",
+       BuildWith(&TopologySweepJobs,
+                 +[](TopologySweepConfig* c) { c->base.workload.num_caches = 0; })},
+  };
+  for (const auto& [name, jobs] : cases) {
+    EXPECT_FALSE(jobs.ok()) << name;
+    EXPECT_TRUE(jobs.status().IsInvalidArgument())
+        << name << ": " << jobs.status().ToString();
+  }
 }
 
 TEST(SchedulerKindTest, Names) {

@@ -446,14 +446,16 @@ TEST(FaultDeterminismTest, SweepJsonIsThreadCountInvariant) {
   sweep.relay_tiers = {0};
   sweep.read_rate = 2.0;
 
-  auto json_at = [&sweep](int threads) {
-    FaultSweepConfig at = sweep;
-    at.threads = threads;
-    std::vector<JobResult> raw;
-    const auto points = RunFaultSweep(at, &raw);
-    EXPECT_TRUE(points.ok()) << points.status().ToString();
+  const auto jobs = FaultSweepJobs(sweep);
+  ASSERT_TRUE(jobs.ok()) << jobs.status().ToString();
+  auto json_at = [&jobs](int threads) {
+    const std::vector<JobResult> results =
+        RunExperiments(*jobs, RunnerOptions{threads, {}});
+    for (const JobResult& job : results) {
+      EXPECT_TRUE(job.status.ok()) << job.name << ": " << job.status.ToString();
+    }
     std::ostringstream out;
-    WriteResultsJson(out, raw);
+    WriteResultsJson(out, results);
     return out.str();
   };
   const std::string serial = json_at(1);

@@ -340,18 +340,20 @@ TEST(MulticacheSweepTest, SweepCoversConfiguredGrid) {
   config.cache_counts = {1, 2};
   config.patterns = {InterestPattern::kPartitionedBySource,
                      InterestPattern::kZipfOverlap};
-  const auto points = RunMulticacheSweep(config);
-  ASSERT_TRUE(points.ok());
-  ASSERT_EQ(points->size(), 4u);
-  for (const MulticachePoint& point : *points) {
-    EXPECT_GE(point.total_replicas, 20);
-    EXPECT_GT(point.result.total_weighted_divergence, 0.0);
-    EXPECT_EQ(static_cast<int>(point.result.per_cache_weighted.size()),
-              point.num_caches);
+  const auto jobs = MulticacheSweepJobs(config);
+  ASSERT_TRUE(jobs.ok());
+  const std::vector<JobResult> results = RunExperiments(*jobs);
+  ASSERT_EQ(results.size(), 4u);
+  for (const JobResult& job : results) {
+    ASSERT_TRUE(job.status.ok()) << job.name << ": " << job.status.ToString();
+    EXPECT_GE(job.result.total_replicas, 20);
+    EXPECT_GT(job.result.total_weighted_divergence, 0.0);
+    EXPECT_EQ(static_cast<int>(job.result.per_cache_weighted.size()),
+              job.config.workload.num_caches);
   }
   // The N=1 points of both patterns coincide (canonical single-cache map).
-  EXPECT_EQ((*points)[0].result.total_weighted_divergence,
-            (*points)[2].result.total_weighted_divergence);
+  EXPECT_EQ(results[0].result.total_weighted_divergence,
+            results[2].result.total_weighted_divergence);
 }
 
 }  // namespace

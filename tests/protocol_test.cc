@@ -323,12 +323,13 @@ TEST(ProtocolThreadingTest, SweepJsonIsGridThreadCountInvariant) {
   sweep.bandwidths = {6.0};
   sweep.relay_tiers = {0};
 
-  sweep.threads = 1;
-  std::vector<JobResult> sequential;
-  ASSERT_TRUE(RunProtocolSweep(sweep, &sequential).ok());
-  sweep.threads = 8;
-  std::vector<JobResult> parallel;
-  ASSERT_TRUE(RunProtocolSweep(sweep, &parallel).ok());
+  const auto jobs = ProtocolSweepJobs(sweep);
+  ASSERT_TRUE(jobs.ok()) << jobs.status().ToString();
+  const std::vector<JobResult> sequential = RunExperiments(*jobs, RunnerOptions{1, {}});
+  const std::vector<JobResult> parallel = RunExperiments(*jobs, RunnerOptions{8, {}});
+  for (const JobResult& job : sequential) {
+    ASSERT_TRUE(job.status.ok()) << job.name << ": " << job.status.ToString();
+  }
 
   std::ostringstream json_sequential, json_parallel;
   WriteResultsJson(json_sequential, sequential);

@@ -335,12 +335,13 @@ TEST(ReadPathTest, ReadSweepJsonIsThreadCountInvariant) {
   sweep.capacities = {0, 10};
   sweep.evictions = {EvictionPolicy::kLru, EvictionPolicy::kDivergenceAware};
 
-  sweep.threads = 1;
-  std::vector<JobResult> sequential;
-  ASSERT_TRUE(RunReadSweep(sweep, &sequential).ok());
-  sweep.threads = 8;
-  std::vector<JobResult> parallel;
-  ASSERT_TRUE(RunReadSweep(sweep, &parallel).ok());
+  const auto jobs = ReadSweepJobs(sweep);
+  ASSERT_TRUE(jobs.ok()) << jobs.status().ToString();
+  const std::vector<JobResult> sequential = RunExperiments(*jobs, RunnerOptions{1, {}});
+  const std::vector<JobResult> parallel = RunExperiments(*jobs, RunnerOptions{8, {}});
+  for (const JobResult& job : sequential) {
+    ASSERT_TRUE(job.status.ok()) << job.name << ": " << job.status.ToString();
+  }
 
   std::ostringstream json_sequential, json_parallel;
   WriteResultsJson(json_sequential, sequential);

@@ -161,7 +161,7 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
   base.harness.measure = 20.0;
   EXPECT_TRUE(ValidateExperimentConfig(base).ok());
 
-  std::vector<ExperimentJob> jobs(6);
+  std::vector<ExperimentJob> jobs(13);
   for (ExperimentJob& job : jobs) job.config = base;
   jobs[0].name = "tick_length";
   jobs[0].config.harness.tick_length = 0.0;
@@ -175,6 +175,20 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
   jobs[4].config.harness.measure = std::nan("");
   jobs[5].name = "run_threads";
   jobs[5].config.run_threads = 2;
+  jobs[6].name = "cache_bandwidth_avg";
+  jobs[6].config.cache_bandwidth_avg = 0.0;
+  jobs[7].name = "cache_bandwidth_avg";
+  jobs[7].config.cache_bandwidth_avg = -3.0;
+  jobs[8].name = "cache_bandwidth_avg";
+  jobs[8].config.cache_bandwidth_avg = std::nan("");
+  jobs[9].name = "loss_rate";
+  jobs[9].config.loss_rate = 2.0;
+  jobs[10].name = "loss_rate";
+  jobs[10].config.loss_rate = 1.0;
+  jobs[11].name = "loss_rate";
+  jobs[11].config.loss_rate = -0.1;
+  jobs[12].name = "loss_rate";
+  jobs[12].config.loss_rate = std::nan("");
 
   const std::vector<JobResult> results = RunExperiments(jobs, RunnerOptions{});
   ASSERT_EQ(results.size(), jobs.size());

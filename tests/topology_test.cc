@@ -378,24 +378,27 @@ TEST(RelayTreeTest, TopologySweepMatchesTotalBandwidth) {
   config.base.cache_bandwidth_avg = 4.0;
   config.relay_tier_counts = {0, 1};
   config.fanout = 4;
-  const auto points = RunTopologySweep(config);
-  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  const auto jobs = TopologySweepJobs(config);
+  ASSERT_TRUE(jobs.ok()) << jobs.status().ToString();
   // flat + (fifo, priority) for the tree.
-  ASSERT_EQ(points->size(), 3u);
-  EXPECT_EQ((*points)[0].relay_tiers, 0);
-  EXPECT_EQ((*points)[0].num_edges, 8);
-  EXPECT_DOUBLE_EQ((*points)[0].leaf_edge_bandwidth, 4.0);
+  ASSERT_EQ(jobs->size(), 3u);
+  const ExperimentConfig& flat = (*jobs)[0].config;
+  EXPECT_EQ(flat.topology.depth() - 1, 0);
+  EXPECT_EQ(flat.topology.num_nodes(), 8);
+  EXPECT_DOUBLE_EQ(flat.cache_bandwidth_avg, 4.0);
   // Tree: 8 leaf edges (weight 1) + 2 relay edges (weight 4) share
   // 8 x 4 = 32 over total weight 16 -> leaf edges get 2.0 each.
-  EXPECT_EQ((*points)[1].relay_tiers, 1);
-  EXPECT_EQ((*points)[1].num_edges, 10);
-  EXPECT_DOUBLE_EQ((*points)[1].leaf_edge_bandwidth, 2.0);
-  EXPECT_EQ((*points)[1].forward, RelayForwardPolicy::kFifo);
-  EXPECT_EQ((*points)[2].forward, RelayForwardPolicy::kPriority);
+  const ExperimentConfig& fifo = (*jobs)[1].config;
+  EXPECT_EQ(fifo.topology.depth() - 1, 1);
+  EXPECT_EQ(fifo.topology.num_nodes(), 10);
+  EXPECT_DOUBLE_EQ(fifo.cache_bandwidth_avg, 2.0);
+  EXPECT_EQ(fifo.relay_forward, RelayForwardPolicy::kFifo);
+  EXPECT_EQ((*jobs)[2].config.relay_forward, RelayForwardPolicy::kPriority);
   // Identical workloads: the two forwarding policies deliver comparable
-  // refresh volume, and every point produced a real run.
-  for (const TopologySweepPoint& point : *points) {
-    EXPECT_GT(point.result.scheduler.refreshes_delivered, 0);
+  // refresh volume, and every job produced a real run.
+  for (const JobResult& job : RunExperiments(*jobs)) {
+    ASSERT_TRUE(job.status.ok()) << job.name << ": " << job.status.ToString();
+    EXPECT_GT(job.result.scheduler.refreshes_delivered, 0);
   }
 }
 

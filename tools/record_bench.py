@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Records the bench trajectory baselines (BENCH_protocol.json,
-BENCH_readpath.json, BENCH_scale.json).
+BENCH_readpath.json, BENCH_scale.json, BENCH_fault.json).
 
 Runs the benches of each baseline profile from a build directory with
 --json, validates each output against the besync.run_results.v1 schema,
 and writes the combined, schema-stamped baseline at the repo root. The
-bench JSON deliberately excludes timings (exp/runner.h; bench_scale's
-"perf" member is strictly opt-in and never recorded), so each baseline
-is a deterministic function of the bench configs — reruns on an unchanged
-tree produce identical bytes, and any diff in a PR is a real behavioral
-change in the recorded grids.
+bench JSON deliberately excludes timings (exp/runner.h; wall-clock
+measurement lives in hostbench/), so each baseline is a deterministic
+function of the bench configs — reruns on an unchanged tree produce
+identical bytes, and any diff in a change is a real behavioral change in
+the recorded grids. --check rejects a baseline that carries a "perf"
+timing member.
 
 Usage:
   tools/record_bench.py [--build-dir build]          # record all baselines
@@ -233,7 +234,7 @@ def validate_baseline(doc, context, profile):
             fail(f"{context}: bench_scale recorded fewer than 2 points")
         if "perf" in scale:
             fail(f"{context}: bench_scale recorded a perf member — "
-                 f"baselines must be timing-free (drop --perf)")
+                 f"baselines must be timing-free")
         check_scale_determinism(scale["results"], context)
     if profile == "BENCH_fault.json":
         # The point of this baseline is the recovery crossover: every row
