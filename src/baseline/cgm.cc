@@ -87,6 +87,7 @@ void CGMScheduler::SendPoll(ObjectIndex index, double t) {
   Message response;
   response.kind = MessageKind::kPollResponse;
   response.source_index = object.spec->source_index;
+  response.replica = 0;  // single-cache model: cache 0 holds replica slot 0
   response.object_index = index;
   response.value = object.state.value;
   response.version = object.state.version;

@@ -67,7 +67,7 @@ void CompetitiveScheduler::Initialize(Harness* harness) {
   }
 }
 
-void CompetitiveScheduler::FillFeedback(Message* feedback, int source_index,
+void CompetitiveScheduler::FillFeedback(ControlMessage* feedback, int source_index,
                                         double /*t*/) {
   feedback->granted_rate = granted_rate_[source_index];
 }

@@ -47,7 +47,7 @@ class CompetitiveScheduler : public CooperativeScheduler {
   void Initialize(Harness* harness) override;
 
  protected:
-  void FillFeedback(Message* feedback, int source_index, double t) override;
+  void FillFeedback(ControlMessage* feedback, int source_index, double t) override;
   void SendPhase(double t) override;
 
  private:

@@ -78,44 +78,45 @@ double Harness::SourceWeightAt(ObjectIndex index, double t) const {
   return spec.source_weight ? spec.source_weight->ValueAt(t) : WeightAt(index, t);
 }
 
-Message Harness::MakeRefreshMessage(ObjectIndex index, int32_t cache_id, double t) {
+Message Harness::MakeRefreshMessage(ObjectIndex index, int32_t replica, double t) {
   ObjectRuntime& object = objects_[index];
-  const int slot = object.spec->replica_slot(cache_id);
-  BESYNC_CHECK_GE(slot, 0) << "object " << index << " has no replica at cache "
-                           << cache_id;
+  BESYNC_DCHECK(replica >= 0 && replica < object.num_replicas);
   Message message;
   message.kind = MessageKind::kRefresh;
   message.source_index = object.spec->source_index;
-  message.cache_id = cache_id;
+  message.cache_id = object.spec->caches[replica];
+  message.replica = replica;
   message.object_index = index;
   message.value = object.state.value;
   message.version = object.state.version;
   message.send_time = t;
   message.last_update_time = object.state.last_update_time;
   message.cost = object.spec->refresh_cost;
-  object.tracker(slot).OnRefresh(t, object.state.value, object.state.version);
+  object.tracker(replica).OnRefresh(t, object.state.value, object.state.version);
   return message;
 }
 
 Message Harness::MakeRefreshMessage(ObjectIndex index, double t) {
-  return MakeRefreshMessage(index, objects_[index].spec->caches.front(), t);
+  return MakeRefreshMessage(index, /*replica=*/0, t);
 }
 
 void Harness::DeliverRefresh(const Message& message, double t) {
   BESYNC_DCHECK(message.object_index >= 0);
+  BESYNC_DCHECK(objects_[message.object_index].spec->caches[message.replica] ==
+                message.cache_id);
   for (GroundTruth* ground_truth : ground_truths_) {
-    ground_truth->OnCacheApply(message.object_index, message.cache_id, t,
-                               message.value, message.version);
+    ground_truth->OnCacheApply(message.object_index, message.replica, t, message.value,
+                               message.version);
     for (const RefreshPayload& payload : message.extra_refreshes) {
-      ground_truth->OnCacheApply(payload.object_index, message.cache_id, t,
+      ground_truth->OnCacheApply(payload.object_index, payload.replica, t,
                                  payload.value, payload.version);
     }
   }
 }
 
 void Harness::RefreshInstant(ObjectIndex index, double t) {
-  for (int32_t cache_id : objects_[index].spec->caches) {
-    const Message message = MakeRefreshMessage(index, cache_id, t);
+  for (int32_t r = 0; r < objects_[index].num_replicas; ++r) {
+    const Message message = MakeRefreshMessage(index, r, t);
     DeliverRefresh(message, t);
   }
 }

@@ -241,18 +241,19 @@ class Harness {
 
   // --- refresh plumbing ---
 
-  /// Source-side send targeting one cache: builds the refresh message
-  /// carrying the object's current value/version and resets that replica's
-  /// source-side tracker (the source now models cache `cache_id` as holding
-  /// this value). The message still has to be delivered via DeliverRefresh
-  /// (or dropped, if a scheduler models loss).
-  Message MakeRefreshMessage(ObjectIndex index, int32_t cache_id, double t);
+  /// Source-side send targeting one replica: builds the refresh message
+  /// for the object's replica slot `replica` (its cache is
+  /// `spec->caches[replica]`), carrying the object's current value/version,
+  /// and resets that replica's source-side tracker (the source now models
+  /// the cache as holding this value). The message still has to be
+  /// delivered via DeliverRefresh (or dropped, if a scheduler models loss).
+  Message MakeRefreshMessage(ObjectIndex index, int32_t replica, double t);
 
   /// Single-cache convenience: targets the object's first replica.
   Message MakeRefreshMessage(ObjectIndex index, double t);
 
-  /// Cache-side apply of a delivered refresh message (routed to the
-  /// message's cache_id).
+  /// Cache-side apply of a delivered refresh message, addressed by the
+  /// replica slots stamped on the message and its batch payloads.
   void DeliverRefresh(const Message& message, double t);
 
   /// Oracle path: instantaneous refresh of every replica of the object

@@ -90,6 +90,16 @@ void SourceAgent::BuildChannels() {
     }
     channels_.push_back(std::move(channel));
   }
+  channel_of_cache_.assign(static_cast<size_t>(cache_ids.back()) + 1, -1);
+  for (size_t k = 0; k < channels_.size(); ++k) {
+    channel_of_cache_[channels_[k].cache_id] = static_cast<int32_t>(k);
+  }
+}
+
+SourceAgent::Channel* SourceAgent::ChannelFor(int32_t cache_id) {
+  if (static_cast<size_t>(cache_id) >= channel_of_cache_.size()) return nullptr;
+  const int32_t k = channel_of_cache_[cache_id];
+  return k < 0 ? nullptr : &channels_[k];
 }
 
 int SourceAgent::ChannelSlot(const Channel& channel, ObjectIndex index) const {
@@ -339,14 +349,9 @@ void SourceAgent::ScheduleNextSample(int channel_index, int32_t slot, double now
   sim_->ScheduleAt(next, kSampleEvent, SamplePayload(channel, slot));
 }
 
-void SourceAgent::OnFeedback(const Message& message, double t) {
-  Channel* channel = nullptr;
-  for (Channel& candidate : channels_) {
-    if (candidate.cache_id == message.cache_id) {
-      channel = &candidate;
-      break;
-    }
-  }
+void SourceAgent::OnFeedback(const ControlMessage& message, double t) {
+  ++control_received_;
+  Channel* channel = ChannelFor(message.cache_id);
   BESYNC_CHECK(channel != nullptr)
       << "feedback from cache " << message.cache_id << " reached source " << index_
       << " which has no objects there";
@@ -384,7 +389,8 @@ void SourceAgent::EmitRefresh(Channel* channel, ObjectIndex index, double now,
         harness_->object(index).tracker(channel->replica_slots[slot]);
     state.history.OnRefresh(now - tracker.last_refresh_time(), tracker.IntegralTo(now));
   }
-  Message message = harness_->MakeRefreshMessage(index, channel->cache_id, now);
+  Message message =
+      harness_->MakeRefreshMessage(index, channel->replica_slots[slot], now);
   if (config_.monitor == MonitorMode::kSampling) {
     state.sampled.OnRefresh(now);
   }
@@ -404,13 +410,8 @@ void SourceAgent::EmitRefresh(Channel* channel, ObjectIndex index, double now,
 }
 
 Message SourceAgent::ServePull(ObjectIndex index, int32_t cache_id, double now) {
-  Channel* channel = nullptr;
-  for (Channel& candidate : channels_) {
-    if (candidate.cache_id == cache_id) {
-      channel = &candidate;
-      break;
-    }
-  }
+  ++control_received_;
+  Channel* channel = ChannelFor(cache_id);
   BESYNC_CHECK(channel != nullptr)
       << "source " << index_ << " has no channel for cache " << cache_id;
   const int slot = ChannelSlot(*channel, index);
@@ -422,7 +423,8 @@ Message SourceAgent::ServePull(ObjectIndex index, int32_t cache_id, double now) 
         harness_->object(index).tracker(channel->replica_slots[slot]);
     state.history.OnRefresh(now - tracker.last_refresh_time(), tracker.IntegralTo(now));
   }
-  Message message = harness_->MakeRefreshMessage(index, cache_id, now);
+  Message message =
+      harness_->MakeRefreshMessage(index, channel->replica_slots[slot], now);
   if (config_.monitor == MonitorMode::kSampling) {
     state.sampled.OnRefresh(now);
   }
@@ -458,13 +460,7 @@ Message SourceAgent::ServePull(ObjectIndex index, int32_t cache_id, double now) 
 void SourceAgent::OnCacheRestart(int32_t cache_id, double now,
                                  RecoveryPolicy policy,
                                  std::vector<ObjectIndex>* resynced) {
-  Channel* channel = nullptr;
-  for (Channel& candidate : channels_) {
-    if (candidate.cache_id == cache_id) {
-      channel = &candidate;
-      break;
-    }
-  }
+  Channel* channel = ChannelFor(cache_id);
   if (channel == nullptr) return;  // no objects at that cache
   const bool priority_recovery = policy == RecoveryPolicy::kRecoveryPriority;
   // A re-crash during an unfinished recovery supersedes it: the FIFO is
@@ -552,15 +548,16 @@ void SourceAgent::EmitBatch(Channel* channel, const std::vector<QueueEntry>& bat
     if (config_.monitor == MonitorMode::kSampling) {
       state.sampled.OnRefresh(now);
     }
+    const int32_t replica = channel->replica_slots[slot];
     int64_t version = 0;
     if (k == 0) {
-      message = harness_->MakeRefreshMessage(index, channel->cache_id, now);
+      message = harness_->MakeRefreshMessage(index, replica, now);
       version = message.version;
     } else {
-      const Message part = harness_->MakeRefreshMessage(index, channel->cache_id, now);
+      const Message part = harness_->MakeRefreshMessage(index, replica, now);
       version = part.version;
       message.extra_refreshes.push_back(
-          RefreshPayload{part.object_index, part.value, part.version});
+          RefreshPayload{part.object_index, part.value, part.version, replica});
     }
     if (trace_ != nullptr) {
       RecordTrace(TraceEventKind::kSend, now, channel->cache_id, index, version,

@@ -87,6 +87,9 @@ class SourceAgent {
   int64_t refreshes_sent() const { return refreshes_sent_; }
   int64_t invalidations_sent() const { return invalidations_sent_; }
   double granted_rate() const { return granted_rate_; }
+  /// Control messages (feedback and pull requests) this source has handled
+  /// since construction; never reset.
+  int64_t control_received() const { return control_received_; }
   size_t num_objects() const { return members_.size(); }
   /// Entries (live + lazily-invalidated stale) in channel `k`'s priority
   /// queue. MaybeCompact() keeps this bounded by 4x the channel's live
@@ -126,7 +129,7 @@ class SourceAgent {
 
   /// Handles a positive feedback message received at time `t`; the
   /// message's cache_id selects which threshold T_{j,c} is adjusted.
-  void OnFeedback(const Message& message, double t);
+  void OnFeedback(const ControlMessage& message, double t);
 
   /// Tick send phase for channel `channel`: emits refresh messages into
   /// `cache_link` (the link of that channel's cache) while the shared
@@ -301,6 +304,9 @@ class SourceAgent {
   };
 
   void BuildChannels();
+  /// The channel of cache `cache_id`, or null when this source has no
+  /// objects there. O(1) through channel_of_cache_.
+  Channel* ChannelFor(int32_t cache_id);
   int ChannelSlot(const Channel& channel, ObjectIndex index) const;
   LocalState& local(Channel* channel, ObjectIndex index);
   ChannelEpoch MakeEpochFn(const Channel* channel) const;
@@ -352,12 +358,16 @@ class SourceAgent {
   std::vector<ObjectIndex> members_;
   ObjectIndex first_member_ = -1;
   std::vector<Channel> channels_;
+  /// Cache id -> index into channels_, -1 where this source has no objects
+  /// (sized to the largest channel cache id + 1).
+  std::vector<int32_t> channel_of_cache_;
   bool secondary_enabled_ = false;
   double tick_length_ = 1.0;
   bool at_full_capacity_ = false;
   int64_t refreshes_sent_ = 0;
   int64_t invalidations_sent_ = 0;
   double granted_rate_ = 0.0;
+  int64_t control_received_ = 0;
   Simulation* sim_ = nullptr;
   /// This source's trace buffer; null unless observability tracing is on.
   TraceBuffer* trace_ = nullptr;

@@ -1,7 +1,6 @@
 #include "core/system.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "util/logging.h"
 
@@ -101,9 +100,9 @@ void CooperativeScheduler::Initialize(Harness* harness) {
         n, config_.relay_forward, topology.EdgeValue(topology.edge_latency, n, 0.0)));
   }
 
-  sources_by_cache_ = SourcesByCache(workload);
-  sources_by_cache_.resize(static_cast<size_t>(num_caches));
-  RebuildSourcesByNode();
+  // Per cache: the ascending source ids with >= 1 object replicated there.
+  std::vector<std::vector<int32_t>> sources_by_cache = SourcesByCache(workload);
+  sources_by_cache.resize(static_cast<size_t>(num_caches));
 
   // The effective fault schedule: the config's wins over the workload's
   // (mirroring the topology rule); empty keeps every fault hook cold.
@@ -132,7 +131,7 @@ void CooperativeScheduler::Initialize(Harness* harness) {
       continue;
     }
     const double bandwidth = network_->cache_link(c).average_bandwidth();
-    const double interested = static_cast<double>(sources_by_cache_[c].size());
+    const double interested = static_cast<double>(sources_by_cache[c].size());
     feedback_periods[c] =
         interested > 0.0 ? std::max(interested / bandwidth, tick) : tick;
   }
@@ -141,9 +140,9 @@ void CooperativeScheduler::Initialize(Harness* harness) {
   caches_.reserve(num_caches);
   for (int c = 0; c < num_caches; ++c) {
     // A cache no source is interested in stays idle (null agent).
-    caches_.push_back(sources_by_cache_[c].empty()
+    caches_.push_back(sources_by_cache[c].empty()
                           ? nullptr
-                          : std::make_unique<CacheAgent>(c, sources_by_cache_[c]));
+                          : std::make_unique<CacheAgent>(c, sources_by_cache[c]));
   }
 
   sources_.clear();
@@ -251,7 +250,8 @@ RelayAgent& CooperativeScheduler::relay(int32_t node) {
   return *relays_[offset];
 }
 
-void CooperativeScheduler::FillFeedback(Message* /*feedback*/, int /*source_index*/,
+void CooperativeScheduler::FillFeedback(ControlMessage* /*feedback*/,
+                                        int /*source_index*/,
                                         double /*t*/) {}
 
 void CooperativeScheduler::SendPhase(double t) {
@@ -323,21 +323,16 @@ void CooperativeScheduler::Tick(double t) {
     const double tick = harness_->config().tick_length;
     network_->BeginTick(t, tick);
 
-    // 1. Deliver control messages (feedback) that arrived since last tick;
-    //    feedback from cache c adjusts T_{j,c} only. In a tree the relays
-    //    first pump the mail up to the tier-1 edges (same-tick, so control
-    //    latency stays one tick at any depth); flat tier-1 nodes are the
-    //    caches themselves and the pump is a no-op.
-    relay_control_moved_->Increment(network_->PumpControlUpstream());
-    for (int32_t node : network_->tier1_nodes()) {
-      for (int32_t j : sources_by_node_[node]) {
-        for (const Message& message : network_->TakeSourceMail(node, j)) {
-          if (message.kind == MessageKind::kPullRequest) {
-            ServePull(message, t);
-          } else {
-            sources_[j]->OnFeedback(message, t);
-          }
-        }
+    // 1. Deliver control messages (feedback, pull requests) sent last
+    //    tick; feedback from cache c adjusts T_{j,c} only. In a tree the
+    //    relays forward the mail up to the tier-1 edges within the tick, so
+    //    control latency stays one tick at any depth.
+    relay_control_moved_->Increment(network_->control_mail_hops());
+    for (const ControlMessage& message : network_->control_mail()) {
+      if (message.kind == MessageKind::kPullRequest) {
+        ServePull(message, t);
+      } else {
+        sources_[message.source_index]->OnFeedback(message, t);
       }
     }
   }
@@ -431,12 +426,13 @@ void CooperativeScheduler::Tick(double t) {
           // Feedback consumes the (otherwise idle) surplus capacity.
           const int64_t granted = network_->cache_link(c).ConsumeBudget(1);
           BESYNC_DCHECK(granted == 1);
-          Message feedback;
+          ControlMessage feedback;
           feedback.kind = MessageKind::kFeedback;
           feedback.source_index = j;
+          feedback.cache_id = c;
           feedback.send_time = t;
           FillFeedback(&feedback, j, t);
-          network_->SendToSource(c, j, feedback);
+          network_->SendToSource(feedback);
         }
       }
     }
@@ -448,28 +444,6 @@ void CooperativeScheduler::Tick(double t) {
   //    const accessors and draws no randomness (DESIGN.md, "Observability
   //    without perturbation").
   if (obs_ != nullptr) ObsOnTickEnd(t);
-}
-
-void CooperativeScheduler::RebuildSourcesByNode() {
-  // Per-node interested sources: a relay's list is the sorted union over
-  // its (live) subtree's leaves. Built children-before-parents — the
-  // reverse of the downstream order — so each child is final before its
-  // parent merges it; a dead relay keeps an empty list and is skipped by
-  // the control pump anyway.
-  sources_by_node_.assign(static_cast<size_t>(network_->num_nodes()), {});
-  for (int c = 0; c < network_->num_caches(); ++c) {
-    sources_by_node_[c] = sources_by_cache_[c];
-  }
-  const std::vector<int32_t>& downstream = network_->downstream_relays();
-  for (auto it = downstream.rbegin(); it != downstream.rend(); ++it) {
-    std::vector<int32_t>& merged = sources_by_node_[*it];
-    for (int32_t child : network_->children(*it)) {
-      std::vector<int32_t> combined;
-      std::set_union(merged.begin(), merged.end(), sources_by_node_[child].begin(),
-                     sources_by_node_[child].end(), std::back_inserter(combined));
-      merged = std::move(combined);
-    }
-  }
 }
 
 void CooperativeScheduler::ApplyDueFaults(double t) {
@@ -560,7 +534,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
       // and its ingress queue (in flight toward it).
       std::vector<Message> stranded = relay(node).TakeStored();
       std::vector<Message> queued = network_->edge_link(node).TakeQueue();
-      network_->FailRelay(node);  // reroute + control-mail re-deposit
+      network_->FailRelay(node);  // reroute
       if (config_.relay_store_policy == RelayStorePolicy::kDrain) {
         // Re-enter the tree at each message's (new) first hop, behind that
         // edge's existing backlog; under kDrop they die with the relay.
@@ -571,13 +545,11 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
           network_->first_hop_link(message.cache_id).Enqueue(std::move(message));
         }
       }
-      RebuildSourcesByNode();
       return;
     }
     case FaultEventKind::kRelayRecover:
       if (network_->relay_alive(event.node)) return;
       network_->RecoverRelay(event.node);
-      RebuildSourcesByNode();
       return;
     case FaultEventKind::kLinkDown:
       if (!network_->cache_link(event.node).is_down()) {
@@ -664,7 +636,7 @@ void CooperativeScheduler::OnMeasurementStart(double /*t*/) {
   metrics_.Reset();
 }
 
-void CooperativeScheduler::ServePull(const Message& request, double t) {
+void CooperativeScheduler::ServePull(const ControlMessage& request, double t) {
   // The source does the per-object bookkeeping (tracker reset, threshold
   // piggyback, push-entry invalidation, demand forward priority).
   const Message response = sources_[request.source_index]->ServePull(

@@ -150,7 +150,7 @@ class CooperativeScheduler : public Scheduler {
  protected:
   /// Hook for subclasses to decorate outgoing feedback (competitive rate
   /// grants, Section 7).
-  virtual void FillFeedback(Message* feedback, int source_index, double t);
+  virtual void FillFeedback(ControlMessage* feedback, int source_index, double t);
 
   /// The send phase (step 2); overridden by the competitive scheduler to
   /// interleave source-priority refreshes.
@@ -185,16 +185,13 @@ class CooperativeScheduler : public Scheduler {
   /// Marks resync-outstanding replicas of cache `c` delivered; closes the
   /// episode (into the time-to-resync digest) when the last one lands.
   void NoteResyncDelivery(int c, const Message& message, double t);
-  /// Rebuilds sources_by_node_ from the network's current (post-failover)
-  /// routing: a relay's list is the sorted union over its live subtree.
-  void RebuildSourcesByNode();
 
   /// Serves one miss-triggered pull request at its source: builds the
   /// refresh-shaped pull response (marked Message::is_pull, current
   /// threshold piggybacked), debts the source link by its cost, and
   /// enqueues it on the target cache's tier-1 edge — from where it travels
   /// exactly like a pushed refresh, relay hops included.
-  void ServePull(const Message& request, double t);
+  void ServePull(const ControlMessage& request, double t);
 
   CooperativeConfig config_;
   Harness* harness_ = nullptr;
@@ -209,12 +206,6 @@ class CooperativeScheduler : public Scheduler {
   std::vector<std::unique_ptr<CacheAgent>> caches_;
   /// One agent per relay node, indexed by node - num_caches (tree only).
   std::vector<std::unique_ptr<RelayAgent>> relays_;
-  /// Per cache: the ascending source ids with >= 1 object replicated there.
-  std::vector<std::vector<int32_t>> sources_by_cache_;
-  /// Per topology node: the ascending source ids with >= 1 object
-  /// replicated somewhere in the node's subtree (leaf entries ==
-  /// sources_by_cache_). Drives the tier-1 feedback drain.
-  std::vector<std::vector<int32_t>> sources_by_node_;
   std::vector<int> source_order_;
   std::vector<int32_t> object_source_;
   /// Client read streams, residency/eviction and pull bookkeeping; inert

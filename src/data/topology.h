@@ -95,7 +95,7 @@ struct TopologySpec {
   std::vector<int64_t> SubtreeLeafCounts() const;
 
   /// Relay node ids ordered children-before-parents (ascending height above
-  /// the leaves, ties by node id) — the upstream control-pump order.
+  /// the leaves, ties by node id).
   std::vector<int32_t> RelaysBottomUp() const;
 
   /// Relay node ids ordered parents-before-children (descending height,

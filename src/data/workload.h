@@ -24,10 +24,11 @@ struct ObjectSpec {
   /// Which source hosts this object (0 .. m-1).
   int32_t source_index = 0;
   /// Which caches replicate this object (the interest map), ascending and
-  /// duplicate-free. The default reproduces the paper's Figure-1 topology —
-  /// a single cache, so every object lives at cache 0 — but since the
-  /// multi-cache generalization any subset of 0 .. num_caches-1 is valid
-  /// (see InterestPattern for the generated shapes).
+  /// duplicate-free (GroundTruth's constructor checks it: a replica slot is
+  /// a position in this list). The default reproduces the paper's Figure-1
+  /// topology — a single cache, so every object lives at cache 0 — but
+  /// since the multi-cache generalization any subset of 0 .. num_caches-1
+  /// is valid (see InterestPattern for the generated shapes).
   std::vector<int32_t> caches = {0};
 
   /// Position of `cache_id` in `caches` (the object's replica slot at that

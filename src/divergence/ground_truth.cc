@@ -25,11 +25,17 @@ GroundTruth::GroundTruth(const Workload* workload, const DivergenceMetric* metri
     owned_entries_.resize(num_entries_);
     entries_ = owned_entries_.data();
   }
+  // The ObjectSpec::caches contract — in range, ascending, duplicate-free —
+  // makes a replica slot (a position in the list) name exactly one cache.
   for (size_t i = 0; i < workload->objects.size(); ++i) {
     const ObjectSpec& spec = workload->objects[i];
     for (int r = 0; r < spec.num_replicas(); ++r) {
       BESYNC_CHECK_GE(spec.caches[r], 0);
       BESYNC_CHECK_LT(spec.caches[r], workload->num_caches);
+      if (r > 0) {
+        BESYNC_CHECK_LT(spec.caches[r - 1], spec.caches[r])
+            << "object " << i << ": caches must be ascending and duplicate-free";
+      }
       entries_[replica_base_[i] + r].cache_id = spec.caches[r];
     }
   }
@@ -115,10 +121,11 @@ void GroundTruth::OnSourceUpdate(size_t replica_base, int num_replicas, double t
   }
 }
 
-void GroundTruth::OnCacheApply(ObjectIndex index, int32_t cache_id, double t,
+void GroundTruth::OnCacheApply(ObjectIndex index, int32_t replica, double t,
                                double value, int64_t version) {
+  BESYNC_DCHECK(replica >= 0 && replica < workload_->objects[index].num_replicas());
   AdvanceTo(t);
-  Entry& entry = entries_[ReplicaEntry(index, cache_id)];
+  Entry& entry = entries_[replica_base_[index] + static_cast<size_t>(replica)];
   // Refreshes may be delivered out of order relative to newer content only
   // in CGM-style protocols; never regress the cached version.
   if (version < entry.cached_version) return;
@@ -130,7 +137,7 @@ void GroundTruth::OnCacheApply(ObjectIndex index, int32_t cache_id, double t,
 
 void GroundTruth::OnCacheApply(ObjectIndex index, double t, double value,
                                int64_t version) {
-  OnCacheApply(index, workload_->objects[index].caches.front(), t, value, version);
+  OnCacheApply(index, /*replica=*/0, t, value, version);
 }
 
 void GroundTruth::RefreshWeights(double t) {

@@ -57,10 +57,11 @@ class GroundTruth {
   void OnSourceUpdate(size_t replica_base, int num_replicas, double t, double value,
                       int64_t version);
 
-  /// Records that cache `cache_id` applied a refresh for object `index`
-  /// carrying (value, version) — the message content, which may itself be
-  /// stale if the object changed again while the message was queued.
-  void OnCacheApply(ObjectIndex index, int32_t cache_id, double t, double value,
+  /// Records that the cache holding object `index`'s replica slot `replica`
+  /// (its cache is ObjectSpec::caches[replica]) applied a refresh carrying
+  /// (value, version) — the message content, which may itself be stale if
+  /// the object changed again while the message was queued.
+  void OnCacheApply(ObjectIndex index, int32_t replica, double t, double value,
                     int64_t version);
 
   /// Single-cache convenience: applies at the object's first replica.
@@ -101,12 +102,6 @@ class GroundTruth {
   }
   int64_t cached_version(ObjectIndex index) const {
     return entries_[replica_base_[index]].cached_version;
-  }
-  double cached_value(ObjectIndex index, int32_t cache_id) const {
-    return entries_[ReplicaEntry(index, cache_id)].cached_value;
-  }
-  int64_t cached_version(ObjectIndex index, int32_t cache_id) const {
-    return entries_[ReplicaEntry(index, cache_id)].cached_version;
   }
   double source_value(ObjectIndex index) const {
     return entries_[replica_base_[index]].source_value;

@@ -27,8 +27,8 @@ namespace besync {
 ///    the configured RecoveryPolicy, and a time-to-resync episode opens.
 ///  - kRelayFail: the relay stops forwarding; its children re-attach to the
 ///    topology's backup parent (or become tier-1 when there is none) and
-///    first-hop routing is rebuilt. Control mail held at the relay is
-///    re-deposited at its originating leaf; stored data messages drop or
+///    first-hop routing is rebuilt. Control mail never rests at a relay, so
+///    it simply drains along the rebuilt tree; stored data messages drop or
 ///    drain per the configured RelayStorePolicy.
 ///  - kRelayRecover: the original parent map is restored for the subtree.
 ///  - kLinkDown / kLinkUp: the leaf's ingress edge partitions — new

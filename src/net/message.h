@@ -13,6 +13,9 @@ struct RefreshPayload {
   int64_t object_index = -1;
   double value = 0.0;
   int64_t version = 0;
+  /// Replica slot of the object at the message's cache (see
+  /// Message::replica).
+  int32_t replica = -1;
 };
 
 /// Message kinds exchanged between sources and the cache. Following the
@@ -43,17 +46,20 @@ enum class MessageKind {
   kInvalidate,
 };
 
-/// A unit-size protocol message. Fields not meaningful for a given kind are
-/// left at their defaults.
+/// A unit-size source -> cache protocol message (refresh, poll response,
+/// invalidation); cache -> source mail travels as ControlMessage. Fields
+/// not meaningful for a given kind are left at their defaults.
 struct Message {
   MessageKind kind = MessageKind::kRefresh;
-  /// Originating source (refresh / poll response) or target source
-  /// (feedback / poll request).
+  /// Originating source.
   int32_t source_index = -1;
-  /// Cache endpoint of the message: destination of refresh / poll-response
-  /// messages, originator of feedback / poll requests. 0 in the paper's
-  /// single-cache topology.
+  /// Destination cache. 0 in the paper's single-cache topology.
   int32_t cache_id = 0;
+  /// Refresh-shaped messages: the object's replica slot at `cache_id`, i.e.
+  /// the position of `cache_id` in ObjectSpec::caches. Stamped by the
+  /// sender so the apply addresses the replica without a search; -1 on
+  /// messages that apply nothing. Sits in what would otherwise be padding.
+  int32_t replica = -1;
   /// Global object index within the workload (refresh / poll).
   int64_t object_index = -1;
   /// Object value carried by refresh / poll-response messages.
@@ -67,9 +73,6 @@ struct Message {
   /// so the cache can target feedback at the highest-threshold sources
   /// (Section 5).
   double piggyback_threshold = 0.0;
-  /// Competitive mode (Section 7): refresh rate granted to the source for
-  /// its own priority scheme, carried on feedback messages.
-  double granted_rate = 0.0;
   /// Poll responses: time of the most recent source update (CGM1's
   /// last-modified-time estimator input); negative if never updated.
   double last_update_time = -1.0;
@@ -92,6 +95,25 @@ struct Message {
   /// object; a batch of k objects still costs `cost` units — that is the
   /// amortization being studied.
   std::vector<RefreshPayload> extra_refreshes;
+};
+
+/// A cache -> source control message (kFeedback or kPullRequest): the
+/// upstream channel's compact record. It carries only what the source acts
+/// on, so the per-tick control traffic of every cache pinging every source
+/// (Section 5's feedback loop) moves 40-byte records, not full Messages.
+struct ControlMessage {
+  MessageKind kind = MessageKind::kFeedback;
+  /// Target source.
+  int32_t source_index = -1;
+  /// Originating leaf cache.
+  int32_t cache_id = 0;
+  /// Object a pull request asks for (-1 on feedback).
+  int64_t object_index = -1;
+  /// Simulated send time.
+  double send_time = 0.0;
+  /// Competitive mode (Section 7): refresh rate granted to the source for
+  /// its own priority scheme, carried on feedback.
+  double granted_rate = 0.0;
 };
 
 }  // namespace besync

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
 #include "util/logging.h"
 
@@ -12,6 +11,18 @@ namespace {
 // Budget used for "unconstrained" links; large enough to never bind while
 // staying far from int64 overflow when accumulated.
 constexpr double kUnconstrainedBandwidth = 1e12;
+
+/// Stable counting sort of `from` into `to` (pre-sized) by `key`, whose
+/// values lie in [0, num_keys). `buckets` is reused scratch.
+template <typename Key>
+void CountingSort(const std::vector<ControlMessage>& from, size_t num_keys, Key key,
+                  std::vector<int32_t>* buckets, std::vector<ControlMessage>* to) {
+  buckets->assign(num_keys + 1, 0);
+  for (const ControlMessage& message : from) ++(*buckets)[key(message) + 1];
+  for (size_t k = 1; k <= num_keys; ++k) (*buckets)[k] += (*buckets)[k - 1];
+  for (const ControlMessage& message : from) (*to)[(*buckets)[key(message)]++] = message;
+}
+
 }  // namespace
 
 Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
@@ -54,11 +65,8 @@ Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
             MakeBandwidthFluctuation(source_bw, source_change_rate, rng))));
   }
 
-  // Relay ingress/egress links and routing tables (tree topologies only).
-  first_hop_.resize(static_cast<size_t>(config.num_caches));
-  for (int c = 0; c < config.num_caches; ++c) first_hop_[c] = c;
-  children_.resize(static_cast<size_t>(
-      topology.flat() ? config.num_caches : topology.num_nodes()));
+  // Relay ingress/egress links (tree topologies only), then the routing
+  // tables; flat, every leaf is its own tier-1 node.
   if (!topology.flat()) {
     const int nodes = topology.num_nodes();
     const std::vector<int64_t> leaves_below = topology.SubtreeLeafCounts();
@@ -93,20 +101,19 @@ Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
               egress_unconstrained ? 0.0 : config.bandwidth_change_rate, rng))));
     }
 
-    next_hop_.assign(static_cast<size_t>(topology.num_relays()),
-                     std::vector<int32_t>(static_cast<size_t>(config.num_caches), -1));
-    effective_parent_ = topology.parent;
-    relay_alive_.assign(static_cast<size_t>(topology.num_relays()), 1);
-    BuildRouting();
-  } else {
-    tier1_nodes_.resize(static_cast<size_t>(config.num_caches));
-    for (int c = 0; c < config.num_caches; ++c) tier1_nodes_[c] = c;
   }
-
-  const size_t slots =
-      static_cast<size_t>(num_nodes()) * static_cast<size_t>(config.num_sources);
-  mail_incoming_.resize(slots);
-  mail_deliverable_.resize(slots);
+  next_hop_.assign(static_cast<size_t>(topology.num_relays()),
+                   std::vector<int32_t>(static_cast<size_t>(config.num_caches), -1));
+  effective_parent_ =
+      topology.flat() ? std::vector<int32_t>(static_cast<size_t>(num_caches()), -1)
+                      : topology.parent;
+  relay_alive_.assign(static_cast<size_t>(topology.num_relays()), 1);
+  children_.resize(static_cast<size_t>(num_nodes()));
+  first_hop_.resize(static_cast<size_t>(config.num_caches));
+  pump_rank_.resize(static_cast<size_t>(config.num_caches));
+  tier1_position_.resize(static_cast<size_t>(config.num_caches));
+  control_hops_.resize(static_cast<size_t>(config.num_caches));
+  BuildRouting();
 
   all_links_.reserve(cache_links_.size() + source_links_.size() +
                      relay_links_.size() + relay_egress_.size());
@@ -116,24 +123,33 @@ Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
   for (auto& link : relay_egress_) all_links_.push_back(link.get());
 }
 
-size_t Network::MailSlot(int node, int source_index) const {
-  BESYNC_CHECK_GE(node, 0);
-  BESYNC_CHECK_LT(node, num_nodes());
-  BESYNC_CHECK_GE(source_index, 0);
-  BESYNC_CHECK_LT(source_index, num_sources());
-  return static_cast<size_t>(node) * static_cast<size_t>(num_sources()) +
-         static_cast<size_t>(source_index);
-}
-
 void Network::BeginTick(double tick_start, double tick_len) {
   for (Link* link : all_links_) link->BeginTick(tick_start, tick_len);
-  for (size_t slot : dirty_incoming_) {
-    for (auto& message : mail_incoming_[slot]) {
-      mail_deliverable_[slot].push_back(std::move(message));
-    }
-    mail_incoming_[slot].clear();
+  // Last tick's deposits become this tick's inbox, in drain order: a stable
+  // counting sort by leaf pump rank, then one by (tier-1 node, source).
+  // Flat, a leaf is its own tier-1 node and the first pass is the identity.
+  control_inbox_.clear();
+  control_mail_hops_ = 0;
+  if (control_outbox_.empty()) return;
+  control_inbox_.resize(control_outbox_.size());
+  if (has_relays()) {
+    CountingSort(
+        control_outbox_, static_cast<size_t>(num_caches()),
+        [this](const ControlMessage& message) { return pump_rank_[message.cache_id]; },
+        &mail_buckets_, &control_inbox_);
+    control_inbox_.swap(control_outbox_);
   }
-  dirty_incoming_.clear();
+  const int sources = num_sources();
+  CountingSort(
+      control_outbox_, tier1_nodes_.size() * static_cast<size_t>(sources),
+      [this, sources](const ControlMessage& message) {
+        return tier1_position_[message.cache_id] * sources + message.source_index;
+      },
+      &mail_buckets_, &control_inbox_);
+  control_outbox_.clear();
+  for (const ControlMessage& message : control_inbox_) {
+    control_mail_hops_ += control_hops_[message.cache_id];
+  }
 }
 
 Link& Network::cache_link(int cache_id) {
@@ -225,10 +241,11 @@ void Network::BuildRouting() {
       node = effective_parent_[node];
     }
     first_hop_[leaf] = below;
+    control_hops_[leaf] = steps;
   }
-  // Pump/forward orders over the surviving relays, by height above the
-  // leaves under the *effective* parent map (stable, so ascending node ids
-  // break ties — the same order construction uses when nothing has failed).
+  // Forward order over the surviving relays, by height above the leaves
+  // under the *effective* parent map (stable, so ascending node ids break
+  // ties — the same order construction uses when nothing has failed).
   std::vector<int> height(static_cast<size_t>(nodes), 0);
   for (int leaf = 0; leaf < leaves; ++leaf) {
     int distance = 0;
@@ -239,15 +256,11 @@ void Network::BuildRouting() {
       node = effective_parent_[node];
     }
   }
-  std::vector<int32_t> alive;
-  alive.reserve(relay_links_.size());
+  downstream_relays_.clear();
   for (int n = leaves; n < nodes; ++n) {
-    if (relay_alive_[n - leaves] != 0) alive.push_back(static_cast<int32_t>(n));
+    if (relay_alive_[n - leaves] == 0) continue;
+    downstream_relays_.push_back(static_cast<int32_t>(n));
   }
-  upstream_relays_ = alive;
-  std::stable_sort(upstream_relays_.begin(), upstream_relays_.end(),
-                   [&height](int32_t a, int32_t b) { return height[a] < height[b]; });
-  downstream_relays_ = alive;
   std::stable_sort(downstream_relays_.begin(), downstream_relays_.end(),
                    [&height](int32_t a, int32_t b) { return height[a] > height[b]; });
   tier1_nodes_.clear();
@@ -255,6 +268,26 @@ void Network::BuildRouting() {
     if (n >= leaves && relay_alive_[n - leaves] == 0) continue;
     if (effective_parent_[n] == -1) tier1_nodes_.push_back(static_cast<int32_t>(n));
   }
+  // Control-mail ranks: a depth-first walk from each tier-1 node, children
+  // in ascending order, numbers the leaves in the order an edge-by-edge
+  // pump (children drained in ascending order, lower relays first) stacks
+  // their mail on the tier-1 edge.
+  int32_t rank = 0;
+  std::vector<int32_t> stack;
+  for (size_t position = 0; position < tier1_nodes_.size(); ++position) {
+    stack.assign(1, tier1_nodes_[position]);
+    while (!stack.empty()) {
+      const int32_t node = stack.back();
+      stack.pop_back();
+      if (node < leaves) {
+        pump_rank_[node] = rank++;
+        tier1_position_[node] = static_cast<int32_t>(position);
+      } else {
+        stack.insert(stack.end(), children_[node].rbegin(), children_[node].rend());
+      }
+    }
+  }
+  BESYNC_CHECK_EQ(rank, leaves) << "a leaf is unreachable from the tier-1 nodes";
 }
 
 void Network::FailRelay(int node) {
@@ -266,18 +299,6 @@ void Network::FailRelay(int node) {
   relay_alive_[idx] = 0;
   RecomputeEffectiveParents();
   BuildRouting();
-  // Re-deposit control mail held at the failed relay at each message's
-  // originating leaf, preserving order: the next PumpControlUpstream walks
-  // it up the rebuilt tree, so feedback survives the failover. (Mail
-  // normally drains every tick, so these buffers are almost always empty.)
-  for (int j = 0; j < num_sources(); ++j) {
-    BESYNC_DCHECK(mail_incoming_[MailSlot(node, j)].empty())
-        << "control mail is only ever deposited at leaf edges";
-    auto held = std::exchange(mail_deliverable_[MailSlot(node, j)], {});
-    for (auto& message : held) {
-      mail_deliverable_[MailSlot(message.cache_id, j)].push_back(std::move(message));
-    }
-  }
 }
 
 void Network::RecoverRelay(int node) {
@@ -291,44 +312,12 @@ void Network::RecoverRelay(int node) {
   BuildRouting();
 }
 
-void Network::SendToSource(int cache_id, int source_index, Message message) {
-  BESYNC_CHECK_LT(cache_id, num_caches());
-  message.cache_id = cache_id;
-  const size_t slot = MailSlot(cache_id, source_index);
-  if (mail_incoming_[slot].empty()) dirty_incoming_.push_back(slot);
-  mail_incoming_[slot].push_back(std::move(message));
-}
-
-void Network::SendToSource(int source_index, Message message) {
-  SendToSource(/*cache_id=*/0, source_index, std::move(message));
-}
-
-int64_t Network::PumpControlUpstream() {
-  int64_t moved = 0;
-  // Children before parents: a relay drains its children's edges after any
-  // lower relay has already pushed mail onto them, so every message reaches
-  // its tier-1 edge within one pump.
-  for (int32_t relay : upstream_relays_) {
-    for (int32_t child : children_[relay]) {
-      for (int j = 0; j < num_sources(); ++j) {
-        auto& from = mail_deliverable_[MailSlot(child, j)];
-        if (from.empty()) continue;
-        auto& to = mail_deliverable_[MailSlot(relay, j)];
-        moved += static_cast<int64_t>(from.size());
-        for (auto& message : from) to.push_back(std::move(message));
-        from.clear();
-      }
-    }
-  }
-  return moved;
-}
-
-std::vector<Message> Network::TakeSourceMail(int node, int source_index) {
-  return std::exchange(mail_deliverable_[MailSlot(node, source_index)], {});
-}
-
-std::vector<Message> Network::TakeSourceMail(int source_index) {
-  return TakeSourceMail(/*node=*/0, source_index);
+void Network::SendToSource(const ControlMessage& message) {
+  BESYNC_CHECK_GE(message.cache_id, 0);
+  BESYNC_CHECK_LT(message.cache_id, num_caches());
+  BESYNC_CHECK_GE(message.source_index, 0);
+  BESYNC_CHECK_LT(message.source_index, num_sources());
+  control_outbox_.push_back(message);
 }
 
 void Network::FinishTick() {

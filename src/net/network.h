@@ -46,21 +46,18 @@ struct NetworkConfig {
 /// `Message::cache_id` leaf (the relay agents in core/relay.h do the
 /// forwarding between edges).
 ///
-/// Also carries the upstream control channel (feedback / poll requests).
-/// Control mail is keyed by (edge, source) — an edge is identified by its
-/// child node, so the flat key degenerates to the historical
-/// (cache, source). A message deposited by leaf c during tick t becomes
-/// deliverable at tick t+1; PumpControlUpstream() then moves it edge by
-/// edge to c's tier-1 ancestor within that tick (relays forward control
-/// mail promptly — see DESIGN.md), so end-to-end control latency is one
-/// tick at any depth, exactly matching the flat protocol.
+/// Also carries the upstream control channel (feedback / pull requests) as
+/// ControlMessage records. Mail deposited by leaf c during tick t is
+/// delivered to its source at tick t+1 at any depth: relays forward control
+/// mail promptly (see DESIGN.md), so it never rests at a relay between
+/// ticks, and BeginTick hands the whole tick's mail over in one inbox.
 class Network {
  public:
   Network(const NetworkConfig& config, Rng* rng);
 
   /// Advances all links (leaf, source, relay ingress/egress) into the tick
-  /// [tick_start, tick_start+tick_len) and makes control messages deposited
-  /// during the previous tick deliverable.
+  /// [tick_start, tick_start+tick_len) and turns the control mail deposited
+  /// during the previous tick into this tick's control_mail().
   void BeginTick(double tick_start, double tick_len);
 
   /// Flushes the final tick's usage into every link's utilization stat
@@ -106,27 +103,28 @@ class Network {
   /// Children of `node` in ascending node order (empty for leaves).
   const std::vector<int32_t>& children(int node) const;
 
-  // --- control mail, keyed by (edge, source) ---
+  // --- control mail (cache -> source) ---
 
-  /// Deposits a cache -> source control message from leaf `cache_id` onto
-  /// that leaf's edge; it starts traveling upstream at the next tick.
-  void SendToSource(int cache_id, int source_index, Message message);
-  /// Single-cache convenience: sends from cache 0.
-  void SendToSource(int source_index, Message message);
+  /// Deposits a control message from leaf `message.cache_id` to source
+  /// `message.source_index`; it is delivered at the next BeginTick.
+  void SendToSource(const ControlMessage& message);
 
-  /// Moves deliverable control mail up the tree, edge by edge, onto the
-  /// tier-1 edges (children drained in ascending node order, preserving
-  /// per-leaf FIFO). No-op when flat. Returns the number of (message, hop)
-  /// relay moves — the relay "feedback aggregation" traffic.
-  int64_t PumpControlUpstream();
-
-  /// Drains the control messages deliverable on edge `node` for
-  /// `source_index` this tick. Call on tier-1 nodes after
-  /// PumpControlUpstream(); with a flat topology every leaf is tier-1 and
-  /// this is the historical (cache, source) drain.
-  std::vector<Message> TakeSourceMail(int node, int source_index);
-  /// Single-cache convenience: drains mail from cache 0.
-  std::vector<Message> TakeSourceMail(int source_index);
+  /// This tick's control mail: everything deposited during the previous
+  /// tick, in the order the sources drain it — by the origin leaf's tier-1
+  /// ancestor (ascending node id), then by target source (ascending), then
+  /// by the leaf's pump rank below that ancestor, then in deposit order.
+  /// That is the order an edge-by-edge pump up the tree (children drained
+  /// in ascending node order) delivers per tier-1 edge and source, and it
+  /// preserves per-leaf FIFO. Replaced wholesale at the next BeginTick.
+  const std::vector<ControlMessage>& control_mail() const { return control_inbox_; }
+  /// Relay hops this tick's control mail traveled to reach the tier-1
+  /// edges: the sum of each message's leaf-to-tier-1 hop count (0 when
+  /// flat) — the relay "feedback aggregation" traffic.
+  int64_t control_mail_hops() const { return control_mail_hops_; }
+  /// Control mail deposited so far this tick, in deposit order.
+  const std::vector<ControlMessage>& pending_control_mail() const {
+    return control_outbox_;
+  }
 
   // --- fault injection: relay failover ---
 
@@ -137,12 +135,12 @@ class Network {
 
   /// Fails relay `node`: its children re-attach to the topology's backup
   /// parent (or become tier-1 when the backup is missing or also dead) and
-  /// first_hop/next-hop routing, the pump orders, and the tier-1 set are
-  /// rebuilt from the surviving nodes. Control mail held at the relay is
-  /// re-deposited at each message's originating leaf edge (stamped in
-  /// SendToSource), preserving order — feedback is rerouted, never lost.
-  /// Data messages queued on the relay's ingress link are *not* touched;
-  /// the caller decides their fate (drop or drain) via Link::TakeQueue.
+  /// first_hop/next-hop routing, the forward order, the control-mail ranks
+  /// and the tier-1 set are rebuilt from the surviving nodes. Control mail
+  /// never rests at a relay, so none is lost: mail deposited before the
+  /// failure drains along the rebuilt tree. Data messages queued on the
+  /// relay's ingress link are *not* touched; the caller decides their fate
+  /// (drop or drain) via Link::TakeQueue.
   void FailRelay(int node);
 
   /// Restores the original parent map for the recovered relay's subtree and
@@ -156,15 +154,15 @@ class Network {
   const NetworkConfig& config() const { return config_; }
 
  private:
-  size_t MailSlot(int node, int source_index) const;
   Link& relay_ingress(int node);
   /// Recomputes effective_parent_ from the alive set: a node whose parent
   /// died re-attaches to the parent's backup (when declared and alive),
   /// otherwise becomes tier-1 for the outage.
   void RecomputeEffectiveParents();
-  /// Rebuilds children_, next_hop_, first_hop_, the pump orders and
-  /// tier1_nodes_ from effective_parent_, skipping dead relays. With every
-  /// relay alive this reproduces the construction-time tables exactly.
+  /// Rebuilds children_, next_hop_, first_hop_, downstream_relays_,
+  /// tier1_nodes_ and the control-mail ranks and hops from
+  /// effective_parent_, skipping dead relays. With every relay alive this
+  /// reproduces the construction-time tables exactly.
   void BuildRouting();
 
   NetworkConfig config_;
@@ -177,7 +175,7 @@ class Network {
   /// Relay egress-budget links, indexed by node - num_caches.
   std::vector<std::unique_ptr<Link>> relay_egress_;
   /// Parent map under the current alive set (== topology.parent until a
-  /// relay fails). Sized num_nodes for tree topologies, empty when flat.
+  /// relay fails; all -1 when flat). Sized num_nodes.
   std::vector<int32_t> effective_parent_;
   /// 1 while the relay forwards, 0 between FailRelay and RecoverRelay.
   /// Indexed by node - num_caches.
@@ -188,20 +186,23 @@ class Network {
   /// the leaf, or -1 when the leaf is not below it.
   std::vector<std::vector<int32_t>> next_hop_;
   std::vector<int32_t> downstream_relays_;
-  /// Relays children-before-parents: the control-pump order.
-  std::vector<int32_t> upstream_relays_;
   /// Children of each node in ascending order (empty for leaves).
   std::vector<std::vector<int32_t>> children_;
   std::vector<int32_t> tier1_nodes_;
-  // Control-channel double buffer keyed by (edge, source): deposited this
-  // tick, delivered next tick. Slot = node * num_sources + source.
-  std::vector<std::vector<Message>> mail_incoming_;
-  std::vector<std::vector<Message>> mail_deliverable_;
-  /// Slots with pending incoming mail, in deposit order (each slot listed
-  /// once). BeginTick promotes exactly these instead of scanning all
-  /// num_nodes x num_sources slots — per-slot promotions are independent,
-  /// so visiting only the dirty slots is behavior-identical to the scan.
-  std::vector<size_t> dirty_incoming_;
+  /// Per leaf: its pump rank (position in a depth-first walk from each
+  /// tier-1 node in ascending order, children in ascending order), the
+  /// position of its tier-1 ancestor in tier1_nodes_, and its hop count up
+  /// to that ancestor. Together they give control_mail()'s order.
+  std::vector<int32_t> pump_rank_;
+  std::vector<int32_t> tier1_position_;
+  std::vector<int32_t> control_hops_;
+  /// Control mail: this tick's deposits (deposit order), the inbox
+  /// delivered by the last BeginTick (drain order), its hop sum, and the
+  /// counting-sort buckets BeginTick reuses.
+  std::vector<ControlMessage> control_outbox_;
+  std::vector<ControlMessage> control_inbox_;
+  int64_t control_mail_hops_ = 0;
+  std::vector<int32_t> mail_buckets_;
   /// Every link (cache, source, relay ingress, relay egress), flattened for
   /// BeginTick. Built once; link sets never change after construction.
   std::vector<Link*> all_links_;

@@ -158,13 +158,13 @@ void ReadPath::SendPullRequests(double t, Network* network) {
       pending.requested = true;
       pending.last_request_time = t;
       const ObjectIndex index = cache.store.member(slot);
-      Message request;
+      ControlMessage request;
       request.kind = MessageKind::kPullRequest;
       request.source_index = workload.objects[index].source_index;
       request.cache_id = cache.cache_id;
       request.object_index = index;
       request.send_time = t;
-      network->SendToSource(cache.cache_id, request.source_index, request);
+      network->SendToSource(request);
       ++pull_requests_;
       if (TraceBuffer* trace = trace_for(cache.cache_id)) {
         TraceEvent event;

@@ -130,7 +130,7 @@ TEST_F(SourceAgentTest, FullCapacityFlagAndFeedbackSuppression) {
   EXPECT_TRUE(agent.at_full_capacity());
   // Feedback must NOT lower the threshold while saturated (footnote 3)...
   const double before = agent.threshold();
-  Message feedback;
+  ControlMessage feedback;
   feedback.kind = MessageKind::kFeedback;
   agent.OnFeedback(feedback, 6.0);
   EXPECT_DOUBLE_EQ(agent.threshold(), before);

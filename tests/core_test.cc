@@ -423,7 +423,7 @@ class PayloadInjectingScheduler : public Scheduler {
     for (ObjectIndex index : {ObjectIndex{1}, ObjectIndex{2}}) {
       const Message part = harness_->MakeRefreshMessage(index, t);
       message.extra_refreshes.push_back(
-          RefreshPayload{part.object_index, part.value, part.version});
+          RefreshPayload{part.object_index, part.value, part.version, part.replica});
     }
     delivered_values_ = {message.value, message.extra_refreshes[0].value,
                          message.extra_refreshes[1].value};
@@ -435,7 +435,8 @@ class PayloadInjectingScheduler : public Scheduler {
     // (version 0 predates the delivery above): it must not regress the
     // replica even though it rides a fresh primary.
     Message stale = harness_->MakeRefreshMessage(0, t);
-    stale.extra_refreshes.push_back(RefreshPayload{1, /*value=*/1e9, /*version=*/0});
+    stale.extra_refreshes.push_back(
+        RefreshPayload{1, /*value=*/1e9, /*version=*/0, /*replica=*/0});
     harness_->DeliverRefresh(stale, t);
   }
 

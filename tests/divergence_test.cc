@@ -184,6 +184,23 @@ TEST_F(GroundTruthTest, OutOfOrderApplyIgnored) {
   EXPECT_DOUBLE_EQ(ground_truth.current_divergence(0), 0.0);
 }
 
+TEST_F(GroundTruthTest, ConstructorEnforcesTheCachesContract) {
+  // ObjectSpec::caches must be in range, ascending and duplicate-free: a
+  // replica slot is a position in that list, and every refresh addresses
+  // its replica by slot, so a list naming a cache twice or out of order
+  // would make the slot -> cache mapping ambiguous.
+  workload_.num_caches = 3;
+  workload_.objects[0].caches = {0, 2};
+  workload_.objects[1].caches = {1};
+  { GroundTruth valid(&workload_, &lag_); }
+  workload_.objects[1].caches = {1, 1};
+  EXPECT_DEATH(GroundTruth(&workload_, &lag_), "ascending and duplicate-free");
+  workload_.objects[1].caches = {2, 0};
+  EXPECT_DEATH(GroundTruth(&workload_, &lag_), "ascending and duplicate-free");
+  workload_.objects[1].caches = {1, 3};
+  EXPECT_DEATH(GroundTruth(&workload_, &lag_), "num_caches");
+}
+
 TEST_F(GroundTruthTest, SourceWeightsViewDiffers) {
   workload_.objects[0].source_weight = MakeConstantWeight(10.0);
   GroundTruth cache_view(&workload_, &lag_, /*use_source_weights=*/false);

@@ -5,9 +5,11 @@
 // failover, link partitions, slowdowns, the crashed-pull regression, and
 // determinism of faulted runs across repeat runs and sweep threads.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -350,11 +352,94 @@ TEST(FaultRelayTest, FailoverKeepsTheRunAliveAndCounts) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->scheduler.relay_failures, 1);
     EXPECT_GT(result->scheduler.refreshes_delivered, 0);
-    // Feedback mail survives the failover (re-deposited at its leaf), so
-    // the threshold control loop keeps running.
+    // Feedback mail survives the failover (it drains along the rebuilt
+    // tree), so the threshold control loop keeps running.
     EXPECT_GT(result->scheduler.feedback_sent, 0);
     EXPECT_GT(result->total_weighted_divergence, 0.0);
   }
+}
+
+/// Audits the control channel tick by tick: the mail a tick delivers is
+/// exactly what the caches deposited in the previous tick (as a multiset),
+/// and each message is handled by its addressed source exactly once.
+class MailAuditScheduler : public CooperativeScheduler {
+ public:
+  using CooperativeScheduler::CooperativeScheduler;
+
+  void Tick(double t) override {
+    const std::vector<ControlMessage> deposited = network().pending_control_mail();
+    std::vector<int64_t> expected = Received();
+    for (const ControlMessage& message : deposited) {
+      EXPECT_EQ(message.send_time, previous_tick_) << "one-tick latency at t=" << t;
+      ++expected[message.source_index];
+      ++(message.kind == MessageKind::kPullRequest ? pulls_ : feedback_);
+    }
+    CooperativeScheduler::Tick(t);
+    EXPECT_EQ(Received(), expected) << "t=" << t;
+    EXPECT_EQ(Keys(network().control_mail()), Keys(deposited)) << "t=" << t;
+    previous_tick_ = t;
+  }
+
+  int64_t pulls_ = 0;
+  int64_t feedback_ = 0;
+
+ private:
+  std::vector<int64_t> Received() const {
+    std::vector<int64_t> received;
+    for (int j = 0; j < num_sources(); ++j) {
+      received.push_back(source(j).control_received());
+    }
+    return received;
+  }
+
+  static std::vector<std::tuple<int32_t, int32_t, int, int64_t, double>> Keys(
+      const std::vector<ControlMessage>& mail) {
+    std::vector<std::tuple<int32_t, int32_t, int, int64_t, double>> keys;
+    for (const ControlMessage& message : mail) {
+      keys.emplace_back(message.cache_id, message.source_index,
+                        static_cast<int>(message.kind), message.object_index,
+                        message.send_time);
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  double previous_tick_ = 0.0;
+};
+
+TEST(FaultRelayTest, ControlMailConservedAcrossFailover) {
+  // A tree with reads on small caches (misses send pull requests) and two
+  // relay outages: tier-2 relay 4 fails over to its backup 5, then the
+  // tier-1 relay 6, which has no backup, orphans both tier-2 relays.
+  ExperimentConfig config = MultiCacheConfig();
+  config.workload.num_caches = 4;
+  config.workload.num_sources = 8;
+  config.workload.relay_tiers = 2;
+  config.workload.relay_fanout = 2;
+  config.workload.relay_bandwidth_factor = 0.75;
+  config.workload.read.read_rate = 4.0;
+  config.workload.read.capacity = 6;
+  Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
+  AssignBackupParents(&workload.topology);
+  ASSERT_EQ(workload.topology.num_nodes(), 7);
+  ASSERT_EQ(workload.topology.BackupParentOf(4), 5);
+  ASSERT_EQ(workload.topology.BackupParentOf(6), -1);
+  workload.faults.events = {Event(70.0, FaultEventKind::kRelayFail, 4),
+                            Event(100.0, FaultEventKind::kRelayRecover, 4),
+                            Event(110.0, FaultEventKind::kRelayFail, 6),
+                            Event(130.0, FaultEventKind::kRelayRecover, 6)};
+
+  CooperativeConfig cooperative;
+  cooperative.num_caches = config.workload.num_caches;
+  cooperative.cache_bandwidth_avg = config.cache_bandwidth_avg;
+  cooperative.source_bandwidth_avg = config.source_bandwidth_avg;
+  MailAuditScheduler scheduler(cooperative);
+  auto metric = MakeMetric(config.metric);
+  const auto result = RunScheduler(&workload, metric.get(), config.harness, &scheduler);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->scheduler.relay_failures, 2);
+  EXPECT_GT(scheduler.pulls_, 0);
+  EXPECT_GT(scheduler.feedback_, 0);
 }
 
 // --------------------------------------------- partitions and slowdowns

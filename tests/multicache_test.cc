@@ -134,25 +134,23 @@ TEST(MulticacheNetworkTest, MailIsKeyedByCacheAndSource) {
   Network network(config, &rng);
   network.BeginTick(0.0, 1.0);
 
-  Message from_cache1;
+  ControlMessage from_cache1;
   from_cache1.kind = MessageKind::kFeedback;
-  network.SendToSource(/*cache_id=*/1, /*source_index=*/0, from_cache1);
+  from_cache1.cache_id = 1;
+  from_cache1.source_index = 0;
+  network.SendToSource(from_cache1);
 
-  // Deposited during tick 0: invisible to every slot this tick.
-  EXPECT_TRUE(network.TakeSourceMail(0, 0).empty());
-  EXPECT_TRUE(network.TakeSourceMail(1, 0).empty());
+  // Deposited during tick 0: invisible this tick.
+  EXPECT_TRUE(network.control_mail().empty());
 
   network.BeginTick(1.0, 1.0);
-  // Visible only under the (cache 1, source 0) key; stamped with the cache.
-  EXPECT_TRUE(network.TakeSourceMail(0, 0).empty());
-  EXPECT_TRUE(network.TakeSourceMail(1, 1).empty());
-  const auto mail = network.TakeSourceMail(1, 0);
+  // Delivered once, under the (cache 1, source 0) key only.
+  const std::vector<ControlMessage>& mail = network.control_mail();
   ASSERT_EQ(mail.size(), 1u);
   EXPECT_EQ(mail[0].cache_id, 1);
-  // Drained exactly once.
-  EXPECT_TRUE(network.TakeSourceMail(1, 0).empty());
+  EXPECT_EQ(mail[0].source_index, 0);
   network.BeginTick(2.0, 1.0);
-  EXPECT_TRUE(network.TakeSourceMail(1, 0).empty());
+  EXPECT_TRUE(network.control_mail().empty());
 }
 
 TEST(MulticacheNetworkTest, PerCacheBandwidthOverrides) {

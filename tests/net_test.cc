@@ -127,26 +127,31 @@ TEST(NetworkTest, ControlMailDeliveredNextTick) {
   Network network(config, &rng);
 
   network.BeginTick(0.0, 1.0);
-  Message feedback;
+  ControlMessage feedback;
   feedback.kind = MessageKind::kFeedback;
-  network.SendToSource(1, feedback);
+  feedback.source_index = 1;
+  network.SendToSource(feedback);
   // Not deliverable within the same tick.
-  EXPECT_TRUE(network.TakeSourceMail(1).empty());
+  EXPECT_TRUE(network.control_mail().empty());
 
   network.BeginTick(1.0, 1.0);
-  auto mail = network.TakeSourceMail(1);
+  const std::vector<ControlMessage>& mail = network.control_mail();
   ASSERT_EQ(mail.size(), 1u);
   EXPECT_EQ(mail[0].kind, MessageKind::kFeedback);
-  // Draining is destructive.
-  EXPECT_TRUE(network.TakeSourceMail(1).empty());
-  // The other source got nothing.
-  EXPECT_TRUE(network.TakeSourceMail(0).empty());
+  // Addressed to source 1 only; the other source got nothing.
+  EXPECT_EQ(mail[0].source_index, 1);
+  EXPECT_EQ(mail[0].cache_id, 0);
+  // Flat: the cache edge is the tier-1 edge, no relay hops.
+  EXPECT_EQ(network.control_mail_hops(), 0);
+  // Delivered once: the next tick's mail no longer holds it.
+  network.BeginTick(2.0, 1.0);
+  EXPECT_TRUE(network.control_mail().empty());
 }
 
 TEST(NetworkTest, ControlMailInvisibleUntilNextTickAndDrainedOnce) {
-  // The double-buffer contract in one place: a deposit during tick t is
+  // The one-tick contract in one place: a deposit during tick t is
   // invisible for the whole of tick t (even across multiple reads), becomes
-  // deliverable exactly at tick t+1, is drained exactly once, and does not
+  // deliverable exactly at tick t+1, is delivered exactly once, and does not
   // reappear at tick t+2.
   NetworkConfig config;
   config.num_sources = 1;
@@ -155,24 +160,26 @@ TEST(NetworkTest, ControlMailInvisibleUntilNextTickAndDrainedOnce) {
   Network network(config, &rng);
 
   network.BeginTick(0.0, 1.0);
-  Message feedback;
+  ControlMessage feedback;
   feedback.kind = MessageKind::kFeedback;
-  network.SendToSource(0, feedback);
-  network.SendToSource(0, feedback);      // two deposits in the same tick
-  EXPECT_TRUE(network.TakeSourceMail(0).empty());
-  EXPECT_TRUE(network.TakeSourceMail(0).empty());  // still invisible
+  feedback.source_index = 0;
+  network.SendToSource(feedback);
+  network.SendToSource(feedback);  // two deposits in the same tick
+  EXPECT_TRUE(network.control_mail().empty());
+  EXPECT_TRUE(network.control_mail().empty());  // still invisible
+  EXPECT_EQ(network.pending_control_mail().size(), 2u);
 
   network.BeginTick(1.0, 1.0);
-  EXPECT_EQ(network.TakeSourceMail(0).size(), 2u);  // both, exactly once
-  EXPECT_TRUE(network.TakeSourceMail(0).empty());
+  EXPECT_EQ(network.control_mail().size(), 2u);  // both, exactly once
+  EXPECT_TRUE(network.pending_control_mail().empty());
 
   network.BeginTick(2.0, 1.0);
-  EXPECT_TRUE(network.TakeSourceMail(0).empty());  // gone for good
+  EXPECT_TRUE(network.control_mail().empty());  // gone for good
 }
 
-TEST(NetworkTest, UndrainedMailSurvivesIntoLaterTicks) {
-  // A tick that never drains its mail must not lose it: deliverable mail
-  // accumulates until the source reads it.
+TEST(NetworkTest, EachTickDeliversExactlyThePreviousTicksMail) {
+  // The inbox is replaced at every BeginTick: a tick's mail holds the
+  // previous tick's deposits and nothing older, in deposit order per leaf.
   NetworkConfig config;
   config.num_sources = 1;
   config.cache_bandwidth_avg = 5.0;
@@ -180,13 +187,22 @@ TEST(NetworkTest, UndrainedMailSurvivesIntoLaterTicks) {
   Network network(config, &rng);
 
   network.BeginTick(0.0, 1.0);
-  Message feedback;
+  ControlMessage feedback;
   feedback.kind = MessageKind::kFeedback;
-  network.SendToSource(0, feedback);
-  network.BeginTick(1.0, 1.0);  // deliverable, but nobody drains
-  network.SendToSource(0, feedback);
+  feedback.source_index = 0;
+  feedback.send_time = 0.0;
+  network.SendToSource(feedback);
+  network.BeginTick(1.0, 1.0);
+  ASSERT_EQ(network.control_mail().size(), 1u);
+  feedback.send_time = 1.0;
+  network.SendToSource(feedback);
+  feedback.send_time = 1.5;
+  network.SendToSource(feedback);
   network.BeginTick(2.0, 1.0);
-  EXPECT_EQ(network.TakeSourceMail(0).size(), 2u);
+  const std::vector<ControlMessage>& mail = network.control_mail();
+  ASSERT_EQ(mail.size(), 2u);
+  EXPECT_EQ(mail[0].send_time, 1.0);
+  EXPECT_EQ(mail[1].send_time, 1.5);
 }
 
 TEST(NetworkTest, FluctuatingBandwidthAverages) {

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/relay.h"
@@ -18,6 +21,7 @@
 #include "exp/experiment.h"
 #include "exp/multicache.h"
 #include "net/network.h"
+#include "util/random.h"
 
 namespace besync {
 namespace {
@@ -129,20 +133,159 @@ TEST(NetworkTopologyTest, ControlMailPumpsToTierOne) {
   config.topology = MakeRelayTree(4, 2, 1);  // relays 4, 5
   Rng rng(1);
   Network network(config, &rng);
-  Message feedback;
+  ControlMessage feedback;
   feedback.kind = MessageKind::kFeedback;
-  network.SendToSource(/*cache_id=*/3, /*source_index=*/0, feedback);
-  network.SendToSource(/*cache_id=*/0, /*source_index=*/0, feedback);
-  // Not deliverable until the next tick, exactly like the flat channel.
+  feedback.source_index = 0;
+  feedback.cache_id = 3;
+  network.SendToSource(feedback);
+  feedback.cache_id = 0;
+  network.SendToSource(feedback);
+  EXPECT_TRUE(network.control_mail().empty());
+  // Deliverable at the next tick, exactly like the flat channel, after one
+  // relay hop each.
   network.BeginTick(0.0, 1.0);
-  EXPECT_EQ(network.PumpControlUpstream(), 2);
-  EXPECT_TRUE(network.TakeSourceMail(/*node=*/0, 0).empty());
-  const std::vector<Message> at_four = network.TakeSourceMail(/*node=*/4, 0);
-  ASSERT_EQ(at_four.size(), 1u);
-  EXPECT_EQ(at_four[0].cache_id, 0);  // originating leaf survives the hops
-  const std::vector<Message> at_five = network.TakeSourceMail(/*node=*/5, 0);
-  ASSERT_EQ(at_five.size(), 1u);
-  EXPECT_EQ(at_five[0].cache_id, 3);
+  EXPECT_EQ(network.control_mail_hops(), 2);
+  EXPECT_EQ(network.first_hop(0), 4);
+  EXPECT_EQ(network.first_hop(3), 5);
+  // Drained per tier-1 edge in ascending node order: relay 4's mail (leaf
+  // 0) before relay 5's (leaf 3), whatever the deposit order. The
+  // originating leaf survives the hops.
+  const std::vector<ControlMessage>& mail = network.control_mail();
+  ASSERT_EQ(mail.size(), 2u);
+  EXPECT_EQ(mail[0].cache_id, 0);
+  EXPECT_EQ(mail[1].cache_id, 3);
+}
+
+/// Reference for control_mail(): the edge-by-edge pump it replaced. Mail
+/// sits in per-(node, source) FIFO buffers. Relays are visited children
+/// before parents (ascending height above the leaves, ties by node id), and
+/// each moves its children's buffers (children in ascending order) onto its
+/// own, one hop per message. Each tier-1 node's buffers are then drained
+/// source by source. Returns the drain order; `hops` gets the moves.
+std::vector<ControlMessage> ReferencePump(const Network& network,
+                                          const std::vector<ControlMessage>& deposits,
+                                          int64_t* hops) {
+  const int sources = network.num_sources();
+  std::vector<std::vector<ControlMessage>> mail(
+      static_cast<size_t>(network.num_nodes() * sources));
+  const auto box = [&](int node, int j) -> std::vector<ControlMessage>& {
+    return mail[static_cast<size_t>(node * sources + j)];
+  };
+  for (const ControlMessage& message : deposits) {
+    box(message.cache_id, message.source_index).push_back(message);
+  }
+  const std::function<int(int32_t)> height = [&](int32_t node) {
+    int h = 0;
+    for (int32_t child : network.children(node)) h = std::max(h, height(child) + 1);
+    return h;
+  };
+  std::vector<int32_t> upstream = network.downstream_relays();  // the live relays
+  std::sort(upstream.begin(), upstream.end(), [&height](int32_t a, int32_t b) {
+    return height(a) != height(b) ? height(a) < height(b) : a < b;
+  });
+  *hops = 0;
+  for (int32_t relay : upstream) {
+    for (int32_t child : network.children(relay)) {
+      for (int j = 0; j < sources; ++j) {
+        std::vector<ControlMessage>& from = box(child, j);
+        *hops += static_cast<int64_t>(from.size());
+        box(relay, j).insert(box(relay, j).end(), from.begin(), from.end());
+        from.clear();
+      }
+    }
+  }
+  std::vector<ControlMessage> drained;
+  for (int32_t node : network.tier1_nodes()) {
+    for (int j = 0; j < sources; ++j) {
+      drained.insert(drained.end(), box(node, j).begin(), box(node, j).end());
+    }
+  }
+  return drained;
+}
+
+/// Object indices double as unique message tags in the differential test.
+std::vector<int64_t> Tags(const std::vector<ControlMessage>& mail) {
+  std::vector<int64_t> tags;
+  for (const ControlMessage& message : mail) tags.push_back(message.object_index);
+  return tags;
+}
+
+TEST(NetworkTopologyTest, ControlMailMatchesEdgeByEdgePumpUnderFailover) {
+  // An irregular tree: unequal fanout (relay 9 has three leaves, relay 10
+  // two), leaves 5 and 6 hanging directly off tier-2 relays next to relay
+  // subtrees, and leaves 7 and 8 directly off the tier-1 relays. Leaf ids
+  // do not follow the drain order, so a sort by leaf id would fail.
+  //
+  //        13            14          tier 1
+  //      /    \        /    \        .
+  //     7      11     8      12      tier 2
+  //           /  \          /  \     .
+  //          5    9        6    10   tier 3
+  //             / | \          /  \  .
+  //            0  1  2        3    4
+  TopologySpec spec;
+  spec.num_leaves = 9;
+  spec.parent = {9, 9, 9, 10, 10, 11, 12, 13, 14, 11, 12, 13, 14, -1, -1};
+  spec.backup_parent.assign(spec.parent.size(), -1);
+  spec.backup_parent[9] = 10;
+  spec.backup_parent[11] = 12;
+  spec.backup_parent[13] = 14;
+  ASSERT_TRUE(spec.Validate(9).ok());
+  NetworkConfig config;
+  config.num_sources = 3;
+  config.num_caches = 9;
+  config.topology = spec;
+  Rng net_rng(1);
+  Network network(config, &net_rng);
+
+  // Failures with a live backup (9 -> 10, 13 -> 14, 11 -> 12) and without
+  // one (10 and 14 have none; 13's backup is down at tick 14): the orphans
+  // become tier-1. Outages overlap, and relays come back mid-outage.
+  struct Fault {
+    int tick;
+    int32_t relay;
+    bool fail;
+  };
+  const std::vector<Fault> faults = {
+      {3, 9, true},   {5, 10, true},  {7, 13, true},  {8, 11, true},
+      {9, 13, false}, {10, 9, false}, {11, 14, true}, {12, 11, false},
+      {13, 10, false}, {14, 13, true}, {15, 14, false}, {16, 13, false},
+      {17, 9, true}};
+  Rng rng(7);
+  int64_t tag = 0;
+  int64_t total_hops = 0;
+  for (int tick = 0; tick < 20; ++tick) {
+    for (const Fault& fault : faults) {
+      if (fault.tick != tick) continue;
+      if (fault.fail) {
+        network.FailRelay(fault.relay);
+      } else {
+        network.RecoverRelay(fault.relay);
+      }
+    }
+    const std::vector<ControlMessage> deposits = network.pending_control_mail();
+    network.BeginTick(tick, 1.0);
+    int64_t hops = 0;
+    const std::vector<ControlMessage> expected = ReferencePump(network, deposits, &hops);
+    ASSERT_EQ(expected.size(), deposits.size()) << "tick " << tick;
+    EXPECT_EQ(Tags(network.control_mail()), Tags(expected)) << "tick " << tick;
+    EXPECT_EQ(network.control_mail_hops(), hops) << "tick " << tick;
+    total_hops += hops;
+
+    const int64_t count = rng.UniformInt(0, 30);
+    for (int64_t k = 0; k < count; ++k) {
+      ControlMessage message;
+      message.kind =
+          rng.Bernoulli(0.5) ? MessageKind::kFeedback : MessageKind::kPullRequest;
+      message.cache_id = static_cast<int32_t>(rng.UniformInt(0, 8));
+      message.source_index = static_cast<int32_t>(rng.UniformInt(0, 2));
+      message.object_index = tag++;
+      message.send_time = tick;
+      network.SendToSource(message);
+    }
+  }
+  EXPECT_GT(tag, 200);
+  EXPECT_GT(total_hops, tag);  // most mail crossed several relays
 }
 
 // -------------------------------------------------------------- RelayAgent
