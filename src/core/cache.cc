@@ -49,8 +49,6 @@ int CacheAgent::SlotOf(int32_t source_id) const {
 }
 
 void CacheAgent::RecordRefresh(const Message& message, double /*t*/) {
-  // A batched message counts one refresh per carried object.
-  refreshes_received_ += 1 + static_cast<int64_t>(message.extra_refreshes.size());
   const int slot = SlotOf(message.source_index);
   if (message.piggyback_threshold > 0.0) {
     sources_[slot].threshold = message.piggyback_threshold;
@@ -78,15 +76,9 @@ std::vector<int> CacheAgent::SelectFeedbackTargets(int64_t limit, double now) {
   for (int64_t k = 0; k < take; ++k) {
     const int slot = scratch_[k];
     sources_[slot].last_fed = now;
-    ++feedback_sent_;
     targets.push_back(source_ids_[slot]);
   }
   return targets;
-}
-
-void CacheAgent::ResetCounters() {
-  refreshes_received_ = 0;
-  feedback_sent_ = 0;
 }
 
 }  // namespace besync

@@ -42,10 +42,6 @@ class CacheAgent {
   /// if none seen.
   double known_threshold(int j) const { return sources_[SlotOf(j)].threshold; }
 
-  int64_t refreshes_received() const { return refreshes_received_; }
-  int64_t feedback_sent() const { return feedback_sent_; }
-  void ResetCounters();
-
  private:
   struct SourceInfo {
     double threshold = std::numeric_limits<double>::infinity();
@@ -63,8 +59,6 @@ class CacheAgent {
   std::vector<int32_t> slot_of_source_;
   std::vector<SourceInfo> sources_;
   std::vector<int> scratch_;  // reused slot buffer for selection
-  int64_t refreshes_received_ = 0;
-  int64_t feedback_sent_ = 0;
 };
 
 }  // namespace besync

@@ -42,7 +42,6 @@ void RelayAgent::OnArrival(const Message& message, double t) {
     RecordTrace(TraceEventKind::kRelayStore, message, t, /*value=*/0.0);
   }
   pending_.push_back(Stored{message, t, next_seq_++});
-  ++received_;
   max_store_size_ = std::max(max_store_size_, store_size());
 }
 
@@ -83,7 +82,6 @@ int64_t RelayAgent::Forward(double now,
     ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(pick));
     total_queue_delay_ += now - stored.arrival;
     total_transit_delay_ += now - stored.message.send_time;
-    ++forwarded_;
     ++sent;
     if (trace_ != nullptr) {
       RecordTrace(TraceEventKind::kRelayForward, stored.message, now,
@@ -106,9 +104,7 @@ std::vector<Message> RelayAgent::TakeStored() {
   return taken;
 }
 
-void RelayAgent::ResetCounters() {
-  received_ = 0;
-  forwarded_ = 0;
+void RelayAgent::ResetStats() {
   total_queue_delay_ = 0.0;
   total_transit_delay_ = 0.0;
   max_store_size_ = store_size();

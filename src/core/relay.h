@@ -64,19 +64,19 @@ class RelayAgent {
   // --- statistics ---
   size_t store_size() const { return pending_.size() + ready_.size(); }
   size_t max_store_size() const { return max_store_size_; }
-  int64_t received() const { return received_; }
-  int64_t forwarded() const { return forwarded_; }
   /// Total store wait (forward time - arrival time) over forwarded
-  /// refreshes; divide by forwarded() for the mean queueing delay. Zero as
-  /// long as the egress budget keeps up with ingress deliveries.
+  /// refreshes; divide by the forward count (the sum of Forward's return
+  /// values) for the mean queueing delay. Zero as long as the egress budget
+  /// keeps up with ingress deliveries.
   double total_queue_delay() const { return total_queue_delay_; }
   /// Total transit lag (forward time - Message::send_time) over forwarded
   /// refreshes — the full source-to-here latency including upstream link
   /// queueing, the component of leaf divergence the relay tier adds.
   double total_transit_delay() const { return total_transit_delay_; }
 
-  /// Resets statistics counters (measurement start). Stored messages stay.
-  void ResetCounters();
+  /// Resets the store-wait sums and the store maximum (measurement start).
+  /// Stored messages stay.
+  void ResetStats();
 
   /// Removes and returns everything in the store (pending + ready) in
   /// arrival (seq) order — relay failover: the scheduler re-routes or drops
@@ -114,8 +114,6 @@ class RelayAgent {
   /// work, and eligibility cutoffs make a heap awkward).
   std::deque<Stored> ready_;
   size_t max_store_size_ = 0;
-  int64_t received_ = 0;
-  int64_t forwarded_ = 0;
   double total_queue_delay_ = 0.0;
   double total_transit_delay_ = 0.0;
 };

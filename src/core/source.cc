@@ -10,14 +10,16 @@ namespace besync {
 
 SourceAgent::SourceAgent(int index, const SourceAgentConfig& config,
                          double expected_feedback_period, const PriorityPolicy* policy,
-                         Harness* harness)
+                         Harness* harness, SchedulerStats* tally)
     : index_(index),
       config_(config),
       policy_(policy),
       harness_(harness),
+      tally_(tally),
       expected_feedback_period_(expected_feedback_period) {
   BESYNC_CHECK(policy != nullptr);
   BESYNC_CHECK(harness != nullptr);
+  BESYNC_CHECK(tally != nullptr);
   BESYNC_CHECK_GT(expected_feedback_period, 0.0);
 }
 
@@ -405,7 +407,7 @@ void SourceAgent::EmitRefresh(Channel* channel, ObjectIndex index, double now,
   }
   cache_link->Enqueue(std::move(message));
   ++state.epoch;
-  ++refreshes_sent_;
+  ++tally_->refreshes_sent;
   channel->last_emit_time = now;
 }
 
@@ -564,7 +566,7 @@ void SourceAgent::EmitBatch(Channel* channel, const std::vector<QueueEntry>& bat
                   /*is_pull=*/false);
     }
     ++state.epoch;
-    ++refreshes_sent_;
+    ++tally_->refreshes_sent;
   }
   // The whole batch travels as one unit-cost message — the amortization.
   message.cost = 1;
@@ -635,7 +637,7 @@ int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
         message.extra_refreshes.push_back(RefreshPayload{object, 0.0, 0});
       }
       ++packed;
-      ++invalidations_sent_;
+      ++tally_->invalidations_sent;
       if (trace_ != nullptr) {
         RecordTrace(TraceEventKind::kInvalidateSend, now, channel->cache_id,
                     object, /*version=*/0, /*is_pull=*/false);

@@ -66,12 +66,13 @@ struct SourceAgentConfig {
 /// Feedback from cache c adjusts T_{j,c} only.
 class SourceAgent {
  public:
-  /// `policy` and `harness` must outlive the agent.
+  /// `policy`, `harness` and `tally` must outlive the agent.
   /// `expected_feedback_period` is the fallback P_feedback used for every
-  /// cache channel not covered by SetFeedbackPeriods().
+  /// cache channel not covered by SetFeedbackPeriods(). The agent counts
+  /// the objects it sends (refreshes_sent, invalidations_sent) on `tally`.
   SourceAgent(int index, const SourceAgentConfig& config,
               double expected_feedback_period, const PriorityPolicy* policy,
-              Harness* harness);
+              Harness* harness, SchedulerStats* tally);
 
   int index() const { return index_; }
   /// Number of cache channels (caches replicating >= 1 of this source's
@@ -84,8 +85,6 @@ class SourceAgent {
   double threshold(int k = 0) const { return channels_[k].controller.threshold(); }
   ThresholdController& controller(int k = 0) { return channels_[k].controller; }
   bool at_full_capacity() const { return at_full_capacity_; }
-  int64_t refreshes_sent() const { return refreshes_sent_; }
-  int64_t invalidations_sent() const { return invalidations_sent_; }
   double granted_rate() const { return granted_rate_; }
   /// Control messages (feedback and pull requests) this source has handled
   /// since construction; never reset.
@@ -205,12 +204,6 @@ class SourceAgent {
   /// the cost of one pointer test per hook. Sources record only into their
   /// own buffer.
   void SetTraceBuffer(TraceBuffer* trace) { trace_ = trace; }
-
-  /// Resets statistics counters (measurement start).
-  void ResetCounters() {
-    refreshes_sent_ = 0;
-    invalidations_sent_ = 0;
-  }
 
   /// Current weighted priority of an object under this agent's policy.
   /// The channel-less form is valid only on single-channel sources (checked):
@@ -353,6 +346,7 @@ class SourceAgent {
   const PriorityPolicy* policy_;
   const SyncProtocol* protocol_ = nullptr;
   Harness* harness_;
+  SchedulerStats* tally_;
   double expected_feedback_period_;
   std::vector<double> feedback_periods_by_cache_;
   std::vector<ObjectIndex> members_;
@@ -364,8 +358,6 @@ class SourceAgent {
   bool secondary_enabled_ = false;
   double tick_length_ = 1.0;
   bool at_full_capacity_ = false;
-  int64_t refreshes_sent_ = 0;
-  int64_t invalidations_sent_ = 0;
   double granted_rate_ = 0.0;
   int64_t control_received_ = 0;
   Simulation* sim_ = nullptr;

@@ -37,21 +37,7 @@ void RecordDeliveryTrace(TraceBuffer* trace, const Message& message, double t) {
 CooperativeScheduler::CooperativeScheduler(const CooperativeConfig& config)
     : config_(config),
       policy_(MakePolicy(config.policy, config.history_beta)),
-      protocol_(SyncProtocol::Make(config.protocol)) {
-  // Scheduler-level tallies live in the metrics registry: registered once
-  // here, bumped at exactly one site each, and zeroed wholesale by
-  // metrics_.Reset() (Initialize and the measurement-start reset) — so the
-  // reset can never silently miss a newly added counter.
-  relay_control_moved_ = metrics_.AddCounter("relay_control_moved");
-  cache_crashes_ = metrics_.AddCounter("cache_crashes");
-  cache_restarts_ = metrics_.AddCounter("cache_restarts");
-  relay_failures_ = metrics_.AddCounter("relay_failures");
-  link_down_events_ = metrics_.AddCounter("link_down_events");
-  slowdown_events_ = metrics_.AddCounter("slowdown_events");
-  resync_deliveries_ = metrics_.AddCounter("resync_deliveries");
-  // Restart-to-fully-refilled durations of completed resync episodes.
-  resync_digest_ = metrics_.AddHistogram("time_to_resync");
-}
+      protocol_(SyncProtocol::Make(config.protocol)) {}
 
 void CooperativeScheduler::Initialize(Harness* harness) {
   harness_ = harness;
@@ -118,7 +104,8 @@ void CooperativeScheduler::Initialize(Harness* harness) {
     cache_down_.assign(static_cast<size_t>(num_caches), 0);
     resync_.assign(static_cast<size_t>(num_caches), ResyncState{});
   }
-  metrics_.Reset();
+  tally_ = SchedulerStats{};
+  resync_digest_.Reset();
 
   // The paper's P_feedback estimate, per cache: sources interested in the
   // cache / the cache's average bandwidth. Floored at one tick: feedback is
@@ -149,7 +136,7 @@ void CooperativeScheduler::Initialize(Harness* harness) {
   sources_.reserve(m);
   for (int j = 0; j < m; ++j) {
     sources_.push_back(std::make_unique<SourceAgent>(
-        j, config_.source, feedback_periods[0], policy_.get(), harness));
+        j, config_.source, feedback_periods[0], policy_.get(), harness, &tally_));
     sources_[j]->SetFeedbackPeriods(feedback_periods);
   }
 
@@ -182,7 +169,8 @@ void CooperativeScheduler::Initialize(Harness* harness) {
       break;
     }
   }
-  read_path_.Initialize(harness, num_caches, protocol_.get(), has_cache_faults);
+  read_path_.Initialize(harness, num_caches, &tally_, protocol_.get(),
+                        has_cache_faults);
 
   // Observability (config_.obs.enabled only): build the collector, fix the
   // time-series columns, and hand every recording site its per-entity trace
@@ -295,7 +283,7 @@ void CooperativeScheduler::RelayPhase(double t) {
     network_->edge_link(node).DeliverQueued(
         [&](const Message& message) { agent.OnArrival(message, t); });
     Link* egress = &network_->relay_egress(node);
-    agent.Forward(
+    tally_.relays_forwarded += agent.Forward(
         t, [egress](int64_t cost) { return egress->TryConsumeAllowingDeficit(cost); },
         [&](const Message& message) {
           const int32_t hop = network_->TryNextHop(node, message.cache_id);
@@ -327,7 +315,7 @@ void CooperativeScheduler::Tick(double t) {
     //    tick; feedback from cache c adjusts T_{j,c} only. In a tree the
     //    relays forward the mail up to the tier-1 edges within the tick, so
     //    control latency stays one tick at any depth.
-    relay_control_moved_->Increment(network_->control_mail_hops());
+    tally_.relay_control_moved += network_->control_mail_hops();
     for (const ControlMessage& message : network_->control_mail()) {
       if (message.kind == MessageKind::kPullRequest) {
         ServePull(message, t);
@@ -389,6 +377,9 @@ void CooperativeScheduler::Tick(double t) {
         } else {
           if (trace != nullptr) RecordDeliveryTrace(trace, message, t);
           harness_->DeliverRefresh(message, t);
+          // A batched message counts one refresh per carried object.
+          tally_.refreshes_delivered +=
+              1 + static_cast<int64_t>(message.extra_refreshes.size());
           cache->RecordRefresh(message, t);
           if (reads) read_path_.OnRefreshDelivered(message, t);
           if (track_resync) NoteResyncDelivery(c, message, t);
@@ -422,6 +413,7 @@ void CooperativeScheduler::Tick(double t) {
         const int64_t surplus = network_->cache_link(c).remaining_budget();
         if (surplus <= 0) continue;
         const std::vector<int> targets = cache->SelectFeedbackTargets(surplus, t);
+        tally_.feedback_sent += static_cast<int64_t>(targets.size());
         for (int j : targets) {
           // Feedback consumes the (otherwise idle) surplus capacity.
           const int64_t granted = network_->cache_link(c).ConsumeBudget(1);
@@ -480,7 +472,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
       const int c = event.node;
       if (cache_down_[c] != 0) return;  // already down
       cache_down_[c] = 1;
-      cache_crashes_->Increment();
+      ++tally_.cache_crashes;
       read_path_.OnCacheCrash(c, t);
       // A crash mid-recovery abandons the episode (its duration is never
       // recorded); the next restart opens a fresh one.
@@ -492,7 +484,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
       const int c = event.node;
       if (cache_down_[c] == 0) return;  // never crashed / already back
       cache_down_[c] = 0;
-      cache_restarts_->Increment();
+      ++tally_.cache_restarts;
       read_path_.OnCacheRestart(c);
       // Every source re-ships (or at least re-tracks) its replicas at the
       // cold cache; the union is this restart's outstanding set.
@@ -529,7 +521,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
     case FaultEventKind::kRelayFail: {
       const int32_t node = event.node;
       if (!network_->relay_alive(node)) return;
-      relay_failures_->Increment();
+      ++tally_.relay_failures;
       // Everything the relay held: its store (received, not forwarded yet)
       // and its ingress queue (in flight toward it).
       std::vector<Message> stranded = relay(node).TakeStored();
@@ -553,7 +545,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
       return;
     case FaultEventKind::kLinkDown:
       if (!network_->cache_link(event.node).is_down()) {
-        link_down_events_->Increment();
+        ++tally_.link_down_events;
       }
       network_->cache_link(event.node).SetDown(true);
       return;
@@ -561,7 +553,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
       network_->cache_link(event.node).SetDown(false);
       return;
     case FaultEventKind::kSlowDown:
-      slowdown_events_->Increment();
+      ++tally_.slowdown_events;
       network_->cache_link(event.node).SetBandwidthFactor(event.factor);
       return;
     case FaultEventKind::kSlowRecover:
@@ -592,7 +584,7 @@ void CooperativeScheduler::NoteResyncDelivery(int c, const Message& message,
     if (resync.outstanding[index] == 0) return;
     resync.outstanding[index] = 0;
     --resync.remaining;
-    resync_deliveries_->Increment();
+    ++tally_.resync_deliveries;
   };
   note(message.object_index);
   for (const RefreshPayload& payload : message.extra_refreshes) {
@@ -617,23 +609,19 @@ void CooperativeScheduler::NoteResyncDelivery(int c, const Message& message,
       }
     }
     resync.open = false;
-    resync_digest_->Add(t - resync.start);
+    resync_digest_.Add(t - resync.start);
   }
 }
 
 void CooperativeScheduler::OnMeasurementStart(double /*t*/) {
   network_->ResetStats();
-  for (auto& cache : caches_) {
-    if (cache != nullptr) cache->ResetCounters();
-  }
-  for (auto& source : sources_) source->ResetCounters();
-  for (auto& relay : relays_) relay->ResetCounters();
+  for (auto& relay : relays_) relay->ResetStats();
   read_path_.OnMeasurementStart();
-  // Every scheduler-level tally — relay control moves, the fault/recovery
-  // counters, the resync digest — re-zeroes in one registry sweep; an
+  // Every count re-zeroes in one assignment, the resync digest with it; an
   // episode still open at the boundary stays open (it closes — and is
   // recorded — inside the window).
-  metrics_.Reset();
+  tally_ = SchedulerStats{};
+  resync_digest_.Reset();
 }
 
 void CooperativeScheduler::ServePull(const ControlMessage& request, double t) {
@@ -695,11 +683,10 @@ void CooperativeScheduler::ObsSample(double t) {
     relay_store += static_cast<double>(relay->store_size());
   }
   row[i++] = relay_store;
-  row[i++] = static_cast<double>(read_path_.reads_so_far());
-  row[i++] = static_cast<double>(read_path_.hits_so_far());
+  row[i++] = static_cast<double>(tally_.reads_total);
+  row[i++] = static_cast<double>(tally_.read_hits);
   row[i++] = read_path_.StalenessMeanSoFar();
-  row[i++] = static_cast<double>(read_path_.pull_requests_so_far() -
-                                 read_path_.pulls_delivered_so_far());
+  row[i++] = static_cast<double>(tally_.pull_requests_sent - tally_.pulls_delivered);
   double outstanding = 0.0;
   for (const ResyncState& resync : resync_) {
     if (resync.open) outstanding += static_cast<double>(resync.remaining);
@@ -715,22 +702,16 @@ std::shared_ptr<ObsOutput> CooperativeScheduler::TakeObsOutput() {
 }
 
 SchedulerStats CooperativeScheduler::stats() const {
-  SchedulerStats stats;
+  // The counts are the tally itself; everything below is derived.
+  SchedulerStats stats = tally_;
   int64_t channels = 0;
   for (const auto& source : sources_) {
-    stats.refreshes_sent += source->refreshes_sent();
-    stats.invalidations_sent += source->invalidations_sent();
     for (int k = 0; k < source->num_channels(); ++k) {
       stats.mean_threshold += source->threshold(k);
       ++channels;
     }
   }
   if (channels > 0) stats.mean_threshold /= static_cast<double>(channels);
-  for (const auto& cache : caches_) {
-    if (cache == nullptr) continue;
-    stats.refreshes_delivered += cache->refreshes_received();
-    stats.feedback_sent += cache->feedback_sent();
-  }
   // Aggregate across cache links: utilization by capacity, queue length by
   // sample count, maximum over maxima (degenerates to the single link's own
   // statistics at one cache).
@@ -748,9 +729,10 @@ SchedulerStats CooperativeScheduler::stats() const {
   stats.cache_utilization = capacity > 0.0 ? used / capacity : 0.0;
   stats.avg_cache_queue =
       queue_count > 0 ? queue_sum / static_cast<double>(queue_count) : 0.0;
+  // The store-wait sums stay per relay and are summed here in relay order:
+  // one shared accumulator would change the floating-point order.
   double relay_delay_sum = 0.0, relay_transit_sum = 0.0;
   for (const auto& relay : relays_) {
-    stats.relays_forwarded += relay->forwarded();
     relay_delay_sum += relay->total_queue_delay();
     relay_transit_sum += relay->total_transit_delay();
     stats.max_relay_store = std::max(
@@ -762,21 +744,8 @@ SchedulerStats CooperativeScheduler::stats() const {
     stats.relay_transit_delay_mean =
         relay_transit_sum / static_cast<double>(stats.relays_forwarded);
   }
-  stats.relay_control_moved = relay_control_moved_->value();
   if (read_path_.enabled()) {
-    const ReadPathCounters reads = read_path_.Counters();
-    stats.reads_total = reads.reads;
-    stats.read_hits = reads.hits;
-    stats.read_misses = reads.misses;
-    stats.pull_requests_sent = reads.pull_requests;
-    stats.pulls_delivered = reads.pulls_delivered;
-    stats.cache_evictions = reads.evictions;
-    stats.read_staleness_mean = reads.staleness_mean;
-    stats.read_staleness_p50 = reads.staleness_p50;
-    stats.read_staleness_p95 = reads.staleness_p95;
-    stats.read_staleness_p99 = reads.staleness_p99;
-    stats.read_miss_latency_mean = reads.miss_latency_mean;
-    stats.invalidations_received = reads.invalidations_received;
+    read_path_.WriteStats(&stats);
     // Push-vs-pull bandwidth split over every cache-side edge (leaf links
     // plus relay ingress edges — the links pulls and pushes contend on).
     for (int n = 0; n < network_->num_nodes(); ++n) {
@@ -791,21 +760,12 @@ SchedulerStats CooperativeScheduler::stats() const {
                               static_cast<double>(total_units)
                         : 0.0;
   }
-  stats.cache_crashes = cache_crashes_->value();
-  stats.cache_restarts = cache_restarts_->value();
-  stats.relay_failures = relay_failures_->value();
-  stats.link_down_events = link_down_events_->value();
-  stats.slowdown_events = slowdown_events_->value();
-  if (read_path_.enabled()) {
-    stats.crash_dropped_pulls = read_path_.crash_dropped_pulls();
-  }
-  stats.resync_deliveries = resync_deliveries_->value();
   for (const ResyncState& resync : resync_) {
     if (resync.open) stats.resync_pending += resync.remaining;
   }
-  if (!resync_digest_->digest().empty()) {
-    stats.time_to_resync_mean = resync_digest_->digest().mean();
-    stats.time_to_resync_p95 = resync_digest_->digest().Quantile(0.95);
+  if (!resync_digest_.empty()) {
+    stats.time_to_resync_mean = resync_digest_.mean();
+    stats.time_to_resync_p95 = resync_digest_.Quantile(0.95);
   }
   return stats;
 }

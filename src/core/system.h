@@ -11,7 +11,6 @@
 #include "core/source.h"
 #include "fault/fault_schedule.h"
 #include "net/network.h"
-#include "obs/metrics.h"
 #include "obs/obs_config.h"
 #include "obs/trace.h"
 #include "priority/priority.h"
@@ -140,12 +139,6 @@ class CooperativeScheduler : public Scheduler {
   bool cache_down(int c) const {
     return !cache_down_.empty() && cache_down_[c] != 0;
   }
-  /// The scheduler-level metrics (fault tallies, resync digest, relay
-  /// control moves): every field SchedulerStats aggregates from the
-  /// scheduler itself lives here, registered once and reset in one call
-  /// (tests/stats_reset_test.cc iterates this to prove the measurement
-  /// reset misses nothing).
-  const MetricsRegistry& metrics_registry() const { return metrics_; }
 
  protected:
   /// Hook for subclasses to decorate outgoing feedback (competitive rate
@@ -235,23 +228,18 @@ class CooperativeScheduler : public Scheduler {
   /// Scratch for collecting the sources' resynced object lists.
   std::vector<ObjectIndex> resync_scratch_;
 
-  // --- scheduler-level metrics (obs/metrics.h) ---
+  // --- the run's counts ---
 
-  /// Every counter the scheduler itself tallies (as opposed to per-agent /
-  /// per-link state, which stays on its entity), plus the
-  /// time-to-resync digest. Registered once in the constructor; zeroed as a
-  /// whole by Initialize and OnMeasurementStart. The handles below are
-  /// owned by the registry and each has exactly one increment site.
-  MetricsRegistry metrics_;
-  Counter* relay_control_moved_ = nullptr;
-  Counter* cache_crashes_ = nullptr;
-  Counter* cache_restarts_ = nullptr;
-  Counter* relay_failures_ = nullptr;
-  Counter* link_down_events_ = nullptr;
-  Counter* slowdown_events_ = nullptr;
-  Counter* resync_deliveries_ = nullptr;
-  /// Restart-to-fully-refilled durations of completed resync episodes.
-  Histogram* resync_digest_ = nullptr;
+  /// Every count field of SchedulerStats, bumped at exactly one site each
+  /// (sources and the read path hold a pointer to it; the scheduler bumps
+  /// the rest at its own call sites) and zeroed as a whole by Initialize
+  /// and OnMeasurementStart. stats() copies it and adds the derived values.
+  /// Measurements (link utilization and queues, relay store waits,
+  /// staleness) stay on their entities; see DESIGN.md, "One tally".
+  SchedulerStats tally_;
+  /// Restart-to-fully-refilled durations of completed resync episodes;
+  /// reset with the tally.
+  QuantileDigest resync_digest_;
 
   // --- observability (config_.obs.enabled only; otherwise null) ---
 

@@ -154,14 +154,22 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
   if (config.relay_bandwidth_factor < 0.0) {
     return Status::InvalidArgument("relay_bandwidth_factor must be >= 0");
   }
-  if (config.read.read_rate < 0.0) {
-    return Status::InvalidArgument("read_rate must be >= 0");
+  // Negated comparisons so NaN fails them too.
+  if (!(config.read.read_rate >= 0.0)) {
+    return Status::InvalidArgument("read_rate must be >= 0, got ",
+                                   config.read.read_rate);
   }
-  if (config.read.read_rate > 0.0 && config.read.zipf_exponent <= 0.0) {
-    return Status::InvalidArgument("zipf_exponent must be > 0");
+  if (!(config.read.capacity >= 0)) {
+    return Status::InvalidArgument("read capacity must be >= 0, got ",
+                                   config.read.capacity);
   }
-  if (config.read.pull_retry_interval <= 0.0) {
-    return Status::InvalidArgument("pull_retry_interval must be > 0");
+  if (config.read.read_rate > 0.0 && !(config.read.zipf_exponent > 0.0)) {
+    return Status::InvalidArgument("zipf_exponent must be > 0, got ",
+                                   config.read.zipf_exponent);
+  }
+  if (!(config.read.pull_retry_interval > 0.0)) {
+    return Status::InvalidArgument("pull_retry_interval must be > 0, got ",
+                                   config.read.pull_retry_interval);
   }
   if (config.fault.cache_crashes < 0 || config.fault.relay_failures < 0 ||
       config.fault.link_flaps < 0 || config.fault.slowdowns < 0) {

@@ -15,8 +15,13 @@ Result<std::vector<ExperimentJob>> ReadSweepJobs(const ReadSweepConfig& config) 
     return Status::InvalidArgument("evictions must be non-empty");
   }
   for (double rate : config.read_rates) {
-    if (rate <= 0.0) {
+    if (!(rate > 0.0)) {  // NaN fails too
       return Status::InvalidArgument("read rates must be > 0, got ", rate);
+    }
+  }
+  for (int64_t capacity : config.capacities) {
+    if (capacity < 0) {
+      return Status::InvalidArgument("capacities must be >= 0, got ", capacity);
     }
   }
 

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "exp/sweep.h"
 #include "util/logging.h"
@@ -159,6 +162,83 @@ bool FaultFieldsApply(const JobResult& job) {
          s.slowdown_events > 0;
 }
 
+/// One serialized field of an optional group: its name, its value as text,
+/// and whether JSON quotes it. Both writers consume the same list, so a
+/// field is named once.
+struct Field {
+  const char* name;
+  std::string text;
+  bool is_string;
+};
+
+Field Int(const char* name, int64_t value) {
+  return {name, std::to_string(value), false};
+}
+Field Number(const char* name, double value) {
+  return {name, JsonNumber(value), false};
+}
+Field Text(const char* name, std::string value) {
+  return {name, std::move(value), true};
+}
+
+std::vector<Field> ReadFields(const JobResult& job) {
+  const ReadWorkloadConfig& read = job.config.workload.read;
+  const SchedulerStats& s = job.result.scheduler;
+  return {Number("read_rate", read.read_rate),
+          Int("capacity", read.capacity),
+          Text("eviction", EvictionPolicyToString(read.eviction)),
+          Int("reads_total", s.reads_total),
+          Int("read_hits", s.read_hits),
+          Int("read_misses", s.read_misses),
+          Number("hit_rate", HitRate(s)),
+          Int("pull_requests_sent", s.pull_requests_sent),
+          Int("pulls_delivered", s.pulls_delivered),
+          Int("cache_evictions", s.cache_evictions),
+          Number("read_staleness_mean", s.read_staleness_mean),
+          Number("read_staleness_p50", s.read_staleness_p50),
+          Number("read_staleness_p95", s.read_staleness_p95),
+          Number("read_staleness_p99", s.read_staleness_p99),
+          Number("read_miss_latency_mean", s.read_miss_latency_mean),
+          Number("pull_bandwidth_share", s.pull_bandwidth_share)};
+}
+
+std::vector<Field> ProtocolFields(const JobResult& job) {
+  const SyncProtocolConfig& protocol = job.config.protocol;
+  const SchedulerStats& s = job.result.scheduler;
+  return {Text("protocol", SyncProtocolKindToString(protocol.kind)),
+          Number("ttl", protocol.ttl),
+          Int("invalidate_batch", protocol.max_invalidate_batch),
+          Int("invalidations_sent", s.invalidations_sent),
+          Int("invalidations_received", s.invalidations_received)};
+}
+
+std::vector<Field> FaultFields(const JobResult& job) {
+  const SchedulerStats& s = job.result.scheduler;
+  return {Text("recovery_policy", RecoveryPolicyToString(job.config.recovery_policy)),
+          Text("relay_store_policy",
+               RelayStorePolicyToString(job.config.relay_store_policy)),
+          Int("cache_crashes", s.cache_crashes),
+          Int("cache_restarts", s.cache_restarts),
+          Int("relay_failures", s.relay_failures),
+          Int("link_down_events", s.link_down_events),
+          Int("slowdown_events", s.slowdown_events),
+          Int("crash_dropped_pulls", s.crash_dropped_pulls),
+          Int("resync_deliveries", s.resync_deliveries),
+          Int("resync_pending", s.resync_pending),
+          Number("time_to_resync_mean", s.time_to_resync_mean),
+          Number("time_to_resync_p95", s.time_to_resync_p95)};
+}
+
+/// The optional field groups, in serialization order: a group is written
+/// for a job (JSON) or a grid (CSV columns) only when `applies` holds.
+struct FieldGroup {
+  bool (*applies)(const JobResult&);
+  std::vector<Field> (*fields)(const JobResult&);
+};
+const FieldGroup kFieldGroups[] = {{ReadFieldsApply, ReadFields},
+                                   {ProtocolFieldsApply, ProtocolFields},
+                                   {FaultFieldsApply, FaultFields}};
+
 }  // namespace
 
 uint64_t DeriveJobSeed(uint64_t base, uint64_t index) {
@@ -222,50 +302,14 @@ void WriteResultsJson(std::ostream& os, const std::vector<JobResult>& results) {
        << ", \"feedback_sent\": " << r.scheduler.feedback_sent
        << ", \"polls_sent\": " << r.scheduler.polls_sent
        << ", \"cache_utilization\": " << JsonNumber(r.scheduler.cache_utilization);
-    if (ReadFieldsApply(job)) {
-      const SchedulerStats& s = r.scheduler;
-      os << ",\n     \"read_rate\": " << JsonNumber(job.config.workload.read.read_rate)
-         << ", \"capacity\": " << job.config.workload.read.capacity
-         << ", \"eviction\": "
-         << JsonString(EvictionPolicyToString(job.config.workload.read.eviction))
-         << ", \"reads_total\": " << s.reads_total
-         << ", \"read_hits\": " << s.read_hits
-         << ", \"read_misses\": " << s.read_misses
-         << ", \"hit_rate\": " << JsonNumber(HitRate(s))
-         << ", \"pull_requests_sent\": " << s.pull_requests_sent
-         << ", \"pulls_delivered\": " << s.pulls_delivered
-         << ", \"cache_evictions\": " << s.cache_evictions
-         << ", \"read_staleness_mean\": " << JsonNumber(s.read_staleness_mean)
-         << ", \"read_staleness_p50\": " << JsonNumber(s.read_staleness_p50)
-         << ", \"read_staleness_p95\": " << JsonNumber(s.read_staleness_p95)
-         << ", \"read_staleness_p99\": " << JsonNumber(s.read_staleness_p99)
-         << ", \"read_miss_latency_mean\": " << JsonNumber(s.read_miss_latency_mean)
-         << ", \"pull_bandwidth_share\": " << JsonNumber(s.pull_bandwidth_share);
-    }
-    if (ProtocolFieldsApply(job)) {
-      os << ",\n     \"protocol\": "
-         << JsonString(SyncProtocolKindToString(job.config.protocol.kind))
-         << ", \"ttl\": " << JsonNumber(job.config.protocol.ttl)
-         << ", \"invalidate_batch\": " << job.config.protocol.max_invalidate_batch
-         << ", \"invalidations_sent\": " << r.scheduler.invalidations_sent
-         << ", \"invalidations_received\": " << r.scheduler.invalidations_received;
-    }
-    if (FaultFieldsApply(job)) {
-      const SchedulerStats& s = r.scheduler;
-      os << ",\n     \"recovery_policy\": "
-         << JsonString(RecoveryPolicyToString(job.config.recovery_policy))
-         << ", \"relay_store_policy\": "
-         << JsonString(RelayStorePolicyToString(job.config.relay_store_policy))
-         << ", \"cache_crashes\": " << s.cache_crashes
-         << ", \"cache_restarts\": " << s.cache_restarts
-         << ", \"relay_failures\": " << s.relay_failures
-         << ", \"link_down_events\": " << s.link_down_events
-         << ", \"slowdown_events\": " << s.slowdown_events
-         << ", \"crash_dropped_pulls\": " << s.crash_dropped_pulls
-         << ", \"resync_deliveries\": " << s.resync_deliveries
-         << ", \"resync_pending\": " << s.resync_pending
-         << ", \"time_to_resync_mean\": " << JsonNumber(s.time_to_resync_mean)
-         << ", \"time_to_resync_p95\": " << JsonNumber(s.time_to_resync_p95);
+    for (const FieldGroup& group : kFieldGroups) {
+      if (!group.applies(job)) continue;
+      const char* separator = ",\n     ";
+      for (const Field& field : group.fields(job)) {
+        os << separator << '"' << field.name << "\": "
+           << (field.is_string ? JsonString(field.text) : field.text);
+        separator = ", ";
+      }
     }
     os << "}";
   }
@@ -306,18 +350,19 @@ TablePrinter ResultsTable(const std::vector<JobResult>& results) {
 }
 
 TablePrinter ResultsCsv(const std::vector<JobResult>& results) {
-  // Read-path columns are appended only when some job of the grid enables
-  // reads — a pure function of the grid's configs/results, so read-free
-  // sweeps keep their historical CSV bytes exactly.
-  bool reads = false;
-  for (const JobResult& job : results) reads = reads || ReadFieldsApply(job);
-  // Likewise for protocol columns: only grids that run a non-push-refresh
-  // consistency protocol carry them.
-  bool protocols = false;
-  for (const JobResult& job : results) protocols = protocols || ProtocolFieldsApply(job);
-  // And fault columns: only grids that inject faults carry them.
-  bool faults = false;
-  for (const JobResult& job : results) faults = faults || FaultFieldsApply(job);
+  // An optional group's columns appear only when some job of the grid
+  // carries it — a pure function of the grid's configs/results, so grids
+  // without reads, non-push protocols or faults keep their historical CSV
+  // bytes exactly. A carried group fills every row.
+  std::vector<const FieldGroup*> groups;
+  for (const FieldGroup& group : kFieldGroups) {
+    for (const JobResult& job : results) {
+      if (group.applies(job)) {
+        groups.push_back(&group);
+        break;
+      }
+    }
+  }
   std::vector<std::string> header{
       "name", "scheduler", "policy", "metric", "num_caches",
       "cache_bandwidth_avg", "source_bandwidth_avg", "loss_rate",
@@ -325,30 +370,9 @@ TablePrinter ResultsCsv(const std::vector<JobResult>& results) {
       "per_object_weighted", "per_object_unweighted",
       "total_replicas", "refreshes_sent", "refreshes_delivered",
       "feedback_sent", "polls_sent", "cache_utilization"};
-  if (reads) {
-    for (const char* column :
-         {"read_rate", "capacity", "eviction", "reads_total", "hit_rate",
-          "pull_requests_sent", "pulls_delivered", "cache_evictions",
-          "read_staleness_mean", "read_staleness_p50", "read_staleness_p95",
-          "read_staleness_p99", "read_miss_latency_mean",
-          "pull_bandwidth_share"}) {
-      header.push_back(column);
-    }
-  }
-  if (protocols) {
-    for (const char* column :
-         {"protocol", "ttl", "invalidate_batch", "invalidations_sent",
-          "invalidations_received"}) {
-      header.push_back(column);
-    }
-  }
-  if (faults) {
-    for (const char* column :
-         {"recovery_policy", "relay_store_policy", "cache_crashes",
-          "cache_restarts", "relay_failures", "link_down_events",
-          "slowdown_events", "crash_dropped_pulls", "resync_deliveries",
-          "resync_pending", "time_to_resync_mean", "time_to_resync_p95"}) {
-      header.push_back(column);
+  for (const FieldGroup* group : groups) {
+    for (const Field& field : group->fields(results.front())) {
+      header.push_back(field.name);
     }
   }
   header.push_back("error");
@@ -374,44 +398,8 @@ TablePrinter ResultsCsv(const std::vector<JobResult>& results) {
         TablePrinter::Cell(r.scheduler.feedback_sent),
         TablePrinter::Cell(r.scheduler.polls_sent),
         JsonNumber(r.scheduler.cache_utilization)};
-    if (reads) {
-      const SchedulerStats& s = r.scheduler;
-      row.push_back(JsonNumber(job.config.workload.read.read_rate));
-      row.push_back(std::to_string(job.config.workload.read.capacity));
-      row.push_back(EvictionPolicyToString(job.config.workload.read.eviction));
-      row.push_back(TablePrinter::Cell(s.reads_total));
-      row.push_back(JsonNumber(HitRate(s)));
-      row.push_back(TablePrinter::Cell(s.pull_requests_sent));
-      row.push_back(TablePrinter::Cell(s.pulls_delivered));
-      row.push_back(TablePrinter::Cell(s.cache_evictions));
-      row.push_back(JsonNumber(s.read_staleness_mean));
-      row.push_back(JsonNumber(s.read_staleness_p50));
-      row.push_back(JsonNumber(s.read_staleness_p95));
-      row.push_back(JsonNumber(s.read_staleness_p99));
-      row.push_back(JsonNumber(s.read_miss_latency_mean));
-      row.push_back(JsonNumber(s.pull_bandwidth_share));
-    }
-    if (protocols) {
-      row.push_back(SyncProtocolKindToString(job.config.protocol.kind));
-      row.push_back(JsonNumber(job.config.protocol.ttl));
-      row.push_back(std::to_string(job.config.protocol.max_invalidate_batch));
-      row.push_back(TablePrinter::Cell(r.scheduler.invalidations_sent));
-      row.push_back(TablePrinter::Cell(r.scheduler.invalidations_received));
-    }
-    if (faults) {
-      const SchedulerStats& s = r.scheduler;
-      row.push_back(RecoveryPolicyToString(job.config.recovery_policy));
-      row.push_back(RelayStorePolicyToString(job.config.relay_store_policy));
-      row.push_back(TablePrinter::Cell(s.cache_crashes));
-      row.push_back(TablePrinter::Cell(s.cache_restarts));
-      row.push_back(TablePrinter::Cell(s.relay_failures));
-      row.push_back(TablePrinter::Cell(s.link_down_events));
-      row.push_back(TablePrinter::Cell(s.slowdown_events));
-      row.push_back(TablePrinter::Cell(s.crash_dropped_pulls));
-      row.push_back(TablePrinter::Cell(s.resync_deliveries));
-      row.push_back(TablePrinter::Cell(s.resync_pending));
-      row.push_back(JsonNumber(s.time_to_resync_mean));
-      row.push_back(JsonNumber(s.time_to_resync_p95));
+    for (const FieldGroup* group : groups) {
+      for (Field& field : group->fields(job)) row.push_back(std::move(field.text));
     }
     row.push_back(job.status.ok() ? "" : job.status.ToString());
     table.AddRow(std::move(row));

@@ -129,9 +129,10 @@ TablePrinter ResultsTable(const std::vector<JobResult>& results);
 /// (the JSON formatter) and the nondeterministic wall-clock column dropped,
 /// so a fixed grid's CSV — like its JSON — is byte-identical at any thread
 /// count. Lets sweep consumers skip JSON post-processing entirely.
-/// Grids with the read path enabled on any job gain the read-path columns
-/// (hit rate, staleness percentiles, pull share) on every row; read-free
-/// grids keep the historical column set byte for byte.
+/// The optional read-path, protocol and fault groups are the JSON rows'
+/// fields, in the same order; a grid where any job carries a group gains
+/// its columns on every row, and other grids keep the historical column set
+/// byte for byte.
 TablePrinter ResultsCsv(const std::vector<JobResult>& results);
 
 }  // namespace besync

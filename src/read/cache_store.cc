@@ -101,7 +101,6 @@ int64_t CacheStore::Install(int64_t slot, double t,
       slots_[slot].resident = true;
       slots_[slot].last_touch = t;
       ++num_resident_;
-      ++installs_;
     }
     return -1;
   }
@@ -113,19 +112,12 @@ int64_t CacheStore::Install(int64_t slot, double t,
     slots_[evicted].resident = false;
     slots_[evicted].read_count = 0;
     --num_resident_;
-    ++evictions_;
   }
   state.resident = true;
   state.last_touch = t;
   state.read_count = 0;
   ++num_resident_;
-  ++installs_;
   return evicted;
-}
-
-void CacheStore::ResetCounters() {
-  evictions_ = 0;
-  installs_ = 0;
 }
 
 void CacheStore::EnableSyncState(double initial_lease_expiry) {

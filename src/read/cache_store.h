@@ -48,8 +48,8 @@ class CacheStore {
   /// died). Unbounded stores switch to tracked residency from here on —
   /// content returns only through installs (pull responses and push
   /// refreshes), never by fiat — so the "everything is always resident"
-  /// fast path applies only to stores that have never crashed. Eviction
-  /// counters are untouched (a crash is not an eviction).
+  /// fast path applies only to stores that have never crashed. A crash is
+  /// not an eviction: only Install reports evictions.
   void Crash();
   /// True once Crash() has been called (residency is tracked even when
   /// unbounded).
@@ -67,11 +67,6 @@ class CacheStore {
   /// unbounded.
   int64_t Install(int64_t slot, double t,
                   const std::function<double(ObjectIndex)>& divergence_of);
-
-  int64_t evictions() const { return evictions_; }
-  int64_t installs() const { return installs_; }
-  /// Resets counters (measurement start); residency state is preserved.
-  void ResetCounters();
 
   /// Allocates per-slot ReplicaSyncState for validity-tracking protocols
   /// (invalidation / TTL), sized over all members even when the store is
@@ -100,8 +95,6 @@ class CacheStore {
   /// Per-slot protocol state; empty unless EnableSyncState was called.
   std::vector<ReplicaSyncState> sync_;
   int64_t num_resident_ = 0;
-  int64_t evictions_ = 0;
-  int64_t installs_ = 0;
   /// Set by Crash(): an unbounded store tracks residency via slots_ from
   /// then on. Never set on the fault-free path.
   bool crashed_ = false;

@@ -6,9 +6,11 @@
 
 namespace besync {
 
-void ReadPath::Initialize(Harness* harness, int num_caches,
+void ReadPath::Initialize(Harness* harness, int num_caches, SchedulerStats* tally,
                           const SyncProtocol* protocol, bool has_cache_faults) {
+  BESYNC_CHECK(tally != nullptr);
   harness_ = harness;
+  tally_ = tally;
   const Workload& workload = harness->workload();
   config_ = workload.read;
   protocol_ = protocol;
@@ -17,11 +19,8 @@ void ReadPath::Initialize(Harness* harness, int num_caches,
   enabled_ = reads_enabled_ || config_.capacity > 0 || validity_tracked_ ||
              has_cache_faults;
   caches_.clear();
-  reads_ = hits_ = misses_ = pull_requests_ = pulls_delivered_ = 0;
   miss_latency_sum_ = 0.0;
   miss_latency_count_ = 0;
-  invalidations_received_ = 0;
-  crash_dropped_pulls_ = 0;
   if (!enabled_) return;
 
   if (!workload.read_streams.empty()) {
@@ -112,16 +111,16 @@ void ReadPath::ProcessReads(double t) {
 }
 
 void ReadPath::HandleRead(CacheState* cache, int64_t slot, double t) {
-  ++reads_;
+  ++tally_->reads_total;
   const bool fresh =
       !validity_tracked_ || protocol_->ReplicaFresh(cache->store.sync_state(slot), t);
   if (fresh && cache->store.resident(slot)) {
-    ++hits_;
+    ++tally_->read_hits;
     cache->store.TouchRead(slot, t);
     cache->staleness.Add(ReplicaDivergence(*cache, cache->store.member(slot)));
     return;
   }
-  ++misses_;
+  ++tally_->read_misses;
   PendingPull& pending = cache->pending[slot];
   pending.active = true;
   ++pending.waiting_reads;
@@ -165,7 +164,7 @@ void ReadPath::SendPullRequests(double t, Network* network) {
       request.object_index = index;
       request.send_time = t;
       network->SendToSource(request);
-      ++pull_requests_;
+      ++tally_->pull_requests_sent;
       if (TraceBuffer* trace = trace_for(cache.cache_id)) {
         TraceEvent event;
         event.kind = TraceEventKind::kPullRequest;
@@ -193,12 +192,13 @@ void ReadPath::ResolveDelivery(CacheState* cache, ObjectIndex index, double t,
                                bool is_pull) {
   const int64_t slot = cache->store.SlotOf(index);
   if (slot < 0) return;
-  if (is_pull) ++pulls_delivered_;
+  if (is_pull) ++tally_->pulls_delivered;
   const int64_t evicted =
       cache->store.Install(slot, t, [this, cache](ObjectIndex member) {
         return ReplicaDivergence(*cache, member);
       });
   if (evicted >= 0) {
+    ++tally_->cache_evictions;
     if (TraceBuffer* trace = trace_for(cache->cache_id)) {
       TraceEvent event;
       event.kind = TraceEventKind::kEvict;
@@ -243,7 +243,7 @@ void ReadPath::ApplyInvalidate(CacheState* cache, ObjectIndex index, double t) {
   const int64_t slot = cache->store.SlotOf(index);
   if (slot < 0) return;
   protocol_->OnInvalidate(&cache->store.sync_state(slot), t);
-  ++invalidations_received_;
+  ++tally_->invalidations_received;
   if (TraceBuffer* trace = trace_for(cache->cache_id)) {
     TraceEvent event;
     event.kind = TraceEventKind::kInvalidateApply;
@@ -264,7 +264,7 @@ void ReadPath::OnCacheCrash(int cache_id, double now) {
   // the reads that were waiting on it perished with the cache — resolving
   // them later would be a phantom hit served by a dead process.
   for (PendingPull& pending : cache.pending) {
-    if (pending.active) ++crash_dropped_pulls_;
+    if (pending.active) ++tally_->crash_dropped_pulls;
     pending = PendingPull{};
   }
   cache.request_queue.clear();
@@ -282,14 +282,10 @@ void ReadPath::OnCacheRestart(int cache_id) {
 
 void ReadPath::OnMeasurementStart() {
   if (!enabled_) return;
-  reads_ = hits_ = misses_ = pull_requests_ = pulls_delivered_ = 0;
   miss_latency_sum_ = 0.0;
   miss_latency_count_ = 0;
-  invalidations_received_ = 0;
-  crash_dropped_pulls_ = 0;
   for (CacheState& cache : caches_) {
     cache.staleness.Reset();
-    cache.store.ResetCounters();
     // Warmup reads no longer count: pulls still in flight keep resolving
     // residency, but the reads waiting on them were never added to the
     // measured totals, so they must not inject staleness/latency samples.
@@ -312,29 +308,17 @@ double ReadPath::StalenessMeanSoFar() const {
   return count > 0 ? weighted / static_cast<double>(count) : 0.0;
 }
 
-ReadPathCounters ReadPath::Counters() const {
-  ReadPathCounters counters;
-  if (!enabled_) return counters;
-  counters.reads = reads_;
-  counters.hits = hits_;
-  counters.misses = misses_;
-  counters.pull_requests = pull_requests_;
-  counters.pulls_delivered = pulls_delivered_;
-  counters.invalidations_received = invalidations_received_;
+void ReadPath::WriteStats(SchedulerStats* stats) const {
   QuantileDigest merged;
-  for (const CacheState& cache : caches_) {
-    counters.evictions += cache.store.evictions();
-    merged.Merge(cache.staleness);
-  }
-  counters.staleness_mean = merged.mean();
-  counters.staleness_p50 = merged.Quantile(0.50);
-  counters.staleness_p95 = merged.Quantile(0.95);
-  counters.staleness_p99 = merged.Quantile(0.99);
-  counters.miss_latency_mean =
+  for (const CacheState& cache : caches_) merged.Merge(cache.staleness);
+  stats->read_staleness_mean = merged.mean();
+  stats->read_staleness_p50 = merged.Quantile(0.50);
+  stats->read_staleness_p95 = merged.Quantile(0.95);
+  stats->read_staleness_p99 = merged.Quantile(0.99);
+  stats->read_miss_latency_mean =
       miss_latency_count_ > 0
           ? miss_latency_sum_ / static_cast<double>(miss_latency_count_)
           : 0.0;
-  return counters;
 }
 
 }  // namespace besync

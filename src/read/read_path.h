@@ -16,29 +16,6 @@
 
 namespace besync {
 
-/// Aggregated read-path counters over the measurement window (all zero when
-/// the read path is disabled).
-struct ReadPathCounters {
-  int64_t reads = 0;
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t pull_requests = 0;
-  int64_t pulls_delivered = 0;
-  int64_t evictions = 0;
-  /// Read-time staleness distribution: the divergence of the value a read
-  /// is served (hits sample at read time; misses sample the pulled value at
-  /// delivery time).
-  double staleness_mean = 0.0;
-  double staleness_p50 = 0.0;
-  double staleness_p95 = 0.0;
-  double staleness_p99 = 0.0;
-  /// Mean time from a missing read to the delivery that serves it.
-  double miss_latency_mean = 0.0;
-  /// Replica invalidations applied (invalidation protocol; a batched
-  /// kInvalidate of k objects counts k times).
-  int64_t invalidations_received = 0;
-};
-
 /// The client read side of one simulation run: per-cache read streams,
 /// capacity-limited residency (read/cache_store.h), read-time staleness
 /// sampling against the ground truth, and miss-triggered pulls.
@@ -69,7 +46,9 @@ class ReadPath {
   /// workload. Trace streams attached to the workload (read_streams) are
   /// used in place after a Reset() — the workload-sharing hazard of
   /// exp/runner.h applies; Poisson/Zipf streams are built privately from
-  /// ReadWorkloadConfig when read_rate > 0. `harness` must outlive this.
+  /// ReadWorkloadConfig when read_rate > 0. `harness` and `tally` must
+  /// outlive this; the read path bumps its counts (reads, hits, misses,
+  /// pulls, evictions, invalidations applied, crash-dropped pulls) there.
   /// A validity-tracking `protocol` (invalidation / TTL; may be null —
   /// push refresh) adds per-replica ReplicaSyncState to the stores and
   /// makes reads of invalid/expired replicas miss and pull.
@@ -77,7 +56,7 @@ class ReadPath {
   /// crashes) keeps the read path live even with no reads and unbounded
   /// capacity: crashes flow through the stores and recovery refills flow
   /// through delivery resolution. False changes nothing.
-  void Initialize(Harness* harness, int num_caches,
+  void Initialize(Harness* harness, int num_caches, SchedulerStats* tally,
                   const SyncProtocol* protocol = nullptr,
                   bool has_cache_faults = false);
 
@@ -101,23 +80,22 @@ class ReadPath {
   /// can serve), and cancels all pending pulls: responses already in flight
   /// will still install content on arrival, but they must not resolve reads
   /// that died with the process — each cancelled in-flight pull counts into
-  /// crash_dropped_pulls().
+  /// SchedulerStats::crash_dropped_pulls.
   void OnCacheCrash(int cache_id, double now);
   /// Fault hook: cache `cache_id` came back (empty). Reads flow again;
   /// content returns only through installs.
   void OnCacheRestart(int cache_id);
   /// True while the cache is crashed (reads are consumed but discarded).
   bool cache_down(int cache_id) const { return caches_[cache_id].down; }
-  /// Pending pulls cancelled by crashes (measurement window).
-  int64_t crash_dropped_pulls() const { return crash_dropped_pulls_; }
 
-  /// Measurement-window reset (residency and pending pulls persist; only
-  /// statistics are zeroed).
+  /// Measurement-window reset of the read path's measurements (residency
+  /// and pending pulls persist; the counts live on the tally).
   void OnMeasurementStart();
 
-  /// Merged counters (per-cache staleness digests merged in cache order —
-  /// deterministic).
-  ReadPathCounters Counters() const;
+  /// Writes the read-time staleness distribution (the divergence of the
+  /// value each read is served; per-cache digests merged in cache order —
+  /// deterministic) and the mean miss-to-delivery latency into `stats`.
+  void WriteStats(SchedulerStats* stats) const;
 
   // Introspection (tests).
   const CacheStore& store(int cache_id) const { return caches_[cache_id].store; }
@@ -130,14 +108,8 @@ class ReadPath {
     trace_ = std::move(buffers);
   }
 
-  // Cheap cumulative totals for the observability sampler (counted since
-  // the last measurement reset; 0 while disabled). O(1) reads — unlike
-  // Counters(), which merges the per-cache staleness digests.
-  int64_t reads_so_far() const { return reads_; }
-  int64_t hits_so_far() const { return hits_; }
-  int64_t pull_requests_so_far() const { return pull_requests_; }
-  int64_t pulls_delivered_so_far() const { return pulls_delivered_; }
-  /// Weighted mean over the per-cache staleness digests, O(num_caches).
+  /// Weighted mean over the per-cache staleness digests, O(num_caches) —
+  /// the observability sampler's cheap form of WriteStats' mean.
   double StalenessMeanSoFar() const;
 
  private:
@@ -188,16 +160,10 @@ class ReadPath {
   bool validity_tracked_ = false;
   bool enabled_ = false;
   bool reads_enabled_ = false;
+  SchedulerStats* tally_ = nullptr;
   std::vector<CacheState> caches_;
-  int64_t reads_ = 0;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-  int64_t pull_requests_ = 0;
-  int64_t pulls_delivered_ = 0;
   double miss_latency_sum_ = 0.0;
   int64_t miss_latency_count_ = 0;
-  int64_t invalidations_received_ = 0;
-  int64_t crash_dropped_pulls_ = 0;
   /// Per-cache trace buffers; empty unless observability tracing is on.
   std::vector<TraceBuffer*> trace_;
 };

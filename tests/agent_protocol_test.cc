@@ -45,7 +45,7 @@ class SourceAgentTest : public ::testing::Test {
 
   SourceAgent MakeAgent(const SourceAgentConfig& config) {
     SourceAgent agent(0, config, /*expected_feedback_period=*/10.0, policy_.get(),
-                      harness_.get());
+                      harness_.get(), &tally_);
     for (int i = 0; i < 5; ++i) agent.AddObject(i);
     agent.Start(&harness_->simulation(), /*tick_length=*/1.0);
     return agent;
@@ -78,6 +78,8 @@ class SourceAgentTest : public ::testing::Test {
   std::unique_ptr<DivergenceMetric> metric_;
   HarnessConfig harness_config_;
   std::unique_ptr<Harness> harness_;
+  /// The agents' count sink (the scheduler's tally in a real run).
+  SchedulerStats tally_;
   std::unique_ptr<PriorityPolicy> policy_;
   std::unique_ptr<Link> source_link_;
   std::unique_ptr<Link> cache_link_;
@@ -190,7 +192,7 @@ TEST_F(SourceAgentTest, BatchingPacksFullBatchesImmediately) {
   ASSERT_EQ(messages.size(), 1u);
   EXPECT_EQ(messages[0].extra_refreshes.size(), 2u);
   EXPECT_EQ(messages[0].cost, 1);
-  EXPECT_EQ(agent.refreshes_sent(), 3);
+  EXPECT_EQ(tally_.refreshes_sent, 3);
 }
 
 TEST_F(SourceAgentTest, PartialBatchFlushedAfterDelay) {

@@ -119,6 +119,44 @@ TEST(WorkloadTest, RejectsInvalidConfig) {
   EXPECT_FALSE(MakeWorkload(config).ok());
 }
 
+TEST(WorkloadTest, RejectsInvalidReadConfig) {
+  // Each bad read field (NaN included) is an InvalidArgument naming it.
+  struct Case {
+    const char* field;
+    void (*apply)(ReadWorkloadConfig*);
+  };
+  const Case cases[] = {
+      {"read_rate", [](ReadWorkloadConfig* r) { r->read_rate = -1.0; }},
+      {"read_rate", [](ReadWorkloadConfig* r) { r->read_rate = std::nan(""); }},
+      {"capacity", [](ReadWorkloadConfig* r) { r->capacity = -3; }},
+      {"zipf_exponent",
+       [](ReadWorkloadConfig* r) {
+         r->read_rate = 1.0;
+         r->zipf_exponent = 0.0;
+       }},
+      {"zipf_exponent",
+       [](ReadWorkloadConfig* r) {
+         r->read_rate = 1.0;
+         r->zipf_exponent = std::nan("");
+       }},
+      {"pull_retry_interval",
+       [](ReadWorkloadConfig* r) { r->pull_retry_interval = 0.0; }},
+      {"pull_retry_interval",
+       [](ReadWorkloadConfig* r) { r->pull_retry_interval = std::nan(""); }},
+  };
+  WorkloadConfig base;
+  base.num_sources = 1;
+  base.objects_per_source = 2;
+  ASSERT_TRUE(MakeWorkload(base).ok());
+  for (const Case& c : cases) {
+    WorkloadConfig config = base;
+    c.apply(&config.read);
+    const Status status = MakeWorkload(config).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << c.field << ": " << status.ToString();
+    EXPECT_NE(status.message().find(c.field), std::string::npos) << status.ToString();
+  }
+}
+
 TEST(WorkloadTest, RejectsBernoulliProbabilityAboveOne) {
   WorkloadConfig config;
   config.update_model = WorkloadConfig::UpdateModel::kBernoulli;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -43,6 +44,12 @@ TEST(GridBuilderTest, MalformedAxesAreInvalidArgument) {
       {"read: read rate 0",
        BuildWith(&ReadSweepJobs,
                  +[](ReadSweepConfig* c) { c->read_rates = {4.0, 0.0}; })},
+      {"read: read rate NaN",
+       BuildWith(&ReadSweepJobs,
+                 +[](ReadSweepConfig* c) { c->read_rates = {std::nan("")}; })},
+      {"read: capacity -3",
+       BuildWith(&ReadSweepJobs,
+                 +[](ReadSweepConfig* c) { c->capacities = {0, -3}; })},
       {"protocol: empty protocols",
        BuildWith(&ProtocolSweepJobs,
                  +[](ProtocolSweepConfig* c) { c->protocols.clear(); })},

@@ -174,11 +174,10 @@ TEST(CacheStoreCrashTest, CrashDropsResidencyUntilInstalled) {
 
   // Content returns only through installs, one replica at a time — and a
   // crash is not an eviction.
-  store.Install(1, 10.0, nullptr);
+  EXPECT_EQ(store.Install(1, 10.0, nullptr), -1);  // no eviction
   EXPECT_TRUE(store.resident(1));
   EXPECT_FALSE(store.resident(0));
   EXPECT_EQ(store.num_resident(), 1);
-  EXPECT_EQ(store.evictions(), 0);
 }
 
 // -------------------------------------------------------- inertness pins

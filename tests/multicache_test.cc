@@ -284,8 +284,8 @@ TEST(MulticacheOverlapTest, FullReplicationRunsAndFeedsEveryCache) {
     EXPECT_EQ(scheduler.source(j).channel_cache_id(1), 1);
   }
   // Both caches actually received refreshes and the accounting covers both.
-  EXPECT_GT(scheduler.cache(0).refreshes_received(), 0);
-  EXPECT_GT(scheduler.cache(1).refreshes_received(), 0);
+  EXPECT_GT(scheduler.cache_link(0).push_units_delivered(), 0);
+  EXPECT_GT(scheduler.cache_link(1).push_units_delivered(), 0);
   EXPECT_GT(result->per_cache_weighted[0], 0.0);
   EXPECT_GT(result->per_cache_weighted[1], 0.0);
   EXPECT_NEAR(result->per_cache_weighted[0] + result->per_cache_weighted[1],

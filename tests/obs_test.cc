@@ -16,7 +16,6 @@
 
 #include "exp/experiment.h"
 #include "obs/export.h"
-#include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 

@@ -95,11 +95,12 @@ TEST(CacheStoreTest, LruEvictsLeastRecentlyRead) {
   EXPECT_TRUE(store.resident(1));
   EXPECT_FALSE(store.resident(2));
   store.TouchRead(0, 1.0);
-  // Installing slot 2 must evict slot 1 (never read; last_touch 0).
+  // Installing slot 2 must evict slot 1 (never read; last_touch 0); the
+  // returned victim is the one eviction the read path counts.
   EXPECT_EQ(store.Install(2, 2.0, {}), 1);
   EXPECT_TRUE(store.resident(2));
   EXPECT_FALSE(store.resident(1));
-  EXPECT_EQ(store.evictions(), 1);
+  EXPECT_EQ(store.Install(2, 2.5, {}), -1);  // already resident: no eviction
   // Ties (equal touch) break to the lowest slot.
   CacheStore tied(2, EvictionPolicy::kLru, {1, 2, 3});
   EXPECT_EQ(tied.Install(2, 1.0, {}), 0);
@@ -137,8 +138,8 @@ TEST(CacheStoreTest, UnboundedStoreIsInert) {
   EXPECT_TRUE(store.unbounded());
   EXPECT_TRUE(store.resident(0));
   EXPECT_TRUE(store.resident(1));
-  EXPECT_EQ(store.Install(1, 1.0, {}), -1);
-  EXPECT_EQ(store.evictions(), 0);
+  EXPECT_EQ(store.Install(1, 1.0, {}), -1);  // never evicts
+  EXPECT_EQ(store.Install(0, 2.0, {}), -1);
   EXPECT_EQ(store.num_resident(), 2);
   EXPECT_EQ(store.SlotOf(6), 1);
   EXPECT_EQ(store.SlotOf(7), -1);

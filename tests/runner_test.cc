@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <regex>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "exp/runner.h"
 #include "util/thread_pool.h"
@@ -207,6 +211,61 @@ TEST(RunnerTest, EmptyJobListProducesEmptyJson) {
   std::ostringstream json;
   WriteResultsJson(json, results);
   EXPECT_NE(json.str().find("\"results\": []"), std::string::npos);
+}
+
+TEST(RunnerTest, CsvOptionalColumnsAreTheJsonFields) {
+  // One job carries every optional group (reads, a non-push protocol,
+  // faults), one carries none: the CSV gains each group's columns on both
+  // rows, named and ordered exactly like the first job's JSON fields.
+  ExperimentJob plain;
+  plain.name = "plain";
+  plain.config.workload.num_sources = 2;
+  plain.config.workload.objects_per_source = 4;
+  plain.config.harness.warmup = 5.0;
+  plain.config.harness.measure = 40.0;
+  ExperimentJob full = plain;
+  full.name = "full";
+  full.config.workload.num_caches = 2;
+  full.config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
+  full.config.workload.read.read_rate = 2.0;
+  full.config.workload.fault.cache_crashes = 1;
+  full.config.workload.fault.window_start = 10.0;
+  full.config.workload.fault.window_end = 30.0;
+  full.config.protocol.kind = SyncProtocolKind::kInvalidation;
+  const std::vector<JobResult> results =
+      RunExperiments({full, plain}, RunnerOptions{});
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  ASSERT_TRUE(results[1].status.ok()) << results[1].status.ToString();
+
+  std::ostringstream json;
+  WriteResultsJson(json, {results[0]});
+  const std::string text = json.str();
+  const size_t start = text.find("\"cache_utilization\"");
+  ASSERT_NE(start, std::string::npos);
+  std::vector<std::string> json_fields;
+  const std::regex key("\"([a-z_0-9]+)\": ");
+  const std::string tail = text.substr(start);
+  for (auto it = std::sregex_iterator(tail.begin(), tail.end(), key);
+       it != std::sregex_iterator(); ++it) {
+    json_fields.push_back((*it)[1]);
+  }
+  json_fields.erase(json_fields.begin());  // cache_utilization itself
+
+  const TablePrinter csv = ResultsCsv(results);
+  const std::vector<std::string>& header = csv.headers();
+  const auto first = std::find(header.begin(), header.end(), "cache_utilization");
+  ASSERT_NE(first, header.end());
+  const std::vector<std::string> csv_fields(first + 1, header.end() - 1);
+  EXPECT_EQ(csv_fields, json_fields);
+  EXPECT_EQ(header.back(), "error");
+  for (const char* field : {"read_hits", "read_misses", "invalidations_sent",
+                            "cache_crashes", "time_to_resync_p95"}) {
+    EXPECT_NE(std::find(csv_fields.begin(), csv_fields.end(), field),
+              csv_fields.end())
+        << field;
+  }
+  ASSERT_EQ(csv.num_rows(), 2u);
+  for (const auto& row : csv.rows()) EXPECT_EQ(row.size(), header.size());
 }
 
 TEST(RunnerTest, ResultsTableHasOneRowPerJob) {

@@ -9,15 +9,48 @@
 //     leak warm-up traffic scale with the warm-up instead.
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/system.h"
 #include "exp/experiment.h"
-#include "obs/metrics.h"
 
 namespace besync {
 namespace {
+
+// Every SchedulerStats field is 8 bytes; a new one changes this size. If it
+// is a count, list it in ExpectCountsZero below.
+static_assert(sizeof(SchedulerStats) == 39 * 8,
+              "SchedulerStats changed: update ExpectCountsZero");
+
+/// Every count field of SchedulerStats, listed once: all must be zero right
+/// after a measurement-start reset.
+void ExpectCountsZero(const SchedulerStats& s) {
+  EXPECT_EQ(s.refreshes_sent, 0);
+  EXPECT_EQ(s.refreshes_delivered, 0);
+  EXPECT_EQ(s.feedback_sent, 0);
+  EXPECT_EQ(s.polls_sent, 0);
+  EXPECT_EQ(s.relays_forwarded, 0);
+  EXPECT_EQ(s.relay_control_moved, 0);
+  EXPECT_EQ(s.reads_total, 0);
+  EXPECT_EQ(s.read_hits, 0);
+  EXPECT_EQ(s.read_misses, 0);
+  EXPECT_EQ(s.pull_requests_sent, 0);
+  EXPECT_EQ(s.pulls_delivered, 0);
+  EXPECT_EQ(s.cache_evictions, 0);
+  EXPECT_EQ(s.invalidations_sent, 0);
+  EXPECT_EQ(s.invalidations_received, 0);
+  EXPECT_EQ(s.cache_crashes, 0);
+  EXPECT_EQ(s.cache_restarts, 0);
+  EXPECT_EQ(s.relay_failures, 0);
+  EXPECT_EQ(s.link_down_events, 0);
+  EXPECT_EQ(s.slowdown_events, 0);
+  EXPECT_EQ(s.crash_dropped_pulls, 0);
+  EXPECT_EQ(s.resync_deliveries, 0);
+}
 
 ExperimentConfig BaseConfig(SchedulerKind kind) {
   ExperimentConfig config;
@@ -48,42 +81,74 @@ TEST_P(StatsResetTest, SecondMeasurementStartZeroesAllCounters) {
                 after_run.polls_sent,
             0);
 
-  // ...and a fresh measurement start wipes every counter and queue stat,
-  // including the relay / read-path / protocol counters added since (zero
-  // here because the config does not exercise them, but a reset that
-  // skipped one would leak the previous run's value on a reused scheduler).
+  // ...and a fresh measurement start wipes every count and link statistic,
+  // including the relay / read-path / protocol / fault counts (zero here
+  // because the config does not exercise them, but a reset that skipped one
+  // would leak the previous run's value on a reused scheduler).
   scheduler->OnMeasurementStart(harness.now());
   const SchedulerStats reset = scheduler->stats();
-  EXPECT_EQ(reset.refreshes_sent, 0);
-  EXPECT_EQ(reset.refreshes_delivered, 0);
-  EXPECT_EQ(reset.feedback_sent, 0);
-  EXPECT_EQ(reset.polls_sent, 0);
+  ExpectCountsZero(reset);
   EXPECT_EQ(reset.cache_utilization, 0.0);
   EXPECT_EQ(reset.avg_cache_queue, 0.0);
-  EXPECT_EQ(reset.relays_forwarded, 0);
-  EXPECT_EQ(reset.relay_control_moved, 0);
-  EXPECT_EQ(reset.reads_total, 0);
-  EXPECT_EQ(reset.read_hits, 0);
-  EXPECT_EQ(reset.read_misses, 0);
-  EXPECT_EQ(reset.pull_requests_sent, 0);
-  EXPECT_EQ(reset.pulls_delivered, 0);
-  EXPECT_EQ(reset.cache_evictions, 0);
   EXPECT_EQ(reset.pull_units_delivered, 0);
   EXPECT_EQ(reset.push_units_delivered, 0);
-  EXPECT_EQ(reset.invalidations_sent, 0);
-  EXPECT_EQ(reset.invalidations_received, 0);
 }
 
-TEST(StatsResetProtocolTest, ReusedCooperativeSchedulerZeroesProtocolCounters) {
-  // Drive every counter family at once — reads with a binding capacity, a
-  // relay tier, the invalidation protocol — then start a fresh measurement
-  // window on the *same* scheduler instance and demand a clean slate.
-  ExperimentConfig config = BaseConfig(SchedulerKind::kCooperative);
-  config.workload.num_caches = 2;
-  config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
-  config.workload.read.read_rate = 4.0;
-  config.workload.relay_tiers = 1;
-  config.protocol.kind = SyncProtocolKind::kInvalidation;
+/// A cooperative config and the counts its run must move, so the reset
+/// check below is not vacuous.
+struct CountCase {
+  std::string name;
+  ExperimentConfig config;
+  std::vector<std::pair<const char*, int64_t SchedulerStats::*>> bumped;
+};
+
+std::vector<CountCase> CooperativeCountCases() {
+  // Reads with a binding capacity, a relay tier, the invalidation protocol.
+  ExperimentConfig reads = BaseConfig(SchedulerKind::kCooperative);
+  reads.workload.num_caches = 2;
+  reads.workload.interest_pattern = InterestPattern::kPartitionedBySource;
+  reads.workload.read.read_rate = 4.0;
+  reads.workload.relay_tiers = 1;
+  reads.protocol.kind = SyncProtocolKind::kInvalidation;
+  // Cache crash/restart (with its resync episode), a relay failover, a
+  // link flap, a slowdown.
+  ExperimentConfig faults = BaseConfig(SchedulerKind::kCooperative);
+  faults.workload.num_caches = 2;
+  faults.workload.interest_pattern = InterestPattern::kPartitionedBySource;
+  faults.workload.relay_tiers = 1;
+  faults.workload.fault.cache_crashes = 2;
+  faults.workload.fault.relay_failures = 1;
+  faults.workload.fault.link_flaps = 1;
+  faults.workload.fault.slowdowns = 1;
+  faults.workload.fault.window_start = 40.0;
+  faults.workload.fault.window_end = 120.0;
+  return {
+      {"ReadsInvalidationRelay",
+       reads,
+       {{"reads_total", &SchedulerStats::reads_total},
+        {"pulls_delivered", &SchedulerStats::pulls_delivered},
+        {"invalidations_sent", &SchedulerStats::invalidations_sent},
+        {"invalidations_received", &SchedulerStats::invalidations_received},
+        {"relays_forwarded", &SchedulerStats::relays_forwarded}}},
+      {"FaultsRelay",
+       faults,
+       {{"cache_crashes", &SchedulerStats::cache_crashes},
+        {"cache_restarts", &SchedulerStats::cache_restarts},
+        {"relay_failures", &SchedulerStats::relay_failures},
+        {"link_down_events", &SchedulerStats::link_down_events},
+        {"slowdown_events", &SchedulerStats::slowdown_events},
+        {"resync_deliveries", &SchedulerStats::resync_deliveries}}},
+  };
+}
+
+class StatsResetCooperativeTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(StatsResetCooperativeTest, ReusedSchedulerZeroesEveryCount) {
+  // Drive a counter family, then start a fresh measurement window on the
+  // *same* scheduler instance and demand a clean slate: a reused scheduler
+  // must not double-count the previous run's traffic or outages.
+  const CountCase count_case = CooperativeCountCases()[GetParam()];
+  const ExperimentConfig& config = count_case.config;
   const Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
   const auto metric = MakeMetric(config.metric);
   const auto scheduler = MakeScheduler(config);
@@ -91,140 +156,28 @@ TEST(StatsResetProtocolTest, ReusedCooperativeSchedulerZeroesProtocolCounters) {
   ASSERT_TRUE(harness.Run(scheduler.get()).ok());
 
   const SchedulerStats after_run = scheduler->stats();
-  EXPECT_GT(after_run.reads_total, 0);
-  EXPECT_GT(after_run.pulls_delivered, 0);
-  EXPECT_GT(after_run.invalidations_sent, 0);
-  EXPECT_GT(after_run.invalidations_received, 0);
-  EXPECT_GT(after_run.relays_forwarded, 0);
+  for (const auto& [name, field] : count_case.bumped) {
+    EXPECT_GT(after_run.*field, 0) << name << " was not exercised";
+  }
+  // A run that refilled a restarted cache also closed a resync episode.
+  if (after_run.resync_deliveries > 0) {
+    EXPECT_GT(after_run.time_to_resync_p95, 0.0);
+  }
 
   scheduler->OnMeasurementStart(harness.now());
   const SchedulerStats reset = scheduler->stats();
-  EXPECT_EQ(reset.reads_total, 0);
-  EXPECT_EQ(reset.read_hits, 0);
-  EXPECT_EQ(reset.read_misses, 0);
-  EXPECT_EQ(reset.pull_requests_sent, 0);
-  EXPECT_EQ(reset.pulls_delivered, 0);
-  EXPECT_EQ(reset.relays_forwarded, 0);
-  EXPECT_EQ(reset.invalidations_sent, 0);
-  EXPECT_EQ(reset.invalidations_received, 0);
-}
-
-TEST(StatsResetFaultTest, ReusedCooperativeSchedulerZeroesFaultCounters) {
-  // Drive every fault counter family — cache crash/restart (with its resync
-  // episode), a relay failover, a link flap, a slowdown — then start a fresh
-  // measurement window on the same scheduler instance: the fault counters
-  // must re-zero with everything else, or a reused scheduler double-counts
-  // the previous run's outages.
-  ExperimentConfig config = BaseConfig(SchedulerKind::kCooperative);
-  config.workload.num_caches = 2;
-  config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
-  config.workload.relay_tiers = 1;
-  config.workload.fault.cache_crashes = 2;
-  config.workload.fault.relay_failures = 1;
-  config.workload.fault.link_flaps = 1;
-  config.workload.fault.slowdowns = 1;
-  config.workload.fault.window_start = 40.0;
-  config.workload.fault.window_end = 120.0;
-  const Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
-  const auto metric = MakeMetric(config.metric);
-  const auto scheduler = MakeScheduler(config);
-  Harness harness(&workload, metric.get(), config.harness);
-  ASSERT_TRUE(harness.Run(scheduler.get()).ok());
-
-  const SchedulerStats after_run = scheduler->stats();
-  EXPECT_GT(after_run.cache_crashes, 0);
-  EXPECT_GT(after_run.cache_restarts, 0);
-  EXPECT_GT(after_run.relay_failures, 0);
-  EXPECT_GT(after_run.link_down_events, 0);
-  EXPECT_GT(after_run.slowdown_events, 0);
-  EXPECT_GT(after_run.resync_deliveries, 0);
-  EXPECT_GT(after_run.time_to_resync_p95, 0.0);
-
-  scheduler->OnMeasurementStart(harness.now());
-  const SchedulerStats reset = scheduler->stats();
-  EXPECT_EQ(reset.cache_crashes, 0);
-  EXPECT_EQ(reset.cache_restarts, 0);
-  EXPECT_EQ(reset.relay_failures, 0);
-  EXPECT_EQ(reset.link_down_events, 0);
-  EXPECT_EQ(reset.slowdown_events, 0);
-  EXPECT_EQ(reset.crash_dropped_pulls, 0);
-  EXPECT_EQ(reset.resync_deliveries, 0);
+  ExpectCountsZero(reset);
   EXPECT_EQ(reset.resync_pending, 0);
   EXPECT_EQ(reset.time_to_resync_mean, 0.0);
   EXPECT_EQ(reset.time_to_resync_p95, 0.0);
 }
 
-TEST(StatsRegistryTest, ResetZeroesEveryRegisteredMetric) {
-  // The cooperative scheduler's counters live in a MetricsRegistry
-  // (obs/metrics.h): one registration site, one increment site, and a
-  // single Reset() at measurement start. This is the registry-side version
-  // of the audits above — instead of naming fields one by one, iterate
-  // everything registered and demand zero, so a counter added later is
-  // covered the day it is registered. The registry currently backs the
-  // fault/relay counter family, so arm a relay tier and a fault schedule
-  // to actually bump it.
-  ExperimentConfig config = BaseConfig(SchedulerKind::kCooperative);
-  config.workload.num_caches = 2;
-  config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
-  config.workload.relay_tiers = 1;
-  config.workload.fault.cache_crashes = 1;
-  config.workload.fault.window_start = 40.0;
-  config.workload.fault.window_end = 120.0;
-  const Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
-  const auto metric = MakeMetric(config.metric);
-  const auto scheduler = MakeScheduler(config);
-  Harness harness(&workload, metric.get(), config.harness);
-  ASSERT_TRUE(harness.Run(scheduler.get()).ok());
-
-  auto* cooperative = static_cast<CooperativeScheduler*>(scheduler.get());
-  const MetricsRegistry& registry = cooperative->metrics_registry();
-  ASSERT_FALSE(registry.counters().empty());
-  int64_t total = 0;
-  for (const auto& [name, counter] : registry.counters()) total += counter.value();
-  EXPECT_GT(total, 0) << "the run bumped no registered counter";
-
-  scheduler->OnMeasurementStart(harness.now());
-  for (const auto& [name, counter] : registry.counters()) {
-    EXPECT_EQ(counter.value(), 0) << "counter '" << name
-                                  << "' escaped the measurement-start reset";
-  }
-  for (const auto& [name, gauge] : registry.gauges()) {
-    EXPECT_EQ(gauge.value(), 0.0) << "gauge '" << name << "' escaped the reset";
-  }
-
-  // The struct view and the registry must agree after reset too.
-  const SchedulerStats reset = scheduler->stats();
-  EXPECT_EQ(reset.refreshes_sent, 0);
-  EXPECT_EQ(reset.refreshes_delivered, 0);
-}
-
-TEST(StatsRegistryTest, StandaloneRegistryBasics) {
-  MetricsRegistry registry;
-  Counter* sent = registry.AddCounter("sent");
-  Gauge* depth = registry.AddGauge("depth");
-  Histogram* wait = registry.AddHistogram("wait");
-  sent->Increment();
-  sent->Increment(3);
-  depth->Set(7.5);
-  wait->Add(1.0);
-  wait->Add(9.0);
-  EXPECT_EQ(sent->value(), 4);
-  EXPECT_EQ(depth->value(), 7.5);
-  EXPECT_EQ(wait->digest().count(), 2);
-
-  // Handles stay valid as the deque grows (the registration contract).
-  for (int i = 0; i < 100; ++i) {
-    registry.AddCounter("filler_" + std::to_string(i));
-  }
-  EXPECT_EQ(sent->value(), 4);
-
-  // Introspection sees registration order; Reset zeroes everything at once.
-  EXPECT_EQ(registry.counters().front().first, "sent");
-  registry.Reset();
-  EXPECT_EQ(sent->value(), 0);
-  EXPECT_EQ(depth->value(), 0.0);
-  EXPECT_EQ(wait->digest().count(), 0);
-}
+INSTANTIATE_TEST_SUITE_P(
+    Configs, StatsResetCooperativeTest,
+    ::testing::Range<size_t>(0, CooperativeCountCases().size()),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return CooperativeCountCases()[info.param].name;
+    });
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, StatsResetTest,
                          ::testing::Values(SchedulerKind::kCooperative,
