@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "data/workload.h"
 #include "exp/runner.h"
 #include "obs/export.h"
 #include "util/flags.h"
@@ -233,11 +234,13 @@ inline void EmitObsOutputs(const std::vector<JobResult>& results,
 }
 
 /// Exits 2 with the message when a job's config fails
-/// ValidateExperimentConfig: a bad --warmup / --measure / --bandwidth is a
-/// usage error, reported before any job runs.
+/// ValidateExperimentConfig or its workload fails ValidateWorkloadConfig: a
+/// bad --warmup / --measure / --bandwidth / --rate_hi / --caches is a usage
+/// error, reported before any job runs.
 inline void ValidateJobsOrExit(const std::vector<ExperimentJob>& jobs) {
   for (const ExperimentJob& job : jobs) {
-    const Status status = ValidateExperimentConfig(job.config);
+    Status status = ValidateExperimentConfig(job.config);
+    if (status.ok()) status = ValidateWorkloadConfig(job.config.workload);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       std::exit(2);

@@ -61,6 +61,11 @@ void SourceAgent::BuildChannels() {
   // Scratch reused across channels; the arena copies are exact-sized.
   std::vector<ObjectIndex> channel_members;
   std::vector<int32_t> channel_replicas;
+  // Channels are built in ascending cache id and every member's cache list
+  // is ascending, so member k's next replica slot is cursor[k]: a merge
+  // over the lists, where a replica_slot() search per (channel, member)
+  // pair would walk each list once per channel.
+  std::vector<int32_t> cursor(members_.size(), 0);
   for (int32_t cache_id : cache_ids) {
     double period = expected_feedback_period_;
     if (cache_id < static_cast<int32_t>(feedback_periods_by_cache_.size()) &&
@@ -73,11 +78,16 @@ void SourceAgent::BuildChannels() {
     channel_replicas.clear();
     for (size_t k = 0; k < members_.size(); ++k) {
       const ObjectIndex index = members_[k];
-      const int replica = harness_->object(index).spec->replica_slot(cache_id);
-      if (replica < 0) continue;
+      const std::vector<int32_t>& caches = harness_->object(index).spec->caches;
+      const int32_t replica = cursor[k];
+      if (replica == static_cast<int32_t>(caches.size()) ||
+          caches[replica] != cache_id) {
+        continue;
+      }
+      ++cursor[k];
       channel.slot_of[k] = static_cast<int32_t>(channel_members.size());
       channel_members.push_back(index);
-      channel_replicas.push_back(static_cast<int32_t>(replica));
+      channel_replicas.push_back(replica);
     }
     channel.num_members = static_cast<int32_t>(channel_members.size());
     channel.members = arena->AllocateArray<ObjectIndex>(channel_members.size());

@@ -99,6 +99,13 @@ class SourceAgent {
   size_t channel_num_objects(int k = 0) const {
     return static_cast<size_t>(channels_[k].num_members);
   }
+  /// Channel `k`'s members, ascending (channel_num_objects(k) of them), and
+  /// each member's replica slot at the channel's cache
+  /// (ObjectSpec::replica_slot). Introspection for tests.
+  const ObjectIndex* channel_members(int k) const { return channels_[k].members; }
+  const int32_t* channel_replica_slots(int k) const {
+    return channels_[k].replica_slots;
+  }
 
   /// Registers an object hosted by this source. Objects of one source must
   /// form a contiguous index range (as produced by the workload generators).

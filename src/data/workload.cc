@@ -1,6 +1,7 @@
 #include "data/workload.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "util/logging.h"
@@ -109,7 +110,7 @@ void AssignInterest(const WorkloadConfig& config, Rng* interest_rng,
 
 }  // namespace
 
-Result<Workload> MakeWorkload(const WorkloadConfig& config) {
+Status ValidateWorkloadConfig(const WorkloadConfig& config) {
   if (config.num_sources < 1) {
     return Status::InvalidArgument("num_sources must be >= 1, got ",
                                    config.num_sources);
@@ -127,18 +128,26 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
     return Status::InvalidArgument(
         "interest_pattern kSingleCache requires num_caches == 1");
   }
-  if (config.rate_lo < 0.0 || config.rate_hi < config.rate_lo) {
-    return Status::InvalidArgument("invalid rate range");
+  // Negated comparisons plus isfinite, so NaN and infinities fail too: a
+  // NaN rate aborts the update process and an infinite one never advances.
+  if (!(config.rate_lo >= 0.0 && config.rate_hi >= config.rate_lo) ||
+      !std::isfinite(config.rate_hi)) {
+    return Status::InvalidArgument("invalid rate range [", config.rate_lo, ", ",
+                                   config.rate_hi, "]");
+  }
+  if (!(config.slow_rate >= 0.0) || !std::isfinite(config.slow_rate)) {
+    return Status::InvalidArgument("slow_rate must be finite and >= 0, got ",
+                                   config.slow_rate);
+  }
+  if (!(config.fast_rate >= 0.0) || !std::isfinite(config.fast_rate)) {
+    return Status::InvalidArgument("fast_rate must be finite and >= 0, got ",
+                                   config.fast_rate);
   }
   if (config.update_model == WorkloadConfig::UpdateModel::kBernoulli &&
       (config.rate_hi > 1.0 || config.fast_rate > 1.0)) {
     return Status::InvalidArgument(
         "Bernoulli update probabilities must be <= 1");
   }
-
-  Rng rng(config.seed);
-  const int64_t total =
-      static_cast<int64_t>(config.num_sources) * config.objects_per_source;
 
   if (config.large_cost < 1) {
     return Status::InvalidArgument("large_cost must be >= 1");
@@ -194,6 +203,14 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
           "fault relay_failures require a relay topology (relay_tiers > 0)");
     }
   }
+  return Status::OK();
+}
+
+Result<Workload> MakeWorkload(const WorkloadConfig& config) {
+  BESYNC_RETURN_IF_ERROR(ValidateWorkloadConfig(config));
+  Rng rng(config.seed);
+  const int64_t total =
+      static_cast<int64_t>(config.num_sources) * config.objects_per_source;
 
   // Random half-splits for rate, weight and cost skew, drawn independently
   // ("an independently- and randomly-selected half", Section 4.3).

@@ -229,6 +229,12 @@ struct WorkloadConfig {
   uint64_t seed = 1;
 };
 
+/// InvalidArgument naming the first bad field of `config` (a count below
+/// its minimum, a negative, NaN or infinite rate, a bad read or fault
+/// knob), else OK. MakeWorkload runs it first; the bench drivers run it per
+/// job so a bad field is a usage error before any job runs.
+Status ValidateWorkloadConfig(const WorkloadConfig& config);
+
 /// Builds a synthetic workload. Deterministic given the config (including
 /// the seed): two calls with the same config produce identical specs and
 /// identical per-object RNG seeds.

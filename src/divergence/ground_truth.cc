@@ -46,13 +46,6 @@ GroundTruth::GroundTruth(const Workload* workload, const DivergenceMetric* metri
   unweighted_integral_.assign(caches, 0.0);
 }
 
-size_t GroundTruth::ReplicaEntry(ObjectIndex index, int32_t cache_id) const {
-  const int slot = workload_->objects[index].replica_slot(cache_id);
-  BESYNC_CHECK_GE(slot, 0) << "object " << index << " has no replica at cache "
-                           << cache_id;
-  return replica_base_[index] + static_cast<size_t>(slot);
-}
-
 const Fluctuation* GroundTruth::WeightFn(const ObjectSpec& spec) const {
   return use_source_weights_ && spec.source_weight ? spec.source_weight.get()
                                                    : spec.weight.get();

@@ -112,9 +112,10 @@ class GroundTruth {
   double current_divergence(ObjectIndex index) const {
     return entries_[replica_base_[index]].divergence;
   }
-  double current_divergence(ObjectIndex index, int32_t cache_id) const {
-    return entries_[ReplicaEntry(index, cache_id)].divergence;
-  }
+  /// Divergence of the replica at flat entry `entry`: its object's replica
+  /// base (see the range form of OnSourceUpdate) plus its replica slot.
+  /// Unchecked, for callers that resolve their entries once up front.
+  double replica_divergence(size_t entry) const { return entries_[entry].divergence; }
 
   /// Instantaneous Σ W * D over cache `cache_id`'s replicas — the running
   /// sum the time integrals integrate. Divergence is piecewise constant
@@ -140,8 +141,6 @@ class GroundTruth {
     int32_t cache_id = 0;
   };
 
-  /// Flat entry index of object `index`'s replica at `cache_id` (checked).
-  size_t ReplicaEntry(ObjectIndex index, int32_t cache_id) const;
   /// Replaces an entry's divergence, maintaining the running sums.
   void SetDivergence(Entry* entry, double divergence);
   /// Rebuilds the running sums from scratch (bounds accumulation error).

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "data/object.h"
@@ -25,6 +26,10 @@ namespace besync {
 /// not count toward the paper's objective.
 class CacheStore {
  public:
+  /// Current divergence of the replica in a member slot — the key of
+  /// EvictionPolicy::kDivergenceAware, which no other policy reads.
+  using DivergenceFn = std::function<double(int64_t slot)>;
+
   /// `members`: ascending global object indices replicated at this cache.
   /// `capacity` <= 0 = unbounded. Initially the first min(capacity, n)
   /// members are resident (deterministic warm start; the remainder faults
@@ -56,17 +61,28 @@ class CacheStore {
   bool ever_crashed() const { return crashed_; }
 
   /// Records a client read hit of `slot` at time `t` (LRU/LFU bookkeeping).
-  void TouchRead(int64_t slot, double t);
+  /// Read times need not be monotone per slot: a tick installs at the tick
+  /// time and then serves reads stamped earlier in the same tick.
+  void TouchRead(int64_t slot, double t) {
+    if (unbounded()) return;
+    SlotState& state = slots_[slot];
+    // Only a lower LRU key can invalidate the index's lower bounds; an LFU
+    // touch always raises read_count, the key's leading field.
+    const bool key_drops = t < state.last_touch;
+    state.last_touch = t;
+    if (state.read_count != std::numeric_limits<uint32_t>::max()) ++state.read_count;
+    if (key_drops && indexed_ && policy_ == EvictionPolicy::kLru && state.resident) {
+      PushIndex(slot);
+    }
+  }
 
   /// Makes `slot` resident at time `t` (pull response or push refresh for a
   /// non-resident member), evicting a victim first when at capacity.
-  /// `divergence_of` supplies the current replica divergence of a member
-  /// (used by EvictionPolicy::kDivergenceAware; may be empty for the other
-  /// policies). Returns the evicted slot, or -1 when none was needed.
-  /// No-op (returns -1) when the slot is already resident or the store is
-  /// unbounded.
-  int64_t Install(int64_t slot, double t,
-                  const std::function<double(ObjectIndex)>& divergence_of);
+  /// `divergence_of` is read by EvictionPolicy::kDivergenceAware only and
+  /// may be empty for the other policies. Returns the evicted slot, or -1
+  /// when none was needed. No-op (returns -1) when the slot is already
+  /// resident or the store is unbounded.
+  int64_t Install(int64_t slot, double t, const DivergenceFn& divergence_of);
 
   /// Allocates per-slot ReplicaSyncState for validity-tracking protocols
   /// (invalidation / TTL), sized over all members even when the store is
@@ -79,13 +95,41 @@ class CacheStore {
 
  private:
   struct SlotState {
-    bool resident = false;
     double last_touch = 0.0;
-    int64_t read_count = 0;
+    /// Reads since install, saturating at 2^32 - 1 (LFU's key; the cap is
+    /// out of reach of any run, and keeps slots and index entries small).
+    uint32_t read_count = 0;
+    bool resident = false;
   };
 
-  /// Victim slot under the configured policy (requires >= 1 resident).
-  int64_t SelectVictim(const std::function<double(ObjectIndex)>& divergence_of) const;
+  /// One eviction-index entry: a slot's key as of the push. LRU entries
+  /// carry read_count 0, so one order — (read_count, last_touch, slot) —
+  /// serves both policies.
+  struct IndexEntry {
+    double last_touch;
+    uint32_t read_count;
+    int32_t slot;
+  };
+
+  /// Victim slot under the configured policy by a scan over every member
+  /// (requires >= 1 resident). The policy of record: kDivergenceAware
+  /// evicts through it, and the LRU/LFU index must agree with it.
+  int64_t SelectVictim(const DivergenceFn& divergence_of) const;
+
+  /// `slot`'s current eviction key.
+  IndexEntry KeyOf(int64_t slot) const {
+    const SlotState& state = slots_[slot];
+    return {state.last_touch,
+            policy_ == EvictionPolicy::kLfu ? state.read_count : 0u,
+            static_cast<int32_t>(slot)};
+  }
+  /// Pushes `slot`'s current key, or rebuilds the index instead once dead
+  /// and superseded entries have filled it to its limit.
+  void PushIndex(int64_t slot);
+  /// Rebuilds the index from the residents' current keys.
+  void RebuildIndex();
+  /// Pops the resident slot with the least key: SelectVictim's pick.
+  int64_t PopVictim();
 
   int64_t capacity_;
   EvictionPolicy policy_;
@@ -95,6 +139,13 @@ class CacheStore {
   /// Per-slot protocol state; empty unless EnableSyncState was called.
   std::vector<ReplicaSyncState> sync_;
   int64_t num_resident_ = 0;
+  /// Lazy min-heap over (read_count, last_touch, slot) for LRU and LFU
+  /// stores that can evict (capacity < members). Every resident slot has an
+  /// entry whose key is <= its current key, so the least entry whose key
+  /// is current names the exact victim; entries of non-resident slots and
+  /// stale-low entries are dropped or re-keyed when they surface.
+  bool indexed_ = false;
+  std::vector<IndexEntry> index_;
   /// Set by Crash(): an unbounded store tracks residency via slots_ from
   /// then on. Never set on the fault-free path.
   bool crashed_ = false;

@@ -10,6 +10,7 @@ void ReadPath::Initialize(Harness* harness, int num_caches, SchedulerStats* tall
                           const SyncProtocol* protocol, bool has_cache_faults) {
   BESYNC_CHECK(tally != nullptr);
   harness_ = harness;
+  truth_ = &harness->ground_truth();
   tally_ = tally;
   const Workload& workload = harness->workload();
   config_ = workload.read;
@@ -30,11 +31,18 @@ void ReadPath::Initialize(Harness* harness, int num_caches, SchedulerStats* tall
   }
 
   // Ascending member list per cache (the objects a client of that cache
-  // can read — its replicas).
+  // can read — its replicas), and each member's ground-truth entry: entries
+  // run object-major in ObjectSpec::caches order, so the replica at
+  // position r of object i is entry (replicas of objects < i) + r.
+  BESYNC_CHECK_LE(workload.total_replicas(),
+                  int64_t{std::numeric_limits<uint32_t>::max()});
   std::vector<std::vector<ObjectIndex>> members(static_cast<size_t>(num_caches));
+  std::vector<std::vector<uint32_t>> entries(static_cast<size_t>(num_caches));
+  uint32_t entry = 0;
   for (size_t i = 0; i < workload.objects.size(); ++i) {
     for (int32_t cache : workload.objects[i].caches) {
       members[cache].push_back(static_cast<ObjectIndex>(i));
+      entries[cache].push_back(entry++);
     }
   }
 
@@ -43,6 +51,12 @@ void ReadPath::Initialize(Harness* harness, int num_caches, SchedulerStats* tall
     CacheState state(
         CacheStore(config_.capacity, config_.eviction, std::move(members[c])));
     state.cache_id = c;
+    state.replica_entry = std::move(entries[c]);
+    if (config_.eviction == EvictionPolicy::kDivergenceAware) {
+      state.divergence_of = [this, c](int64_t slot) {
+        return ReplicaDivergence(caches_[c], slot);
+      };
+    }
     const int64_t n = state.store.num_members();
     // Private per-cache read RNG, derived from the read seed only — enabling
     // reads never perturbs the workload or scheduler streams.
@@ -81,32 +95,26 @@ void ReadPath::Initialize(Harness* harness, int num_caches, SchedulerStats* tall
   }
 }
 
-double ReadPath::ReplicaDivergence(const CacheState& cache, ObjectIndex index) const {
-  return harness_->ground_truth().current_divergence(index, cache.cache_id);
-}
-
 void ReadPath::ProcessReads(double t) {
   if (!reads_enabled_) return;
-  // Global time order across caches (ties to the lowest cache id), so the
-  // staleness digest's insertion order — and therefore its compressed state
-  // — is a pure function of the run.
-  while (true) {
-    CacheState* next = nullptr;
-    for (CacheState& cache : caches_) {
-      if (cache.stream == nullptr || cache.next_read_time > t) continue;
-      if (next == nullptr || cache.next_read_time < next->next_read_time) {
-        next = &cache;
-      }
+  // Cache by cache, each in its own time order. Order across caches is not
+  // observable: a read touches only its cache's store, pending pulls,
+  // request queue and staleness digest, bumps integer tally counts, and
+  // reads a ground truth that nothing changes during this loop. The
+  // digests merge in cache order (WriteStats), so each digest's insertion
+  // order — all its compressed state depends on — is its own cache's.
+  for (CacheState& cache : caches_) {
+    if (cache.stream == nullptr) continue;
+    while (cache.next_read_time <= t) {
+      const double read_time = cache.next_read_time;
+      const int64_t slot =
+          cache.stream->NextObjectSlot(cache.store.num_members(), &cache.rng);
+      // A crashed cache's clients keep issuing reads (the stream and its
+      // RNG advance deterministically) but the reads go nowhere: no
+      // hit/miss accounting, no pulls.
+      if (!cache.down) HandleRead(&cache, slot, read_time);
+      cache.next_read_time = cache.stream->NextReadTime(read_time, &cache.rng);
     }
-    if (next == nullptr) break;
-    const double read_time = next->next_read_time;
-    const int64_t slot =
-        next->stream->NextObjectSlot(next->store.num_members(), &next->rng);
-    // A crashed cache's clients keep issuing reads (the stream and its RNG
-    // advance deterministically) but the reads go nowhere: no hit/miss
-    // accounting, no pulls.
-    if (!next->down) HandleRead(next, slot, read_time);
-    next->next_read_time = next->stream->NextReadTime(read_time, &next->rng);
   }
 }
 
@@ -117,7 +125,7 @@ void ReadPath::HandleRead(CacheState* cache, int64_t slot, double t) {
   if (fresh && cache->store.resident(slot)) {
     ++tally_->read_hits;
     cache->store.TouchRead(slot, t);
-    cache->staleness.Add(ReplicaDivergence(*cache, cache->store.member(slot)));
+    cache->staleness.Add(ReplicaDivergence(*cache, slot));
     return;
   }
   ++tally_->read_misses;
@@ -193,10 +201,7 @@ void ReadPath::ResolveDelivery(CacheState* cache, ObjectIndex index, double t,
   const int64_t slot = cache->store.SlotOf(index);
   if (slot < 0) return;
   if (is_pull) ++tally_->pulls_delivered;
-  const int64_t evicted =
-      cache->store.Install(slot, t, [this, cache](ObjectIndex member) {
-        return ReplicaDivergence(*cache, member);
-      });
+  const int64_t evicted = cache->store.Install(slot, t, cache->divergence_of);
   if (evicted >= 0) {
     ++tally_->cache_evictions;
     if (TraceBuffer* trace = trace_for(cache->cache_id)) {
@@ -221,7 +226,7 @@ void ReadPath::ResolveDelivery(CacheState* cache, ObjectIndex index, double t,
   // its staleness is the replica's divergence right now (the content may
   // itself have gone stale in the queue — that is the point).
   if (pending.waiting_reads > 0) {
-    cache->staleness.Add(ReplicaDivergence(*cache, index), pending.waiting_reads);
+    cache->staleness.Add(ReplicaDivergence(*cache, slot), pending.waiting_reads);
   }
   miss_latency_sum_ +=
       static_cast<double>(pending.waiting_reads) * t - pending.waiting_time_sum;

@@ -22,10 +22,10 @@ namespace besync {
 ///
 /// Owned and driven by the cooperative scheduler's tick
 /// (core/system.cc):
-///   - ProcessReads(t) consumes every client read with timestamp <= t in
-///     global time order; hits sample the replica's current divergence,
-///     misses register a pending pull (deduplicated per replica in
-///     flight).
+///   - ProcessReads(t) consumes every client read with timestamp <= t,
+///     cache by cache in ascending cache id and in time order within a
+///     cache; hits sample the replica's current divergence, misses register
+///     a pending pull (deduplicated per replica in flight).
 ///   - SendPullRequests(t) drains the per-cache request queues upstream as
 ///     kPullRequest control mail, each request consuming one unit of the
 ///     leaf edge's remaining tick budget — after refresh deliveries, ahead
@@ -137,6 +137,12 @@ class ReadPath {
     std::unique_ptr<ReadProcess> owned_stream;
     Rng rng{0};
     double next_read_time = 0.0;
+    /// Per-slot flat ground-truth entry of the member's replica here
+    /// (GroundTruth::replica_divergence), resolved once in Initialize.
+    std::vector<uint32_t> replica_entry;
+    /// The store's divergence-aware eviction key; empty under the other
+    /// policies, which never read it.
+    CacheStore::DivergenceFn divergence_of;
     /// Per-slot pending pulls; sized only for capacity-limited stores.
     std::vector<PendingPull> pending;
     /// Slots with an unsent pull request, in miss order.
@@ -152,9 +158,12 @@ class ReadPath {
   void HandleRead(CacheState* cache, int64_t slot, double t);
   void ResolveDelivery(CacheState* cache, ObjectIndex index, double t, bool is_pull);
   void ApplyInvalidate(CacheState* cache, ObjectIndex index, double t);
-  double ReplicaDivergence(const CacheState& cache, ObjectIndex index) const;
+  double ReplicaDivergence(const CacheState& cache, int64_t slot) const {
+    return truth_->replica_divergence(cache.replica_entry[slot]);
+  }
 
   Harness* harness_ = nullptr;
+  const GroundTruth* truth_ = nullptr;
   ReadWorkloadConfig config_;
   const SyncProtocol* protocol_ = nullptr;
   bool validity_tracked_ = false;

@@ -108,15 +108,40 @@ TEST(ProductWeightTest, MultipliesFactors) {
 // ---------------------------------------------------------------- Workload
 
 TEST(WorkloadTest, RejectsInvalidConfig) {
-  WorkloadConfig config;
-  config.num_sources = 0;
-  EXPECT_FALSE(MakeWorkload(config).ok());
-  config.num_sources = 1;
-  config.objects_per_source = 0;
-  EXPECT_FALSE(MakeWorkload(config).ok());
-  config.objects_per_source = 1;
-  config.rate_lo = -1.0;
-  EXPECT_FALSE(MakeWorkload(config).ok());
+  // Each bad field (NaN and infinite rates included) is an InvalidArgument
+  // naming it, from ValidateWorkloadConfig and MakeWorkload alike.
+  struct Case {
+    const char* message;
+    void (*apply)(WorkloadConfig*);
+  };
+  const Case cases[] = {
+      {"num_sources", [](WorkloadConfig* c) { c->num_sources = 0; }},
+      {"objects_per_source", [](WorkloadConfig* c) { c->objects_per_source = 0; }},
+      {"num_caches", [](WorkloadConfig* c) { c->num_caches = 0; }},
+      {"rate range", [](WorkloadConfig* c) { c->rate_lo = -1.0; }},
+      {"rate range", [](WorkloadConfig* c) { c->rate_lo = std::nan(""); }},
+      {"rate range", [](WorkloadConfig* c) { c->rate_hi = -1.0; }},
+      {"rate range", [](WorkloadConfig* c) { c->rate_hi = std::nan(""); }},
+      {"rate range", [](WorkloadConfig* c) { c->rate_hi = HUGE_VAL; }},
+      {"slow_rate", [](WorkloadConfig* c) { c->slow_rate = -0.5; }},
+      {"slow_rate", [](WorkloadConfig* c) { c->slow_rate = std::nan(""); }},
+      {"slow_rate", [](WorkloadConfig* c) { c->slow_rate = HUGE_VAL; }},
+      {"fast_rate", [](WorkloadConfig* c) { c->fast_rate = std::nan(""); }},
+      {"fast_rate", [](WorkloadConfig* c) { c->fast_rate = HUGE_VAL; }},
+  };
+  WorkloadConfig base;
+  base.num_sources = 1;
+  base.objects_per_source = 1;
+  ASSERT_TRUE(ValidateWorkloadConfig(base).ok());
+  ASSERT_TRUE(MakeWorkload(base).ok());
+  for (const Case& c : cases) {
+    WorkloadConfig config = base;
+    c.apply(&config);
+    const Status status = ValidateWorkloadConfig(config);
+    EXPECT_TRUE(status.IsInvalidArgument()) << c.message << ": " << status.ToString();
+    EXPECT_NE(status.message().find(c.message), std::string::npos) << status.ToString();
+    EXPECT_EQ(MakeWorkload(config).status().ToString(), status.ToString());
+  }
 }
 
 TEST(WorkloadTest, RejectsInvalidReadConfig) {

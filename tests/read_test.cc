@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/system.h"
@@ -125,8 +126,8 @@ TEST(CacheStoreTest, DivergenceAwareEvictsStalestReplica) {
   store.TouchRead(0, 1.0);
   store.TouchRead(1, 2.0);
   // Replica 10 is badly diverged, replica 20 is fresh: drop the stale one.
-  const auto divergence_of = [](ObjectIndex index) {
-    return index == 10 ? 9.5 : 0.25;
+  const auto divergence_of = [](int64_t slot) {
+    return slot == 0 ? 9.5 : 0.25;  // slot 0 holds object 10
   };
   EXPECT_EQ(store.Install(2, 3.0, divergence_of), 0);
   EXPECT_FALSE(store.resident(0));
@@ -143,6 +144,130 @@ TEST(CacheStoreTest, UnboundedStoreIsInert) {
   EXPECT_EQ(store.num_resident(), 2);
   EXPECT_EQ(store.SlotOf(6), 1);
   EXPECT_EQ(store.SlotOf(7), -1);
+}
+
+/// The linear-scan victim choice CacheStore made before its eviction index,
+/// kept as the reference the index must reproduce: LRU evicts the least
+/// (last_touch, slot), LFU the least (read_count, last_touch, slot), over
+/// the residents.
+class ScanReferenceStore {
+ public:
+  ScanReferenceStore(int64_t capacity, EvictionPolicy policy, int64_t members)
+      : capacity_(capacity), policy_(policy), slots_(static_cast<size_t>(members)) {
+    num_resident_ = std::min(capacity, members);
+    for (int64_t slot = 0; slot < num_resident_; ++slot) slots_[slot].resident = true;
+  }
+
+  bool resident(int64_t slot) const { return slots_[slot].resident; }
+
+  void TouchRead(int64_t slot, double t) {
+    slots_[slot].last_touch = t;
+    ++slots_[slot].read_count;
+  }
+
+  void Crash() {
+    for (Slot& state : slots_) state = Slot{};
+    num_resident_ = 0;
+  }
+
+  int64_t Install(int64_t slot, double t) {
+    if (slots_[slot].resident) return -1;
+    int64_t victim = -1;
+    if (num_resident_ >= capacity_) {
+      for (int64_t s = 0; s < static_cast<int64_t>(slots_.size()); ++s) {
+        const Slot& state = slots_[s];
+        if (!state.resident) continue;
+        const Slot* best = victim < 0 ? nullptr : &slots_[victim];
+        bool better = best == nullptr;
+        if (!better && policy_ == EvictionPolicy::kLru) {
+          better = state.last_touch < best->last_touch;
+        } else if (!better) {
+          better = state.read_count < best->read_count ||
+                   (state.read_count == best->read_count &&
+                    state.last_touch < best->last_touch);
+        }
+        if (better) victim = s;
+      }
+      slots_[victim].resident = false;
+      slots_[victim].read_count = 0;
+      --num_resident_;
+    }
+    slots_[slot] = Slot{true, t, 0};
+    ++num_resident_;
+    return victim;
+  }
+
+ private:
+  struct Slot {
+    bool resident = false;
+    double last_touch = 0.0;
+    int64_t read_count = 0;
+  };
+  int64_t capacity_;
+  EvictionPolicy policy_;
+  std::vector<Slot> slots_;
+  int64_t num_resident_ = 0;
+};
+
+TEST(CacheStoreTest, EvictionIndexMatchesLinearScan) {
+  // Random operation sequences against the scan reference. Times sit on a
+  // quarter-second grid so last_touch ties are exact and frequent; touches
+  // land up to two seconds before the latest install (a tick installs at
+  // its end time, then serves reads stamped earlier in the tick), so LRU
+  // keys go backwards as well as forwards; rare crashes empty the store
+  // and installs refill it. Every Install must return the reference's
+  // victim.
+  constexpr int64_t kMembers = 40;
+  constexpr int kOps = 12000;
+  for (EvictionPolicy policy : {EvictionPolicy::kLru, EvictionPolicy::kLfu}) {
+    for (int64_t capacity : {int64_t{1}, int64_t{3}, kMembers - 1}) {
+      for (uint64_t seed : {1u, 2u, 3u}) {
+        std::vector<ObjectIndex> members(kMembers);
+        for (int64_t i = 0; i < kMembers; ++i) members[i] = 10 * i + 3;
+        CacheStore store(capacity, policy, members);
+        ScanReferenceStore reference(capacity, policy, kMembers);
+        Rng rng(seed);
+        double now = 0.0;
+        int64_t evictions = 0;
+        for (int op = 0; op < kOps; ++op) {
+          SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy)
+                                          << " capacity " << capacity << " seed "
+                                          << seed << " op " << op);
+          const int64_t slot = rng.UniformInt(0, kMembers - 1);
+          const double draw = rng.Uniform(0.0, 1.0);
+          const double t = std::max(0.0, now - 0.25 * rng.UniformInt(0, 8));
+          if (draw < 0.5) {
+            // The read path touches residents only; a stray touch of a
+            // non-resident slot must not confuse the index either.
+            if (reference.resident(slot) || draw < 0.02) {
+              store.TouchRead(slot, t);
+              reference.TouchRead(slot, t);
+            }
+          } else if (draw < 0.9) {
+            // Mostly the next non-resident slot at or after `slot` (an
+            // install that must evict when full), else `slot` as drawn.
+            int64_t target = slot;
+            for (int64_t i = 0; draw < 0.85 && i < kMembers; ++i) {
+              if (!reference.resident((slot + i) % kMembers)) {
+                target = (slot + i) % kMembers;
+                break;
+              }
+            }
+            const int64_t expected = reference.Install(target, now);
+            ASSERT_EQ(store.Install(target, now, {}), expected);
+            if (expected >= 0) ++evictions;
+          } else if (draw < 0.999) {
+            now += 0.25;
+          } else {
+            store.Crash();
+            reference.Crash();
+          }
+          ASSERT_EQ(store.resident(slot), reference.resident(slot));
+        }
+        EXPECT_GT(evictions, kOps / 20);
+      }
+    }
+  }
 }
 
 ExperimentConfig PressuredConfig() {

@@ -26,6 +26,71 @@
 namespace besync {
 namespace {
 
+// -------------------------------------------------------- source channels
+
+TEST(SourceChannelsTest, MembersAndReplicaSlotsMatchReplicaSlotScan) {
+  // BuildChannels merges each member's ascending cache list against the
+  // ascending channel order; the reference here is the per-(channel,
+  // member) replica_slot() search it replaced. kZipfOverlap gives random
+  // degrees whose cache lists wrap around the cache ids.
+  for (InterestPattern pattern :
+       {InterestPattern::kFullReplication, InterestPattern::kPartitionedBySource,
+        InterestPattern::kZipfOverlap}) {
+    SCOPED_TRACE(InterestPatternToString(pattern));
+    WorkloadConfig workload_config;
+    workload_config.num_sources = 5;
+    workload_config.objects_per_source = 30;
+    workload_config.num_caches = 7;
+    workload_config.interest_pattern = pattern;
+    workload_config.seed = 23;
+    const Workload workload = std::move(MakeWorkload(workload_config)).ValueOrDie();
+    HarnessConfig harness_config;
+    harness_config.warmup = 1.0;
+    harness_config.measure = 2.0;
+    CooperativeConfig coop;
+    coop.cache_bandwidth_avg = 10.0;
+    CooperativeScheduler scheduler(coop);
+    const auto metric = MakeMetric(MetricKind::kValueDeviation);
+    // The channels live in the harness's run arena: inspect them while the
+    // harness is alive.
+    Harness harness(&workload, metric.get(), harness_config);
+    ASSERT_TRUE(harness.Run(&scheduler).ok());
+
+    for (int j = 0; j < scheduler.num_sources(); ++j) {
+      const SourceAgent& source = scheduler.source(j);
+      int64_t replicas = 0;
+      for (int k = 0; k < source.num_channels(); ++k) {
+        const int32_t cache_id = source.channel_cache_id(k);
+        std::vector<ObjectIndex> expected_members;
+        std::vector<int32_t> expected_slots;
+        for (const ObjectSpec& spec : workload.objects) {
+          if (spec.source_index != j) continue;
+          const int slot = spec.replica_slot(cache_id);
+          if (slot < 0) continue;
+          expected_members.push_back(spec.index);
+          expected_slots.push_back(slot);
+        }
+        const size_t n = source.channel_num_objects(k);
+        EXPECT_EQ(std::vector<ObjectIndex>(source.channel_members(k),
+                                           source.channel_members(k) + n),
+                  expected_members)
+            << "source " << j << " cache " << cache_id;
+        EXPECT_EQ(std::vector<int32_t>(source.channel_replica_slots(k),
+                                       source.channel_replica_slots(k) + n),
+                  expected_slots)
+            << "source " << j << " cache " << cache_id;
+        replicas += static_cast<int64_t>(n);
+      }
+      // Every replica of the source's objects sits in exactly one channel.
+      int64_t total = 0;
+      for (const ObjectSpec& spec : workload.objects) {
+        if (spec.source_index == j) total += spec.num_replicas();
+      }
+      EXPECT_EQ(replicas, total) << "source " << j;
+    }
+  }
+}
+
 // ------------------------------------------------------------ TopologySpec
 
 TEST(TopologySpecTest, MakeRelayTreeShapes) {
