@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,8 @@ namespace besync {
 ///   --full        run the paper-scale sweep (default: scaled-down)
 ///   --csv <path>  also dump the result table as CSV
 ///   --json <path> dump raw per-job RunResults as JSON (exp/runner.h schema)
-///   --threads <n> experiment-runner worker threads (0 = hardware cores)
+///   --threads <n> experiment-runner worker threads (0 = hardware cores;
+///                 negative or past INT_MAX exits 2)
 ///   --seed <n>    workload seed override
 struct BenchOptions {
   bool full = false;
@@ -43,7 +45,13 @@ struct BenchOptions {
     options.full = flags.GetBool("full", false);
     options.csv = flags.GetString("csv", "");
     options.json = flags.GetString("json", "");
-    options.threads = static_cast<int>(flags.GetInt("threads", 1));
+    const int64_t threads = flags.GetInt("threads", 1);
+    if (threads < 0 || threads > std::numeric_limits<int>::max()) {
+      std::fprintf(stderr, "--threads must be in [0, %d], got %lld\n",
+                   std::numeric_limits<int>::max(), static_cast<long long>(threads));
+      std::exit(2);
+    }
+    options.threads = static_cast<int>(threads);
     options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
     options.flags = flags;
     return options;
@@ -162,6 +170,21 @@ inline void EmitJson(const std::vector<JobResult>& results,
     std::exit(1);
   }
   std::fprintf(stderr, "wrote %s\n", options.json.c_str());
+}
+
+/// Writes the runner's full-precision ResultsCsv grid to --csv when
+/// requested: shortest round-trip numbers and no wall-clock column, so it
+/// is byte-identical at any --threads, like the JSON. Exits nonzero when the
+/// write fails.
+inline void EmitResultsCsv(const std::vector<JobResult>& results,
+                           const BenchOptions& options) {
+  if (options.csv.empty()) return;
+  const Status status = ResultsCsv(results).WriteCsv(options.csv);
+  if (!status.ok()) {
+    std::fprintf(stderr, "CSV write failed: %s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+  std::fprintf(stderr, "wrote %s\n", options.csv.c_str());
 }
 
 /// Observability flag surface shared by the obs-wired benches (append

@@ -109,10 +109,10 @@ int Run(const BenchOptions& options) {
   const int relay_tiers = static_cast<int>(options.flags.GetInt("depth", 1));
   const int relay_fanout = static_cast<int>(options.flags.GetInt("fanout", 2));
   const double relay_factor = options.flags.GetDouble("relay_factor", 1.0);
-  if (tree && (relay_tiers < 1 || relay_fanout < 1 || relay_factor < 0.0)) {
-    std::fprintf(stderr,
-                 "--topology=tree needs --depth >= 1, --fanout >= 1, "
-                 "--relay_factor >= 0\n");
+  // A bad --relay_factor fails ValidateWorkloadConfig with the other
+  // per-job checks (ValidateJobsOrExit).
+  if (tree && (relay_tiers < 1 || relay_fanout < 1)) {
+    std::fprintf(stderr, "--topology=tree needs --depth >= 1, --fanout >= 1\n");
     std::exit(2);
   }
   if (!tree) {
@@ -232,7 +232,12 @@ int Run(const BenchOptions& options) {
     trace_config.num_buoys =
         static_cast<int>(options.flags.GetInt("buoys", options.full ? 40 : 8));
     trace_config.duration = base.harness.warmup + base.harness.measure;
-    buoy_workload = std::move(MakeBuoyWorkload(trace_config)).ValueOrDie();
+    Result<Workload> trace = MakeBuoyWorkload(trace_config);
+    if (!trace.ok()) {  // e.g. --buoys=0: a usage error, like a bad grid axis
+      std::fprintf(stderr, "%s\n", trace.status().ToString().c_str());
+      std::exit(2);
+    }
+    buoy_workload = std::move(trace).ValueOrDie();
     base.workload.seed = trace_config.seed;  // JSON metadata only
     base.workload.num_caches = 1;
     // The clone runner stamps each job's read config from the base
@@ -321,20 +326,9 @@ int Run(const BenchOptions& options) {
            : RunExperiments(jobs, options.runner("sweep"));
 
   // The printed table keeps its rounded display cells; --csv gets the
-  // full-precision deterministic grid instead (ResultsCsv: shortest
-  // round-trip numbers, no wall-clock column — byte-identical at any
-  // --threads, like the JSON).
-  BenchOptions table_options = options;
-  table_options.csv.clear();
-  EmitTable(ResultsTable(results), table_options);
-  if (!options.csv.empty()) {
-    const Status status = ResultsCsv(results).WriteCsv(options.csv);
-    if (!status.ok()) {
-      std::fprintf(stderr, "CSV write failed: %s\n", status.ToString().c_str());
-      std::exit(1);
-    }
-    std::fprintf(stderr, "wrote %s\n", options.csv.c_str());
-  }
+  // full-precision deterministic grid instead.
+  ResultsTable(results).Print(std::cout);
+  EmitResultsCsv(results, options);
   EmitJson(results, options);
   EmitObsOutputs(results, obs);
   int failures = 0;

@@ -160,8 +160,34 @@ Status ValidateWorkloadConfig(const WorkloadConfig& config) {
     return Status::InvalidArgument("relay_fanout must be >= 1, got ",
                                    config.relay_fanout);
   }
-  if (config.relay_bandwidth_factor < 0.0) {
-    return Status::InvalidArgument("relay_bandwidth_factor must be >= 0");
+  if (!(config.relay_bandwidth_factor >= 0.0) ||
+      !std::isfinite(config.relay_bandwidth_factor)) {
+    return Status::InvalidArgument("relay_bandwidth_factor must be finite and >= 0, got ",
+                                   config.relay_bandwidth_factor);
+  }
+  // The weight and value-step fields reach BESYNC_CHECKs in the weight
+  // fluctuation and update processes; reject them here instead.
+  if (!(config.weight_fluctuation_amplitude >= 0.0 &&
+        config.weight_fluctuation_amplitude < 1.0)) {
+    return Status::InvalidArgument("weight_fluctuation_amplitude must be in [0, 1), got ",
+                                   config.weight_fluctuation_amplitude);
+  }
+  if (config.weight_fluctuation_amplitude > 0.0 &&
+      !(config.weight_period_min > 0.0 &&
+        config.weight_period_max >= config.weight_period_min &&
+        std::isfinite(config.weight_period_max))) {
+    return Status::InvalidArgument("weight periods need 0 < weight_period_min <= "
+                                   "weight_period_max, both finite, got [",
+                                   config.weight_period_min, ", ",
+                                   config.weight_period_max, "]");
+  }
+  if (!(config.heavy_weight >= 0.0) || !std::isfinite(config.heavy_weight)) {
+    return Status::InvalidArgument("heavy_weight must be finite and >= 0, got ",
+                                   config.heavy_weight);
+  }
+  if (!(config.value_step > 0.0) || !std::isfinite(config.value_step)) {
+    return Status::InvalidArgument("value_step must be finite and > 0, got ",
+                                   config.value_step);
   }
   // Negated comparisons so NaN fails them too.
   if (!(config.read.read_rate >= 0.0)) {

@@ -1,5 +1,6 @@
 #include "exp/runner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -109,9 +110,11 @@ std::vector<JobResult> RunAll(size_t num_jobs, const RunnerOptions& options,
                          static_cast<int>(num_jobs));
   const bool show_progress = !options.progress_label.empty();
 
-  const int threads =
-      options.threads <= 0 ? ThreadPool::HardwareThreads() : options.threads;
-  if (threads == 1 || num_jobs <= 1) {
+  // Never more workers than jobs: a huge --threads starts no idle threads.
+  const size_t threads = std::min(
+      num_jobs, static_cast<size_t>(options.threads <= 0 ? ThreadPool::HardwareThreads()
+                                                         : options.threads));
+  if (threads <= 1) {
     for (size_t i = 0; i < num_jobs; ++i) {
       run_one(i, &results[i]);
       if (show_progress) progress.Step();
@@ -119,7 +122,7 @@ std::vector<JobResult> RunAll(size_t num_jobs, const RunnerOptions& options,
   } else {
     // Each task writes only its own result slot; the vector is pre-sized so
     // no reallocation happens under the workers' feet.
-    ThreadPool pool(threads);
+    ThreadPool pool(static_cast<int>(threads));
     for (size_t i = 0; i < num_jobs; ++i) {
       pool.Submit([&results, &progress, &run_one, show_progress, i] {
         run_one(i, &results[i]);

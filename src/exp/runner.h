@@ -61,7 +61,7 @@ struct JobResult {
 
 struct RunnerOptions {
   /// Worker threads; 1 runs inline on the calling thread, <= 0 uses the
-  /// hardware concurrency.
+  /// hardware concurrency. Capped at the job count.
   int threads = 1;
   /// When nonempty, prints a thread-safe "label: k/n" progress line.
   std::string progress_label;

@@ -8,7 +8,8 @@ namespace besync {
 /// The intuitive-but-suboptimal policy of Section 4.3: prioritize objects by
 /// their current weighted divergence, P = D(O,t) * W(O,t). The paper shows
 /// this performs up to 64-84% worse than the area priority under skewed
-/// weights/rates; bench_validation_* reproduce that comparison.
+/// weights/rates; bench_paper's validation_* claims reproduce that
+/// comparison.
 class NaivePriority : public PriorityPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kNaive; }

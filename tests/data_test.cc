@@ -128,6 +128,45 @@ TEST(WorkloadTest, RejectsInvalidConfig) {
       {"slow_rate", [](WorkloadConfig* c) { c->slow_rate = HUGE_VAL; }},
       {"fast_rate", [](WorkloadConfig* c) { c->fast_rate = std::nan(""); }},
       {"fast_rate", [](WorkloadConfig* c) { c->fast_rate = HUGE_VAL; }},
+      {"relay_bandwidth_factor",
+       [](WorkloadConfig* c) { c->relay_bandwidth_factor = -1.0; }},
+      {"relay_bandwidth_factor",
+       [](WorkloadConfig* c) { c->relay_bandwidth_factor = std::nan(""); }},
+      {"relay_bandwidth_factor",
+       [](WorkloadConfig* c) { c->relay_bandwidth_factor = HUGE_VAL; }},
+      {"weight_fluctuation_amplitude",
+       [](WorkloadConfig* c) { c->weight_fluctuation_amplitude = -0.1; }},
+      {"weight_fluctuation_amplitude",
+       [](WorkloadConfig* c) { c->weight_fluctuation_amplitude = 1.0; }},
+      {"weight_fluctuation_amplitude",
+       [](WorkloadConfig* c) { c->weight_fluctuation_amplitude = std::nan(""); }},
+      {"weight_period_min",
+       [](WorkloadConfig* c) {
+         c->weight_fluctuation_amplitude = 0.5;
+         c->weight_period_min = 0.0;
+       }},
+      {"weight_period_min",
+       [](WorkloadConfig* c) {
+         c->weight_fluctuation_amplitude = 0.5;
+         c->weight_period_min = 50.0;
+         c->weight_period_max = 20.0;
+       }},
+      {"weight_period_max",
+       [](WorkloadConfig* c) {
+         c->weight_fluctuation_amplitude = 0.5;
+         c->weight_period_max = HUGE_VAL;
+       }},
+      {"weight_period_max",
+       [](WorkloadConfig* c) {
+         c->weight_fluctuation_amplitude = 0.5;
+         c->weight_period_max = std::nan("");
+       }},
+      {"heavy_weight", [](WorkloadConfig* c) { c->heavy_weight = -1.0; }},
+      {"heavy_weight", [](WorkloadConfig* c) { c->heavy_weight = std::nan(""); }},
+      {"heavy_weight", [](WorkloadConfig* c) { c->heavy_weight = HUGE_VAL; }},
+      {"value_step", [](WorkloadConfig* c) { c->value_step = 0.0; }},
+      {"value_step", [](WorkloadConfig* c) { c->value_step = std::nan(""); }},
+      {"value_step", [](WorkloadConfig* c) { c->value_step = HUGE_VAL; }},
   };
   WorkloadConfig base;
   base.num_sources = 1;
