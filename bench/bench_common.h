@@ -125,6 +125,22 @@ inline EvictionPolicy ParseEvictionPolicy(const std::string& flag,
   std::exit(2);
 }
 
+/// Parses one consistency-protocol name (`push-refresh`, `invalidation`,
+/// `ttl-lease`), exiting with a usage error naming `flag` on anything else.
+inline SyncProtocolKind ParseProtocolKind(const std::string& flag,
+                                          const std::string& name) {
+  static const SyncProtocolKind kinds[] = {SyncProtocolKind::kPushRefresh,
+                                           SyncProtocolKind::kInvalidation,
+                                           SyncProtocolKind::kTtlLease};
+  for (SyncProtocolKind kind : kinds) {
+    if (SyncProtocolKindToString(kind) == name) return kind;
+  }
+  std::fprintf(stderr,
+               "--%s: unknown protocol '%s' (push-refresh, invalidation, ttl-lease)\n",
+               flag.c_str(), name.c_str());
+  std::exit(2);
+}
+
 /// Prints the table and optionally writes the CSV copy.
 inline void EmitTable(const TablePrinter& table, const BenchOptions& options) {
   table.Print(std::cout);

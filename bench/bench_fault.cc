@@ -29,21 +29,6 @@
 namespace besync {
 namespace {
 
-/// Parses one protocol name (`push-refresh`, `invalidation`, `ttl-lease`),
-/// exiting with a usage error naming `flag` on anything else.
-SyncProtocolKind ParseProtocolKind(const std::string& flag, const std::string& name) {
-  static const SyncProtocolKind kinds[] = {SyncProtocolKind::kPushRefresh,
-                                           SyncProtocolKind::kInvalidation,
-                                           SyncProtocolKind::kTtlLease};
-  for (SyncProtocolKind kind : kinds) {
-    if (SyncProtocolKindToString(kind) == name) return kind;
-  }
-  std::fprintf(stderr,
-               "--%s: unknown protocol '%s' (push-refresh, invalidation, ttl-lease)\n",
-               flag.c_str(), name.c_str());
-  std::exit(2);
-}
-
 /// Summed time-averaged divergence of the caches that never crash
 /// (everything but leaf 0) — what recovery aggressiveness costs.
 double WarmDivergence(const RunResult& result) {

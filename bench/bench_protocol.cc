@@ -28,21 +28,6 @@
 namespace besync {
 namespace {
 
-/// Parses one protocol name (`push-refresh`, `invalidation`, `ttl-lease`),
-/// exiting with a usage error naming `flag` on anything else.
-SyncProtocolKind ParseProtocolKind(const std::string& flag, const std::string& name) {
-  static const SyncProtocolKind kinds[] = {SyncProtocolKind::kPushRefresh,
-                                           SyncProtocolKind::kInvalidation,
-                                           SyncProtocolKind::kTtlLease};
-  for (SyncProtocolKind kind : kinds) {
-    if (SyncProtocolKindToString(kind) == name) return kind;
-  }
-  std::fprintf(stderr,
-               "--%s: unknown protocol '%s' (push-refresh, invalidation, ttl-lease)\n",
-               flag.c_str(), name.c_str());
-  std::exit(2);
-}
-
 int Run(const BenchOptions& options) {
   ProtocolSweepConfig config;
   config.base.scheduler = SchedulerKind::kCooperative;

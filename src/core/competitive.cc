@@ -40,6 +40,12 @@ void CompetitiveScheduler::Initialize(Harness* harness) {
   BESYNC_CHECK_EQ(num_relays(), 0)
       << "the competitive protocol models the one-hop star; relay "
          "topologies are not supported";
+  // Likewise: this SendPhase pushes refreshes, so an invalidation or TTL
+  // run would either push from sources that must not or lose the share.
+  BESYNC_CHECK(protocol_->emits_push_refreshes())
+      << "the competitive protocol partitions push-refresh bandwidth; consistency "
+         "protocol " << SyncProtocolKindToString(config_.protocol.kind)
+      << " is not supported";
   const int m = num_sources();
   granted_rate_.assign(m, 0.0);
   credit_.assign(m, 0.0);

@@ -1,6 +1,8 @@
 #include "core/harness.h"
 
 #include <cmath>
+#include <new>
+#include <type_traits>
 #include <typeinfo>
 
 #include "data/update_process.h"
@@ -49,12 +51,18 @@ Harness::Harness(const Workload* workload, const DivergenceMetric* metric,
                                     &arena_);
   primary_ground_truth_ = owned_ground_truth_.get();
   ground_truths_.push_back(primary_ground_truth_);
-  objects_.reserve(workload->objects.size());
+  static_assert(std::is_trivially_destructible_v<ObjectRuntime>,
+                "ObjectRuntime lives in the arena, which runs no destructors");
+  const size_t num_objects = workload->objects.size();
+  auto* objects = static_cast<ObjectRuntime*>(
+      arena_.Allocate(num_objects * sizeof(ObjectRuntime), alignof(ObjectRuntime)));
   size_t total_replicas = 0;
-  for (const ObjectSpec& spec : workload->objects) {
-    objects_.emplace_back(&spec);
+  for (size_t i = 0; i < num_objects; ++i) {
+    const ObjectSpec& spec = workload->objects[i];
+    ::new (objects + i) ObjectRuntime(&spec);
     total_replicas += static_cast<size_t>(spec.num_replicas());
   }
+  objects_ = ArenaArray<ObjectRuntime>(objects, num_objects);
   trackers_ = arena_.AllocateArray<DivergenceTracker>(total_replicas, metric);
   DivergenceTracker* trackers = trackers_;
   for (ObjectRuntime& object : objects_) {

@@ -221,13 +221,13 @@ class Harness {
   const Workload& workload() const { return *workload_; }
   const DivergenceMetric& metric() const { return *metric_; }
   Simulation& simulation() { return sim_; }
-  std::vector<ObjectRuntime>& objects() { return objects_; }
+  ArenaArray<ObjectRuntime> objects() { return objects_; }
   const ObjectRuntime& object(ObjectIndex index) const { return objects_[index]; }
   GroundTruth& ground_truth() { return *primary_ground_truth_; }
   Rng* scheduler_rng() { return &scheduler_rng_; }
-  /// Run-lifetime bump allocator for hot-path per-replica state (trackers,
-  /// ground-truth entries, source channel tables). Allocations live until
-  /// the harness dies; allocated types must be trivially destructible.
+  /// Run-lifetime bump allocator for hot-path state (object records,
+  /// trackers, ground-truth entries, source channel tables). Allocations live
+  /// until the harness dies; allocated types must be trivially destructible.
   Arena* arena() { return &arena_; }
 
   /// Cache-scheme weight W(O_i, t).
@@ -271,10 +271,14 @@ class Harness {
   const DivergenceMetric* metric_;
   HarnessConfig config_;
   Simulation sim_;
-  /// Backs the flat tracker array and the primary ground truth's replica
-  /// entries; declared before the structures pointing into it.
+  /// Backs the object records, the flat tracker array and the primary
+  /// ground truth's replica entries; declared before the structures
+  /// pointing into it.
   Arena arena_;
-  std::vector<ObjectRuntime> objects_;
+  /// One record per object, in the arena: an aligned vector request would
+  /// not refill the exact-size hole the previous run's records left
+  /// (DESIGN.md, "Arena-backed struct-of-arrays replica state").
+  ArenaArray<ObjectRuntime> objects_;
   /// Start of the flat tracker array: `object.trackers - trackers_` is the
   /// object's flat replica base, shared with every GroundTruth's entries.
   DivergenceTracker* trackers_ = nullptr;

@@ -7,6 +7,12 @@
 #include "util/logging.h"
 
 namespace besync {
+namespace {
+
+/// Predictive sampling never samples one object more often than this.
+constexpr double kMinSamplingGap = 1.0;
+
+}  // namespace
 
 SourceAgent::SourceAgent(int index, const SourceAgentConfig& config,
                          double expected_feedback_period, const PriorityPolicy* policy,
@@ -21,6 +27,7 @@ SourceAgent::SourceAgent(int index, const SourceAgentConfig& config,
   BESYNC_CHECK(harness != nullptr);
   BESYNC_CHECK(tally != nullptr);
   BESYNC_CHECK_GT(expected_feedback_period, 0.0);
+  BESYNC_CHECK_GE(config.max_batch, 1);
 }
 
 void SourceAgent::AddObject(ObjectIndex index) {
@@ -355,7 +362,7 @@ void SourceAgent::ScheduleNextSample(int channel_index, int32_t slot, double now
         state.sampled.PredictCrossTime(channel.controller.threshold(), weight, now);
     // Sample "somewhat before" the predicted crossing, but never more often
     // than the minimum gap and never later than the base interval.
-    const double candidate = std::max(now + config_.min_sampling_gap, predicted * 0.95);
+    const double candidate = std::max(now + kMinSamplingGap, predicted * 0.95);
     next = std::min(next, candidate);
   }
   sim_->ScheduleAt(next, kSampleEvent, SamplePayload(channel, slot));
@@ -389,35 +396,67 @@ void SourceAgent::PushWake(Channel* channel, ObjectIndex index, double now) {
   channel->wake_queue.Push(cross, index, local(channel, index).epoch);
 }
 
-void SourceAgent::EmitRefresh(Channel* channel, ObjectIndex index, double now,
-                              Link* cache_link, bool bump_threshold,
-                              double priority) {
-  const int slot = ChannelSlot(*channel, index);
+Message SourceAgent::Ship(Channel* channel, int32_t slot, double now, bool is_pull) {
+  const ObjectIndex index = channel->members[slot];
+  const int32_t replica = channel->replica_slots[slot];
   LocalState& state = channel->locals[slot];
   // Record the finishing interval's realized divergence rate before the
   // tracker resets (feeds the history-extended policy).
   {
-    const DivergenceTracker& tracker =
-        harness_->object(index).tracker(channel->replica_slots[slot]);
+    const DivergenceTracker& tracker = harness_->object(index).tracker(replica);
     state.history.OnRefresh(now - tracker.last_refresh_time(), tracker.IntegralTo(now));
   }
-  Message message =
-      harness_->MakeRefreshMessage(index, channel->replica_slots[slot], now);
+  Message message = harness_->MakeRefreshMessage(index, replica, now);
+  message.is_pull = is_pull;
   if (config_.monitor == MonitorMode::kSampling) {
     state.sampled.OnRefresh(now);
   }
+  if (trace_ != nullptr) {
+    RecordTrace(TraceEventKind::kSend, now, channel->cache_id, index, message.version,
+                is_pull);
+  }
+  // The replica is fresh now: any queued push entry dies lazily instead of
+  // re-sending the value just shipped.
+  ++state.epoch;
+  // Under the invalidation protocol the refill closes the staleness
+  // episode: the next update queues a new notification, and any
+  // notification still queued for this slot dies lazily at send time.
+  if (channel->invalid_state != nullptr) {
+    channel->invalid_state[slot] = kReplicaFresh;
+  }
+  // Time-varying policies are driven by wake-ups, and the epoch bump just
+  // killed this object's armed entry; re-arm from the new t_last, or the
+  // object would never be pushed again (for non-update-sensitive policies
+  // updates do not re-arm).
+  if (push_protocol() && policy_->time_varying()) {
+    PushWake(channel, index, now);
+  }
+  return message;
+}
+
+void SourceAgent::EmitRefresh(Channel* channel, const QueueEntry& head,
+                              const QueueEntry* mates, size_t num_mates, int64_t cost,
+                              bool bump_threshold, double now, Link* cache_link) {
+  // Threshold bumping applies only to refreshes governed by the threshold
+  // protocol; it precedes the ships so a re-armed wake-up sees the
+  // post-increase threshold.
   if (bump_threshold) channel->controller.OnRefreshSent(now);
+  Message message = Ship(channel, ChannelSlot(*channel, head.index), now,
+                         /*is_pull=*/false);
+  for (size_t k = 0; k < num_mates; ++k) {
+    const Message part =
+        Ship(channel, ChannelSlot(*channel, mates[k].index), now, /*is_pull=*/false);
+    message.extra_refreshes.push_back(
+        RefreshPayload{part.object_index, part.value, part.version, part.replica});
+  }
+  message.cost = cost;
   // Piggyback the current (post-increase) threshold: the freshest
   // information the cache can have about this source.
   message.piggyback_threshold = channel->controller.threshold();
-  message.forward_priority = priority;
-  if (trace_ != nullptr) {
-    RecordTrace(TraceEventKind::kSend, now, channel->cache_id, index,
-                message.version, /*is_pull=*/false);
-  }
+  // Entries are popped in priority order, so the head holds the maximum.
+  message.forward_priority = head.key;
   cache_link->Enqueue(std::move(message));
-  ++state.epoch;
-  ++tally_->refreshes_sent;
+  tally_->refreshes_sent += 1 + static_cast<int64_t>(num_mates);
   channel->last_emit_time = now;
 }
 
@@ -426,46 +465,11 @@ Message SourceAgent::ServePull(ObjectIndex index, int32_t cache_id, double now) 
   Channel* channel = ChannelFor(cache_id);
   BESYNC_CHECK(channel != nullptr)
       << "source " << index_ << " has no channel for cache " << cache_id;
-  const int slot = ChannelSlot(*channel, index);
-  LocalState& state = channel->locals[slot];
-  // Same interval bookkeeping as EmitRefresh: the pull closes a refresh
-  // interval for the replica, feeding the history-extended policy.
-  {
-    const DivergenceTracker& tracker =
-        harness_->object(index).tracker(channel->replica_slots[slot]);
-    state.history.OnRefresh(now - tracker.last_refresh_time(), tracker.IntegralTo(now));
-  }
-  Message message =
-      harness_->MakeRefreshMessage(index, channel->replica_slots[slot], now);
-  if (config_.monitor == MonitorMode::kSampling) {
-    state.sampled.OnRefresh(now);
-  }
-  message.is_pull = true;
+  Message message = Ship(channel, ChannelSlot(*channel, index), now, /*is_pull=*/true);
   message.piggyback_threshold = channel->controller.threshold();
   // Demand traffic: priority-preserving relays forward pulls ahead of any
   // queued push.
   message.forward_priority = std::numeric_limits<double>::infinity();
-  if (trace_ != nullptr) {
-    RecordTrace(TraceEventKind::kSend, now, cache_id, index, message.version,
-                /*is_pull=*/true);
-  }
-  // The replica is fresh now; invalidate any queued push entry so the next
-  // send phase does not re-send the value the pull just delivered.
-  ++state.epoch;
-  // Under the invalidation protocol the pull also closes the staleness
-  // episode: the source's replica model returns to fresh, so the next
-  // update queues a new notification, and any notification still queued
-  // for this slot dies lazily at send time.
-  if (channel->invalid_state != nullptr) {
-    channel->invalid_state[slot] = kReplicaFresh;
-  }
-  // Time-varying policies are driven by wake-ups, and the bump above just
-  // killed this object's armed entry; re-arm from the new t_last exactly
-  // like an emitted push, or the object would never be pushed again (for
-  // non-update-sensitive policies updates do not re-arm).
-  if (push_protocol() && policy_->time_varying()) {
-    PushWake(channel, index, now);
-  }
   return message;
 }
 
@@ -524,68 +528,16 @@ int64_t SourceAgent::SendRecovery(double now, Link* source_link, Link* cache_lin
   Channel* channel = &channels_[channel_index];
   int64_t sent = 0;
   while (!channel->recovery_queue.empty()) {
-    const int32_t slot = channel->recovery_queue.front();
-    const ObjectIndex index = channel->members[slot];
+    const ObjectIndex index = channel->members[channel->recovery_queue.front()];
     const int64_t cost = harness_->object(index).spec->refresh_cost;
     if (!source_link->TryConsumeAllowingDeficit(cost)) break;
     channel->recovery_queue.pop_front();
-    EmitRefresh(channel, index, now, cache_link, /*bump_threshold=*/false,
-                std::numeric_limits<double>::infinity());
-    // The refill closes the invalidation episode, exactly like a pull.
-    if (channel->invalid_state != nullptr) {
-      channel->invalid_state[slot] = kReplicaFresh;
-    }
-    // EmitRefresh's epoch bump killed the object's armed wake-up; re-arm
-    // from the new t_last (time-varying policies only).
-    if (push_protocol() && policy_->time_varying()) PushWake(channel, index, now);
+    // The refill closes an invalidation episode exactly like a pull (Ship).
+    EmitRefresh(channel, QueueEntry{std::numeric_limits<double>::infinity(), index, 0},
+                nullptr, 0, cost, /*bump_threshold=*/false, now, cache_link);
     ++sent;
   }
   return sent;
-}
-
-void SourceAgent::EmitBatch(Channel* channel, const std::vector<QueueEntry>& batch,
-                            double now, Link* cache_link) {
-  BESYNC_DCHECK(!batch.empty());
-  Message message;
-  for (size_t k = 0; k < batch.size(); ++k) {
-    const ObjectIndex index = batch[k].index;
-    const int slot = ChannelSlot(*channel, index);
-    LocalState& state = channel->locals[slot];
-    {
-      const DivergenceTracker& tracker =
-          harness_->object(index).tracker(channel->replica_slots[slot]);
-      state.history.OnRefresh(now - tracker.last_refresh_time(),
-                              tracker.IntegralTo(now));
-    }
-    if (config_.monitor == MonitorMode::kSampling) {
-      state.sampled.OnRefresh(now);
-    }
-    const int32_t replica = channel->replica_slots[slot];
-    int64_t version = 0;
-    if (k == 0) {
-      message = harness_->MakeRefreshMessage(index, replica, now);
-      version = message.version;
-    } else {
-      const Message part = harness_->MakeRefreshMessage(index, replica, now);
-      version = part.version;
-      message.extra_refreshes.push_back(
-          RefreshPayload{part.object_index, part.value, part.version, replica});
-    }
-    if (trace_ != nullptr) {
-      RecordTrace(TraceEventKind::kSend, now, channel->cache_id, index, version,
-                  /*is_pull=*/false);
-    }
-    ++state.epoch;
-    ++tally_->refreshes_sent;
-  }
-  // The whole batch travels as one unit-cost message — the amortization.
-  message.cost = 1;
-  channel->controller.OnRefreshSent(now);
-  message.piggyback_threshold = channel->controller.threshold();
-  // The batch was popped in priority order, so entry 0 holds its maximum.
-  message.forward_priority = batch.front().key;
-  cache_link->Enqueue(std::move(message));
-  channel->last_emit_time = now;
 }
 
 int64_t SourceAgent::SendRefreshes(double now, Link* source_link, Link* cache_link,
@@ -598,7 +550,8 @@ int64_t SourceAgent::SendRefreshes(double now, Link* source_link, Link* cache_li
   if (policy_->time_varying()) {
     return SendRefreshesTimeVarying(channel, now, source_link, cache_link);
   }
-  return SendRefreshesEventKeyed(channel, now, source_link, cache_link);
+  return Drain(channel, /*primary=*/true, std::numeric_limits<int64_t>::max(), now,
+               source_link, cache_link);
 }
 
 int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
@@ -660,95 +613,66 @@ int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
   return messages;
 }
 
-int64_t SourceAgent::SendRefreshesEventKeyed(Channel* channel, double now,
-                                             Link* source_link, Link* cache_link) {
-  if (config_.max_batch > 1) {
-    return SendRefreshesBatched(channel, now, source_link, cache_link);
-  }
-  const ChannelEpoch epoch_fn = MakeEpochFn(channel);
-  int64_t sent = 0;
-  QueueEntry top;
-  while (channel->queue.PopValid(epoch_fn, &top)) {
-    if (top.key < channel->controller.threshold() || top.key <= 0.0) {
-      channel->queue.Restore(top);
-      break;
-    }
-    // Large objects may start transmitting on the last sliver of budget and
-    // spill into the next tick (deficit carryover at the link).
-    const int64_t cost = harness_->object(top.index).spec->refresh_cost;
-    if (!source_link->TryConsumeAllowingDeficit(cost)) {
-      channel->queue.Restore(top);
-      at_full_capacity_ = true;
-      break;
-    }
-    EmitRefresh(channel, top.index, now, cache_link, /*bump_threshold=*/true,
-                top.key);
-    ++sent;
-  }
-  return sent;
+int64_t SourceAgent::SendSecondary(double now, int64_t max_count, Link* source_link,
+                                   Link* cache_link, int channel_index) {
+  BESYNC_CHECK(secondary_enabled_);
+  return Drain(&channels_[channel_index], /*primary=*/false, max_count, now,
+               source_link, cache_link);
 }
 
-int64_t SourceAgent::SendRefreshesBatched(Channel* channel, double now,
-                                          Link* source_link, Link* cache_link) {
+int64_t SourceAgent::Drain(Channel* channel, bool primary, int64_t max_messages,
+                           double now, Link* source_link, Link* cache_link) {
+  LazyMaxHeap& queue = primary ? channel->queue : channel->secondary_queue;
+  const int max_batch = primary ? config_.max_batch : 1;
   const ChannelEpoch epoch_fn = MakeEpochFn(channel);
+  // Non-positive keys always wait; primary keys also wait below the live
+  // threshold, which rises with every message sent.
+  const auto waits = [&](const QueueEntry& entry) {
+    return (primary && entry.key < channel->controller.threshold()) ||
+           entry.key <= 0.0;
+  };
+  // The head travels in a local; only batch mates use the reused scratch,
+  // so an unbatched drain never touches the heap allocator.
+  std::vector<QueueEntry>& mates = scratch_batch_;
   int64_t messages = 0;
-  while (true) {
-    // Gather up to max_batch over-threshold objects (reused scratch — the
-    // loop runs every tick for every channel).
-    std::vector<QueueEntry>& batch = scratch_batch_;
-    batch.clear();
-    QueueEntry top;
-    while (static_cast<int>(batch.size()) < config_.max_batch &&
-           channel->queue.PopValid(epoch_fn, &top)) {
-      if (top.key < channel->controller.threshold() || top.key <= 0.0) {
-        channel->queue.Restore(top);
+  QueueEntry head;
+  while (messages < max_messages && queue.PopValid(epoch_fn, &head)) {
+    if (waits(head)) {
+      queue.Restore(head);
+      break;
+    }
+    mates.clear();
+    QueueEntry entry;
+    while (static_cast<int>(mates.size()) + 1 < max_batch &&
+           queue.PopValid(epoch_fn, &entry)) {
+      if (waits(entry)) {
+        queue.Restore(entry);
         break;
       }
-      batch.push_back(top);
+      mates.push_back(entry);
     }
-    if (batch.empty()) break;
-    const bool full = static_cast<int>(batch.size()) == config_.max_batch;
+    const bool full = static_cast<int>(mates.size()) + 1 == max_batch;
     // Partial batches wait (delaying refreshes artificially, Section 10.1)
     // until the flush deadline expires.
-    if (!full && now - channel->last_emit_time < config_.max_batch_delay) {
-      for (const QueueEntry& entry : batch) channel->queue.Restore(entry);
+    const bool hold = !full && now - channel->last_emit_time < config_.max_batch_delay;
+    // A batch of one keeps its object's cost: large objects may start
+    // transmitting on the last sliver of budget and spill into the next
+    // tick (deficit carryover at the link). A batched message costs 1 —
+    // the amortization.
+    const int64_t cost =
+        max_batch > 1 ? 1 : harness_->object(head.index).spec->refresh_cost;
+    if (hold || !source_link->TryConsumeAllowingDeficit(cost)) {
+      queue.Restore(head);
+      for (const QueueEntry& mate : mates) queue.Restore(mate);
+      if (!hold) at_full_capacity_ = true;
       break;
     }
-    if (!source_link->TryConsumeAllowingDeficit(1)) {
-      for (const QueueEntry& entry : batch) channel->queue.Restore(entry);
-      at_full_capacity_ = true;
-      break;
-    }
-    EmitBatch(channel, batch, now, cache_link);
+    EmitRefresh(channel, head, mates.data(), mates.size(), cost, primary, now,
+                cache_link);
     ++messages;
     if (!full) break;  // the queue is drained below the batch size
   }
   return messages;
-}
-
-int64_t SourceAgent::SendSecondary(double now, int64_t max_count, Link* source_link,
-                                   Link* cache_link, int channel_index) {
-  BESYNC_CHECK(secondary_enabled_);
-  Channel* channel = &channels_[channel_index];
-  const ChannelEpoch epoch_fn = MakeEpochFn(channel);
-  int64_t sent = 0;
-  QueueEntry top;
-  while (sent < max_count && channel->secondary_queue.PopValid(epoch_fn, &top)) {
-    if (top.key <= 0.0) {
-      channel->secondary_queue.Restore(top);
-      break;
-    }
-    const int64_t cost = harness_->object(top.index).spec->refresh_cost;
-    if (!source_link->TryConsumeAllowingDeficit(cost)) {
-      channel->secondary_queue.Restore(top);
-      at_full_capacity_ = true;
-      break;
-    }
-    EmitRefresh(channel, top.index, now, cache_link, /*bump_threshold=*/false,
-                top.key);
-    ++sent;
-  }
-  return sent;
 }
 
 int64_t SourceAgent::SendRefreshesTimeVarying(Channel* channel, double now,
@@ -775,10 +699,9 @@ int64_t SourceAgent::SendRefreshesTimeVarying(Channel* channel, double now,
     const int64_t cost = harness_->object(candidate.index).spec->refresh_cost;
     if (over_threshold && !at_full_capacity_ &&
         source_link->TryConsumeAllowingDeficit(cost)) {
-      EmitRefresh(channel, candidate.index, now, cache_link, /*bump_threshold=*/true,
-                  candidate.key);
+      EmitRefresh(channel, candidate, nullptr, 0, cost, /*bump_threshold=*/true, now,
+                  cache_link);
       ++sent;
-      PushWake(channel, candidate.index, now);  // re-arm from the new t_last
       continue;
     }
     if (over_threshold) at_full_capacity_ = true;

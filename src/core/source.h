@@ -38,18 +38,18 @@ struct SourceAgentConfig {
   double sampling_interval = 10.0;
   /// Sampling mode: schedule the next sample at the predicted
   /// threshold-crossing time when that is sooner than the base interval
-  /// (Section 8.2.1's prediction formula).
+  /// (Section 8.2.1's prediction formula), but never sooner than one
+  /// second after the current sample.
   bool predictive_sampling = false;
-  /// Minimum gap between samples of one object under predictive sampling.
-  double min_sampling_gap = 1.0;
   /// Lambda source for the Poisson special-case policies.
   LambdaEstimateMode lambda_mode = LambdaEstimateMode::kTrue;
   /// Divide priorities by the object's refresh cost (Section 10.1: "a
   /// factor inversely proportional to cost"). Identity for unit costs.
   bool cost_aware_priority = true;
   /// Maximum refreshes packaged into one unit-cost message (Section 10.1
-  /// batching extension). 1 = the paper's one-object-per-message model.
-  /// Batching requires unit refresh costs.
+  /// batching extension); >= 1. 1 = the paper's one-object-per-message
+  /// model, where each message costs its object's refresh cost. Batching
+  /// requires unit refresh costs.
   int max_batch = 1;
   /// A partial batch is flushed once the oldest eligible refresh has waited
   /// this long since the source's previous emission to the same cache.
@@ -195,12 +195,9 @@ class SourceAgent {
   }
 
   /// Serves a miss-triggered pull of `index` toward `cache_id` (read path):
-  /// performs the same per-object bookkeeping as a push emission — tracker
-  /// reset via MakeRefreshMessage, history/sampling updates, and an epoch
-  /// bump so any queued push entry for the object dies lazily instead of
-  /// re-sending the value the pull just delivered — but bumps no threshold
-  /// and counts no push. Returns the refresh-shaped response: is_pull set,
-  /// the channel's current threshold piggybacked, and infinite
+  /// performs the same per-replica bookkeeping as a push (Ship) but bumps
+  /// no threshold and counts no push. Returns the refresh-shaped response:
+  /// is_pull set, the channel's current threshold piggybacked, and infinite
   /// forward_priority so priority-preserving relays move demand traffic
   /// first. The caller routes it (and charges the source link).
   Message ServePull(ObjectIndex index, int32_t cache_id, double now);
@@ -320,16 +317,20 @@ class SourceAgent {
   uint64_t SamplePayload(const Channel& channel, int32_t slot) const;
   void OnSampleEvent(int channel_index, int32_t slot, double t);
   void ScheduleNextSample(int channel_index, int32_t slot, double now);
-  /// Sends one refresh for `index` to `channel`'s cache through
-  /// `cache_link`, the cache's tier-1 edge (budget already secured).
-  /// Threshold bumping applies only to refreshes governed by the threshold
-  /// protocol. `priority` is the queue key that won the send slot, stamped
-  /// on the message for priority-preserving relay forwarding.
-  void EmitRefresh(Channel* channel, ObjectIndex index, double now,
-                   Link* cache_link, bool bump_threshold, double priority);
-  /// Sends one batched message covering all of `batch` (unit cost).
-  void EmitBatch(Channel* channel, const std::vector<QueueEntry>& batch, double now,
-                 Link* cache_link);
+  /// The per-replica half of every refresh — push, batch mate, pull or
+  /// recovery: closes the replica's history interval, builds the message
+  /// (resetting the tracker), resets the sampled tracker, records kSend,
+  /// bumps the epoch, marks an invalidation replica fresh and re-arms a
+  /// time-varying wake-up. Returns the message with is_pull set.
+  Message Ship(Channel* channel, int32_t slot, double now, bool is_pull);
+  /// Sends one message carrying `head` and its `num_mates` batch mates to
+  /// `channel`'s cache through `cache_link`, the cache's tier-1 edge, at
+  /// `cost` (budget already secured). Threshold bumping applies only to
+  /// refreshes governed by the threshold protocol. `head.key` is stamped on
+  /// the message for priority-preserving relay forwarding.
+  void EmitRefresh(Channel* channel, const QueueEntry& head, const QueueEntry* mates,
+                   size_t num_mates, int64_t cost, bool bump_threshold, double now,
+                   Link* cache_link);
   /// Re-arms the wake-up entry of `index` (time-varying policies).
   void PushWake(Channel* channel, ObjectIndex index, double now);
   /// Whether the push-refresh machinery (queues, wake-ups, sampling) drives
@@ -340,10 +341,13 @@ class SourceAgent {
   /// Records one lifecycle event into trace_ (callers test trace_ first).
   void RecordTrace(TraceEventKind kind, double t, int32_t cache_id,
                    ObjectIndex index, int64_t version, bool is_pull);
-  int64_t SendRefreshesEventKeyed(Channel* channel, double now, Link* source_link,
-                                  Link* cache_link);
-  int64_t SendRefreshesBatched(Channel* channel, double now, Link* source_link,
-                               Link* cache_link);
+  /// The one queue drain: pops `channel`'s primary queue (threshold-gated,
+  /// batches of up to max_batch, threshold bumped per message) or its
+  /// secondary queue (ungated, unbatched, no bump), sending while the source
+  /// link grants budget and fewer than `max_messages` messages went out.
+  /// Returns the number of messages sent.
+  int64_t Drain(Channel* channel, bool primary, int64_t max_messages, double now,
+                Link* source_link, Link* cache_link);
   int64_t SendRefreshesTimeVarying(Channel* channel, double now, Link* source_link,
                                    Link* cache_link);
   void MaybeCompact(Channel* channel);
@@ -371,7 +375,7 @@ class SourceAgent {
   /// This source's trace buffer; null unless observability tracing is on.
   TraceBuffer* trace_ = nullptr;
   /// Send-phase scratch, reused across ticks so the per-tick loops do not
-  /// reallocate (batched gathering and due time-varying wake-ups).
+  /// reallocate (batch mates and due time-varying wake-ups).
   std::vector<QueueEntry> scratch_batch_;
   std::vector<QueueEntry> scratch_due_;
 };

@@ -36,7 +36,7 @@ void RecordDeliveryTrace(TraceBuffer* trace, const Message& message, double t) {
 
 CooperativeScheduler::CooperativeScheduler(const CooperativeConfig& config)
     : config_(config),
-      policy_(MakePolicy(config.policy, config.history_beta)),
+      policy_(MakePolicy(config.policy)),
       protocol_(SyncProtocol::Make(config.protocol)) {}
 
 void CooperativeScheduler::Initialize(Harness* harness) {
@@ -90,16 +90,13 @@ void CooperativeScheduler::Initialize(Harness* harness) {
   std::vector<std::vector<int32_t>> sources_by_cache = SourcesByCache(workload);
   sources_by_cache.resize(static_cast<size_t>(num_caches));
 
-  // The effective fault schedule: the config's wins over the workload's
-  // (mirroring the topology rule); empty keeps every fault hook cold.
-  const FaultSchedule& faults =
-      !config_.faults.empty() ? config_.faults : workload.faults;
-  fault_events_ = faults.Sorted();
+  // The workload's fault schedule; empty keeps every fault hook cold.
+  fault_events_ = workload.faults.Sorted();
   fault_cursor_ = 0;
   cache_down_.clear();
   resync_.clear();
   if (!fault_events_.empty()) {
-    const Status fault_status = faults.Validate(topology, num_caches);
+    const Status fault_status = workload.faults.Validate(topology, num_caches);
     BESYNC_CHECK(fault_status.ok()) << fault_status.ToString();
     cache_down_.assign(static_cast<size_t>(num_caches), 0);
     resync_.assign(static_cast<size_t>(num_caches), ResyncState{});
@@ -113,10 +110,6 @@ void CooperativeScheduler::Initialize(Harness* harness) {
   // spuriously trigger the flooding accelerator in every steady-state tick.
   std::vector<double> feedback_periods(static_cast<size_t>(num_caches), 0.0);
   for (int c = 0; c < num_caches; ++c) {
-    if (config_.expected_feedback_period > 0.0) {
-      feedback_periods[c] = config_.expected_feedback_period;
-      continue;
-    }
     const double bandwidth = network_->cache_link(c).average_bandwidth();
     const double interested = static_cast<double>(sources_by_cache[c].size());
     feedback_periods[c] =
@@ -246,31 +239,20 @@ void CooperativeScheduler::SendPhase(double t) {
   // Random source visiting order so no source systematically wins the race
   // for queue positions on a shared cache link.
   harness_->scheduler_rng()->Shuffle(&source_order_);
+  const bool push = protocol_->emits_push_refreshes();
   for (int j : source_order_) {
     SourceAgent& agent = *sources_[j];
     Link* source_link = &network_->source_link(j);
     for (int k = 0; k < agent.num_channels(); ++k) {
-      // Refreshes enter the network at the cache's tier-1 ancestor edge
-      // (the cache link itself when flat) and are relayed the rest of the
-      // way by the relay phase.
-      agent.SendRefreshes(t, source_link,
-                          &network_->first_hop_link(agent.channel_cache_id(k)), k);
-    }
-  }
-}
-
-void CooperativeScheduler::SendInvalidationPhase(double t) {
-  // Same fairness contract as the refresh send phase: the visiting order
-  // is shuffled (invalidations race for shared tier-1 edge queue positions
-  // exactly like refreshes).
-  harness_->scheduler_rng()->Shuffle(&source_order_);
-  for (int j : source_order_) {
-    SourceAgent& agent = *sources_[j];
-    Link* source_link = &network_->source_link(j);
-    for (int k = 0; k < agent.num_channels(); ++k) {
-      agent.SendInvalidations(t, source_link,
-                              &network_->first_hop_link(agent.channel_cache_id(k)),
-                              k);
+      // Messages enter the network at the cache's tier-1 ancestor edge (the
+      // cache link itself when flat) and are relayed the rest of the way by
+      // the relay phase.
+      Link* first_hop = &network_->first_hop_link(agent.channel_cache_id(k));
+      if (push) {
+        agent.SendRefreshes(t, source_link, first_hop, k);
+      } else {
+        agent.SendInvalidations(t, source_link, first_hop, k);
+      }
     }
   }
 }
@@ -341,10 +323,8 @@ void CooperativeScheduler::Tick(double t) {
     //    invalidation notifications (invalidation), or nothing at all (TTL
     //    — replicas age out with no source traffic, and no send-order
     //    randomness is drawn).
-    if (protocol_->emits_push_refreshes()) {
+    if (protocol_->emits_push_refreshes() || protocol_->emits_invalidations()) {
       SendPhase(t);
-    } else if (protocol_->emits_invalidations()) {
-      SendInvalidationPhase(t);
     }
   }
 

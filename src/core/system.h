@@ -40,17 +40,11 @@ struct CooperativeConfig {
   double source_bandwidth_avg = -1.0;
   /// Maximum relative bandwidth change rate mB (0 = constant).
   double bandwidth_change_rate = 0.0;
-  /// Refresh priority policy; the paper's general area priority by default.
+  /// Refresh priority policy; the paper's general area priority by default
+  /// (PolicyKind::kAreaHistory blends half and half).
   PolicyKind policy = PolicyKind::kArea;
-  /// History blend share for PolicyKind::kAreaHistory.
-  double history_beta = 0.5;
   /// Per-source protocol knobs (threshold parameters, monitoring mode).
   SourceAgentConfig source;
-  /// Expected feedback period P_feedback; 0 derives the paper's estimate per
-  /// cache (number of sources interested in the cache / the cache's average
-  /// bandwidth), floored at one tick since feedback cannot arrive more often
-  /// than once per tick.
-  double expected_feedback_period = 0.0;
   /// Random loss probability on the cache-side links (robustness studies).
   /// A lost refresh leaves the cache stale until the object's next update
   /// raises its priority over the threshold again — the protocol has no
@@ -68,12 +62,6 @@ struct CooperativeConfig {
   /// rules and disable surplus feedback; reads of invalid/expired replicas
   /// miss and pull.
   SyncProtocolConfig protocol;
-  /// Scripted fault schedule (src/fault/): cache crash/restart, relay
-  /// failover, link partitions, slowdowns. Empty (the default) keeps every
-  /// fault hook cold — bitwise identical to the fault-free engine. A
-  /// non-empty schedule here wins over the workload's; either must validate
-  /// against the run's topology.
-  FaultSchedule faults;
   /// How sources re-ship a restarted cache's replicas: re-enqueue into the
   /// normal threshold machinery, or a dedicated recovery channel drained
   /// ahead of the send phase.
@@ -145,16 +133,13 @@ class CooperativeScheduler : public Scheduler {
   /// grants, Section 7).
   virtual void FillFeedback(ControlMessage* feedback, int source_index, double t);
 
-  /// The send phase (step 2); overridden by the competitive scheduler to
-  /// interleave source-priority refreshes.
+  /// The send phase (step 2): sources in shuffled order drain their
+  /// threshold queues (push protocols) or their pending-invalidation queues
+  /// (invalidation) into the tier-1 edges under their source-side budgets.
+  /// TTL runs no step-2 phase at all (and draws no shuffle randomness —
+  /// updates are silent at the source). Overridden by the competitive
+  /// scheduler to interleave source-priority refreshes.
   virtual void SendPhase(double t);
-
-  /// Step 2 under the invalidation protocol: sources drain their pending
-  /// invalidation queues instead of the threshold priority queues, with the
-  /// same shuffled visiting order and source-side budgets as the refresh
-  /// send phase. TTL runs no step-2 phase at all (and
-  /// draws no shuffle randomness — updates are silent at the source).
-  void SendInvalidationPhase(double t);
 
   /// The relay phase of the tick: each relay (parents first) drains its
   /// ingress edge into its store, then forwards eligible refreshes one hop

@@ -1,5 +1,7 @@
 #include "exp/experiment.h"
 
+#include <cmath>
+
 #include "util/logging.h"
 
 namespace besync {
@@ -112,6 +114,24 @@ Status ValidateExperimentConfig(const ExperimentConfig& config) {
     return Status::InvalidArgument(
         "run_threads must be 1 (the tick is single-threaded), got ",
         config.run_threads);
+  }
+  if (config.max_batch < 1) {
+    return Status::InvalidArgument("max_batch must be >= 1, got ", config.max_batch);
+  }
+  if (!(config.max_batch_delay >= 0.0)) {
+    return Status::InvalidArgument("max_batch_delay must be >= 0, got ",
+                                   config.max_batch_delay);
+  }
+  if (config.max_batch > 1 && config.workload.cost_scheme != CostScheme::kUniform) {
+    return Status::InvalidArgument(
+        "max_batch > 1 packs a batch into one unit-cost message, so it requires "
+        "cost_scheme uniform");
+  }
+  if (config.monitor == MonitorMode::kSampling &&
+      !(std::isfinite(config.sampling_interval) && config.sampling_interval > 0.0)) {
+    return Status::InvalidArgument(
+        "sampling_interval must be finite and > 0 under sampling, got ",
+        config.sampling_interval);
   }
   return Status::OK();
 }

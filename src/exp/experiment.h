@@ -108,8 +108,10 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config);
 /// Rejects the values that would otherwise abort inside the engine (or, for
 /// a negative loss rate, silently run lossless): harness.tick_length,
 /// harness.measure and cache_bandwidth_avg must be > 0, harness.warmup
-/// >= 0, loss_rate in [0, 1) and run_threads 1; NaN fails every check.
-/// InvalidArgument names the field.
+/// >= 0, loss_rate in [0, 1), run_threads 1, max_batch >= 1 (and > 1 only
+/// with uniform costs), max_batch_delay >= 0, and under sampling a finite
+/// sampling_interval > 0; NaN fails every check. InvalidArgument names the
+/// field.
 Status ValidateExperimentConfig(const ExperimentConfig& config);
 
 /// Runs the configured scheduler on `workload` (which is Reset and may be

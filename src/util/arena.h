@@ -70,17 +70,40 @@ class Arena {
     size_t size = 0;
   };
 
-  /// Makes `active_` a block with >= bytes free at `ptr_`, reusing retained
+  /// Makes `active_` a fresh block_bytes_ block at `ptr_`, reusing retained
   /// blocks before growing.
-  void NextBlock(size_t bytes);
+  void NextBlock();
+  /// A block of its own for a request of `bytes` (> block_bytes_), reusing
+  /// retained ones before growing; the bump block stays current.
+  char* LargeBlock(size_t bytes);
 
   size_t block_bytes_;
   std::vector<Block> blocks_;
   size_t active_ = 0;   // index of the block ptr_/end_ point into
+  std::vector<Block> large_blocks_;
+  size_t next_large_ = 0;  // first large block not handed out since Reset
   char* ptr_ = nullptr;
   char* end_ = nullptr;
   size_t bytes_used_ = 0;
   size_t bytes_reserved_ = 0;
+};
+
+/// A fixed-size array living in an Arena: a pointer and a count with the
+/// indexing and iteration of a vector. Copies share the elements.
+template <typename T>
+class ArenaArray {
+ public:
+  ArenaArray() = default;
+  ArenaArray(T* data, size_t size) : data_(data), size_(size) {}
+
+  size_t size() const { return size_; }
+  T& operator[](size_t i) const { return data_[i]; }
+  T* begin() const { return data_; }
+  T* end() const { return data_ + size_; }
+
+ private:
+  T* data_ = nullptr;
+  size_t size_ = 0;
 };
 
 }  // namespace besync

@@ -51,6 +51,25 @@ TEST(ArenaTest, GrowsAcrossBlocksAndHonorsOversizedRequests) {
   EXPECT_GE(arena.bytes_reserved(), 1000 * sizeof(int));
 }
 
+TEST(ArenaTest, OversizedRequestsKeepTheCurrentBlock) {
+  Arena arena(1024);
+  char* a = static_cast<char*>(arena.Allocate(16, 16));
+  void* big = arena.Allocate(4096, 64);
+  char* b = static_cast<char*>(arena.Allocate(16, 16));
+  EXPECT_TRUE(IsAligned(big, 64));
+  // The small requests share the first block: the oversized one took a
+  // block of its own and left the rest of the current block in use.
+  EXPECT_EQ(b, a + 16);
+  EXPECT_EQ(arena.bytes_reserved(), 1024u + 4096u + 63u);
+
+  // After Reset the same pattern reuses both kinds of block.
+  arena.Reset();
+  EXPECT_EQ(arena.Allocate(16, 16), a);
+  EXPECT_EQ(arena.Allocate(4096, 64), big);
+  EXPECT_EQ(arena.Allocate(16, 16), b);
+  EXPECT_EQ(arena.bytes_reserved(), 1024u + 4096u + 63u);
+}
+
 TEST(ArenaTest, AllocateArrayConstructsWithArguments) {
   struct Tracked {
     explicit Tracked(int v) : value(v), doubled(2 * v) {}

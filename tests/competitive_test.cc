@@ -106,6 +106,23 @@ INSTANTIATE_TEST_SUITE_P(AllOptions, CompetitiveOptionTest,
                                            ShareOption::kProportionalShare,
                                            ShareOption::kPiggyback));
 
+/// The Ψ share is push-refresh bandwidth: under invalidation the override
+/// would push from sources that only notify, so Initialize refuses.
+TEST(CompetitiveSchedulerDeathTest, RejectsNonPushProtocol) {
+  WorkloadConfig workload_config = BaseWorkload();
+  workload_config.read.read_rate = 2.0;
+  Workload workload = std::move(MakeWorkload(workload_config)).ValueOrDie();
+  auto metric = MakeMetric(MetricKind::kValueDeviation);
+  HarnessConfig harness_config;
+  harness_config.warmup = 5.0;
+  harness_config.measure = 20.0;
+  Harness harness(&workload, metric.get(), harness_config);
+  CompetitiveConfig config;
+  config.base.protocol.kind = SyncProtocolKind::kInvalidation;
+  CompetitiveScheduler scheduler(config);
+  EXPECT_DEATH(static_cast<void>(harness.Run(&scheduler)), "push-refresh");
+}
+
 TEST(CompetitiveSchedulerTest, NamesIncludeOption) {
   CompetitiveConfig config;
   config.option = ShareOption::kPiggyback;

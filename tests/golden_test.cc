@@ -3,7 +3,10 @@
 // values were captured from the pre-multi-cache engine (the paper's
 // single-cache code paths); the topology-aware engine must reproduce them
 // to 1e-9 — the refactor is required to be behavior-preserving at one
-// cache. PartitionedLossy adds one exact multi-cache pin.
+// cache. PartitionedLossy adds one exact multi-cache pin. The half-large
+// cost, equal-share and bound/pull/recovery rows pin the source's send
+// paths (unbatched cost pass-through, rate-granted secondary sends, and
+// wake-up re-arming after pulls and recovery sends).
 
 #include <gtest/gtest.h>
 
@@ -84,6 +87,27 @@ TEST(GoldenTest, CooperativeBatching) {
   EXPECT_NEAR(result->total_weighted_divergence, 78.306023107258085, kTolerance);
 }
 
+/// Unbatched pushes keep each object's own refresh cost: half the objects
+/// cost 4 units, so the source and cache budgets both see the cost mix.
+TEST(GoldenTest, CooperativeHalfLargeCosts) {
+  ExperimentConfig config;
+  config.scheduler = SchedulerKind::kCooperative;
+  config.workload.num_sources = 4;
+  config.workload.objects_per_source = 20;
+  config.workload.seed = 31;
+  config.workload.cost_scheme = CostScheme::kHalfLarge;
+  config.workload.large_cost = 4;
+  config.harness.warmup = 30.0;
+  config.harness.measure = 150.0;
+  config.cache_bandwidth_avg = 12.0;
+  config.source_bandwidth_avg = 5.0;
+  config.max_batch = 1;
+  const auto result = RunExperiment(config);
+  ASSERT_TRUE(result.ok());
+  EXPECT_NEAR(result->total_weighted_divergence, 90.294721390724789, kTolerance);
+  EXPECT_EQ(result->scheduler.refreshes_sent, 786);
+}
+
 TEST(GoldenTest, CGM1Baseline) {
   ExperimentConfig config;
   config.scheduler = SchedulerKind::kCGM1;
@@ -121,6 +145,66 @@ TEST(GoldenTest, CompetitivePiggyback) {
   EXPECT_NEAR(harness.ground_truth().TotalWeightedAverage(), 61.817998329229859,
               kTolerance);
   EXPECT_NEAR(source_view.TotalWeightedAverage(), 296.74566796678164, kTolerance);
+}
+
+/// Rate-granted share: each source spends its equal share of Ψ on
+/// own-priority refreshes ahead of the threshold protocol.
+TEST(GoldenTest, CompetitiveEqualShare) {
+  WorkloadConfig wl;
+  wl.num_sources = 4;
+  wl.objects_per_source = 20;
+  wl.seed = 37;
+  Workload workload = std::move(MakeWorkload(wl)).ValueOrDie();
+  AssignConflictingSourceWeights(&workload, 8.0, 79);
+  const auto metric = MakeMetric(MetricKind::kValueDeviation);
+  HarnessConfig harness_config;
+  harness_config.warmup = 30.0;
+  harness_config.measure = 150.0;
+  Harness harness(&workload, metric.get(), harness_config);
+  GroundTruth source_view(&workload, metric.get(), /*use_source_weights=*/true);
+  harness.AddGroundTruth(&source_view);
+  CompetitiveConfig config;
+  config.base.cache_bandwidth_avg = 10.0;
+  config.psi = 0.3;
+  config.option = ShareOption::kEqualShare;
+  CompetitiveScheduler scheduler(config);
+  ASSERT_TRUE(harness.Run(&scheduler).ok());
+  EXPECT_NEAR(harness.ground_truth().TotalWeightedAverage(), 62.773009266700292,
+              kTolerance);
+  EXPECT_NEAR(source_view.TotalWeightedAverage(), 284.36099255144086, kTolerance);
+  EXPECT_EQ(scheduler.stats().refreshes_sent, 1347);
+}
+
+/// Wake-up driven pushes (kBound) alongside demand pulls from a small LRU
+/// cache and a priority recovery after a crash: a pull and a recovery send
+/// both re-arm the object's wake-up.
+TEST(GoldenTest, BoundPullsAndRecovery) {
+  ExperimentConfig config;
+  config.scheduler = SchedulerKind::kCooperative;
+  config.policy = PolicyKind::kBound;
+  config.workload.num_sources = 4;
+  config.workload.objects_per_source = 20;
+  config.workload.seed = 41;
+  config.workload.read.read_rate = 4.0;
+  config.workload.read.capacity = 30;
+  config.workload.read.eviction = EvictionPolicy::kLru;
+  config.workload.fault.cache_crashes = 1;
+  config.workload.fault.crash_duration = 15.0;
+  config.workload.fault.window_start = 60.0;
+  config.workload.fault.window_end = 120.0;
+  config.recovery_policy = RecoveryPolicy::kRecoveryPriority;
+  config.harness.warmup = 30.0;
+  config.harness.measure = 200.0;
+  config.cache_bandwidth_avg = 6.0;
+  const auto result = RunExperiment(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_NEAR(result->total_weighted_divergence, 135.79369656322112, kTolerance);
+  EXPECT_EQ(result->scheduler.refreshes_sent, 446);
+  EXPECT_EQ(result->scheduler.pulls_delivered, 301);
+  EXPECT_EQ(result->scheduler.resync_deliveries, 80);
+  // The row exercises what it claims: misses pulled and the crash resynced.
+  EXPECT_GT(result->scheduler.pulls_delivered, 0);
+  EXPECT_GT(result->scheduler.resync_deliveries, 0);
 }
 
 TEST(GoldenTest, IdealCooperative) {

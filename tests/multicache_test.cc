@@ -92,7 +92,9 @@ TEST(InterestMapTest, ZipfOverlapIsValidAndSkewed) {
     for (int r = 0; r < spec.num_replicas(); ++r) {
       EXPECT_GE(spec.caches[r], 0);
       EXPECT_LT(spec.caches[r], 4);
-      if (r > 0) EXPECT_LT(spec.caches[r - 1], spec.caches[r]);
+      if (r > 0) {
+        EXPECT_LT(spec.caches[r - 1], spec.caches[r]);
+      }
     }
     EXPECT_GE(spec.replica_slot(spec.source_index % 4), 0);
     if (spec.num_replicas() == 1) ++single;

@@ -195,7 +195,9 @@ TEST(ObsExportTest, TraceFilterSelectsSubset) {
   EXPECT_LT(filtered->obs->trace.size(), all->obs->trace.size());
   EXPECT_FALSE(filtered->obs->trace.empty());
   for (const TraceEvent& event : filtered->obs->trace) {
-    if (event.cache >= 0) EXPECT_EQ(event.cache, 1);
+    if (event.cache >= 0) {
+      EXPECT_EQ(event.cache, 1);
+    }
     EXPECT_GE(event.t, 40.0);
     EXPECT_LE(event.t, 120.0);
   }

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -165,7 +166,7 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
   base.harness.measure = 20.0;
   EXPECT_TRUE(ValidateExperimentConfig(base).ok());
 
-  std::vector<ExperimentJob> jobs(13);
+  std::vector<ExperimentJob> jobs(22);
   for (ExperimentJob& job : jobs) job.config = base;
   jobs[0].name = "tick_length";
   jobs[0].config.harness.tick_length = 0.0;
@@ -193,6 +194,28 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
   jobs[11].config.loss_rate = -0.1;
   jobs[12].name = "loss_rate";
   jobs[12].config.loss_rate = std::nan("");
+  jobs[13].name = "max_batch";
+  jobs[13].config.max_batch = 0;
+  jobs[14].name = "max_batch";
+  jobs[14].config.max_batch = -2;
+  jobs[15].name = "max_batch_delay";
+  jobs[15].config.max_batch_delay = -1.0;
+  jobs[16].name = "max_batch_delay";
+  jobs[16].config.max_batch_delay = std::nan("");
+  // A zero interval never advances the sampling clock (the run hangs); a
+  // negative one schedules into the past (a CHECK abort).
+  for (size_t i = 17; i <= 20; ++i) {
+    jobs[i].name = "sampling_interval";
+    jobs[i].config.monitor = MonitorMode::kSampling;
+  }
+  jobs[17].config.sampling_interval = 0.0;
+  jobs[18].config.sampling_interval = -1.0;
+  jobs[19].config.sampling_interval = std::numeric_limits<double>::infinity();
+  jobs[20].config.sampling_interval = std::nan("");
+  // Batches travel as one unit-cost message, so they need unit costs.
+  jobs[21].name = "cost_scheme";
+  jobs[21].config.max_batch = 2;
+  jobs[21].config.workload.cost_scheme = CostScheme::kHalfLarge;
 
   const std::vector<JobResult> results = RunExperiments(jobs, RunnerOptions{});
   ASSERT_EQ(results.size(), jobs.size());
