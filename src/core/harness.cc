@@ -7,12 +7,29 @@
 
 #include "data/update_process.h"
 #include "util/logging.h"
+#include "util/prefetch.h"
 
 namespace besync {
 
 double NextWeightRefreshDeadline(double t, double interval) {
   BESYNC_CHECK_GT(interval, 0.0);
   return (std::floor(t / interval) + 1.0) * interval;
+}
+
+Status ValidateHarnessConfig(const HarnessConfig& config) {
+  // Negated comparisons so NaN fails too.
+  if (!(std::isfinite(config.tick_length) && config.tick_length > 0.0)) {
+    return Status::InvalidArgument("tick_length must be finite and > 0, got ",
+                                   config.tick_length);
+  }
+  if (!(std::isfinite(config.warmup) && config.warmup >= 0.0)) {
+    return Status::InvalidArgument("warmup must be finite and >= 0, got ", config.warmup);
+  }
+  if (!(std::isfinite(config.measure) && config.measure > 0.0)) {
+    return Status::InvalidArgument("measure must be finite and > 0, got ",
+                                   config.measure);
+  }
+  return Status::OK();
 }
 
 ObjectRuntime::ObjectRuntime(const ObjectSpec* s)
@@ -43,9 +60,8 @@ Harness::Harness(const Workload* workload, const DivergenceMetric* metric,
       scheduler_rng_(config.seed) {
   BESYNC_CHECK(workload != nullptr);
   BESYNC_CHECK(metric != nullptr);
-  BESYNC_CHECK_GT(config.tick_length, 0.0);
-  BESYNC_CHECK_GE(config.warmup, 0.0);
-  BESYNC_CHECK_GT(config.measure, 0.0);
+  const Status valid = ValidateHarnessConfig(config);
+  BESYNC_CHECK(valid.ok()) << valid.ToString();
   owned_ground_truth_ =
       std::make_unique<GroundTruth>(workload, metric, /*use_source_weights=*/false,
                                     &arena_);
@@ -70,7 +86,8 @@ Harness::Harness(const Workload* workload, const DivergenceMetric* metric,
     object.num_replicas = static_cast<int32_t>(object.spec->num_replicas());
     trackers += object.num_replicas;
   }
-  sim_.RegisterHandler(kObjectUpdateEvent, &Harness::DispatchUpdate, this);
+  sim_.RegisterHandler(kObjectUpdateEvent, &Harness::DispatchUpdate, this,
+                       &Harness::PrefetchUpdate);
 }
 
 void Harness::AddGroundTruth(GroundTruth* ground_truth) {
@@ -131,6 +148,21 @@ void Harness::RefreshInstant(ObjectIndex index, double t) {
 
 void Harness::DispatchUpdate(void* harness, uint64_t index, double t) {
   static_cast<Harness*>(harness)->OnUpdateEvent(static_cast<ObjectIndex>(index), t);
+}
+
+void Harness::PrefetchUpdate(void* harness, uint64_t index, bool fires_next) {
+  const Harness& self = *static_cast<const Harness*>(harness);
+  const ObjectRuntime& object = self.objects_[index];
+  if (!fires_next) {
+    PrefetchRange(&object, sizeof(ObjectRuntime));
+    return;
+  }
+  PrefetchRange(object.trackers,
+                static_cast<size_t>(object.num_replicas) * sizeof(DivergenceTracker));
+  const size_t replica_base = static_cast<size_t>(object.trackers - self.trackers_);
+  for (const GroundTruth* ground_truth : self.ground_truths_) {
+    ground_truth->PrefetchReplicas(replica_base, object.num_replicas);
+  }
 }
 
 void Harness::OnUpdateEvent(ObjectIndex index, double t) {

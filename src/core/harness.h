@@ -48,6 +48,13 @@ struct HarnessConfig {
   uint64_t seed = 7;
 };
 
+/// Checks the run-length fields: `tick_length` and `measure` finite and > 0,
+/// `warmup` finite and >= 0. An infinite warm-up or measurement window never
+/// ends, and a zero tick never advances the clock, so each is an
+/// InvalidArgument naming the field. The Harness constructor CHECKs it;
+/// RunScheduler and ValidateExperimentConfig return it.
+Status ValidateHarnessConfig(const HarnessConfig& config);
+
 /// Per-object mutable state during a simulation run — the hot record of the
 /// serial update path. For the common object shape (a Poisson random walk
 /// with a constant weight) an update event, its rescheduling, the weight
@@ -264,6 +271,11 @@ class Harness {
  private:
   /// kObjectUpdateEvent handler (context = the harness).
   static void DispatchUpdate(void* harness, uint64_t index, double t);
+  /// kObjectUpdateEvent prefetcher, two stages deep. A candidate for two
+  /// events ahead gets its record prefetched. The object that fires next,
+  /// whose record came in that way one event earlier, gets the first lines
+  /// of its tracker slice and of its replica range in every ground truth.
+  static void PrefetchUpdate(void* harness, uint64_t index, bool fires_next);
   void OnUpdateEvent(ObjectIndex index, double t);
   void ScheduleNextUpdate(ObjectRuntime& object, ObjectIndex index, double now);
 

@@ -756,6 +756,7 @@ Result<RunResult> RunScheduler(const Workload* workload, const DivergenceMetric*
   if (workload == nullptr || metric == nullptr || scheduler == nullptr) {
     return Status::InvalidArgument("RunScheduler: null argument");
   }
+  BESYNC_RETURN_IF_ERROR(ValidateHarnessConfig(harness_config));
   Harness harness(workload, metric, harness_config);
   BESYNC_RETURN_IF_ERROR(harness.Run(scheduler));
   RunResult result;

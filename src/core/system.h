@@ -262,6 +262,8 @@ struct RunResult {
 };
 
 /// Runs `scheduler` over `workload` and returns the measured divergence.
+/// A null argument or a `harness_config` that fails ValidateHarnessConfig is
+/// an InvalidArgument, returned before anything runs.
 Result<RunResult> RunScheduler(const Workload* workload, const DivergenceMetric* metric,
                                const HarnessConfig& harness_config,
                                Scheduler* scheduler);

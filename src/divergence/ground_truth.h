@@ -7,6 +7,7 @@
 #include "data/workload.h"
 #include "divergence/metric.h"
 #include "util/arena.h"
+#include "util/prefetch.h"
 
 namespace besync {
 
@@ -56,6 +57,15 @@ class GroundTruth {
   /// per-object spec and base-table loads of the index form.
   void OnSourceUpdate(size_t replica_base, int num_replicas, double t, double value,
                       int64_t version);
+
+  /// Prefetches the first lines of the flat replica range `replica_base` ..
+  /// `replica_base + num_replicas - 1` (see the range form of
+  /// OnSourceUpdate), at most kPrefetchLineCap of them. A cache hint for an
+  /// update that fires soon; changes no state.
+  void PrefetchReplicas(size_t replica_base, int num_replicas) const {
+    PrefetchRange(entries_ + replica_base,
+                  static_cast<size_t>(num_replicas) * sizeof(Entry));
+  }
 
   /// Records that the cache holding object `index`'s replica slot `replica`
   /// (its cache is ObjectSpec::caches[replica]) applied a refresh carrying

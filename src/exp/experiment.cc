@@ -90,18 +90,8 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config) {
 }
 
 Status ValidateExperimentConfig(const ExperimentConfig& config) {
+  BESYNC_RETURN_IF_ERROR(ValidateHarnessConfig(config.harness));
   // Negated comparisons so NaN fails too.
-  const HarnessConfig& harness = config.harness;
-  if (!(harness.tick_length > 0.0)) {
-    return Status::InvalidArgument("tick_length must be > 0, got ",
-                                   harness.tick_length);
-  }
-  if (!(harness.warmup >= 0.0)) {
-    return Status::InvalidArgument("warmup must be >= 0, got ", harness.warmup);
-  }
-  if (!(harness.measure > 0.0)) {
-    return Status::InvalidArgument("measure must be > 0, got ", harness.measure);
-  }
   if (!(config.cache_bandwidth_avg > 0.0)) {
     return Status::InvalidArgument("cache_bandwidth_avg must be > 0, got ",
                                    config.cache_bandwidth_avg);

@@ -105,10 +105,11 @@ struct ExperimentConfig {
 /// Builds the scheduler named by `config` (bandwidth knobs applied).
 std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config);
 
-/// Rejects the values that would otherwise abort inside the engine (or, for
-/// a negative loss rate, silently run lossless): harness.tick_length,
-/// harness.measure and cache_bandwidth_avg must be > 0, harness.warmup
-/// >= 0, loss_rate in [0, 1), run_threads 1, max_batch >= 1 (and > 1 only
+/// Rejects the values that would otherwise abort or hang inside the engine
+/// (or, for a negative loss rate, silently run lossless): the harness run
+/// lengths per ValidateHarnessConfig (finite tick_length and measure > 0,
+/// finite warmup >= 0), cache_bandwidth_avg > 0,
+/// loss_rate in [0, 1), run_threads 1, max_batch >= 1 (and > 1 only
 /// with uniform costs), max_batch_delay >= 0, and under sampling a finite
 /// sampling_interval > 0; NaN fails every check. InvalidArgument names the
 /// field.

@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 
 #include "util/logging.h"
@@ -12,15 +13,21 @@ namespace {
 // staying far from int64 overflow when accumulated.
 constexpr double kUnconstrainedBandwidth = 1e12;
 
-/// Stable counting sort of `from` into `to` (pre-sized) by `key`, whose
-/// values lie in [0, num_keys). `buckets` is reused scratch.
+/// Stable counting sort of the positions `order` (indices into `mail`) by
+/// key(mail[position]), whose values lie in [0, num_keys), into `sorted`
+/// (pre-sized like `order`). Sorting 4-byte positions instead of the
+/// 40-byte messages leaves one copy per message, made by the caller.
+/// `buckets` is reused scratch.
 template <typename Key>
-void CountingSort(const std::vector<ControlMessage>& from, size_t num_keys, Key key,
-                  std::vector<int32_t>* buckets, std::vector<ControlMessage>* to) {
+void CountingSort(const std::vector<ControlMessage>& mail,
+                  const std::vector<int32_t>& order, size_t num_keys, Key key,
+                  std::vector<int32_t>* buckets, std::vector<int32_t>* sorted) {
   buckets->assign(num_keys + 1, 0);
-  for (const ControlMessage& message : from) ++(*buckets)[key(message) + 1];
+  for (const int32_t position : order) ++(*buckets)[key(mail[position]) + 1];
   for (size_t k = 1; k <= num_keys; ++k) (*buckets)[k] += (*buckets)[k - 1];
-  for (const ControlMessage& message : from) (*to)[(*buckets)[key(message)]++] = message;
+  for (const int32_t position : order) {
+    (*sorted)[(*buckets)[key(mail[position])]++] = position;
+  }
 }
 
 }  // namespace
@@ -131,25 +138,31 @@ void Network::BeginTick(double tick_start, double tick_len) {
   control_inbox_.clear();
   control_mail_hops_ = 0;
   if (control_outbox_.empty()) return;
-  control_inbox_.resize(control_outbox_.size());
+  mail_order_.resize(control_outbox_.size());
+  mail_sorted_.resize(control_outbox_.size());
+  std::iota(mail_order_.begin(), mail_order_.end(), 0);
   if (has_relays()) {
     CountingSort(
-        control_outbox_, static_cast<size_t>(num_caches()),
+        control_outbox_, mail_order_, static_cast<size_t>(num_caches()),
         [this](const ControlMessage& message) { return pump_rank_[message.cache_id]; },
-        &mail_buckets_, &control_inbox_);
-    control_inbox_.swap(control_outbox_);
+        &mail_buckets_, &mail_sorted_);
+    mail_order_.swap(mail_sorted_);
   }
   const int sources = num_sources();
   CountingSort(
-      control_outbox_, tier1_nodes_.size() * static_cast<size_t>(sources),
+      control_outbox_, mail_order_, tier1_nodes_.size() * static_cast<size_t>(sources),
       [this, sources](const ControlMessage& message) {
         return tier1_position_[message.cache_id] * sources + message.source_index;
       },
-      &mail_buckets_, &control_inbox_);
-  control_outbox_.clear();
-  for (const ControlMessage& message : control_inbox_) {
+      &mail_buckets_, &mail_sorted_);
+  // Copy each message once, straight into its drain position: no
+  // default-constructed inbox for the sort to overwrite.
+  for (const int32_t position : mail_sorted_) {
+    const ControlMessage& message = control_outbox_[position];
+    control_inbox_.push_back(message);
     control_mail_hops_ += control_hops_[message.cache_id];
   }
+  control_outbox_.clear();
 }
 
 Link& Network::cache_link(int cache_id) {

@@ -198,11 +198,14 @@ class Network {
   std::vector<int32_t> control_hops_;
   /// Control mail: this tick's deposits (deposit order), the inbox
   /// delivered by the last BeginTick (drain order), its hop sum, and the
-  /// counting-sort buckets BeginTick reuses.
+  /// scratch BeginTick reuses: counting-sort buckets and two arrays of
+  /// outbox positions, before and after a sort pass.
   std::vector<ControlMessage> control_outbox_;
   std::vector<ControlMessage> control_inbox_;
   int64_t control_mail_hops_ = 0;
   std::vector<int32_t> mail_buckets_;
+  std::vector<int32_t> mail_order_;
+  std::vector<int32_t> mail_sorted_;
   /// Every link (cache, source, relay ingress, relay egress), flattened for
   /// BeginTick. Built once; link sets never change after construction.
   std::vector<Link*> all_links_;

@@ -23,6 +23,15 @@ enum EventKind : uint8_t {
 /// the event's payload and the event's timestamp.
 using EventHandler = void (*)(void* context, uint64_t payload, double time);
 
+/// Optional look-ahead hook of one event kind: receives the context the kind
+/// was registered with and the payload of an event that fires soon —
+/// `fires_next` is true for the event due right after the one now firing,
+/// false for a candidate for the one after that. It may only issue cache
+/// prefetches (`__builtin_prefetch`) and must not change any state: whether
+/// an event is announced at all depends on where it sits in the timer wheel
+/// (only near-heap events are), not on the simulated history alone.
+using EventPrefetcher = void (*)(void* context, uint64_t payload, bool fires_next);
+
 /// Discrete event simulation driver.
 ///
 /// The besync evaluation uses a hybrid scheme: object updates are scheduled
@@ -42,6 +51,12 @@ using EventHandler = void (*)(void* context, uint64_t payload, double time);
 /// through the handler table. Events pop in exact (time, insertion-sequence)
 /// order, so events at one instant fire first-scheduled first whatever
 /// their kinds.
+///
+/// Dispatch is software-pipelined: after popping event k and before firing
+/// it, the simulation peeks at the wheel's near heap (TimerWheel::PeekNear) and
+/// hands event k+1 (the head) and the candidates for k+2 (the head's two
+/// children) to their kinds' prefetchers, so the records those events touch
+/// load while event k runs. Prefetching never changes what fires or when.
 class Simulation {
  public:
   /// Size of the handler table; kinds are 0 .. kMaxEventKinds-1.
@@ -55,9 +70,11 @@ class Simulation {
   /// Current simulated time (seconds).
   double now() const { return now_; }
 
-  /// Installs the handler of `kind`. Each kind is registered at most once
-  /// per simulation; `context` must outlive every event of the kind.
-  void RegisterHandler(uint8_t kind, EventHandler handler, void* context);
+  /// Installs the handler of `kind`, and optionally its prefetcher. Each
+  /// kind is registered at most once per simulation; `context` must outlive
+  /// every event of the kind.
+  void RegisterHandler(uint8_t kind, EventHandler handler, void* context,
+                       EventPrefetcher prefetcher = nullptr);
   bool has_handler(uint8_t kind) const {
     return kind < kMaxEventKinds && handlers_[kind].fn != nullptr;
   }
@@ -85,7 +102,12 @@ class Simulation {
   struct Handler {
     EventHandler fn = nullptr;
     void* context = nullptr;
+    EventPrefetcher prefetch = nullptr;
   };
+
+  /// Passes the near heap's head and its children to their kinds'
+  /// prefetchers; called between popping an event and firing it.
+  void Lookahead() const;
 
   /// Advances the clock to the popped event and calls its kind's handler.
   void Fire(double time, TimerKey key);

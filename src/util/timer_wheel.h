@@ -88,6 +88,22 @@ class TimerWheel {
   /// Pops the earliest timer into (time, key); wheel must be non-empty.
   void PopInto(double* time, TimerKey* key);
 
+  /// Most keys PeekNear reports: the near heap's head and its two children.
+  static constexpr int kPeekNear = 3;
+
+  /// Look-ahead for prefetching. Copies the keys of the near heap's first
+  /// min(near-heap size, kPeekNear) items into `keys` and returns how many.
+  /// keys[0] is the head: the item the next PopInto returns unless a push
+  /// lands ahead of it first. The rest are the head's heap children, and
+  /// the item after the head is always one of them. Never advances the
+  /// wheel, so it returns 0 whenever the near heap is drained, even with
+  /// timers pending in the buckets.
+  int PeekNear(TimerKey keys[kPeekNear]) const {
+    const int n = near_.size() < kPeekNear ? static_cast<int>(near_.size()) : kPeekNear;
+    for (int i = 0; i < n; ++i) keys[i] = near_[i].key;
+    return n;
+  }
+
  private:
   /// POD routed through buckets and the near heap.
   struct Item {

@@ -1,5 +1,7 @@
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -253,6 +255,36 @@ TEST(HarnessTest, RunTwiceFails) {
   ASSERT_TRUE(harness.Run(&scheduler).ok());
   CooperativeScheduler scheduler2(coop);
   EXPECT_TRUE(harness.Run(&scheduler2).IsFailedPrecondition());
+}
+
+/// A bad run length reaches direct RunScheduler callers as an
+/// InvalidArgument naming the field: not a CHECK abort in the Harness
+/// constructor (zero tick, NaN window), nor a run that never ends (an
+/// infinite warm-up).
+TEST(HarnessTest, RunSchedulerRejectsBadRunLengths) {
+  Workload workload = std::move(MakeWorkload(SmallWorkload(1, 2))).ValueOrDie();
+  auto metric = MakeMetric(MetricKind::kStaleness);
+  struct Case {
+    const char* field;
+    HarnessConfig config;
+  };
+  std::vector<Case> cases(3, Case{"", ShortRun(1.0, 5.0)});
+  cases[0].field = "tick_length";
+  cases[0].config.tick_length = 0.0;
+  cases[1].field = "measure";
+  cases[1].config.measure = std::nan("");
+  cases[2].field = "warmup";
+  cases[2].config.warmup = std::numeric_limits<double>::infinity();
+  for (const Case& c : cases) {
+    EXPECT_FALSE(ValidateHarnessConfig(c.config).ok()) << c.field;
+    CooperativeScheduler scheduler(CooperativeConfig{});
+    const auto result = RunScheduler(&workload, metric.get(), c.config, &scheduler);
+    ASSERT_FALSE(result.ok()) << c.field;
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status().ToString();
+    EXPECT_NE(result.status().message().find(c.field), std::string::npos)
+        << result.status().ToString();
+  }
+  EXPECT_TRUE(ValidateHarnessConfig(ShortRun(1.0, 5.0)).ok());
 }
 
 TEST(HarnessTest, UpdateStreamsIdenticalAcrossSchedulers) {

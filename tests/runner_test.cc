@@ -166,7 +166,7 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
   base.harness.measure = 20.0;
   EXPECT_TRUE(ValidateExperimentConfig(base).ok());
 
-  std::vector<ExperimentJob> jobs(22);
+  std::vector<ExperimentJob> jobs(25);
   for (ExperimentJob& job : jobs) job.config = base;
   jobs[0].name = "tick_length";
   jobs[0].config.harness.tick_length = 0.0;
@@ -216,6 +216,15 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
   jobs[21].name = "cost_scheme";
   jobs[21].config.max_batch = 2;
   jobs[21].config.workload.cost_scheme = CostScheme::kHalfLarge;
+  // An infinite warm-up or window never ends; an infinite tick is one tick
+  // of unbounded length.
+  const double inf = std::numeric_limits<double>::infinity();
+  jobs[22].name = "warmup";
+  jobs[22].config.harness.warmup = inf;
+  jobs[23].name = "measure";
+  jobs[23].config.harness.measure = inf;
+  jobs[24].name = "tick_length";
+  jobs[24].config.harness.tick_length = inf;
 
   const std::vector<JobResult> results = RunExperiments(jobs, RunnerOptions{});
   ASSERT_EQ(results.size(), jobs.size());

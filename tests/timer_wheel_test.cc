@@ -275,5 +275,95 @@ TEST(TimerWheelTest, RandomizedKeysAgainstHeapReference) {
   }
 }
 
+TEST(TimerWheelTest, PeekNearSeesOnlyTheNearHeap) {
+  TimerWheel wheel;
+  TimerKey keys[TimerWheel::kPeekNear] = {};
+  EXPECT_EQ(wheel.PeekNear(keys), 0);
+  // Future timers wait in the buckets until NextTime or PopInto advances.
+  wheel.Push(0.5, 1);
+  wheel.Push(0.75, 2);
+  wheel.Push(3.0, 3);
+  EXPECT_EQ(wheel.PeekNear(keys), 0);
+  // A past push goes straight to the near heap.
+  wheel.Push(-0.5, 4);
+  ASSERT_EQ(wheel.PeekNear(keys), 1);
+  EXPECT_EQ(keys[0], 4u);
+  EXPECT_EQ(wheel.NextTime(), -0.5);
+  double time = 0.0;
+  TimerKey key = 0;
+  wheel.PopInto(&time, &key);
+  EXPECT_EQ(key, 4u);
+  // The near heap is drained again; the 0.5 and 0.75 bucket has not moved.
+  EXPECT_EQ(wheel.PeekNear(keys), 0);
+  EXPECT_EQ(wheel.NextTime(), 0.5);
+  ASSERT_EQ(wheel.PeekNear(keys), 2);
+  EXPECT_EQ(keys[0], 1u);
+  EXPECT_EQ(keys[1], 2u);
+  // Peeking is const: the pops are unchanged.
+  wheel.PopInto(&time, &key);
+  EXPECT_EQ(key, 1u);
+  wheel.PopInto(&time, &key);
+  EXPECT_EQ(key, 2u);
+}
+
+TEST(TimerWheelTest, PeekNearHeadIsNextPopAndChildrenHoldTheOneAfter) {
+  // Before each pop: the head is the item popped, every peeked item shares
+  // its level-0 bucket (the near heap holds exactly the current bucket), as
+  // many items are peeked as that bucket still holds (up to kPeekNear), and
+  // the item popped after the head, if it is in the same bucket, was among
+  // the head's children.
+  Rng rng(20261018);
+  for (int round = 0; round < 12; ++round) {
+    TimerWheel::Options options;
+    options.resolution = round % 2 == 0 ? 1.0 : 0.25;
+    options.level_slots = round % 3 == 0 ? 4 : 16;
+    TimerWheel wheel(options);
+    std::vector<Ref> refs;
+    for (int i = 0; i < 300; ++i) {
+      double t = 0.0;
+      switch (rng.UniformInt(0, 3)) {
+        case 0:
+          t = static_cast<double>(rng.UniformInt(0, 20)) * options.resolution;
+          break;
+        case 1: t = rng.Uniform(0.0, 10.0); break;
+        case 2: t = rng.Uniform(0.0, 500.0); break;
+        default: t = rng.Uniform(0.0, 1.0e5); break;
+      }
+      refs.push_back({t, i});
+      wheel.Push(t, static_cast<TimerKey>(i));
+    }
+    const std::vector<int> order = StableOrder(refs);
+    auto bucket = [&](int id) {
+      return std::floor(refs[static_cast<size_t>(id)].time / options.resolution);
+    };
+    for (size_t k = 0; k < order.size(); ++k) {
+      wheel.NextTime();  // brings the current bucket into the near heap
+      TimerKey keys[TimerWheel::kPeekNear] = {};
+      const int n = wheel.PeekNear(keys);
+      size_t same_bucket = 0;
+      while (k + same_bucket < order.size() &&
+             bucket(order[k + same_bucket]) == bucket(order[k])) {
+        ++same_bucket;
+      }
+      ASSERT_EQ(static_cast<size_t>(n),
+                std::min<size_t>(same_bucket, TimerWheel::kPeekNear))
+          << "round " << round << " pop " << k;
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(bucket(static_cast<int>(keys[i])), bucket(order[k]));
+      }
+      EXPECT_EQ(keys[0], static_cast<TimerKey>(order[k]));
+      if (same_bucket > 1) {
+        const TimerKey after = static_cast<TimerKey>(order[k + 1]);
+        EXPECT_TRUE(keys[1] == after || (n > 2 && keys[2] == after))
+            << "round " << round << " pop " << k;
+      }
+      double time = 0.0;
+      TimerKey key = 0;
+      wheel.PopInto(&time, &key);
+      ASSERT_EQ(key, static_cast<TimerKey>(order[k]));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace besync
