@@ -161,7 +161,8 @@ void Harness::PrefetchUpdate(void* harness, uint64_t index, bool fires_next) {
                 static_cast<size_t>(object.num_replicas) * sizeof(DivergenceTracker));
   const size_t replica_base = static_cast<size_t>(object.trackers - self.trackers_);
   for (const GroundTruth* ground_truth : self.ground_truths_) {
-    ground_truth->PrefetchReplicas(replica_base, object.num_replicas);
+    ground_truth->PrefetchReplicas(static_cast<ObjectIndex>(index), replica_base,
+                                   object.num_replicas);
   }
 }
 
@@ -181,8 +182,8 @@ void Harness::OnUpdateEvent(ObjectIndex index, double t) {
   }
   const size_t replica_base = static_cast<size_t>(object.trackers - trackers_);
   for (GroundTruth* ground_truth : ground_truths_) {
-    ground_truth->OnSourceUpdate(replica_base, object.num_replicas, t, object.state.value,
-                                 object.state.version);
+    ground_truth->OnSourceUpdate(index, replica_base, object.num_replicas, t,
+                                 object.state.value, object.state.version);
   }
   scheduler_->OnObjectUpdate(index, t);
   ScheduleNextUpdate(object, index, t);

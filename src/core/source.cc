@@ -103,6 +103,9 @@ void SourceAgent::BuildChannels() {
     std::copy(channel_replicas.begin(), channel_replicas.end(),
               channel.replica_slots);
     channel.locals = arena->AllocateArray<LocalState>(channel_members.size());
+    if (config_.monitor == MonitorMode::kSampling) {
+      channel.sampled = arena->AllocateArray<SampledTracker>(channel_members.size());
+    }
     if (protocol_ != nullptr && protocol_->emits_invalidations()) {
       channel.invalid_state =
           arena->AllocateArray<uint8_t>(channel_members.size(), uint8_t{kReplicaFresh});
@@ -339,15 +342,16 @@ void SourceAgent::OnSampleEvent(int channel_index, int32_t slot, double t) {
   Channel& channel = channels_[channel_index];
   const ObjectIndex index = channel.members[slot];
   LocalState& state = channel.locals[slot];
+  SampledTracker& sampled = channel.sampled[slot];
   // Direct measurement: the source compares its live value against the copy
   // it last shipped to this cache — exactly what the exact tracker's current
   // divergence is.
   const double divergence =
       harness_->object(index).tracker(channel.replica_slots[slot]).current_divergence();
-  state.sampled.AddSample(t, divergence);
+  sampled.AddSample(t, divergence);
   ++state.epoch;
   const double weight = harness_->WeightAt(index, t);
-  channel.queue.Push(state.sampled.EstimatedPriority(t) * weight, index, state.epoch);
+  channel.queue.Push(sampled.EstimatedPriority(t) * weight, index, state.epoch);
   MaybeCompact(&channel);
   ScheduleNextSample(channel_index, slot, t);
 }
@@ -356,10 +360,9 @@ void SourceAgent::ScheduleNextSample(int channel_index, int32_t slot, double now
   const Channel& channel = channels_[channel_index];
   double next = now + config_.sampling_interval;
   if (config_.predictive_sampling) {
-    const LocalState& state = channel.locals[slot];
     const double weight = harness_->WeightAt(channel.members[slot], now);
     const double predicted =
-        state.sampled.PredictCrossTime(channel.controller.threshold(), weight, now);
+        channel.sampled[slot].PredictCrossTime(channel.controller.threshold(), weight, now);
     // Sample "somewhat before" the predicted crossing, but never more often
     // than the minimum gap and never later than the base interval.
     const double candidate = std::max(now + kMinSamplingGap, predicted * 0.95);
@@ -408,9 +411,7 @@ Message SourceAgent::Ship(Channel* channel, int32_t slot, double now, bool is_pu
   }
   Message message = harness_->MakeRefreshMessage(index, replica, now);
   message.is_pull = is_pull;
-  if (config_.monitor == MonitorMode::kSampling) {
-    state.sampled.OnRefresh(now);
-  }
+  if (channel->sampled != nullptr) channel->sampled[slot].OnRefresh(now);
   if (trace_ != nullptr) {
     RecordTrace(TraceEventKind::kSend, now, channel->cache_id, index, message.version,
                 is_pull);
@@ -568,7 +569,7 @@ int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
   while (true) {
     // Lazy tombstones first: entries whose state left kInvalidateQueued (a
     // pull refilled the replica) are dropped before any budget is spent.
-    std::deque<int32_t>& queue = channel->invalidate_queue;
+    Fifo<int32_t>& queue = channel->invalidate_queue;
     while (!queue.empty() &&
            channel->invalid_state[queue.front()] != kInvalidateQueued) {
       queue.pop_front();

@@ -2,7 +2,6 @@
 #define BESYNC_CORE_SOURCE_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "priority/sampling.h"
 #include "priority/special_case.h"
 #include "protocol/sync_protocol.h"
+#include "util/fifo.h"
 
 namespace besync {
 
@@ -222,15 +222,16 @@ class SourceAgent {
   double ComputeSourcePriority(ObjectIndex index, double now, int channel) const;
 
  private:
-  /// Per-replica monitoring state. `epoch` and `history` lead: every
-  /// trigger-mode update reads both (the lazy-heap epoch and the history
-  /// rate in the priority context), so they share a cache line; the
-  /// sampling-mode tracker trails.
+  /// Per-replica monitoring state kept under every monitor mode: the
+  /// lazy-heap epoch and the history rate, both read on every trigger-mode
+  /// update (the history rate through the priority context). Two fit in
+  /// one cache line; the sampling-mode tracker lives in its own per-channel
+  /// table (Channel::sampled).
   struct LocalState {
     uint64_t epoch = 0;
     HistoryRateEstimator history;
-    SampledTracker sampled;
   };
+  static_assert(sizeof(LocalState) <= 32, "two replicas' LocalState per cache line");
 
   /// The source's model of one replica under the invalidation protocol:
   /// fresh (the cache holds the live value as far as the source shipped it),
@@ -248,9 +249,9 @@ class SourceAgent {
   /// Per-cache protocol state: threshold controller T_{j,c}, the priority
   /// queues over the objects replicated at the cache, and the per-replica
   /// monitoring state. The fixed-size per-object tables (members, slot_of,
-  /// replica_slots, locals) are arena spans carved from the harness run
-  /// arena by BuildChannels — sized once from the interest map, never
-  /// resized, and freed wholesale with the run.
+  /// replica_slots, locals, sampled, invalid_state) are arena spans carved
+  /// from the harness run arena by BuildChannels — sized once from the
+  /// interest map, never resized, and freed wholesale with the run.
   struct Channel {
     Channel(int32_t cache, const ThresholdConfig& config, double feedback_period)
         : cache_id(cache), controller(config, feedback_period, /*start_time=*/0.0) {}
@@ -269,6 +270,9 @@ class SourceAgent {
     /// Replica slot of each channel member at this cache (tracker index).
     int32_t* replica_slots = nullptr;
     LocalState* locals = nullptr;
+    /// Sampling mode only: each member's sampled divergence estimate (null
+    /// under trigger monitoring).
+    SampledTracker* sampled = nullptr;
     /// Event-keyed queue: priority recomputed on updates (or samples).
     LazyMaxHeap queue;
     /// Competitive mode: the same objects keyed by the source's own priority.
@@ -281,10 +285,10 @@ class SourceAgent {
     /// notification. Entries whose state moved off kInvalidateQueued
     /// (a pull refilled the replica first) die lazily at send time.
     uint8_t* invalid_state = nullptr;
-    std::deque<int32_t> invalidate_queue;
+    Fifo<int32_t> invalidate_queue;
     /// Channel slots awaiting a recovery refresh after the cache crashed
     /// (RecoveryPolicy::kRecoveryPriority only; drained by SendRecovery).
-    std::deque<int32_t> recovery_queue;
+    Fifo<int32_t> recovery_queue;
   };
 
   /// Inlined epoch resolver over a channel's local-state table. A plain
@@ -319,7 +323,7 @@ class SourceAgent {
   void ScheduleNextSample(int channel_index, int32_t slot, double now);
   /// The per-replica half of every refresh — push, batch mate, pull or
   /// recovery: closes the replica's history interval, builds the message
-  /// (resetting the tracker), resets the sampled tracker, records kSend,
+  /// (resetting the tracker), resets the sampled estimate, records kSend,
   /// bumps the epoch, marks an invalidation replica fresh and re-arms a
   /// time-varying wake-up. Returns the message with is_pull set.
   Message Ship(Channel* channel, int32_t slot, double now, bool is_pull);

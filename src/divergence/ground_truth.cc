@@ -19,11 +19,12 @@ GroundTruth::GroundTruth(const Workload* workload, const DivergenceMetric* metri
     base += static_cast<size_t>(spec.num_replicas());
   }
   num_entries_ = base;
+  const size_t num_slots = num_entries_ + workload->objects.size();
   if (arena != nullptr) {
-    entries_ = arena->AllocateArray<Entry>(num_entries_);
+    slots_ = arena->AllocateArray<Slot>(num_slots);
   } else {
-    owned_entries_.resize(num_entries_);
-    entries_ = owned_entries_.data();
+    owned_slots_.resize(num_slots);
+    slots_ = owned_slots_.data();
   }
   // The ObjectSpec::caches contract — in range, ascending, duplicate-free —
   // makes a replica slot (a position in the list) name exactly one cache.
@@ -36,7 +37,8 @@ GroundTruth::GroundTruth(const Workload* workload, const DivergenceMetric* metri
         BESYNC_CHECK_LT(spec.caches[r - 1], spec.caches[r])
             << "object " << i << ": caches must be ascending and duplicate-free";
       }
-      entries_[replica_base_[i] + r].cache_id = spec.caches[r];
+      slots_[EntrySlot(static_cast<ObjectIndex>(i), r)].entry =
+          Entry{0.0, 0, 0.0, spec.caches[r]};
     }
   }
   const size_t caches = static_cast<size_t>(workload->num_caches);
@@ -54,15 +56,13 @@ const Fluctuation* GroundTruth::WeightFn(const ObjectSpec& spec) const {
 void GroundTruth::Initialize(double t) {
   for (size_t i = 0; i < workload_->objects.size(); ++i) {
     const ObjectSpec& spec = workload_->objects[i];
-    const double weight = WeightFn(spec)->ValueAt(t);
+    Slot* slots = slots_ + RecordSlot(static_cast<ObjectIndex>(i), replica_base_[i]);
+    slots[0].object = ObjectTruth{spec.initial_value, 0, WeightFn(spec)->ValueAt(t)};
     for (int r = 0; r < spec.num_replicas(); ++r) {
-      Entry& entry = entries_[replica_base_[i] + r];
-      entry.source_value = spec.initial_value;
-      entry.source_version = 0;
+      Entry& entry = slots[1 + r].entry;
       entry.cached_value = spec.initial_value;
       entry.cached_version = 0;
       entry.divergence = 0.0;
-      entry.weight = weight;
     }
   }
   last_time_ = t;
@@ -84,8 +84,8 @@ void GroundTruth::AdvanceTo(double t) {
   }
 }
 
-void GroundTruth::SetDivergence(Entry* entry, double divergence) {
-  weighted_sum_[entry->cache_id] += (divergence - entry->divergence) * entry->weight;
+void GroundTruth::SetDivergence(Entry* entry, double divergence, double weight) {
+  weighted_sum_[entry->cache_id] += (divergence - entry->divergence) * weight;
   unweighted_sum_[entry->cache_id] += divergence - entry->divergence;
   entry->divergence = divergence;
 }
@@ -93,24 +93,36 @@ void GroundTruth::SetDivergence(Entry* entry, double divergence) {
 void GroundTruth::RebuildSums() {
   std::fill(weighted_sum_.begin(), weighted_sum_.end(), 0.0);
   std::fill(unweighted_sum_.begin(), unweighted_sum_.end(), 0.0);
-  for (size_t i = 0; i < num_entries_; ++i) {
-    const Entry& entry = entries_[i];
-    weighted_sum_[entry.cache_id] += entry.divergence * entry.weight;
-    unweighted_sum_[entry.cache_id] += entry.divergence;
+  // Replica order, object by object: the order of one pass over a flat
+  // entry table.
+  for (size_t i = 0; i < workload_->objects.size(); ++i) {
+    const Slot* slots = slots_ + RecordSlot(static_cast<ObjectIndex>(i), replica_base_[i]);
+    const double weight = slots[0].object.weight;
+    for (int r = 1; r <= workload_->objects[i].num_replicas(); ++r) {
+      const Entry& entry = slots[r].entry;
+      weighted_sum_[entry.cache_id] += entry.divergence * weight;
+      unweighted_sum_[entry.cache_id] += entry.divergence;
+    }
   }
 }
 
-void GroundTruth::OnSourceUpdate(size_t replica_base, int num_replicas, double t,
-                                 double value, int64_t version) {
-  BESYNC_DCHECK(replica_base + static_cast<size_t>(num_replicas) <= num_entries_);
+void GroundTruth::OnSourceUpdate(ObjectIndex index, size_t replica_base,
+                                 int num_replicas, double t, double value,
+                                 int64_t version) {
+  BESYNC_DCHECK(replica_base == replica_base_[index]);
+  BESYNC_DCHECK(num_replicas == workload_->objects[index].num_replicas());
   AdvanceTo(t);
-  Entry* entries = entries_ + replica_base;
-  for (int r = 0; r < num_replicas; ++r) {
-    Entry& entry = entries[r];
-    entry.source_value = value;
-    entry.source_version = version;
-    SetDivergence(&entry, metric_->Divergence(value, version, entry.cached_value,
-                                              entry.cached_version));
+  Slot* slots = slots_ + RecordSlot(index, replica_base);
+  ObjectTruth& object = slots[0].object;
+  object.source_value = value;
+  object.source_version = version;
+  const double weight = object.weight;
+  for (int r = 1; r <= num_replicas; ++r) {
+    Entry& entry = slots[r].entry;
+    SetDivergence(&entry,
+                  metric_->Divergence(value, version, entry.cached_value,
+                                      entry.cached_version),
+                  weight);
   }
 }
 
@@ -118,14 +130,18 @@ void GroundTruth::OnCacheApply(ObjectIndex index, int32_t replica, double t,
                                double value, int64_t version) {
   BESYNC_DCHECK(replica >= 0 && replica < workload_->objects[index].num_replicas());
   AdvanceTo(t);
-  Entry& entry = entries_[replica_base_[index] + static_cast<size_t>(replica)];
+  Slot* slots = slots_ + RecordSlot(index, replica_base_[index]);
+  Entry& entry = slots[1 + replica].entry;
   // Refreshes may be delivered out of order relative to newer content only
   // in CGM-style protocols; never regress the cached version.
   if (version < entry.cached_version) return;
   entry.cached_value = value;
   entry.cached_version = version;
-  SetDivergence(&entry, metric_->Divergence(entry.source_value, entry.source_version,
-                                            value, version));
+  const ObjectTruth& object = slots[0].object;
+  SetDivergence(&entry,
+                metric_->Divergence(object.source_value, object.source_version, value,
+                                    version),
+                object.weight);
 }
 
 void GroundTruth::OnCacheApply(ObjectIndex index, double t, double value,
@@ -136,11 +152,8 @@ void GroundTruth::OnCacheApply(ObjectIndex index, double t, double value,
 void GroundTruth::RefreshWeights(double t) {
   AdvanceTo(t);
   for (size_t i = 0; i < workload_->objects.size(); ++i) {
-    const ObjectSpec& spec = workload_->objects[i];
-    const double weight = WeightFn(spec)->ValueAt(t);
-    for (int r = 0; r < spec.num_replicas(); ++r) {
-      entries_[replica_base_[i] + r].weight = weight;
-    }
+    slots_[RecordSlot(static_cast<ObjectIndex>(i), replica_base_[i])].object.weight =
+        WeightFn(workload_->objects[i])->ValueAt(t);
   }
   RebuildSums();
 }

@@ -18,9 +18,12 @@ namespace besync {
 ///
 /// One accounting entry exists per (object, cache) replica, as given by the
 /// workload's interest map; the single-cache topology degenerates to one
-/// entry per object. Sums and integrals are maintained per cache, and the
-/// reported objective is the sum over caches — Σ_c Σ_{i at c} of the
-/// time-averaged weighted divergence of replica (i, c).
+/// entry per object. What every replica of an object shares — the live
+/// source value and version and the weight — is kept once per object, in a
+/// record just ahead of the object's entries. Sums and integrals are
+/// maintained per cache, and the reported objective is the sum over caches
+/// — Σ_c Σ_{i at c} of the time-averaged weighted divergence of replica
+/// (i, c).
 ///
 /// Divergence is piecewise constant between events, so the integrals are
 /// maintained event-incrementally in O(#replicas) per source update and
@@ -32,10 +35,10 @@ class GroundTruth {
   /// `workload` and `metric` must outlive this object. When
   /// `use_source_weights` is set, objects that define a source_weight are
   /// weighted by it instead of the cache weight (competitive experiments,
-  /// Section 7). When `arena` is non-null the replica entry table lives in
-  /// it (the harness passes its run arena so entries share the flat
-  /// hot-path layout); `arena` must then outlive this object. Null keeps
-  /// self-owned storage — standalone uses need no arena.
+  /// Section 7). When `arena` is non-null the slot table lives in it (the
+  /// harness passes its run arena so it shares the flat hot-path layout);
+  /// `arena` must then outlive this object. Null keeps self-owned storage —
+  /// standalone uses need no arena.
   GroundTruth(const Workload* workload, const DivergenceMetric* metric,
               bool use_source_weights = false, Arena* arena = nullptr);
 
@@ -45,26 +48,26 @@ class GroundTruth {
   /// Records that source object `index` now has (value, version); every
   /// replica of the object diverges accordingly.
   void OnSourceUpdate(ObjectIndex index, double t, double value, int64_t version) {
-    OnSourceUpdate(replica_base_[index], workload_->objects[index].num_replicas(), t,
-                   value, version);
+    OnSourceUpdate(index, replica_base_[index], workload_->objects[index].num_replicas(),
+                   t, value, version);
   }
 
-  /// The same update addressed by the object's flat replica range: entries
-  /// `replica_base` .. `replica_base + num_replicas - 1`. Entries are laid
-  /// out object-major in ObjectSpec::caches order, so the base is the
+  /// The same update with the object's flat replica range given: replicas
+  /// `replica_base` .. `replica_base + num_replicas - 1`. Replicas are
+  /// numbered object-major in ObjectSpec::caches order, so the base is the
   /// number of replicas of all lower-indexed objects — the offset of the
   /// object's trackers in the harness's flat tracker array. Skips the
-  /// per-object spec and base-table loads of the index form.
-  void OnSourceUpdate(size_t replica_base, int num_replicas, double t, double value,
-                      int64_t version);
+  /// per-object spec and base-table loads of the index-only form.
+  void OnSourceUpdate(ObjectIndex index, size_t replica_base, int num_replicas, double t,
+                      double value, int64_t version);
 
-  /// Prefetches the first lines of the flat replica range `replica_base` ..
-  /// `replica_base + num_replicas - 1` (see the range form of
-  /// OnSourceUpdate), at most kPrefetchLineCap of them. A cache hint for an
-  /// update that fires soon; changes no state.
-  void PrefetchReplicas(size_t replica_base, int num_replicas) const {
-    PrefetchRange(entries_ + replica_base,
-                  static_cast<size_t>(num_replicas) * sizeof(Entry));
+  /// Prefetches the first lines of object `index`'s record and entries
+  /// (its flat replica range as in the range form of OnSourceUpdate), at
+  /// most kPrefetchLineCap of them. A cache hint for an update that fires
+  /// soon; changes no state.
+  void PrefetchReplicas(ObjectIndex index, size_t replica_base, int num_replicas) const {
+    PrefetchRange(slots_ + RecordSlot(index, replica_base),
+                  static_cast<size_t>(num_replicas + 1) * sizeof(Slot));
   }
 
   /// Records that the cache holding object `index`'s replica slot `replica`
@@ -108,24 +111,29 @@ class GroundTruth {
   // single-cache topologies, where every object has one replica).
 
   double cached_value(ObjectIndex index) const {
-    return entries_[replica_base_[index]].cached_value;
+    return slots_[EntrySlot(index, 0)].entry.cached_value;
   }
   int64_t cached_version(ObjectIndex index) const {
-    return entries_[replica_base_[index]].cached_version;
+    return slots_[EntrySlot(index, 0)].entry.cached_version;
   }
   double source_value(ObjectIndex index) const {
-    return entries_[replica_base_[index]].source_value;
+    return slots_[RecordSlot(index, replica_base_[index])].object.source_value;
   }
   int64_t source_version(ObjectIndex index) const {
-    return entries_[replica_base_[index]].source_version;
+    return slots_[RecordSlot(index, replica_base_[index])].object.source_version;
   }
   double current_divergence(ObjectIndex index) const {
-    return entries_[replica_base_[index]].divergence;
+    return slots_[EntrySlot(index, 0)].entry.divergence;
   }
-  /// Divergence of the replica at flat entry `entry`: its object's replica
-  /// base (see the range form of OnSourceUpdate) plus its replica slot.
-  /// Unchecked, for callers that resolve their entries once up front.
-  double replica_divergence(size_t entry) const { return entries_[entry].divergence; }
+  /// Table position of the entry of object `index`'s replica slot
+  /// `replica`, for callers that resolve their entries once up front and
+  /// then read them with replica_divergence.
+  size_t EntrySlot(ObjectIndex index, int32_t replica) const {
+    return RecordSlot(index, replica_base_[index]) + 1 + static_cast<size_t>(replica);
+  }
+  /// Divergence of the replica whose entry is at table position `slot`
+  /// (EntrySlot). Unchecked.
+  double replica_divergence(size_t slot) const { return slots_[slot].entry.divergence; }
 
   /// Instantaneous Σ W * D over cache `cache_id`'s replicas — the running
   /// sum the time integrals integrate. Divergence is piecewise constant
@@ -141,18 +149,42 @@ class GroundTruth {
   /// it first.
   void AdvanceTo(double t);
 
+  /// One replica: what its cache holds and how far that is from the source.
   struct Entry {
-    double source_value = 0.0;
-    int64_t source_version = 0;
-    double cached_value = 0.0;
-    int64_t cached_version = 0;
-    double divergence = 0.0;
-    double weight = 1.0;
-    int32_t cache_id = 0;
+    double cached_value;
+    int64_t cached_version;
+    double divergence;
+    int32_t cache_id;
+  };
+  static_assert(sizeof(Entry) == 32, "two replica entries per cache line");
+
+  /// One object: the live source state and the weight, the same for every
+  /// replica of the object.
+  struct ObjectTruth {
+    double source_value;
+    int64_t source_version;
+    double weight;
   };
 
-  /// Replaces an entry's divergence, maintaining the running sums.
-  void SetDivergence(Entry* entry, double divergence);
+  /// One 32-byte position of the table, which runs object by object: the
+  /// object's record, then one entry per replica. A single-replica object's
+  /// record and entry are adjacent (one update touches one 64-byte span);
+  /// a widely replicated object pays for its record once.
+  union Slot {
+    ObjectTruth object;
+    Entry entry;
+  };
+  static_assert(sizeof(Slot) == 32, "a record or an entry per 32-byte slot");
+
+  /// Table position of object `index`'s record: one record and
+  /// `replica_base` entries precede it for each lower-indexed object.
+  static size_t RecordSlot(ObjectIndex index, size_t replica_base) {
+    return replica_base + static_cast<size_t>(index);
+  }
+
+  /// Replaces an entry's divergence, maintaining the running sums; `weight`
+  /// is the entry's object's.
+  void SetDivergence(Entry* entry, double divergence, double weight);
   /// Rebuilds the running sums from scratch (bounds accumulation error).
   void RebuildSums();
   const Fluctuation* WeightFn(const ObjectSpec& spec) const;
@@ -160,13 +192,14 @@ class GroundTruth {
   const Workload* workload_;
   const DivergenceMetric* metric_;
   bool use_source_weights_;
-  /// One entry per (object, cache) replica; an object's replicas are
-  /// contiguous, in the order of its ObjectSpec::caches list. Points into
-  /// the constructor's arena when one was given, else into owned_entries_.
-  Entry* entries_ = nullptr;
+  /// Per object, in index order: its record, then one entry per (object,
+  /// cache) replica in the order of its ObjectSpec::caches list. Points
+  /// into the constructor's arena when one was given, else into
+  /// owned_slots_.
+  Slot* slots_ = nullptr;
   size_t num_entries_ = 0;
-  std::vector<Entry> owned_entries_;
-  /// First entry of each object's replica range (size = #objects).
+  std::vector<Slot> owned_slots_;
+  /// Replicas of all lower-indexed objects, per object (size = #objects).
   std::vector<size_t> replica_base_;
   // Running sums / integrals, one slot per cache.
   std::vector<double> weighted_sum_;    // Σ D * W at current time, per cache

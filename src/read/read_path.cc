@@ -31,18 +31,19 @@ void ReadPath::Initialize(Harness* harness, int num_caches, SchedulerStats* tall
   }
 
   // Ascending member list per cache (the objects a client of that cache
-  // can read — its replicas), and each member's ground-truth entry: entries
-  // run object-major in ObjectSpec::caches order, so the replica at
-  // position r of object i is entry (replicas of objects < i) + r.
-  BESYNC_CHECK_LE(workload.total_replicas(),
+  // can read — its replicas), and each member's ground-truth entry.
+  // The ground truth holds one record per object and one entry per replica.
+  BESYNC_CHECK_LE(workload.total_replicas() + static_cast<int64_t>(workload.objects.size()),
                   int64_t{std::numeric_limits<uint32_t>::max()});
   std::vector<std::vector<ObjectIndex>> members(static_cast<size_t>(num_caches));
   std::vector<std::vector<uint32_t>> entries(static_cast<size_t>(num_caches));
-  uint32_t entry = 0;
   for (size_t i = 0; i < workload.objects.size(); ++i) {
-    for (int32_t cache : workload.objects[i].caches) {
-      members[cache].push_back(static_cast<ObjectIndex>(i));
-      entries[cache].push_back(entry++);
+    const std::vector<int32_t>& caches = workload.objects[i].caches;
+    for (size_t r = 0; r < caches.size(); ++r) {
+      const auto index = static_cast<ObjectIndex>(i);
+      members[caches[r]].push_back(index);
+      entries[caches[r]].push_back(
+          static_cast<uint32_t>(truth_->EntrySlot(index, static_cast<int32_t>(r))));
     }
   }
 

@@ -137,8 +137,8 @@ class ReadPath {
     std::unique_ptr<ReadProcess> owned_stream;
     Rng rng{0};
     double next_read_time = 0.0;
-    /// Per-slot flat ground-truth entry of the member's replica here
-    /// (GroundTruth::replica_divergence), resolved once in Initialize.
+    /// Per-slot ground-truth entry of the member's replica here
+    /// (GroundTruth::EntrySlot), resolved once in Initialize.
     std::vector<uint32_t> replica_entry;
     /// The store's divergence-aware eviction key; empty under the other
     /// policies, which never read it.

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <string>
@@ -13,6 +14,8 @@
 #include "data/weight.h"
 #include "divergence/metric.h"
 #include "exp/experiment.h"
+#include "util/fifo.h"
+#include "util/random.h"
 
 namespace besync {
 namespace {
@@ -556,6 +559,79 @@ TEST(SourceAgentHeapTest, QueueMemoryProportionalToObjectsNotUpdates) {
   // The bound is meaningful only if the run really processed far more
   // updates than the heaps are allowed to hold.
   EXPECT_GT(total_updates, 50 * total_bound);
+}
+
+/// Arena bytes per replica once a full-replication relay tree is
+/// initialized: the tracker (64), the ground-truth entry (32), the source's
+/// local state (32) and the channel tables (an 8-byte member index and
+/// 4-byte slot_of and replica slot: 16), plus the per-object records (128 +
+/// 32 B) spread over 64 replicas: 146.5 B. At 232 B per replica a
+/// 256-cache tree spent 58 MiB on this state; a field added to any
+/// per-replica struct fails here rather than in a peak-RSS reading.
+/// Sampling monitoring adds exactly one 64-byte estimate per replica.
+TEST(FootprintTest, ReplicaStateBytesOnAFullReplicationTree) {
+  WorkloadConfig wl = SmallWorkload(8, 8);
+  wl.num_caches = 64;
+  wl.interest_pattern = InterestPattern::kFullReplication;
+  wl.relay_tiers = 2;
+  wl.relay_fanout = 8;
+  Workload workload = std::move(MakeWorkload(wl)).ValueOrDie();
+  auto metric = MakeMetric(MetricKind::kValueDeviation);
+  const double replicas = 8.0 * 8.0 * 64.0;
+
+  const auto arena_bytes_per_replica = [&](MonitorMode monitor) {
+    Harness harness(&workload, metric.get(), ShortRun());
+    EXPECT_EQ(harness.ground_truth().total_replicas(), 8 * 8 * 64);
+    CooperativeConfig config;
+    config.source.monitor = monitor;
+    CooperativeScheduler scheduler(config);
+    scheduler.Initialize(&harness);
+    return static_cast<double>(harness.arena()->bytes_used()) / replicas;
+  };
+  const double trigger = arena_bytes_per_replica(MonitorMode::kTrigger);
+  EXPECT_LE(trigger, 150.0);
+  EXPECT_GE(trigger, 140.0);  // the state above is really there
+  EXPECT_DOUBLE_EQ(arena_bytes_per_replica(MonitorMode::kSampling) - trigger, 64.0);
+}
+
+/// The channel FIFO against std::deque over random push / pop / clear,
+/// with long runs of each so the consumed prefix is compacted many times.
+TEST(FifoTest, MatchesDequeAndCompactsItsConsumedPrefix) {
+  Fifo<int32_t> fifo;
+  std::deque<int32_t> reference;
+  EXPECT_EQ(fifo.held(), 0u);
+  Rng rng(17);
+  int32_t next = 0;
+  int compactions = 0;
+  for (int step = 0; step < 200000; ++step) {
+    // Phases favour pushes, then pops, so the length swings from 0 to
+    // hundreds and back.
+    const bool push_phase = (step / 997) % 2 == 0;
+    const double u = rng.Uniform(0.0, 1.0);
+    if (u < 0.0005) {
+      fifo.clear();
+      reference.clear();
+    } else if (u < (push_phase ? 0.7 : 0.3)) {
+      const size_t held_before = fifo.held();
+      fifo.push_back(next);
+      reference.push_back(next);
+      ++next;
+      if (fifo.held() < held_before) ++compactions;
+      // After a push the vector holds at most twice the live entries plus
+      // the compaction threshold.
+      EXPECT_LE(fifo.held(), 2 * fifo.size() + Fifo<int32_t>::kMinCompact);
+    } else if (!reference.empty()) {
+      ASSERT_EQ(fifo.front(), reference.front());
+      fifo.pop_front();
+      reference.pop_front();
+    }
+    ASSERT_EQ(fifo.size(), reference.size());
+    ASSERT_EQ(fifo.empty(), reference.empty());
+    if (!reference.empty()) {
+      ASSERT_EQ(fifo.front(), reference.front());
+    }
+  }
+  EXPECT_GT(compactions, 100);
 }
 
 }  // namespace

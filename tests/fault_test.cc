@@ -228,6 +228,31 @@ TEST(FaultPinTest, FaultsRequireTheCooperativeScheduler) {
   EXPECT_FALSE(result.ok());
 }
 
+/// A config topology override replaces the workload's tree, so relay
+/// faults generated against the workload's relays may name nodes the
+/// override does not have: an InvalidArgument, not an Initialize abort.
+TEST(FaultPinTest, FaultsAreCheckedAgainstTheOverrideTopology) {
+  ExperimentConfig config = MultiCacheConfig();
+  config.workload.num_caches = 16;
+  config.workload.num_sources = 8;
+  config.workload.relay_tiers = 2;
+  config.workload.relay_fanout = 2;
+  config.workload.fault.relay_failures = 3;
+  config.workload.fault.window_start = 60.0;
+  Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
+  ASSERT_FALSE(workload.faults.empty());
+  // The workload's own tree carries its faults.
+  EXPECT_TRUE(workload.faults.Validate(workload.topology, 16).ok());
+
+  config.topology = MakeRelayTree(16, 16, 1);
+  const auto result = RunExperimentOnWorkload(config, &workload);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status().ToString();
+  EXPECT_NE(result.status().message().find("not a relay of the topology"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 // --------------------------------------------------- crash and recovery
 
 TEST(FaultCrashTest, CrashClearsExactlyTheCrashedCache) {

@@ -3,9 +3,10 @@
 // values were captured from the pre-multi-cache engine (the paper's
 // single-cache code paths); the topology-aware engine must reproduce them
 // to 1e-9 — the refactor is required to be behavior-preserving at one
-// cache. PartitionedLossy adds one exact multi-cache pin. The half-large
-// cost, equal-share and bound/pull/recovery rows pin the source's send
-// paths (unbatched cost pass-through, rate-granted secondary sends, and
+// cache. PartitionedLossy and the two predictive-sampling rows add exact
+// multi-cache pins. The half-large cost, equal-share and
+// bound/pull/recovery rows pin the source's send paths (unbatched cost
+// pass-through, rate-granted secondary sends, and
 // wake-up re-arming after pulls and recovery sends).
 
 #include <gtest/gtest.h>
@@ -233,6 +234,47 @@ TEST(GoldenTest, RoundRobin) {
   const auto result = RunExperiment(config);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->total_weighted_divergence, 96.44131748074895, kTolerance);
+}
+
+/// Four caches with Zipf-overlap interest under predictive sampling: the
+/// per-replica history rates (kAreaHistory) and the per-channel sampled
+/// estimates (kArea, whose queue the samples feed) both drive sends here.
+/// Pinned exactly, not to kTolerance.
+ExperimentConfig PredictiveSamplingConfig(PolicyKind policy) {
+  ExperimentConfig config;
+  config.policy = policy;
+  config.monitor = MonitorMode::kSampling;
+  config.sampling_interval = 4.0;
+  config.predictive_sampling = true;
+  config.workload.num_sources = 6;
+  config.workload.objects_per_source = 20;
+  config.workload.num_caches = 4;
+  config.workload.interest_pattern = InterestPattern::kZipfOverlap;
+  config.workload.seed = 17;
+  config.harness.warmup = 20.0;
+  config.harness.measure = 150.0;
+  config.harness.seed = 3;
+  config.cache_bandwidth_avg = 5.0;
+  config.source_bandwidth_avg = 3.0;
+  return config;
+}
+
+TEST(GoldenTest, MultiCachePredictiveSamplingHistory) {
+  const auto result = RunExperiment(PredictiveSamplingConfig(PolicyKind::kAreaHistory));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->total_replicas, 242);
+  EXPECT_DOUBLE_EQ(result->total_weighted_divergence, 469.87519642566775);
+  EXPECT_EQ(result->scheduler.refreshes_sent, 2096);
+  EXPECT_EQ(result->scheduler.feedback_sent, 898);
+}
+
+TEST(GoldenTest, MultiCachePredictiveSamplingArea) {
+  const auto result = RunExperiment(PredictiveSamplingConfig(PolicyKind::kArea));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->total_replicas, 242);
+  EXPECT_DOUBLE_EQ(result->total_weighted_divergence, 262.73733156858179);
+  EXPECT_EQ(result->scheduler.refreshes_sent, 2171);
+  EXPECT_EQ(result->scheduler.feedback_sent, 824);
 }
 
 /// Three caches with disjoint partitions and lossy, bandwidth-constrained

@@ -2,7 +2,7 @@
 """Paired A/B of hostbench between a parent revision and this checkout.
 
     tools/ab_pairs.py --parent=REV --pairs=N --seconds=S --seed=K \\
-        [--workload=W] [--trace=0|1] [--scratch=DIR]
+        [--workload=W] [--trace=0|1] [--scratch=DIR] [--record=FILE]
     tools/ab_pairs.py --selftest
 
 Exports REV (`git archive`) into a scratch directory, then runs
@@ -26,17 +26,26 @@ and two verdicts against BENCHMARK.json's rules:
 A run that fails an operation counts against the side it ran on. Quartiles
 are linearly interpolated (statistics.quantiles, method="inclusive").
 
-Stdlib only. --selftest checks the verdict arithmetic on canned numbers
-and exits nonzero on a regression (CI hook).
+--record=FILE appends the run as one JSON line (schema besync.ab_pairs.v1)
+to FILE, e.g. HOSTBENCH_TRAJECTORY.jsonl: the change's revision (the HEAD
+commit, flagged dirty when the checkout has uncommitted edits) and the
+parent's, the workload, seed and seconds, hostbench's host and build
+fingerprint, every pair's metric values, and per metric both medians, the
+parent's IQR and the win count.
+
+Stdlib only. --selftest checks the verdict arithmetic and the record
+round trip on canned numbers and exits nonzero on a regression (CI hook).
 
 Exit codes: 0 ok (even if a verdict fails: the verdicts are a report),
 1 a failed build, run or export, 2 usage error.
 """
 
 import argparse
+import ast
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -46,6 +55,12 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("update_heavy", "tree_fanout", "read_invalidate")
 CLAIM_WIN_SHARE = 0.9
+RECORD_SCHEMA = "besync.ab_pairs.v1"
+# hostbench/run.py's fingerprint line, e.g.
+#   host: nproc=2 cpu='Xeon' kernel='6.1' compiler='GNU 12.2' build=Release optimized=True
+HOST_FIELD = re.compile(r"(\w+)=('(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"|\S+)")
+HOST_KEYS = ("nproc", "cpu", "kernel")
+BUILD_KEYS = ("compiler", "build", "optimized")
 
 
 def fail(message):
@@ -161,8 +176,20 @@ def export_parent(rev, scratch):
     return target
 
 
+def parse_fingerprint(stdout):
+    """{field: value} of run.py's `host:` line; {} when it printed none."""
+    for line in stdout.splitlines():
+        if line.startswith("host: "):
+            fields = {}
+            for key, raw in HOST_FIELD.findall(line[len("host: "):]):
+                fields[key] = ast.literal_eval(raw) if raw[0] in "'\"" else raw
+            return fields
+    return {}
+
+
 def run_side(checkout, args):
-    """One hostbench run in `checkout`; returns its result JSON."""
+    """One hostbench run in `checkout`; returns its result JSON, with the
+    host line's fields under "fingerprint"."""
     command = [sys.executable, os.path.join(checkout, "hostbench", "run.py"),
                "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", str(args.trace)]
@@ -178,6 +205,7 @@ def run_side(checkout, args):
         fail("no result from %s (exit %d)" % (" ".join(command), done.returncode))
     if done.returncode not in (0, 1) or (done.returncode == 1 and result["correct"]):
         fail("%s exited with code %d" % (" ".join(command), done.returncode))
+    result["fingerprint"] = parse_fingerprint(done.stdout)
     return result
 
 
@@ -188,6 +216,40 @@ def headline(result):
         return "failed"
     name = names[0]
     return "%s=%.6g" % (name, metrics[name]["value"])
+
+
+def git(*args):
+    """Stdout of a git command in this checkout, stripped; fails loudly."""
+    done = subprocess.run(["git", "-C", ROOT] + list(args), stdout=subprocess.PIPE,
+                          universal_newlines=True)
+    if done.returncode != 0:
+        fail("git %s failed" % " ".join(args))
+    return done.stdout.strip()
+
+
+def make_record(meta, pairs, summaries):
+    """One trajectory row. `meta` holds revision, dirty, parent, workload,
+    seed, seconds and trace; `pairs` the (parent, change) run results in
+    pair order (pair i ran the parent first when i is even)."""
+    fingerprint = pairs[0][1].get("fingerprint", {})
+    side = lambda run: {"correct": run["correct"], "metrics": {
+        name: metric["value"] for name, metric in run["metrics"].items()}}
+    row = dict(meta)
+    row["schema"] = RECORD_SCHEMA
+    row["host"] = {key: fingerprint[key] for key in HOST_KEYS if key in fingerprint}
+    row["build"] = {key: fingerprint[key] for key in BUILD_KEYS if key in fingerprint}
+    row["pairs"] = [{"first": "parent" if i % 2 == 0 else "change",
+                     "parent": side(pair[0]), "change": side(pair[1])}
+                    for i, pair in enumerate(pairs)]
+    row["metrics"] = {s["name"]: {key: s[key] for key in (
+        "better", "parent_median", "change_median", "parent_iqr", "wins", "pairs")}
+        for s in summaries}
+    return row
+
+
+def append_record(path, row):
+    with open(path, "a") as handle:
+        handle.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def selftest():
@@ -244,6 +306,38 @@ def selftest():
     runs[3] = (runs[3][0], {"correct": False, "metrics": {}})
     summaries = report(rules, runs)
     check(len(summaries) == 1 and summaries[0]["pairs"] == 9, "failed pair dropped")
+    # The host line parses, quoted fields included.
+    fields = parse_fingerprint("build ok\nhost: nproc=2 cpu='Xeon @ 2.2GHz' "
+                               "kernel='6.1.0' compiler='GNU 12.2.0' build=Release "
+                               "optimized=True\n")
+    check(fields == {"nproc": "2", "cpu": "Xeon @ 2.2GHz", "kernel": "6.1.0",
+                     "compiler": "GNU 12.2.0", "build": "Release",
+                     "optimized": "True"}, "host line fields")
+    # A canned row survives the file round trip and carries every pair.
+    runs = [(run(p), dict(run(c), fingerprint=fields)) for p, c in zip(parent, change)]
+    meta = {"revision": "a" * 40, "dirty": False, "parent": "b" * 40,
+            "workload": "tree_fanout", "seed": 7, "seconds": 30, "trace": 0}
+    row = make_record(meta, runs, report(rules, runs))
+    scratch = tempfile.mkdtemp(prefix="ab_pairs-selftest-")
+    try:
+        path = os.path.join(scratch, "trajectory.jsonl")
+        append_record(path, row)
+        append_record(path, row)
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    check(len(lines) == 2 and all(json.loads(line) == row for line in lines),
+          "record round trip")
+    check(row["host"] == {"nproc": "2", "cpu": "Xeon @ 2.2GHz", "kernel": "6.1.0"} and
+          row["build"] == {"compiler": "GNU 12.2.0", "build": "Release",
+                           "optimized": "True"}, "record fingerprint")
+    check(len(row["pairs"]) == 10 and row["pairs"][1]["first"] == "change" and
+          row["pairs"][3]["change"]["metrics"]["sim_s_per_s"] == change[3],
+          "record pairs")
+    metric = row["metrics"]["sim_s_per_s"]
+    check(metric["wins"] == 10 and abs(metric["parent_iqr"] - 0.45) < 1e-12 and
+          abs(metric["parent_median"] - 23.25) < 1e-12, "record summary")
     print("selftest ok")
     return 0
 
@@ -262,6 +356,8 @@ def parse_args(argv):
     parser.add_argument("--scratch",
                         help="where the parent export and its build go; "
                              "default: a new temporary directory, removed after")
+    parser.add_argument("--record", metavar="FILE",
+                        help="append the run as one JSON line to FILE")
     args = parser.parse_args(argv)
     if not args.selftest:
         missing = [flag for flag in ("parent", "pairs", "seconds", "seed")
@@ -280,6 +376,11 @@ def main(argv):
     owned = args.scratch is None
     scratch = tempfile.mkdtemp(prefix="ab_pairs-") if owned else args.scratch
     try:
+        meta = {"revision": git("rev-parse", "HEAD"),
+                "dirty": bool(git("status", "--porcelain")),
+                "parent": git("rev-parse", "--verify", args.parent + "^{commit}"),
+                "workload": args.workload, "seed": args.seed,
+                "seconds": args.seconds, "trace": args.trace}
         parent = export_parent(args.parent, scratch)
         rules = load_rules(ROOT)
         print("parent: %s (%s)  change: %s" % (args.parent, parent, ROOT))
@@ -295,7 +396,10 @@ def main(argv):
             print("pair %2d (%s first): parent %s  change %s" % (
                 i + 1, "parent" if parent_first else "change",
                 headline(pair[0]), headline(pair[1])), flush=True)
-        report(rules, pairs)
+        summaries = report(rules, pairs)
+        if args.record:
+            append_record(args.record, make_record(meta, pairs, summaries))
+            print("recorded in %s" % args.record)
     finally:
         if owned:
             shutil.rmtree(scratch, ignore_errors=True)
