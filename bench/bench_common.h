@@ -1,6 +1,7 @@
 #ifndef BESYNC_BENCH_BENCH_COMMON_H_
 #define BESYNC_BENCH_BENCH_COMMON_H_
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -17,9 +18,29 @@
 
 namespace besync {
 
+/// `value`, the value of --`flag`, as an int. A fractional value or one
+/// outside [lo, INT_MAX] is a usage error: exits 2 naming the flag, where a
+/// bare cast would silently truncate or wrap it.
+inline int IntOrExit(const std::string& flag, double value,
+                     int lo = std::numeric_limits<int>::min()) {
+  const int hi = std::numeric_limits<int>::max();
+  if (!(value >= lo && value <= hi) || value != std::trunc(value)) {
+    std::fprintf(stderr, "--%s must be an integer in [%d, %d], got %.17g\n",
+                 flag.c_str(), lo, hi, value);
+    std::exit(2);
+  }
+  return static_cast<int>(value);
+}
+
+/// The int value of --`name`, or `fallback` when absent; exits 2 on a value
+/// past int's range (IntOrExit).
+inline int IntFlag(const Flags& flags, const std::string& name, int fallback) {
+  return IntOrExit(name, static_cast<double>(flags.GetInt(name, fallback)));
+}
+
 /// Common command-line surface of every experiment binary:
 ///   --full        run the paper-scale sweep (default: scaled-down)
-///   --csv <path>  also dump the result table as CSV
+///   --csv <path>  write the full-precision ResultsCsv grid (exp/runner.h)
 ///   --json <path> dump raw per-job RunResults as JSON (exp/runner.h schema)
 ///   --threads <n> experiment-runner worker threads (0 = hardware cores;
 ///                 negative or past INT_MAX exits 2)
@@ -45,13 +66,8 @@ struct BenchOptions {
     options.full = flags.GetBool("full", false);
     options.csv = flags.GetString("csv", "");
     options.json = flags.GetString("json", "");
-    const int64_t threads = flags.GetInt("threads", 1);
-    if (threads < 0 || threads > std::numeric_limits<int>::max()) {
-      std::fprintf(stderr, "--threads must be in [0, %d], got %lld\n",
-                   std::numeric_limits<int>::max(), static_cast<long long>(threads));
-      std::exit(2);
-    }
-    options.threads = static_cast<int>(threads);
+    options.threads =
+        IntOrExit("threads", static_cast<double>(flags.GetInt("threads", 1)), 0);
     options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
     options.flags = flags;
     return options;
@@ -103,10 +119,12 @@ inline std::vector<double> ParseDoubleList(const std::string& flag,
   return values;
 }
 
+/// ParseDoubleList for int items: a fractional or out-of-int-range item
+/// exits 2 (IntOrExit).
 inline std::vector<int> ParseIntList(const std::string& flag, const std::string& text) {
   std::vector<int> values;
   for (double value : ParseDoubleList(flag, text)) {
-    values.push_back(static_cast<int>(value));
+    values.push_back(IntOrExit(flag, value));
   }
   return values;
 }
@@ -139,19 +157,6 @@ inline SyncProtocolKind ParseProtocolKind(const std::string& flag,
                "--%s: unknown protocol '%s' (push-refresh, invalidation, ttl-lease)\n",
                flag.c_str(), name.c_str());
   std::exit(2);
-}
-
-/// Prints the table and optionally writes the CSV copy.
-inline void EmitTable(const TablePrinter& table, const BenchOptions& options) {
-  table.Print(std::cout);
-  if (!options.csv.empty()) {
-    const Status status = table.WriteCsv(options.csv);
-    if (!status.ok()) {
-      std::fprintf(stderr, "CSV write failed: %s\n", status.ToString().c_str());
-    } else {
-      std::fprintf(stderr, "wrote %s\n", options.csv.c_str());
-    }
-  }
 }
 
 /// Peak resident set size of this process in bytes, read from
@@ -189,9 +194,8 @@ inline void EmitJson(const std::vector<JobResult>& results,
 }
 
 /// Writes the runner's full-precision ResultsCsv grid to --csv when
-/// requested: shortest round-trip numbers and no wall-clock column, so it
-/// is byte-identical at any --threads, like the JSON. Exits nonzero when the
-/// write fails.
+/// requested: shortest round-trip numbers, so it is byte-identical at any
+/// --threads, like the JSON. Exits nonzero when the write fails.
 inline void EmitResultsCsv(const std::vector<JobResult>& results,
                            const BenchOptions& options) {
   if (options.csv.empty()) return;
@@ -237,8 +241,8 @@ inline ObsBenchOptions ObsFromFlags(const BenchOptions& options) {
   obs.config.trace = !obs.trace_out.empty();
   obs.config.sample_interval =
       options.flags.GetDouble("obs_sample_interval", obs.config.sample_interval);
-  obs.config.max_samples = static_cast<int>(
-      options.flags.GetInt("obs_max_samples", obs.config.max_samples));
+  obs.config.max_samples =
+      IntFlag(options.flags, "obs_max_samples", obs.config.max_samples);
   obs.config.trace_start =
       options.flags.GetDouble("trace_start", obs.config.trace_start);
   obs.config.trace_end = options.flags.GetDouble("trace_end", obs.config.trace_end);

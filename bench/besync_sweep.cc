@@ -38,9 +38,8 @@
 //     generated once and every job runs a private CloneWorkload deep copy
 //     (--buoys sets the buoy count; single-cache only, time unit switches
 //     to the paper's 60 s ticks with bandwidth in messages/second).
-// Either way the JSON output is byte-identical at any --threads (timings
-// are excluded from it). See exp/runner.h for the workload-sharing hazard
-// that shapes both paths.
+// Either way stdout, --json and --csv are byte-identical at any --threads.
+// See exp/runner.h for the workload-sharing hazard that shapes both paths.
 
 #include <cstdio>
 #include <cstdlib>
@@ -106,8 +105,8 @@ int Run(const BenchOptions& options) {
                  topology_mode.c_str());
     std::exit(2);
   }
-  const int relay_tiers = static_cast<int>(options.flags.GetInt("depth", 1));
-  const int relay_fanout = static_cast<int>(options.flags.GetInt("fanout", 2));
+  const int relay_tiers = IntFlag(options.flags, "depth", 1);
+  const int relay_fanout = IntFlag(options.flags, "fanout", 2);
   const double relay_factor = options.flags.GetDouble("relay_factor", 1.0);
   // A bad --relay_factor fails ValidateWorkloadConfig with the other
   // per-job checks (ValidateJobsOrExit).
@@ -209,10 +208,9 @@ int Run(const BenchOptions& options) {
     base.harness.measure = options.flags.GetDouble(
         "measure", options.full ? 6.0 * 86400.0 : 86400.0);
   } else {
-    base.workload.num_sources =
-        static_cast<int>(options.flags.GetInt("sources", options.full ? 32 : 8));
+    base.workload.num_sources = IntFlag(options.flags, "sources", options.full ? 32 : 8);
     base.workload.objects_per_source =
-        static_cast<int>(options.flags.GetInt("objects", options.full ? 25 : 10));
+        IntFlag(options.flags, "objects", options.full ? 25 : 10);
     base.workload.rate_lo = 0.0;
     base.workload.rate_hi = 1.0;
     base.harness.warmup = options.flags.GetDouble("warmup", 100.0);
@@ -229,8 +227,7 @@ int Run(const BenchOptions& options) {
   if (buoy) {
     BuoyTraceConfig trace_config;
     trace_config.seed = 2000 + options.seed;
-    trace_config.num_buoys =
-        static_cast<int>(options.flags.GetInt("buoys", options.full ? 40 : 8));
+    trace_config.num_buoys = IntFlag(options.flags, "buoys", options.full ? 40 : 8);
     trace_config.duration = base.harness.warmup + base.harness.measure;
     Result<Workload> trace = MakeBuoyWorkload(trace_config);
     if (!trace.ok()) {  // e.g. --buoys=0: a usage error, like a bad grid axis

@@ -10,7 +10,7 @@
 // spiking through the resync burst, then rejoining cache 1's band; cache
 // 1's curve barely moves, which is the recovery channel's whole point.
 // Plot with any CSV tool, or load the same run's --trace_out (see
-// bench_fault) in Perfetto for the event-level view.
+// `bench_engine --suite=fault`) in Perfetto for the event-level view.
 
 #include <cstdio>
 #include <string>

@@ -13,7 +13,7 @@ namespace besync {
 /// crash/restart schedule (plus relay failures on tree points) and measures
 /// how fast the crashed cache resynchronizes against how much steady-state
 /// freshness the warm caches give up — the recovery crossover table
-/// bench_fault prints.
+/// `bench_engine --suite=fault` prints.
 struct FaultSweepConfig {
   /// Base experiment: workload shape, harness timing, bandwidth knobs.
   /// The fault / protocol / relay-tier / policy knobs are overridden per

@@ -12,7 +12,8 @@ namespace besync {
 /// against each other across operating regimes: client read rate x cache
 /// bandwidth x relay depth, on the cooperative scheduler. Every protocol
 /// runs on the exact same workload coordinates, so each regime is a direct
-/// head-to-head comparison — the crossover table bench_protocol prints.
+/// head-to-head comparison — the crossover table
+/// `bench_engine --suite=protocol` prints.
 struct ProtocolSweepConfig {
   /// Base experiment: workload shape, harness timing, bandwidth knobs.
   /// The protocol / read-rate / bandwidth / relay-tier knobs are overridden

@@ -1,7 +1,6 @@
 #include "exp/runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -62,14 +61,8 @@ std::string JsonString(const std::string& text) {
   return out;
 }
 
-/// Times `run` (which includes any workload build/clone cost) and unpacks
-/// its Result into `out`.
-template <typename Run>
-void TimedRun(JobResult* out, const Run& run) {
-  const auto start = std::chrono::steady_clock::now();
-  Result<RunResult> result = run();
-  out->wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+/// Unpacks a job's Result into `out`.
+void Store(Result<RunResult> result, JobResult* out) {
   if (result.ok()) {
     out->result = std::move(result).ValueOrDie();
   } else {
@@ -80,7 +73,7 @@ void TimedRun(JobResult* out, const Run& run) {
 void RunOneJob(const ExperimentJob& job, JobResult* out) {
   out->name = job.name;
   out->config = job.config;
-  TimedRun(out, [&job] { return RunExperiment(job.config); });
+  Store(RunExperiment(job.config), out);
 }
 
 void RunOneJobOnClone(const Workload& base_workload, const ExperimentJob& job,
@@ -93,10 +86,8 @@ void RunOneJobOnClone(const Workload& base_workload, const ExperimentJob& job,
   // Likewise for the read-path knobs it carries (read-enabled clone grids
   // serialize their read coordinates and stats).
   out->config.workload.read = base_workload.read;
-  TimedRun(out, [&base_workload, out] {
-    Workload clone = CloneWorkload(base_workload);
-    return RunExperimentOnWorkload(out->config, &clone);
-  });
+  Workload clone = CloneWorkload(base_workload);
+  Store(RunExperimentOnWorkload(out->config, &clone), out);
 }
 
 /// Shared scheduling skeleton: runs `run_one(i, &results[i])` for every job
@@ -330,7 +321,7 @@ Status WriteResultsJson(const std::string& path, const std::vector<JobResult>& r
 
 TablePrinter ResultsTable(const std::vector<JobResult>& results) {
   TablePrinter table({"name", "scheduler", "policy", "caches", "B_C", "B_S", "loss",
-                      "total_div", "per_replica", "delivered", "wall_ms", "status"});
+                      "total_div", "per_replica", "delivered", "status"});
   for (const JobResult& job : results) {
     const RunResult& r = job.result;
     const double per_replica =
@@ -346,7 +337,6 @@ TablePrinter ResultsTable(const std::vector<JobResult>& results) {
                   TablePrinter::Cell(r.total_weighted_divergence),
                   TablePrinter::Cell(per_replica),
                   TablePrinter::Cell(r.scheduler.refreshes_delivered),
-                  TablePrinter::Cell(job.wall_seconds * 1e3),
                   job.status.ok() ? "ok" : job.status.ToString()});
   }
   return table;

@@ -53,10 +53,6 @@ struct JobResult {
   ExperimentConfig config;  ///< the config that produced the result
   Status status;
   RunResult result;
-  /// Wall-clock seconds this job took (nondeterministic; reported in tables
-  /// but deliberately excluded from JSON so fixed grids serialize
-  /// byte-identically at any thread count).
-  double wall_seconds = 0.0;
 };
 
 struct RunnerOptions {
@@ -75,8 +71,8 @@ uint64_t DeriveJobSeed(uint64_t base, uint64_t index);
 
 /// Runs every job, `options.threads` at a time, on a fixed thread pool.
 /// Results are indexed like `jobs` regardless of completion order, and every
-/// field except `wall_seconds` is a pure function of the job's config — the
-/// same grid produces identical results at threads=1 and threads=N.
+/// field is a pure function of the job's config — the same grid produces
+/// identical results at threads=1 and threads=N.
 /// Per-job failures are reported in JobResult::status, never thrown.
 std::vector<JobResult> RunExperiments(const std::vector<ExperimentJob>& jobs,
                                       const RunnerOptions& options = RunnerOptions());
@@ -111,8 +107,8 @@ std::vector<JobResult> RunExperimentsOnWorkload(
 /// "pull_requests_sent", "pulls_delivered", "cache_evictions",
 /// "read_staleness_mean"/"_p50"/"_p95"/"_p99", "read_miss_latency_mean",
 /// "pull_bandwidth_share" — read-free rows keep their historical bytes.
-/// Doubles use shortest round-trip formatting; timings are excluded, so the
-/// bytes depend only on the job configs (BENCH_*.json trajectory tracking).
+/// Doubles use shortest round-trip formatting, so the bytes depend only on
+/// the job configs (BENCH_*.json trajectory tracking).
 void WriteResultsJson(std::ostream& os, const std::vector<JobResult>& results);
 Status WriteResultsJson(const std::string& path, const std::vector<JobResult>& results);
 
@@ -121,14 +117,15 @@ Status WriteResultsJson(const std::string& path, const std::vector<JobResult>& r
 double HitRate(const SchedulerStats& stats);
 
 /// Standard summary table over the grid dimensions and headline metrics
-/// (benches with bespoke layouts assemble their own from the results).
+/// (benches with bespoke layouts assemble their own from the results). Like
+/// the JSON, its bytes are the same at any thread count.
 TablePrinter ResultsTable(const std::vector<JobResult>& results);
 
-/// Machine-readable counterpart of ResultsTable for --csv export: the same
+/// Machine-readable counterpart of ResultsTable for --csv export: the
 /// per-job rows with every numeric column in shortest round-trip precision
-/// (the JSON formatter) and the nondeterministic wall-clock column dropped,
-/// so a fixed grid's CSV — like its JSON — is byte-identical at any thread
-/// count. Lets sweep consumers skip JSON post-processing entirely.
+/// (the JSON formatter), so a fixed grid's CSV — like its JSON — is
+/// byte-identical at any thread count. Lets sweep consumers skip JSON
+/// post-processing entirely.
 /// The optional read-path, protocol and fault groups are the JSON rows'
 /// fields, in the same order; a grid where any job carries a group gains
 /// its columns on every row, and other grids keep the historical column set

@@ -1,8 +1,8 @@
 // Parallel experiment runner: thread-pool basics, per-job error capture,
 // and the core guarantee — the same job grid produces identical RunResults
-// (and byte-identical JSON) at threads=1 and threads=8, because every job
-// owns its workload and every field but wall_seconds is a pure function of
-// the job's config.
+// (and byte-identical JSON and ResultsTable output) at threads=1 and
+// threads=8, because every job owns its workload and every field of its
+// JobResult is a pure function of the job's config.
 
 #include <gtest/gtest.h>
 
@@ -130,6 +130,13 @@ TEST(RunnerTest, ResultsIdenticalAcrossThreadCounts) {
   WriteResultsJson(json_base, base);
   WriteResultsJson(json_threaded, threaded);
   EXPECT_EQ(json_base.str(), json_threaded.str());  // byte-identical
+
+  // So is the printed summary: it carries no wall clock.
+  std::ostringstream table_base;
+  std::ostringstream table_threaded;
+  ResultsTable(base).Print(table_base);
+  ResultsTable(threaded).Print(table_threaded);
+  EXPECT_EQ(table_base.str(), table_threaded.str());
 }
 
 TEST(RunnerTest, PerJobErrorsAreCapturedNotFatal) {

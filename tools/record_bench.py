@@ -2,11 +2,11 @@
 """Records the bench trajectory baselines (BENCH_protocol.json,
 BENCH_readpath.json, BENCH_scale.json, BENCH_fault.json).
 
-Runs the benches of each baseline profile from a build directory with
---json, validates each output against the besync.run_results.v1 schema,
-and writes the combined, schema-stamped baseline at the repo root. The
-bench JSON deliberately excludes timings (exp/runner.h; wall-clock
-measurement lives in hostbench/), so each baseline is a deterministic
+Runs the bench_engine suites of each baseline profile from a build
+directory with --json, validates each output against the
+besync.run_results.v1 schema, and writes the combined, schema-stamped
+baseline at the repo root. The bench JSON carries no timings (exp/runner.h;
+wall-clock measurement lives in hostbench/), so each baseline is a deterministic
 function of the bench configs — reruns on an unchanged tree produce
 identical bytes, and any diff in a change is a real behavioral change in
 the recorded grids. --check rejects a baseline that carries a "perf"
@@ -32,23 +32,25 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_RESULTS_SCHEMA = "besync.run_results.v1"
 BASELINE_SCHEMA = "besync.bench_baseline.v1"
 
-# One entry per committed baseline file: {bench binary: extra args}.
-# Default scales keep each recording under a minute on one core —
-# BENCH_scale.json records the bench_scale default (small) grid, not the
-# --full 1M-object trajectory.
+# One entry per committed baseline file: {bench key: command}, where the
+# command is a binary in the build directory and its arguments. The keys
+# keep the names of the binaries the suites once were, so the committed
+# bytes stay put. Default scales keep each recording under a minute on one
+# core — BENCH_scale.json records the scale suite's default (small) grid,
+# not the --full 1M-object trajectory.
 PROFILES = {
     "BENCH_protocol.json": {
-        "bench_protocol": [],
+        "bench_protocol": ["bench_engine", "--suite=protocol"],
     },
     "BENCH_readpath.json": {
-        "bench_readpath": [],
-        "bench_multicache": [],
+        "bench_readpath": ["bench_engine", "--suite=readpath"],
+        "bench_multicache": ["bench_engine", "--suite=multicache"],
     },
     "BENCH_scale.json": {
-        "bench_scale": [],
+        "bench_scale": ["bench_engine", "--suite=scale"],
     },
     "BENCH_fault.json": {
-        "bench_fault": [],
+        "bench_fault": ["bench_engine", "--suite=fault"],
     },
 }
 
@@ -246,15 +248,15 @@ def validate_baseline(doc, context, profile):
         check_fault_recovery(fault["results"], context)
 
 
-def run_bench(build_dir, name, extra_args):
-    binary = os.path.join(build_dir, name)
+def run_bench(build_dir, name, command):
+    binary = os.path.join(build_dir, command[0])
     if not os.path.exists(binary):
         fail(f"{binary} not found — build the tree first "
              f"(cmake -B {build_dir} -S . && cmake --build {build_dir} -j)")
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
         json_path = handle.name
     try:
-        command = [binary, f"--json={json_path}"] + extra_args
+        command = [binary, f"--json={json_path}"] + command[1:]
         result = subprocess.run(command, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.PIPE, text=True)
         if result.returncode != 0:
@@ -301,8 +303,8 @@ def main():
     for profile in profiles:
         baseline = {
             "schema": BASELINE_SCHEMA,
-            "benches": {name: run_bench(build_dir, name, extra)
-                        for name, extra in sorted(PROFILES[profile].items())},
+            "benches": {name: run_bench(build_dir, name, command)
+                        for name, command in sorted(PROFILES[profile].items())},
         }
         validate_baseline(baseline, "recorded baseline", profile)
         # Sorted keys + fixed separators: the bytes depend only on results.
