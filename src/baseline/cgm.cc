@@ -9,7 +9,23 @@
 namespace besync {
 
 namespace {
+
+/// Seconds between re-estimation of update rates + re-solving the frequency
+/// allocation.
+constexpr double kReallocationPeriod = 100.0;
+/// Rate estimate used before an object has accumulated enough polls.
+constexpr double kPriorLambda = 0.5;
+/// Polls needed before an estimator's output replaces the prior.
+constexpr int64_t kMinPolls = 2;
+/// Fraction of bandwidth spent cycling through *all* objects regardless of
+/// the allocation, so estimators keep receiving observations even for
+/// objects the allocator currently starves (frequency 0). Without this, an
+/// object mis-estimated once could never be re-observed. A small value is
+/// charitable to CGM; 0 would be the pure allocator.
+constexpr double kExplorationFraction = 0.05;
+
 uint64_t ZeroEpoch(ObjectIndex) { return 0; }
+
 }  // namespace
 
 CGMScheduler::CGMScheduler(const CGMConfig& config) : config_(config) {}
@@ -36,10 +52,10 @@ void CGMScheduler::Initialize(Harness* harness) {
   for (size_t i = 0; i < n; ++i) {
     if (config_.variant == CGMVariant::kLastModified) {
       estimators_.push_back(std::make_unique<LastModifiedEstimator>(
-          config_.prior_lambda, config_.min_polls, /*start_time=*/0.0));
+          kPriorLambda, kMinPolls, /*start_time=*/0.0));
     } else {
       estimators_.push_back(std::make_unique<BooleanChangeEstimator>(
-          config_.prior_lambda, config_.min_polls, /*start_time=*/0.0));
+          kPriorLambda, kMinPolls, /*start_time=*/0.0));
     }
   }
   next_reallocation_ = 0.0;
@@ -62,7 +78,7 @@ void CGMScheduler::Reallocate(double t) {
   // The poll round trip costs 2 bandwidth units, so the sustainable refresh
   // rate is half the cache-side bandwidth, minus the exploration share.
   const double refresh_budget = config_.network.cache_bandwidth_avg *
-                                (1.0 - config_.exploration_fraction) / 2.0;
+                                (1.0 - kExplorationFraction) / 2.0;
   auto allocation = SolveFreshnessAllocation(lambdas, weights, refresh_budget);
   BESYNC_CHECK(allocation.ok()) << allocation.status().ToString();
 
@@ -76,7 +92,7 @@ void CGMScheduler::Reallocate(double t) {
                      0);
     }
   }
-  next_reallocation_ = t + config_.reallocation_period;
+  next_reallocation_ = t + kReallocationPeriod;
 }
 
 void CGMScheduler::SendPoll(ObjectIndex index, double t) {
@@ -115,7 +131,7 @@ void CGMScheduler::Tick(double t) {
   //    (cycling over all objects at the configured fraction of bandwidth),
   //    then the frequency schedule.
   const int64_t total = static_cast<int64_t>(estimators_.size());
-  explore_credit_ += config_.exploration_fraction *
+  explore_credit_ += kExplorationFraction *
                      config_.network.cache_bandwidth_avg * tick_length_ / 2.0;
   while (explore_credit_ >= 1.0 && cache_link_->ConsumeBudget(1) == 1) {
     explore_credit_ -= 1.0;

@@ -26,19 +26,6 @@ enum class CGMVariant {
 struct CGMConfig {
   CacheDrivenConfig network;
   CGMVariant variant = CGMVariant::kLastModified;
-  /// Seconds between re-estimation of update rates + re-solving the
-  /// frequency allocation.
-  double reallocation_period = 100.0;
-  /// Rate estimate used before an object has accumulated enough polls.
-  double prior_lambda = 0.5;
-  /// Polls needed before an estimator's output replaces the prior.
-  int64_t min_polls = 2;
-  /// Fraction of bandwidth spent cycling through *all* objects regardless of
-  /// the allocation, so estimators keep receiving observations even for
-  /// objects the allocator currently starves (frequency 0). Without this,
-  /// an object mis-estimated once could never be re-observed. A small value
-  /// is charitable to CGM; set to 0 for the pure allocator.
-  double exploration_fraction = 0.05;
 };
 
 /// The practical cache-driven baselines CGM1/CGM2 of Section 6.3: the cache

@@ -58,10 +58,8 @@ double IdealCooperativeScheduler::ComputePriority(ObjectIndex index, double now)
   }
   context.max_divergence_rate = object.spec->max_divergence_rate;
   context.history_rate = history_[index].rate();
-  context.lambda_estimate = EstimateLambda(
-      config_.lambda_mode, object.spec->lambda, object.state.version, now,
-      object.tracker().updates_since_refresh(),
-      now - object.tracker().last_refresh_time());
+  // The idealized scenario knows true update rates.
+  context.lambda_estimate = object.spec->lambda;
   return policy_->Priority(context, now);
 }
 

@@ -10,7 +10,6 @@
 #include "priority/history.h"
 #include "priority/priority.h"
 #include "priority/priority_queue.h"
-#include "priority/special_case.h"
 
 namespace besync {
 
@@ -23,8 +22,6 @@ struct IdealConfig {
   PolicyKind policy = PolicyKind::kArea;
   /// History blend share for PolicyKind::kAreaHistory.
   double history_beta = 0.5;
-  /// The idealized scenario knows true update rates.
-  LambdaEstimateMode lambda_mode = LambdaEstimateMode::kTrue;
   /// Divide priorities by refresh cost (Section 10.1); identity for unit
   /// costs.
   bool cost_aware_priority = true;

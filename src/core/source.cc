@@ -11,19 +11,25 @@ namespace {
 
 /// Predictive sampling never samples one object more often than this.
 constexpr double kMinSamplingGap = 1.0;
+/// Link cost of one kInvalidate message: invalidations carry no value, so
+/// they are cheap relative to refreshes of costly objects.
+constexpr int64_t kInvalidateCost = 1;
 
 }  // namespace
 
 SourceAgent::SourceAgent(int index, const SourceAgentConfig& config,
                          double expected_feedback_period, const PriorityPolicy* policy,
-                         Harness* harness, SchedulerStats* tally)
+                         const SyncProtocol* protocol, Harness* harness,
+                         SchedulerStats* tally)
     : index_(index),
       config_(config),
       policy_(policy),
+      protocol_(protocol),
       harness_(harness),
       tally_(tally),
       expected_feedback_period_(expected_feedback_period) {
   BESYNC_CHECK(policy != nullptr);
+  BESYNC_CHECK(protocol != nullptr);
   BESYNC_CHECK(harness != nullptr);
   BESYNC_CHECK(tally != nullptr);
   BESYNC_CHECK_GT(expected_feedback_period, 0.0);
@@ -43,11 +49,6 @@ void SourceAgent::AddObject(ObjectIndex index) {
 void SourceAgent::SetFeedbackPeriods(std::vector<double> periods_by_cache) {
   BESYNC_CHECK(channels_.empty()) << "SetFeedbackPeriods must precede Start";
   feedback_periods_by_cache_ = std::move(periods_by_cache);
-}
-
-void SourceAgent::SetSyncProtocol(const SyncProtocol* protocol) {
-  BESYNC_CHECK(channels_.empty()) << "SetSyncProtocol must precede Start";
-  protocol_ = protocol;
 }
 
 void SourceAgent::BuildChannels() {
@@ -106,7 +107,7 @@ void SourceAgent::BuildChannels() {
     if (config_.monitor == MonitorMode::kSampling) {
       channel.sampled = arena->AllocateArray<SampledTracker>(channel_members.size());
     }
-    if (protocol_ != nullptr && protocol_->emits_invalidations()) {
+    if (protocol_->emits_invalidations()) {
       channel.invalid_state =
           arena->AllocateArray<uint8_t>(channel_members.size(), uint8_t{kReplicaFresh});
     }
@@ -158,9 +159,7 @@ PriorityContext SourceAgent::MakeContext(const Channel& channel, ObjectIndex ind
   }
   context.max_divergence_rate = object.max_divergence_rate;
   context.history_rate = channel.locals[slot].history.rate();
-  context.lambda_estimate = EstimateLambda(
-      config_.lambda_mode, object.lambda, object.state.version, now,
-      tracker.updates_since_refresh(), now - tracker.last_refresh_time());
+  context.lambda_estimate = object.lambda;
   return context;
 }
 
@@ -174,38 +173,6 @@ double SourceAgent::ChannelSourcePriority(const Channel& channel, ObjectIndex in
                                           double now) const {
   return policy_->Priority(MakeContext(channel, index, now, /*use_source_weight=*/true),
                            now);
-}
-
-double SourceAgent::ComputePriority(ObjectIndex index, double now) const {
-  // Channel 0's view is only *the* priority when it is the only channel: on
-  // a multi-cache source the per-replica trackers and thresholds disagree,
-  // so silently answering from channels_.front() would be wrong for every
-  // other cache. Multi-channel callers must name the channel.
-  BESYNC_CHECK_EQ(num_channels(), 1)
-      << "ComputePriority(index, now) is single-channel only; source " << index_
-      << " has " << num_channels() << " cache channels — use the channel overload";
-  return ChannelPriority(channels_.front(), index, now);
-}
-
-double SourceAgent::ComputePriority(ObjectIndex index, double now, int channel) const {
-  BESYNC_CHECK_GE(channel, 0);
-  BESYNC_CHECK_LT(channel, num_channels());
-  return ChannelPriority(channels_[channel], index, now);
-}
-
-double SourceAgent::ComputeSourcePriority(ObjectIndex index, double now) const {
-  BESYNC_CHECK_EQ(num_channels(), 1)
-      << "ComputeSourcePriority(index, now) is single-channel only; source "
-      << index_ << " has " << num_channels()
-      << " cache channels — use the channel overload";
-  return ChannelSourcePriority(channels_.front(), index, now);
-}
-
-double SourceAgent::ComputeSourcePriority(ObjectIndex index, double now,
-                                          int channel) const {
-  BESYNC_CHECK_GE(channel, 0);
-  BESYNC_CHECK_LT(channel, num_channels());
-  return ChannelSourcePriority(channels_[channel], index, now);
 }
 
 void SourceAgent::Start(Simulation* sim, double tick_length) {
@@ -558,12 +525,11 @@ int64_t SourceAgent::SendRefreshes(double now, Link* source_link, Link* cache_li
 int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
                                        Link* cache_link, int channel_index) {
   BESYNC_DCHECK(channel_index >= 0 && channel_index < num_channels());
-  BESYNC_CHECK(protocol_ != nullptr && protocol_->emits_invalidations());
+  BESYNC_CHECK(protocol_->emits_invalidations());
   Channel* channel = &channels_[channel_index];
   // Same tick-opening contract as SendRefreshes: channel 0 clears the
   // shared full-capacity flag, the remaining channels accumulate into it.
   if (channel_index == 0) at_full_capacity_ = false;
-  const int64_t cost = protocol_->config().invalidate_cost;
   const int max_batch = protocol_->config().max_invalidate_batch;
   int64_t messages = 0;
   while (true) {
@@ -575,7 +541,7 @@ int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
       queue.pop_front();
     }
     if (queue.empty()) break;
-    if (!source_link->TryConsumeAllowingDeficit(cost)) {
+    if (!source_link->TryConsumeAllowingDeficit(kInvalidateCost)) {
       at_full_capacity_ = true;
       break;
     }
@@ -584,7 +550,7 @@ int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
     message.source_index = index_;
     message.cache_id = channel->cache_id;
     message.send_time = now;
-    message.cost = cost;
+    message.cost = kInvalidateCost;
     // Notifications are tiny control traffic: priority-preserving relays
     // move them ahead of queued pushes, like pull responses.
     message.forward_priority = std::numeric_limits<double>::infinity();

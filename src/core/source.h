@@ -14,7 +14,6 @@
 #include "priority/priority.h"
 #include "priority/priority_queue.h"
 #include "priority/sampling.h"
-#include "priority/special_case.h"
 #include "protocol/sync_protocol.h"
 #include "util/fifo.h"
 
@@ -41,8 +40,6 @@ struct SourceAgentConfig {
   /// (Section 8.2.1's prediction formula), but never sooner than one
   /// second after the current sample.
   bool predictive_sampling = false;
-  /// Lambda source for the Poisson special-case policies.
-  LambdaEstimateMode lambda_mode = LambdaEstimateMode::kTrue;
   /// Divide priorities by the object's refresh cost (Section 10.1: "a
   /// factor inversely proportional to cost"). Identity for unit costs.
   bool cost_aware_priority = true;
@@ -66,13 +63,15 @@ struct SourceAgentConfig {
 /// Feedback from cache c adjusts T_{j,c} only.
 class SourceAgent {
  public:
-  /// `policy`, `harness` and `tally` must outlive the agent.
-  /// `expected_feedback_period` is the fallback P_feedback used for every
-  /// cache channel not covered by SetFeedbackPeriods(). The agent counts
-  /// the objects it sends (refreshes_sent, invalidations_sent) on `tally`.
+  /// `policy`, `protocol`, `harness` and `tally` must outlive the agent;
+  /// `protocol` is the consistency protocol driving this source's
+  /// emissions. `expected_feedback_period` is the fallback P_feedback used
+  /// for every cache channel not covered by SetFeedbackPeriods(). The agent
+  /// counts the objects it sends (refreshes_sent, invalidations_sent) on
+  /// `tally`.
   SourceAgent(int index, const SourceAgentConfig& config,
               double expected_feedback_period, const PriorityPolicy* policy,
-              Harness* harness, SchedulerStats* tally);
+              const SyncProtocol* protocol, Harness* harness, SchedulerStats* tally);
 
   int index() const { return index_; }
   /// Number of cache channels (caches replicating >= 1 of this source's
@@ -115,11 +114,6 @@ class SourceAgent {
   /// of sources interested in cache c divided by B_c). Call before Start();
   /// caches beyond the vector fall back to the constructor scalar.
   void SetFeedbackPeriods(std::vector<double> periods_by_cache);
-
-  /// Selects the consistency protocol driving this source's emissions. Must
-  /// be called before Start() (channel state depends on it); null (the
-  /// default) behaves as push refresh. The protocol must outlive the agent.
-  void SetSyncProtocol(const SyncProtocol* protocol);
 
   /// Run-start hook: builds the per-cache channels from the workload's
   /// interest map and seeds the monitoring machinery (initial wake-ups for
@@ -208,18 +202,6 @@ class SourceAgent {
   /// the cost of one pointer test per hook. Sources record only into their
   /// own buffer.
   void SetTraceBuffer(TraceBuffer* trace) { trace_ = trace; }
-
-  /// Current weighted priority of an object under this agent's policy.
-  /// The channel-less form is valid only on single-channel sources (checked):
-  /// a multi-cache source has one tracker and threshold per cache channel,
-  /// so "the" priority of an object is ill-defined without naming one.
-  double ComputePriority(ObjectIndex index, double now) const;
-  double ComputePriority(ObjectIndex index, double now, int channel) const;
-
-  /// Priority under the source's own weighting scheme (Section 7); same
-  /// single-channel restriction / channel overload as ComputePriority.
-  double ComputeSourcePriority(ObjectIndex index, double now) const;
-  double ComputeSourcePriority(ObjectIndex index, double now, int channel) const;
 
  private:
   /// Per-replica monitoring state kept under every monitor mode: the
@@ -338,10 +320,8 @@ class SourceAgent {
   /// Re-arms the wake-up entry of `index` (time-varying policies).
   void PushWake(Channel* channel, ObjectIndex index, double now);
   /// Whether the push-refresh machinery (queues, wake-ups, sampling) drives
-  /// this source. True without a protocol — the historical default.
-  bool push_protocol() const {
-    return protocol_ == nullptr || protocol_->emits_push_refreshes();
-  }
+  /// this source.
+  bool push_protocol() const { return protocol_->emits_push_refreshes(); }
   /// Records one lifecycle event into trace_ (callers test trace_ first).
   void RecordTrace(TraceEventKind kind, double t, int32_t cache_id,
                    ObjectIndex index, int64_t version, bool is_pull);
@@ -359,7 +339,7 @@ class SourceAgent {
   int index_;
   SourceAgentConfig config_;
   const PriorityPolicy* policy_;
-  const SyncProtocol* protocol_ = nullptr;
+  const SyncProtocol* protocol_;
   Harness* harness_;
   SchedulerStats* tally_;
   double expected_feedback_period_;

@@ -7,6 +7,11 @@
 namespace besync {
 namespace {
 
+/// The observability time series carries per-cache divergence columns for
+/// the first `min(num_caches, kMaxPerCacheSeries)` caches; its total
+/// column always covers all of them.
+constexpr int kMaxPerCacheSeries = 8;
+
 /// Records the kDeliver + kApply pair for a refresh-shaped message (primary
 /// payload and batch mates) at the apply site; kDeliver and kApply share the
 /// timestamp because the engine applies at arrival.
@@ -129,7 +134,8 @@ void CooperativeScheduler::Initialize(Harness* harness) {
   sources_.reserve(m);
   for (int j = 0; j < m; ++j) {
     sources_.push_back(std::make_unique<SourceAgent>(
-        j, config_.source, feedback_periods[0], policy_.get(), harness, &tally_));
+        j, config_.source, feedback_periods[0], policy_.get(), protocol_.get(),
+        harness, &tally_));
     sources_[j]->SetFeedbackPeriods(feedback_periods);
   }
 
@@ -142,10 +148,7 @@ void CooperativeScheduler::Initialize(Harness* harness) {
   if (config_.source.monitor == MonitorMode::kSampling) {
     RegisterSampleEventHandler(&harness->simulation(), &sources_);
   }
-  for (auto& source : sources_) {
-    source->SetSyncProtocol(protocol_.get());
-    source->Start(&harness->simulation(), tick);
-  }
+  for (auto& source : sources_) source->Start(&harness->simulation(), tick);
 
   source_order_.resize(m);
   for (int j = 0; j < m; ++j) source_order_[j] = j;
@@ -176,7 +179,7 @@ void CooperativeScheduler::Initialize(Harness* harness) {
                                           static_cast<int>(relays_.size()), tick);
     std::vector<std::string> columns;
     columns.push_back("total_weighted_divergence");
-    const int per_cache = std::min(num_caches, config_.obs.max_per_cache_series);
+    const int per_cache = std::min(num_caches, kMaxPerCacheSeries);
     for (int c = 0; c < per_cache; ++c) {
       columns.push_back("cache_divergence_" + std::to_string(c));
     }
@@ -635,7 +638,7 @@ void CooperativeScheduler::ObsSample(double t) {
   double total = 0.0;
   for (int c = 0; c < num_caches(); ++c) total += truth.CurrentWeightedSum(c);
   row[i++] = total;
-  const int per_cache = std::min(num_caches(), config_.obs.max_per_cache_series);
+  const int per_cache = std::min(num_caches(), kMaxPerCacheSeries);
   for (int c = 0; c < per_cache; ++c) row[i++] = truth.CurrentWeightedSum(c);
   double queue_depth = 0.0, recovery_depth = 0.0;
   for (const auto& source : sources_) {

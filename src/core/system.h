@@ -113,7 +113,6 @@ class CooperativeScheduler : public Scheduler {
   int num_caches() const { return static_cast<int>(caches_.size()); }
   int num_relays() const { return static_cast<int>(relays_.size()); }
   const SourceAgent& source(int j) const { return *sources_[j]; }
-  SourceAgent& mutable_source(int j) { return *sources_[j]; }
   Link& cache_link(int c = 0) { return network_->cache_link(c); }
   Network& network() { return *network_; }
   /// Fails on caches no source is interested in (those stay agent-less).

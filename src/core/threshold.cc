@@ -16,8 +16,6 @@ ThresholdController::ThresholdController(const ThresholdConfig& config,
   BESYNC_CHECK_GT(config.initial, 0.0);
   BESYNC_CHECK_GT(config.increase, 1.0);
   BESYNC_CHECK_GT(config.decrease, 1.0);
-  BESYNC_CHECK_GT(config.min_threshold, 0.0);
-  BESYNC_CHECK_GT(config.max_threshold, config.min_threshold);
   BESYNC_CHECK_GT(expected_feedback_period, 0.0);
 }
 
@@ -46,7 +44,7 @@ void ThresholdController::SetThreshold(double value) {
 }
 
 void ThresholdController::Clamp() {
-  threshold_ = std::clamp(threshold_, config_.min_threshold, config_.max_threshold);
+  threshold_ = std::clamp(threshold_, kMinThreshold, kMaxThreshold);
 }
 
 }  // namespace besync

@@ -14,11 +14,12 @@ struct ThresholdConfig {
   /// Multiplicative decrease factor omega applied on positive feedback.
   /// The paper's tuned value is 10 (Section 6.1).
   double decrease = 10.0;
-  /// Clamps protecting against numerical runaway; wide enough to never bind
-  /// in sane configurations.
-  double min_threshold = 1e-12;
-  double max_threshold = 1e15;
 };
+
+/// Clamps protecting the threshold against numerical runaway; wide enough
+/// to never bind in sane configurations.
+constexpr double kMinThreshold = 1e-12;
+constexpr double kMaxThreshold = 1e15;
 
 /// One source's local refresh threshold T_j and its adaptation rules
 /// (Section 5):

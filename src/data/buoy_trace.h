@@ -23,34 +23,22 @@ namespace besync {
 /// See DESIGN.md, "Substitutions".
 struct BuoyTraceConfig {
   int num_buoys = 40;
-  int components_per_buoy = 2;
-  /// Seconds between measurements (paper: every 10 minutes).
-  double measurement_interval = 600.0;
   /// Total trace duration in seconds (paper: 7 days; the first day is used
   /// as warm-up by the experiment harness, not here).
   double duration = 7.0 * 86400.0;
-  /// Value range clamp.
-  double min_value = 0.0;
-  double max_value = 10.0;
-  /// Per-buoy long-run mean drawn uniformly from [mean_lo, mean_hi].
-  double mean_lo = 3.0;
-  double mean_hi = 7.0;
-  /// Per-component innovation stddev drawn uniformly from
-  /// [volatility_lo, volatility_hi] (units per measurement step).
-  double volatility_lo = 0.1;
-  double volatility_hi = 0.9;
-  /// Mean-reversion fraction per measurement step, in (0, 1].
-  double reversion = 0.05;
   uint64_t seed = 2000;
 };
 
-/// Generates one trace per object (num_buoys * components_per_buoy objects,
-/// grouped by buoy). Deterministic given the config.
+/// Seconds between measurements (paper: every 10 minutes).
+constexpr double kBuoyMeasurementInterval = 600.0;
+
+/// Generates one trace per object (num_buoys * 2 wind components, grouped
+/// by buoy). Deterministic given the config.
 Result<std::vector<std::vector<TracePoint>>> GenerateBuoyTraces(
     const BuoyTraceConfig& config);
 
 /// Builds a Workload whose objects replay the generated buoy traces: one
-/// source per buoy, `components_per_buoy` objects per source, all weights 1
+/// source per buoy, one object per wind component, all weights 1
 /// (the paper: "All data values were equally weighted").
 Result<Workload> MakeBuoyWorkload(const BuoyTraceConfig& config);
 

@@ -37,18 +37,11 @@ struct ReadWorkloadConfig {
   /// Zipf exponent of the popularity law over each cache's replicated
   /// objects (larger = hotter heads).
   double zipf_exponent = 0.8;
-  /// Rotate the popularity ranking per cache (cache c's hottest object is
-  /// at a different replica slot than cache c+1's), so multi-cache
-  /// workloads do not all hammer the same objects.
-  bool rotate_popularity = true;
   /// Maximum resident objects per cache; <= 0 = unbounded (the historical
   /// model: every replicated object is always servable locally).
   int64_t capacity = 0;
   /// Which resident replica an over-capacity install evicts.
   EvictionPolicy eviction = EvictionPolicy::kLru;
-  /// A pull left unanswered this long (e.g. the response was lost on a
-  /// lossy link) is re-requested by the next missing read.
-  double pull_retry_interval = 10.0;
   /// Base seed of the per-cache read streams; independent of the workload
   /// and scheduler seeds so enabling reads never perturbs update streams.
   uint64_t seed = 1;
@@ -86,9 +79,8 @@ class ReadProcess {
 /// Poisson read arrivals over a Zipf popularity law: inter-read gaps are
 /// exponential with the configured rate; each read targets popularity rank
 /// r ~ Zipf(num_slots, exponent), mapped to slot (r - 1 + rotation) mod
-/// num_slots. The rotation offset realizes ReadWorkloadConfig::
-/// rotate_popularity — each cache instance gets a different offset, so the
-/// hot set differs per cache.
+/// num_slots. The read path gives each cache instance a different rotation
+/// offset, so the hot set differs per cache.
 class PoissonZipfReadProcess : public ReadProcess {
  public:
   PoissonZipfReadProcess(double rate, double zipf_exponent, int64_t rotation = 0);

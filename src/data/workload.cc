@@ -76,6 +76,15 @@ Workload CloneWorkload(const Workload& workload) {
 
 namespace {
 
+/// Zipf exponent of the replication-degree distribution (kZipfOverlap).
+constexpr double kZipfOverlapExponent = 1.0;
+/// Sine weight periods are drawn uniformly from [kWeightPeriodMin,
+/// kWeightPeriodMax] seconds.
+constexpr double kWeightPeriodMin = 200.0;
+constexpr double kWeightPeriodMax = 2000.0;
+/// Random-walk step size per update.
+constexpr double kValueStep = 1.0;
+
 /// Assigns `spec->caches` for one object under the configured interest
 /// pattern. `interest_rng` is drawn from only in kZipfOverlap mode, so the
 /// default patterns leave the generator stream untouched.
@@ -96,7 +105,7 @@ void AssignInterest(const WorkloadConfig& config, Rng* interest_rng,
       break;
     case InterestPattern::kZipfOverlap: {
       const int degree = static_cast<int>(
-          interest_rng->Zipf(config.num_caches, config.zipf_overlap_exponent));
+          interest_rng->Zipf(config.num_caches, kZipfOverlapExponent));
       spec->caches.clear();
       for (int k = 0; k < degree; ++k) {
         spec->caches.push_back((primary + k) %
@@ -165,29 +174,16 @@ Status ValidateWorkloadConfig(const WorkloadConfig& config) {
     return Status::InvalidArgument("relay_bandwidth_factor must be finite and >= 0, got ",
                                    config.relay_bandwidth_factor);
   }
-  // The weight and value-step fields reach BESYNC_CHECKs in the weight
-  // fluctuation and update processes; reject them here instead.
+  // The weight fields reach BESYNC_CHECKs in the weight fluctuation;
+  // reject them here instead.
   if (!(config.weight_fluctuation_amplitude >= 0.0 &&
         config.weight_fluctuation_amplitude < 1.0)) {
     return Status::InvalidArgument("weight_fluctuation_amplitude must be in [0, 1), got ",
                                    config.weight_fluctuation_amplitude);
   }
-  if (config.weight_fluctuation_amplitude > 0.0 &&
-      !(config.weight_period_min > 0.0 &&
-        config.weight_period_max >= config.weight_period_min &&
-        std::isfinite(config.weight_period_max))) {
-    return Status::InvalidArgument("weight periods need 0 < weight_period_min <= "
-                                   "weight_period_max, both finite, got [",
-                                   config.weight_period_min, ", ",
-                                   config.weight_period_max, "]");
-  }
   if (!(config.heavy_weight >= 0.0) || !std::isfinite(config.heavy_weight)) {
     return Status::InvalidArgument("heavy_weight must be finite and >= 0, got ",
                                    config.heavy_weight);
-  }
-  if (!(config.value_step > 0.0) || !std::isfinite(config.value_step)) {
-    return Status::InvalidArgument("value_step must be finite and > 0, got ",
-                                   config.value_step);
   }
   // Negated comparisons so NaN fails them too.
   if (!(config.read.read_rate >= 0.0)) {
@@ -202,18 +198,13 @@ Status ValidateWorkloadConfig(const WorkloadConfig& config) {
     return Status::InvalidArgument("zipf_exponent must be > 0, got ",
                                    config.read.zipf_exponent);
   }
-  if (!(config.read.pull_retry_interval > 0.0)) {
-    return Status::InvalidArgument("pull_retry_interval must be > 0, got ",
-                                   config.read.pull_retry_interval);
-  }
   if (config.fault.cache_crashes < 0 || config.fault.relay_failures < 0 ||
       config.fault.link_flaps < 0 || config.fault.slowdowns < 0) {
     return Status::InvalidArgument("fault event counts must be >= 0");
   }
   if (config.fault.enabled()) {
-    if (config.fault.crash_duration <= 0.0 ||
-        config.fault.relay_fail_duration <= 0.0 ||
-        config.fault.flap_duration <= 0.0 || config.fault.slow_duration <= 0.0) {
+    if (config.fault.crash_duration <= 0.0 || config.fault.flap_duration <= 0.0 ||
+        config.fault.slow_duration <= 0.0) {
       return Status::InvalidArgument("fault durations must be > 0");
     }
     if (config.fault.slowdowns > 0 &&
@@ -306,11 +297,11 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
     switch (config.update_model) {
       case WorkloadConfig::UpdateModel::kPoisson:
         spec.process =
-            std::make_unique<PoissonRandomWalkProcess>(spec.lambda, config.value_step);
+            std::make_unique<PoissonRandomWalkProcess>(spec.lambda, kValueStep);
         break;
       case WorkloadConfig::UpdateModel::kBernoulli:
         spec.process =
-            std::make_unique<BernoulliRandomWalkProcess>(spec.lambda, config.value_step);
+            std::make_unique<BernoulliRandomWalkProcess>(spec.lambda, kValueStep);
         break;
     }
 
@@ -319,8 +310,8 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
       base_weight = config.heavy_weight;
     }
     spec.weight = MakeWeightFluctuation(
-        base_weight, config.weight_fluctuation_amplitude, config.weight_period_min,
-        config.weight_period_max, &rng);
+        base_weight, config.weight_fluctuation_amplitude, kWeightPeriodMin,
+        kWeightPeriodMax, &rng);
 
     if (config.cost_scheme == CostScheme::kHalfLarge && large_half[i]) {
       spec.refresh_cost = config.large_cost;
@@ -329,7 +320,7 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
     // Random-walk values diverge at most `step` per update, so the maximum
     // divergence rate under the value-deviation metric is lambda * step
     // (used only by the Section 9 bounding policy).
-    spec.max_divergence_rate = spec.lambda * config.value_step;
+    spec.max_divergence_rate = spec.lambda * kValueStep;
 
     spec.initial_value = 0.0;
     spec.rng_seed = rng.NextUint64();

@@ -173,9 +173,6 @@ struct WorkloadConfig {
   /// single-cache workloads are bit-identical to the pre-topology ones).
   int num_caches = 1;
   InterestPattern interest_pattern = InterestPattern::kSingleCache;
-  /// Zipf exponent of the replication-degree distribution (kZipfOverlap);
-  /// larger = fewer widely-replicated objects.
-  double zipf_overlap_exponent = 1.0;
 
   /// Relay-tree knobs (0 tiers = the flat one-hop topology). When
   /// relay_tiers > 0 the generated workload carries a
@@ -204,15 +201,9 @@ struct WorkloadConfig {
   int64_t large_cost = 4;
 
   /// Maximum relative amplitude of sine weight fluctuation; 0 = constant
-  /// weights. Periods are drawn uniformly from [weight_period_min,
-  /// weight_period_max] (Section 6: "randomly-assigned amplitudes and
-  /// periods").
+  /// weights. Periods are drawn uniformly from [200, 2000] seconds
+  /// (Section 6: "randomly-assigned amplitudes and periods").
   double weight_fluctuation_amplitude = 0.0;
-  double weight_period_min = 200.0;
-  double weight_period_max = 2000.0;
-
-  /// Random-walk step size per update.
-  double value_step = 1.0;
 
   /// Client read-path knobs, copied verbatim onto the generated workload
   /// (consumes no generator randomness — the read streams draw from their

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "baseline/cgm.h"
 #include "util/logging.h"
 
 namespace besync {
@@ -30,7 +31,6 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config) {
       CooperativeConfig cooperative;
       cooperative.num_caches = config.workload.num_caches;
       cooperative.cache_bandwidth_avg = config.cache_bandwidth_avg;
-      cooperative.cache_bandwidths = config.cache_bandwidths;
       cooperative.source_bandwidth_avg = config.source_bandwidth_avg;
       cooperative.bandwidth_change_rate = config.bandwidth_change_rate;
       cooperative.policy = config.policy;
@@ -38,7 +38,6 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config) {
       cooperative.source.monitor = config.monitor;
       cooperative.source.sampling_interval = config.sampling_interval;
       cooperative.source.predictive_sampling = config.predictive_sampling;
-      cooperative.source.lambda_mode = config.lambda_mode;
       cooperative.source.cost_aware_priority = config.cost_aware_priority;
       cooperative.source.max_batch = config.max_batch;
       cooperative.source.max_batch_delay = config.max_batch_delay;
@@ -58,7 +57,6 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config) {
       ideal.source_bandwidth_avg = config.source_bandwidth_avg;
       ideal.bandwidth_change_rate = config.bandwidth_change_rate;
       ideal.policy = config.policy;
-      ideal.lambda_mode = LambdaEstimateMode::kTrue;
       ideal.cost_aware_priority = config.cost_aware_priority;
       return std::make_unique<IdealCooperativeScheduler>(ideal);
     }
@@ -70,7 +68,7 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config) {
     }
     case SchedulerKind::kCGM1:
     case SchedulerKind::kCGM2: {
-      CGMConfig cgm = config.cgm;
+      CGMConfig cgm;
       cgm.network.cache_bandwidth_avg = config.cache_bandwidth_avg;
       cgm.network.bandwidth_change_rate = config.bandwidth_change_rate;
       cgm.variant = config.scheduler == SchedulerKind::kCGM1
@@ -122,6 +120,13 @@ Status ValidateExperimentConfig(const ExperimentConfig& config) {
     return Status::InvalidArgument(
         "sampling_interval must be finite and > 0 under sampling, got ",
         config.sampling_interval);
+  }
+  if (!(config.protocol.ttl > 0.0)) {
+    return Status::InvalidArgument("ttl must be > 0, got ", config.protocol.ttl);
+  }
+  if (config.protocol.max_invalidate_batch < 1) {
+    return Status::InvalidArgument("max_invalidate_batch must be >= 1, got ",
+                                   config.protocol.max_invalidate_batch);
   }
   return Status::OK();
 }

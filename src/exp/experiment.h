@@ -3,9 +3,7 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "baseline/cgm.h"
 #include "baseline/ideal.h"
 #include "baseline/ideal_cache.h"
 #include "baseline/round_robin.h"
@@ -38,12 +36,8 @@ struct ExperimentConfig {
   WorkloadConfig workload;
   HarnessConfig harness;
 
-  /// Average cache-side bandwidth B_C (messages/second), for every cache
-  /// not covered by `cache_bandwidths`.
+  /// Average cache-side bandwidth B_C (messages/second), for every cache.
   double cache_bandwidth_avg = 10.0;
-  /// Optional per-cache average bandwidth overrides (cooperative scheduler;
-  /// the topology's cache count comes from the workload's interest map).
-  std::vector<double> cache_bandwidths;
   /// Average source-side bandwidth B_S; <= 0 unconstrained.
   double source_bandwidth_avg = -1.0;
   /// Maximum relative bandwidth change rate mB.
@@ -78,7 +72,6 @@ struct ExperimentConfig {
   MonitorMode monitor = MonitorMode::kTrigger;
   double sampling_interval = 10.0;
   bool predictive_sampling = false;
-  LambdaEstimateMode lambda_mode = LambdaEstimateMode::kTrue;
   /// Section 10.1 extensions (cooperative/ideal schedulers).
   bool cost_aware_priority = true;
   int max_batch = 1;
@@ -97,9 +90,6 @@ struct ExperimentConfig {
   /// baseline scheduler it is an InvalidArgument rather than silently
   /// producing no output.
   ObsConfig obs;
-
-  /// CGM-specific knobs (bandwidth fields are overwritten from above).
-  CGMConfig cgm;
 };
 
 /// Builds the scheduler named by `config` (bandwidth knobs applied).
@@ -110,9 +100,10 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config);
 /// lengths per ValidateHarnessConfig (finite tick_length and measure > 0,
 /// finite warmup >= 0), cache_bandwidth_avg > 0,
 /// loss_rate in [0, 1), run_threads 1, max_batch >= 1 (and > 1 only
-/// with uniform costs), max_batch_delay >= 0, and under sampling a finite
-/// sampling_interval > 0; NaN fails every check. InvalidArgument names the
-/// field.
+/// with uniform costs), max_batch_delay >= 0, under sampling a finite
+/// sampling_interval > 0, protocol.ttl > 0 (infinite allowed: a lease that
+/// never expires) and protocol.max_invalidate_batch >= 1; NaN fails every
+/// check. InvalidArgument names the field.
 Status ValidateExperimentConfig(const ExperimentConfig& config);
 
 /// Runs the configured scheduler on `workload` (which is Reset and may be

@@ -23,10 +23,6 @@ Result<std::vector<ExperimentJob>> MulticacheSweepJobs(const MulticacheConfig& c
       // pattern (identical interest map, no generator divergence).
       job.config.workload.interest_pattern =
           num_caches == 1 ? InterestPattern::kSingleCache : pattern;
-      if (!config.bandwidth_per_cache) {
-        job.config.cache_bandwidth_avg =
-            config.base.cache_bandwidth_avg / static_cast<double>(num_caches);
-      }
       if (!config.topology.flat()) {
         if (const Status status = config.topology.Validate(num_caches);
             !status.ok()) {

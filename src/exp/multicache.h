@@ -19,13 +19,11 @@ struct MulticacheConfig {
   ExperimentConfig base;
   /// Cache counts to sweep.
   std::vector<int> cache_counts = {1, 2, 4, 8};
-  /// Interest patterns to sweep at each cache count.
+  /// Interest patterns to sweep at each cache count. Every cache gets the
+  /// full base.cache_bandwidth_avg, so total capacity grows with the
+  /// topology.
   std::vector<InterestPattern> patterns = {InterestPattern::kPartitionedBySource,
                                            InterestPattern::kZipfOverlap};
-  /// true: every cache gets the full base.cache_bandwidth_avg (total
-  /// capacity grows with the topology); false: the base bandwidth is split
-  /// evenly across caches (fixed total capacity).
-  bool bandwidth_per_cache = true;
   /// Relay topology applied to every sweep point (data/topology.h). Flat
   /// (default) keeps the historical one-hop sweep; a non-flat spec requires
   /// every swept cache count to equal its leaf count, so combine it with a

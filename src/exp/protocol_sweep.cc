@@ -27,7 +27,7 @@ Result<std::vector<ExperimentJob>> ProtocolSweepJobs(
       return Status::InvalidArgument("read rates must be > 0, got ", rate);
     }
   }
-  if (config.ttl <= 0.0) {
+  if (!(config.ttl > 0.0)) {
     return Status::InvalidArgument("ttl must be > 0, got ", config.ttl);
   }
   if (config.invalidate_batch < 1) {

@@ -1,65 +1,18 @@
 #include "exp/runner.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "exp/sweep.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace besync {
 namespace {
-
-/// Shortest decimal representation that round-trips to the exact double —
-/// a pure function of the value, so serialized grids are byte-stable.
-std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";  // JSON has no NaN/Inf
-  char buffer[32];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
-}
-
-std::string JsonString(const std::string& text) {
-  std::string out = "\"";
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char escape[8];
-          std::snprintf(escape, sizeof(escape), "\\u%04x", c);
-          out += escape;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 /// Unpacks a job's Result into `out`.
 void Store(Result<RunResult> result, JobResult* out) {

@@ -127,6 +127,9 @@ std::string FaultSchedule::Label() const {
 
 namespace {
 
+/// Downtime between each relay failure and its recovery (seconds).
+constexpr double kRelayFailDuration = 20.0;
+
 double DrawStart(const FaultScheduleConfig& config, Rng* rng) {
   if (config.window_end <= config.window_start) return config.window_start;
   return rng->Uniform(config.window_start, config.window_end);
@@ -164,8 +167,7 @@ FaultSchedule MakeFaultSchedule(const FaultScheduleConfig& config, int num_cache
     const double start = DrawStart(config, &rng);
     schedule.events.push_back({start, FaultEventKind::kRelayFail, relay, 1.0});
     schedule.events.push_back(
-        {start + config.relay_fail_duration, FaultEventKind::kRelayRecover, relay,
-         1.0});
+        {start + kRelayFailDuration, FaultEventKind::kRelayRecover, relay, 1.0});
   }
   for (int k = 0; k < config.link_flaps; ++k) {
     const int32_t cache = static_cast<int32_t>(rng.UniformInt(0, num_caches - 1));

@@ -122,9 +122,8 @@ struct FaultScheduleConfig {
   /// When >= 0, every crash targets this leaf (the sweeps pin cache 0 so
   /// "warm" divergence is cleanly the other caches); -1 = uniform target.
   int32_t crash_cache = -1;
-  /// Relay fail/recover pairs (requires a relay topology).
+  /// Relay fail/recover pairs, 20 s apart (requires a relay topology).
   int relay_failures = 0;
-  double relay_fail_duration = 20.0;
   /// Link down/up windows on leaf ingress edges.
   int link_flaps = 0;
   double flap_duration = 10.0;

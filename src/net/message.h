@@ -40,7 +40,7 @@ enum class MessageKind {
   /// Source -> cache: invalidation notification (SyncProtocolKind::
   /// kInvalidation). Carries no value — only the object index (plus any
   /// batch-mates in `extra_refreshes`, values/versions ignored) — so it is
-  /// cheap (`cost` = SyncProtocolConfig::invalidate_cost). Marks the
+  /// cheap (`cost` 1, kInvalidateCost in core/source.cc). Marks the
   /// replica invalid; the next read misses and pulls. Traverses the same
   /// downstream links (and relay trees, and loss draws) as refreshes.
   kInvalidate,

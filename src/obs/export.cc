@@ -1,62 +1,14 @@
 #include "obs/export.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
 
+#include "util/json.h"
 #include "util/phase_timer.h"
 
 namespace besync {
 namespace {
-
-// Same shortest-round-trip formatting as exp/runner.cc: exported bytes must
-// be a pure function of the values.
-std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";  // JSON has no NaN/Inf
-  char buffer[32];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
-}
-
-std::string JsonString(const std::string& text) {
-  std::string out = "\"";
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char escape[8];
-          std::snprintf(escape, sizeof(escape), "\\u%04x", c);
-          out += escape;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 // Microseconds: the trace_event convention. Simulation seconds are already
 // small, so the scale keeps Perfetto's zoom ergonomics sane.

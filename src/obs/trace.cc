@@ -4,6 +4,13 @@
 #include <tuple>
 
 namespace besync {
+namespace {
+
+/// Tick-phase slices are emitted for at most this many ticks inside the
+/// trace window (they exist to show cadence, not to be exhaustive).
+constexpr int kMaxPhaseSliceTicks = 2000;
+
+}  // namespace
 
 const char* TraceEventKindToString(TraceEventKind kind) {
   switch (kind) {
@@ -39,34 +46,10 @@ const char* TraceEventKindToString(TraceEventKind kind) {
   return "unknown";
 }
 
-TraceFilter TraceFilter::FromConfig(const ObsConfig& config) {
-  TraceFilter filter;
-  filter.start = config.trace_start;
-  filter.end = config.trace_end;
-  filter.objects = config.trace_objects;
-  filter.caches = config.trace_caches;
-  std::sort(filter.objects.begin(), filter.objects.end());
-  std::sort(filter.caches.begin(), filter.caches.end());
-  return filter;
-}
-
-bool TraceFilter::Pass(double t, ObjectIndex object, int32_t cache) const {
-  if (!PassTime(t)) return false;
-  if (object >= 0 && !objects.empty() &&
-      !std::binary_search(objects.begin(), objects.end(), object)) {
-    return false;
-  }
-  if (cache >= 0 && !caches.empty() &&
-      !std::binary_search(caches.begin(), caches.end(), cache)) {
-    return false;
-  }
-  return true;
-}
-
 ObsCollector::ObsCollector(const ObsConfig& config, int num_sources,
                            int num_caches, int num_relays, double tick_length)
     : config_(config),
-      filter_(TraceFilter::FromConfig(config)),
+      filter_{config.trace_start, config.trace_end},
       num_sources_(num_sources),
       num_caches_(num_caches),
       tick_length_(tick_length) {
@@ -74,16 +57,14 @@ ObsCollector::ObsCollector(const ObsConfig& config, int num_sources,
     buffers_.resize(1 + static_cast<size_t>(num_sources) + num_caches +
                     num_relays);
     for (TraceBuffer& buffer : buffers_) {
-      buffer.Init(&filter_, config_.max_trace_events);
+      buffer.Init(&filter_);
     }
   }
 }
 
 void ObsCollector::NoteTick(double t) {
   if (!config_.trace) return;
-  if (static_cast<int>(tick_times_.size()) >= config_.max_phase_slice_ticks) {
-    return;
-  }
+  if (static_cast<int>(tick_times_.size()) >= kMaxPhaseSliceTicks) return;
   if (!filter_.PassTime(t)) return;
   tick_times_.push_back(t);
 }
@@ -117,11 +98,9 @@ std::shared_ptr<ObsOutput> ObsCollector::Finish() {
                             std::tie(b.t, b.kind, b.cache, b.node, b.source,
                                      b.object, b.version);
                    });
-  if (config_.max_trace_events > 0 &&
-      static_cast<int64_t>(output->trace.size()) > config_.max_trace_events) {
-    output->trace_dropped +=
-        static_cast<int64_t>(output->trace.size()) - config_.max_trace_events;
-    output->trace.resize(static_cast<size_t>(config_.max_trace_events));
+  if (static_cast<int64_t>(output->trace.size()) > kMaxTraceEvents) {
+    output->trace_dropped += static_cast<int64_t>(output->trace.size()) - kMaxTraceEvents;
+    output->trace.resize(static_cast<size_t>(kMaxTraceEvents));
   }
   return output;
 }

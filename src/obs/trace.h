@@ -72,21 +72,19 @@ struct TraceEvent {
   bool is_pull = false;
 };
 
-/// The (time window, object set, cache set) predicate from ObsConfig.
-/// `object < 0` / `cache < 0` act as wildcards (events that do not carry
-/// that identity — faults, resync markers — always pass that axis).
+/// Each per-entity buffer stops recording at this many events (counting
+/// drops), and the merged trace is truncated to the same cap — both
+/// deterministic, both reported in the export.
+constexpr int64_t kMaxTraceEvents = 100000;
+
+/// The trace time window from ObsConfig.
 struct TraceFilter {
   double start = 0.0;
-  double end = -1.0;                  ///< < 0 = unbounded
-  std::vector<int64_t> objects;       ///< sorted; empty = all
-  std::vector<int32_t> caches;        ///< sorted; empty = all
-
-  static TraceFilter FromConfig(const ObsConfig& config);
+  double end = -1.0;  ///< < 0 = unbounded
 
   bool PassTime(double t) const {
     return t >= start && (end < 0.0 || t <= end);
   }
-  bool Pass(double t, ObjectIndex object, int32_t cache) const;
 };
 
 /// An append-only event buffer owned by exactly one entity (one source, one
@@ -95,14 +93,11 @@ struct TraceFilter {
 /// null buffer pointer at the call site, not a no-op Record.
 class TraceBuffer {
  public:
-  void Init(const TraceFilter* filter, int64_t cap) {
-    filter_ = filter;
-    cap_ = cap;
-  }
+  void Init(const TraceFilter* filter) { filter_ = filter; }
 
   void Record(const TraceEvent& event) {
-    if (!filter_->Pass(event.t, event.object, event.cache)) return;
-    if (cap_ > 0 && static_cast<int64_t>(events_.size()) >= cap_) {
+    if (!filter_->PassTime(event.t)) return;
+    if (static_cast<int64_t>(events_.size()) >= kMaxTraceEvents) {
       ++dropped_;
       return;
     }
@@ -114,7 +109,6 @@ class TraceBuffer {
 
  private:
   const TraceFilter* filter_ = nullptr;
-  int64_t cap_ = 0;
   std::vector<TraceEvent> events_;
   int64_t dropped_ = 0;
 };
@@ -166,7 +160,7 @@ class ObsCollector {
   TimeSeries* series() { return &series_; }
 
   /// Registers a tick start for the phase-slice grid (trace window and
-  /// `max_phase_slice_ticks` applied here).
+  /// the phase-slice tick cap applied here).
   void NoteTick(double t);
 
   /// Merges the buffers and moves everything into an ObsOutput. Call once,

@@ -42,7 +42,8 @@ struct PriorityContext {
   const DivergenceTracker* tracker = nullptr;
   /// W(O, t_now).
   double weight = 1.0;
-  /// Estimate of the object's Poisson update rate (special-case policies).
+  /// The object's Poisson update rate (special-case policies); schedulers
+  /// pass the true rate (DESIGN.md, "Substitutions").
   double lambda_estimate = 0.0;
   /// Maximum divergence rate R (bound policy).
   double max_divergence_rate = 0.0;

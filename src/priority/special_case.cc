@@ -1,7 +1,5 @@
 #include "priority/special_case.h"
 
-#include "util/logging.h"
-
 namespace besync {
 
 double PoissonStalenessPriority::Priority(const PriorityContext& context,
@@ -20,23 +18,6 @@ double PoissonLagPriority::Priority(const PriorityContext& context,
   const double lambda = context.lambda_estimate;
   if (lambda <= 0.0) return 0.0;
   return lag * (lag + 1.0) / (2.0 * lambda) * context.weight;
-}
-
-double EstimateLambda(LambdaEstimateMode mode, double true_lambda,
-                      int64_t total_updates, double elapsed_total,
-                      int64_t updates_since_refresh, double elapsed_since_refresh) {
-  switch (mode) {
-    case LambdaEstimateMode::kTrue:
-      return true_lambda;
-    case LambdaEstimateMode::kLongRun:
-      if (elapsed_total <= 0.0) return 0.0;
-      return static_cast<double>(total_updates) / elapsed_total;
-    case LambdaEstimateMode::kSinceRefresh:
-      if (elapsed_since_refresh <= 0.0) return 0.0;
-      return static_cast<double>(updates_since_refresh) / elapsed_since_refresh;
-  }
-  BESYNC_CHECK(false) << "unknown lambda estimate mode";
-  return 0.0;
 }
 
 }  // namespace besync

@@ -25,25 +25,6 @@ class PoissonLagPriority : public PriorityPolicy {
   double Priority(const PriorityContext& context, double now) const override;
 };
 
-/// How the scheduler obtains the lambda estimate fed to the special-case
-/// policies (Section 8.1).
-enum class LambdaEstimateMode {
-  /// Use the workload's true rate (idealized knowledge).
-  kTrue,
-  /// Total updates observed divided by total elapsed time ("the parameter
-  /// may be monitored over a longer period of time").
-  kLongRun,
-  /// Updates since the last refresh divided by the time since the last
-  /// refresh ("the number of updates divided by the time elapsed since the
-  /// last refresh").
-  kSinceRefresh,
-};
-
-/// Computes the lambda estimate for one object.
-double EstimateLambda(LambdaEstimateMode mode, double true_lambda,
-                      int64_t total_updates, double elapsed_total,
-                      int64_t updates_since_refresh, double elapsed_since_refresh);
-
 }  // namespace besync
 
 #endif  // BESYNC_PRIORITY_SPECIAL_CASE_H_

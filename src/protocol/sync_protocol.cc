@@ -81,8 +81,6 @@ std::string SyncProtocolKindToString(SyncProtocolKind kind) {
 }
 
 std::unique_ptr<SyncProtocol> SyncProtocol::Make(const SyncProtocolConfig& config) {
-  BESYNC_CHECK_GE(config.invalidate_cost, 1)
-      << "invalidate_cost must be a positive bandwidth-unit count";
   BESYNC_CHECK_GE(config.max_invalidate_batch, 1);
   BESYNC_CHECK_GT(config.ttl, 0.0) << "lease durations must be positive";
   switch (config.kind) {

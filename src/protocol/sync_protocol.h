@@ -1,7 +1,6 @@
 #ifndef BESYNC_PROTOCOL_SYNC_PROTOCOL_H_
 #define BESYNC_PROTOCOL_SYNC_PROTOCOL_H_
 
-#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -34,12 +33,10 @@ std::string SyncProtocolKindToString(SyncProtocolKind kind);
 /// Protocol selection plus the knobs of the non-default protocols.
 struct SyncProtocolConfig {
   SyncProtocolKind kind = SyncProtocolKind::kPushRefresh;
-  /// Link cost of one kInvalidate message (invalidations carry no value, so
-  /// they are cheap relative to refreshes of costly objects even at 1).
-  int64_t invalidate_cost = 1;
   /// Batched/multicast emission: up to this many replica invalidations are
-  /// packaged into one `invalidate_cost` message per cache channel — the
-  /// coded-multicast amortization analogue over the per-cache link model.
+  /// packaged into one unit-cost kInvalidate message per cache channel —
+  /// the coded-multicast amortization analogue over the per-cache link
+  /// model.
   int max_invalidate_batch = 1;
   /// Lease duration in seconds (kTtlLease).
   double ttl = 50.0;

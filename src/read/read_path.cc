@@ -5,17 +5,25 @@
 #include "util/logging.h"
 
 namespace besync {
+namespace {
+
+/// A pull left unanswered this long (e.g. the response was lost on a lossy
+/// link) is re-requested by the next missing read.
+constexpr double kPullRetryInterval = 10.0;
+
+}  // namespace
 
 void ReadPath::Initialize(Harness* harness, int num_caches, SchedulerStats* tally,
                           const SyncProtocol* protocol, bool has_cache_faults) {
   BESYNC_CHECK(tally != nullptr);
+  BESYNC_CHECK(protocol != nullptr);
   harness_ = harness;
   truth_ = &harness->ground_truth();
   tally_ = tally;
   const Workload& workload = harness->workload();
   config_ = workload.read;
   protocol_ = protocol;
-  validity_tracked_ = protocol != nullptr && protocol->tracks_validity();
+  validity_tracked_ = protocol->tracks_validity();
   reads_enabled_ = workload.reads_enabled();
   enabled_ = reads_enabled_ || config_.capacity > 0 || validity_tracked_ ||
              has_cache_faults;
@@ -69,12 +77,9 @@ void ReadPath::Initialize(Harness* harness, int num_caches, SchedulerStats* tall
         state.stream->Reset();
       } else if (config_.read_rate > 0.0) {
         // Per-cache skew rotation: cache c's hottest rank lands n*c/caches
-        // slots further along the member list, so caches exercise
-        // different hot sets.
-        const int64_t rotation =
-            config_.rotate_popularity
-                ? (static_cast<int64_t>(c) * n) / std::max(num_caches, 1)
-                : 0;
+        // slots further along the member list, so multi-cache workloads do
+        // not all hammer the same objects.
+        const int64_t rotation = (static_cast<int64_t>(c) * n) / std::max(num_caches, 1);
         state.owned_stream = std::make_unique<PoissonZipfReadProcess>(
             config_.read_rate, config_.zipf_exponent, rotation);
         state.stream = state.owned_stream.get();
@@ -137,7 +142,7 @@ void ReadPath::HandleRead(CacheState* cache, int64_t slot, double t) {
   // First miss queues a pull request; a request that has been outstanding
   // past the retry interval (e.g. the response was lost) is re-queued.
   const bool stale_request =
-      pending.requested && t - pending.last_request_time >= config_.pull_retry_interval;
+      pending.requested && t - pending.last_request_time >= kPullRetryInterval;
   if (!pending.enqueued && (!pending.requested || stale_request)) {
     cache->request_queue.push_back(slot);
     pending.enqueued = true;

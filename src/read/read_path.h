@@ -49,16 +49,16 @@ class ReadPath {
   /// ReadWorkloadConfig when read_rate > 0. `harness` and `tally` must
   /// outlive this; the read path bumps its counts (reads, hits, misses,
   /// pulls, evictions, invalidations applied, crash-dropped pulls) there.
-  /// A validity-tracking `protocol` (invalidation / TTL; may be null —
-  /// push refresh) adds per-replica ReplicaSyncState to the stores and
-  /// makes reads of invalid/expired replicas miss and pull.
+  /// `protocol` is the run's consistency protocol (non-null, must outlive
+  /// this); a validity-tracking one (invalidation / TTL) adds per-replica
+  /// ReplicaSyncState to the stores and makes reads of invalid/expired
+  /// replicas miss and pull.
   /// `has_cache_faults` (the run's effective fault schedule contains cache
   /// crashes) keeps the read path live even with no reads and unbounded
   /// capacity: crashes flow through the stores and recovery refills flow
   /// through delivery resolution. False changes nothing.
   void Initialize(Harness* harness, int num_caches, SchedulerStats* tally,
-                  const SyncProtocol* protocol = nullptr,
-                  bool has_cache_faults = false);
+                  const SyncProtocol* protocol, bool has_cache_faults = false);
 
   /// True when the read path participates in the run at all (client reads
   /// configured or finite capacity).

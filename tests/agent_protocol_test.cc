@@ -45,7 +45,7 @@ class SourceAgentTest : public ::testing::Test {
 
   SourceAgent MakeAgent(const SourceAgentConfig& config) {
     SourceAgent agent(0, config, /*expected_feedback_period=*/10.0, policy_.get(),
-                      harness_.get(), &tally_);
+                      protocol_.get(), harness_.get(), &tally_);
     for (int i = 0; i < 5; ++i) agent.AddObject(i);
     agent.Start(&harness_->simulation(), /*tick_length=*/1.0);
     return agent;
@@ -81,6 +81,7 @@ class SourceAgentTest : public ::testing::Test {
   /// The agents' count sink (the scheduler's tally in a real run).
   SchedulerStats tally_;
   std::unique_ptr<PriorityPolicy> policy_;
+  const std::unique_ptr<SyncProtocol> protocol_ = SyncProtocol::Make(SyncProtocolConfig{});
   std::unique_ptr<Link> source_link_;
   std::unique_ptr<Link> cache_link_;
 };

@@ -186,7 +186,7 @@ TEST(CloneTest, MutatingCloneLeavesOriginalUntouched) {
     EXPECT_GE(spec.lambda, 0.0);
     // Cursor untouched: the next update is still the earliest trace time.
     const double first = spec.process->NextUpdateTime(0.0, &rng2);
-    EXPECT_LE(first, SmallBuoyConfig().measurement_interval + 1e-9);
+    EXPECT_LE(first, kBuoyMeasurementInterval + 1e-9);
   }
 
   // And a run over a fresh clone of the original still matches a run over

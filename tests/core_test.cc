@@ -419,8 +419,6 @@ TEST(HarnessTest, UpdateStreamMatchesDirectProcessLoopForEveryProcessKind) {
 TEST(HarnessTest, WeightAtMatchesSpecWeightForConstantAndFluctuatingWeights) {
   WorkloadConfig config = SmallWorkload(2, 6, 9);
   config.weight_fluctuation_amplitude = 0.6;
-  config.weight_period_min = 20.0;
-  config.weight_period_max = 50.0;
   Workload workload = std::move(MakeWorkload(config)).ValueOrDie();
   ASSERT_TRUE(workload.has_fluctuating_weights);
   // Mix in the other weight shapes: constant (the inline path) and a

@@ -140,33 +140,9 @@ TEST(WorkloadTest, RejectsInvalidConfig) {
        [](WorkloadConfig* c) { c->weight_fluctuation_amplitude = 1.0; }},
       {"weight_fluctuation_amplitude",
        [](WorkloadConfig* c) { c->weight_fluctuation_amplitude = std::nan(""); }},
-      {"weight_period_min",
-       [](WorkloadConfig* c) {
-         c->weight_fluctuation_amplitude = 0.5;
-         c->weight_period_min = 0.0;
-       }},
-      {"weight_period_min",
-       [](WorkloadConfig* c) {
-         c->weight_fluctuation_amplitude = 0.5;
-         c->weight_period_min = 50.0;
-         c->weight_period_max = 20.0;
-       }},
-      {"weight_period_max",
-       [](WorkloadConfig* c) {
-         c->weight_fluctuation_amplitude = 0.5;
-         c->weight_period_max = HUGE_VAL;
-       }},
-      {"weight_period_max",
-       [](WorkloadConfig* c) {
-         c->weight_fluctuation_amplitude = 0.5;
-         c->weight_period_max = std::nan("");
-       }},
       {"heavy_weight", [](WorkloadConfig* c) { c->heavy_weight = -1.0; }},
       {"heavy_weight", [](WorkloadConfig* c) { c->heavy_weight = std::nan(""); }},
       {"heavy_weight", [](WorkloadConfig* c) { c->heavy_weight = HUGE_VAL; }},
-      {"value_step", [](WorkloadConfig* c) { c->value_step = 0.0; }},
-      {"value_step", [](WorkloadConfig* c) { c->value_step = std::nan(""); }},
-      {"value_step", [](WorkloadConfig* c) { c->value_step = HUGE_VAL; }},
   };
   WorkloadConfig base;
   base.num_sources = 1;
@@ -203,10 +179,6 @@ TEST(WorkloadTest, RejectsInvalidReadConfig) {
          r->read_rate = 1.0;
          r->zipf_exponent = std::nan("");
        }},
-      {"pull_retry_interval",
-       [](ReadWorkloadConfig* r) { r->pull_retry_interval = 0.0; }},
-      {"pull_retry_interval",
-       [](ReadWorkloadConfig* r) { r->pull_retry_interval = std::nan(""); }},
   };
   WorkloadConfig base;
   base.num_sources = 1;
@@ -370,7 +342,6 @@ TEST(BuoyTraceTest, TypicalValuesNearFive) {
 TEST(BuoyTraceTest, MeasurementsEveryTenMinutes) {
   BuoyTraceConfig config;
   config.num_buoys = 1;
-  config.components_per_buoy = 1;
   config.duration = 6000.0;
   auto traces = GenerateBuoyTraces(config);
   ASSERT_TRUE(traces.ok());
@@ -414,10 +385,7 @@ TEST(BuoyTraceTest, RejectsInvalidConfigs) {
   config.num_buoys = 0;
   EXPECT_FALSE(GenerateBuoyTraces(config).ok());
   config = BuoyTraceConfig{};
-  config.reversion = 0.0;
-  EXPECT_FALSE(GenerateBuoyTraces(config).ok());
-  config = BuoyTraceConfig{};
-  config.max_value = config.min_value;
+  config.duration = std::nan("");
   EXPECT_FALSE(GenerateBuoyTraces(config).ok());
 }
 

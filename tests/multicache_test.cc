@@ -82,7 +82,6 @@ TEST(InterestMapTest, ZipfOverlapIsValidAndSkewed) {
   config.objects_per_source = 50;
   config.num_caches = 4;
   config.interest_pattern = InterestPattern::kZipfOverlap;
-  config.zipf_overlap_exponent = 1.0;
   const Workload workload = std::move(MakeWorkload(config)).ValueOrDie();
   int64_t single = 0;
   for (const ObjectSpec& spec : workload.objects) {

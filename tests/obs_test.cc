@@ -186,7 +186,6 @@ TEST(ObsExportTest, TraceFilterSelectsSubset) {
   const auto all = RunExperiment(config);
   ASSERT_TRUE(all.ok());
 
-  config.obs.trace_caches = {1};
   config.obs.trace_start = 40.0;
   config.obs.trace_end = 120.0;
   const auto filtered = RunExperiment(config);
@@ -195,9 +194,6 @@ TEST(ObsExportTest, TraceFilterSelectsSubset) {
   EXPECT_LT(filtered->obs->trace.size(), all->obs->trace.size());
   EXPECT_FALSE(filtered->obs->trace.empty());
   for (const TraceEvent& event : filtered->obs->trace) {
-    if (event.cache >= 0) {
-      EXPECT_EQ(event.cache, 1);
-    }
     EXPECT_GE(event.t, 40.0);
     EXPECT_LE(event.t, 120.0);
   }

@@ -225,20 +225,6 @@ TEST(PolicyFactoryTest, ProducesAllKinds) {
   }
 }
 
-// --------------------------------------------------------- Lambda estimates
-
-TEST(EstimateLambdaTest, AllModes) {
-  EXPECT_DOUBLE_EQ(
-      EstimateLambda(LambdaEstimateMode::kTrue, 0.7, 100, 10.0, 3, 2.0), 0.7);
-  EXPECT_DOUBLE_EQ(
-      EstimateLambda(LambdaEstimateMode::kLongRun, 0.7, 100, 200.0, 3, 2.0), 0.5);
-  EXPECT_DOUBLE_EQ(
-      EstimateLambda(LambdaEstimateMode::kSinceRefresh, 0.7, 100, 200.0, 3, 2.0), 1.5);
-  // Division-by-zero guards.
-  EXPECT_DOUBLE_EQ(
-      EstimateLambda(LambdaEstimateMode::kLongRun, 0.7, 0, 0.0, 0, 0.0), 0.0);
-}
-
 // ------------------------------------------------------------------- Heaps
 
 TEST(LazyMaxHeapTest, PopsInPriorityOrder) {

@@ -172,8 +172,14 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
   base.harness.warmup = 5.0;
   base.harness.measure = 20.0;
   EXPECT_TRUE(ValidateExperimentConfig(base).ok());
+  {
+    // An infinite lease never expires; it stays a valid setting.
+    ExperimentConfig forever = base;
+    forever.protocol.ttl = std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(ValidateExperimentConfig(forever).ok());
+  }
 
-  std::vector<ExperimentJob> jobs(25);
+  std::vector<ExperimentJob> jobs(28);
   for (ExperimentJob& job : jobs) job.config = base;
   jobs[0].name = "tick_length";
   jobs[0].config.harness.tick_length = 0.0;
@@ -232,6 +238,13 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
   jobs[23].config.harness.measure = inf;
   jobs[24].name = "tick_length";
   jobs[24].config.harness.tick_length = inf;
+  // A NaN or zero lease would otherwise reach a CHECK in SyncProtocol::Make.
+  jobs[25].name = "ttl";
+  jobs[25].config.protocol.ttl = std::nan("");
+  jobs[26].name = "ttl";
+  jobs[26].config.protocol.ttl = 0.0;
+  jobs[27].name = "max_invalidate_batch";
+  jobs[27].config.protocol.max_invalidate_batch = 0;
 
   const std::vector<JobResult> results = RunExperiments(jobs, RunnerOptions{});
   ASSERT_EQ(results.size(), jobs.size());

@@ -68,37 +68,39 @@ TEST(ThresholdControllerTest, FeedbackResetsDeltaClock) {
 }
 
 TEST(ThresholdControllerTest, ClampsAtBounds) {
-  ThresholdConfig config = DefaultConfig();
-  config.min_threshold = 0.01;
-  config.max_threshold = 100.0;
-  ThresholdController controller(config, 10.0, 0.0);
+  ThresholdController controller(DefaultConfig(), 10.0, 0.0);
+  controller.SetThreshold(kMinThreshold / 100.0);
+  EXPECT_DOUBLE_EQ(controller.threshold(), kMinThreshold);
+  controller.SetThreshold(kMinThreshold * 100.0);
   for (int i = 0; i < 100; ++i) controller.OnFeedback(i, false);
-  EXPECT_DOUBLE_EQ(controller.threshold(), 0.01);
+  EXPECT_DOUBLE_EQ(controller.threshold(), kMinThreshold);
+  controller.SetThreshold(kMaxThreshold / 100.0);
   for (int i = 0; i < 1000; ++i) controller.OnRefreshSent(100.0 + i);
-  EXPECT_DOUBLE_EQ(controller.threshold(), 100.0);
+  EXPECT_DOUBLE_EQ(controller.threshold(), kMaxThreshold);
+  controller.SetThreshold(kMaxThreshold * 100.0);
+  EXPECT_DOUBLE_EQ(controller.threshold(), kMaxThreshold);
 }
 
 TEST(ThresholdControllerTest, DeltaFactorClampsAtMaxThresholdBoundary) {
   // The flooding accelerator delta can be arbitrarily large when feedback is
   // long overdue; the resulting multiplicative increase must saturate
-  // exactly at max_threshold instead of running away.
-  ThresholdConfig config = DefaultConfig();
-  config.max_threshold = 50.0;
-  ThresholdController controller(config, /*expected_feedback_period=*/1.0, 0.0);
-  // Feedback overdue by 1e6 periods: delta alone would put the threshold at
-  // 1.1e6, far beyond the clamp.
+  // exactly at kMaxThreshold instead of running away.
+  ThresholdController controller(DefaultConfig(), /*expected_feedback_period=*/1.0, 0.0);
+  controller.SetThreshold(kMaxThreshold / 1000.0);
+  // Feedback overdue by 1e6 periods: delta alone would lift the threshold
+  // by 1.1e6, far beyond the clamp.
   EXPECT_DOUBLE_EQ(controller.DeltaFactor(1e6), 1e6);
   controller.OnRefreshSent(1e6);
-  EXPECT_DOUBLE_EQ(controller.threshold(), 50.0);
+  EXPECT_DOUBLE_EQ(controller.threshold(), kMaxThreshold);
   // Pinned at the boundary: further overdue increases stay put...
   controller.OnRefreshSent(2e6);
-  EXPECT_DOUBLE_EQ(controller.threshold(), 50.0);
+  EXPECT_DOUBLE_EQ(controller.threshold(), kMaxThreshold);
   // ...and DeltaFactor itself keeps reporting the raw ratio (it is the
   // threshold that clamps, not the accelerator).
   EXPECT_GT(controller.DeltaFactor(3e6), 1.0);
   // One feedback steps down from the boundary by exactly omega.
   controller.OnFeedback(3e6, /*at_full_capacity=*/false);
-  EXPECT_DOUBLE_EQ(controller.threshold(), 5.0);
+  EXPECT_DOUBLE_EQ(controller.threshold(), kMaxThreshold / 10.0);
 }
 
 TEST(ThresholdControllerTest, SetThresholdOverrides) {
