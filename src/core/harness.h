@@ -179,6 +179,11 @@ class Scheduler {
 
   virtual std::string name() const = 0;
 
+  /// Checks that this scheduler can run `workload` (the settings Initialize
+  /// would otherwise CHECK) before anything is built; RunScheduler returns
+  /// it. OK by default.
+  virtual Status Validate(const Workload& /*workload*/) const { return Status::OK(); }
+
   /// Called once before the run; the harness outlives the scheduler's use.
   virtual void Initialize(Harness* harness) = 0;
 

@@ -17,9 +17,10 @@ std::string RelayForwardPolicyToString(RelayForwardPolicy policy) {
 }
 
 RelayAgent::RelayAgent(int32_t node_id, RelayForwardPolicy policy,
-                       double ingress_latency)
-    : node_id_(node_id), policy_(policy), ingress_latency_(ingress_latency) {
+                       double ingress_latency, MessagePool* pool)
+    : node_id_(node_id), policy_(policy), ingress_latency_(ingress_latency), pool_(pool) {
   BESYNC_CHECK_GE(ingress_latency, 0.0);
+  BESYNC_CHECK(pool_ != nullptr);
 }
 
 void RelayAgent::RecordTrace(TraceEventKind kind, const Message& message,
@@ -37,70 +38,66 @@ void RelayAgent::RecordTrace(TraceEventKind kind, const Message& message,
   trace_->Record(event);
 }
 
-void RelayAgent::OnArrival(const Message& message, double t) {
+void RelayAgent::OnArrival(MessageHandle handle, double t) {
+  const Message& message = (*pool_)[handle];
   if (trace_ != nullptr) {
     RecordTrace(TraceEventKind::kRelayStore, message, t, /*value=*/0.0);
   }
-  pending_.push_back(Stored{message, t, next_seq_++});
+  store_.push_back(Stored{t, message.forward_priority, handle});
   max_store_size_ = std::max(max_store_size_, store_size());
 }
 
 void RelayAgent::PromoteEligible(double now) {
-  while (!pending_.empty() &&
-         pending_.front().arrival + ingress_latency_ <= now) {
-    ready_.push_back(std::move(pending_.front()));
-    pending_.pop_front();
+  while (num_ready_ < store_.size() &&
+         store_[num_ready_].arrival + ingress_latency_ <= now) {
+    ++num_ready_;
   }
 }
 
 size_t RelayAgent::PickNext() const {
   if (policy_ == RelayForwardPolicy::kFifo) return 0;
   size_t best = 0;
-  for (size_t i = 1; i < ready_.size(); ++i) {
-    // Strictly-greater keeps arrival order among equal priorities (seq is
-    // ascending along the deque).
-    if (ready_[i].message.forward_priority >
-        ready_[best].message.forward_priority) {
-      best = i;
-    }
+  for (size_t i = 1; i < num_ready_; ++i) {
+    // Strictly-greater keeps arrival order among equal priorities (the
+    // store is in arrival order).
+    if (store_[i].forward_priority > store_[best].forward_priority) best = i;
   }
   return best;
 }
 
 int64_t RelayAgent::Forward(double now,
                             const std::function<bool(int64_t)>& try_consume,
-                            const std::function<void(const Message&)>& forward) {
+                            const std::function<void(MessageHandle)>& forward) {
   PromoteEligible(now);
   int64_t sent = 0;
-  while (!ready_.empty()) {
+  while (num_ready_ > 0) {
     const size_t pick = PickNext();
+    const Stored stored = store_[pick];
+    const Message& message = (*pool_)[stored.handle];
     // Budget semantics mirror the source send phase: a large message may
     // start on the last sliver of budget and spill into the next tick
     // (deficit carryover at the egress link).
-    if (!try_consume(std::max<int64_t>(ready_[pick].message.cost, 1))) break;
-    Stored stored = std::move(ready_[pick]);
-    ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(pick));
+    if (!try_consume(std::max<int64_t>(message.cost, 1))) break;
+    store_.erase(pick);
+    --num_ready_;
     total_queue_delay_ += now - stored.arrival;
-    total_transit_delay_ += now - stored.message.send_time;
+    total_transit_delay_ += now - message.send_time;
     ++sent;
     if (trace_ != nullptr) {
-      RecordTrace(TraceEventKind::kRelayForward, stored.message, now,
+      RecordTrace(TraceEventKind::kRelayForward, message, now,
                   /*value=*/now - stored.arrival);
     }
-    forward(stored.message);
+    forward(stored.handle);
   }
   return sent;
 }
 
-std::vector<Message> RelayAgent::TakeStored() {
-  // ready_ messages arrived before anything still in pending_, so ready_
-  // then pending_ is arrival order.
-  std::vector<Message> taken;
-  taken.reserve(ready_.size() + pending_.size());
-  for (Stored& stored : ready_) taken.push_back(std::move(stored.message));
-  for (Stored& stored : pending_) taken.push_back(std::move(stored.message));
-  ready_.clear();
-  pending_.clear();
+std::vector<MessageHandle> RelayAgent::TakeStored() {
+  std::vector<MessageHandle> taken;
+  taken.reserve(store_.size());
+  for (size_t i = 0; i < store_.size(); ++i) taken.push_back(store_[i].handle);
+  store_.clear();
+  num_ready_ = 0;
   return taken;
 }
 

@@ -2,13 +2,14 @@
 #define BESYNC_CORE_RELAY_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "net/message.h"
+#include "net/message_pool.h"
 #include "obs/trace.h"
+#include "util/ring.h"
 
 namespace besync {
 
@@ -38,10 +39,14 @@ std::string RelayForwardPolicyToString(RelayForwardPolicy policy);
 ///
 /// The agent is network-agnostic: Forward() hands eligible messages to a
 /// callback (wired by the scheduler to the next-hop edge link) once the
-/// egress budget admits them, which keeps the class unit-testable.
+/// egress budget admits them, which keeps the class unit-testable. The
+/// store holds handles into the network's MessagePool (`pool`), each with
+/// its arrival time and forward priority, so ordering the store never reads
+/// a message body.
 class RelayAgent {
  public:
-  RelayAgent(int32_t node_id, RelayForwardPolicy policy, double ingress_latency);
+  RelayAgent(int32_t node_id, RelayForwardPolicy policy, double ingress_latency,
+             MessagePool* pool);
 
   int32_t node_id() const { return node_id_; }
   RelayForwardPolicy policy() const { return policy_; }
@@ -51,18 +56,20 @@ class RelayAgent {
   /// the cost of one pointer test per hook.
   void SetTraceBuffer(TraceBuffer* trace) { trace_ = trace; }
 
-  /// Stores a refresh delivered off the ingress edge at time `t`.
-  void OnArrival(const Message& message, double t);
+  /// Stores a refresh delivered off the ingress edge at time `t`; the relay
+  /// owns `handle` until it forwards the message or hands it back.
+  void OnArrival(MessageHandle handle, double t);
 
   /// Forwards stored, eligible messages in policy order while
-  /// `try_consume(cost)` grants egress budget, invoking `forward` for each.
-  /// Returns the number forwarded. Messages denied budget stay stored for a
-  /// later tick (and keep accruing queueing delay).
+  /// `try_consume(cost)` grants egress budget, invoking `forward(handle)`
+  /// for each; the handle passes to `forward`. Returns the number
+  /// forwarded. Messages denied budget stay stored for a later tick (and
+  /// keep accruing queueing delay).
   int64_t Forward(double now, const std::function<bool(int64_t)>& try_consume,
-                  const std::function<void(const Message&)>& forward);
+                  const std::function<void(MessageHandle)>& forward);
 
   // --- statistics ---
-  size_t store_size() const { return pending_.size() + ready_.size(); }
+  size_t store_size() const { return store_.size(); }
   size_t max_store_size() const { return max_store_size_; }
   /// Total store wait (forward time - arrival time) over forwarded
   /// refreshes; divide by the forward count (the sum of Forward's return
@@ -78,21 +85,24 @@ class RelayAgent {
   /// Stored messages stay.
   void ResetStats();
 
-  /// Removes and returns everything in the store (pending + ready) in
-  /// arrival (seq) order — relay failover: the scheduler re-routes or drops
-  /// the stranded refreshes per policy. Statistics are untouched.
-  std::vector<Message> TakeStored();
+  /// Removes and returns the handle of everything in the store, eligible
+  /// or not, in arrival order — relay failover: the scheduler re-routes or
+  /// releases the stranded refreshes per policy. Statistics are untouched.
+  std::vector<MessageHandle> TakeStored();
 
  private:
   struct Stored {
-    Message message;
     double arrival = 0.0;
-    uint64_t seq = 0;
+    /// Message::forward_priority, copied so the kPriority scan reads only
+    /// the store.
+    double forward_priority = 0.0;
+    MessageHandle handle = -1;
   };
 
-  /// Moves messages whose latency has elapsed from pending_ into ready_.
+  /// Extends the eligible prefix over the stored messages whose latency
+  /// has elapsed.
   void PromoteEligible(double now);
-  /// Index of the next ready_ message to forward under the policy.
+  /// Store index of the next eligible message to forward under the policy.
   size_t PickNext() const;
 
   /// Records one store/forward event into trace_ (callers test trace_
@@ -103,16 +113,17 @@ class RelayAgent {
   int32_t node_id_;
   RelayForwardPolicy policy_;
   double ingress_latency_;
+  MessagePool* pool_;
   /// This relay's trace buffer; null unless observability tracing is on.
   TraceBuffer* trace_ = nullptr;
-  uint64_t next_seq_ = 0;
-  /// Awaiting the ingress latency, in arrival order (arrivals are
-  /// time-ordered, so eligibility times are nondecreasing).
-  std::deque<Stored> pending_;
-  /// Eligible for forwarding. FIFO drains the front; priority scans for the
-  /// maximum forward_priority (stores stay small relative to the per-tick
-  /// work, and eligibility cutoffs make a heap awkward).
-  std::deque<Stored> ready_;
+  /// Stored messages in arrival order. Arrivals are time-ordered, so
+  /// eligibility times are nondecreasing and the first num_ready_ entries
+  /// are the ones whose ingress latency has elapsed. FIFO drains the front;
+  /// priority scans that prefix for the maximum forward_priority (stores
+  /// stay small relative to the per-tick work, and eligibility cutoffs make
+  /// a heap awkward).
+  Ring<Stored> store_;
+  size_t num_ready_ = 0;
   size_t max_store_size_ = 0;
   double total_queue_delay_ = 0.0;
   double total_transit_delay_ = 0.0;

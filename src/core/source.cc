@@ -535,7 +535,7 @@ int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
   while (true) {
     // Lazy tombstones first: entries whose state left kInvalidateQueued (a
     // pull refilled the replica) are dropped before any budget is spent.
-    Fifo<int32_t>& queue = channel->invalidate_queue;
+    Ring<int32_t>& queue = channel->invalidate_queue;
     while (!queue.empty() &&
            channel->invalid_state[queue.front()] != kInvalidateQueued) {
       queue.pop_front();

@@ -15,7 +15,7 @@
 #include "priority/priority_queue.h"
 #include "priority/sampling.h"
 #include "protocol/sync_protocol.h"
-#include "util/fifo.h"
+#include "util/ring.h"
 
 namespace besync {
 
@@ -267,10 +267,10 @@ class SourceAgent {
     /// notification. Entries whose state moved off kInvalidateQueued
     /// (a pull refilled the replica first) die lazily at send time.
     uint8_t* invalid_state = nullptr;
-    Fifo<int32_t> invalidate_queue;
+    Ring<int32_t> invalidate_queue;
     /// Channel slots awaiting a recovery refresh after the cache crashed
     /// (RecoveryPolicy::kRecoveryPriority only; drained by SendRecovery).
-    Fifo<int32_t> recovery_queue;
+    Ring<int32_t> recovery_queue;
   };
 
   /// Inlined epoch resolver over a channel's local-state table. A plain

@@ -44,21 +44,30 @@ CooperativeScheduler::CooperativeScheduler(const CooperativeConfig& config)
       policy_(MakePolicy(config.policy)),
       protocol_(SyncProtocol::Make(config.protocol)) {}
 
+Status CooperativeScheduler::Validate(const Workload& workload) const {
+  const int num_caches = std::max(config_.num_caches, workload.num_caches);
+  const TopologySpec& topology = RunTopology(workload);
+  if (!topology.flat()) BESYNC_RETURN_IF_ERROR(topology.Validate(num_caches));
+  if (!workload.faults.empty()) {
+    BESYNC_RETURN_IF_ERROR(workload.faults.Validate(topology, num_caches));
+  }
+  return Status::OK();
+}
+
+const TopologySpec& CooperativeScheduler::RunTopology(const Workload& workload) const {
+  // The config's topology wins over the workload's; both default to flat —
+  // the historical one-hop star.
+  return !config_.topology.flat() ? config_.topology : workload.topology;
+}
+
 void CooperativeScheduler::Initialize(Harness* harness) {
   harness_ = harness;
   const Workload& workload = harness->workload();
+  BESYNC_CHECK_OK(Validate(workload));
   const int m = workload.num_sources;
   const double tick = harness->config().tick_length;
   const int num_caches = std::max(config_.num_caches, workload.num_caches);
-
-  // The config's topology wins over the workload's; both default to flat —
-  // the historical one-hop star.
-  const TopologySpec& topology =
-      !config_.topology.flat() ? config_.topology : workload.topology;
-  if (!topology.flat()) {
-    const Status status = topology.Validate(num_caches);
-    BESYNC_CHECK(status.ok()) << status.ToString();
-  }
+  const TopologySpec& topology = RunTopology(workload);
 
   NetworkConfig net_config;
   net_config.num_sources = m;
@@ -88,7 +97,8 @@ void CooperativeScheduler::Initialize(Harness* harness) {
                                          harness->scheduler_rng()->NextUint64());
     }
     relays_.push_back(std::make_unique<RelayAgent>(
-        n, config_.relay_forward, topology.EdgeValue(topology.edge_latency, n, 0.0)));
+        n, config_.relay_forward, topology.EdgeValue(topology.edge_latency, n, 0.0),
+        &network_->message_pool()));
   }
 
   // Per cache: the ascending source ids with >= 1 object replicated there.
@@ -101,8 +111,6 @@ void CooperativeScheduler::Initialize(Harness* harness) {
   cache_down_.clear();
   resync_.clear();
   if (!fault_events_.empty()) {
-    const Status fault_status = workload.faults.Validate(topology, num_caches);
-    BESYNC_CHECK(fault_status.ok()) << fault_status.ToString();
     cache_down_.assign(static_cast<size_t>(num_caches), 0);
     resync_.assign(static_cast<size_t>(num_caches), ResyncState{});
   }
@@ -262,24 +270,25 @@ void CooperativeScheduler::SendPhase(double t) {
 
 void CooperativeScheduler::RelayPhase(double t) {
   // Parents before children: with pass-through relays a refresh injected
-  // this tick cascades all the way to its leaf edge within the tick.
+  // this tick cascades all the way to its leaf edge within the tick. Only
+  // handles move: ingress edge -> store -> next edge.
+  const MessagePool& pool = network_->message_pool();
   for (int32_t node : network_->downstream_relays()) {
     RelayAgent& agent = relay(node);
-    network_->edge_link(node).DeliverQueued(
-        [&](const Message& message) { agent.OnArrival(message, t); });
+    network_->edge_link(node).DeliverHandles(
+        [&](MessageHandle handle) { agent.OnArrival(handle, t); });
     Link* egress = &network_->relay_egress(node);
     tally_.relays_forwarded += agent.Forward(
         t, [egress](int64_t cost) { return egress->TryConsumeAllowingDeficit(cost); },
-        [&](const Message& message) {
-          const int32_t hop = network_->TryNextHop(node, message.cache_id);
-          if (hop >= 0) {
-            network_->edge_link(hop).Enqueue(message);
-            return;
-          }
-          // A failover re-homed this leaf while the message sat here (e.g.
-          // its old parent recovered), so this relay no longer routes to
-          // it. Restart the journey at the leaf's current tier-1 edge.
-          network_->first_hop_link(message.cache_id).Enqueue(message);
+        [&](MessageHandle handle) {
+          const int32_t cache_id = pool[handle].cache_id;
+          const int32_t hop = network_->TryNextHop(node, cache_id);
+          // hop < 0: a failover re-homed this leaf while the message sat
+          // here (e.g. its old parent recovered), so this relay no longer
+          // routes to it. Restart the journey at the leaf's tier-1 edge.
+          Link& next = hop >= 0 ? network_->edge_link(hop)
+                                : network_->first_hop_link(cache_id);
+          next.EnqueueHandle(handle);
         });
   }
 }
@@ -506,18 +515,19 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
       if (!network_->relay_alive(node)) return;
       ++tally_.relay_failures;
       // Everything the relay held: its store (received, not forwarded yet)
-      // and its ingress queue (in flight toward it).
-      std::vector<Message> stranded = relay(node).TakeStored();
-      std::vector<Message> queued = network_->edge_link(node).TakeQueue();
+      // and its ingress queue (in flight toward it), in that order.
+      std::vector<MessageHandle> stranded = relay(node).TakeStored();
+      const std::vector<MessageHandle> queued = network_->edge_link(node).TakeQueue();
+      stranded.insert(stranded.end(), queued.begin(), queued.end());
       network_->FailRelay(node);  // reroute
-      if (config_.relay_store_policy == RelayStorePolicy::kDrain) {
-        // Re-enter the tree at each message's (new) first hop, behind that
-        // edge's existing backlog; under kDrop they die with the relay.
-        for (Message& message : stranded) {
-          network_->first_hop_link(message.cache_id).Enqueue(std::move(message));
-        }
-        for (Message& message : queued) {
-          network_->first_hop_link(message.cache_id).Enqueue(std::move(message));
+      MessagePool& pool = network_->message_pool();
+      for (const MessageHandle handle : stranded) {
+        if (config_.relay_store_policy == RelayStorePolicy::kDrain) {
+          // Re-enter the tree at the message's (new) first hop, behind that
+          // edge's existing backlog.
+          network_->first_hop_link(pool[handle].cache_id).EnqueueHandle(handle);
+        } else {
+          pool.Release(handle);  // kDrop: it dies with the relay
         }
       }
       return;
@@ -620,7 +630,16 @@ void CooperativeScheduler::ServePull(const ControlMessage& request, double t) {
   network_->first_hop_link(request.cache_id).Enqueue(response);
 }
 
-void CooperativeScheduler::Finalize(double /*t*/) { network_->FinishTick(); }
+void CooperativeScheduler::Finalize(double /*t*/) {
+  network_->FinishTick();
+  BESYNC_DCHECK(network_->message_pool().live() == messages_in_flight());
+}
+
+size_t CooperativeScheduler::messages_in_flight() const {
+  size_t in_flight = network_->queued_messages();
+  for (const auto& relay : relays_) in_flight += relay->store_size();
+  return in_flight;
+}
 
 void CooperativeScheduler::ObsOnTickEnd(double t) {
   obs_->NoteTick(t);
@@ -760,6 +779,7 @@ Result<RunResult> RunScheduler(const Workload* workload, const DivergenceMetric*
     return Status::InvalidArgument("RunScheduler: null argument");
   }
   BESYNC_RETURN_IF_ERROR(ValidateHarnessConfig(harness_config));
+  BESYNC_RETURN_IF_ERROR(scheduler->Validate(*workload));
   Harness harness(workload, metric, harness_config);
   BESYNC_RETURN_IF_ERROR(harness.Run(scheduler));
   RunResult result;

@@ -99,11 +99,15 @@ class CooperativeScheduler : public Scheduler {
   explicit CooperativeScheduler(const CooperativeConfig& config);
 
   std::string name() const override { return "cooperative"; }
+  /// The topology the run would use (a non-flat config override wins over
+  /// the workload's) and the workload's fault schedule against it.
+  Status Validate(const Workload& workload) const override;
   void Initialize(Harness* harness) override;
   void OnObjectUpdate(ObjectIndex index, double t) override;
   void Tick(double t) override;
   void OnMeasurementStart(double t) override;
-  /// Flushes the last tick into the link utilization stats.
+  /// Flushes the last tick into the link utilization stats. Debug builds
+  /// also check that every live pool slot is a queued or stored message.
   void Finalize(double t) override;
   SchedulerStats stats() const override;
   std::shared_ptr<ObsOutput> TakeObsOutput() override;
@@ -119,6 +123,9 @@ class CooperativeScheduler : public Scheduler {
   CacheAgent& cache(int c = 0);
   /// Relay agent of topology node `node` (node >= num_caches; checked).
   RelayAgent& relay(int32_t node);
+  /// Messages in flight: queued on a link or stored at a relay. Equals
+  /// network().message_pool().live() whenever no tick phase is running.
+  size_t messages_in_flight() const;
   /// The client read subsystem (inert unless the workload configures reads
   /// or a finite capacity — see read/read_path.h).
   const ReadPath& read_path() const { return read_path_; }
@@ -144,6 +151,9 @@ class CooperativeScheduler : public Scheduler {
   /// ingress edge into its store, then forwards eligible refreshes one hop
   /// toward their leaf under its egress budget. No-op on flat topologies.
   void RelayPhase(double t);
+  /// The topology a run of `workload` uses: a non-flat config override
+  /// wins over the workload's.
+  const TopologySpec& RunTopology(const Workload& workload) const;
 
   /// Applies every scheduled fault event with time <= t, in schedule order.
   /// Runs at the top of the tick, before the links begin theirs — a link
@@ -261,8 +271,9 @@ struct RunResult {
 };
 
 /// Runs `scheduler` over `workload` and returns the measured divergence.
-/// A null argument or a `harness_config` that fails ValidateHarnessConfig is
-/// an InvalidArgument, returned before anything runs.
+/// A null argument, a `harness_config` that fails ValidateHarnessConfig or a
+/// workload the scheduler's Validate rejects is an InvalidArgument, returned
+/// before anything runs.
 Result<RunResult> RunScheduler(const Workload* workload, const DivergenceMetric* metric,
                                const HarnessConfig& harness_config,
                                Scheduler* scheduler);

@@ -23,6 +23,11 @@ constexpr double kVolatilityLo = 0.1;
 constexpr double kVolatilityHi = 0.9;
 /// Mean-reversion fraction per measurement step.
 constexpr double kReversion = 0.05;
+/// Longest trace generated, in measurement steps: 2^20 steps of 10 minutes
+/// is about 20 years, 16 MiB per wind component. A longer run length is
+/// rejected before anything is allocated (and before the step count is
+/// converted to an integer).
+constexpr int64_t kMaxBuoyTraceSteps = int64_t{1} << 20;
 
 }  // namespace
 
@@ -33,6 +38,12 @@ Result<std::vector<std::vector<TracePoint>>> GenerateBuoyTraces(
   }
   if (!(config.duration > 0.0)) {  // negated so NaN fails too
     return Status::InvalidArgument("invalid buoy trace timing");
+  }
+  // Negated so NaN fails too.
+  if (!(config.duration / kBuoyMeasurementInterval <=
+        static_cast<double>(kMaxBuoyTraceSteps))) {
+    return Status::InvalidArgument("buoy trace duration must span at most ",
+                                   kMaxBuoyTraceSteps, " measurement steps");
   }
 
   Rng rng(config.seed);

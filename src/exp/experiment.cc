@@ -178,17 +178,8 @@ Result<RunResult> RunExperimentOnWorkload(const ExperimentConfig& config,
           "nothing ever pulls an invalid/expired replica back in");
     }
   }
-  // The topology the scheduler will run: a non-flat config override wins
-  // over the workload's (CooperativeScheduler::Initialize). The fault
-  // schedule must target that topology's relays, or Initialize aborts.
-  const TopologySpec& topology =
-      !config.topology.flat() ? config.topology : workload->topology;
-  if (!topology.flat()) {
-    BESYNC_RETURN_IF_ERROR(topology.Validate(workload->num_caches));
-  }
-  if (!workload->faults.empty()) {
-    BESYNC_RETURN_IF_ERROR(workload->faults.Validate(topology, workload->num_caches));
-  }
+  // The topology and fault schedule are the scheduler's to check
+  // (CooperativeScheduler::Validate, returned by RunScheduler).
   const std::unique_ptr<DivergenceMetric> metric = MakeMetric(config.metric);
   const std::unique_ptr<Scheduler> scheduler = MakeScheduler(config);
   return RunScheduler(workload, metric.get(), config.harness, scheduler.get());

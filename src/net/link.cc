@@ -1,15 +1,18 @@
 #include "net/link.h"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "util/logging.h"
 
 namespace besync {
 
-Link::Link(std::string name, std::unique_ptr<BandwidthModel> bandwidth)
-    : name_(std::move(name)), bandwidth_(std::move(bandwidth)) {
+Link::Link(std::string name, std::unique_ptr<BandwidthModel> bandwidth,
+           MessagePool* pool)
+    : name_(std::move(name)),
+      bandwidth_(std::move(bandwidth)),
+      own_pool_(pool == nullptr ? std::make_unique<MessagePool>() : nullptr),
+      pool_(pool == nullptr ? own_pool_.get() : pool) {
   BESYNC_CHECK(bandwidth_ != nullptr);
 }
 
@@ -69,28 +72,48 @@ void Link::Enqueue(Message message) {
     if (trace_ != nullptr) RecordDrop(message, /*blackholed=*/true);
     return;
   }
-  queue_.push_back(std::move(message));
+  queue_.push_back(pool_->Acquire(std::move(message)));
   max_queue_size_ = std::max(max_queue_size_, queue_.size());
 }
 
 int64_t Link::DeliverQueued(const std::function<void(const Message&)>& sink) {
+  return DeliverHandles([this, &sink](MessageHandle handle) {
+    sink((*pool_)[handle]);
+    pool_->Release(handle);
+  });
+}
+
+int64_t Link::DeliverHandles(const std::function<void(MessageHandle)>& sink) {
   int64_t delivered = 0;
   while (remaining_ > 0 && !queue_.empty()) {
-    Message message = std::move(queue_.front());
+    const MessageHandle handle = queue_.front();
     queue_.pop_front();
+    const Message& message = (*pool_)[handle];
     const int64_t cost = std::max<int64_t>(message.cost, 1);
     remaining_ -= cost;
     (message.is_pull ? pull_units_delivered_ : push_units_delivered_) += cost;
     if (loss_rate_ > 0.0 && loss_rng_.Bernoulli(loss_rate_)) {
       ++messages_dropped_;
       if (trace_ != nullptr) RecordDrop(message, /*blackholed=*/false);
+      pool_->Release(handle);
       continue;  // transmission spent, content lost
     }
     ++messages_delivered_;
     ++delivered;
-    sink(message);
+    sink(handle);
   }
   return delivered;
+}
+
+void Link::EnqueueHandle(MessageHandle handle) {
+  if (down_) {
+    ++messages_blackholed_;
+    if (trace_ != nullptr) RecordDrop((*pool_)[handle], /*blackholed=*/true);
+    pool_->Release(handle);
+    return;
+  }
+  queue_.push_back(handle);
+  max_queue_size_ = std::max(max_queue_size_, queue_.size());
 }
 
 int64_t Link::ConsumeBudget(int64_t amount) {
@@ -116,9 +139,10 @@ void Link::ConsumeAllowingDebt(int64_t amount) {
   remaining_ -= amount;
 }
 
-std::vector<Message> Link::TakeQueue() {
-  std::vector<Message> taken(std::make_move_iterator(queue_.begin()),
-                             std::make_move_iterator(queue_.end()));
+std::vector<MessageHandle> Link::TakeQueue() {
+  std::vector<MessageHandle> taken;
+  taken.reserve(queue_.size());
+  for (size_t i = 0; i < queue_.size(); ++i) taken.push_back(queue_[i]);
   queue_.clear();
   return taken;
 }

@@ -2,7 +2,6 @@
 #define BESYNC_NET_LINK_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -10,8 +9,10 @@
 
 #include "net/bandwidth.h"
 #include "net/message.h"
+#include "net/message_pool.h"
 #include "obs/trace.h"
 #include "util/random.h"
+#include "util/ring.h"
 #include "util/stats.h"
 
 namespace besync {
@@ -21,6 +22,10 @@ namespace besync {
 /// where any messages for which there is not enough capacity become enqueued
 /// for later transmission" (Section 1.2).
 ///
+/// The queue holds handles into a MessagePool: the Network's, shared by
+/// every link and relay of one network so a message crosses hops without a
+/// copy, or a private one for a standalone link (pass none).
+///
 /// Per tick, the owner calls BeginTick() to establish the message budget,
 /// then any mix of:
 ///  - Enqueue()       -- add a message to the FIFO (no budget consumed yet),
@@ -29,7 +34,8 @@ namespace besync {
 ///                       spending surplus capacity on feedback messages).
 class Link {
  public:
-  Link(std::string name, std::unique_ptr<BandwidthModel> bandwidth);
+  Link(std::string name, std::unique_ptr<BandwidthModel> bandwidth,
+       MessagePool* pool = nullptr);
 
   /// Starts a new tick: computes the tick's budget and records queue stats.
   /// Debt from a transmission that spilled past the previous tick carries
@@ -41,8 +47,11 @@ class Link {
   /// tick of a run would go missing). Idempotent; call at end of run.
   void FinishTick();
 
-  /// Adds a message to the FIFO queue.
+  /// Writes a message into the pool and adds it to the FIFO queue.
   void Enqueue(Message message);
+  /// Adds a message already in the pool (a hop of a relayed message); the
+  /// link owns the handle from here on and releases it if it blackholes.
+  void EnqueueHandle(MessageHandle handle);
 
   /// Delivers queued messages (FIFO) while budget remains, invoking `sink`
   /// for each; a message's `cost` is charged in full when its transmission
@@ -50,8 +59,12 @@ class Link {
   /// next tick's budget). Returns the number delivered. Messages may be
   /// dropped instead of delivered when a loss rate is configured (their
   /// cost is still spent — the transmission happened, the content was
-  /// lost).
+  /// lost). The message leaves the network once `sink` returns.
   int64_t DeliverQueued(const std::function<void(const Message&)>& sink);
+
+  /// DeliverQueued, handing `sink` each delivered message's handle instead:
+  /// the sink owns it (a relay storing the message for its next hop).
+  int64_t DeliverHandles(const std::function<void(MessageHandle)>& sink);
 
   /// Attempts to consume `amount` units of remaining budget; returns the
   /// number of units actually granted (possibly fewer).
@@ -100,10 +113,10 @@ class Link {
   /// Messages dropped at Enqueue because the link was down.
   int64_t messages_blackholed() const { return messages_blackholed_; }
 
-  /// Removes and returns every queued message in FIFO order (relay
-  /// failover: the caller re-routes or drops them per policy). Budget and
-  /// statistics are untouched.
-  std::vector<Message> TakeQueue();
+  /// Removes and returns every queued message's handle in FIFO order
+  /// (relay failover: the caller re-routes or releases them per policy).
+  /// Budget and statistics are untouched.
+  std::vector<MessageHandle> TakeQueue();
 
   int64_t remaining_budget() const { return remaining_; }
   int64_t tick_budget() const { return tick_budget_; }
@@ -138,7 +151,10 @@ class Link {
 
   std::string name_;
   std::unique_ptr<BandwidthModel> bandwidth_;
-  std::deque<Message> queue_;
+  /// Set only for a standalone link; pool_ points at it then.
+  std::unique_ptr<MessagePool> own_pool_;
+  MessagePool* pool_;
+  Ring<MessageHandle> queue_;
   int64_t tick_budget_ = 0;
   int64_t remaining_ = 0;
   /// `remaining_` as of the last BeginTick (== tick_budget_ minus any

@@ -57,7 +57,8 @@ Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
     cache_links_.push_back(std::make_unique<Link>(
         config.num_caches == 1 ? "cache" : "cache-" + std::to_string(c),
         std::make_unique<BandwidthModel>(MakeBandwidthFluctuation(
-            bandwidth, config.bandwidth_change_rate, rng))));
+            bandwidth, config.bandwidth_change_rate, rng)),
+        &pool_));
   }
   source_links_.reserve(config.num_sources);
   const double source_bw = config.source_bandwidth_avg > 0.0
@@ -69,7 +70,8 @@ Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
     source_links_.push_back(std::make_unique<Link>(
         "source-" + std::to_string(j),
         std::make_unique<BandwidthModel>(
-            MakeBandwidthFluctuation(source_bw, source_change_rate, rng))));
+            MakeBandwidthFluctuation(source_bw, source_change_rate, rng)),
+        &pool_));
   }
 
   // Relay ingress/egress links (tree topologies only), then the routing
@@ -95,7 +97,8 @@ Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
           "relay-" + std::to_string(n),
           std::make_unique<BandwidthModel>(MakeBandwidthFluctuation(
               ingress_bw,
-              ingress_unconstrained ? 0.0 : config.bandwidth_change_rate, rng))));
+              ingress_unconstrained ? 0.0 : config.bandwidth_change_rate, rng)),
+          &pool_));
       // Egress default: mirror the resolved ingress (a symmetric relay);
       // unconstrained ingress means unconstrained egress.
       const double egress_bw =
@@ -105,7 +108,8 @@ Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
           "relay-" + std::to_string(n) + "-egress",
           std::make_unique<BandwidthModel>(MakeBandwidthFluctuation(
               egress_bw,
-              egress_unconstrained ? 0.0 : config.bandwidth_change_rate, rng))));
+              egress_unconstrained ? 0.0 : config.bandwidth_change_rate, rng)),
+          &pool_));
     }
 
   }
@@ -338,6 +342,12 @@ void Network::FinishTick() {
   for (auto& link : source_links_) link->FinishTick();
   for (auto& link : relay_links_) link->FinishTick();
   for (auto& link : relay_egress_) link->FinishTick();
+}
+
+size_t Network::queued_messages() const {
+  size_t queued = 0;
+  for (const Link* link : all_links_) queued += link->queue_size();
+  return queued;
 }
 
 void Network::ResetStats() {

@@ -7,6 +7,7 @@
 #include "data/topology.h"
 #include "net/link.h"
 #include "net/message.h"
+#include "net/message_pool.h"
 #include "util/random.h"
 
 namespace besync {
@@ -44,7 +45,8 @@ struct NetworkConfig {
 /// ingress edge is its own Link — leaf edges are the cache links, relay
 /// edges sit above them — and refreshes are routed hop by hop toward the
 /// `Message::cache_id` leaf (the relay agents in core/relay.h do the
-/// forwarding between edges).
+/// forwarding between edges). Every queued refresh lives in the network's
+/// one MessagePool; the links and relay agents move handles into it.
 ///
 /// Also carries the upstream control channel (feedback / pull requests) as
 /// ControlMessage records. Mail deposited by leaf c during tick t is
@@ -54,6 +56,10 @@ struct NetworkConfig {
 class Network {
  public:
   Network(const NetworkConfig& config, Rng* rng);
+  /// The links point into message_pool(), so a Network stays where it was
+  /// built.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   /// Advances all links (leaf, source, relay ingress/egress) into the tick
   /// [tick_start, tick_start+tick_len) and turns the control mail deposited
@@ -151,6 +157,12 @@ class Network {
   /// Resets link statistics (end of warm-up).
   void ResetStats();
 
+  /// The pool holding every message in flight on this network.
+  MessagePool& message_pool() { return pool_; }
+  const MessagePool& message_pool() const { return pool_; }
+  /// Messages waiting in link queues, over every link.
+  size_t queued_messages() const;
+
   const NetworkConfig& config() const { return config_; }
 
  private:
@@ -166,6 +178,8 @@ class Network {
   void BuildRouting();
 
   NetworkConfig config_;
+  /// Declared before the links, so it outlives them.
+  MessagePool pool_;
   std::vector<std::unique_ptr<Link>> cache_links_;
   std::vector<std::unique_ptr<Link>> source_links_;
   /// Relay ingress-edge links, indexed by node - num_caches. Constructed

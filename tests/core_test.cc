@@ -1,5 +1,4 @@
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <string>
@@ -14,7 +13,6 @@
 #include "data/weight.h"
 #include "divergence/metric.h"
 #include "exp/experiment.h"
-#include "util/fifo.h"
 #include "util/random.h"
 
 namespace besync {
@@ -590,46 +588,6 @@ TEST(FootprintTest, ReplicaStateBytesOnAFullReplicationTree) {
   EXPECT_LE(trigger, 150.0);
   EXPECT_GE(trigger, 140.0);  // the state above is really there
   EXPECT_DOUBLE_EQ(arena_bytes_per_replica(MonitorMode::kSampling) - trigger, 64.0);
-}
-
-/// The channel FIFO against std::deque over random push / pop / clear,
-/// with long runs of each so the consumed prefix is compacted many times.
-TEST(FifoTest, MatchesDequeAndCompactsItsConsumedPrefix) {
-  Fifo<int32_t> fifo;
-  std::deque<int32_t> reference;
-  EXPECT_EQ(fifo.held(), 0u);
-  Rng rng(17);
-  int32_t next = 0;
-  int compactions = 0;
-  for (int step = 0; step < 200000; ++step) {
-    // Phases favour pushes, then pops, so the length swings from 0 to
-    // hundreds and back.
-    const bool push_phase = (step / 997) % 2 == 0;
-    const double u = rng.Uniform(0.0, 1.0);
-    if (u < 0.0005) {
-      fifo.clear();
-      reference.clear();
-    } else if (u < (push_phase ? 0.7 : 0.3)) {
-      const size_t held_before = fifo.held();
-      fifo.push_back(next);
-      reference.push_back(next);
-      ++next;
-      if (fifo.held() < held_before) ++compactions;
-      // After a push the vector holds at most twice the live entries plus
-      // the compaction threshold.
-      EXPECT_LE(fifo.held(), 2 * fifo.size() + Fifo<int32_t>::kMinCompact);
-    } else if (!reference.empty()) {
-      ASSERT_EQ(fifo.front(), reference.front());
-      fifo.pop_front();
-      reference.pop_front();
-    }
-    ASSERT_EQ(fifo.size(), reference.size());
-    ASSERT_EQ(fifo.empty(), reference.empty());
-    if (!reference.empty()) {
-      ASSERT_EQ(fifo.front(), reference.front());
-    }
-  }
-  EXPECT_GT(compactions, 100);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -387,6 +388,15 @@ TEST(BuoyTraceTest, RejectsInvalidConfigs) {
   config = BuoyTraceConfig{};
   config.duration = std::nan("");
   EXPECT_FALSE(GenerateBuoyTraces(config).ok());
+  // A finite run length whose step count is out of bounds (here out of
+  // int64_t range too) is an InvalidArgument, not an allocation abort.
+  config = BuoyTraceConfig{};
+  config.duration = 2e300;
+  const auto huge = GenerateBuoyTraces(config);
+  ASSERT_FALSE(huge.ok());
+  EXPECT_TRUE(huge.status().IsInvalidArgument()) << huge.status().ToString();
+  config.duration = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(GenerateBuoyTraces(config).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -466,6 +466,73 @@ TEST(FaultRelayTest, ControlMailConservedAcrossFailover) {
   EXPECT_GT(scheduler.feedback_, 0);
 }
 
+/// Checks after every tick that the network's message pool holds exactly
+/// the messages queued on links or stored at relays: every slot a sender
+/// acquired is released once, at delivery, loss, blackholing, the dead-cache
+/// drain or a kDrop failover, and never while still queued.
+class PoolAuditScheduler : public CooperativeScheduler {
+ public:
+  using CooperativeScheduler::CooperativeScheduler;
+
+  void Tick(double t) override {
+    CooperativeScheduler::Tick(t);
+    const size_t live = network().message_pool().live();
+    EXPECT_EQ(live, messages_in_flight()) << "t=" << t;
+    max_in_flight_ = std::max(max_in_flight_, live);
+  }
+
+  size_t max_in_flight_ = 0;
+};
+
+TEST(FaultRelayTest, InFlightMessagesConservedAcrossFailoverLossAndPartition) {
+  ExperimentConfig config = MultiCacheConfig();
+  config.workload.num_caches = 4;
+  config.workload.num_sources = 8;
+  config.workload.relay_tiers = 2;
+  config.workload.relay_fanout = 2;
+  config.workload.relay_bandwidth_factor = 0.75;
+  Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
+  AssignBackupParents(&workload.topology);
+  ASSERT_EQ(workload.topology.num_nodes(), 7);
+  // Lossy relay edges (leaf-edge loss comes from the config below).
+  workload.topology.edge_loss = {0.0, 0.0, 0.0, 0.0, 0.1, 0.1, 0.1};
+  // Relay 4 fails over to its backup; relay 6 has none and orphans both
+  // tier-2 relays; leaf 1's edge is partitioned; cache 2 crashes.
+  workload.faults.events = {Event(70.0, FaultEventKind::kRelayFail, 4),
+                            Event(80.0, FaultEventKind::kLinkDown, 1),
+                            Event(90.0, FaultEventKind::kCacheCrash, 2),
+                            Event(100.0, FaultEventKind::kRelayRecover, 4),
+                            Event(105.0, FaultEventKind::kCacheRestart, 2),
+                            Event(110.0, FaultEventKind::kRelayFail, 6),
+                            Event(120.0, FaultEventKind::kLinkUp, 1),
+                            Event(130.0, FaultEventKind::kRelayRecover, 6)};
+
+  for (RelayStorePolicy store_policy :
+       {RelayStorePolicy::kDrop, RelayStorePolicy::kDrain}) {
+    CooperativeConfig cooperative;
+    cooperative.num_caches = config.workload.num_caches;
+    cooperative.cache_bandwidth_avg = config.cache_bandwidth_avg;
+    cooperative.source_bandwidth_avg = config.source_bandwidth_avg;
+    cooperative.loss_rate = 0.05;
+    cooperative.relay_store_policy = store_policy;
+    PoolAuditScheduler scheduler(cooperative);
+    auto metric = MakeMetric(config.metric);
+    const auto result =
+        RunScheduler(&workload, metric.get(), config.harness, &scheduler);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->scheduler.relay_failures, 2);
+    EXPECT_EQ(result->scheduler.link_down_events, 1);
+    EXPECT_GT(scheduler.max_in_flight_, 0u);
+    // Every release path above really ran.
+    EXPECT_GT(scheduler.network().cache_link(1).messages_blackholed(), 0);
+    int64_t lost = 0;
+    for (int n = 0; n < scheduler.network().num_nodes(); ++n) {
+      lost += scheduler.network().edge_link(n).messages_dropped();
+    }
+    EXPECT_GT(lost, 0);
+  }
+}
+
 // --------------------------------------------- partitions and slowdowns
 
 TEST(FaultLinkTest, PartitionWindowRaisesStalenessUnderInvalidation) {

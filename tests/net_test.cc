@@ -5,6 +5,7 @@
 
 #include "net/bandwidth.h"
 #include "net/link.h"
+#include "net/message_pool.h"
 #include "net/network.h"
 
 namespace besync {
@@ -93,6 +94,83 @@ TEST(LinkTest, ResetStatsPreservesQueue) {
   link.ResetStats();
   EXPECT_EQ(link.queue_size(), 2u);
   EXPECT_EQ(link.messages_delivered(), 0);
+}
+
+// ----------------------------------------------------------- MessagePool
+
+Message Tagged(int64_t object_index) {
+  Message message;
+  message.object_index = object_index;
+  return message;
+}
+
+TEST(MessagePoolTest, ReusesReleasedSlotsLastInFirstOut) {
+  MessagePool pool;
+  const MessageHandle a = pool.Acquire(Tagged(1));
+  const MessageHandle b = pool.Acquire(Tagged(2));
+  const MessageHandle c = pool.Acquire(Tagged(3));
+  EXPECT_EQ(pool.live(), 3u);
+  pool.Release(a);
+  pool.Release(c);
+  EXPECT_EQ(pool.live(), 1u);
+  // The slot released last is written next; no new slot is handed out.
+  EXPECT_EQ(pool.Acquire(Tagged(4)), c);
+  EXPECT_EQ(pool.Acquire(Tagged(5)), a);
+  EXPECT_EQ(pool.slots(), 3u);
+  EXPECT_EQ(pool[b].object_index, 2);
+  EXPECT_EQ(pool[c].object_index, 4);
+  EXPECT_EQ(pool[a].object_index, 5);
+}
+
+TEST(MessagePoolTest, ReferencesStayValidAcrossGrowth) {
+  MessagePool pool;
+  const MessageHandle first = pool.Acquire(Tagged(7));
+  const Message* held = &pool[first];
+  // A delivery sink holds a reference while it enqueues: thousands of
+  // acquisitions add chunks but move no slot.
+  for (int i = 0; i < 5000; ++i) pool.Acquire(Tagged(100 + i));
+  EXPECT_EQ(&pool[first], held);
+  EXPECT_EQ(held->object_index, 7);
+  EXPECT_EQ(pool[4000].object_index, 100 + 3999);
+  EXPECT_EQ(pool.live(), 5001u);
+}
+
+#ifndef NDEBUG
+TEST(MessagePoolDeathTest, FreeSlotAccessAndDoubleReleaseAbort) {
+  MessagePool pool;
+  const MessageHandle handle = pool.Acquire(Tagged(1));
+  pool.Release(handle);
+  EXPECT_DEATH(pool[handle], "not live");
+  EXPECT_DEATH(pool.Release(handle), "not live");
+  EXPECT_DEATH(pool[handle + 1], "not live");
+}
+#endif
+
+TEST(LinkTest, SharedPoolHoldsExactlyTheQueuedMessages) {
+  MessagePool pool;
+  Link upstream("up", ConstantBandwidth(3.0), &pool);
+  Link downstream("down", ConstantBandwidth(1.0), &pool);
+  upstream.BeginTick(0.0, 1.0);
+  downstream.BeginTick(0.0, 1.0);
+  for (int i = 0; i < 5; ++i) upstream.Enqueue(Tagged(i));
+  EXPECT_EQ(pool.live(), 5u);
+  // A hop moves handles: the pool keeps its count, the body its slot.
+  upstream.DeliverHandles([&](MessageHandle h) { downstream.EnqueueHandle(h); });
+  EXPECT_EQ(pool.live(), 5u);
+  EXPECT_EQ(upstream.queue_size() + downstream.queue_size(), 5u);
+  std::vector<int64_t> delivered;
+  downstream.DeliverQueued([&](const Message& m) { delivered.push_back(m.object_index); });
+  EXPECT_EQ(delivered, (std::vector<int64_t>{0}));
+  EXPECT_EQ(pool.live(), 4u);  // released after the sink
+  // A down link blackholes a handed-over message and releases its slot.
+  downstream.SetDown(true);
+  upstream.BeginTick(1.0, 1.0);
+  upstream.DeliverHandles([&](MessageHandle h) { downstream.EnqueueHandle(h); });
+  EXPECT_EQ(downstream.messages_blackholed(), 2);
+  EXPECT_EQ(pool.live(), 2u);
+  EXPECT_EQ(pool.live(), upstream.queue_size() + downstream.queue_size());
+  for (const MessageHandle h : downstream.TakeQueue()) pool.Release(h);
+  EXPECT_EQ(pool.live(), 0u);
 }
 
 TEST(NetworkTest, ConstructsStarTopology) {

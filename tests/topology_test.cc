@@ -366,69 +366,122 @@ Message MakeRefresh(int32_t cache_id, double priority, double send_time,
   return message;
 }
 
-TEST(RelayAgentTest, FifoPreservesArrivalOrder) {
-  RelayAgent relay(4, RelayForwardPolicy::kFifo, /*ingress_latency=*/0.0);
-  relay.OnArrival(MakeRefresh(0, 1.0, 0.0), 1.0);
-  relay.OnArrival(MakeRefresh(1, 9.0, 0.0), 1.0);
-  relay.OnArrival(MakeRefresh(2, 5.0, 0.0), 1.0);
+/// A relay over its own pool, with a forward sink that records each
+/// forwarded message's cache id and releases its slot.
+struct RelayFixture {
+  explicit RelayFixture(RelayForwardPolicy policy, double ingress_latency = 0.0)
+      : relay(4, policy, ingress_latency, &pool) {}
+
+  void Arrive(const Message& message, double t) {
+    relay.OnArrival(pool.Acquire(Message(message)), t);
+  }
+  template <typename TryConsume>
+  int64_t Forward(double now, TryConsume&& try_consume) {
+    return relay.Forward(now, try_consume, [this](MessageHandle handle) {
+      order.push_back(pool[handle].cache_id);
+      pool.Release(handle);
+    });
+  }
+  int64_t ForwardAll(double now) {
+    return Forward(now, [](int64_t) { return true; });
+  }
+
+  MessagePool pool;
+  RelayAgent relay;
   std::vector<int32_t> order;
-  const int64_t sent = relay.Forward(
-      1.0, [](int64_t) { return true; },
-      [&order](const Message& m) { order.push_back(m.cache_id); });
-  EXPECT_EQ(sent, 3);
-  EXPECT_EQ(order, (std::vector<int32_t>{0, 1, 2}));
+};
+
+TEST(RelayAgentTest, FifoPreservesArrivalOrder) {
+  RelayFixture f(RelayForwardPolicy::kFifo);
+  f.Arrive(MakeRefresh(0, 1.0, 0.0), 1.0);
+  f.Arrive(MakeRefresh(1, 9.0, 0.0), 1.0);
+  f.Arrive(MakeRefresh(2, 5.0, 0.0), 1.0);
+  EXPECT_EQ(f.ForwardAll(1.0), 3);
+  EXPECT_EQ(f.order, (std::vector<int32_t>{0, 1, 2}));
+  EXPECT_EQ(f.pool.live(), 0u);
 }
 
 TEST(RelayAgentTest, PriorityDrainsHighestFirstWithFifoTies) {
-  RelayAgent relay(4, RelayForwardPolicy::kPriority, 0.0);
-  relay.OnArrival(MakeRefresh(0, 1.0, 0.0), 1.0);
-  relay.OnArrival(MakeRefresh(1, 9.0, 0.0), 1.0);
-  relay.OnArrival(MakeRefresh(2, 9.0, 0.0), 1.0);  // tie with cache 1
-  relay.OnArrival(MakeRefresh(3, 5.0, 0.0), 1.0);
-  std::vector<int32_t> order;
-  relay.Forward(
-      1.0, [](int64_t) { return true; },
-      [&order](const Message& m) { order.push_back(m.cache_id); });
-  EXPECT_EQ(order, (std::vector<int32_t>{1, 2, 3, 0}));
+  RelayFixture f(RelayForwardPolicy::kPriority);
+  f.Arrive(MakeRefresh(0, 1.0, 0.0), 1.0);
+  f.Arrive(MakeRefresh(1, 9.0, 0.0), 1.0);
+  f.Arrive(MakeRefresh(2, 9.0, 0.0), 1.0);  // tie with cache 1
+  f.Arrive(MakeRefresh(3, 5.0, 0.0), 1.0);
+  f.ForwardAll(1.0);
+  EXPECT_EQ(f.order, (std::vector<int32_t>{1, 2, 3, 0}));
+}
+
+TEST(RelayAgentTest, PriorityPicksFromTheMiddleOfAWrappedStore) {
+  // Cycle the store so its ring wraps, then let the highest priority sit
+  // mid-store behind an ineligible tail: only the eligible prefix competes.
+  RelayFixture f(RelayForwardPolicy::kPriority, /*ingress_latency=*/1.0);
+  for (int i = 0; i < 6; ++i) f.Arrive(MakeRefresh(90 + i, 1.0, 0.0), 0.0);
+  EXPECT_EQ(f.ForwardAll(1.0), 6);
+  f.order.clear();
+  for (int i = 0; i < 5; ++i) {
+    f.Arrive(MakeRefresh(i, i == 2 ? 8.0 : static_cast<double>(i), 0.0), 2.0);
+  }
+  f.Arrive(MakeRefresh(5, 99.0, 0.0), 5.0);  // eligible only from t = 6
+  int64_t budget = 2;
+  f.Forward(3.0, [&budget](int64_t cost) {
+    if (budget <= 0) return false;
+    budget -= cost;
+    return true;
+  });
+  EXPECT_EQ(f.order, (std::vector<int32_t>{2, 4}));
+  EXPECT_EQ(f.relay.store_size(), 4u);
+  f.ForwardAll(6.0);
+  EXPECT_EQ(f.order, (std::vector<int32_t>{2, 4, 5, 3, 1, 0}));
+  EXPECT_EQ(f.pool.live(), 0u);
 }
 
 TEST(RelayAgentTest, EgressBudgetBoundsForwarding) {
-  RelayAgent relay(4, RelayForwardPolicy::kFifo, 0.0);
-  for (int i = 0; i < 5; ++i) relay.OnArrival(MakeRefresh(i, 1.0, 0.0), 1.0);
+  RelayFixture f(RelayForwardPolicy::kFifo);
+  for (int i = 0; i < 5; ++i) f.Arrive(MakeRefresh(i, 1.0, 0.0), 1.0);
   int64_t budget = 2;
-  std::vector<int32_t> order;
-  const int64_t sent = relay.Forward(
-      1.0,
-      [&budget](int64_t cost) {
-        if (budget <= 0) return false;
-        budget -= cost;
-        return true;
-      },
-      [&order](const Message& m) { order.push_back(m.cache_id); });
+  const int64_t sent = f.Forward(1.0, [&budget](int64_t cost) {
+    if (budget <= 0) return false;
+    budget -= cost;
+    return true;
+  });
   EXPECT_EQ(sent, 2);
-  EXPECT_EQ(relay.store_size(), 3u);
+  EXPECT_EQ(f.relay.store_size(), 3u);
   // Denied messages are forwarded first (FIFO) next time, and their store
   // wait is accounted.
-  const int64_t rest = relay.Forward(
-      3.0, [](int64_t) { return true; },
-      [&order](const Message& m) { order.push_back(m.cache_id); });
-  EXPECT_EQ(order, (std::vector<int32_t>{0, 1, 2, 3, 4}));
+  const int64_t rest = f.ForwardAll(3.0);
+  EXPECT_EQ(f.order, (std::vector<int32_t>{0, 1, 2, 3, 4}));
   EXPECT_EQ(sent + rest, 5);
   // Messages 2..4 waited 2 s each in the store.
-  EXPECT_DOUBLE_EQ(relay.total_queue_delay(), 6.0);
-  EXPECT_DOUBLE_EQ(relay.total_transit_delay(), 2.0 * 1.0 + 3.0 * 3.0);
+  EXPECT_DOUBLE_EQ(f.relay.total_queue_delay(), 6.0);
+  EXPECT_DOUBLE_EQ(f.relay.total_transit_delay(), 2.0 * 1.0 + 3.0 * 3.0);
 }
 
 TEST(RelayAgentTest, IngressLatencyDelaysEligibility) {
-  RelayAgent relay(4, RelayForwardPolicy::kFifo, /*ingress_latency=*/5.0);
-  relay.OnArrival(MakeRefresh(0, 1.0, 0.0), 1.0);
-  relay.OnArrival(MakeRefresh(1, 1.0, 0.0), 3.0);
-  std::vector<int32_t> order;
-  auto sink = [&order](const Message& m) { order.push_back(m.cache_id); };
-  EXPECT_EQ(relay.Forward(4.0, [](int64_t) { return true; }, sink), 0);
-  EXPECT_EQ(relay.Forward(6.0, [](int64_t) { return true; }, sink), 1);
-  EXPECT_EQ(relay.Forward(8.0, [](int64_t) { return true; }, sink), 1);
-  EXPECT_EQ(order, (std::vector<int32_t>{0, 1}));
+  RelayFixture f(RelayForwardPolicy::kFifo, /*ingress_latency=*/5.0);
+  f.Arrive(MakeRefresh(0, 1.0, 0.0), 1.0);
+  f.Arrive(MakeRefresh(1, 1.0, 0.0), 3.0);
+  EXPECT_EQ(f.ForwardAll(4.0), 0);
+  EXPECT_EQ(f.ForwardAll(6.0), 1);
+  EXPECT_EQ(f.ForwardAll(8.0), 1);
+  EXPECT_EQ(f.order, (std::vector<int32_t>{0, 1}));
+}
+
+TEST(RelayAgentTest, TakeStoredReturnsArrivalOrder) {
+  RelayFixture f(RelayForwardPolicy::kPriority, /*ingress_latency=*/2.0);
+  f.Arrive(MakeRefresh(0, 1.0, 0.0), 1.0);
+  f.Arrive(MakeRefresh(1, 5.0, 0.0), 1.0);
+  f.Arrive(MakeRefresh(2, 9.0, 0.0), 4.0);  // still pending at t = 3
+  EXPECT_EQ(f.relay.Forward(3.0, [](int64_t) { return false; },
+                            [](MessageHandle) {}),
+            0);
+  std::vector<int32_t> taken;
+  for (const MessageHandle handle : f.relay.TakeStored()) {
+    taken.push_back(f.pool[handle].cache_id);
+    f.pool.Release(handle);
+  }
+  EXPECT_EQ(taken, (std::vector<int32_t>{0, 1, 2}));
+  EXPECT_EQ(f.relay.store_size(), 0u);
+  EXPECT_EQ(f.pool.live(), 0u);
 }
 
 // ------------------------------------- degenerate pass-through equivalence
@@ -572,6 +625,48 @@ TEST(RelayTreeTest, BaselineSchedulersRejectTrees) {
   config.harness.measure = 50.0;
   const auto result = RunExperiment(config);
   EXPECT_FALSE(result.ok());
+}
+
+/// RunScheduler returns the scheduler's own validation: a malformed
+/// topology or a fault aimed at a node the topology lacks, handed straight
+/// to RunScheduler (as examples/ and bench_paper do), is an InvalidArgument
+/// instead of a CHECK in Initialize.
+TEST(RelayTreeTest, RunSchedulerRejectsBadTopologyAndFaults) {
+  WorkloadConfig workload_config;
+  workload_config.num_sources = 2;
+  workload_config.objects_per_source = 5;
+  workload_config.num_caches = 4;
+  workload_config.interest_pattern = InterestPattern::kFullReplication;
+  Workload workload = std::move(MakeWorkload(workload_config)).ValueOrDie();
+  HarnessConfig harness_config;
+  harness_config.warmup = 1.0;
+  harness_config.measure = 5.0;
+  const auto metric = MakeMetric(MetricKind::kValueDeviation);
+  CooperativeConfig coop;
+  coop.num_caches = 4;
+
+  CooperativeConfig cycle = coop;
+  cycle.topology = MakeRelayTree(4, 2, 1);
+  cycle.topology.parent[0] = 1;  // a leaf cannot be a parent
+  CooperativeScheduler bad_tree(cycle);
+  EXPECT_FALSE(bad_tree.Validate(workload).ok());
+  const auto tree_result =
+      RunScheduler(&workload, metric.get(), harness_config, &bad_tree);
+  ASSERT_FALSE(tree_result.ok());
+  EXPECT_TRUE(tree_result.status().IsInvalidArgument())
+      << tree_result.status().ToString();
+
+  FaultEvent fail;
+  fail.time = 2.0;
+  fail.kind = FaultEventKind::kRelayFail;
+  fail.node = 2;  // a leaf on the flat star: no relay to fail
+  workload.faults.events.push_back(fail);
+  CooperativeScheduler bad_fault(coop);
+  const auto fault_result =
+      RunScheduler(&workload, metric.get(), harness_config, &bad_fault);
+  ASSERT_FALSE(fault_result.ok());
+  EXPECT_TRUE(fault_result.status().IsInvalidArgument())
+      << fault_result.status().ToString();
 }
 
 TEST(RelayTreeTest, TopologySweepMatchesTotalBandwidth) {

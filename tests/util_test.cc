@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <set>
 #include <sstream>
 #include <string>
@@ -12,6 +13,7 @@
 #include "util/fluctuation.h"
 #include "util/random.h"
 #include "util/result.h"
+#include "util/ring.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/table_printer.h"
@@ -421,6 +423,96 @@ TEST(TablePrinterTest, CsvEscapesSpecials) {
   const std::string text = os.str();
   EXPECT_NE(text.find("\"with,comma\""), std::string::npos);
   EXPECT_NE(text.find("\"quote\"\"inside\""), std::string::npos);
+}
+
+// ------------------------------------------------------------------ Ring
+
+std::vector<int> Contents(const Ring<int>& ring) {
+  std::vector<int> contents;
+  for (size_t i = 0; i < ring.size(); ++i) contents.push_back(ring[i]);
+  return contents;
+}
+
+TEST(RingTest, AllocatesOnFirstPushAndWrapsAround) {
+  Ring<int> ring;
+  EXPECT_EQ(ring.capacity(), 0u);
+  for (int i = 0; i < 6; ++i) ring.push_back(i);
+  const size_t capacity = ring.capacity();
+  ASSERT_EQ(capacity, 8u);
+  // Pop and push past the end of the buffer: the tail wraps to its front.
+  for (int i = 6; i < 30; ++i) {
+    EXPECT_EQ(ring.front(), i - 6);
+    ring.pop_front();
+    ring.push_back(i);
+  }
+  EXPECT_EQ(ring.capacity(), capacity);  // steady size, no growth
+  EXPECT_EQ(Contents(ring), (std::vector<int>{24, 25, 26, 27, 28, 29}));
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), capacity);  // a drained ring keeps its buffer
+}
+
+TEST(RingTest, GrowthWhileWrappedKeepsOrder) {
+  Ring<int> ring;
+  for (int i = 0; i < 8; ++i) ring.push_back(i);
+  for (int i = 0; i < 5; ++i) ring.pop_front();
+  for (int i = 8; i < 13; ++i) ring.push_back(i);  // head at 5, tail wrapped
+  ASSERT_EQ(ring.size(), ring.capacity());
+  ring.push_back(13);  // full and wrapped: grows
+  EXPECT_EQ(ring.capacity(), 16u);
+  EXPECT_EQ(Contents(ring), (std::vector<int>{5, 6, 7, 8, 9, 10, 11, 12, 13}));
+}
+
+TEST(RingTest, EraseFromTheMiddleWhileWrappedKeepsOrder) {
+  // The relay store's kPriority pick: an entry anywhere in a wrapped ring.
+  for (size_t pick = 0; pick < 7; ++pick) {
+    Ring<int> ring;
+    for (int i = 0; i < 8; ++i) ring.push_back(i);
+    for (int i = 0; i < 6; ++i) ring.pop_front();
+    for (int i = 8; i < 13; ++i) ring.push_back(i);  // 6..12, wrapped
+    std::vector<int> expected = Contents(ring);
+    ring.erase(pick);
+    expected.erase(expected.begin() + static_cast<std::ptrdiff_t>(pick));
+    EXPECT_EQ(Contents(ring), expected) << "pick " << pick;
+    ring.push_back(99);  // the tail is still where the rest expects it
+    EXPECT_EQ(ring[ring.size() - 1], 99);
+  }
+}
+
+/// Against std::deque over random pushes, pops, erases and clears, with
+/// phases that swing the length from 0 to hundreds and back.
+TEST(RingTest, MatchesDeque) {
+  Ring<int> ring;
+  std::deque<int> reference;
+  Rng rng(17);
+  int next = 0;
+  for (int step = 0; step < 200000; ++step) {
+    const bool push_phase = (step / 997) % 2 == 0;
+    const double u = rng.Uniform(0.0, 1.0);
+    if (u < 0.0005) {
+      ring.clear();
+      reference.clear();
+    } else if (u < 0.05) {
+      if (reference.empty()) continue;
+      const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(reference.size()) - 1));
+      ring.erase(i);
+      reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (u < (push_phase ? 0.7 : 0.3)) {
+      ring.push_back(next);
+      reference.push_back(next);
+      ++next;
+    } else if (!reference.empty()) {
+      ASSERT_EQ(ring.front(), reference.front());
+      ring.pop_front();
+      reference.pop_front();
+    }
+    ASSERT_EQ(ring.size(), reference.size());
+    if (!reference.empty()) {
+      ASSERT_EQ(ring.front(), reference.front());
+      ASSERT_EQ(ring[reference.size() - 1], reference.back());
+    }
+  }
+  EXPECT_EQ(Contents(ring), std::vector<int>(reference.begin(), reference.end()));
 }
 
 }  // namespace
