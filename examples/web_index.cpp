@@ -32,17 +32,18 @@ Workload BuildWebCorpus(uint64_t seed) {
   corpus.objects_per_source = kPagesPerProvider;
 
   Rng rng(seed);
+  const ZipfDistribution change_rank(100, 1.2);
+  const ZipfDistribution importance_rank(50, 1.0);
   for (int provider = 0; provider < kProviders; ++provider) {
     for (int page = 0; page < kPagesPerProvider; ++page) {
       ObjectSpec spec;
       spec.index = static_cast<ObjectIndex>(corpus.objects.size());
       spec.source_index = provider;
       // Page change rates: most pages are slow, a few churn (Zipf-ish mix).
-      spec.lambda = 0.005 * static_cast<double>(rng.Zipf(100, 1.2));
+      spec.lambda = 0.005 * static_cast<double>(change_rank.Draw(&rng));
       spec.process = std::make_unique<PoissonRandomWalkProcess>(spec.lambda);
       // Index importance: PageRank-like Zipf weights.
-      spec.weight =
-          MakeConstantWeight(static_cast<double>(rng.Zipf(50, 1.0)));
+      spec.weight = MakeConstantWeight(static_cast<double>(importance_rank.Draw(&rng)));
       // Provider priorities: each provider promotes a handful of pages
       // (e.g. special offers) the index does not particularly value.
       spec.source_weight = MakeConstantWeight(page < 3 ? 10.0 : 1.0);

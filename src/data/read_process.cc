@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -19,11 +20,11 @@ std::string EvictionPolicyToString(EvictionPolicy policy) {
   return "unknown";
 }
 
-PoissonZipfReadProcess::PoissonZipfReadProcess(double rate, double zipf_exponent,
-                                               int64_t rotation)
-    : rate_(rate), zipf_exponent_(zipf_exponent), rotation_(rotation) {
+PoissonZipfReadProcess::PoissonZipfReadProcess(
+    double rate, std::shared_ptr<const ZipfDistribution> popularity, int64_t rotation)
+    : rate_(rate), popularity_(std::move(popularity)), rotation_(rotation) {
   BESYNC_CHECK_GT(rate, 0.0);
-  BESYNC_CHECK_GT(zipf_exponent, 0.0);
+  BESYNC_CHECK(popularity_ != nullptr);
   BESYNC_CHECK_GE(rotation, 0);
 }
 
@@ -32,8 +33,8 @@ double PoissonZipfReadProcess::NextReadTime(double now, Rng* rng) {
 }
 
 int64_t PoissonZipfReadProcess::NextObjectSlot(int64_t num_slots, Rng* rng) {
-  BESYNC_CHECK_GE(num_slots, 1);
-  const int64_t rank = rng->Zipf(num_slots, zipf_exponent_);
+  BESYNC_CHECK_EQ(num_slots, popularity_->n());
+  const int64_t rank = popularity_->Draw(rng);
   return (rank - 1 + rotation_) % num_slots;
 }
 

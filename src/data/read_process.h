@@ -25,6 +25,22 @@ enum class EvictionPolicy {
 
 std::string EvictionPolicyToString(EvictionPolicy policy);
 
+/// Largest accepted ReadWorkloadConfig::read_rate (reads/second per cache),
+/// 5000x the largest rate in use. An exponential gap of mean 1/rate must
+/// stay far above the spacing of doubles near the run's clock: a gap that
+/// rounds away against `now` would break NextReadTime's "strictly later"
+/// promise, and at an infinite or 1e20 rate every gap does, so the read
+/// loop would never end.
+constexpr double kMaxReadRate = 1e6;
+
+/// Largest accepted ReadWorkloadConfig::zipf_exponent. The rejection
+/// sampler (util/random.h, ZipfDistribution) takes envelope total / sum of
+/// k^-s attempts per draw: over 2,000 ranks that is 1.2 at s = 2 and 3.9
+/// at s = 5, but 57 at s = 10 and ~2.8 * 10^4 at s = 20, so a larger
+/// exponent stalls the read loop. At s = 5 the head rank already takes 96%
+/// of the reads.
+constexpr double kMaxZipfExponent = 5.0;
+
 /// Client read-side knobs, carried on Workload (and generated into it by
 /// WorkloadConfig::read). The defaults disable the read path entirely —
 /// read_rate = 0 generates no reads and capacity = 0 keeps every replica
@@ -78,23 +94,26 @@ class ReadProcess {
 
 /// Poisson read arrivals over a Zipf popularity law: inter-read gaps are
 /// exponential with the configured rate; each read targets popularity rank
-/// r ~ Zipf(num_slots, exponent), mapped to slot (r - 1 + rotation) mod
-/// num_slots. The read path gives each cache instance a different rotation
-/// offset, so the hot set differs per cache.
+/// r ~ `popularity` (Zipf over num_slots ranks), mapped to slot
+/// (r - 1 + rotation) mod num_slots. The read path gives each cache
+/// instance a different rotation offset, so the hot set differs per cache,
+/// and one shared `popularity` table per member count.
 class PoissonZipfReadProcess : public ReadProcess {
  public:
-  PoissonZipfReadProcess(double rate, double zipf_exponent, int64_t rotation = 0);
+  PoissonZipfReadProcess(double rate, std::shared_ptr<const ZipfDistribution> popularity,
+                         int64_t rotation = 0);
 
   double NextReadTime(double now, Rng* rng) override;
+  /// Requires num_slots == popularity->n().
   int64_t NextObjectSlot(int64_t num_slots, Rng* rng) override;
   double rate() const override { return rate_; }
   std::unique_ptr<ReadProcess> Clone() const override {
-    return std::make_unique<PoissonZipfReadProcess>(rate_, zipf_exponent_, rotation_);
+    return std::make_unique<PoissonZipfReadProcess>(rate_, popularity_, rotation_);
   }
 
  private:
   double rate_;
-  double zipf_exponent_;
+  std::shared_ptr<const ZipfDistribution> popularity_;
   int64_t rotation_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "util/logging.h"
@@ -87,9 +88,10 @@ constexpr double kValueStep = 1.0;
 
 /// Assigns `spec->caches` for one object under the configured interest
 /// pattern. `interest_rng` is drawn from only in kZipfOverlap mode, so the
-/// default patterns leave the generator stream untouched.
-void AssignInterest(const WorkloadConfig& config, Rng* interest_rng,
-                    ObjectSpec* spec) {
+/// default patterns leave the generator stream untouched; `degree_law`
+/// (Zipf over num_caches) is non-null exactly in that mode.
+void AssignInterest(const WorkloadConfig& config, const ZipfDistribution* degree_law,
+                    Rng* interest_rng, ObjectSpec* spec) {
   const int32_t primary =
       spec->source_index % static_cast<int32_t>(config.num_caches);
   switch (config.interest_pattern) {
@@ -104,8 +106,7 @@ void AssignInterest(const WorkloadConfig& config, Rng* interest_rng,
       for (int c = 0; c < config.num_caches; ++c) spec->caches[c] = c;
       break;
     case InterestPattern::kZipfOverlap: {
-      const int degree = static_cast<int>(
-          interest_rng->Zipf(config.num_caches, kZipfOverlapExponent));
+      const int degree = static_cast<int>(degree_law->Draw(interest_rng));
       spec->caches.clear();
       for (int k = 0; k < degree; ++k) {
         spec->caches.push_back((primary + k) %
@@ -185,18 +186,20 @@ Status ValidateWorkloadConfig(const WorkloadConfig& config) {
     return Status::InvalidArgument("heavy_weight must be finite and >= 0, got ",
                                    config.heavy_weight);
   }
-  // Negated comparisons so NaN fails them too.
-  if (!(config.read.read_rate >= 0.0)) {
-    return Status::InvalidArgument("read_rate must be >= 0, got ",
-                                   config.read.read_rate);
+  // Negated comparisons so NaN fails them too; the upper bounds also catch
+  // infinities, which would never let the read loop finish.
+  if (!(config.read.read_rate >= 0.0 && config.read.read_rate <= kMaxReadRate)) {
+    return Status::InvalidArgument("read_rate must be in [0, ", kMaxReadRate,
+                                   "], got ", config.read.read_rate);
   }
   if (!(config.read.capacity >= 0)) {
     return Status::InvalidArgument("read capacity must be >= 0, got ",
                                    config.read.capacity);
   }
-  if (config.read.read_rate > 0.0 && !(config.read.zipf_exponent > 0.0)) {
-    return Status::InvalidArgument("zipf_exponent must be > 0, got ",
-                                   config.read.zipf_exponent);
+  if (config.read.read_rate > 0.0 && !(config.read.zipf_exponent > 0.0 &&
+                                       config.read.zipf_exponent <= kMaxZipfExponent)) {
+    return Status::InvalidArgument("zipf_exponent must be in (0, ", kMaxZipfExponent,
+                                   "], got ", config.read.zipf_exponent);
   }
   if (config.fault.cache_crashes < 0 || config.fault.relay_failures < 0 ||
       config.fault.link_flaps < 0 || config.fault.slowdowns < 0) {
@@ -278,12 +281,16 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
   // path consumes no randomness and stays bit-identical to the historical
   // generator output.
   Rng interest_rng(config.seed ^ 0x9e3779b97f4a7c15ULL);
+  std::optional<ZipfDistribution> degree_law;
+  if (config.interest_pattern == InterestPattern::kZipfOverlap) {
+    degree_law.emplace(config.num_caches, kZipfOverlapExponent);
+  }
 
   for (int64_t i = 0; i < total; ++i) {
     ObjectSpec spec;
     spec.index = i;
     spec.source_index = static_cast<int32_t>(i / config.objects_per_source);
-    AssignInterest(config, &interest_rng, &spec);
+    AssignInterest(config, degree_law ? &*degree_law : nullptr, &interest_rng, &spec);
 
     switch (config.rate_distribution) {
       case RateDistribution::kUniform:

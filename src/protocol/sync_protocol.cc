@@ -16,7 +16,6 @@ class PushRefreshProtocol : public SyncProtocol {
   bool emits_push_refreshes() const override { return true; }
   bool emits_invalidations() const override { return false; }
   bool tracks_validity() const override { return false; }
-  bool ReplicaFresh(const ReplicaSyncState&, double) const override { return true; }
   void OnRefreshApplied(ReplicaSyncState*, double) const override {}
   void OnInvalidate(ReplicaSyncState*, double) const override {
     BESYNC_CHECK(false) << "push refresh never emits invalidations";
@@ -30,9 +29,6 @@ class InvalidationProtocol : public SyncProtocol {
   bool emits_push_refreshes() const override { return false; }
   bool emits_invalidations() const override { return true; }
   bool tracks_validity() const override { return true; }
-  bool ReplicaFresh(const ReplicaSyncState& state, double) const override {
-    return state.valid;
-  }
   void OnRefreshApplied(ReplicaSyncState* state, double) const override {
     state->valid = true;
   }
@@ -52,9 +48,6 @@ class TtlLeaseProtocol : public SyncProtocol {
   bool emits_invalidations() const override { return false; }
   bool tracks_validity() const override { return true; }
   double initial_lease_expiry() const override { return config().ttl; }
-  bool ReplicaFresh(const ReplicaSyncState& state, double now) const override {
-    return now < state.lease_expiry;
-  }
   void OnRefreshApplied(ReplicaSyncState* state, double now) const override {
     state->lease_expiry = now + config().ttl;
   }

@@ -48,6 +48,12 @@ struct SyncProtocolConfig {
 struct ReplicaSyncState {
   bool valid = true;
   double lease_expiry = std::numeric_limits<double>::infinity();
+
+  /// Whether a resident replica may serve a read at `now`. One predicate
+  /// covers every validity-tracking protocol, because each moves only its
+  /// own field: invalidation never moves `lease_expiry` off +infinity, and
+  /// TTL/leases never clear `valid` (tests/protocol_test.cc pins both).
+  bool Fresh(double now) const { return valid && now < lease_expiry; }
 };
 
 /// One consistency protocol: what a source emits when an object is updated,
@@ -76,7 +82,8 @@ class SyncProtocol {
   virtual bool emits_invalidations() const = 0;
 
   /// Whether replicas carry ReplicaSyncState the read path must check: a
-  /// resident replica only serves a read when ReplicaFresh() also holds.
+  /// resident replica only serves a read when ReplicaSyncState::Fresh() also
+  /// holds.
   virtual bool tracks_validity() const = 0;
 
   /// Lease expiry granted to the synchronized replicas at run start
@@ -84,9 +91,6 @@ class SyncProtocol {
   virtual double initial_lease_expiry() const {
     return std::numeric_limits<double>::infinity();
   }
-
-  /// Whether a resident replica may serve a read at `now`.
-  virtual bool ReplicaFresh(const ReplicaSyncState& state, double now) const = 0;
 
   /// Delivery hook: a refresh (push or pull response) was applied to the
   /// replica at `now`.

@@ -1,6 +1,7 @@
 #include "read/read_path.h"
 
 #include <limits>
+#include <map>
 
 #include "util/logging.h"
 
@@ -55,6 +56,9 @@ void ReadPath::Initialize(Harness* harness, int num_caches, SchedulerStats* tall
     }
   }
 
+  // One popularity table per distinct member count, shared by every cache
+  // of that size: the tables are immutable and hold one double per rank.
+  std::map<int64_t, std::shared_ptr<const ZipfDistribution>> popularity;
   caches_.reserve(static_cast<size_t>(num_caches));
   for (int c = 0; c < num_caches; ++c) {
     CacheState state(
@@ -80,8 +84,12 @@ void ReadPath::Initialize(Harness* harness, int num_caches, SchedulerStats* tall
         // slots further along the member list, so multi-cache workloads do
         // not all hammer the same objects.
         const int64_t rotation = (static_cast<int64_t>(c) * n) / std::max(num_caches, 1);
-        state.owned_stream = std::make_unique<PoissonZipfReadProcess>(
-            config_.read_rate, config_.zipf_exponent, rotation);
+        std::shared_ptr<const ZipfDistribution>& table = popularity[n];
+        if (table == nullptr) {
+          table = std::make_shared<const ZipfDistribution>(n, config_.zipf_exponent);
+        }
+        state.owned_stream =
+            std::make_unique<PoissonZipfReadProcess>(config_.read_rate, table, rotation);
         state.stream = state.owned_stream.get();
       }
     }
@@ -126,8 +134,7 @@ void ReadPath::ProcessReads(double t) {
 
 void ReadPath::HandleRead(CacheState* cache, int64_t slot, double t) {
   ++tally_->reads_total;
-  const bool fresh =
-      !validity_tracked_ || protocol_->ReplicaFresh(cache->store.sync_state(slot), t);
+  const bool fresh = !validity_tracked_ || cache->store.sync_state(slot).Fresh(t);
   if (fresh && cache->store.resident(slot)) {
     ++tally_->read_hits;
     cache->store.TouchRead(slot, t);

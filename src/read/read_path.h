@@ -2,7 +2,6 @@
 #define BESYNC_READ_READ_PATH_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "read/cache_store.h"
 #include "util/quantile.h"
 #include "util/random.h"
+#include "util/ring.h"
 
 namespace besync {
 
@@ -146,7 +146,7 @@ class ReadPath {
     /// Per-slot pending pulls; sized only for capacity-limited stores.
     std::vector<PendingPull> pending;
     /// Slots with an unsent pull request, in miss order.
-    std::deque<int64_t> request_queue;
+    Ring<int64_t> request_queue;
     QuantileDigest staleness;
   };
 

@@ -128,36 +128,39 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * radius * std::cos(theta);
 }
 
-int64_t Rng::Zipf(int64_t n, double s) {
+Rng Rng::Fork() { return Rng(NextUint64()); }
+
+ZipfDistribution::ZipfDistribution(int64_t n, double s)
+    : n_(n),
+      exponent_(s),
+      one_minus_s_(1.0 - s),
+      inv_one_minus_s_(1.0 / (1.0 - s)) {
   BESYNC_CHECK_GE(n, 1);
-  // Rejection-inversion sampling (Hormann & Derflinger) works for any s > 0,
-  // but a simple inverse-CDF walk is fine for the n used in examples; use
-  // the rejection method from Gray's formulation for efficiency.
-  // Here: rejection sampling against the continuous envelope 1/x^s.
-  if (n == 1) return 1;
-  const double exponent = s;
-  // Precompute normalization pieces of the envelope.
-  auto h = [exponent](double x) {
-    return exponent == 1.0 ? std::log(x) : (std::pow(x, 1.0 - exponent) - 1.0) / (1.0 - exponent);
+  BESYNC_CHECK_GT(s, 0.0);
+  const auto h = [this](double x) {
+    return exponent_ == 1.0 ? std::log(x)
+                            : (std::pow(x, one_minus_s_) - 1.0) / one_minus_s_;
   };
-  auto h_inv = [exponent](double y) {
-    return exponent == 1.0 ? std::exp(y)
-                           : std::pow(1.0 + y * (1.0 - exponent), 1.0 / (1.0 - exponent));
-  };
-  const double total = h(static_cast<double>(n) + 0.5) - h(0.5);
-  while (true) {
-    const double u = h(0.5) + NextDouble() * total;
-    const double x = h_inv(u);
-    const int64_t k = static_cast<int64_t>(std::llround(x));
-    if (k < 1 || k > n) continue;
-    // Accept with probability proportional to the ratio of the pmf to the
-    // envelope density at k.
-    const double ratio = std::pow(static_cast<double>(k), -exponent) /
-                         std::pow(x, -exponent);
-    if (NextDouble() <= ratio) return k;
-  }
+  h_half_ = h(0.5);
+  total_ = h(static_cast<double>(n) + 0.5) - h_half_;
+  pmf_.assign(static_cast<size_t>(n) + 1, 0.0);
+  for (int64_t k = 1; k <= n; ++k) pmf_[k] = std::pow(static_cast<double>(k), -s);
 }
 
-Rng Rng::Fork() { return Rng(NextUint64()); }
+int64_t ZipfDistribution::Draw(Rng* rng) const {
+  if (n_ == 1) return 1;
+  while (true) {
+    const double u = h_half_ + rng->NextDouble() * total_;
+    const double x = exponent_ == 1.0
+                         ? std::exp(u)
+                         : std::pow(1.0 + u * one_minus_s_, inv_one_minus_s_);
+    const int64_t k = static_cast<int64_t>(std::llround(x));
+    if (k < 1 || k > n_) continue;
+    // Accept with probability proportional to the ratio of the pmf to the
+    // envelope density at k.
+    const double ratio = pmf_[k] / std::pow(x, -exponent_);
+    if (rng->NextDouble() <= ratio) return k;
+  }
+}
 
 }  // namespace besync

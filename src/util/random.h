@@ -46,10 +46,6 @@ class Rng {
   /// Normal (Gaussian) with the given mean and standard deviation.
   double Normal(double mean, double stddev);
 
-  /// Zipf-distributed integer in [1, n]: P(k) proportional to 1/k^s.
-  /// Used for importance/popularity skew in the web-index example.
-  int64_t Zipf(int64_t n, double s);
-
   /// Derives an independent child generator (for per-source / per-object
   /// streams whose draws must not depend on iteration order elsewhere).
   Rng Fork();
@@ -72,6 +68,40 @@ class Rng {
   uint64_t state_[4];
   // Cached second value from the Box-Muller transform.
   double cached_normal_ = kNoCachedNormal;
+};
+
+/// Zipf-distributed integers in [1, n]: P(k) proportional to 1/k^s, for
+/// s > 0. Draws come from rejection sampling against the continuous
+/// envelope 1/x^s on [0.5, n + 0.5]: invert the envelope's integral h at a
+/// uniform point, round to the nearest rank k, and accept with probability
+/// k^-s / x^-s. Everything that depends only on (n, s) — h(0.5), the
+/// envelope total, 1/(1 - s) and the pmf k^-s — is computed once here, so a
+/// draw costs two `pow` calls per attempt. Immutable once built; share one
+/// instance between every stream of the same shape.
+class ZipfDistribution {
+ public:
+  /// Requires n >= 1 and s > 0. Holds n doubles.
+  ZipfDistribution(int64_t n, double s);
+
+  int64_t n() const { return n_; }
+
+  /// One rank in [1, n]. n == 1 draws nothing; otherwise each attempt
+  /// draws one NextDouble() for the envelope point and, when that rounds to
+  /// a rank in [1, n], a second for the acceptance test.
+  int64_t Draw(Rng* rng) const;
+
+ private:
+  int64_t n_;
+  double exponent_;
+  /// 1 - s and 1 / (1 - s); unused when s == 1, where h is log and its
+  /// inverse exp.
+  double one_minus_s_;
+  double inv_one_minus_s_;
+  /// h(0.5) and h(n + 0.5) - h(0.5): the envelope's range.
+  double h_half_;
+  double total_;
+  /// pmf_[k] = k^-s for k in [1, n]; pmf_[0] is unused.
+  std::vector<double> pmf_;
 };
 
 }  // namespace besync

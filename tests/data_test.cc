@@ -150,6 +150,11 @@ TEST(WorkloadTest, RejectsInvalidConfig) {
   base.objects_per_source = 1;
   ASSERT_TRUE(ValidateWorkloadConfig(base).ok());
   ASSERT_TRUE(MakeWorkload(base).ok());
+  // The bounds themselves are accepted.
+  WorkloadConfig at_bounds = base;
+  at_bounds.read.read_rate = kMaxReadRate;
+  at_bounds.read.zipf_exponent = kMaxZipfExponent;
+  EXPECT_TRUE(ValidateWorkloadConfig(at_bounds).ok());
   for (const Case& c : cases) {
     WorkloadConfig config = base;
     c.apply(&config);
@@ -180,11 +185,32 @@ TEST(WorkloadTest, RejectsInvalidReadConfig) {
          r->read_rate = 1.0;
          r->zipf_exponent = std::nan("");
        }},
+      // The rejection sampler's acceptance collapses at large exponents,
+      // and an infinite or huge rate's gaps round away against the clock:
+      // each would hang the read loop instead of failing.
+      {"zipf_exponent",
+       [](ReadWorkloadConfig* r) {
+         r->read_rate = 1.0;
+         r->zipf_exponent = 60.0;
+       }},
+      {"zipf_exponent",
+       [](ReadWorkloadConfig* r) {
+         r->read_rate = 1.0;
+         r->zipf_exponent = std::numeric_limits<double>::infinity();
+       }},
+      {"read_rate",
+       [](ReadWorkloadConfig* r) { r->read_rate = std::numeric_limits<double>::infinity(); }},
+      {"read_rate", [](ReadWorkloadConfig* r) { r->read_rate = 1e20; }},
   };
   WorkloadConfig base;
   base.num_sources = 1;
   base.objects_per_source = 2;
   ASSERT_TRUE(MakeWorkload(base).ok());
+  // The bounds themselves are accepted.
+  WorkloadConfig at_bounds = base;
+  at_bounds.read.read_rate = kMaxReadRate;
+  at_bounds.read.zipf_exponent = kMaxZipfExponent;
+  EXPECT_TRUE(ValidateWorkloadConfig(at_bounds).ok());
   for (const Case& c : cases) {
     WorkloadConfig config = base;
     c.apply(&config.read);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,8 +81,8 @@ TEST(SyncProtocolTest, PushRefreshIsAlwaysFresh) {
   EXPECT_FALSE(protocol->emits_invalidations());
   EXPECT_FALSE(protocol->tracks_validity());
   ReplicaSyncState state;
-  EXPECT_TRUE(protocol->ReplicaFresh(state, 0.0));
-  EXPECT_TRUE(protocol->ReplicaFresh(state, 1e9));
+  EXPECT_TRUE(state.Fresh(0.0));
+  EXPECT_TRUE(state.Fresh(1e9));
 }
 
 TEST(SyncProtocolTest, InvalidationTogglesValidity) {
@@ -92,11 +93,11 @@ TEST(SyncProtocolTest, InvalidationTogglesValidity) {
   EXPECT_TRUE(protocol->emits_invalidations());
   EXPECT_TRUE(protocol->tracks_validity());
   ReplicaSyncState state;
-  EXPECT_TRUE(protocol->ReplicaFresh(state, 5.0));
+  EXPECT_TRUE(state.Fresh(5.0));
   protocol->OnInvalidate(&state, 5.0);
-  EXPECT_FALSE(protocol->ReplicaFresh(state, 6.0));
+  EXPECT_FALSE(state.Fresh(6.0));
   protocol->OnRefreshApplied(&state, 7.0);
-  EXPECT_TRUE(protocol->ReplicaFresh(state, 8.0));
+  EXPECT_TRUE(state.Fresh(8.0));
 }
 
 TEST(SyncProtocolTest, TtlLeaseExpires) {
@@ -111,12 +112,56 @@ TEST(SyncProtocolTest, TtlLeaseExpires) {
   EXPECT_EQ(protocol->initial_lease_expiry(), 10.0);
   ReplicaSyncState state;
   state.lease_expiry = protocol->initial_lease_expiry();
-  EXPECT_TRUE(protocol->ReplicaFresh(state, 9.0));
-  EXPECT_FALSE(protocol->ReplicaFresh(state, 10.0));  // expiry is exclusive
+  EXPECT_TRUE(state.Fresh(9.0));
+  EXPECT_FALSE(state.Fresh(10.0));  // expiry is exclusive
   protocol->OnRefreshApplied(&state, 12.0);
   EXPECT_EQ(state.lease_expiry, 22.0);
-  EXPECT_TRUE(protocol->ReplicaFresh(state, 21.0));
-  EXPECT_FALSE(protocol->ReplicaFresh(state, 23.0));
+  EXPECT_TRUE(state.Fresh(21.0));
+  EXPECT_FALSE(state.Fresh(23.0));
+}
+
+TEST(SyncProtocolTest, EachProtocolMovesOnlyItsOwnField) {
+  // ReplicaSyncState::Fresh is `valid && now < lease_expiry` for every
+  // protocol. That is exact because no hook touches the other protocol's
+  // field: invalidation never moves lease_expiry off +infinity, and TTL
+  // never clears valid. Drive every hook each protocol allows and check
+  // both invariants after each step.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (SyncProtocolKind kind : {SyncProtocolKind::kPushRefresh,
+                                SyncProtocolKind::kInvalidation,
+                                SyncProtocolKind::kTtlLease}) {
+    SyncProtocolConfig config;
+    config.kind = kind;
+    config.ttl = 10.0;
+    const auto protocol = SyncProtocol::Make(config);
+    ReplicaSyncState state;
+    state.lease_expiry = protocol->initial_lease_expiry();
+    const auto check = [&](const char* step) {
+      if (kind != SyncProtocolKind::kTtlLease) {
+        EXPECT_EQ(state.lease_expiry, kInf) << protocol->name() << " after " << step;
+      }
+      if (kind != SyncProtocolKind::kInvalidation) {
+        EXPECT_TRUE(state.valid) << protocol->name() << " after " << step;
+      }
+    };
+    check("start");
+    for (double now : {1.0, 4.0, 30.0}) {
+      protocol->OnRefreshApplied(&state, now);
+      check("OnRefreshApplied");
+      EXPECT_TRUE(state.Fresh(now)) << protocol->name();
+      if (protocol->emits_invalidations()) {
+        protocol->OnInvalidate(&state, now + 0.5);
+        check("OnInvalidate");
+        EXPECT_FALSE(state.Fresh(now + 0.5)) << protocol->name();
+      }
+      protocol->OnCacheRestart(&state, now + 1.0);
+      check("OnCacheRestart");
+      // A restarted replica must be re-fetched before it serves, except
+      // under push refresh, which keeps no validity state.
+      EXPECT_EQ(state.Fresh(now + 1.0), kind == SyncProtocolKind::kPushRefresh)
+          << protocol->name();
+    }
+  }
 }
 
 // ------------------------------------------------- push-refresh neutrality

@@ -170,11 +170,13 @@ TEST(RngTest, NormalMoments) {
   EXPECT_NEAR(stat.stddev(), 2.0, 0.05);
 }
 
-TEST(RngTest, ZipfFavorsSmallRanks) {
+TEST(ZipfDistributionTest, FavorsSmallRanks) {
+  const ZipfDistribution zipf(10, 1.0);
+  EXPECT_EQ(zipf.n(), 10);
   Rng rng(5);
   std::vector<int> counts(11, 0);
   for (int i = 0; i < 20000; ++i) {
-    const int64_t k = rng.Zipf(10, 1.0);
+    const int64_t k = zipf.Draw(&rng);
     ASSERT_GE(k, 1);
     ASSERT_LE(k, 10);
     ++counts[k];
@@ -184,6 +186,70 @@ TEST(RngTest, ZipfFavorsSmallRanks) {
   EXPECT_GT(counts[5], 0);
   // Ratio c1/c2 should be close to 2 for s=1.
   EXPECT_NEAR(static_cast<double>(counts[1]) / counts[2], 2.0, 0.35);
+}
+
+TEST(ZipfDistributionTest, MatchesParentDrawStream) {
+  // Draws recorded from the per-call sampler this table replaced
+  // (Rng::Zipf(n, s), which recomputed its envelope on every draw): the
+  // first 64 ranks from Rng(seed), then the generator's next NextUint64,
+  // which pins how many uniforms the 64 draws consumed. The precomputed
+  // table must reproduce both bit for bit, or every read stream moves.
+  struct Case {
+    int64_t n;
+    double s;
+    uint64_t seed;
+    std::vector<int64_t> draws;
+    uint64_t next;
+  };
+  const Case cases[] = {
+      {1, 0.8, 101,
+       {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+       0xb7acc4f2509454b9ULL},
+      {2, 0.8, 102,
+       {1, 2, 1, 1, 1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 1, 1, 1,
+        1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1,
+        1, 1, 1, 1, 1, 1, 2, 2, 1, 2},
+       0xfd760d0f9a69dc36ULL},
+      {10, 1.0, 103,
+       {1, 2, 1, 2, 4, 5, 1, 4, 2, 4, 2, 1, 1, 3, 10, 5, 2, 1, 1, 3, 1, 8, 3, 4, 4, 10,
+        1, 2, 4, 1, 7, 2, 6, 2, 1, 5, 1, 2, 5, 1, 4, 6, 2, 2, 1, 1, 1, 2, 7, 2, 6, 1, 4,
+        9, 10, 7, 3, 8, 6, 2, 1, 5, 3, 7},
+       0xdecdcf55803ca897ULL},
+      {50, 1.0, 104,
+       {1, 1, 23, 2, 6, 23, 6, 31, 1, 1, 5, 1, 2, 1, 1, 1, 1, 3, 3, 5, 1, 31, 4, 1, 2,
+        2, 20, 2, 32, 16, 11, 8, 2, 49, 7, 1, 12, 22, 1, 5, 25, 16, 3, 17, 5, 30, 6, 1,
+        33, 3, 20, 28, 32, 1, 7, 43, 5, 33, 1, 41, 1, 5, 6, 7},
+       0x62407158f02999c6ULL},
+      {100, 1.2, 105,
+       {1, 22, 45, 22, 1, 1, 6, 38, 13, 36, 2, 1, 4, 2, 1, 57, 17, 22, 2, 1, 1, 1, 2, 7,
+        5, 1, 12, 6, 11, 1, 29, 72, 8, 4, 50, 6, 12, 5, 1, 1, 44, 15, 2, 1, 17, 16, 1,
+        25, 3, 1, 1, 41, 39, 15, 46, 1, 70, 1, 1, 1, 1, 33, 1, 8},
+       0x1ba97ddd85fb2334ULL},
+      {2000, 0.8, 106,
+       {2, 204, 340, 27, 3, 315, 11, 260, 1686, 778, 10, 482, 193, 107, 52, 52, 1043,
+        132, 185, 9, 132, 349, 431, 438, 193, 1379, 1725, 15, 869, 62, 401, 1087, 173,
+        283, 24, 71, 1200, 49, 5, 420, 210, 701, 20, 310, 301, 587, 170, 730, 1955, 272,
+        487, 1, 672, 1476, 59, 487, 49, 20, 830, 9, 79, 254, 1, 71},
+       0xd60453a7524fcf97ULL},
+  };
+  for (const Case& c : cases) {
+    const ZipfDistribution zipf(c.n, c.s);
+    Rng rng(c.seed);
+    std::vector<int64_t> draws;
+    for (size_t i = 0; i < c.draws.size(); ++i) draws.push_back(zipf.Draw(&rng));
+    EXPECT_EQ(draws, c.draws) << "n=" << c.n << " s=" << c.s;
+    EXPECT_EQ(rng.NextUint64(), c.next) << "n=" << c.n << " s=" << c.s;
+  }
+}
+
+TEST(ZipfDistributionTest, SingleRankDrawsNothing) {
+  const ZipfDistribution zipf(1, 0.8);
+  Rng rng(9);
+  Rng untouched(9);
+  EXPECT_EQ(zipf.Draw(&rng), 1);
+  EXPECT_EQ(rng.NextUint64(), untouched.NextUint64());
 }
 
 TEST(RngTest, BernoulliEdgeCases) {
