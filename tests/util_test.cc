@@ -244,14 +244,6 @@ TEST(ZipfDistributionTest, MatchesParentDrawStream) {
   }
 }
 
-TEST(ZipfDistributionTest, SingleRankDrawsNothing) {
-  const ZipfDistribution zipf(1, 0.8);
-  Rng rng(9);
-  Rng untouched(9);
-  EXPECT_EQ(zipf.Draw(&rng), 1);
-  EXPECT_EQ(rng.NextUint64(), untouched.NextUint64());
-}
-
 TEST(RngTest, BernoulliEdgeCases) {
   Rng rng(3);
   EXPECT_FALSE(rng.Bernoulli(0.0));
