@@ -33,9 +33,10 @@ inline int IntOrExit(const std::string& flag, double value,
 }
 
 /// The int value of --`name`, or `fallback` when absent; exits 2 on a value
-/// past int's range (IntOrExit).
-inline int IntFlag(const Flags& flags, const std::string& name, int fallback) {
-  return IntOrExit(name, static_cast<double>(flags.GetInt(name, fallback)));
+/// outside [lo, INT_MAX] (IntOrExit).
+inline int IntFlag(const Flags& flags, const std::string& name, int fallback,
+                   int lo = std::numeric_limits<int>::min()) {
+  return IntOrExit(name, static_cast<double>(flags.GetInt(name, fallback)), lo);
 }
 
 /// Common command-line surface of every experiment binary:
@@ -289,19 +290,6 @@ inline void ValidateJobsOrExit(const std::vector<ExperimentJob>& jobs) {
       std::exit(2);
     }
   }
-}
-
-/// Unwraps a grid builder's jobs (exp/*_sweep.h, exp/multicache.h) and
-/// runs ValidateJobsOrExit on them. A builder's InvalidArgument — an empty
-/// axis, a read rate <= 0, ... — is a usage error like a bad config field:
-/// exits 2 with the message before any job runs.
-inline std::vector<ExperimentJob> JobsOrExit(Result<std::vector<ExperimentJob>> jobs) {
-  if (!jobs.ok()) {
-    std::fprintf(stderr, "%s\n", jobs.status().ToString().c_str());
-    std::exit(2);
-  }
-  ValidateJobsOrExit(*jobs);
-  return std::move(jobs).ValueOrDie();
 }
 
 /// Exits nonzero on the first failed job, printing its name and status —

@@ -1,26 +1,27 @@
 // bench_engine: the engine's sweep suites, one per invocation.
 //
 //   --suite=fault       crash count x protocol x relay depth x recovery
-//                       policy (exp/fault_sweep.h): the recovery crossover
+//                       policy: the recovery crossover
 //   --suite=multicache  N in {1,2,4,8} caches under partitioned vs Zipf-
-//                       overlap interest (exp/multicache.h)
-//   --suite=protocol    read rate x B_C x relay depth x protocol
-//                       (exp/protocol_sweep.h): the protocol crossover
-//   --suite=readpath    read rate x capacity x eviction policy
-//                       (exp/read_sweep.h): hit rate, read staleness and
-//                       pull contention
+//                       overlap interest
+//   --suite=protocol    read rate x B_C x relay depth x protocol: the
+//                       protocol crossover
+//   --suite=readpath    read rate x capacity x eviction policy: hit rate,
+//                       read staleness and pull contention
 //   --suite=scale       zipped (sources, objects, caches) points up to
 //                       1M objects x 1k caches
 //   --suite=tree        flat vs 2- and 3-tier relay trees at matched total
-//                       edge bandwidth (exp/multicache.h)
+//                       edge bandwidth
 //
 // --suite is required; a missing or unknown name exits 2. Each suite accepts
 // its own flags (kSuites below) plus the common ones (bench_common.h), and
 // any other flag exits 2: the suites give the same flag different defaults,
-// so one invocation runs one suite. Every suite runs on the experiment
-// runner, cooperative only, so --threads=N parallelizes its grid, and its
-// stdout, --json and --csv are byte-identical at any thread count. No
-// column carries wall-clock time; hostbench/ is the repo's wall clock.
+// so one invocation runs one suite. Each suite builds its grid inline, next
+// to the printer that walks it, so the grid order is decided in one place.
+// Every suite runs on the experiment runner, cooperative only, so
+// --threads=N parallelizes its grid, and its stdout, --json and --csv are
+// byte-identical at any thread count. No column carries wall-clock time;
+// hostbench/ is the repo's wall clock.
 //
 // Default mode runs the scaled-down grids that tools/record_bench.py records
 // as BENCH_*.json; --full runs the paper-scale ones.
@@ -30,16 +31,14 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.h"
-#include "exp/fault_sweep.h"
-#include "exp/multicache.h"
-#include "exp/protocol_sweep.h"
-#include "exp/read_sweep.h"
+#include "data/topology.h"
 
 namespace besync {
 namespace {
@@ -50,7 +49,7 @@ using Results = std::vector<JobResult>;
 /// What a suite's builder returns: its jobs, and what it prints from their
 /// results.
 struct Plan {
-  Result<Jobs> jobs;
+  Jobs jobs;
   std::function<void(const Results&)> print;
 };
 
@@ -94,6 +93,16 @@ std::vector<double> DoubleListFlag(const BenchOptions& options, const std::strin
   return ParseDoubleList(name, options.flags.GetString(name, ""));
 }
 
+/// Exits 2 naming --`name` when its list came out empty.
+template <typename T>
+std::vector<T> NonEmptyOrExit(const std::string& name, std::vector<T> values) {
+  if (values.empty()) {
+    std::fprintf(stderr, "--%s: empty list\n", name.c_str());
+    std::exit(2);
+  }
+  return values;
+}
+
 /// --protocols as protocol names, or `fallback` when absent.
 std::vector<SyncProtocolKind> ProtocolsFlag(const BenchOptions& options,
                                             std::vector<SyncProtocolKind> fallback) {
@@ -102,7 +111,22 @@ std::vector<SyncProtocolKind> ProtocolsFlag(const BenchOptions& options,
   for (const std::string& name : SplitList(options.flags.GetString("protocols", ""))) {
     protocols.push_back(ParseProtocolKind("protocols", name));
   }
-  return protocols;
+  return NonEmptyOrExit("protocols", std::move(protocols));
+}
+
+/// --read_rates, or `fallback` when absent. A rate that is not > 0 (NaN
+/// included) exits 2: invalidation and TTL replicas are refilled only by
+/// read-triggered pulls, so a read-free point would pin them stale.
+std::vector<double> ReadRatesFlag(const BenchOptions& options,
+                                  std::vector<double> fallback) {
+  std::vector<double> rates = DoubleListFlag(options, "read_rates", std::move(fallback));
+  for (double rate : rates) {
+    if (!(rate > 0.0)) {
+      std::fprintf(stderr, "--read_rates must be > 0, got %g\n", rate);
+      std::exit(2);
+    }
+  }
+  return rates;
 }
 
 /// Summed time-averaged divergence of the caches that never crash
@@ -117,39 +141,81 @@ double WarmDivergence(const RunResult& result) {
 }
 
 // fault: a finite source uplink makes recovery a real allocation decision
-// (resync traffic and fresh updates compete for one budget). The recovery
-// summary names, per regime, the policy with the better resync p95 — an
-// unfinished resync (resync_pending > 0) counts as worse than any finished
-// one — and the warm-divergence cost of each; tools/record_bench.py --check
-// requires priority recovery to win some regime without losing warm-cache
-// freshness.
+// (resync traffic and fresh updates compete for one budget). Every crash
+// lands on leaf 0, so "warm" divergence is cleanly the other caches' sum.
+// The jobs run regime by regime (crashes, protocol, tiers), with the
+// recovery policies innermost: each regime is one block of consecutive
+// head-to-head jobs that differ only in policy, so they see bit-identical
+// update streams and fault timings. The recovery summary names, per regime,
+// the policy with the better resync p95 — an unfinished resync
+// (resync_pending > 0) counts as worse than any finished one — and the
+// warm-divergence cost of each; tools/record_bench.py --check requires
+// priority recovery to win some regime without losing warm-cache freshness.
 Plan Fault(const BenchOptions& options) {
+  static constexpr RecoveryPolicy kPolicies[] = {RecoveryPolicy::kNaiveReenqueue,
+                                                 RecoveryPolicy::kRecoveryPriority};
   const Flags& flags = options.flags;
   const bool full = options.full;
-  FaultSweepConfig config;
-  config.base = SweepBase(options, full ? 16 : 8, full ? 25 : 12, full ? 4 : 3, 50.0,
-                          full ? 2000.0 : 600.0);
-  config.base.workload.relay_bandwidth_factor = flags.GetDouble("relay_factor", 1.0);
-  config.base.cache_bandwidth_avg = flags.GetDouble("cache_bw", 6.0);
-  config.base.source_bandwidth_avg = flags.GetDouble("source_bw", 3.0);
-  config.read_rate = flags.GetDouble("fault_read_rate", 2.0);
-  config.crash_duration = flags.GetDouble("fault_crash_duration", 25.0);
-  config.window_start = flags.GetDouble("fault_window_start", 80.0);
-  config.window_end = flags.GetDouble(
-      "fault_window_end", config.base.harness.warmup + config.base.harness.measure * 0.6);
-  config.fault_seed = static_cast<uint64_t>(flags.GetInt("fault_seed", 1234));
-  config.relay_failures = IntFlag(flags, "fault_relay_failures", 1);
-  config.crash_counts =
+  ExperimentConfig base = SweepBase(options, full ? 16 : 8, full ? 25 : 12,
+                                    full ? 4 : 3, 50.0, full ? 2000.0 : 600.0);
+  base.workload.relay_bandwidth_factor = flags.GetDouble("relay_factor", 1.0);
+  base.cache_bandwidth_avg = flags.GetDouble("cache_bw", 6.0);
+  base.source_bandwidth_avg = flags.GetDouble("source_bw", 3.0);
+  // A failed relay's stored messages re-enter the tree at their new first hop.
+  base.relay_store_policy = RelayStorePolicy::kDrain;
+  FaultScheduleConfig& fault = base.workload.fault;
+  fault.crash_cache = 0;
+  fault.crash_duration = flags.GetDouble("fault_crash_duration", 25.0);
+  fault.window_start = flags.GetDouble("fault_window_start", 80.0);
+  fault.window_end = flags.GetDouble("fault_window_end",
+                                     base.harness.warmup + base.harness.measure * 0.6);
+  fault.seed = static_cast<uint64_t>(flags.GetInt("fault_seed", 1234));
+  const int relay_failures = IntFlag(flags, "fault_relay_failures", 1, 0);
+  const std::vector<int> crash_counts =
       IntListFlag(options, "fault_crashes", full ? std::vector<int>{1, 3, 6}
                                                  : std::vector<int>{1, 3});
-  config.relay_tiers = IntListFlag(options, "tiers", {0, 2});
-  config.protocols = ProtocolsFlag(
+  const std::vector<int> relay_tiers = IntListFlag(options, "tiers", {0, 2});
+  const std::vector<SyncProtocolKind> protocols = ProtocolsFlag(
       options, {SyncProtocolKind::kPushRefresh, SyncProtocolKind::kInvalidation});
+  const double read_rate = flags.GetDouble("fault_read_rate", 2.0);
+  if (read_rate > 0.0) {
+    base.workload.read.read_rate = read_rate;
+  } else if (std::any_of(protocols.begin(), protocols.end(), [](SyncProtocolKind p) {
+               return p != SyncProtocolKind::kPushRefresh;
+             })) {
+    // Invalid replicas, crashed or not, are refilled only by read-triggered
+    // pulls.
+    std::fprintf(stderr,
+                 "--fault_read_rate must be > 0 when a pull protocol is swept, "
+                 "got %g\n",
+                 read_rate);
+    std::exit(2);
+  }
 
-  // Policies are innermost in the sweep order, so each regime is one
-  // consecutive block of |policies| jobs.
-  const size_t stride = config.policies.size();
-  return {FaultSweepJobs(config), [stride](const Results& results) {
+  Jobs jobs;
+  for (int crashes : crash_counts) {
+    for (SyncProtocolKind protocol : protocols) {
+      for (int tiers : relay_tiers) {
+        for (RecoveryPolicy policy : kPolicies) {
+          ExperimentJob job;
+          job.name = "crashes=" + std::to_string(crashes) +
+                     ",proto=" + SyncProtocolKindToString(protocol) +
+                     ",tiers=" + std::to_string(tiers) +
+                     ",policy=" + RecoveryPolicyToString(policy);
+          job.config = base;
+          job.config.workload.relay_tiers = tiers;
+          job.config.protocol.kind = protocol;
+          job.config.recovery_policy = policy;
+          job.config.workload.fault.cache_crashes = crashes;
+          // Relay failures only where relays exist; a flat point with
+          // relay_failures > 0 would fail schedule validation.
+          job.config.workload.fault.relay_failures = tiers > 0 ? relay_failures : 0;
+          jobs.push_back(std::move(job));
+        }
+      }
+    }
+  }
+  return {std::move(jobs), [](const Results& results) {
             TablePrinter table({"crashes", "protocol", "tiers", "policy", "total_div",
                                 "warm_div", "resync_p95", "resync_pend",
                                 "dropped_pulls", "delivered"});
@@ -175,6 +241,7 @@ Plan Fault(const BenchOptions& options) {
               return s.resync_pending > 0 ? std::numeric_limits<double>::infinity()
                                           : s.time_to_resync_p95;
             };
+            const size_t stride = std::size(kPolicies);
             for (size_t base = 0; base + stride <= results.size(); base += stride) {
               size_t best = base;
               double warm_naive = 0.0;
@@ -204,25 +271,39 @@ Plan Fault(const BenchOptions& options) {
 // per-cache object population's update volume under partitioned interest).
 // Under the partitioned pattern the N caches are disjoint single-cache
 // systems; under Zipf overlap a popular minority of objects is replicated
-// at several caches, so sources keep a threshold per cache channel.
+// at several caches, so sources keep a threshold per cache channel. Every
+// cache gets the full B_C, so total capacity grows with N.
 Plan Multicache(const BenchOptions& options) {
+  static constexpr InterestPattern kPatterns[] = {InterestPattern::kPartitionedBySource,
+                                                  InterestPattern::kZipfOverlap};
+  static constexpr int kCacheCounts[] = {1, 2, 4, 8};
   const bool full = options.full;
-  MulticacheConfig config;
-  config.base = SweepBase(options, full ? 64 : 16, full ? 25 : 10, 1, 100.0,
-                          full ? 2000.0 : 500.0);
-  config.base.cache_bandwidth_avg = full ? 200.0 : 24.0;
-  config.base.source_bandwidth_avg = full ? 12.0 : 6.0;
-  config.cache_counts = {1, 2, 4, 8};
-  config.patterns = {InterestPattern::kPartitionedBySource,
-                     InterestPattern::kZipfOverlap};
-  return {MulticacheSweepJobs(config), [config](const Results& results) {
+  ExperimentConfig base = SweepBase(options, full ? 64 : 16, full ? 25 : 10, 1, 100.0,
+                                    full ? 2000.0 : 500.0);
+  base.cache_bandwidth_avg = full ? 200.0 : 24.0;
+  base.source_bandwidth_avg = full ? 12.0 : 6.0;
+  Jobs jobs;
+  for (InterestPattern pattern : kPatterns) {
+    for (int num_caches : kCacheCounts) {
+      ExperimentJob job;
+      job.name = InterestPatternToString(pattern) + "/N=" + std::to_string(num_caches);
+      job.config = base;
+      job.config.workload.num_caches = num_caches;
+      // Any pattern degenerates to the paper's topology at one cache; the
+      // canonical single-cache pattern has the identical interest map.
+      job.config.workload.interest_pattern =
+          num_caches == 1 ? InterestPattern::kSingleCache : pattern;
+      jobs.push_back(std::move(job));
+    }
+  }
+  return {std::move(jobs), [](const Results& results) {
             TablePrinter table({"pattern", "caches", "replicas", "total_div",
                                 "per_replica", "delivered"});
-            // The jobs are pattern-major; walking the same axes recovers the
-            // requested pattern, which N=1 jobs map to the single-cache one.
+            // Walking the same axes recovers the requested pattern, which
+            // N=1 jobs map to the single-cache one.
             size_t k = 0;
-            for (InterestPattern pattern : config.patterns) {
-              for (int num_caches : config.cache_counts) {
+            for (InterestPattern pattern : kPatterns) {
+              for (int num_caches : kCacheCounts) {
                 const RunResult& r = results[k++].result;
                 table.AddRow({TablePrinter::Cell(InterestPatternToString(pattern)),
                               TablePrinter::Cell(num_caches),
@@ -240,30 +321,51 @@ Plan Multicache(const BenchOptions& options) {
 // protocol: a finite source uplink is what makes the crossover: push refresh
 // competes for it update by update, while invalidation notifies many objects
 // per unit and refills on demand-priority pulls. Relay edges are sized to
-// their subtree's demand so relay depth is a real regime axis. The crossover
-// summary names, per regime, the protocol with the lowest total divergence
-// and the one with the lowest read-staleness p95.
+// their subtree's demand so relay depth is a real regime axis. The jobs run
+// regime by regime (read rate, B_C, tiers) with the protocols innermost, so
+// each regime is one block of consecutive head-to-head jobs on the same
+// workload coordinates. The crossover summary names, per regime, the
+// protocol with the lowest total divergence and the one with the lowest
+// read-staleness p95.
 Plan Protocol(const BenchOptions& options) {
   const Flags& flags = options.flags;
   const bool full = options.full;
-  ProtocolSweepConfig config;
-  config.base = SweepBase(options, full ? 16 : 8, full ? 25 : 10, full ? 4 : 2, 100.0,
-                          full ? 3000.0 : 600.0);
-  config.base.workload.read.zipf_exponent = flags.GetDouble("zipf", 0.8);
-  config.base.workload.relay_bandwidth_factor = flags.GetDouble("relay_factor", 1.0);
-  config.base.source_bandwidth_avg = flags.GetDouble("source_bw", 1.0);
-  config.base.loss_rate = flags.GetDouble("loss", 0.0);
-  config.ttl = flags.GetDouble("ttl", 50.0);
-  config.invalidate_batch = IntFlag(flags, "invalidate_batch", 4);
-  config.read_rates = DoubleListFlag(options, "read_rates", config.read_rates);
-  config.bandwidths = DoubleListFlag(options, "bandwidths", config.bandwidths);
-  config.relay_tiers = IntListFlag(options, "tiers", {0, 2});
-  config.protocols = ProtocolsFlag(options, config.protocols);
+  ExperimentConfig base = SweepBase(options, full ? 16 : 8, full ? 25 : 10,
+                                    full ? 4 : 2, 100.0, full ? 3000.0 : 600.0);
+  base.workload.read.zipf_exponent = flags.GetDouble("zipf", 0.8);
+  base.workload.relay_bandwidth_factor = flags.GetDouble("relay_factor", 1.0);
+  base.source_bandwidth_avg = flags.GetDouble("source_bw", 1.0);
+  base.loss_rate = flags.GetDouble("loss", 0.0);
+  base.protocol.ttl = flags.GetDouble("ttl", 50.0);
+  base.protocol.max_invalidate_batch = IntFlag(flags, "invalidate_batch", 4);
+  const std::vector<double> read_rates = ReadRatesFlag(options, {0.5, 4.0, 16.0});
+  const std::vector<double> bandwidths = DoubleListFlag(options, "bandwidths", {4.0, 12.0});
+  const std::vector<int> relay_tiers = IntListFlag(options, "tiers", {0, 2});
+  const std::vector<SyncProtocolKind> protocols = ProtocolsFlag(
+      options, {SyncProtocolKind::kPushRefresh, SyncProtocolKind::kInvalidation,
+                SyncProtocolKind::kTtlLease});
 
-  // Protocols are innermost in the sweep order, so each regime is one
-  // consecutive block of |protocols| jobs.
-  const size_t stride = config.protocols.size();
-  return {ProtocolSweepJobs(config), [stride](const Results& results) {
+  Jobs jobs;
+  for (double read_rate : read_rates) {
+    for (double bandwidth : bandwidths) {
+      for (int tiers : relay_tiers) {
+        for (SyncProtocolKind protocol : protocols) {
+          ExperimentJob job;
+          job.name = "proto=" + SyncProtocolKindToString(protocol) +
+                     ",rate=" + TablePrinter::Cell(read_rate) +
+                     ",bw=" + TablePrinter::Cell(bandwidth) +
+                     ",tiers=" + std::to_string(tiers);
+          job.config = base;
+          job.config.workload.read.read_rate = read_rate;
+          job.config.cache_bandwidth_avg = bandwidth;
+          job.config.workload.relay_tiers = tiers;
+          job.config.protocol.kind = protocol;
+          jobs.push_back(std::move(job));
+        }
+      }
+    }
+  }
+  return {std::move(jobs), [stride = protocols.size()](const Results& results) {
             TablePrinter table({"rate", "B_C", "tiers", "protocol", "total_div",
                                 "stale_p95", "hit_rate", "refreshes", "invals",
                                 "pulls"});
@@ -313,45 +415,69 @@ Plan Protocol(const BenchOptions& options) {
 }
 
 // readpath: the unbounded-capacity rows are the control — every read hits,
-// no pull is sent, and total divergence matches the write-only engine.
+// no pull is sent, and total divergence matches the write-only engine. The
+// jobs run read rate by capacity by eviction policy; an unbounded store
+// never evicts, so it runs only the first policy instead of repeating one
+// simulation under different labels.
 Plan Readpath(const BenchOptions& options) {
   const Flags& flags = options.flags;
   const bool full = options.full;
-  ReadSweepConfig config;
-  config.base = SweepBase(options, full ? 16 : 8, full ? 25 : 10, full ? 4 : 2, 100.0,
-                          full ? 5000.0 : 1000.0);
-  config.base.workload.read.zipf_exponent = flags.GetDouble("zipf", 0.8);
-  config.base.cache_bandwidth_avg = flags.GetDouble("bandwidth", 8.0);
-  config.base.source_bandwidth_avg = -1.0;
-  config.read_rates = DoubleListFlag(options, "read_rates", config.read_rates);
+  ExperimentConfig base = SweepBase(options, full ? 16 : 8, full ? 25 : 10,
+                                    full ? 4 : 2, 100.0, full ? 5000.0 : 1000.0);
+  base.workload.read.zipf_exponent = flags.GetDouble("zipf", 0.8);
+  base.cache_bandwidth_avg = flags.GetDouble("bandwidth", 8.0);
+  base.source_bandwidth_avg = -1.0;
+  const std::vector<double> read_rates = ReadRatesFlag(options, {2.0, 8.0, 32.0});
+  std::vector<int64_t> capacities;
   if (flags.Has("capacities")) {
-    const std::vector<int> capacities =
-        ParseIntList("capacities", flags.GetString("capacities", ""));
-    config.capacities.assign(capacities.begin(), capacities.end());
+    for (int capacity : ParseIntList("capacities", flags.GetString("capacities", ""))) {
+      capacities.push_back(capacity);
+    }
   } else {
     // Default capacities scale with the per-cache replica count so the
     // pressure regimes (none / mild / hot-set-only) survive reshaping.
     // Clamped to >= 1 and deduplicated: tiny shapes must not degenerate a
     // finite point into a second unbounded row (duplicate grid names).
-    const int64_t per_cache = static_cast<int64_t>(config.base.workload.num_sources) *
-                              config.base.workload.objects_per_source /
-                              std::max(config.base.workload.num_caches, 1);
-    config.capacities = {0};
+    const int64_t per_cache = static_cast<int64_t>(base.workload.num_sources) *
+                              base.workload.objects_per_source /
+                              std::max(base.workload.num_caches, 1);
+    capacities = {0};
     for (int64_t capacity : {per_cache / 2, per_cache / 8}) {
       capacity = std::max<int64_t>(capacity, 1);
-      if (std::find(config.capacities.begin(), config.capacities.end(), capacity) ==
-          config.capacities.end()) {
-        config.capacities.push_back(capacity);
+      if (std::find(capacities.begin(), capacities.end(), capacity) == capacities.end()) {
+        capacities.push_back(capacity);
       }
     }
   }
+  std::vector<EvictionPolicy> evictions = {EvictionPolicy::kLru, EvictionPolicy::kLfu,
+                                           EvictionPolicy::kDivergenceAware};
   if (flags.Has("evictions")) {
-    config.evictions.clear();
+    evictions.clear();
     for (const std::string& name : SplitList(flags.GetString("evictions", ""))) {
-      config.evictions.push_back(ParseEvictionPolicy("evictions", name));
+      evictions.push_back(ParseEvictionPolicy("evictions", name));
+    }
+    evictions = NonEmptyOrExit("evictions", std::move(evictions));
+  }
+
+  Jobs jobs;
+  for (double read_rate : read_rates) {
+    for (int64_t capacity : capacities) {
+      const size_t num_policies = capacity <= 0 ? 1 : evictions.size();
+      for (size_t p = 0; p < num_policies; ++p) {
+        ExperimentJob job;
+        job.name = "rate=" + TablePrinter::Cell(read_rate) + ",cap=" +
+                   (capacity <= 0 ? std::string("inf") : std::to_string(capacity)) +
+                   ",evict=" +
+                   (capacity <= 0 ? std::string("-") : EvictionPolicyToString(evictions[p]));
+        job.config = base;
+        job.config.workload.read.read_rate = read_rate;
+        job.config.workload.read.capacity = capacity;
+        job.config.workload.read.eviction = evictions[p];
+        jobs.push_back(std::move(job));
+      }
     }
   }
-  return {ReadSweepJobs(config), [](const Results& results) {
+  return {std::move(jobs), [](const Results& results) {
             TablePrinter table({"rate", "capacity", "eviction", "reads", "hit_rate",
                                 "stale_p50", "stale_p95", "stale_p99", "miss_lat_s",
                                 "pull_share", "evictions", "total_div"});
@@ -425,21 +551,45 @@ Plan Scale(const BenchOptions& options) {
           }};
 }
 
-// tree: --bandwidth is the per-leaf bandwidth of the flat reference; the
-// sweep redistributes the total N x B over every edge of each tree in
-// proportion to the leaves below it, so deeper trees trade per-hop capacity
-// for aggregation, under FIFO and priority-preserving relay forwarding.
+// tree: --bandwidth is the per-leaf bandwidth of the flat reference; each
+// tree redistributes the total N x B over all its edges in proportion to
+// the leaves below them (MakeMatchedBandwidthTree), so deeper trees trade
+// per-hop capacity for aggregation, under FIFO and priority-preserving
+// relay forwarding. The flat star has no relay store to order, so it runs
+// only the first forwarding policy.
 Plan Tree(const BenchOptions& options) {
+  static constexpr int kRelayTiers[] = {0, 1, 2};
+  static constexpr RelayForwardPolicy kForwardPolicies[] = {RelayForwardPolicy::kFifo,
+                                                            RelayForwardPolicy::kPriority};
   const bool full = options.full;
-  TopologySweepConfig config;
-  config.base = SweepBase(options, full ? 16 : 8, full ? 25 : 10, full ? 16 : 8, 100.0,
-                          full ? 5000.0 : 1000.0);
-  config.base.workload.interest_pattern = InterestPattern::kPartitionedBySource;
-  config.base.cache_bandwidth_avg = options.flags.GetDouble("bandwidth", 6.0);
-  config.base.source_bandwidth_avg = -1.0;
-  config.relay_tier_counts = {0, 1, 2};
-  config.fanout = IntFlag(options.flags, "fanout", 2);
-  return {TopologySweepJobs(config), [](const Results& results) {
+  ExperimentConfig base = SweepBase(options, full ? 16 : 8, full ? 25 : 10,
+                                    full ? 16 : 8, 100.0, full ? 5000.0 : 1000.0);
+  base.workload.interest_pattern = InterestPattern::kPartitionedBySource;
+  base.source_bandwidth_avg = -1.0;
+  const double bandwidth = options.flags.GetDouble("bandwidth", 6.0);
+  const int fanout = IntFlag(options.flags, "fanout", 2, 1);
+  // MakeRelayTree needs a leaf, so --caches is checked before any tree.
+  const int leaves = IntOrExit("caches", base.workload.num_caches, 1);
+  Jobs jobs;
+  for (int tiers : kRelayTiers) {
+    const TopologySpec spec = MakeMatchedBandwidthTree(leaves, fanout, tiers, bandwidth);
+    const size_t num_policies = tiers == 0 ? 1 : std::size(kForwardPolicies);
+    for (size_t p = 0; p < num_policies; ++p) {
+      ExperimentJob job;
+      job.name = tiers == 0 ? "flat"
+                            : std::to_string(tiers + 1) + "-tier(f=" +
+                                  std::to_string(fanout) + ")," +
+                                  RelayForwardPolicyToString(kForwardPolicies[p]);
+      job.config = base;
+      job.config.topology = spec;
+      job.config.relay_forward = kForwardPolicies[p];
+      // Leaf links take the topology's edge bandwidths; the scalar carries
+      // the leaf share as the JSON and table grid coordinate.
+      job.config.cache_bandwidth_avg = spec.flat() ? bandwidth : spec.edge_bandwidth[0];
+      jobs.push_back(std::move(job));
+    }
+  }
+  return {std::move(jobs), [](const Results& results) {
             TablePrinter table({"topology", "forward", "edges", "leaf_B", "total_div",
                                 "per_replica", "delivered", "relay_fwd", "transit_s",
                                 "max_store", "util"});
@@ -543,9 +693,9 @@ const Suite& SelectSuite(int argc, char** argv) {
 
 int Run(const Suite& suite, const BenchOptions& options) {
   std::cout << suite.header;
-  Plan plan = suite.plan(options);
-  const Results results =
-      RunExperiments(JobsOrExit(std::move(plan.jobs)), options.runner(suite.name));
+  const Plan plan = suite.plan(options);
+  ValidateJobsOrExit(plan.jobs);
+  const Results results = RunExperiments(plan.jobs, options.runner(suite.name));
   CheckJobsOk(results);
   plan.print(results);
   EmitResultsCsv(results, options);

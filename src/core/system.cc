@@ -108,10 +108,8 @@ void CooperativeScheduler::Initialize(Harness* harness) {
   // The workload's fault schedule; empty keeps every fault hook cold.
   fault_events_ = workload.faults.Sorted();
   fault_cursor_ = 0;
-  cache_down_.clear();
   resync_.clear();
   if (!fault_events_.empty()) {
-    cache_down_.assign(static_cast<size_t>(num_caches), 0);
     resync_.assign(static_cast<size_t>(num_caches), ResyncState{});
   }
   tally_ = SchedulerStats{};
@@ -355,7 +353,7 @@ void CooperativeScheduler::Tick(double t) {
     for (int c = 0; c < num_caches(); ++c) {
       CacheAgent* cache = caches_[c].get();
       if (cache == nullptr) continue;
-      if (!cache_down_.empty() && cache_down_[c] != 0) {
+      if (cache_down(c)) {
         // Crashed cache: the wire still delivers (budget spent, loss drawn,
         // delivery counted) but every message is lost at the dead process.
         network_->cache_link(c).DeliverQueued([](const Message&) {});
@@ -401,7 +399,7 @@ void CooperativeScheduler::Tick(double t) {
         CacheAgent* cache = caches_[c].get();
         if (cache == nullptr) continue;
         // A dead process sends no feedback.
-        if (!cache_down_.empty() && cache_down_[c] != 0) continue;
+        if (cache_down(c)) continue;
         const int64_t surplus = network_->cache_link(c).remaining_budget();
         if (surplus <= 0) continue;
         const std::vector<int> targets = cache->SelectFeedbackTargets(surplus, t);
@@ -462,8 +460,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
   switch (event.kind) {
     case FaultEventKind::kCacheCrash: {
       const int c = event.node;
-      if (cache_down_[c] != 0) return;  // already down
-      cache_down_[c] = 1;
+      if (cache_down(c)) return;  // already down
       ++tally_.cache_crashes;
       read_path_.OnCacheCrash(c, t);
       // A crash mid-recovery abandons the episode (its duration is never
@@ -474,8 +471,7 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
     }
     case FaultEventKind::kCacheRestart: {
       const int c = event.node;
-      if (cache_down_[c] == 0) return;  // never crashed / already back
-      cache_down_[c] = 0;
+      if (!cache_down(c)) return;  // never crashed / already back
       ++tally_.cache_restarts;
       read_path_.OnCacheRestart(c);
       // Every source re-ships (or at least re-tracks) its replicas at the
@@ -564,7 +560,7 @@ void CooperativeScheduler::RecoveryPhase(double t) {
       const int32_t c = agent.channel_cache_id(k);
       // Re-crashed before the refill finished: hold the queue (the next
       // restart rebuilds it anyway) instead of shipping into a dead node.
-      if (cache_down_[c] != 0) continue;
+      if (cache_down(c)) continue;
       agent.SendRecovery(t, source_link, &network_->first_hop_link(c), k);
     }
   }

@@ -129,10 +129,9 @@ class CooperativeScheduler : public Scheduler {
   /// The client read subsystem (inert unless the workload configures reads
   /// or a finite capacity — see read/read_path.h).
   const ReadPath& read_path() const { return read_path_; }
-  /// True while leaf cache `c` is crashed (fault injection).
-  bool cache_down(int c) const {
-    return !cache_down_.empty() && cache_down_[c] != 0;
-  }
+  /// True while leaf cache `c` is crashed (fault injection). The read path
+  /// holds the flag: it is live whenever the schedule crashes caches.
+  bool cache_down(int c) const { return read_path_.cache_down(c); }
 
  protected:
   /// Hook for subclasses to decorate outgoing feedback (competitive rate
@@ -214,10 +213,7 @@ class CooperativeScheduler : public Scheduler {
   /// The effective schedule's events, time-sorted; empty = fault-free.
   std::vector<FaultEvent> fault_events_;
   size_t fault_cursor_ = 0;
-  /// Per leaf cache: 1 between kCacheCrash and kCacheRestart. Empty unless
-  /// the schedule is non-empty.
-  std::vector<uint8_t> cache_down_;
-  /// Per leaf cache; sized alongside cache_down_.
+  /// Per leaf cache. Empty unless the schedule is non-empty.
   std::vector<ResyncState> resync_;
   /// Scratch for collecting the sources' resynced object lists.
   std::vector<ObjectIndex> resync_scratch_;

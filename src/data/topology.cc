@@ -206,6 +206,24 @@ TopologySpec MakeRelayTree(int num_leaves, int fanout, int relay_tiers) {
   return spec;
 }
 
+TopologySpec MakeMatchedBandwidthTree(int num_leaves, int fanout, int relay_tiers,
+                                      double leaf_bandwidth) {
+  TopologySpec spec = MakeRelayTree(num_leaves, fanout, relay_tiers);
+  if (spec.flat()) return spec;
+  const double total = leaf_bandwidth * static_cast<double>(num_leaves);
+  const std::vector<int64_t> weights = spec.SubtreeLeafCounts();
+  double weight_sum = 0.0;
+  for (int64_t w : weights) weight_sum += static_cast<double>(w);
+  spec.edge_bandwidth.resize(static_cast<size_t>(spec.num_nodes()));
+  spec.relay_egress_bandwidth.assign(static_cast<size_t>(spec.num_nodes()), 0.0);
+  for (int n = 0; n < spec.num_nodes(); ++n) {
+    spec.edge_bandwidth[n] = total * static_cast<double>(weights[n]) / weight_sum;
+    // Leaves have no egress; theirs stays 0.
+    if (n >= num_leaves) spec.relay_egress_bandwidth[n] = spec.edge_bandwidth[n];
+  }
+  return spec;
+}
+
 void AssignBackupParents(TopologySpec* spec) {
   if (spec->flat()) return;
   const std::vector<int> height = NodeHeights(*spec);
@@ -224,12 +242,6 @@ void AssignBackupParents(TopologySpec* spec) {
       }
     }
   }
-}
-
-std::string TopologyLabel(const TopologySpec& spec) {
-  if (spec.flat()) return "flat";
-  return "tree(relays=" + std::to_string(spec.num_relays()) +
-         ",depth=" + std::to_string(spec.depth()) + ")";
 }
 
 }  // namespace besync

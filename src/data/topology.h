@@ -2,7 +2,6 @@
 #define BESYNC_DATA_TOPOLOGY_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/status.h"
@@ -121,13 +120,20 @@ struct TopologySpec {
 /// resolution) assigns capacities.
 TopologySpec MakeRelayTree(int num_leaves, int fanout, int relay_tiers);
 
+/// MakeRelayTree at matched total edge bandwidth: the flat star's total
+/// `leaf_bandwidth` x `num_leaves` is redistributed over *all* edges of the
+/// tree, each edge weighted by the leaves in its subtree, so every leaf edge
+/// gets the same share and deeper trees trade per-hop capacity for
+/// aggregation. Each relay's egress budget mirrors its ingress edge
+/// (symmetric store-and-forward relays). relay_tiers == 0 returns the flat
+/// topology, whose leaves keep `leaf_bandwidth`.
+TopologySpec MakeMatchedBandwidthTree(int num_leaves, int fanout, int relay_tiers,
+                                      double leaf_bandwidth);
+
 /// Declares a default failover map on `spec`: each relay's backup is the
 /// next relay at the same height (wrapping), or -1 (promote children to
 /// tier-1) when it is the only relay of its tier. No-op on flat specs.
 void AssignBackupParents(TopologySpec* spec);
-
-/// "flat" or "tree(relays=R,depth=D)" — for job names and tables.
-std::string TopologyLabel(const TopologySpec& spec);
 
 }  // namespace besync
 

@@ -201,24 +201,42 @@ Status ValidateWorkloadConfig(const WorkloadConfig& config) {
     return Status::InvalidArgument("zipf_exponent must be in (0, ", kMaxZipfExponent,
                                    "], got ", config.read.zipf_exponent);
   }
-  if (config.fault.cache_crashes < 0 || config.fault.relay_failures < 0 ||
-      config.fault.link_flaps < 0 || config.fault.slowdowns < 0) {
+  const FaultScheduleConfig& fault = config.fault;
+  if (fault.cache_crashes < 0 || fault.relay_failures < 0 || fault.link_flaps < 0 ||
+      fault.slowdowns < 0) {
     return Status::InvalidArgument("fault event counts must be >= 0");
   }
-  if (config.fault.enabled()) {
-    if (config.fault.crash_duration <= 0.0 || config.fault.flap_duration <= 0.0 ||
-        config.fault.slow_duration <= 0.0) {
-      return Status::InvalidArgument("fault durations must be > 0");
+  // Negated comparisons so NaN fails too: a NaN crash duration never
+  // restarts its cache, and a NaN or infinite window injects nothing. The
+  // durations and factor have valid defaults, so they are checked even while
+  // every event count is 0.
+  const std::pair<const char*, double> durations[] = {
+      {"crash_duration", fault.crash_duration},
+      {"flap_duration", fault.flap_duration},
+      {"slow_duration", fault.slow_duration}};
+  for (const auto& [name, duration] : durations) {
+    if (!(duration > 0.0)) {
+      return Status::InvalidArgument("fault ", name, " must be > 0, got ", duration);
     }
-    if (config.fault.slowdowns > 0 &&
-        (config.fault.slow_factor <= 0.0 || config.fault.slow_factor > 1.0)) {
-      return Status::InvalidArgument("fault slow_factor must be in (0, 1]");
+  }
+  if (!(fault.slow_factor > 0.0 && fault.slow_factor <= 1.0)) {
+    return Status::InvalidArgument("fault slow_factor must be in (0, 1], got ",
+                                   fault.slow_factor);
+  }
+  if (fault.enabled()) {
+    if (!(fault.window_start >= 0.0 && std::isfinite(fault.window_start))) {
+      return Status::InvalidArgument("fault window_start must be finite and >= 0, got ",
+                                     fault.window_start);
     }
-    if (config.fault.crash_cache >= config.num_caches) {
-      return Status::InvalidArgument("fault crash_cache ", config.fault.crash_cache,
+    if (!std::isfinite(fault.window_end)) {
+      return Status::InvalidArgument("fault window_end must be finite, got ",
+                                     fault.window_end);
+    }
+    if (fault.crash_cache >= config.num_caches) {
+      return Status::InvalidArgument("fault crash_cache ", fault.crash_cache,
                                      " outside the ", config.num_caches, " caches");
     }
-    if (config.fault.relay_failures > 0 && config.relay_tiers <= 0) {
+    if (fault.relay_failures > 0 && config.relay_tiers <= 0) {
       return Status::InvalidArgument(
           "fault relay_failures require a relay topology (relay_tiers > 0)");
     }

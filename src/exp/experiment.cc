@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "baseline/cgm.h"
+#include "net/bandwidth.h"
 #include "util/logging.h"
 
 namespace besync {
@@ -89,10 +90,20 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config) {
 
 Status ValidateExperimentConfig(const ExperimentConfig& config) {
   BESYNC_RETURN_IF_ERROR(ValidateHarnessConfig(config.harness));
-  // Negated comparisons so NaN fails too.
-  if (!(config.cache_bandwidth_avg > 0.0)) {
-    return Status::InvalidArgument("cache_bandwidth_avg must be > 0, got ",
+  // Negated comparisons so NaN fails too; the budget bound also catches
+  // infinities.
+  const double tick = config.harness.tick_length;
+  if (!(config.cache_bandwidth_avg > 0.0 &&
+        config.cache_bandwidth_avg * tick <= kMaxTickBudget)) {
+    return Status::InvalidArgument("cache_bandwidth_avg must be > 0 with a one-tick "
+                                   "budget <= ", kMaxTickBudget, ", got ",
                                    config.cache_bandwidth_avg);
+  }
+  if (std::isnan(config.source_bandwidth_avg) ||
+      config.source_bandwidth_avg * tick > kMaxTickBudget) {
+    return Status::InvalidArgument("source_bandwidth_avg must be <= 0 (unconstrained) "
+                                   "or have a one-tick budget <= ", kMaxTickBudget,
+                                   ", got ", config.source_bandwidth_avg);
   }
   if (!(config.loss_rate >= 0.0 && config.loss_rate < 1.0)) {
     return Status::InvalidArgument("loss_rate must be in [0, 1), got ",

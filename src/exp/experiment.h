@@ -98,7 +98,9 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config);
 /// Rejects the values that would otherwise abort or hang inside the engine
 /// (or, for a negative loss rate, silently run lossless): the harness run
 /// lengths per ValidateHarnessConfig (finite tick_length and measure > 0,
-/// finite warmup >= 0), cache_bandwidth_avg > 0,
+/// finite warmup >= 0), cache_bandwidth_avg > 0, a source_bandwidth_avg
+/// that is not NaN (<= 0 means unconstrained), a one-tick budget
+/// (bandwidth x tick_length) of at most kMaxTickBudget on either side,
 /// loss_rate in [0, 1), run_threads 1, max_batch >= 1 (and > 1 only
 /// with uniform costs), max_batch_delay >= 0, under sampling a finite
 /// sampling_interval > 0, protocol.ttl > 0 (infinite allowed: a lease that

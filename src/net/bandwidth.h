@@ -7,6 +7,12 @@
 
 namespace besync {
 
+/// Largest one-tick budget (average bandwidth x tick length, in messages) a
+/// run may configure: 2^53, the largest count a double holds exactly. Well
+/// below 2^63, past which BudgetForTick's cast to int64_t is undefined (an
+/// infinite bandwidth there delivered nothing at all).
+constexpr double kMaxTickBudget = 9007199254740992.0;
+
 /// Converts a continuous bandwidth signal (messages/second) into an integer
 /// per-tick message budget. Fractional capacity carries over between ticks
 /// as credit, so e.g. 0.5 msg/s with 1-second ticks yields one message every

@@ -86,7 +86,11 @@ class ReadPath {
   /// content returns only through installs.
   void OnCacheRestart(int cache_id);
   /// True while the cache is crashed (reads are consumed but discarded).
-  bool cache_down(int cache_id) const { return caches_[cache_id].down; }
+  /// False throughout a run whose read path is disabled: without cache
+  /// crashes in the schedule, no cache ever goes down.
+  bool cache_down(int cache_id) const {
+    return !caches_.empty() && caches_[cache_id].down;
+  }
 
   /// Measurement-window reset of the read path's measurements (residency
   /// and pending pulls persist; the counts live on the tally).
@@ -128,8 +132,9 @@ class ReadPath {
     explicit CacheState(CacheStore s) : store(std::move(s)) {}
 
     int32_t cache_id = 0;
-    /// Crashed (fault injection): reads are discarded, deliveries are
-    /// dropped by the scheduler before they reach us.
+    /// Crashed (fault injection): reads are discarded. The run's only
+    /// crash flag: the scheduler reads it to drop deliveries, feedback and
+    /// recovery sends at a dead cache.
     bool down = false;
     CacheStore store;
     /// Null when this cache generates no reads.

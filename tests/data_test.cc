@@ -144,6 +144,63 @@ TEST(WorkloadTest, RejectsInvalidConfig) {
       {"heavy_weight", [](WorkloadConfig* c) { c->heavy_weight = -1.0; }},
       {"heavy_weight", [](WorkloadConfig* c) { c->heavy_weight = std::nan(""); }},
       {"heavy_weight", [](WorkloadConfig* c) { c->heavy_weight = HUGE_VAL; }},
+      // A NaN crash duration never restarts its cache; a NaN or infinite
+      // window injects no event at all.
+      {"crash_duration",
+       [](WorkloadConfig* c) {
+         c->fault.cache_crashes = 1;
+         c->fault.crash_duration = std::nan("");
+       }},
+      {"crash_duration",
+       [](WorkloadConfig* c) {
+         c->fault.cache_crashes = 1;
+         c->fault.crash_duration = 0.0;
+       }},
+      {"flap_duration",
+       [](WorkloadConfig* c) {
+         c->fault.link_flaps = 1;
+         c->fault.flap_duration = std::nan("");
+       }},
+      {"slow_duration",
+       [](WorkloadConfig* c) {
+         c->fault.slowdowns = 1;
+         c->fault.slow_duration = std::nan("");
+       }},
+      {"slow_factor",
+       [](WorkloadConfig* c) {
+         c->fault.slowdowns = 1;
+         c->fault.slow_factor = std::nan("");
+       }},
+      {"slow_factor",
+       [](WorkloadConfig* c) {
+         c->fault.slowdowns = 1;
+         c->fault.slow_factor = 1.5;
+       }},
+      {"window_start",
+       [](WorkloadConfig* c) {
+         c->fault.cache_crashes = 1;
+         c->fault.window_start = HUGE_VAL;
+       }},
+      {"window_start",
+       [](WorkloadConfig* c) {
+         c->fault.cache_crashes = 1;
+         c->fault.window_start = std::nan("");
+       }},
+      {"window_start",
+       [](WorkloadConfig* c) {
+         c->fault.cache_crashes = 1;
+         c->fault.window_start = -1.0;
+       }},
+      {"window_end",
+       [](WorkloadConfig* c) {
+         c->fault.cache_crashes = 1;
+         c->fault.window_end = std::nan("");
+       }},
+      {"window_end",
+       [](WorkloadConfig* c) {
+         c->fault.cache_crashes = 1;
+         c->fault.window_end = HUGE_VAL;
+       }},
   };
   WorkloadConfig base;
   base.num_sources = 1;

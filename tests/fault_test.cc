@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <sstream>
 #include <tuple>
 #include <vector>
 
@@ -18,8 +17,6 @@
 #include "data/topology.h"
 #include "divergence/metric.h"
 #include "exp/experiment.h"
-#include "exp/fault_sweep.h"
-#include "exp/runner.h"
 #include "fault/fault_schedule.h"
 #include "read/cache_store.h"
 #include "util/random.h"
@@ -612,31 +609,6 @@ TEST(FaultDeterminismTest, FaultedRunIsRepeatable) {
             second.scheduler.time_to_resync_p95);
   EXPECT_EQ(first.scheduler.crash_dropped_pulls,
             second.scheduler.crash_dropped_pulls);
-}
-
-TEST(FaultDeterminismTest, SweepJsonIsThreadCountInvariant) {
-  FaultSweepConfig sweep;
-  sweep.base = MultiCacheConfig();
-  sweep.base.harness.measure = 80.0;
-  sweep.crash_counts = {0, 1};
-  sweep.relay_tiers = {0};
-  sweep.read_rate = 2.0;
-
-  const auto jobs = FaultSweepJobs(sweep);
-  ASSERT_TRUE(jobs.ok()) << jobs.status().ToString();
-  auto json_at = [&jobs](int threads) {
-    const std::vector<JobResult> results =
-        RunExperiments(*jobs, RunnerOptions{threads, {}});
-    for (const JobResult& job : results) {
-      EXPECT_TRUE(job.status.ok()) << job.name << ": " << job.status.ToString();
-    }
-    std::ostringstream out;
-    WriteResultsJson(out, results);
-    return out.str();
-  };
-  const std::string serial = json_at(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, json_at(8));
 }
 
 // ------------------------------------------------------------------ fuzz

@@ -12,7 +12,6 @@
 #include "core/system.h"
 #include "divergence/metric.h"
 #include "exp/experiment.h"
-#include "exp/multicache.h"
 #include "net/network.h"
 
 namespace besync {
@@ -324,35 +323,6 @@ TEST(MulticacheOverlapTest, PerCacheFeedbackAdjustsOnlyThatThreshold) {
     EXPECT_LT(scheduler.source(j).threshold(0), scheduler.source(j).threshold(1))
         << "source " << j;
   }
-}
-
-// ------------------------------------------------------------- sweep API
-
-TEST(MulticacheSweepTest, SweepCoversConfiguredGrid) {
-  MulticacheConfig config;
-  config.base.workload.num_sources = 4;
-  config.base.workload.objects_per_source = 5;
-  config.base.workload.seed = 3;
-  config.base.harness.warmup = 10.0;
-  config.base.harness.measure = 50.0;
-  config.base.cache_bandwidth_avg = 8.0;
-  config.cache_counts = {1, 2};
-  config.patterns = {InterestPattern::kPartitionedBySource,
-                     InterestPattern::kZipfOverlap};
-  const auto jobs = MulticacheSweepJobs(config);
-  ASSERT_TRUE(jobs.ok());
-  const std::vector<JobResult> results = RunExperiments(*jobs);
-  ASSERT_EQ(results.size(), 4u);
-  for (const JobResult& job : results) {
-    ASSERT_TRUE(job.status.ok()) << job.name << ": " << job.status.ToString();
-    EXPECT_GE(job.result.total_replicas, 20);
-    EXPECT_GT(job.result.total_weighted_divergence, 0.0);
-    EXPECT_EQ(static_cast<int>(job.result.per_cache_weighted.size()),
-              job.config.workload.num_caches);
-  }
-  // The N=1 points of both patterns coincide (canonical single-cache map).
-  EXPECT_EQ(results[0].result.total_weighted_divergence,
-            results[2].result.total_weighted_divergence);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/protocol_sweep.h"
 #include "exp/runner.h"
 #include "protocol/sync_protocol.h"
 
@@ -359,29 +358,6 @@ TEST(ProtocolThreadingTest, JsonIsRepeatable) {
     }
     EXPECT_EQ(runs[1], runs[0]) << SyncProtocolKindToString(kind);
   }
-}
-
-TEST(ProtocolThreadingTest, SweepJsonIsGridThreadCountInvariant) {
-  ProtocolSweepConfig sweep;
-  sweep.base = ReadConfig();
-  sweep.read_rates = {2.0, 8.0};
-  sweep.bandwidths = {6.0};
-  sweep.relay_tiers = {0};
-
-  const auto jobs = ProtocolSweepJobs(sweep);
-  ASSERT_TRUE(jobs.ok()) << jobs.status().ToString();
-  const std::vector<JobResult> sequential = RunExperiments(*jobs, RunnerOptions{1, {}});
-  const std::vector<JobResult> parallel = RunExperiments(*jobs, RunnerOptions{8, {}});
-  for (const JobResult& job : sequential) {
-    ASSERT_TRUE(job.status.ok()) << job.name << ": " << job.status.ToString();
-  }
-
-  std::ostringstream json_sequential, json_parallel;
-  WriteResultsJson(json_sequential, sequential);
-  WriteResultsJson(json_parallel, parallel);
-  EXPECT_EQ(json_sequential.str(), json_parallel.str());
-  // 2 rates x 1 bandwidth x 1 tier x 3 protocols.
-  EXPECT_EQ(sequential.size(), 6u);
 }
 
 }  // namespace

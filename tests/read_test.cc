@@ -7,12 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
 #include "core/system.h"
 #include "data/read_process.h"
-#include "exp/read_sweep.h"
-#include "exp/runner.h"
+#include "exp/experiment.h"
 #include "read/cache_store.h"
 
 namespace besync {
@@ -447,38 +445,6 @@ TEST(ReadPathTest, CloneIsolatesTraceCursors) {
   EXPECT_EQ(original->total_weighted_divergence, cloned->total_weighted_divergence);
   EXPECT_EQ(original->scheduler.reads_total, cloned->scheduler.reads_total);
   EXPECT_EQ(original->scheduler.read_misses, cloned->scheduler.read_misses);
-}
-
-TEST(ReadPathTest, ReadSweepJsonIsThreadCountInvariant) {
-  ReadSweepConfig sweep;
-  sweep.base.workload.num_sources = 4;
-  sweep.base.workload.objects_per_source = 10;
-  sweep.base.workload.seed = 9;
-  sweep.base.harness.warmup = 20.0;
-  sweep.base.harness.measure = 150.0;
-  sweep.base.cache_bandwidth_avg = 8.0;
-  sweep.read_rates = {4.0, 16.0};
-  sweep.capacities = {0, 10};
-  sweep.evictions = {EvictionPolicy::kLru, EvictionPolicy::kDivergenceAware};
-
-  const auto jobs = ReadSweepJobs(sweep);
-  ASSERT_TRUE(jobs.ok()) << jobs.status().ToString();
-  const std::vector<JobResult> sequential = RunExperiments(*jobs, RunnerOptions{1, {}});
-  const std::vector<JobResult> parallel = RunExperiments(*jobs, RunnerOptions{8, {}});
-  for (const JobResult& job : sequential) {
-    ASSERT_TRUE(job.status.ok()) << job.name << ": " << job.status.ToString();
-  }
-
-  std::ostringstream json_sequential, json_parallel;
-  WriteResultsJson(json_sequential, sequential);
-  WriteResultsJson(json_parallel, parallel);
-  EXPECT_EQ(json_sequential.str(), json_parallel.str());
-  // The read fields made it into the serialization.
-  EXPECT_NE(json_sequential.str().find("\"hit_rate\""), std::string::npos);
-  EXPECT_NE(json_sequential.str().find("\"pull_bandwidth_share\""),
-            std::string::npos);
-  // Unbounded capacities deduplicate the eviction axis: 2 rates x (1 + 2).
-  EXPECT_EQ(sequential.size(), 6u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "exp/runner.h"
+#include "net/bandwidth.h"
 #include "util/thread_pool.h"
 
 namespace besync {
@@ -65,26 +66,66 @@ TEST(DeriveJobSeedTest, DeterministicAndWellSpread) {
   EXPECT_EQ(seeds.size(), 4u * 64u);
 }
 
+/// A cooperative / round-robin x bandwidth grid, plus one job per engine
+/// path a bench_engine suite sweeps: a cache crash under priority recovery,
+/// invalidation and TTL with reads, a finite-capacity LRU store, and
+/// Zipf-overlap interest over three caches.
 std::vector<ExperimentJob> MakeGrid() {
   std::vector<ExperimentJob> jobs;
   const SchedulerKind schedulers[] = {SchedulerKind::kCooperative,
                                       SchedulerKind::kRoundRobin};
   const double bandwidths[] = {4.0, 8.0, 16.0};
-  int index = 0;
+  ExperimentJob base;
+  base.config.workload.num_sources = 2;
+  base.config.workload.objects_per_source = 6;
+  base.config.harness.warmup = 10.0;
+  base.config.harness.measure = 60.0;
+  const auto add = [&jobs](ExperimentJob job) {
+    job.name = "job" + std::to_string(jobs.size());
+    job.config.workload.seed = DeriveJobSeed(5, static_cast<uint64_t>(jobs.size()));
+    jobs.push_back(std::move(job));
+  };
   for (SchedulerKind scheduler : schedulers) {
     for (double bandwidth : bandwidths) {
-      ExperimentJob job;
-      job.name = "job" + std::to_string(index);
+      ExperimentJob job = base;
       job.config.scheduler = scheduler;
-      job.config.workload.num_sources = 2;
-      job.config.workload.objects_per_source = 6;
-      job.config.workload.seed = DeriveJobSeed(5, static_cast<uint64_t>(index));
-      job.config.harness.warmup = 10.0;
-      job.config.harness.measure = 60.0;
       job.config.cache_bandwidth_avg = bandwidth;
-      jobs.push_back(std::move(job));
-      ++index;
+      add(std::move(job));
     }
+  }
+  ExperimentJob two_caches = base;
+  two_caches.config.workload.num_caches = 2;
+  two_caches.config.workload.interest_pattern = InterestPattern::kPartitionedBySource;
+  two_caches.config.workload.read.read_rate = 4.0;
+  {
+    ExperimentJob crash = two_caches;
+    crash.config.source_bandwidth_avg = 3.0;
+    crash.config.recovery_policy = RecoveryPolicy::kRecoveryPriority;
+    crash.config.workload.fault.cache_crashes = 1;
+    crash.config.workload.fault.crash_cache = 0;
+    crash.config.workload.fault.crash_duration = 15.0;
+    crash.config.workload.fault.window_start = 15.0;
+    crash.config.workload.fault.window_end = 30.0;
+    add(std::move(crash));
+  }
+  for (SyncProtocolKind kind : {SyncProtocolKind::kInvalidation,
+                                SyncProtocolKind::kTtlLease}) {
+    ExperimentJob pull = two_caches;
+    pull.config.protocol.kind = kind;
+    pull.config.protocol.ttl = 20.0;
+    add(std::move(pull));
+  }
+  {
+    ExperimentJob lru = two_caches;
+    lru.config.workload.read.capacity = 3;
+    lru.config.workload.read.eviction = EvictionPolicy::kLru;
+    add(std::move(lru));
+  }
+  {
+    ExperimentJob overlap = base;
+    overlap.config.workload.num_caches = 3;
+    overlap.config.workload.interest_pattern = InterestPattern::kZipfOverlap;
+    add(std::move(overlap));
   }
   return jobs;
 }
@@ -125,11 +166,38 @@ TEST(RunnerTest, ResultsIdenticalAcrossThreadCounts) {
               threaded[i].result.scheduler.feedback_sent);
   }
 
+  // Every job did real work on its engine path.
+  for (const JobResult& job : base) {
+    EXPECT_GT(job.result.total_weighted_divergence, 0.0) << job.name;
+    EXPECT_EQ(static_cast<int>(job.result.per_cache_weighted.size()),
+              job.config.workload.num_caches)
+        << job.name;
+    const SchedulerStats& s = job.result.scheduler;
+    if (job.config.workload.fault.cache_crashes > 0) {
+      EXPECT_EQ(s.cache_crashes, 1) << job.name;
+      EXPECT_EQ(s.cache_restarts, 1) << job.name;
+      EXPECT_GT(s.resync_deliveries, 0) << job.name;
+    }
+    if (job.config.protocol.kind != SyncProtocolKind::kPushRefresh) {
+      EXPECT_GT(s.pulls_delivered, 0) << job.name;
+    }
+    if (job.config.workload.read.capacity > 0) {
+      EXPECT_GT(s.cache_evictions, 0) << job.name;
+    }
+    if (job.config.workload.interest_pattern == InterestPattern::kZipfOverlap) {
+      // Overlap replicates some objects at several caches.
+      EXPECT_GT(job.result.total_replicas, 12) << job.name;
+    }
+  }
+
   std::ostringstream json_base;
   std::ostringstream json_threaded;
   WriteResultsJson(json_base, base);
   WriteResultsJson(json_threaded, threaded);
   EXPECT_EQ(json_base.str(), json_threaded.str());  // byte-identical
+  // The read fields made it into the serialization.
+  EXPECT_NE(json_base.str().find("\"hit_rate\""), std::string::npos);
+  EXPECT_NE(json_base.str().find("\"pull_bandwidth_share\""), std::string::npos);
 
   // So is the printed summary: it carries no wall clock.
   std::ostringstream table_base;
@@ -173,13 +241,23 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
   base.harness.measure = 20.0;
   EXPECT_TRUE(ValidateExperimentConfig(base).ok());
   {
+    // A non-positive source bandwidth means unconstrained, and the
+    // one-tick budget bound itself is accepted.
+    ExperimentConfig bounds = base;
+    bounds.source_bandwidth_avg = -std::numeric_limits<double>::infinity();
+    bounds.cache_bandwidth_avg = kMaxTickBudget;
+    EXPECT_TRUE(ValidateExperimentConfig(bounds).ok());
+    bounds.source_bandwidth_avg = kMaxTickBudget;
+    EXPECT_TRUE(ValidateExperimentConfig(bounds).ok());
+  }
+  {
     // An infinite lease never expires; it stays a valid setting.
     ExperimentConfig forever = base;
     forever.protocol.ttl = std::numeric_limits<double>::infinity();
     EXPECT_TRUE(ValidateExperimentConfig(forever).ok());
   }
 
-  std::vector<ExperimentJob> jobs(28);
+  std::vector<ExperimentJob> jobs(35);
   for (ExperimentJob& job : jobs) job.config = base;
   jobs[0].name = "tick_length";
   jobs[0].config.harness.tick_length = 0.0;
@@ -245,6 +323,23 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
   jobs[26].config.protocol.ttl = 0.0;
   jobs[27].name = "max_invalidate_batch";
   jobs[27].config.protocol.max_invalidate_batch = 0;
+  // An infinite or huge bandwidth overflows the integer tick budget (it
+  // delivered nothing at all); a NaN source bandwidth ran unconstrained.
+  jobs[28].name = "cache_bandwidth_avg";
+  jobs[28].config.cache_bandwidth_avg = inf;
+  jobs[29].name = "cache_bandwidth_avg";
+  jobs[29].config.cache_bandwidth_avg = 1e300;
+  jobs[30].name = "cache_bandwidth_avg";
+  jobs[30].config.cache_bandwidth_avg = kMaxTickBudget;
+  jobs[30].config.harness.tick_length = 2.0;
+  jobs[31].name = "source_bandwidth_avg";
+  jobs[31].config.source_bandwidth_avg = inf;
+  jobs[32].name = "source_bandwidth_avg";
+  jobs[32].config.source_bandwidth_avg = std::nan("");
+  jobs[33].name = "source_bandwidth_avg";
+  jobs[33].config.source_bandwidth_avg = 1e300;
+  jobs[34].name = "cache_bandwidth_avg";
+  jobs[34].config.cache_bandwidth_avg = -inf;
 
   const std::vector<JobResult> results = RunExperiments(jobs, RunnerOptions{});
   ASSERT_EQ(results.size(), jobs.size());

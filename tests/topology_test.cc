@@ -19,7 +19,7 @@
 #include "core/system.h"
 #include "data/topology.h"
 #include "exp/experiment.h"
-#include "exp/multicache.h"
+#include "exp/runner.h"
 #include "net/network.h"
 #include "util/random.h"
 
@@ -122,8 +122,6 @@ TEST(TopologySpecTest, MakeRelayTreeShapes) {
   EXPECT_TRUE(flat.flat());
   EXPECT_TRUE(flat.Validate(8).ok());
   EXPECT_EQ(flat.depth(), 1);
-  EXPECT_EQ(TopologyLabel(flat), "flat");
-  EXPECT_EQ(TopologyLabel(two), "tree(relays=6,depth=3)");
 }
 
 TEST(TopologySpecTest, SubtreeLeafCountsAndOrder) {
@@ -670,37 +668,53 @@ TEST(RelayTreeTest, RunSchedulerRejectsBadTopologyAndFaults) {
 }
 
 TEST(RelayTreeTest, TopologySweepMatchesTotalBandwidth) {
-  TopologySweepConfig config;
-  config.base.workload.num_sources = 8;
-  config.base.workload.objects_per_source = 5;
-  config.base.workload.num_caches = 8;
-  config.base.workload.interest_pattern = InterestPattern::kPartitionedBySource;
-  config.base.workload.seed = 3;
-  config.base.harness.warmup = 20.0;
-  config.base.harness.measure = 100.0;
-  config.base.cache_bandwidth_avg = 4.0;
-  config.relay_tier_counts = {0, 1};
-  config.fanout = 4;
-  const auto jobs = TopologySweepJobs(config);
-  ASSERT_TRUE(jobs.ok()) << jobs.status().ToString();
-  // flat + (fifo, priority) for the tree.
-  ASSERT_EQ(jobs->size(), 3u);
-  const ExperimentConfig& flat = (*jobs)[0].config;
-  EXPECT_EQ(flat.topology.depth() - 1, 0);
-  EXPECT_EQ(flat.topology.num_nodes(), 8);
-  EXPECT_DOUBLE_EQ(flat.cache_bandwidth_avg, 4.0);
-  // Tree: 8 leaf edges (weight 1) + 2 relay edges (weight 4) share
-  // 8 x 4 = 32 over total weight 16 -> leaf edges get 2.0 each.
-  const ExperimentConfig& fifo = (*jobs)[1].config;
-  EXPECT_EQ(fifo.topology.depth() - 1, 1);
-  EXPECT_EQ(fifo.topology.num_nodes(), 10);
-  EXPECT_DOUBLE_EQ(fifo.cache_bandwidth_avg, 2.0);
-  EXPECT_EQ(fifo.relay_forward, RelayForwardPolicy::kFifo);
-  EXPECT_EQ((*jobs)[2].config.relay_forward, RelayForwardPolicy::kPriority);
-  // Identical workloads: the two forwarding policies deliver comparable
-  // refresh volume, and every job produced a real run.
-  for (const JobResult& job : RunExperiments(*jobs)) {
-    ASSERT_TRUE(job.status.ok()) << job.name << ": " << job.status.ToString();
+  // Zero tiers is the flat star: no edge vectors, the leaves keep B.
+  const TopologySpec flat = MakeMatchedBandwidthTree(8, 4, 0, 4.0);
+  EXPECT_TRUE(flat.flat());
+  EXPECT_EQ(flat.num_nodes(), 8);
+  EXPECT_TRUE(flat.edge_bandwidth.empty());
+  // One tier: 8 leaf edges (weight 1) + 2 relay edges (weight 4) share
+  // 8 x 4 = 32 over total weight 16 -> leaf edges get 2.0 each, relay
+  // edges 8.0, and each relay forwards at its ingress rate.
+  const TopologySpec tree = MakeMatchedBandwidthTree(8, 4, 1, 4.0);
+  EXPECT_EQ(tree.depth() - 1, 1);
+  ASSERT_EQ(tree.num_nodes(), 10);
+  ASSERT_EQ(tree.edge_bandwidth.size(), 10u);
+  ASSERT_EQ(tree.relay_egress_bandwidth.size(), 10u);
+  for (int n = 0; n < 8; ++n) {
+    EXPECT_DOUBLE_EQ(tree.edge_bandwidth[n], 2.0);
+    EXPECT_EQ(tree.relay_egress_bandwidth[n], 0.0);
+  }
+  for (int n = 8; n < 10; ++n) {
+    EXPECT_DOUBLE_EQ(tree.edge_bandwidth[n], 8.0);
+    EXPECT_DOUBLE_EQ(tree.relay_egress_bandwidth[n], 8.0);
+  }
+  double total = 0.0;
+  for (double bandwidth : tree.edge_bandwidth) total += bandwidth;
+  EXPECT_DOUBLE_EQ(total, 32.0);
+  EXPECT_TRUE(tree.Validate(8).ok());
+
+  // Every forwarding policy on the tree, and the flat star, produce a real
+  // run on identical workloads.
+  ExperimentConfig base;
+  base.workload.num_sources = 8;
+  base.workload.objects_per_source = 5;
+  base.workload.num_caches = 8;
+  base.workload.interest_pattern = InterestPattern::kPartitionedBySource;
+  base.workload.seed = 3;
+  base.harness.warmup = 20.0;
+  base.harness.measure = 100.0;
+  base.cache_bandwidth_avg = 4.0;
+  std::vector<ExperimentJob> jobs(3);
+  for (ExperimentJob& job : jobs) job.config = base;
+  jobs[0].config.topology = flat;
+  for (int k = 1; k < 3; ++k) {
+    jobs[k].config.topology = tree;
+    jobs[k].config.cache_bandwidth_avg = tree.edge_bandwidth[0];
+  }
+  jobs[2].config.relay_forward = RelayForwardPolicy::kPriority;
+  for (const JobResult& job : RunExperiments(jobs)) {
+    ASSERT_TRUE(job.status.ok()) << job.status.ToString();
     EXPECT_GT(job.result.scheduler.refreshes_delivered, 0);
   }
 }
