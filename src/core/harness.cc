@@ -155,14 +155,18 @@ void Harness::PrefetchUpdate(void* harness, uint64_t index, bool fires_next) {
   const ObjectRuntime& object = self.objects_[index];
   if (!fires_next) {
     PrefetchRange(&object, sizeof(ObjectRuntime));
-    return;
+  } else {
+    PrefetchRange(object.trackers,
+                  static_cast<size_t>(object.num_replicas) * sizeof(DivergenceTracker));
+    const size_t replica_base = static_cast<size_t>(object.trackers - self.trackers_);
+    for (const GroundTruth* ground_truth : self.ground_truths_) {
+      ground_truth->PrefetchReplicas(static_cast<ObjectIndex>(index), replica_base,
+                                     object.num_replicas);
+    }
   }
-  PrefetchRange(object.trackers,
-                static_cast<size_t>(object.num_replicas) * sizeof(DivergenceTracker));
-  const size_t replica_base = static_cast<size_t>(object.trackers - self.trackers_);
-  for (const GroundTruth* ground_truth : self.ground_truths_) {
-    ground_truth->PrefetchReplicas(static_cast<ObjectIndex>(index), replica_base,
-                                   object.num_replicas);
+  if (self.update_prefetcher_ != nullptr) {
+    self.update_prefetcher_(self.update_prefetch_context_,
+                            static_cast<ObjectIndex>(index), fires_next);
   }
 }
 

@@ -103,6 +103,14 @@ struct alignas(64) ObjectRuntime {
 };
 static_assert(sizeof(ObjectRuntime) <= 128, "ObjectRuntime outgrew two cache lines");
 
+/// A scheduler's look-ahead hook for update events (Harness::
+/// SetUpdatePrefetcher): receives the context it was installed with, the
+/// object of an update that fires soon and the stage, as an EventPrefetcher
+/// does (`fires_next` true: the update due right after the one now firing;
+/// false: a candidate for the one after that). It may only issue cache
+/// prefetches and must not change any state.
+using UpdatePrefetcher = void (*)(void* context, ObjectIndex index, bool fires_next);
+
 /// Statistics a scheduler reports after a run (fields irrelevant to a given
 /// scheduler stay zero).
 struct SchedulerStats {
@@ -273,6 +281,19 @@ class Harness {
   /// idealized schedulers.
   void RefreshInstant(ObjectIndex index, double t);
 
+  /// Installs the scheduler's side of the update lookahead: PrefetchUpdate
+  /// calls `prefetcher` at both of its stages, after its own prefetches, so
+  /// the scheduler's per-update state (CooperativeScheduler: the object's
+  /// source, its replica state and its queue's push position) loads while
+  /// the current event runs. A scheduler installs it from Initialize; null
+  /// (the default) installs none. A hook here rather than a Scheduler
+  /// virtual: a forwarding Scheduler that overrides only the existing
+  /// virtuals still forwards Initialize, so the hook survives the wrapper.
+  void SetUpdatePrefetcher(UpdatePrefetcher prefetcher, void* context) {
+    update_prefetcher_ = prefetcher;
+    update_prefetch_context_ = context;
+  }
+
  private:
   /// kObjectUpdateEvent handler (context = the harness).
   static void DispatchUpdate(void* harness, uint64_t index, double t);
@@ -280,6 +301,7 @@ class Harness {
   /// events ahead gets its record prefetched. The object that fires next,
   /// whose record came in that way one event earlier, gets the first lines
   /// of its tracker slice and of its replica range in every ground truth.
+  /// Each stage then calls the scheduler's update prefetcher, if any.
   static void PrefetchUpdate(void* harness, uint64_t index, bool fires_next);
   void OnUpdateEvent(ObjectIndex index, double t);
   void ScheduleNextUpdate(ObjectRuntime& object, ObjectIndex index, double now);
@@ -304,6 +326,8 @@ class Harness {
   std::vector<GroundTruth*> ground_truths_;
   Rng scheduler_rng_;
   Scheduler* scheduler_ = nullptr;
+  UpdatePrefetcher update_prefetcher_ = nullptr;
+  void* update_prefetch_context_ = nullptr;
   bool ran_ = false;
 };
 

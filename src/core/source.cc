@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "util/logging.h"
+#include "util/prefetch.h"
 
 namespace besync {
 namespace {
@@ -179,6 +180,8 @@ void SourceAgent::Start(Simulation* sim, double tick_length) {
   sim_ = sim;
   tick_length_ = tick_length;
   BuildChannels();
+  rekeys_on_update_ = push_protocol() && config_.monitor == MonitorMode::kTrigger &&
+                      !policy_->time_varying();
   // Invalidation / TTL sources never consult the push priority machinery:
   // skipping the wake-up seeding and sampling schedules keeps those runs
   // free of the events (and RNG draws) that only feed threshold pushes.
@@ -281,6 +284,21 @@ void SourceAgent::OnObjectUpdate(ObjectIndex index, double t) {
                                    state.epoch);
     }
     MaybeCompact(&channel);
+  }
+}
+
+void SourceAgent::PrefetchUpdate(ObjectIndex index) const {
+  if (!rekeys_on_update_) return;
+  const int32_t replicas = harness_->object(index).num_replicas;
+  if (replicas > kPrefetchLineCap) return;
+  const ObjectIndex offset = index - first_member_;
+  int32_t found = 0;
+  for (const Channel& channel : channels_) {
+    const int32_t slot = channel.slot_of[offset];
+    if (slot < 0) continue;
+    __builtin_prefetch(&channel.locals[slot], /*rw=*/1);
+    channel.queue.PrefetchPush();
+    if (++found == replicas) return;
   }
 }
 

@@ -123,6 +123,15 @@ class SourceAgent {
   /// Trigger-mode notification that object `index` was updated at time `t`.
   void OnObjectUpdate(ObjectIndex index, double t);
 
+  /// Look-ahead for OnObjectUpdate(index, ...), installed through
+  /// Harness::SetUpdatePrefetcher. When updates re-key the primary queue
+  /// (a push protocol under trigger monitoring with a time-invariant
+  /// policy), prefetches each of the object's channels' replica state and
+  /// queue push position. Objects with more than kPrefetchLineCap replicas
+  /// are skipped: their channel walk would cost more than it hides.
+  /// Prefetches only; changes nothing.
+  void PrefetchUpdate(ObjectIndex index) const;
+
   /// Fires the sampling event of flat sample id `sample_id` (the low 32
   /// bits of a kSampleEvent payload; see RegisterSampleEventHandler).
   void HandleSampleEvent(uint32_t sample_id, double t);
@@ -351,6 +360,9 @@ class SourceAgent {
   /// (sized to the largest channel cache id + 1).
   std::vector<int32_t> channel_of_cache_;
   bool secondary_enabled_ = false;
+  /// Set by Start: OnObjectUpdate pushes a fresh primary-queue entry per
+  /// replica (push protocol, trigger monitoring, time-invariant policy).
+  bool rekeys_on_update_ = false;
   double tick_length_ = 1.0;
   bool at_full_capacity_ = false;
   double granted_rate_ = 0.0;

@@ -51,7 +51,54 @@ Status CooperativeScheduler::Validate(const Workload& workload) const {
   if (!workload.faults.empty()) {
     BESYNC_RETURN_IF_ERROR(workload.faults.Validate(topology, num_caches));
   }
+  // Every edge's budget: past kMaxTickBudget, BandwidthModel::BudgetForTick
+  // overflows its integer budget and the edge delivers nothing. The bound
+  // is per second of bandwidth here (the scheduler never sees the tick);
+  // ValidateExperimentConfig bounds the configured averages per tick. The
+  // error names the field that set the edge's bandwidth.
+  const EdgeBandwidths edges = ResolveEdgeBandwidths(RunNetworkConfig(workload));
+  const auto explicit_value = [](const std::vector<double>& values, int node) {
+    return node < static_cast<int>(values.size()) && values[node] > 0.0;
+  };
+  const auto check = [](const char* field, const char* edge, int node, double bandwidth) {
+    if (bandwidth <= kMaxTickBudget) return Status::OK();
+    return Status::InvalidArgument(field, " gives the ", edge, " of node ", node,
+                                   " a bandwidth of ", bandwidth,
+                                   " messages/s; it must be <= ", kMaxTickBudget);
+  };
+  for (int c = 0; c < num_caches; ++c) {
+    const char* field = explicit_value(topology.edge_bandwidth, c) ? "edge_bandwidth"
+                        : explicit_value(config_.cache_bandwidths, c)
+                            ? "cache_bandwidths"
+                            : "cache_bandwidth_avg";
+    BESYNC_RETURN_IF_ERROR(check(field, "leaf edge", c, edges.leaf[c]));
+  }
+  for (size_t r = 0; r < edges.relay_ingress.size(); ++r) {
+    const int node = num_caches + static_cast<int>(r);
+    const char* ingress = explicit_value(topology.edge_bandwidth, node)
+                              ? "edge_bandwidth"
+                              : "relay_bandwidth_factor";
+    BESYNC_RETURN_IF_ERROR(check(ingress, "relay ingress edge", node,
+                                 edges.relay_ingress[r]));
+    const char* egress = explicit_value(topology.relay_egress_bandwidth, node)
+                             ? "relay_egress_bandwidth"
+                             : ingress;
+    BESYNC_RETURN_IF_ERROR(check(egress, "relay egress edge", node,
+                                 edges.relay_egress[r]));
+  }
   return Status::OK();
+}
+
+NetworkConfig CooperativeScheduler::RunNetworkConfig(const Workload& workload) const {
+  NetworkConfig net_config;
+  net_config.num_sources = workload.num_sources;
+  net_config.num_caches = std::max(config_.num_caches, workload.num_caches);
+  net_config.cache_bandwidth_avg = config_.cache_bandwidth_avg;
+  net_config.cache_bandwidth_overrides = config_.cache_bandwidths;
+  net_config.source_bandwidth_avg = config_.source_bandwidth_avg;
+  net_config.bandwidth_change_rate = config_.bandwidth_change_rate;
+  net_config.topology = RunTopology(workload);
+  return net_config;
 }
 
 const TopologySpec& CooperativeScheduler::RunTopology(const Workload& workload) const {
@@ -69,15 +116,8 @@ void CooperativeScheduler::Initialize(Harness* harness) {
   const int num_caches = std::max(config_.num_caches, workload.num_caches);
   const TopologySpec& topology = RunTopology(workload);
 
-  NetworkConfig net_config;
-  net_config.num_sources = m;
-  net_config.num_caches = num_caches;
-  net_config.cache_bandwidth_avg = config_.cache_bandwidth_avg;
-  net_config.cache_bandwidth_overrides = config_.cache_bandwidths;
-  net_config.source_bandwidth_avg = config_.source_bandwidth_avg;
-  net_config.bandwidth_change_rate = config_.bandwidth_change_rate;
-  net_config.topology = topology;
-  network_ = std::make_unique<Network>(net_config, harness->scheduler_rng());
+  network_ = std::make_unique<Network>(RunNetworkConfig(workload),
+                                       harness->scheduler_rng());
   // Leaf-edge loss first, in cache order — the historical RNG consumption —
   // then relay-edge loss (extra draws only on lossy relay edges, so a
   // pass-through tree leaves the seed stream untouched).
@@ -155,6 +195,7 @@ void CooperativeScheduler::Initialize(Harness* harness) {
     RegisterSampleEventHandler(&harness->simulation(), &sources_);
   }
   for (auto& source : sources_) source->Start(&harness->simulation(), tick);
+  harness->SetUpdatePrefetcher(&CooperativeScheduler::PrefetchUpdate, this);
 
   source_order_.resize(m);
   for (int j = 0; j < m; ++j) source_order_[j] = j;
@@ -225,6 +266,16 @@ void CooperativeScheduler::Initialize(Harness* harness) {
 
 void CooperativeScheduler::OnObjectUpdate(ObjectIndex index, double t) {
   sources_[object_source_[index]]->OnObjectUpdate(index, t);
+}
+
+void CooperativeScheduler::PrefetchUpdate(void* scheduler, ObjectIndex index,
+                                          bool fires_next) {
+  const auto& self = *static_cast<const CooperativeScheduler*>(scheduler);
+  if (!fires_next) {
+    __builtin_prefetch(&self.object_source_[index]);
+    return;
+  }
+  self.sources_[self.object_source_[index]]->PrefetchUpdate(index);
 }
 
 CacheAgent& CooperativeScheduler::cache(int c) {

@@ -100,7 +100,8 @@ class CooperativeScheduler : public Scheduler {
 
   std::string name() const override { return "cooperative"; }
   /// The topology the run would use (a non-flat config override wins over
-  /// the workload's) and the workload's fault schedule against it.
+  /// the workload's), the workload's fault schedule against it, and every
+  /// resolved edge bandwidth against kMaxTickBudget.
   Status Validate(const Workload& workload) const override;
   void Initialize(Harness* harness) override;
   void OnObjectUpdate(ObjectIndex index, double t) override;
@@ -153,6 +154,9 @@ class CooperativeScheduler : public Scheduler {
   /// The topology a run of `workload` uses: a non-flat config override
   /// wins over the workload's.
   const TopologySpec& RunTopology(const Workload& workload) const;
+  /// The network a run of `workload` builds: this config's bandwidths over
+  /// RunTopology, sized to the larger of the two cache counts.
+  NetworkConfig RunNetworkConfig(const Workload& workload) const;
 
   /// Applies every scheduled fault event with time <= t, in schedule order.
   /// Runs at the top of the tick, before the links begin theirs — a link
@@ -238,6 +242,11 @@ class CooperativeScheduler : public Scheduler {
   std::unique_ptr<ObsCollector> obs_;
   /// Row scratch for ObsSample, reused across samples.
   std::vector<double> obs_row_;
+
+  /// The harness's update prefetcher (Harness::SetUpdatePrefetcher): a
+  /// candidate two events ahead gets its object_source_ entry prefetched,
+  /// and the update due next gets its source's PrefetchUpdate.
+  static void PrefetchUpdate(void* scheduler, ObjectIndex index, bool fires_next);
 
   /// End-of-tick observability: registers the tick for phase slices and
   /// appends a time-series row when one is due. Never touches engine state.

@@ -135,6 +135,12 @@ Status ValidateExperimentConfig(const ExperimentConfig& config) {
   if (!(config.protocol.ttl > 0.0)) {
     return Status::InvalidArgument("ttl must be > 0, got ", config.protocol.ttl);
   }
+  if (config.obs.enabled && !(std::isfinite(config.obs.sample_interval) &&
+                              config.obs.sample_interval > 0.0)) {
+    return Status::InvalidArgument(
+        "obs sample_interval must be finite and > 0 when observability is on, got ",
+        config.obs.sample_interval);
+  }
   if (config.protocol.max_invalidate_batch < 1) {
     return Status::InvalidArgument("max_invalidate_batch must be >= 1, got ",
                                    config.protocol.max_invalidate_batch);

@@ -104,8 +104,10 @@ std::unique_ptr<Scheduler> MakeScheduler(const ExperimentConfig& config);
 /// loss_rate in [0, 1), run_threads 1, max_batch >= 1 (and > 1 only
 /// with uniform costs), max_batch_delay >= 0, under sampling a finite
 /// sampling_interval > 0, protocol.ttl > 0 (infinite allowed: a lease that
-/// never expires) and protocol.max_invalidate_batch >= 1; NaN fails every
-/// check. InvalidArgument names the field.
+/// never expires), protocol.max_invalidate_batch >= 1 and, with
+/// observability on, a finite obs.sample_interval > 0; NaN fails every
+/// check. InvalidArgument names the field. Relay-edge budgets depend on the
+/// workload's topology, so CooperativeScheduler::Validate checks them.
 Status ValidateExperimentConfig(const ExperimentConfig& config);
 
 /// Runs the configured scheduler on `workload` (which is Reset and may be

@@ -32,6 +32,38 @@ void CountingSort(const std::vector<ControlMessage>& mail,
 
 }  // namespace
 
+EdgeBandwidths ResolveEdgeBandwidths(const NetworkConfig& config) {
+  const TopologySpec& topology = config.topology;
+  EdgeBandwidths edges;
+  edges.leaf.reserve(static_cast<size_t>(config.num_caches));
+  for (int c = 0; c < config.num_caches; ++c) {
+    double bandwidth = config.cache_bandwidth_avg;
+    if (c < static_cast<int>(config.cache_bandwidth_overrides.size()) &&
+        config.cache_bandwidth_overrides[c] > 0.0) {
+      bandwidth = config.cache_bandwidth_overrides[c];
+    }
+    edges.leaf.push_back(topology.EdgeValue(topology.edge_bandwidth, c, bandwidth));
+  }
+  if (topology.flat()) return edges;
+  const std::vector<int64_t> leaves_below = topology.SubtreeLeafCounts();
+  for (int n = config.num_caches; n < topology.num_nodes(); ++n) {
+    // Relay edge default: demand-proportional share (factor x leaves x
+    // per-leaf bandwidth), or unconstrained when no factor is set — the
+    // pass-through configuration.
+    const double fallback =
+        topology.relay_bandwidth_factor > 0.0
+            ? topology.relay_bandwidth_factor * static_cast<double>(leaves_below[n]) *
+                  config.cache_bandwidth_avg
+            : kUnconstrainedBandwidth;
+    const double ingress = topology.EdgeValue(topology.edge_bandwidth, n, fallback);
+    edges.relay_ingress.push_back(ingress);
+    // Egress default: mirror the resolved ingress (a symmetric relay).
+    edges.relay_egress.push_back(
+        topology.EdgeValue(topology.relay_egress_bandwidth, n, ingress));
+  }
+  return edges;
+}
+
 Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
   BESYNC_CHECK_GE(config.num_sources, 1);
   BESYNC_CHECK_GE(config.num_caches, 1);
@@ -46,18 +78,13 @@ Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
   // construction order, so the flat topology (and a pass-through tree,
   // whose relay links draw no randomness) consumes `rng` identically to
   // the pre-relay engine.
+  const EdgeBandwidths edges = ResolveEdgeBandwidths(config);
   cache_links_.reserve(config.num_caches);
   for (int c = 0; c < config.num_caches; ++c) {
-    double bandwidth = config.cache_bandwidth_avg;
-    if (c < static_cast<int>(config.cache_bandwidth_overrides.size()) &&
-        config.cache_bandwidth_overrides[c] > 0.0) {
-      bandwidth = config.cache_bandwidth_overrides[c];
-    }
-    bandwidth = topology.EdgeValue(topology.edge_bandwidth, c, bandwidth);
     cache_links_.push_back(std::make_unique<Link>(
         config.num_caches == 1 ? "cache" : "cache-" + std::to_string(c),
         std::make_unique<BandwidthModel>(MakeBandwidthFluctuation(
-            bandwidth, config.bandwidth_change_rate, rng)),
+            edges.leaf[c], config.bandwidth_change_rate, rng)),
         &pool_));
   }
   source_links_.reserve(config.num_sources);
@@ -77,21 +104,10 @@ Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
   // Relay ingress/egress links (tree topologies only), then the routing
   // tables; flat, every leaf is its own tier-1 node.
   if (!topology.flat()) {
-    const int nodes = topology.num_nodes();
-    const std::vector<int64_t> leaves_below = topology.SubtreeLeafCounts();
     relay_links_.reserve(static_cast<size_t>(topology.num_relays()));
     relay_egress_.reserve(static_cast<size_t>(topology.num_relays()));
-    for (int n = config.num_caches; n < nodes; ++n) {
-      // Relay edge default: demand-proportional share (factor x leaves x
-      // per-leaf bandwidth), or unconstrained when no factor is set — the
-      // pass-through configuration.
-      double fallback =
-          topology.relay_bandwidth_factor > 0.0
-              ? topology.relay_bandwidth_factor *
-                    static_cast<double>(leaves_below[n]) * config.cache_bandwidth_avg
-              : kUnconstrainedBandwidth;
-      const double ingress_bw =
-          topology.EdgeValue(topology.edge_bandwidth, n, fallback);
+    for (int n = config.num_caches; n < topology.num_nodes(); ++n) {
+      const double ingress_bw = edges.relay_ingress[n - config.num_caches];
       const bool ingress_unconstrained = ingress_bw >= kUnconstrainedBandwidth;
       relay_links_.push_back(std::make_unique<Link>(
           "relay-" + std::to_string(n),
@@ -99,10 +115,8 @@ Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
               ingress_bw,
               ingress_unconstrained ? 0.0 : config.bandwidth_change_rate, rng)),
           &pool_));
-      // Egress default: mirror the resolved ingress (a symmetric relay);
-      // unconstrained ingress means unconstrained egress.
-      const double egress_bw =
-          topology.EdgeValue(topology.relay_egress_bandwidth, n, ingress_bw);
+      // Unconstrained ingress means unconstrained egress.
+      const double egress_bw = edges.relay_egress[n - config.num_caches];
       const bool egress_unconstrained = egress_bw >= kUnconstrainedBandwidth;
       relay_egress_.push_back(std::make_unique<Link>(
           "relay-" + std::to_string(n) + "-egress",

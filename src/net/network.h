@@ -39,6 +39,21 @@ struct NetworkConfig {
   TopologySpec topology;
 };
 
+/// Average bandwidth (messages/second) of every edge link a Network built
+/// from a config gets, resolved as its constructor resolves it: per leaf,
+/// the cache override or the average, then the topology's explicit edge
+/// value; per relay, the explicit edge value or `relay_bandwidth_factor` x
+/// subtree leaves x cache_bandwidth_avg (unconstrained without a factor),
+/// and its egress, the explicit egress value or the ingress. Relay vectors
+/// are indexed by node - num_caches and empty on a flat topology.
+struct EdgeBandwidths {
+  std::vector<double> leaf;
+  std::vector<double> relay_ingress;
+  std::vector<double> relay_egress;
+};
+/// Requires a valid (or flat) topology.
+EdgeBandwidths ResolveEdgeBandwidths(const NetworkConfig& config);
+
 /// The refresh/control fabric between sources and caches. Flat topology: m
 /// source-side links feeding `num_caches` independent cache-side links
 /// (Figure 1 is the num_caches == 1 case). Tree topology: every node's

@@ -53,6 +53,17 @@ class LazyMaxHeap {
     std::push_heap(entries_.begin(), entries_.end(), heap_internal::KeyLess{});
   }
 
+  /// Prefetches what the next Push touches first: the slot it appends and
+  /// that slot's heap parent, the first comparison of the sift-up. A hint
+  /// only; reads and writes nothing.
+  void PrefetchPush() const {
+    const QueueEntry* end = entries_.data() + entries_.size();
+    __builtin_prefetch(end, /*rw=*/1);
+    if (!entries_.empty()) {
+      __builtin_prefetch(entries_.data() + (entries_.size() - 1) / 2, /*rw=*/0);
+    }
+  }
+
   /// Discards stale entries, then removes and returns the top valid entry.
   /// Returns false if no valid entry remains.
   template <typename Epoch>

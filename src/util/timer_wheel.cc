@@ -104,9 +104,15 @@ void TimerWheel::Prepare() {
       }
       bucket.clear();
     } else if (level1_count_ > 0) {
-      // Level 0 is dry: jump straight to the next level-1 boundary.
-      cur_bucket_ = (FloorDiv(cur_bucket_, slots_) + 1) * slots_;
-      Cascade(FloorDiv(cur_bucket_, slots_));
+      // Level 0 is dry: jump straight to the next level-1 boundary whose
+      // bucket holds timers. The boundaries skipped have nothing to
+      // cascade, and every far timer lies past the level-1 horizon of the
+      // boundary jumped from, so the far-list check at the boundary jumped
+      // to pulls in everything theirs would have.
+      int64_t b1 = FloorDiv(cur_bucket_, slots_) + 1;
+      while (level1_[b1 % slots_].empty()) ++b1;
+      cur_bucket_ = b1 * slots_;
+      Cascade(b1);
     } else {
       // Wheels are dry: jump to the far list's minimum and re-bucket it.
       BESYNC_CHECK(!far_.empty()) << "TimerWheel::Prepare on an empty wheel";

@@ -63,8 +63,10 @@ class TimerWheel {
  public:
   struct Options {
     /// Level-0 bucket width in simulated seconds. Any positive value is
-    /// correct (ordering never depends on it); it tunes only how much work
-    /// advancing does. The default matches the 1s harness tick.
+    /// correct (ordering never depends on it); it trades the near heap's
+    /// size (every timer of the current bucket sits there, so each pop
+    /// sifts log2 of it) against the empty buckets advancing steps over.
+    /// Simulation uses kEventBucketWidth (sim/simulation.h).
     double resolution = 1.0;
     /// Slots per level (two levels: horizon = slots^2 * resolution).
     int level_slots = 256;

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "data/weight.h"
 #include "divergence/metric.h"
 #include "exp/experiment.h"
+#include "exp/runner.h"
 #include "util/random.h"
 
 namespace besync {
@@ -514,6 +516,121 @@ TEST(HarnessTest, ExtraRefreshPayloadsReachEveryGroundTruthReplica) {
     EXPECT_GE(harness.object(i).tracker().last_refresh_time(), 5.0) << i;
   }
   EXPECT_LT(harness.object(3).tracker().last_refresh_time(), 0.5);
+}
+
+// ------------------------------------------------ update lookahead hook
+
+/// One run's fired updates and update-prefetch announcements, in call order.
+struct UpdateLookaheadLog {
+  struct Entry {
+    bool fired;  // false: an announcement
+    ObjectIndex index;
+    bool fires_next;
+  };
+  std::vector<Entry> entries;
+};
+
+void RecordUpdatePrefetch(void* log, ObjectIndex index, bool fires_next) {
+  static_cast<UpdateLookaheadLog*>(log)->entries.push_back({false, index, fires_next});
+}
+
+/// Forwards every call to a CooperativeScheduler, then replaces the update
+/// prefetcher it installed: with a recorder when `log` is non-null, else
+/// with none.
+class PrefetchSwapScheduler : public Scheduler {
+ public:
+  PrefetchSwapScheduler(const CooperativeConfig& config, UpdateLookaheadLog* log)
+      : inner_(config), log_(log) {}
+  std::string name() const override { return inner_.name(); }
+  Status Validate(const Workload& workload) const override {
+    return inner_.Validate(workload);
+  }
+  void Initialize(Harness* harness) override {
+    inner_.Initialize(harness);
+    harness->SetUpdatePrefetcher(log_ != nullptr ? &RecordUpdatePrefetch : nullptr, log_);
+  }
+  void OnObjectUpdate(ObjectIndex index, double t) override {
+    if (log_ != nullptr) log_->entries.push_back({true, index, false});
+    inner_.OnObjectUpdate(index, t);
+  }
+  void Tick(double t) override { inner_.Tick(t); }
+  void OnMeasurementStart(double t) override { inner_.OnMeasurementStart(t); }
+  void Finalize(double t) override { inner_.Finalize(t); }
+  SchedulerStats stats() const override { return inner_.stats(); }
+
+ private:
+  CooperativeScheduler inner_;
+  UpdateLookaheadLog* log_;
+};
+
+/// The run's result as the runner's JSON row.
+std::string ResultBytes(const Workload& workload, Scheduler* scheduler) {
+  auto metric = MakeMetric(MetricKind::kValueDeviation);
+  auto result = RunScheduler(&workload, metric.get(), ShortRun(5.0, 40.0), scheduler);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<JobResult> rows(1);
+  rows[0].name = "lookahead";
+  rows[0].result = std::move(result).ValueOrDie();
+  std::ostringstream json;
+  WriteResultsJson(json, rows);
+  return json.str();
+}
+
+TEST(HarnessTest, UpdatePrefetcherNeverChangesTheRunAndNamesTheNextUpdate) {
+  // Overlapping interest over several caches, so sources walk several
+  // channels and objects hold one to a few replicas.
+  WorkloadConfig wl = SmallWorkload(6, 40, 11);
+  wl.num_caches = 4;
+  wl.interest_pattern = InterestPattern::kZipfOverlap;
+  wl.rate_lo = 0.5;
+  wl.rate_hi = 2.0;
+  Workload workload = std::move(MakeWorkload(wl)).ValueOrDie();
+  CooperativeConfig coop;
+  coop.num_caches = 4;
+  coop.cache_bandwidth_avg = 5.0;
+
+  CooperativeScheduler own(coop);  // installs its own update prefetcher
+  UpdateLookaheadLog log;
+  PrefetchSwapScheduler recording(coop, &log);
+  PrefetchSwapScheduler none(coop, nullptr);
+  const std::string own_bytes = ResultBytes(workload, &own);
+  EXPECT_EQ(ResultBytes(workload, &recording), own_bytes);
+  EXPECT_EQ(ResultBytes(workload, &none), own_bytes);
+
+  // Every fires_next announcement made while update k is about to fire
+  // names update k + 1, unless update k's handler scheduled its own object's
+  // next update ahead of the announced one, or k was the run's last.
+  std::vector<ObjectIndex> fired;
+  std::vector<std::vector<ObjectIndex>> announced_next;  // per fired update
+  std::vector<ObjectIndex> pending;
+  int64_t candidates = 0;
+  for (const UpdateLookaheadLog::Entry& entry : log.entries) {
+    if (entry.fired) {
+      fired.push_back(entry.index);
+      announced_next.push_back(pending);
+      pending.clear();
+    } else if (entry.fires_next) {
+      pending.push_back(entry.index);
+    } else {
+      ++candidates;
+    }
+  }
+  int64_t named = 0;
+  int64_t overtaken = 0;
+  for (size_t k = 0; k < fired.size(); ++k) {
+    ASSERT_LE(announced_next[k].size(), 1u) << "update " << k;
+    if (announced_next[k].empty() || k + 1 == fired.size()) continue;
+    if (announced_next[k][0] == fired[k + 1]) {
+      ++named;
+    } else {
+      EXPECT_EQ(fired[k + 1], fired[k]) << "update " << k;
+      ++overtaken;
+    }
+  }
+  EXPECT_GT(fired.size(), 10000u);
+  EXPECT_GT(named, 1000);
+  EXPECT_GT(candidates, 1000);
+  EXPECT_LT(overtaken, named / 100);
 }
 
 // ------------------------------------- priority-heap growth bound

@@ -341,6 +341,17 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
   jobs[34].name = "cache_bandwidth_avg";
   jobs[34].config.cache_bandwidth_avg = -inf;
 
+  // With observability on, a zero or negative sample interval reached a
+  // CHECK in TimeSeries::Configure, and a NaN or infinite one never samples.
+  for (double interval : {0.0, -1.0, std::nan(""), inf, -inf}) {
+    ExperimentJob job;
+    job.name = "sample_interval";
+    job.config = base;
+    job.config.obs.enabled = true;
+    job.config.obs.sample_interval = interval;
+    jobs.push_back(job);
+  }
+
   const std::vector<JobResult> results = RunExperiments(jobs, RunnerOptions{});
   ASSERT_EQ(results.size(), jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
@@ -349,6 +360,79 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
     EXPECT_NE(results[i].status.message().find(jobs[i].name), std::string::npos)
         << results[i].status.ToString();
     EXPECT_FALSE(ValidateExperimentConfig(jobs[i].config).ok()) << i;
+  }
+  {
+    // Observability off ignores the interval.
+    ExperimentConfig off = base;
+    off.obs.sample_interval = 0.0;
+    EXPECT_TRUE(ValidateExperimentConfig(off).ok());
+  }
+}
+
+/// A relay or leaf edge whose resolved bandwidth overflows the integer tick
+/// budget delivered nothing and exited 0; each way of setting one is now an
+/// InvalidArgument from the scheduler's Validate, returned by the runner.
+TEST(RunnerTest, OverflowingEdgeBandwidthsAreInvalidArgument) {
+  ExperimentConfig base;
+  base.workload.num_sources = 4;
+  base.workload.objects_per_source = 4;
+  base.workload.num_caches = 4;
+  base.workload.interest_pattern = InterestPattern::kPartitionedBySource;
+  base.workload.relay_tiers = 1;
+  base.workload.relay_fanout = 2;
+  base.workload.relay_bandwidth_factor = 1.0;
+  base.harness.warmup = 5.0;
+  base.harness.measure = 20.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const TopologySpec tree = MakeRelayTree(4, 2, 1);  // relays are nodes 4 and 5
+
+  std::vector<ExperimentJob> jobs(6);
+  for (ExperimentJob& job : jobs) job.config = base;
+  jobs[0].name = "relay_bandwidth_factor";
+  jobs[0].config.workload.relay_bandwidth_factor = 1e300;
+  jobs[1].name = "relay_bandwidth_factor";
+  jobs[1].config.workload.relay_bandwidth_factor = 1.0e15;  // x 2 leaves x 10
+  jobs[2].name = "edge_bandwidth";
+  jobs[2].config.topology = tree;
+  jobs[2].config.topology.edge_bandwidth.assign(6, 0.0);
+  jobs[2].config.topology.edge_bandwidth[5] = 1e300;
+  jobs[3].name = "edge_bandwidth";  // a leaf edge
+  jobs[3].config.topology = tree;
+  jobs[3].config.topology.edge_bandwidth.assign(6, 0.0);
+  jobs[3].config.topology.edge_bandwidth[2] = inf;
+  jobs[4].name = "relay_egress_bandwidth";
+  jobs[4].config.topology = tree;
+  jobs[4].config.topology.relay_egress_bandwidth.assign(6, 0.0);
+  jobs[4].config.topology.relay_egress_bandwidth[4] = 1e300;
+  jobs[5].name = "relay_egress_bandwidth";
+  jobs[5].config.topology = tree;
+  jobs[5].config.topology.relay_egress_bandwidth.assign(6, 0.0);
+  jobs[5].config.topology.relay_egress_bandwidth[5] = inf;
+
+  const std::vector<JobResult> results = RunExperiments(jobs, RunnerOptions{});
+  ASSERT_EQ(results.size(), jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_TRUE(ValidateExperimentConfig(jobs[i].config).ok()) << i;
+    EXPECT_TRUE(results[i].status.IsInvalidArgument())
+        << i << ": " << results[i].status.ToString();
+    EXPECT_NE(results[i].status.message().find(jobs[i].name), std::string::npos)
+        << results[i].status.ToString();
+  }
+
+  // The bound itself, the pass-through tree (unconstrained relays) and
+  // the factor-1 tree all run and deliver.
+  std::vector<ExperimentJob> fine(3);
+  for (ExperimentJob& job : fine) job.config = base;
+  fine[0].name = "at_bound";
+  fine[0].config.topology = tree;
+  fine[0].config.topology.relay_egress_bandwidth.assign(6, 0.0);
+  fine[0].config.topology.relay_egress_bandwidth[4] = kMaxTickBudget;
+  fine[1].name = "pass_through";
+  fine[1].config.workload.relay_bandwidth_factor = 0.0;
+  fine[2].name = "factor_1";
+  for (const JobResult& job : RunExperiments(fine, RunnerOptions{})) {
+    ASSERT_TRUE(job.status.ok()) << job.name << ": " << job.status.ToString();
+    EXPECT_GT(job.result.scheduler.refreshes_delivered, 0) << job.name;
   }
 }
 

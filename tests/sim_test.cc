@@ -228,8 +228,9 @@ class PipelineTest : public ::testing::Test {
 
   /// Checks the announcements made before each fired event k against the
   /// fired sequence, for schedules whose handlers schedule nothing. The
-  /// wheel's near heap holds exactly the current 1 s bucket (the
-  /// simulation's wheel resolution), so event k+1 is announced as firing
+  /// wheel's near heap holds exactly the current bucket of width
+  /// kEventBucketWidth (the simulation's wheel resolution), so event k+1 is
+  /// announced as firing
   /// next iff it shares event k's bucket, and then event k+2, if it does
   /// too, is announced as a candidate. Every announcement reaches the
   /// prefetcher of its own kind. Returns the number of fired events.
@@ -248,7 +249,8 @@ class PipelineTest : public ::testing::Test {
     }
     EXPECT_TRUE(pending.empty());
     auto same_bucket = [&](size_t a, size_t b) {
-      return b < fired.size() && std::floor(fired[a].time) == std::floor(fired[b].time);
+      return b < fired.size() && std::floor(fired[a].time / kEventBucketWidth) ==
+                                     std::floor(fired[b].time / kEventBucketWidth);
     };
     auto announced = [&](size_t k, size_t event, bool fires_next) {
       int count = 0;
@@ -298,15 +300,18 @@ TEST_F(PipelineTest, EqualTimeTiesAnnounceEveryNextEvent) {
 }
 
 TEST_F(PipelineTest, BucketDrainsAndCascadesAnnounceWithinTheBucket) {
-  // Single and paired events per 1 s bucket, across the first level-1
-  // boundary (256 s), deep into level 1 and out in the far list.
+  // Single and paired events per bucket, across the first level-1
+  // boundary (bucket 256 of the default 256 slots), deep into level 1 and
+  // out in the far list. Times are in bucket widths, so the schedule keeps
+  // its shape whatever kEventBucketWidth is.
   uint64_t payload = 0;
-  for (double t : {0.2, 0.7, 1.1, 1.9, 1.95, 3.5, 255.5, 255.9, 256.0, 256.0,
+  for (double b : {0.2, 0.7, 1.1, 1.9, 1.95, 3.5, 255.5, 255.9, 256.0, 256.0,
                    256.5, 300.25, 700.1, 700.3, 70000.0, 70000.5, 70000.5}) {
-    sim_.ScheduleAt(t, payload % 2 == 0 ? kObjectUpdateEvent : kSampleEvent, payload);
+    sim_.ScheduleAt(b * kEventBucketWidth,
+                    payload % 2 == 0 ? kObjectUpdateEvent : kSampleEvent, payload);
     ++payload;
   }
-  sim_.RunUntil(80000.0);
+  sim_.RunUntil(80000.0 * kEventBucketWidth);
   EXPECT_EQ(CheckAnnouncements(), payload);
 }
 
@@ -340,8 +345,10 @@ void ChurnFire(void* context, uint64_t payload, double time) {
   const ChurnKind& ck = *static_cast<ChurnKind*>(context);
   ChurnState& state = *ck.state;
   state.fired.push_back({true, ck.kind, payload, false, time});
-  if (time > 600.0) return;
-  // Ties (a zero delay), same-bucket hops, and hops past the level-1 edge.
+  if (time > 600.0 * kEventBucketWidth) return;
+  // Ties (a zero delay), same-bucket hops, and hops past the level-1 edge;
+  // delays are drawn in bucket widths, so the schedule has the same shape
+  // against the wheel whatever kEventBucketWidth is.
   double delay = 0.0;
   switch (state.rng.UniformInt(0, 3)) {
     case 0: delay = 0.0; break;
@@ -350,7 +357,7 @@ void ChurnFire(void* context, uint64_t payload, double time) {
     default: delay = state.rng.Uniform(0.0, 400.0); break;
   }
   const uint8_t kind = state.rng.Bernoulli(0.3) ? kSampleEvent : kObjectUpdateEvent;
-  state.sim->ScheduleAfter(delay, kind, payload);
+  state.sim->ScheduleAfter(delay * kEventBucketWidth, kind, payload);
 }
 
 void ChurnPrefetch(void* context, uint64_t /*payload*/, bool /*fires_next*/) {
@@ -365,12 +372,12 @@ ChurnState RunChurn(Simulation* sim, bool with_prefetchers) {
   sim->RegisterHandler(kObjectUpdateEvent, &ChurnFire, &update, prefetcher);
   sim->RegisterHandler(kSampleEvent, &ChurnFire, &sample, prefetcher);
   for (uint64_t i = 0; i < 200; ++i) {
-    sim->ScheduleAt(state.rng.Uniform(0.0, 50.0),
+    sim->ScheduleAt(state.rng.Uniform(0.0, 50.0) * kEventBucketWidth,
                     i % 4 == 0 ? kSampleEvent : kObjectUpdateEvent, i);
   }
-  for (double t = 10.0; t <= 1200.0; t += 10.0) {
-    sim->RunUntil(t);
-    if (static_cast<int>(t) % 100 == 0) sim->Step();
+  for (int step = 1; step <= 120; ++step) {
+    sim->RunUntil(10.0 * step * kEventBucketWidth);
+    if (step % 10 == 0) sim->Step();
   }
   return state;
 }

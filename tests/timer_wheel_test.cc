@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/simulation.h"
 #include "util/random.h"
 
 namespace besync {
@@ -128,6 +129,33 @@ TEST(TimerWheelTest, RandomizedAgainstStableSort) {
       refs.push_back({t, i});
     }
     EXPECT_EQ(DrainOrder(&wheel, refs), StableOrder(refs)) << "round " << round;
+  }
+  // Rows at the simulation's width (kEventBucketWidth; 256 slots as in
+  // Simulation, 4 to force cascades): equal-time bursts just below a bucket
+  // edge, on it and just above it, pushed interleaved, so one instant's ties
+  // and the two buckets they straddle must both come out in push order.
+  for (int round = 0; round < 10; ++round) {
+    TimerWheel::Options options;
+    options.resolution = kEventBucketWidth;
+    options.level_slots = round % 2 == 0 ? 256 : 4;
+    TimerWheel wheel(options);
+    std::vector<Ref> refs;
+    int id = 0;
+    while (id < 400) {
+      const double edge =
+          static_cast<double>(rng.UniformInt(0, 3000)) * kEventBucketWidth;
+      if (rng.Bernoulli(0.7)) {
+        const double near[3] = {std::nextafter(edge, -1.0), edge,
+                                std::nextafter(edge, 1.0e9)};
+        const int64_t burst = rng.UniformInt(3, 12);
+        for (int64_t k = 0; k < burst; ++k) {
+          refs.push_back({near[rng.UniformInt(0, 2)], id++});
+        }
+      } else {
+        refs.push_back({edge + rng.Uniform(0.0, 1.0e4), id++});
+      }
+    }
+    EXPECT_EQ(DrainOrder(&wheel, refs), StableOrder(refs)) << "width row " << round;
   }
 }
 
@@ -276,7 +304,10 @@ TEST(TimerWheelTest, RandomizedKeysAgainstHeapReference) {
 }
 
 TEST(TimerWheelTest, PeekNearSeesOnlyTheNearHeap) {
-  TimerWheel wheel;
+  // The pushes below are placed against 1 s buckets.
+  TimerWheel::Options options;
+  options.resolution = 1.0;
+  TimerWheel wheel(options);
   TimerKey keys[TimerWheel::kPeekNear] = {};
   EXPECT_EQ(wheel.PeekNear(keys), 0);
   // Future timers wait in the buckets until NextTime or PopInto advances.
