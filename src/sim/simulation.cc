@@ -51,10 +51,9 @@ void Simulation::Fire(double time, TimerKey key) {
 
 void Simulation::RunUntil(double time) {
   BESYNC_CHECK_GE(time, now_);
-  while (!wheel_.empty() && wheel_.NextTime() <= time) {
-    double event_time;
-    TimerKey key;
-    wheel_.PopInto(&event_time, &key);
+  double event_time;
+  TimerKey key;
+  while (wheel_.PopIfDue(time, &event_time, &key)) {
     Lookahead();
     Fire(event_time, key);
   }

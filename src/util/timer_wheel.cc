@@ -131,6 +131,18 @@ double TimerWheel::NextTime() {
 void TimerWheel::PopInto(double* time, TimerKey* key) {
   BESYNC_CHECK(size_ > 0) << "TimerWheel::PopInto on an empty wheel";
   Prepare();
+  PopNear(time, key);
+}
+
+bool TimerWheel::PopIfDue(double limit, double* time, TimerKey* key) {
+  if (size_ == 0) return false;
+  Prepare();
+  if (near_.front().time > limit) return false;
+  PopNear(time, key);
+  return true;
+}
+
+void TimerWheel::PopNear(double* time, TimerKey* key) {
   std::pop_heap(near_.begin(), near_.end(), LaterCmp{});
   const Item item = near_.back();
   near_.pop_back();

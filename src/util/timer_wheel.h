@@ -90,6 +90,11 @@ class TimerWheel {
   /// Pops the earliest timer into (time, key); wheel must be non-empty.
   void PopInto(double* time, TimerKey* key);
 
+  /// Pops the earliest timer into (time, key) if the wheel holds one with
+  /// time <= `limit`, and returns whether it did: NextTime and PopInto in
+  /// one step, so a drain loop advances the wheel once per timer.
+  bool PopIfDue(double limit, double* time, TimerKey* key);
+
   /// Most keys PeekNear reports: the near heap's head and its two children.
   static constexpr int kPeekNear = 3;
 
@@ -140,6 +145,9 @@ class TimerWheel {
 
   /// Re-routes the whole far list against the current horizon.
   void RouteFar();
+
+  /// Pops the near heap's head; Prepare must have run.
+  void PopNear(double* time, TimerKey* key);
 
   const double resolution_;
   const int64_t slots_;

@@ -159,6 +159,47 @@ TEST(TimerWheelTest, RandomizedAgainstStableSort) {
   }
 }
 
+TEST(TimerWheelTest, PopIfDueDrainsUpToTheLimitInOrder) {
+  // PopIfDue(limit) pops exactly the timers a NextTime() <= limit /
+  // PopInto loop pops, in the same order, across every region and at a
+  // limit equal to a timer's time, and leaves the rest in place.
+  Rng rng(20261019);
+  for (int round = 0; round < 10; ++round) {
+    TimerWheel::Options options;
+    options.resolution = round % 2 == 0 ? kEventBucketWidth : 1.0;
+    options.level_slots = round % 3 == 0 ? 4 : 256;
+    TimerWheel popped_if_due(options);
+    TimerWheel reference(options);
+    double time = 0.0;
+    TimerKey key = 0;
+    EXPECT_FALSE(popped_if_due.PopIfDue(1.0e9, &time, &key));
+    std::vector<Ref> refs;
+    for (int i = 0; i < 300; ++i) {
+      const double t = rng.Bernoulli(0.2) ? static_cast<double>(rng.UniformInt(0, 40))
+                                          : rng.Uniform(0.0, 3000.0);
+      refs.push_back({t, i});
+      popped_if_due.Push(t, static_cast<TimerKey>(i));
+      reference.Push(t, static_cast<TimerKey>(i));
+    }
+    for (double limit : {-1.0, 0.0, 7.0, 7.0, 40.0, 999.5, 1.0e9}) {
+      std::vector<TimerKey> got;
+      std::vector<TimerKey> want;
+      while (popped_if_due.PopIfDue(limit, &time, &key)) {
+        EXPECT_LE(time, limit);
+        EXPECT_EQ(time, refs[static_cast<size_t>(key)].time);
+        got.push_back(key);
+      }
+      while (!reference.empty() && reference.NextTime() <= limit) {
+        reference.PopInto(&time, &key);
+        want.push_back(key);
+      }
+      EXPECT_EQ(got, want) << "round " << round << " limit " << limit;
+      EXPECT_EQ(popped_if_due.size(), reference.size());
+    }
+    EXPECT_TRUE(popped_if_due.empty());
+  }
+}
+
 TEST(TimerWheelTest, FarFutureTimersSurviveSaturation) {
   TimerWheel wheel;
   const std::vector<Ref> refs = {
