@@ -292,14 +292,15 @@ inline void ValidateJobsOrExit(const std::vector<ExperimentJob>& jobs) {
   }
 }
 
-/// Exits nonzero on the first failed job, printing its name and status —
-/// the bench equivalent of BESYNC_CHECK_OK per job.
+/// Exits nonzero when any job failed, printing the first failed job's name
+/// and status — the bench equivalent of BESYNC_CHECK_OK per job — with the
+/// code JobsExitCode gives the grid (2 when only config checks failed).
 inline void CheckJobsOk(const std::vector<JobResult>& results) {
   for (const JobResult& job : results) {
     if (!job.status.ok()) {
       std::fprintf(stderr, "job '%s' failed: %s\n", job.name.c_str(),
                    job.status.ToString().c_str());
-      std::exit(1);
+      std::exit(JobsExitCode(results));
     }
   }
 }

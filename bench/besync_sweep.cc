@@ -328,15 +328,13 @@ int Run(const BenchOptions& options) {
   EmitResultsCsv(results, options);
   EmitJson(results, options);
   EmitObsOutputs(results, obs);
-  int failures = 0;
   for (const JobResult& job : results) {
     if (!job.status.ok()) {
       std::fprintf(stderr, "job '%s' failed: %s\n", job.name.c_str(),
                    job.status.ToString().c_str());
-      ++failures;
     }
   }
-  return failures == 0 ? 0 : 1;
+  return JobsExitCode(results);
 }
 
 }  // namespace

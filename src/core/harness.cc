@@ -29,6 +29,14 @@ Status ValidateHarnessConfig(const HarnessConfig& config) {
     return Status::InvalidArgument("measure must be finite and > 0, got ",
                                    config.measure);
   }
+  // A finite but huge run length (or a tiny tick) would still tick far
+  // past any timeout; the quotient is finite here, since every operand is.
+  if ((config.warmup + config.measure) / config.tick_length > kMaxTicks) {
+    return Status::InvalidArgument("warmup + measure must span at most ", kMaxTicks,
+                                   " ticks of tick_length ", config.tick_length,
+                                   ", got warmup ", config.warmup, " and measure ",
+                                   config.measure);
+  }
   return Status::OK();
 }
 

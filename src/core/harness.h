@@ -48,9 +48,15 @@ struct HarnessConfig {
   uint64_t seed = 7;
 };
 
+/// Most ticks one run may take: (warmup + measure) / tick_length. The
+/// longest grid in use is about 14,400 ticks (bench_paper's 0.25 s ticks);
+/// 10^7 ticks is ~700 times that, and a run length of 1e300 s stays out.
+constexpr double kMaxTicks = 1e7;
+
 /// Checks the run-length fields: `tick_length` and `measure` finite and > 0,
-/// `warmup` finite and >= 0. An infinite warm-up or measurement window never
-/// ends, and a zero tick never advances the clock, so each is an
+/// `warmup` finite and >= 0, and at most kMaxTicks ticks in all. An infinite
+/// warm-up or measurement window never ends, a huge finite one runs past
+/// any timeout, and a zero tick never advances the clock, so each is an
 /// InvalidArgument naming the field. The Harness constructor CHECKs it;
 /// RunScheduler and ValidateExperimentConfig return it.
 Status ValidateHarnessConfig(const HarnessConfig& config);

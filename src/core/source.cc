@@ -579,10 +579,13 @@ int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
       if (channel->invalid_state[slot] != kInvalidateQueued) continue;
       channel->invalid_state[slot] = kInvalidateSent;
       const ObjectIndex object = channel->members[slot];
+      // Stamped like a refresh, so the cache finds the replica in O(1).
+      const int32_t replica = channel->replica_slots[slot];
       if (packed == 0) {
         message.object_index = object;
+        message.replica = replica;
       } else {
-        message.extra_refreshes.push_back(RefreshPayload{object, 0.0, 0});
+        message.extra_refreshes.push_back(RefreshPayload{object, 0.0, 0, replica});
       }
       ++packed;
       ++tally_->invalidations_sent;

@@ -33,6 +33,14 @@ std::string EvictionPolicyToString(EvictionPolicy policy);
 /// loop would never end.
 constexpr double kMaxReadRate = 1e6;
 
+/// Largest accepted per-object update rate (WorkloadConfig::rate_hi,
+/// slow_rate and fast_rate, updates/second): 2 * 10^4 times the largest
+/// rate in use (5). Kept beside kMaxReadRate because the same argument
+/// bounds both event streams: a finite rate of 1e300 draws gaps that
+/// round away against the clock, and even one that advances makes the
+/// update loop outlast any timeout.
+constexpr double kMaxUpdateRate = 1e5;
+
 /// Largest accepted ReadWorkloadConfig::zipf_exponent. The rejection
 /// sampler (util/random.h, ZipfDistribution) takes envelope total / sum of
 /// k^-s attempts per draw: over 2,000 ranks that is 1.2 at s = 2 and 3.9

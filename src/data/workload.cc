@@ -145,13 +145,17 @@ Status ValidateWorkloadConfig(const WorkloadConfig& config) {
     return Status::InvalidArgument("invalid rate range [", config.rate_lo, ", ",
                                    config.rate_hi, "]");
   }
-  if (!(config.slow_rate >= 0.0) || !std::isfinite(config.slow_rate)) {
-    return Status::InvalidArgument("slow_rate must be finite and >= 0, got ",
-                                   config.slow_rate);
+  if (config.rate_hi > kMaxUpdateRate) {
+    return Status::InvalidArgument("rate_hi must be <= ", kMaxUpdateRate, ", got ",
+                                   config.rate_hi);
   }
-  if (!(config.fast_rate >= 0.0) || !std::isfinite(config.fast_rate)) {
-    return Status::InvalidArgument("fast_rate must be finite and >= 0, got ",
-                                   config.fast_rate);
+  if (!(config.slow_rate >= 0.0 && config.slow_rate <= kMaxUpdateRate)) {
+    return Status::InvalidArgument("slow_rate must be in [0, ", kMaxUpdateRate,
+                                   "], got ", config.slow_rate);
+  }
+  if (!(config.fast_rate >= 0.0 && config.fast_rate <= kMaxUpdateRate)) {
+    return Status::InvalidArgument("fast_rate must be in [0, ", kMaxUpdateRate,
+                                   "], got ", config.fast_rate);
   }
   if (config.update_model == WorkloadConfig::UpdateModel::kBernoulli &&
       (config.rate_hi > 1.0 || config.fast_rate > 1.0)) {

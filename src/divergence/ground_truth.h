@@ -131,6 +131,9 @@ class GroundTruth {
   size_t EntrySlot(ObjectIndex index, int32_t replica) const {
     return RecordSlot(index, replica_base_[index]) + 1 + static_cast<size_t>(replica);
   }
+  /// Prefetches the entry at table position `slot` (EntrySlot) for a
+  /// replica_divergence read soon. A cache hint; changes no state.
+  void PrefetchEntry(size_t slot) const { __builtin_prefetch(slots_ + slot); }
   /// Divergence of the replica whose entry is at table position `slot`
   /// (EntrySlot). Unchecked.
   double replica_divergence(size_t slot) const { return slots_[slot].entry.divergence; }

@@ -198,6 +198,16 @@ uint64_t DeriveJobSeed(uint64_t base, uint64_t index) {
   return z == 0 ? 0x9e3779b97f4a7c15ull : z;
 }
 
+int JobsExitCode(const std::vector<JobResult>& results) {
+  int code = 0;
+  for (const JobResult& job : results) {
+    if (job.status.ok()) continue;
+    if (!job.status.IsInvalidArgument()) return 1;
+    code = 2;
+  }
+  return code;
+}
+
 std::vector<JobResult> RunExperiments(const std::vector<ExperimentJob>& jobs,
                                       const RunnerOptions& options) {
   return RunAll(jobs.size(), options,

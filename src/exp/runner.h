@@ -55,6 +55,13 @@ struct JobResult {
   RunResult result;
 };
 
+/// The process exit code for a grid's outcome, the drivers' one rule: 0
+/// when every job succeeded; 1 when any job failed other than with
+/// InvalidArgument (a failed operation); otherwise 2. A config that only a
+/// run-time check rejects (CooperativeScheduler::Validate, say) is a usage
+/// error, the same as one the drivers' up-front validation rejects.
+int JobsExitCode(const std::vector<JobResult>& results);
+
 struct RunnerOptions {
   /// Worker threads; 1 runs inline on the calling thread, <= 0 uses the
   /// hardware concurrency. Capped at the job count.

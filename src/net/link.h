@@ -118,6 +118,13 @@ class Link {
   /// Budget and statistics are untouched.
   std::vector<MessageHandle> TakeQueue();
 
+  /// Calls `fn(const Message&)` on every queued message in FIFO order
+  /// (tests and audits). Changes nothing.
+  template <typename Fn>
+  void ForEachQueued(Fn fn) const {
+    for (size_t i = 0; i < queue_.size(); ++i) fn((*pool_)[queue_[i]]);
+  }
+
   int64_t remaining_budget() const { return remaining_; }
   int64_t tick_budget() const { return tick_budget_; }
   size_t queue_size() const { return queue_.size(); }

@@ -44,6 +44,13 @@ class CacheStore {
   /// Slot of `index` in the member list, or -1 if not replicated here.
   int64_t SlotOf(ObjectIndex index) const;
 
+  /// Prefetches `slot`'s residency and sync state lines (whichever the
+  /// store keeps). A cache hint for a read served soon; changes no state.
+  void Prefetch(int64_t slot) const {
+    if (!slots_.empty()) __builtin_prefetch(&slots_[slot], /*rw=*/1);
+    if (!sync_.empty()) __builtin_prefetch(&sync_[slot]);
+  }
+
   bool resident(int64_t slot) const {
     return (unbounded() && !crashed_) || slots_[slot].resident;
   }

@@ -40,19 +40,23 @@ void ReadPath::Initialize(Harness* harness, int num_caches, SchedulerStats* tall
   }
 
   // Ascending member list per cache (the objects a client of that cache
-  // can read — its replicas), and each member's ground-truth entry.
-  // The ground truth holds one record per object and one entry per replica.
-  BESYNC_CHECK_LE(workload.total_replicas() + static_cast<int64_t>(workload.objects.size()),
-                  int64_t{std::numeric_limits<uint32_t>::max()});
+  // can read — its replicas), each member's ground-truth entry, and the
+  // entry-indexed store slot table deliveries resolve through. The ground
+  // truth holds one record per object and one entry per replica.
+  const size_t num_entries =
+      static_cast<size_t>(workload.total_replicas()) + workload.objects.size();
+  BESYNC_CHECK_LE(num_entries, size_t{std::numeric_limits<int32_t>::max()});
   std::vector<std::vector<ObjectIndex>> members(static_cast<size_t>(num_caches));
   std::vector<std::vector<uint32_t>> entries(static_cast<size_t>(num_caches));
+  store_slot_ = harness->arena()->AllocateArray<int32_t>(num_entries, -1);
   for (size_t i = 0; i < workload.objects.size(); ++i) {
     const std::vector<int32_t>& caches = workload.objects[i].caches;
     for (size_t r = 0; r < caches.size(); ++r) {
       const auto index = static_cast<ObjectIndex>(i);
+      const size_t entry = truth_->EntrySlot(index, static_cast<int32_t>(r));
+      store_slot_[entry] = static_cast<int32_t>(members[caches[r]].size());
       members[caches[r]].push_back(index);
-      entries[caches[r]].push_back(
-          static_cast<uint32_t>(truth_->EntrySlot(index, static_cast<int32_t>(r))));
+      entries[caches[r]].push_back(static_cast<uint32_t>(entry));
     }
   }
 
@@ -119,16 +123,33 @@ void ReadPath::ProcessReads(double t) {
   // order — all its compressed state depends on — is its own cache's.
   for (CacheState& cache : caches_) {
     if (cache.stream == nullptr) continue;
+    // Draw every read due this tick first, in the one-at-a-time order (the
+    // slot, then the next read time, on cache.rng): HandleRead draws
+    // nothing and cannot change cache.down, so serving the batch afterwards
+    // in the same order serves the same reads. Each drawn slot's store,
+    // sync, pending and entry lines are prefetched as it is drawn, and its
+    // ground-truth entry once the entry index has arrived, so the serve
+    // pass does not stall on one dependent load after another.
+    due_reads_.clear();
+    const int64_t num_members = cache.store.num_members();
     while (cache.next_read_time <= t) {
       const double read_time = cache.next_read_time;
-      const int64_t slot =
-          cache.stream->NextObjectSlot(cache.store.num_members(), &cache.rng);
+      const int64_t slot = cache.stream->NextObjectSlot(num_members, &cache.rng);
       // A crashed cache's clients keep issuing reads (the stream and its
       // RNG advance deterministically) but the reads go nowhere: no
       // hit/miss accounting, no pulls.
-      if (!cache.down) HandleRead(&cache, slot, read_time);
+      if (!cache.down) {
+        due_reads_.push_back({slot, read_time});
+        cache.store.Prefetch(slot);
+        if (!cache.pending.empty()) __builtin_prefetch(&cache.pending[slot], /*rw=*/1);
+        __builtin_prefetch(&cache.replica_entry[slot]);
+      }
       cache.next_read_time = cache.stream->NextReadTime(read_time, &cache.rng);
     }
+    for (const DueRead& read : due_reads_) {
+      truth_->PrefetchEntry(cache.replica_entry[read.slot]);
+    }
+    for (const DueRead& read : due_reads_) HandleRead(&cache, read.slot, read.time);
   }
 }
 
@@ -203,16 +224,28 @@ void ReadPath::SendPullRequests(double t, Network* network) {
 void ReadPath::OnRefreshDelivered(const Message& message, double t) {
   if (!enabled_) return;
   CacheState& cache = caches_[message.cache_id];
-  ResolveDelivery(&cache, message.object_index, t, message.is_pull);
+  ResolveDelivery(&cache, message.object_index, message.replica, t, message.is_pull);
   for (const RefreshPayload& payload : message.extra_refreshes) {
-    ResolveDelivery(&cache, payload.object_index, t, message.is_pull);
+    ResolveDelivery(&cache, payload.object_index, payload.replica, t, message.is_pull);
   }
 }
 
-void ReadPath::ResolveDelivery(CacheState* cache, ObjectIndex index, double t,
-                               bool is_pull) {
-  const int64_t slot = cache->store.SlotOf(index);
-  if (slot < 0) return;
+int64_t ReadPath::DeliverySlot(const CacheState& cache, ObjectIndex index,
+                               int32_t replica) const {
+  BESYNC_DCHECK(replica >= 0 &&
+                replica < harness_->workload().objects[index].num_replicas() &&
+                harness_->workload().objects[index].caches[replica] == cache.cache_id)
+      << "object " << index << " delivered to cache " << cache.cache_id
+      << " with replica stamp " << replica;
+  const int64_t slot = store_slot(index, replica);
+  BESYNC_DCHECK(slot >= 0 && slot == cache.store.SlotOf(index))
+      << "store slot table disagrees with SlotOf for object " << index;
+  return slot;
+}
+
+void ReadPath::ResolveDelivery(CacheState* cache, ObjectIndex index, int32_t replica,
+                               double t, bool is_pull) {
+  const int64_t slot = DeliverySlot(*cache, index, replica);
   if (is_pull) ++tally_->pulls_delivered;
   const int64_t evicted = cache->store.Install(slot, t, cache->divergence_of);
   if (evicted >= 0) {
@@ -251,15 +284,15 @@ void ReadPath::OnInvalidateDelivered(const Message& message, double t) {
   BESYNC_CHECK(validity_tracked_)
       << "kInvalidate delivered without a validity-tracking protocol";
   CacheState& cache = caches_[message.cache_id];
-  ApplyInvalidate(&cache, message.object_index, t);
+  ApplyInvalidate(&cache, message.object_index, message.replica, t);
   for (const RefreshPayload& payload : message.extra_refreshes) {
-    ApplyInvalidate(&cache, payload.object_index, t);
+    ApplyInvalidate(&cache, payload.object_index, payload.replica, t);
   }
 }
 
-void ReadPath::ApplyInvalidate(CacheState* cache, ObjectIndex index, double t) {
-  const int64_t slot = cache->store.SlotOf(index);
-  if (slot < 0) return;
+void ReadPath::ApplyInvalidate(CacheState* cache, ObjectIndex index, int32_t replica,
+                               double t) {
+  const int64_t slot = DeliverySlot(*cache, index, replica);
   protocol_->OnInvalidate(&cache->store.sync_state(slot), t);
   ++tally_->invalidations_received;
   if (TraceBuffer* trace = trace_for(cache->cache_id)) {

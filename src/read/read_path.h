@@ -103,6 +103,12 @@ class ReadPath {
 
   // Introspection (tests).
   const CacheStore& store(int cache_id) const { return caches_[cache_id].store; }
+  /// Store slot of object `index`'s replica slot `replica` at its cache
+  /// (ObjectSpec::caches[replica]), from the entry-indexed table that
+  /// deliveries use in place of CacheStore::SlotOf.
+  int64_t store_slot(ObjectIndex index, int32_t replica) const {
+    return store_slot_[truth_->EntrySlot(index, replica)];
+  }
 
   /// Observability wiring (obs/trace.h): one buffer per cache id, or empty
   /// to disable (the default — hooks then cost one emptiness test). The
@@ -160,9 +166,20 @@ class ReadPath {
     return trace_.empty() ? nullptr : trace_[cache_id];
   }
 
+  /// One client read drawn by ProcessReads, served after the draw pass.
+  struct DueRead {
+    int64_t slot;
+    double time;
+  };
+
   void HandleRead(CacheState* cache, int64_t slot, double t);
-  void ResolveDelivery(CacheState* cache, ObjectIndex index, double t, bool is_pull);
-  void ApplyInvalidate(CacheState* cache, ObjectIndex index, double t);
+  /// The store slot a delivery addresses: `replica` is the sender's stamp
+  /// (Message::replica, RefreshPayload::replica), which must name this
+  /// cache (checked in debug builds, with the table against SlotOf).
+  int64_t DeliverySlot(const CacheState& cache, ObjectIndex index, int32_t replica) const;
+  void ResolveDelivery(CacheState* cache, ObjectIndex index, int32_t replica, double t,
+                       bool is_pull);
+  void ApplyInvalidate(CacheState* cache, ObjectIndex index, int32_t replica, double t);
   double ReplicaDivergence(const CacheState& cache, int64_t slot) const {
     return truth_->replica_divergence(cache.replica_entry[slot]);
   }
@@ -176,6 +193,12 @@ class ReadPath {
   bool reads_enabled_ = false;
   SchedulerStats* tally_ = nullptr;
   std::vector<CacheState> caches_;
+  /// Store slot of every replica at its cache, indexed by the replica's
+  /// ground-truth entry (GroundTruth::EntrySlot; -1 at object-record
+  /// positions). An arena span of the run, built in Initialize.
+  int32_t* store_slot_ = nullptr;
+  /// ProcessReads' per-cache batch, reused across caches and ticks.
+  std::vector<DueRead> due_reads_;
   double miss_latency_sum_ = 0.0;
   int64_t miss_latency_count_ = 0;
   /// Per-cache trace buffers; empty unless observability tracing is on.

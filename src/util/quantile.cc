@@ -33,16 +33,29 @@ void QuantileDigest::Merge(const QuantileDigest& other) {
 
 void QuantileDigest::Compress() {
   if (centroids_.size() <= static_cast<size_t>(sorted_)) return;
-  // stable_sort: equal values keep their insertion order, so compaction is
-  // deterministic even with duplicate sample values.
-  std::stable_sort(centroids_.begin(), centroids_.end(),
-                   [](const Centroid& a, const Centroid& b) { return a.mean < b.mean; });
+  // Value order, ties in insertion order (deterministic with duplicate
+  // sample values): the result of a whole-array stable_sort. The prefix
+  // is sorted, so stable-sorting only the tail and merging it after the
+  // prefix on ties gives that same order. A prefix whose rebinned means
+  // came out of order by a rounding (a bin's mean can land an ulp above
+  // the next bin's) is not sorted; it takes the whole-array sort.
+  const auto by_mean = [](const Centroid& a, const Centroid& b) { return a.mean < b.mean; };
+  const auto prefix_end = centroids_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  if (std::is_sorted(centroids_.begin(), prefix_end, by_mean)) {
+    std::stable_sort(prefix_end, centroids_.end(), by_mean);
+    scratch_.resize(centroids_.size());
+    std::merge(centroids_.begin(), prefix_end, prefix_end, centroids_.end(),
+               scratch_.begin(), by_mean);
+    centroids_.swap(scratch_);
+  } else {
+    std::stable_sort(centroids_.begin(), centroids_.end(), by_mean);
+  }
   if (centroids_.size() > static_cast<size_t>(compression_)) {
     // Equal-weight rebinning: greedily pack value-adjacent centroids into
-    // bins of ~count/compression weight each.
+    // bins of ~count/compression weight each, in place — a bin is written
+    // only after every centroid it holds has been read.
     const double target = static_cast<double>(count_) / compression_;
-    std::vector<Centroid> packed;
-    packed.reserve(static_cast<size_t>(compression_) + 1);
+    size_t packed = 0;
     Centroid bin;
     double bin_sum = 0.0;
     for (const Centroid& centroid : centroids_) {
@@ -50,7 +63,7 @@ void QuantileDigest::Compress() {
           static_cast<double>(bin.weight + centroid.weight) > target &&
           static_cast<double>(bin.weight) >= 0.5 * target) {
         bin.mean = bin_sum / static_cast<double>(bin.weight);
-        packed.push_back(bin);
+        centroids_[packed++] = bin;
         bin = Centroid{};
         bin_sum = 0.0;
       }
@@ -59,9 +72,9 @@ void QuantileDigest::Compress() {
     }
     if (bin.weight > 0) {
       bin.mean = bin_sum / static_cast<double>(bin.weight);
-      packed.push_back(bin);
+      centroids_[packed++] = bin;
     }
-    centroids_ = std::move(packed);
+    centroids_.resize(packed);
   }
   sorted_ = centroids_.size();
 }

@@ -67,6 +67,9 @@ class QuantileDigest {
   std::vector<Centroid> centroids_;
   /// Centroids in [0, sorted_) are sorted and compacted.
   size_t sorted_ = 0;
+  /// Compress's merge target, swapped with centroids_; its capacity is
+  /// reused from one compaction to the next.
+  std::vector<Centroid> scratch_;
   int64_t count_ = 0;
   double weighted_sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();

@@ -1,6 +1,8 @@
 #include "util/random.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -145,21 +147,104 @@ ZipfDistribution::ZipfDistribution(int64_t n, double s)
   total_ = h(static_cast<double>(n) + 0.5) - h_half_;
   pmf_.assign(static_cast<size_t>(n) + 1, 0.0);
   for (int64_t k = 1; k <= n; ++k) pmf_[k] = std::pow(static_cast<double>(k), -s);
+
+  if (n == 1 || n >= std::numeric_limits<int32_t>::max() ||
+      (s != 1.0 && std::fabs(one_minus_s_) < kZipfMinAbsOneMinusS)) {
+    return;
+  }
+  // Edge keys: sign * a at x = k + 1/2, where a = (k + 1/2)^(1-s) (log for
+  // s == 1). Computed from the same 1 - s the exact path's a uses.
+  key_sign_ = s > 1.0 ? -1.0 : 1.0;
+  const double log_n = std::log(static_cast<double>(n) + 1.0);
+  const auto key_at = [&](double x) {
+    return s == 1.0 ? std::log(x) : key_sign_ * std::pow(x, one_minus_s_);
+  };
+  ranks_.resize(static_cast<size_t>(n) + 1);
+  double max_abs_key = 0.0;
+  for (int64_t k = 0; k <= n; ++k) {
+    Rank& rank = ranks_[k];
+    rank.upper_edge = key_at(static_cast<double>(k) + 0.5);
+    max_abs_key = std::max(max_abs_key, std::fabs(rank.upper_edge));
+    // Over x in [k - 1/2, k + 1/2] the ratio (x / k)^s is least at
+    // k - 1/2. The computed ratio is within a few ulps of the real one, as
+    // is this floor's pow; the factor keeps the floor safely below both.
+    rank.accept_floor =
+        k == 0 ? 0.0
+               : std::pow((static_cast<double>(k) - 0.5) / static_cast<double>(k), s) *
+                     (1.0 - kZipfEdgeGuard * (2.0 + s));
+    // The guide and the scan need strictly ascending edges; a shape whose
+    // edges collide in double keeps the exact path.
+    if (k > 0 && !(rank.upper_edge > ranks_[k - 1].upper_edge)) {
+      ranks_.clear();
+      return;
+    }
+  }
+  guard_ = s == 1.0 ? kZipfEdgeGuard * (1.0 + log_n)
+                    : kZipfEdgeGuard * (1.0 + std::fabs(one_minus_s_) * (1.0 + log_n)) *
+                          max_abs_key;
+  // One guide cell per rank over [edge 0, edge n]: a is uniform in u, so
+  // a draw scans about one edge past its cell's first.
+  const size_t cells = static_cast<size_t>(n) + 1;
+  guide_origin_ = ranks_.front().upper_edge;
+  guide_scale_ = static_cast<double>(cells) / (ranks_.back().upper_edge - guide_origin_);
+  guide_.resize(cells);
+  size_t edge = 0;
+  for (size_t c = 0; c < cells; ++c) {
+    while (edge < ranks_.size() && GuideCell(ranks_[edge].upper_edge) < c) ++edge;
+    guide_[c] = static_cast<int32_t>(edge);
+  }
+}
+
+double ZipfDistribution::Invert(double a) const {
+  return exponent_ == 1.0 ? std::exp(a) : std::pow(a, inv_one_minus_s_);
+}
+
+size_t ZipfDistribution::GuideCell(double key) const {
+  const double cell = (key - guide_origin_) * guide_scale_;
+  if (!(cell > 0.0)) return 0;
+  const size_t last = guide_.size() - 1;
+  // Through int64_t: x86-64 converts a double to a signed integer in one
+  // instruction, to an unsigned one only with a branch.
+  return cell >= static_cast<double>(last) ? last
+                                           : static_cast<size_t>(static_cast<int64_t>(cell));
+}
+
+int64_t ZipfDistribution::FastRank(double key) const {
+  // First edge above key: key lies in [edge j - 1, edge j), rank j's
+  // interval. Every edge before the guide's start is below key.
+  size_t j = static_cast<size_t>(guide_[GuideCell(key)]);
+  while (j < ranks_.size() && ranks_[j].upper_edge <= key) ++j;
+  if (j < ranks_.size() && key > ranks_[j].upper_edge - guard_) return -1;
+  if (j > 0 && key < ranks_[j - 1].upper_edge + guard_) return -1;
+  return static_cast<int64_t>(j);
 }
 
 int64_t ZipfDistribution::Draw(Rng* rng) const {
   if (n_ == 1) return 1;
   while (true) {
     const double u = h_half_ + rng->NextDouble() * total_;
-    const double x = exponent_ == 1.0
-                         ? std::exp(u)
-                         : std::pow(1.0 + u * one_minus_s_, inv_one_minus_s_);
-    const int64_t k = static_cast<int64_t>(std::llround(x));
+    const double a = exponent_ == 1.0 ? u : 1.0 + u * one_minus_s_;
+    // Outside the guard bands the table's rank is llround(Invert(a)); in a
+    // band (or with the fast path off) the exact expression decides.
+    int64_t k = fast_path() ? FastRank(key_sign_ * a) : -1;
+    const bool decided = k >= 0;
+    double x = 0.0;
+    if (!decided) {
+      x = Invert(a);
+      k = static_cast<int64_t>(std::llround(x));
+    }
     if (k < 1 || k > n_) continue;
+    const double v = rng->NextDouble();
+    if (decided) {
+      // x is within [k - 1/2, k + 1/2), so the exact ratio is above the
+      // floor: the exact test would accept too.
+      if (v <= ranks_[k].accept_floor) return k;
+      x = Invert(a);
+    }
     // Accept with probability proportional to the ratio of the pmf to the
     // envelope density at k.
     const double ratio = pmf_[k] / std::pow(x, -exponent_);
-    if (rng->NextDouble() <= ratio) return k;
+    if (v <= ratio) return k;
   }
 }
 

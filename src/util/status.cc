@@ -1,5 +1,7 @@
 #include "util/status.h"
 
+#include <charconv>
+
 namespace besync {
 
 const char* StatusCodeToString(StatusCode code) {
@@ -24,6 +26,12 @@ const char* StatusCodeToString(StatusCode code) {
       return "I/O error";
   }
   return "Unknown";
+}
+
+void Status::AppendDouble(std::string* message, double value) {
+  char buffer[32];
+  const std::to_chars_result result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  message->append(buffer, result.ptr);
 }
 
 std::string Status::ToString() const {

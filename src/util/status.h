@@ -4,6 +4,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace besync {
@@ -129,10 +130,20 @@ class Status {
   static void AppendToMessage(std::string* message, const char* part) {
     message->append(part);
   }
+  /// Floating-point parts print in their shortest round-trip form
+  /// (std::to_chars: the fewest digits that read back as the same double,
+  /// fixed or scientific, whichever is shorter), so 1.2e301 and 1e-300
+  /// stay readable where std::to_string's %f gives 302 digits and
+  /// "0.000000"; integers print as std::to_string does.
   template <typename T>
   static void AppendToMessage(std::string* message, const T& part) {
-    message->append(std::to_string(part));
+    if constexpr (std::is_floating_point_v<T>) {
+      AppendDouble(message, static_cast<double>(part));
+    } else {
+      message->append(std::to_string(part));
+    }
   }
+  static void AppendDouble(std::string* message, double value);
 
   void CopyFrom(const Status& other) {
     rep_ = other.rep_ ? std::make_unique<Rep>(*other.rep_) : nullptr;

@@ -129,6 +129,11 @@ TEST(WorkloadTest, RejectsInvalidConfig) {
       {"slow_rate", [](WorkloadConfig* c) { c->slow_rate = HUGE_VAL; }},
       {"fast_rate", [](WorkloadConfig* c) { c->fast_rate = std::nan(""); }},
       {"fast_rate", [](WorkloadConfig* c) { c->fast_rate = HUGE_VAL; }},
+      // A finite but huge update rate's events never let the run finish.
+      {"rate_hi", [](WorkloadConfig* c) { c->rate_hi = 1e300; }},
+      {"rate_hi", [](WorkloadConfig* c) { c->rate_hi = 2.0 * kMaxUpdateRate; }},
+      {"slow_rate", [](WorkloadConfig* c) { c->slow_rate = 1e300; }},
+      {"fast_rate", [](WorkloadConfig* c) { c->fast_rate = 1e300; }},
       {"relay_bandwidth_factor",
        [](WorkloadConfig* c) { c->relay_bandwidth_factor = -1.0; }},
       {"relay_bandwidth_factor",
@@ -211,6 +216,9 @@ TEST(WorkloadTest, RejectsInvalidConfig) {
   WorkloadConfig at_bounds = base;
   at_bounds.read.read_rate = kMaxReadRate;
   at_bounds.read.zipf_exponent = kMaxZipfExponent;
+  at_bounds.rate_hi = kMaxUpdateRate;
+  at_bounds.slow_rate = kMaxUpdateRate;
+  at_bounds.fast_rate = kMaxUpdateRate;
   EXPECT_TRUE(ValidateWorkloadConfig(at_bounds).ok());
   for (const Case& c : cases) {
     WorkloadConfig config = base;

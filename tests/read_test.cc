@@ -8,10 +8,15 @@
 
 #include <algorithm>
 
+#include "core/harness.h"
 #include "core/system.h"
 #include "data/read_process.h"
+#include "divergence/metric.h"
 #include "exp/experiment.h"
+#include "fault/fault_schedule.h"
+#include "protocol/sync_protocol.h"
 #include "read/cache_store.h"
+#include "read/read_path.h"
 
 namespace besync {
 namespace {
@@ -445,6 +450,130 @@ TEST(ReadPathTest, CloneIsolatesTraceCursors) {
   EXPECT_EQ(original->total_weighted_divergence, cloned->total_weighted_divergence);
   EXPECT_EQ(original->scheduler.reads_total, cloned->scheduler.reads_total);
   EXPECT_EQ(original->scheduler.read_misses, cloned->scheduler.read_misses);
+}
+
+TEST(ReadPathTest, StoreSlotTableMatchesSlotOf) {
+  // Deliveries find their store slot through the entry-indexed table built
+  // in Initialize; it must name SlotOf's slot for every replica, whether an
+  // object has one replica, every cache, or a skewed subset of them.
+  for (const InterestPattern pattern :
+       {InterestPattern::kPartitionedBySource, InterestPattern::kFullReplication,
+        InterestPattern::kZipfOverlap}) {
+    WorkloadConfig wc;
+    wc.num_sources = 5;
+    wc.objects_per_source = 30;
+    wc.num_caches = 4;
+    wc.interest_pattern = pattern;
+    wc.seed = 23;
+    wc.read.capacity = 10;
+    const Workload workload = std::move(MakeWorkload(wc)).ValueOrDie();
+    const auto metric = MakeMetric(MetricKind::kStaleness);
+    Harness harness(&workload, metric.get(), HarnessConfig{});
+    const auto protocol = SyncProtocol::Make(SyncProtocolConfig{});
+    SchedulerStats tally;
+    ReadPath path;
+    path.Initialize(&harness, workload.num_caches, &tally, protocol.get());
+    ASSERT_TRUE(path.enabled());
+    int64_t checked = 0;
+    for (size_t i = 0; i < workload.objects.size(); ++i) {
+      const auto index = static_cast<ObjectIndex>(i);
+      const std::vector<int32_t>& caches = workload.objects[i].caches;
+      for (size_t r = 0; r < caches.size(); ++r) {
+        const int64_t slot = path.store(caches[r]).SlotOf(index);
+        ASSERT_GE(slot, 0);
+        EXPECT_EQ(path.store_slot(index, static_cast<int32_t>(r)), slot)
+            << "object " << index << " replica " << r;
+        ++checked;
+      }
+    }
+    EXPECT_EQ(checked, workload.total_replicas());
+  }
+}
+
+/// Checks the replica stamp of every message on a leaf link after each
+/// send phase. On a flat topology every source-sent message (push, batch,
+/// pull response, recovery refill, invalidation) is on its leaf link by
+/// then, and nothing has been delivered yet this tick, so every delivered
+/// message and batch mate passes through here at least once.
+class StampAuditScheduler : public CooperativeScheduler {
+ public:
+  StampAuditScheduler(const CooperativeConfig& config, const Workload* workload)
+      : CooperativeScheduler(config), workload_(workload) {}
+
+  void SendPhase(double t) override {
+    CooperativeScheduler::SendPhase(t);
+    for (int c = 0; c < num_caches(); ++c) {
+      network().cache_link(c).ForEachQueued([&](const Message& message) {
+        Audit(message.cache_id, message.object_index, message.replica);
+        for (const RefreshPayload& payload : message.extra_refreshes) {
+          Audit(message.cache_id, payload.object_index, payload.replica);
+          ++batch_mates_;
+        }
+        if (message.kind == MessageKind::kInvalidate) ++invalidations_;
+        if (message.is_pull) ++pulls_;
+      });
+    }
+  }
+
+  void Audit(int32_t cache_id, ObjectIndex index, int32_t replica) {
+    const std::vector<int32_t>& caches = workload_->objects[index].caches;
+    ASSERT_GE(replica, 0) << "object " << index;
+    ASSERT_LT(replica, static_cast<int32_t>(caches.size())) << "object " << index;
+    EXPECT_EQ(caches[replica], cache_id) << "object " << index;
+    ++stamps_;
+  }
+
+  const Workload* workload_;
+  int64_t stamps_ = 0;
+  int64_t batch_mates_ = 0;
+  int64_t invalidations_ = 0;
+  int64_t pulls_ = 0;
+};
+
+TEST(ReadPathTest, DeliveriesCarryTheirOwnCachesReplicaStamp) {
+  // Crashes, recovery refills, pulls and batching under both emitting
+  // protocols; debug builds also check every stamp at the apply site.
+  for (const SyncProtocolKind kind :
+       {SyncProtocolKind::kPushRefresh, SyncProtocolKind::kInvalidation}) {
+    WorkloadConfig wc;
+    wc.num_sources = 6;
+    wc.objects_per_source = 20;
+    wc.num_caches = 3;
+    wc.interest_pattern = InterestPattern::kZipfOverlap;
+    wc.seed = 29;
+    wc.read.read_rate = 6.0;
+    wc.read.capacity = 25;
+    Workload workload = std::move(MakeWorkload(wc)).ValueOrDie();
+    workload.faults.events = {
+        {60.0, FaultEventKind::kCacheCrash, 1, 1.0},
+        {75.0, FaultEventKind::kCacheRestart, 1, 1.0},
+        {110.0, FaultEventKind::kCacheCrash, 2, 1.0},
+        {120.0, FaultEventKind::kCacheRestart, 2, 1.0}};
+    CooperativeConfig cooperative;
+    cooperative.num_caches = wc.num_caches;
+    cooperative.cache_bandwidth_avg = 8.0;
+    cooperative.source_bandwidth_avg = 4.0;
+    cooperative.source.max_batch = 3;
+    cooperative.protocol.kind = kind;
+    cooperative.protocol.max_invalidate_batch = 3;
+    cooperative.recovery_policy = RecoveryPolicy::kRecoveryPriority;
+    StampAuditScheduler scheduler(cooperative, &workload);
+    const auto metric = MakeMetric(MetricKind::kStaleness);
+    HarnessConfig harness;
+    harness.warmup = 20.0;
+    harness.measure = 180.0;
+    const auto result = RunScheduler(&workload, metric.get(), harness, &scheduler);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->scheduler.cache_crashes, 2);
+    EXPECT_GT(result->scheduler.pulls_delivered, 0);
+    EXPECT_GT(result->scheduler.resync_deliveries, 0);
+    EXPECT_GT(scheduler.stamps_, 0);
+    EXPECT_GT(scheduler.batch_mates_, 0);
+    EXPECT_GT(scheduler.pulls_, 0);
+    if (kind == SyncProtocolKind::kInvalidation) {
+      EXPECT_GT(scheduler.invalidations_, 0);
+    }
+  }
 }
 
 }  // namespace

@@ -251,6 +251,12 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
     EXPECT_TRUE(ValidateExperimentConfig(bounds).ok());
   }
   {
+    // A run of exactly kMaxTicks ticks is accepted.
+    ExperimentConfig longest = base;
+    longest.harness.measure = kMaxTicks - longest.harness.warmup;
+    EXPECT_TRUE(ValidateExperimentConfig(longest).ok());
+  }
+  {
     // An infinite lease never expires; it stays a valid setting.
     ExperimentConfig forever = base;
     forever.protocol.ttl = std::numeric_limits<double>::infinity();
@@ -341,6 +347,25 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
   jobs[34].name = "cache_bandwidth_avg";
   jobs[34].config.cache_bandwidth_avg = -inf;
 
+  // A finite but huge run length, or a tiny tick, ticks past any timeout:
+  // each is more than kMaxTicks ticks.
+  for (const char* field : {"warmup", "measure", "tick_length"}) {
+    ExperimentJob job;
+    job.name = field;
+    job.config = base;
+    jobs.push_back(job);
+  }
+  jobs[jobs.size() - 3].config.harness.warmup = 1e300;
+  jobs[jobs.size() - 2].config.harness.measure = 1e300;
+  jobs[jobs.size() - 1].config.harness.tick_length = 1e-300;
+  {
+    ExperimentJob job;
+    job.name = "measure";
+    job.config = base;
+    job.config.harness.measure = kMaxTicks;
+    jobs.push_back(job);
+  }
+
   // With observability on, a zero or negative sample interval reached a
   // CHECK in TimeSeries::Configure, and a NaN or infinite one never samples.
   for (double interval : {0.0, -1.0, std::nan(""), inf, -inf}) {
@@ -367,6 +392,24 @@ TEST(RunnerTest, InvalidConfigFieldsAreInvalidArgument) {
     off.obs.sample_interval = 0.0;
     EXPECT_TRUE(ValidateExperimentConfig(off).ok());
   }
+}
+
+/// One rule maps a grid's statuses to the drivers' exit code: a config
+/// only a run-time check rejects is a usage error (2), like one the
+/// up-front validation rejects; any other failure is a failed run (1).
+TEST(RunnerTest, JobsExitCodeSeparatesUsageErrorsFromFailures) {
+  const auto grid = [](std::vector<Status> statuses) {
+    std::vector<JobResult> results(statuses.size());
+    for (size_t i = 0; i < statuses.size(); ++i) results[i].status = statuses[i];
+    return results;
+  };
+  EXPECT_EQ(JobsExitCode({}), 0);
+  EXPECT_EQ(JobsExitCode(grid({Status::OK(), Status::OK()})), 0);
+  EXPECT_EQ(JobsExitCode(grid({Status::OK(), Status::InvalidArgument("relay")})), 2);
+  EXPECT_EQ(JobsExitCode(grid({Status::InvalidArgument("a"), Status::InvalidArgument("b")})),
+            2);
+  EXPECT_EQ(JobsExitCode(grid({Status::InvalidArgument("a"), Status::Internal("b")})), 1);
+  EXPECT_EQ(JobsExitCode(grid({Status::Internal("a"), Status::OK()})), 1);
 }
 
 /// A relay or leaf edge whose resolved bandwidth overflows the integer tick

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -28,6 +29,19 @@ TEST(StatusTest, DefaultIsOk) {
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kOk);
   EXPECT_EQ(status.ToString(), "OK");
+}
+
+TEST(StatusTest, DoublesPrintInShortestRoundTripForm) {
+  // std::to_string's %f printed 1.2e301 as 302 digits and 1e-300 as
+  // "0.000000"; integers keep their form.
+  EXPECT_EQ(Status::InvalidArgument("bandwidth ", 1.2e301).message(), "bandwidth 1.2e+301");
+  EXPECT_EQ(Status::InvalidArgument("interval ", 1e-300).message(), "interval 1e-300");
+  EXPECT_EQ(Status::InvalidArgument("q ", 0.25).message(), "q 0.25");
+  EXPECT_EQ(Status::InvalidArgument("rate ", 0.1, " of ", 1e6).message(), "rate 0.1 of 1e+06");
+  EXPECT_EQ(Status::InvalidArgument("warmup ", 100.0).message(), "warmup 100");
+  EXPECT_EQ(Status::InvalidArgument("x ", std::numeric_limits<double>::infinity()).message(),
+            "x inf");
+  EXPECT_EQ(Status::InvalidArgument("n ", int64_t{-7}, " ", 3u).message(), "n -7 3");
 }
 
 TEST(StatusTest, ErrorCarriesCodeAndMessage) {
@@ -241,6 +255,85 @@ TEST(ZipfDistributionTest, MatchesParentDrawStream) {
     for (size_t i = 0; i < c.draws.size(); ++i) draws.push_back(zipf.Draw(&rng));
     EXPECT_EQ(draws, c.draws) << "n=" << c.n << " s=" << c.s;
     EXPECT_EQ(rng.NextUint64(), c.next) << "n=" << c.n << " s=" << c.s;
+  }
+}
+
+/// The two-`pow` rejection loop the table's fast path must reproduce:
+/// the sampler as it stood before the edge table, kept here as the
+/// reference for ranks and uniforms consumed.
+class ReferenceZipf {
+ public:
+  ReferenceZipf(int64_t n, double s)
+      : n_(n), s_(s), one_minus_s_(1.0 - s), inv_one_minus_s_(1.0 / (1.0 - s)) {
+    h_half_ = H(0.5);
+    total_ = H(static_cast<double>(n) + 0.5) - h_half_;
+  }
+
+  int64_t Draw(Rng* rng) const {
+    if (n_ == 1) return 1;
+    while (true) {
+      const double u = h_half_ + rng->NextDouble() * total_;
+      const double x =
+          s_ == 1.0 ? std::exp(u) : std::pow(1.0 + u * one_minus_s_, inv_one_minus_s_);
+      const int64_t k = static_cast<int64_t>(std::llround(x));
+      if (k < 1 || k > n_) continue;
+      const double ratio = std::pow(static_cast<double>(k), -s_) / std::pow(x, -s_);
+      if (rng->NextDouble() <= ratio) return k;
+    }
+  }
+
+ private:
+  double H(double x) const {
+    return s_ == 1.0 ? std::log(x) : (std::pow(x, one_minus_s_) - 1.0) / one_minus_s_;
+  }
+
+  int64_t n_;
+  double s_;
+  double one_minus_s_;
+  double inv_one_minus_s_;
+  double h_half_ = 0.0;
+  double total_ = 0.0;
+};
+
+TEST(ZipfDistributionTest, FastPathMatchesTwoPowLoop) {
+  // Every rank, and the generator state after 2^20 draws, must equal the
+  // reference loop's, including shapes near s = 1 on both sides, s = 1
+  // itself (the log/exp form) and the largest accepted exponent.
+  constexpr int kDraws = 1 << 20;
+  const double exponents[] = {0.5, 0.8, 0.999, 1.0, 1.001, 1.2, 2.0, 5.0};
+  const int64_t sizes[] = {1, 2, 37, 2000, 100000};
+  uint64_t seed = 1000;
+  for (const double s : exponents) {
+    for (const int64_t n : sizes) {
+      const ZipfDistribution zipf(n, s);
+      const ReferenceZipf reference_zipf(n, s);
+      EXPECT_EQ(zipf.fast_path(), n > 1) << "n=" << n << " s=" << s;
+      Rng fast(++seed);
+      Rng reference(seed);
+      int64_t mismatches = 0;
+      for (int i = 0; i < kDraws; ++i) {
+        const int64_t k = zipf.Draw(&fast);
+        if (k != reference_zipf.Draw(&reference)) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0) << "n=" << n << " s=" << s;
+      EXPECT_EQ(fast.NextUint64(), reference.NextUint64()) << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(ZipfDistributionTest, IllConditionedShapesKeepTheExactPath) {
+  // Within kZipfMinAbsOneMinusS of s = 1 (but not at it) the table is off;
+  // the draws still follow the reference loop.
+  for (const double s : {1.0 - 0x1p-21, 1.0 + 0x1p-21}) {
+    const ZipfDistribution zipf(2000, s);
+    const ReferenceZipf reference_zipf(2000, s);
+    EXPECT_FALSE(zipf.fast_path()) << "s=" << s;
+    Rng fast(9);
+    Rng reference(9);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(zipf.Draw(&fast), reference_zipf.Draw(&reference)) << "s=" << s;
+    }
+    EXPECT_EQ(fast.NextUint64(), reference.NextUint64());
   }
 }
 
