@@ -100,16 +100,16 @@ void CGMScheduler::SendPoll(ObjectIndex index, double t) {
   // bandwidth is unconstrained in this model); the source snapshots its
   // object immediately and the response is queued on the cache-side link.
   const ObjectRuntime& object = harness_->object(index);
-  Message response;
-  response.kind = MessageKind::kPollResponse;
-  response.source_index = object.spec->source_index;
-  response.replica = 0;  // single-cache model: cache 0 holds replica slot 0
-  response.object_index = index;
-  response.value = object.state.value;
-  response.version = object.state.version;
-  response.send_time = t;
-  response.last_update_time = object.state.last_update_time;
-  cache_link_->Enqueue(response);
+  cache_link_->Emplace([&](Message& response) {
+    response.kind = MessageKind::kPollResponse;
+    response.source_index = object.spec->source_index;
+    response.replica = 0;  // single-cache model: cache 0 holds replica slot 0
+    response.object_index = index;
+    response.value = object.state.value;
+    response.version = object.state.version;
+    response.send_time = t;
+    response.last_update_time = object.state.last_update_time;
+  });
   ++polls_sent_;
 }
 

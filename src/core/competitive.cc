@@ -101,7 +101,7 @@ void CompetitiveScheduler::SendPhase(double t) {
       }
     }
 
-    const int64_t threshold_sent = agent.SendRefreshes(t, source_link, cache);
+    const int64_t threshold_sent = agent.SendPhase(t, source_link, network_.get());
 
     if (competitive_.option == ShareOption::kPiggyback && piggyback_ratio > 0.0) {
       // Earn Ψ/(1-Ψ) own-priority slots per cache-priority refresh.

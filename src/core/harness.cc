@@ -111,26 +111,27 @@ double Harness::SourceWeightAt(ObjectIndex index, double t) const {
   return spec.source_weight ? spec.source_weight->ValueAt(t) : WeightAt(index, t);
 }
 
-Message Harness::MakeRefreshMessage(ObjectIndex index, int32_t replica, double t) {
+void Harness::MakeRefreshMessage(ObjectIndex index, int32_t replica, double t,
+                                 Message* message) {
   ObjectRuntime& object = objects_[index];
   BESYNC_DCHECK(replica >= 0 && replica < object.num_replicas);
-  Message message;
-  message.kind = MessageKind::kRefresh;
-  message.source_index = object.spec->source_index;
-  message.cache_id = object.spec->caches[replica];
-  message.replica = replica;
-  message.object_index = index;
-  message.value = object.state.value;
-  message.version = object.state.version;
-  message.send_time = t;
-  message.last_update_time = object.state.last_update_time;
-  message.cost = object.spec->refresh_cost;
+  message->kind = MessageKind::kRefresh;
+  message->source_index = object.spec->source_index;
+  message->cache_id = object.spec->caches[replica];
+  message->replica = replica;
+  message->object_index = index;
+  message->value = object.state.value;
+  message->version = object.state.version;
+  message->send_time = t;
+  message->last_update_time = object.state.last_update_time;
+  message->cost = object.spec->refresh_cost;
   object.tracker(replica).OnRefresh(t, object.state.value, object.state.version);
-  return message;
 }
 
 Message Harness::MakeRefreshMessage(ObjectIndex index, double t) {
-  return MakeRefreshMessage(index, /*replica=*/0, t);
+  Message message;
+  MakeRefreshMessage(index, /*replica=*/0, t, &message);
+  return message;
 }
 
 void Harness::DeliverRefresh(const Message& message, double t) {
@@ -149,7 +150,8 @@ void Harness::DeliverRefresh(const Message& message, double t) {
 
 void Harness::RefreshInstant(ObjectIndex index, double t) {
   for (int32_t r = 0; r < objects_[index].num_replicas; ++r) {
-    const Message message = MakeRefreshMessage(index, r, t);
+    Message message;
+    MakeRefreshMessage(index, r, t, &message);
     DeliverRefresh(message, t);
   }
 }

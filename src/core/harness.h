@@ -267,13 +267,16 @@ class Harness {
 
   // --- refresh plumbing ---
 
-  /// Source-side send targeting one replica: builds the refresh message
+  /// Source-side send targeting one replica: writes the refresh message
   /// for the object's replica slot `replica` (its cache is
   /// `spec->caches[replica]`), carrying the object's current value/version,
-  /// and resets that replica's source-side tracker (the source now models
-  /// the cache as holding this value). The message still has to be
-  /// delivered via DeliverRefresh (or dropped, if a scheduler models loss).
-  Message MakeRefreshMessage(ObjectIndex index, int32_t replica, double t);
+  /// into `message` (typically the pool slot a link handed out), and resets
+  /// that replica's source-side tracker (the source now models the cache
+  /// as holding this value). Fields a refresh does not set keep their
+  /// values. The message still has to be delivered via DeliverRefresh (or
+  /// dropped, if a scheduler models loss).
+  void MakeRefreshMessage(ObjectIndex index, int32_t replica, double t,
+                          Message* message);
 
   /// Single-cache convenience: targets the object's first replica.
   Message MakeRefreshMessage(ObjectIndex index, double t);

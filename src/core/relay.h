@@ -1,8 +1,8 @@
 #ifndef BESYNC_CORE_RELAY_H_
 #define BESYNC_CORE_RELAY_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -65,8 +65,31 @@ class RelayAgent {
   /// for each; the handle passes to `forward`. Returns the number
   /// forwarded. Messages denied budget stay stored for a later tick (and
   /// keep accruing queueing delay).
-  int64_t Forward(double now, const std::function<bool(int64_t)>& try_consume,
-                  const std::function<void(MessageHandle)>& forward);
+  template <typename TryConsume, typename ForwardFn>
+  int64_t Forward(double now, TryConsume&& try_consume, ForwardFn&& forward) {
+    PromoteEligible(now);
+    int64_t sent = 0;
+    while (num_ready_ > 0) {
+      const size_t pick = PickNext();
+      const Stored stored = store_[pick];
+      const Message& message = (*pool_)[stored.handle];
+      // Budget semantics mirror the source send phase: a large message may
+      // start on the last sliver of budget and spill into the next tick
+      // (deficit carryover at the egress link).
+      if (!try_consume(std::max<int64_t>(message.cost, 1))) break;
+      store_.erase(pick);
+      --num_ready_;
+      total_queue_delay_ += now - stored.arrival;
+      total_transit_delay_ += now - message.send_time;
+      ++sent;
+      if (trace_ != nullptr) {
+        RecordTrace(TraceEventKind::kRelayForward, message, now,
+                    /*value=*/now - stored.arrival);
+      }
+      forward(stored.handle);
+    }
+    return sent;
+  }
 
   // --- statistics ---
   size_t store_size() const { return store_.size(); }

@@ -15,6 +15,12 @@ constexpr double kMinSamplingGap = 1.0;
 /// Link cost of one kInvalidate message: invalidations carry no value, so
 /// they are cheap relative to refreshes of costly objects.
 constexpr int64_t kInvalidateCost = 1;
+/// OnObjectUpdate's lookahead over the object's channels: the slot_of line
+/// kUpdateSlotAhead channels ahead, then (the slot known by then) the
+/// replica's LocalState and the queue push position kUpdateStateAhead
+/// channels ahead.
+constexpr int kUpdateSlotAhead = 8;
+constexpr int kUpdateStateAhead = 4;
 
 }  // namespace
 
@@ -118,6 +124,8 @@ void SourceAgent::BuildChannels() {
   for (size_t k = 0; k < channels_.size(); ++k) {
     channel_of_cache_[channels_[k].cache_id] = static_cast<int32_t>(k);
   }
+  queued_ = arena->AllocateArray<uint64_t>((channels_.size() + 63) / 64, uint64_t{0});
+  visit_ = arena->AllocateArray<int32_t>(channels_.size());
 }
 
 SourceAgent::Channel* SourceAgent::ChannelFor(int32_t cache_id) {
@@ -249,40 +257,62 @@ void SourceAgent::OnObjectUpdate(ObjectIndex index, double t) {
                   /*is_pull=*/false);
     }
   }
+  const ObjectIndex offset = index - first_member_;
   if (!push_protocol()) {
     // TTL: updates are silent — replicas age out on their own. Invalidation:
     // queue one notification per replica per staleness episode; a replica
     // already queued or notified costs nothing until a pull refills it.
     if (protocol_->emits_invalidations()) {
       for (Channel& channel : channels_) {
-        const int32_t slot = channel.slot_of[index - first_member_];
+        const int32_t slot = channel.slot_of[offset];
         if (slot < 0) continue;
         if (channel.invalid_state[slot] != kReplicaFresh) continue;
         channel.invalid_state[slot] = kInvalidateQueued;
         channel.invalidate_queue.push_back(slot);
+        MarkQueued(&channel);
       }
     }
     return;
   }
   if (config_.monitor == MonitorMode::kSampling) return;  // source is blind
-  for (Channel& channel : channels_) {
-    const int32_t slot = channel.slot_of[index - first_member_];
+  if (policy_->time_varying()) {
+    // The update may have moved the threshold crossing earlier; re-arm.
+    if (!policy_->update_sensitive()) return;
+    for (Channel& channel : channels_) {
+      const int32_t slot = channel.slot_of[offset];
+      if (slot < 0) continue;
+      ++channel.locals[slot].epoch;
+      PushWake(&channel, index, t);
+    }
+    return;
+  }
+  const int num = num_channels();
+  for (int k = 0; k < num; ++k) {
+    // Lookahead (PrefetchUpdate skips objects with many replicas): the
+    // slot_of line first, then the replica state and queue push position
+    // that slot addresses.
+    if (k + kUpdateSlotAhead < num) {
+      __builtin_prefetch(&channels_[k + kUpdateSlotAhead].slot_of[offset]);
+    }
+    if (k + kUpdateStateAhead < num) {
+      const Channel& ahead = channels_[k + kUpdateStateAhead];
+      const int32_t ahead_slot = ahead.slot_of[offset];
+      if (ahead_slot >= 0) {
+        __builtin_prefetch(&ahead.locals[ahead_slot], /*rw=*/1);
+        ahead.queue.PrefetchPush();
+      }
+    }
+    Channel& channel = channels_[k];
+    const int32_t slot = channel.slot_of[offset];
     if (slot < 0) continue;
     LocalState& state = channel.locals[slot];
-    if (policy_->time_varying()) {
-      if (policy_->update_sensitive()) {
-        // The update may have moved the threshold crossing earlier; re-arm.
-        ++state.epoch;
-        PushWake(&channel, index, t);
-      }
-      continue;
-    }
     ++state.epoch;
     channel.queue.Push(ChannelPriority(channel, index, t), index, state.epoch);
     if (secondary_enabled_) {
       channel.secondary_queue.Push(ChannelSourcePriority(channel, index, t), index,
                                    state.epoch);
     }
+    MarkQueued(&channel);
     MaybeCompact(&channel);
   }
 }
@@ -337,6 +367,7 @@ void SourceAgent::OnSampleEvent(int channel_index, int32_t slot, double t) {
   ++state.epoch;
   const double weight = harness_->WeightAt(index, t);
   channel.queue.Push(sampled.EstimatedPriority(t) * weight, index, state.epoch);
+  MarkQueued(&channel);
   MaybeCompact(&channel);
   ScheduleNextSample(channel_index, slot, t);
 }
@@ -382,9 +413,11 @@ void SourceAgent::PushWake(Channel* channel, ObjectIndex index, double now) {
       policy_->ThresholdCrossTime(context, channel->controller.threshold(), now);
   if (!std::isfinite(cross)) return;
   channel->wake_queue.Push(cross, index, local(channel, index).epoch);
+  MarkQueued(channel);
 }
 
-Message SourceAgent::Ship(Channel* channel, int32_t slot, double now, bool is_pull) {
+void SourceAgent::Ship(Channel* channel, int32_t slot, double now, bool is_pull,
+                       Message* message) {
   const ObjectIndex index = channel->members[slot];
   const int32_t replica = channel->replica_slots[slot];
   LocalState& state = channel->locals[slot];
@@ -394,11 +427,11 @@ Message SourceAgent::Ship(Channel* channel, int32_t slot, double now, bool is_pu
     const DivergenceTracker& tracker = harness_->object(index).tracker(replica);
     state.history.OnRefresh(now - tracker.last_refresh_time(), tracker.IntegralTo(now));
   }
-  Message message = harness_->MakeRefreshMessage(index, replica, now);
-  message.is_pull = is_pull;
+  harness_->MakeRefreshMessage(index, replica, now, message);
+  message->is_pull = is_pull;
   if (channel->sampled != nullptr) channel->sampled[slot].OnRefresh(now);
   if (trace_ != nullptr) {
-    RecordTrace(TraceEventKind::kSend, now, channel->cache_id, index, message.version,
+    RecordTrace(TraceEventKind::kSend, now, channel->cache_id, index, message->version,
                 is_pull);
   }
   // The replica is fresh now: any queued push entry dies lazily instead of
@@ -417,7 +450,6 @@ Message SourceAgent::Ship(Channel* channel, int32_t slot, double now, bool is_pu
   if (push_protocol() && policy_->time_varying()) {
     PushWake(channel, index, now);
   }
-  return message;
 }
 
 void SourceAgent::EmitRefresh(Channel* channel, const QueueEntry& head,
@@ -427,36 +459,44 @@ void SourceAgent::EmitRefresh(Channel* channel, const QueueEntry& head,
   // protocol; it precedes the ships so a re-armed wake-up sees the
   // post-increase threshold.
   if (bump_threshold) channel->controller.OnRefreshSent(now);
-  Message message = Ship(channel, ChannelSlot(*channel, head.index), now,
-                         /*is_pull=*/false);
-  for (size_t k = 0; k < num_mates; ++k) {
-    const Message part =
-        Ship(channel, ChannelSlot(*channel, mates[k].index), now, /*is_pull=*/false);
-    message.extra_refreshes.push_back(
-        RefreshPayload{part.object_index, part.value, part.version, part.replica});
-  }
-  message.cost = cost;
-  // Piggyback the current (post-increase) threshold: the freshest
-  // information the cache can have about this source.
-  message.piggyback_threshold = channel->controller.threshold();
-  // Entries are popped in priority order, so the head holds the maximum.
-  message.forward_priority = head.key;
-  cache_link->Enqueue(std::move(message));
+  cache_link->Emplace([&](Message& message) {
+    Ship(channel, ChannelSlot(*channel, head.index), now, /*is_pull=*/false, &message);
+    if (num_mates > 0) {
+      Message part;
+      for (size_t k = 0; k < num_mates; ++k) {
+        Ship(channel, ChannelSlot(*channel, mates[k].index), now, /*is_pull=*/false,
+             &part);
+        message.extra_refreshes.push_back(
+            RefreshPayload{part.object_index, part.value, part.version, part.replica});
+      }
+    }
+    message.cost = cost;
+    // Piggyback the current (post-increase) threshold: the freshest
+    // information the cache can have about this source.
+    message.piggyback_threshold = channel->controller.threshold();
+    // Entries are popped in priority order, so the head holds the maximum.
+    message.forward_priority = head.key;
+  });
   tally_->refreshes_sent += 1 + static_cast<int64_t>(num_mates);
   channel->last_emit_time = now;
 }
 
-Message SourceAgent::ServePull(ObjectIndex index, int32_t cache_id, double now) {
+void SourceAgent::ServePull(ObjectIndex index, int32_t cache_id, double now,
+                            Link* source_link, Link* first_hop) {
   ++control_received_;
   Channel* channel = ChannelFor(cache_id);
   BESYNC_CHECK(channel != nullptr)
       << "source " << index_ << " has no channel for cache " << cache_id;
-  Message message = Ship(channel, ChannelSlot(*channel, index), now, /*is_pull=*/true);
-  message.piggyback_threshold = channel->controller.threshold();
-  // Demand traffic: priority-preserving relays forward pulls ahead of any
-  // queued push.
-  message.forward_priority = std::numeric_limits<double>::infinity();
-  return message;
+  int64_t cost = 0;
+  first_hop->Emplace([&](Message& message) {
+    Ship(channel, ChannelSlot(*channel, index), now, /*is_pull=*/true, &message);
+    message.piggyback_threshold = channel->controller.threshold();
+    // Demand traffic: priority-preserving relays forward pulls ahead of any
+    // queued push.
+    message.forward_priority = std::numeric_limits<double>::infinity();
+    cost = message.cost;
+  });
+  source_link->ConsumeAllowingDebt(cost);
 }
 
 void SourceAgent::OnCacheRestart(int32_t cache_id, double now,
@@ -502,6 +542,7 @@ void SourceAgent::OnCacheRestart(int32_t cache_id, double now,
       channel->secondary_queue.Push(ChannelSourcePriority(*channel, index, now),
                                     index, state.epoch);
     }
+    MarkQueued(channel);
   }
   if (!priority_recovery && push_protocol() && !policy_->time_varying()) {
     MaybeCompact(channel);
@@ -526,28 +567,75 @@ int64_t SourceAgent::SendRecovery(double now, Link* source_link, Link* cache_lin
   return sent;
 }
 
-int64_t SourceAgent::SendRefreshes(double now, Link* source_link, Link* cache_link,
-                                   int channel_index) {
-  BESYNC_DCHECK(channel_index >= 0 && channel_index < num_channels());
-  Channel* channel = &channels_[channel_index];
-  // Channel 0 opens the source's send phase for this tick; the flag then
-  // accumulates across the remaining channels (they share the source link).
-  if (channel_index == 0) at_full_capacity_ = false;
-  if (policy_->time_varying()) {
-    return SendRefreshesTimeVarying(channel, now, source_link, cache_link);
+int64_t SourceAgent::SendPhase(double now, Link* source_link, Network* network) {
+  BESYNC_DCHECK(UnqueuedChannelsIdle());
+  BESYNC_DCHECK(push_protocol() || protocol_->emits_invalidations());
+  // The flag accumulates across the channels: they share the source link.
+  at_full_capacity_ = false;
+  // Draining one channel pushes only to that channel's queues, so the set
+  // of channels to visit is fixed before the first drain.
+  const size_t words = (channels_.size() + 63) / 64;
+  size_t count = 0;
+  for (size_t word = 0; word < words; ++word) {
+    for (uint64_t bits = queued_[word]; bits != 0; bits &= bits - 1) {
+      visit_[count++] = static_cast<int32_t>(word * 64 + __builtin_ctzll(bits));
+    }
   }
-  return Drain(channel, /*primary=*/true, std::numeric_limits<int64_t>::max(), now,
-               source_link, cache_link);
+  const bool time_varying = policy_->time_varying();
+  int64_t sent = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (i + 2 < count) PrefetchChannel(channels_[visit_[i + 2]]);
+    if (i + 1 < count) PrefetchFront(channels_[visit_[i + 1]]);
+    const int32_t k = visit_[i];
+    Channel* channel = &channels_[k];
+    // Messages enter the network at the cache's tier-1 ancestor edge (the
+    // cache link itself when flat) and are relayed the rest of the way.
+    Link* first_hop = &network->first_hop_link(channel->cache_id);
+    if (!push_protocol()) {
+      sent += SendInvalidations(channel, now, source_link, first_hop);
+    } else if (time_varying) {
+      sent += SendRefreshesTimeVarying(channel, now, source_link, first_hop);
+    } else {
+      sent += Drain(channel, /*primary=*/true, std::numeric_limits<int64_t>::max(), now,
+                    source_link, first_hop);
+    }
+    if (channel->queue.empty() && channel->wake_queue.empty() &&
+        channel->invalidate_queue.empty()) {
+      queued_[static_cast<size_t>(k) >> 6] &= ~(uint64_t{1} << (k & 63));
+    }
+  }
+  return sent;
 }
 
-int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
-                                       Link* cache_link, int channel_index) {
-  BESYNC_DCHECK(channel_index >= 0 && channel_index < num_channels());
-  BESYNC_CHECK(protocol_->emits_invalidations());
-  Channel* channel = &channels_[channel_index];
-  // Same tick-opening contract as SendRefreshes: channel 0 clears the
-  // shared full-capacity flag, the remaining channels accumulate into it.
-  if (channel_index == 0) at_full_capacity_ = false;
+bool SourceAgent::UnqueuedChannelsIdle() const {
+  for (int k = 0; k < num_channels(); ++k) {
+    const Channel& channel = channels_[k];
+    if (!channel_queued(k) &&
+        (!channel.queue.empty() || !channel.wake_queue.empty() ||
+         !channel.invalidate_queue.empty())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void SourceAgent::PrefetchChannel(const Channel& channel) const {
+  PrefetchRange(&channel, sizeof(Channel));
+  channel.queue.PrefetchFront();
+  channel.wake_queue.PrefetchFront();
+}
+
+void SourceAgent::PrefetchFront(const Channel& channel) const {
+  if (channel.queue.empty()) return;
+  const ObjectIndex index = channel.queue.front().index;
+  const int32_t slot = channel.slot_of[index - first_member_];
+  __builtin_prefetch(&channel.locals[slot], /*rw=*/1);
+  __builtin_prefetch(&harness_->object(index).tracker(channel.replica_slots[slot]),
+                     /*rw=*/1);
+}
+
+int64_t SourceAgent::SendInvalidations(Channel* channel, double now, Link* source_link,
+                                       Link* cache_link) {
   const int max_batch = protocol_->config().max_invalidate_batch;
   int64_t messages = 0;
   while (true) {
@@ -563,39 +651,39 @@ int64_t SourceAgent::SendInvalidations(double now, Link* source_link,
       at_full_capacity_ = true;
       break;
     }
-    Message message;
-    message.kind = MessageKind::kInvalidate;
-    message.source_index = index_;
-    message.cache_id = channel->cache_id;
-    message.send_time = now;
-    message.cost = kInvalidateCost;
-    // Notifications are tiny control traffic: priority-preserving relays
-    // move them ahead of queued pushes, like pull responses.
-    message.forward_priority = std::numeric_limits<double>::infinity();
-    int packed = 0;
-    while (packed < max_batch && !queue.empty()) {
-      const int32_t slot = queue.front();
-      queue.pop_front();
-      if (channel->invalid_state[slot] != kInvalidateQueued) continue;
-      channel->invalid_state[slot] = kInvalidateSent;
-      const ObjectIndex object = channel->members[slot];
-      // Stamped like a refresh, so the cache finds the replica in O(1).
-      const int32_t replica = channel->replica_slots[slot];
-      if (packed == 0) {
-        message.object_index = object;
-        message.replica = replica;
-      } else {
-        message.extra_refreshes.push_back(RefreshPayload{object, 0.0, 0, replica});
+    cache_link->Emplace([&](Message& message) {
+      message.kind = MessageKind::kInvalidate;
+      message.source_index = index_;
+      message.cache_id = channel->cache_id;
+      message.send_time = now;
+      message.cost = kInvalidateCost;
+      // Notifications are tiny control traffic: priority-preserving relays
+      // move them ahead of queued pushes, like pull responses.
+      message.forward_priority = std::numeric_limits<double>::infinity();
+      int packed = 0;
+      while (packed < max_batch && !queue.empty()) {
+        const int32_t slot = queue.front();
+        queue.pop_front();
+        if (channel->invalid_state[slot] != kInvalidateQueued) continue;
+        channel->invalid_state[slot] = kInvalidateSent;
+        const ObjectIndex object = channel->members[slot];
+        // Stamped like a refresh, so the cache finds the replica in O(1).
+        const int32_t replica = channel->replica_slots[slot];
+        if (packed == 0) {
+          message.object_index = object;
+          message.replica = replica;
+        } else {
+          message.extra_refreshes.push_back(RefreshPayload{object, 0.0, 0, replica});
+        }
+        ++packed;
+        ++tally_->invalidations_sent;
+        if (trace_ != nullptr) {
+          RecordTrace(TraceEventKind::kInvalidateSend, now, channel->cache_id,
+                      object, /*version=*/0, /*is_pull=*/false);
+        }
       }
-      ++packed;
-      ++tally_->invalidations_sent;
-      if (trace_ != nullptr) {
-        RecordTrace(TraceEventKind::kInvalidateSend, now, channel->cache_id,
-                    object, /*version=*/0, /*is_pull=*/false);
-      }
-    }
+    });
     channel->last_emit_time = now;
-    cache_link->Enqueue(std::move(message));
     ++messages;
   }
   return messages;

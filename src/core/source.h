@@ -9,6 +9,7 @@
 #include "core/threshold.h"
 #include "fault/fault_schedule.h"
 #include "net/link.h"
+#include "net/network.h"
 #include "obs/trace.h"
 #include "priority/history.h"
 #include "priority/priority.h"
@@ -128,7 +129,8 @@ class SourceAgent {
   /// (a push protocol under trigger monitoring with a time-invariant
   /// policy), prefetches each of the object's channels' replica state and
   /// queue push position. Objects with more than kPrefetchLineCap replicas
-  /// are skipped: their channel walk would cost more than it hides.
+  /// are skipped: their channel walk would cost more than it hides, and
+  /// OnObjectUpdate prefetches a few channels ahead inside its own walk.
   /// Prefetches only; changes nothing.
   void PrefetchUpdate(ObjectIndex index) const;
 
@@ -140,22 +142,29 @@ class SourceAgent {
   /// message's cache_id selects which threshold T_{j,c} is adjusted.
   void OnFeedback(const ControlMessage& message, double t);
 
-  /// Tick send phase for channel `channel`: emits refresh messages into
-  /// `cache_link` (the link of that channel's cache) while the shared
-  /// source-side budget allows and over-threshold objects remain. Returns
-  /// the number of messages sent. A call for channel 0 starts the source's
-  /// tick: it clears the full-capacity flag.
-  int64_t SendRefreshes(double now, Link* source_link, Link* cache_link,
-                        int channel = 0);
+  /// The source's tick send phase. Clears the full-capacity flag, then
+  /// visits every channel with queued work in ascending channel order and
+  /// emits into the `network` link where that channel's cache is entered
+  /// (Network::first_hop_link), while the shared budget of `source_link`
+  /// allows: over-threshold refreshes from the primary queue (push,
+  /// time-invariant policy), due wake-ups (push, time-varying policy) or
+  /// pending notifications (invalidation, up to max_invalidate_batch
+  /// replicas per kInvalidate message). A channel whose primary, wake and
+  /// invalidation queues are all empty is skipped: draining it would change
+  /// nothing. Returns the number of messages sent. Requires a push or an
+  /// invalidation protocol.
+  int64_t SendPhase(double now, Link* source_link, Network* network);
 
-  /// Invalidation-protocol send phase for channel `channel`: drains the
-  /// channel's pending-invalidation queue into kInvalidate messages (up to
-  /// max_invalidate_batch replica notifications per message) while the
-  /// shared source-side budget allows. Mirrors SendRefreshes' channel-0
-  /// tick-opening contract. Returns the number of messages emitted.
-  /// Requires an invalidation protocol.
-  int64_t SendInvalidations(double now, Link* source_link, Link* cache_link,
-                            int channel = 0);
+  /// Whether channel `k` is on the send phase's visit list: set by every
+  /// push to its primary, wake or invalidation queue, cleared when a send
+  /// phase leaves all three empty.
+  bool channel_queued(int k) const {
+    return (queued_[static_cast<size_t>(k) >> 6] >> (k & 63) & 1) != 0;
+  }
+  /// The invariant that makes skipping exact: every channel that is not
+  /// queued has empty primary, wake and invalidation queues. Debug builds
+  /// check it at every send phase.
+  bool UnqueuedChannelsIdle() const;
 
   /// Enables the secondary, source-objective priority queues used by the
   /// competitive protocol (Section 7): updates are additionally prioritized
@@ -199,11 +208,14 @@ class SourceAgent {
 
   /// Serves a miss-triggered pull of `index` toward `cache_id` (read path):
   /// performs the same per-replica bookkeeping as a push (Ship) but bumps
-  /// no threshold and counts no push. Returns the refresh-shaped response:
-  /// is_pull set, the channel's current threshold piggybacked, and infinite
+  /// no threshold and counts no push. Writes the refresh-shaped response
+  /// into `first_hop` (the link where the cache is entered): is_pull set,
+  /// the channel's current threshold piggybacked, and infinite
   /// forward_priority so priority-preserving relays move demand traffic
-  /// first. The caller routes it (and charges the source link).
-  Message ServePull(ObjectIndex index, int32_t cache_id, double now);
+  /// first. Its cost is charged to `source_link` as debt: a pull is never
+  /// dropped, it throttles the source's next pushes instead.
+  void ServePull(ObjectIndex index, int32_t cache_id, double now, Link* source_link,
+                 Link* first_hop);
 
   /// Observability wiring (obs/trace.h): records this source's lifecycle
   /// events — update enqueues, refresh sends, invalidation sends, resync
@@ -313,11 +325,11 @@ class SourceAgent {
   void OnSampleEvent(int channel_index, int32_t slot, double t);
   void ScheduleNextSample(int channel_index, int32_t slot, double now);
   /// The per-replica half of every refresh — push, batch mate, pull or
-  /// recovery: closes the replica's history interval, builds the message
-  /// (resetting the tracker), resets the sampled estimate, records kSend,
-  /// bumps the epoch, marks an invalidation replica fresh and re-arms a
-  /// time-varying wake-up. Returns the message with is_pull set.
-  Message Ship(Channel* channel, int32_t slot, double now, bool is_pull);
+  /// recovery: closes the replica's history interval, writes the refresh
+  /// into `message` (resetting the tracker) with is_pull set, resets the
+  /// sampled estimate, records kSend, bumps the epoch, marks an
+  /// invalidation replica fresh and re-arms a time-varying wake-up.
+  void Ship(Channel* channel, int32_t slot, double now, bool is_pull, Message* message);
   /// Sends one message carrying `head` and its `num_mates` batch mates to
   /// `channel`'s cache through `cache_link`, the cache's tier-1 edge, at
   /// `cost` (budget already secured). Threshold bumping applies only to
@@ -328,6 +340,18 @@ class SourceAgent {
                    Link* cache_link);
   /// Re-arms the wake-up entry of `index` (time-varying policies).
   void PushWake(Channel* channel, ObjectIndex index, double now);
+  /// Puts `channel` on the send phase's visit list (channel_queued); every
+  /// push to its primary, wake or invalidation queue calls it.
+  void MarkQueued(const Channel* channel) {
+    const size_t k = static_cast<size_t>(channel - channels_.data());
+    queued_[k >> 6] |= uint64_t{1} << (k & 63);
+  }
+  /// The two send-phase lookahead stages for a channel about to be
+  /// drained: its record and heap fronts (two channels ahead), then its
+  /// front entry's LocalState and DivergenceTracker (one ahead, once the
+  /// front is in cache). Hints only; change nothing.
+  void PrefetchChannel(const Channel& channel) const;
+  void PrefetchFront(const Channel& channel) const;
   /// Whether the push-refresh machinery (queues, wake-ups, sampling) drives
   /// this source.
   bool push_protocol() const { return protocol_->emits_push_refreshes(); }
@@ -343,6 +367,12 @@ class SourceAgent {
                 Link* source_link, Link* cache_link);
   int64_t SendRefreshesTimeVarying(Channel* channel, double now, Link* source_link,
                                    Link* cache_link);
+  /// Drains `channel`'s pending-invalidation queue into kInvalidate
+  /// messages (up to max_invalidate_batch replica notifications each)
+  /// while the shared source-side budget allows. Returns the number of
+  /// messages emitted.
+  int64_t SendInvalidations(Channel* channel, double now, Link* source_link,
+                            Link* cache_link);
   void MaybeCompact(Channel* channel);
 
   int index_;
@@ -359,6 +389,12 @@ class SourceAgent {
   /// Cache id -> index into channels_, -1 where this source has no objects
   /// (sized to the largest channel cache id + 1).
   std::vector<int32_t> channel_of_cache_;
+  /// One bit per channel (channel_queued), and the list SendPhase expands
+  /// them into (num_channels entries). Arena spans carved by BuildChannels,
+  /// like the channel tables: a heap block allocated mid-run moved
+  /// `update_heavy`'s glibc heap history (DESIGN.md).
+  uint64_t* queued_ = nullptr;
+  int32_t* visit_ = nullptr;
   bool secondary_enabled_ = false;
   /// Set by Start: OnObjectUpdate pushes a fresh primary-queue entry per
   /// replica (push protocol, trigger monitoring, time-invariant policy).

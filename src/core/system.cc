@@ -299,21 +299,8 @@ void CooperativeScheduler::SendPhase(double t) {
   // Random source visiting order so no source systematically wins the race
   // for queue positions on a shared cache link.
   harness_->scheduler_rng()->Shuffle(&source_order_);
-  const bool push = protocol_->emits_push_refreshes();
   for (int j : source_order_) {
-    SourceAgent& agent = *sources_[j];
-    Link* source_link = &network_->source_link(j);
-    for (int k = 0; k < agent.num_channels(); ++k) {
-      // Messages enter the network at the cache's tier-1 ancestor edge (the
-      // cache link itself when flat) and are relayed the rest of the way by
-      // the relay phase.
-      Link* first_hop = &network_->first_hop_link(agent.channel_cache_id(k));
-      if (push) {
-        agent.SendRefreshes(t, source_link, first_hop, k);
-      } else {
-        agent.SendInvalidations(t, source_link, first_hop, k);
-      }
-    }
+    sources_[j]->SendPhase(t, &network_->source_link(j), network_.get());
   }
 }
 
@@ -666,15 +653,14 @@ void CooperativeScheduler::OnMeasurementStart(double /*t*/) {
 
 void CooperativeScheduler::ServePull(const ControlMessage& request, double t) {
   // The source does the per-object bookkeeping (tracker reset, threshold
-  // piggyback, push-entry invalidation, demand forward priority).
-  const Message response = sources_[request.source_index]->ServePull(
-      request.object_index, request.cache_id, t);
-  // Demand traffic consumes the same source-side budget as pushes, debt
-  // allowed: a pull is never dropped, it throttles the source's next
-  // pushes instead. From the tier-1 edge on, the response is an ordinary
-  // queued message under the same per-edge budgets as pushed refreshes.
-  network_->source_link(request.source_index).ConsumeAllowingDebt(response.cost);
-  network_->first_hop_link(request.cache_id).Enqueue(response);
+  // piggyback, push-entry invalidation, demand forward priority). Demand
+  // traffic consumes the same source-side budget as pushes, debt allowed.
+  // From the tier-1 edge on, the response is an ordinary queued message
+  // under the same per-edge budgets as pushed refreshes.
+  sources_[request.source_index]->ServePull(
+      request.object_index, request.cache_id, t,
+      &network_->source_link(request.source_index),
+      &network_->first_hop_link(request.cache_id));
 }
 
 void CooperativeScheduler::Finalize(double /*t*/) {

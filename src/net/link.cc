@@ -66,45 +66,6 @@ void Link::FinishTick() {
   in_tick_ = false;
 }
 
-void Link::Enqueue(Message message) {
-  if (down_) {
-    ++messages_blackholed_;
-    if (trace_ != nullptr) RecordDrop(message, /*blackholed=*/true);
-    return;
-  }
-  queue_.push_back(pool_->Acquire(std::move(message)));
-  max_queue_size_ = std::max(max_queue_size_, queue_.size());
-}
-
-int64_t Link::DeliverQueued(const std::function<void(const Message&)>& sink) {
-  return DeliverHandles([this, &sink](MessageHandle handle) {
-    sink((*pool_)[handle]);
-    pool_->Release(handle);
-  });
-}
-
-int64_t Link::DeliverHandles(const std::function<void(MessageHandle)>& sink) {
-  int64_t delivered = 0;
-  while (remaining_ > 0 && !queue_.empty()) {
-    const MessageHandle handle = queue_.front();
-    queue_.pop_front();
-    const Message& message = (*pool_)[handle];
-    const int64_t cost = std::max<int64_t>(message.cost, 1);
-    remaining_ -= cost;
-    (message.is_pull ? pull_units_delivered_ : push_units_delivered_) += cost;
-    if (loss_rate_ > 0.0 && loss_rng_.Bernoulli(loss_rate_)) {
-      ++messages_dropped_;
-      if (trace_ != nullptr) RecordDrop(message, /*blackholed=*/false);
-      pool_->Release(handle);
-      continue;  // transmission spent, content lost
-    }
-    ++messages_delivered_;
-    ++delivered;
-    sink(handle);
-  }
-  return delivered;
-}
-
 void Link::EnqueueHandle(MessageHandle handle) {
   if (down_) {
     ++messages_blackholed_;

@@ -1,8 +1,8 @@
 #ifndef BESYNC_NET_LINK_H_
 #define BESYNC_NET_LINK_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,7 +28,8 @@ namespace besync {
 ///
 /// Per tick, the owner calls BeginTick() to establish the message budget,
 /// then any mix of:
-///  - Enqueue()       -- add a message to the FIFO (no budget consumed yet),
+///  - Emplace()       -- write a message into its pool slot and add it to the
+///                       FIFO (no budget consumed yet),
 ///  - DeliverQueued() -- deliver queued messages up to the remaining budget,
 ///  - ConsumeBudget() -- spend budget on unqueued traffic (e.g. the cache
 ///                       spending surplus capacity on feedback messages).
@@ -47,8 +48,17 @@ class Link {
   /// tick of a run would go missing). Idempotent; call at end of run.
   void FinishTick();
 
-  /// Writes a message into the pool and adds it to the FIFO queue.
-  void Enqueue(Message message);
+  /// Writes a new message where it will stay: `fill(Message&)` fills a
+  /// pool slot that holds a default Message, and the message joins the
+  /// FIFO. While the link is down the message is still written (the
+  /// sender's bookkeeping runs in `fill`), then blackholed: counted,
+  /// traced and its slot released.
+  template <typename Fill>
+  void Emplace(Fill&& fill) {
+    const MessageHandle handle = pool_->Acquire();
+    fill((*pool_)[handle]);
+    EnqueueHandle(handle);
+  }
   /// Adds a message already in the pool (a hop of a relayed message); the
   /// link owns the handle from here on and releases it if it blackholes.
   void EnqueueHandle(MessageHandle handle);
@@ -60,11 +70,39 @@ class Link {
   /// dropped instead of delivered when a loss rate is configured (their
   /// cost is still spent — the transmission happened, the content was
   /// lost). The message leaves the network once `sink` returns.
-  int64_t DeliverQueued(const std::function<void(const Message&)>& sink);
+  template <typename Sink>
+  int64_t DeliverQueued(Sink&& sink) {
+    return DeliverHandles([this, &sink](MessageHandle handle) {
+      const Message& message = (*pool_)[handle];
+      sink(message);
+      pool_->Release(handle);
+    });
+  }
 
   /// DeliverQueued, handing `sink` each delivered message's handle instead:
   /// the sink owns it (a relay storing the message for its next hop).
-  int64_t DeliverHandles(const std::function<void(MessageHandle)>& sink);
+  template <typename Sink>
+  int64_t DeliverHandles(Sink&& sink) {
+    int64_t delivered = 0;
+    while (remaining_ > 0 && !queue_.empty()) {
+      const MessageHandle handle = queue_.front();
+      queue_.pop_front();
+      const Message& message = (*pool_)[handle];
+      const int64_t cost = std::max<int64_t>(message.cost, 1);
+      remaining_ -= cost;
+      (message.is_pull ? pull_units_delivered_ : push_units_delivered_) += cost;
+      if (loss_rate_ > 0.0 && loss_rng_.Bernoulli(loss_rate_)) {
+        ++messages_dropped_;
+        if (trace_ != nullptr) RecordDrop(message, /*blackholed=*/false);
+        pool_->Release(handle);
+        continue;  // transmission spent, content lost
+      }
+      ++messages_delivered_;
+      ++delivered;
+      sink(handle);
+    }
+    return delivered;
+  }
 
   /// Attempts to consume `amount` units of remaining budget; returns the
   /// number of units actually granted (possibly fewer).

@@ -33,22 +33,17 @@ class MessagePool {
   MessagePool(const MessagePool&) = delete;
   MessagePool& operator=(const MessagePool&) = delete;
 
+  /// Takes a free slot, resets it to a default Message and returns its
+  /// handle; the sender writes the message in place.
+  MessageHandle Acquire() {
+    const MessageHandle handle = TakeSlot();
+    Slot(handle) = Message{};
+    return handle;
+  }
+
   /// Moves `message` into a free slot and returns the slot's handle.
   MessageHandle Acquire(Message&& message) {
-    MessageHandle handle;
-    if (!free_.empty()) {
-      handle = free_.back();
-      free_.pop_back();
-    } else {
-      if (static_cast<size_t>(slots_) == chunks_.size() * kChunkSize) {
-        chunks_.push_back(std::make_unique<Message[]>(kChunkSize));
-      }
-      handle = slots_++;
-    }
-#ifndef NDEBUG
-    if (live_.size() < static_cast<size_t>(slots_)) live_.resize(slots_, 0);
-    live_[handle] = 1;
-#endif
+    const MessageHandle handle = TakeSlot();
     Slot(handle) = std::move(message);
     return handle;
   }
@@ -80,6 +75,25 @@ class MessagePool {
   static constexpr int kChunkShift = 8;
   static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
   static constexpr MessageHandle kChunkMask = static_cast<MessageHandle>(kChunkSize - 1);
+
+  /// The next free handle (the last released first), marked live.
+  MessageHandle TakeSlot() {
+    MessageHandle handle;
+    if (!free_.empty()) {
+      handle = free_.back();
+      free_.pop_back();
+    } else {
+      if (static_cast<size_t>(slots_) == chunks_.size() * kChunkSize) {
+        chunks_.push_back(std::make_unique<Message[]>(kChunkSize));
+      }
+      handle = slots_++;
+    }
+#ifndef NDEBUG
+    if (live_.size() < static_cast<size_t>(slots_)) live_.resize(slots_, 0);
+    live_[handle] = 1;
+#endif
+    return handle;
+  }
 
   Message& Slot(MessageHandle handle) {
     return chunks_[handle >> kChunkShift][handle & kChunkMask];

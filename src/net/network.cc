@@ -153,13 +153,20 @@ void Network::BeginTick(double tick_start, double tick_len) {
   // Last tick's deposits become this tick's inbox, in drain order: a stable
   // counting sort by leaf pump rank, then one by (tier-1 node, source).
   // Flat, a leaf is its own tier-1 node and the first pass is the identity.
+  // So is it whenever the outbox is already in pump-rank order (a stable
+  // sort of an ordered sequence moves nothing), which one linear scan
+  // detects.
   control_inbox_.clear();
   control_mail_hops_ = 0;
   if (control_outbox_.empty()) return;
   mail_order_.resize(control_outbox_.size());
   mail_sorted_.resize(control_outbox_.size());
   std::iota(mail_order_.begin(), mail_order_.end(), 0);
-  if (has_relays()) {
+  const auto rank_order = [this](const ControlMessage& a, const ControlMessage& b) {
+    return pump_rank_[a.cache_id] < pump_rank_[b.cache_id];
+  };
+  if (has_relays() &&
+      !std::is_sorted(control_outbox_.begin(), control_outbox_.end(), rank_order)) {
     CountingSort(
         control_outbox_, mail_order_, static_cast<size_t>(num_caches()),
         [this](const ControlMessage& message) { return pump_rank_[message.cache_id]; },
@@ -352,10 +359,7 @@ void Network::SendToSource(const ControlMessage& message) {
 }
 
 void Network::FinishTick() {
-  for (auto& link : cache_links_) link->FinishTick();
-  for (auto& link : source_links_) link->FinishTick();
-  for (auto& link : relay_links_) link->FinishTick();
-  for (auto& link : relay_egress_) link->FinishTick();
+  for (Link* link : all_links_) link->FinishTick();
 }
 
 size_t Network::queued_messages() const {
@@ -365,10 +369,7 @@ size_t Network::queued_messages() const {
 }
 
 void Network::ResetStats() {
-  for (auto& link : cache_links_) link->ResetStats();
-  for (auto& link : source_links_) link->ResetStats();
-  for (auto& link : relay_links_) link->ResetStats();
-  for (auto& link : relay_egress_) link->ResetStats();
+  for (Link* link : all_links_) link->ResetStats();
 }
 
 }  // namespace besync

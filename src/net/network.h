@@ -236,7 +236,8 @@ class Network {
   std::vector<int32_t> mail_order_;
   std::vector<int32_t> mail_sorted_;
   /// Every link (cache, source, relay ingress, relay egress), flattened for
-  /// BeginTick. Built once; link sets never change after construction.
+  /// the walks over all of them (BeginTick, FinishTick, ResetStats). Built
+  /// once; link sets never change after construction.
   std::vector<Link*> all_links_;
 };
 

@@ -14,15 +14,10 @@
 #include "core/system.h"
 #include "divergence/metric.h"
 #include "net/link.h"
+#include "net/network.h"
 
 namespace besync {
 namespace {
-
-std::unique_ptr<Link> MakeLink(double rate) {
-  return std::make_unique<Link>(
-      "test", std::make_unique<BandwidthModel>(
-                  std::make_unique<ConstantFluctuation>(rate)));
-}
 
 /// Agent-level fixture: a harness that is never Run; object state is driven
 /// by hand so each protocol step can be observed in isolation.
@@ -39,8 +34,16 @@ class SourceAgentTest : public ::testing::Test {
     harness_config_.measure = 1000.0;
     harness_ = std::make_unique<Harness>(&workload_, metric_.get(), harness_config_);
     policy_ = MakePolicy(PolicyKind::kArea);
-    source_link_ = MakeLink(100.0);
-    cache_link_ = MakeLink(100.0);
+    SetSourceBandwidth(100.0);
+  }
+
+  /// One source, one cache: both links at 100 messages/s unless the source
+  /// side is set lower.
+  void SetSourceBandwidth(double rate) {
+    NetworkConfig config;
+    config.cache_bandwidth_avg = 100.0;
+    config.source_bandwidth_avg = rate;
+    network_ = std::make_unique<Network>(config, &network_rng_);
   }
 
   SourceAgent MakeAgent(const SourceAgentConfig& config) {
@@ -62,14 +65,15 @@ class SourceAgentTest : public ::testing::Test {
     agent->OnObjectUpdate(i, t);
   }
 
-  void BeginTick(double t) {
-    source_link_->BeginTick(t, 1.0);
-    cache_link_->BeginTick(t, 1.0);
+  void BeginTick(double t) { network_->BeginTick(t, 1.0); }
+
+  int64_t Send(SourceAgent* agent, double t) {
+    return agent->SendPhase(t, &network_->source_link(0), network_.get());
   }
 
   std::vector<Message> DrainCacheLink() {
     std::vector<Message> messages;
-    cache_link_->DeliverQueued(
+    network_->cache_link().DeliverQueued(
         [&messages](const Message& m) { messages.push_back(m); });
     return messages;
   }
@@ -82,8 +86,8 @@ class SourceAgentTest : public ::testing::Test {
   SchedulerStats tally_;
   std::unique_ptr<PriorityPolicy> policy_;
   const std::unique_ptr<SyncProtocol> protocol_ = SyncProtocol::Make(SyncProtocolConfig{});
-  std::unique_ptr<Link> source_link_;
-  std::unique_ptr<Link> cache_link_;
+  Rng network_rng_{1};
+  std::unique_ptr<Network> network_;
 };
 
 TEST_F(SourceAgentTest, SendsAboveThresholdInPriorityOrder) {
@@ -96,7 +100,7 @@ TEST_F(SourceAgentTest, SendsAboveThresholdInPriorityOrder) {
   Update(&agent, 2, 8.0, 8.0);  // P = 8*8 = 64 -> highest
   Update(&agent, 3, 9.0, 1.0);  // P = 1*9 = 9
   BeginTick(10.0);
-  const int64_t sent = agent.SendRefreshes(10.0, source_link_.get(), cache_link_.get());
+  const int64_t sent = Send(&agent, 10.0);
   EXPECT_EQ(sent, 2);
   const auto messages = DrainCacheLink();
   ASSERT_EQ(messages.size(), 2u);
@@ -112,7 +116,7 @@ TEST_F(SourceAgentTest, ThresholdRisesPerSendAndIsPiggybacked) {
   Update(&agent, 0, 1.0, 5.0);
   Update(&agent, 1, 2.0, 5.0);
   BeginTick(10.0);
-  agent.SendRefreshes(10.0, source_link_.get(), cache_link_.get());
+  Send(&agent, 10.0);
   const auto messages = DrainCacheLink();
   ASSERT_EQ(messages.size(), 2u);
   // Each message carries the post-increase threshold at its send.
@@ -126,9 +130,9 @@ TEST_F(SourceAgentTest, FullCapacityFlagAndFeedbackSuppression) {
   config.threshold.initial = 0.1;
   SourceAgent agent = MakeAgent(config);
   for (int i = 0; i < 5; ++i) Update(&agent, i, 1.0, 10.0);
-  source_link_ = MakeLink(2.0);  // only 2 of 5 eligible fit
+  SetSourceBandwidth(2.0);  // only 2 of 5 eligible fit
   BeginTick(5.0);
-  const int64_t sent = agent.SendRefreshes(5.0, source_link_.get(), cache_link_.get());
+  const int64_t sent = Send(&agent, 5.0);
   EXPECT_EQ(sent, 2);
   EXPECT_TRUE(agent.at_full_capacity());
   // Feedback must NOT lower the threshold while saturated (footnote 3)...
@@ -139,9 +143,9 @@ TEST_F(SourceAgentTest, FullCapacityFlagAndFeedbackSuppression) {
   EXPECT_DOUBLE_EQ(agent.threshold(), before);
   // ...but once the backlog clears, feedback lowers it again.
   BeginTick(6.0);
-  agent.SendRefreshes(6.0, source_link_.get(), cache_link_.get());
+  Send(&agent, 6.0);
   BeginTick(7.0);
-  agent.SendRefreshes(7.0, source_link_.get(), cache_link_.get());
+  Send(&agent, 7.0);
   EXPECT_FALSE(agent.at_full_capacity());
   const double saturated = agent.threshold();
   agent.OnFeedback(feedback, 8.0);
@@ -156,10 +160,11 @@ TEST_F(SourceAgentTest, SecondarySendsSkipThresholdAndDontBumpIt) {
   Update(&agent, 0, 1.0, 2.0);
   Update(&agent, 1, 1.0, 4.0);
   BeginTick(5.0);
-  EXPECT_EQ(agent.SendRefreshes(5.0, source_link_.get(), cache_link_.get()), 0);
+  EXPECT_EQ(Send(&agent, 5.0), 0);
   const double threshold_before = agent.threshold();
   const int64_t sent =
-      agent.SendSecondary(5.0, /*max_count=*/1, source_link_.get(), cache_link_.get());
+      agent.SendSecondary(5.0, /*max_count=*/1, &network_->source_link(0),
+                          &network_->cache_link());
   EXPECT_EQ(sent, 1);
   EXPECT_DOUBLE_EQ(agent.threshold(), threshold_before);
   const auto messages = DrainCacheLink();
@@ -173,10 +178,10 @@ TEST_F(SourceAgentTest, RefreshResetsTrackerAndSecondSendFindsNothing) {
   SourceAgent agent = MakeAgent(config);
   Update(&agent, 0, 1.0, 5.0);
   BeginTick(4.0);
-  EXPECT_EQ(agent.SendRefreshes(4.0, source_link_.get(), cache_link_.get()), 1);
+  EXPECT_EQ(Send(&agent, 4.0), 1);
   EXPECT_DOUBLE_EQ(harness_->objects()[0].tracker().current_divergence(), 0.0);
   BeginTick(5.0);
-  EXPECT_EQ(agent.SendRefreshes(5.0, source_link_.get(), cache_link_.get()), 0);
+  EXPECT_EQ(Send(&agent, 5.0), 0);
 }
 
 TEST_F(SourceAgentTest, BatchingPacksFullBatchesImmediately) {
@@ -187,7 +192,7 @@ TEST_F(SourceAgentTest, BatchingPacksFullBatchesImmediately) {
   SourceAgent agent = MakeAgent(config);
   for (int i = 0; i < 4; ++i) Update(&agent, i, 1.0, 5.0);
   BeginTick(5.0);
-  agent.SendRefreshes(5.0, source_link_.get(), cache_link_.get());
+  Send(&agent, 5.0);
   const auto messages = DrainCacheLink();
   // 4 eligible -> one full batch of 3; the leftover partial is held back.
   ASSERT_EQ(messages.size(), 1u);
@@ -204,10 +209,10 @@ TEST_F(SourceAgentTest, PartialBatchFlushedAfterDelay) {
   SourceAgent agent = MakeAgent(config);
   Update(&agent, 0, 1.0, 5.0);
   BeginTick(5.0);
-  agent.SendRefreshes(5.0, source_link_.get(), cache_link_.get());
+  Send(&agent, 5.0);
   EXPECT_EQ(DrainCacheLink().size(), 0u);  // held: batch not full, not overdue
   BeginTick(11.0);  // > max_batch_delay since last emission (t=0)
-  agent.SendRefreshes(11.0, source_link_.get(), cache_link_.get());
+  Send(&agent, 11.0);
   const auto messages = DrainCacheLink();
   ASSERT_EQ(messages.size(), 1u);
   EXPECT_EQ(messages[0].extra_refreshes.size(), 0u);  // partial of one
@@ -227,13 +232,145 @@ TEST_F(SourceAgentTest, TimeVaryingBoundPolicySendsByDeadline) {
   const double cross = std::sqrt(2.0 * 2.0 / max_rate);
   // Just before the earliest crossing: nothing to send.
   BeginTick(std::floor(cross) - 1.0);
-  EXPECT_EQ(agent.SendRefreshes(std::floor(cross) - 1.0, source_link_.get(),
-                                cache_link_.get()),
+  EXPECT_EQ(Send(&agent, std::floor(cross) - 1.0),
             0);
   // After it: at least that object goes out, with no update ever occurring.
   const double later = cross + 2.0;
   BeginTick(later);
-  EXPECT_GE(agent.SendRefreshes(later, source_link_.get(), cache_link_.get()), 1);
+  EXPECT_GE(Send(&agent, later), 1);
+}
+
+// --------------------------------------------- queued-channel send phase
+
+/// Audits the send phase's visit list after every tick: a channel whose
+/// queued bit is clear must have empty primary, wake and invalidation
+/// queues, or skipping it would drop work. Counts the clear bits seen, so a
+/// run that never skips anything cannot pass for coverage.
+template <typename Base>
+class QueuedChannelAudit : public Base {
+ public:
+  using Base::Base;
+
+  void Tick(double t) override {
+    Base::Tick(t);
+    for (int j = 0; j < this->num_sources(); ++j) {
+      const SourceAgent& source = this->source(j);
+      if (!source.UnqueuedChannelsIdle()) {
+        if (violations_ == 0) ADD_FAILURE() << "source " << j << " at t=" << t;
+        ++violations_;
+      }
+      for (int k = 0; k < source.num_channels(); ++k) {
+        if (!source.channel_queued(k)) ++skipped_;
+      }
+    }
+  }
+
+  int64_t violations_ = 0;
+  int64_t skipped_ = 0;
+};
+
+/// A small multi-cache workload: 6 sources x 10 objects, every object at
+/// each of 4 caches.
+WorkloadConfig AuditWorkload() {
+  WorkloadConfig config;
+  config.num_sources = 6;
+  config.objects_per_source = 10;
+  config.num_caches = 4;
+  config.interest_pattern = InterestPattern::kFullReplication;
+  config.seed = 17;
+  return config;
+}
+
+CooperativeConfig AuditCooperative(int num_caches) {
+  CooperativeConfig config;
+  config.num_caches = num_caches;
+  config.cache_bandwidth_avg = 6.0;
+  config.source_bandwidth_avg = 4.0;
+  return config;
+}
+
+/// Runs `scheduler` over `workload` and checks the audit held; with
+/// `expect_skips`, also that some channel was skipped. Time-varying
+/// policies keep a wake-up armed per replica and sampling re-keys every
+/// replica on a schedule, so their channels rarely drain empty.
+template <typename Scheduler>
+void ExpectQueuedBitsExact(const WorkloadConfig& workload_config, Scheduler* scheduler,
+                           bool expect_skips = true) {
+  const Workload workload = std::move(MakeWorkload(workload_config)).ValueOrDie();
+  const auto metric = MakeMetric(MetricKind::kValueDeviation);
+  HarnessConfig harness;
+  harness.warmup = 20.0;
+  harness.measure = 150.0;
+  harness.seed = 5;
+  const auto result = RunScheduler(&workload, metric.get(), harness, scheduler);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(scheduler->violations_, 0);
+  if (expect_skips) {
+    EXPECT_GT(scheduler->skipped_, 0);
+  }
+  EXPECT_GT(result->scheduler.refreshes_sent + result->scheduler.invalidations_sent, 0);
+}
+
+TEST_F(SourceAgentTest, QueuedBitsCoverPushWithAreaPolicy) {
+  QueuedChannelAudit<CooperativeScheduler> scheduler(AuditCooperative(4));
+  ExpectQueuedBitsExact(AuditWorkload(), &scheduler);
+}
+
+TEST_F(SourceAgentTest, QueuedBitsCoverTimeVaryingBound) {
+  CooperativeConfig config = AuditCooperative(4);
+  config.policy = PolicyKind::kBound;
+  QueuedChannelAudit<CooperativeScheduler> scheduler(config);
+  ExpectQueuedBitsExact(AuditWorkload(), &scheduler, /*expect_skips=*/false);
+}
+
+TEST_F(SourceAgentTest, QueuedBitsCoverSampling) {
+  CooperativeConfig config = AuditCooperative(4);
+  config.source.monitor = MonitorMode::kSampling;
+  config.source.sampling_interval = 4.0;
+  QueuedChannelAudit<CooperativeScheduler> scheduler(config);
+  ExpectQueuedBitsExact(AuditWorkload(), &scheduler, /*expect_skips=*/false);
+}
+
+TEST_F(SourceAgentTest, QueuedBitsCoverInvalidationWithCrashRecovery) {
+  WorkloadConfig workload = AuditWorkload();
+  workload.read.read_rate = 4.0;
+  workload.read.capacity = 20;
+  workload.fault.cache_crashes = 2;
+  workload.fault.crash_duration = 15.0;
+  workload.fault.window_start = 40.0;
+  workload.fault.window_end = 140.0;
+  CooperativeConfig config = AuditCooperative(4);
+  config.protocol.kind = SyncProtocolKind::kInvalidation;
+  config.recovery_policy = RecoveryPolicy::kRecoveryPriority;
+  QueuedChannelAudit<CooperativeScheduler> scheduler(config);
+  ExpectQueuedBitsExact(workload, &scheduler);
+  EXPECT_GT(scheduler.stats().cache_restarts, 0);
+}
+
+TEST_F(SourceAgentTest, QueuedBitsCoverCompetitive) {
+  WorkloadConfig workload = AuditWorkload();
+  workload.num_caches = 1;
+  workload.interest_pattern = InterestPattern::kSingleCache;
+  CompetitiveConfig config;
+  config.base = AuditCooperative(1);
+  config.psi = 0.3;
+  QueuedChannelAudit<CompetitiveScheduler> scheduler(config);
+  ExpectQueuedBitsExact(workload, &scheduler);
+}
+
+TEST_F(SourceAgentTest, QueuedBitsCoverTreeWithRelayFailover) {
+  WorkloadConfig workload = AuditWorkload();
+  workload.relay_tiers = 2;
+  workload.relay_fanout = 2;
+  workload.relay_bandwidth_factor = 0.75;
+  workload.fault.relay_failures = 2;
+  workload.fault.window_start = 40.0;
+  workload.fault.window_end = 140.0;
+  CooperativeConfig config = AuditCooperative(4);
+  config.relay_store_policy = RelayStorePolicy::kDrain;
+  QueuedChannelAudit<CooperativeScheduler> scheduler(config);
+  ExpectQueuedBitsExact(workload, &scheduler);
+  EXPECT_GT(scheduler.stats().relay_failures, 0);
 }
 
 // ------------------------------------------------ competitive grant rates

@@ -175,10 +175,8 @@ std::unique_ptr<BandwidthModel> Constant(double rate) {
 
 TEST(LinkCostTest, LargeMessageSpansTicks) {
   Link link("t", Constant(2.0));
-  Message big;
-  big.cost = 5;
   link.BeginTick(0.0, 1.0);
-  link.Enqueue(big);
+  link.Emplace([](Message& big) { big.cost = 5; });
   int delivered = 0;
   link.DeliverQueued([&](const Message&) { ++delivered; });
   EXPECT_EQ(delivered, 1);               // transmission starts immediately...
@@ -191,12 +189,9 @@ TEST(LinkCostTest, LargeMessageSpansTicks) {
 
 TEST(LinkCostTest, DebtBlocksSubsequentDeliveries) {
   Link link("t", Constant(1.0));
-  Message big;
-  big.cost = 3;
-  Message small;
   link.BeginTick(0.0, 1.0);
-  link.Enqueue(big);
-  link.Enqueue(small);
+  link.Emplace([](Message& big) { big.cost = 3; });
+  link.Emplace([](Message&) {});  // a small message behind it
   int delivered = 0;
   link.DeliverQueued([&](const Message&) { ++delivered; });
   EXPECT_EQ(delivered, 1);  // big went out; small must wait out the debt
@@ -223,7 +218,7 @@ TEST(LinkLossTest, DropsApproximatelyAtRate) {
   Link link("t", Constant(1000.0));
   link.SetLossRate(0.3, 99);
   link.BeginTick(0.0, 1.0);
-  for (int i = 0; i < 1000; ++i) link.Enqueue(Message{});
+  for (int i = 0; i < 1000; ++i) link.Emplace([](Message&) {});
   int delivered = 0;
   link.DeliverQueued([&](const Message&) { ++delivered; });
   EXPECT_EQ(delivered + link.messages_dropped(), 1000);

@@ -1,4 +1,7 @@
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,9 +45,7 @@ TEST(LinkTest, DeliversUpToBudget) {
   Link link("test", ConstantBandwidth(3.0));
   link.BeginTick(0.0, 1.0);
   for (int i = 0; i < 5; ++i) {
-    Message message;
-    message.object_index = i;
-    link.Enqueue(message);
+    link.Emplace([i](Message& message) { message.object_index = i; });
   }
   std::vector<int64_t> delivered;
   link.DeliverQueued([&](const Message& m) { delivered.push_back(m.object_index); });
@@ -78,7 +79,7 @@ TEST(LinkTest, QueueGrowsWhenOverloaded) {
   Link link("test", ConstantBandwidth(1.0));
   for (int tick = 0; tick < 10; ++tick) {
     link.BeginTick(tick, 1.0);
-    for (int i = 0; i < 3; ++i) link.Enqueue(Message{});
+    for (int i = 0; i < 3; ++i) link.Emplace([](Message&) {});
     link.DeliverQueued([](const Message&) {});
   }
   // 30 enqueued, 10 delivered.
@@ -89,8 +90,8 @@ TEST(LinkTest, QueueGrowsWhenOverloaded) {
 TEST(LinkTest, ResetStatsPreservesQueue) {
   Link link("test", ConstantBandwidth(1.0));
   link.BeginTick(0.0, 1.0);
-  link.Enqueue(Message{});
-  link.Enqueue(Message{});
+  link.Emplace([](Message&) {});
+  link.Emplace([](Message&) {});
   link.ResetStats();
   EXPECT_EQ(link.queue_size(), 2u);
   EXPECT_EQ(link.messages_delivered(), 0);
@@ -152,7 +153,9 @@ TEST(LinkTest, SharedPoolHoldsExactlyTheQueuedMessages) {
   Link downstream("down", ConstantBandwidth(1.0), &pool);
   upstream.BeginTick(0.0, 1.0);
   downstream.BeginTick(0.0, 1.0);
-  for (int i = 0; i < 5; ++i) upstream.Enqueue(Tagged(i));
+  for (int i = 0; i < 5; ++i) {
+    upstream.Emplace([i](Message& message) { message.object_index = i; });
+  }
   EXPECT_EQ(pool.live(), 5u);
   // A hop moves handles: the pool keeps its count, the body its slot.
   upstream.DeliverHandles([&](MessageHandle h) { downstream.EnqueueHandle(h); });
@@ -297,6 +300,120 @@ TEST(NetworkTest, FluctuatingBandwidthAverages) {
     total += network.cache_link().tick_budget();
   }
   EXPECT_NEAR(static_cast<double>(total) / kTicks, 20.0, 1.0);
+}
+
+/// The leaves in control-mail pump order: a depth-first walk from each
+/// tier-1 node in turn, children in ascending order. `tier1` gets each
+/// leaf's tier-1 position.
+std::vector<int32_t> PumpOrder(const Network& network, std::vector<int32_t>* tier1) {
+  std::vector<int32_t> leaves;
+  tier1->assign(static_cast<size_t>(network.num_caches()), -1);
+  const std::vector<int32_t>& roots = network.tier1_nodes();
+  for (size_t position = 0; position < roots.size(); ++position) {
+    std::vector<int32_t> stack = {roots[position]};
+    while (!stack.empty()) {
+      const int32_t node = stack.back();
+      stack.pop_back();
+      if (node < network.num_caches()) {
+        leaves.push_back(node);
+        (*tier1)[node] = static_cast<int32_t>(position);
+      } else {
+        const std::vector<int32_t>& children = network.children(node);
+        stack.insert(stack.end(), children.rbegin(), children.rend());
+      }
+    }
+  }
+  return leaves;
+}
+
+/// control_mail()'s order the long way, as two stable sorts of the
+/// deposits: by the origin leaf's pump rank, then by (tier-1 node, source).
+/// Returns the messages' object indices (unique tags).
+std::vector<int64_t> TwoPassOrder(const Network& network,
+                                  std::vector<ControlMessage> mail) {
+  std::vector<int32_t> tier1;
+  const std::vector<int32_t> order = PumpOrder(network, &tier1);
+  std::vector<int32_t> rank(order.size());
+  for (size_t r = 0; r < order.size(); ++r) rank[order[r]] = static_cast<int32_t>(r);
+  std::stable_sort(mail.begin(), mail.end(),
+                   [&rank](const ControlMessage& a, const ControlMessage& b) {
+                     return rank[a.cache_id] < rank[b.cache_id];
+                   });
+  std::stable_sort(mail.begin(), mail.end(),
+                   [&tier1](const ControlMessage& a, const ControlMessage& b) {
+                     return std::make_tuple(tier1[a.cache_id], a.source_index) <
+                            std::make_tuple(tier1[b.cache_id], b.source_index);
+                   });
+  std::vector<int64_t> tags;
+  for (const ControlMessage& message : mail) tags.push_back(message.object_index);
+  return tags;
+}
+
+TEST(NetworkTest, ControlMailMatchesTwoPassOrderWithOrWithoutThePumpSort) {
+  // An irregular tree whose leaf ids do not follow the pump order:
+  //
+  //        13            14          tier 1
+  //      /    \        /    \        .
+  //     7      11     8      12      tier 2
+  //           /  \          /  \     .
+  //          5    9        6    10   tier 3
+  //             / | \          /  \  .
+  //            0  1  2        3    4
+  TopologySpec spec;
+  spec.num_leaves = 9;
+  spec.parent = {9, 9, 9, 10, 10, 11, 12, 13, 14, 11, 12, 13, 14, -1, -1};
+  spec.backup_parent.assign(spec.parent.size(), -1);
+  spec.backup_parent[11] = 12;
+  ASSERT_TRUE(spec.Validate(9).ok());
+  NetworkConfig config;
+  config.num_sources = 3;
+  config.num_caches = 9;
+  config.topology = spec;
+  Rng rng(1);
+  Network network(config, &rng);
+  network.BeginTick(0.0, 1.0);
+
+  std::vector<int32_t> tier1;
+  const std::vector<int32_t> pump_order = PumpOrder(network, &tier1);
+  // Each leaf mails every source, sources descending (the second pass must
+  // regroup them), feedback and pull requests alternating.
+  int64_t tag = 0;
+  const auto deposit = [&](const std::vector<int32_t>& leaves) {
+    for (const int32_t leaf : leaves) {
+      for (int32_t j = 2; j >= 0; --j) {
+        ControlMessage message;
+        message.kind = tag % 2 == 0 ? MessageKind::kFeedback : MessageKind::kPullRequest;
+        message.cache_id = leaf;
+        message.source_index = j;
+        message.object_index = tag++;
+        network.SendToSource(message);
+      }
+    }
+  };
+  const auto expect_two_pass_order = [&](const char* what, double t) {
+    const std::vector<ControlMessage> deposits = network.pending_control_mail();
+    network.BeginTick(t, 1.0);
+    std::vector<int64_t> delivered;
+    for (const ControlMessage& message : network.control_mail()) {
+      delivered.push_back(message.object_index);
+    }
+    EXPECT_EQ(delivered.size(), deposits.size()) << what;
+    EXPECT_EQ(delivered, TwoPassOrder(network, deposits)) << what;
+  };
+
+  // Already in pump-rank order: the first pass is skipped.
+  deposit(pump_order);
+  expect_two_pass_order("in pump order", 1.0);
+  // Reversed: the first pass has to run.
+  deposit(std::vector<int32_t>(pump_order.rbegin(), pump_order.rend()));
+  expect_two_pass_order("reversed", 2.0);
+  // Deposited in the old pump order, drained after relay 11 failed over
+  // to 12: the ranks were rebuilt under the deposits.
+  deposit(pump_order);
+  network.FailRelay(11);
+  std::vector<int32_t> new_tier1;
+  EXPECT_NE(PumpOrder(network, &new_tier1), pump_order);
+  expect_two_pass_order("after FailRelay", 3.0);
 }
 
 }  // namespace

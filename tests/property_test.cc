@@ -144,9 +144,8 @@ TEST_P(LinkConservationTest, EnqueuedEqualsDeliveredPlusDroppedPlusQueued) {
     link.BeginTick(tick, 1.0);
     const int64_t arrivals = rng.UniformInt(0, 6);
     for (int64_t k = 0; k < arrivals; ++k) {
-      Message message;
-      message.cost = rng.Bernoulli(0.2) ? 3 : 1;  // mixed sizes
-      link.Enqueue(message);
+      const int64_t cost = rng.Bernoulli(0.2) ? 3 : 1;  // mixed sizes
+      link.Emplace([cost](Message& message) { message.cost = cost; });
       ++enqueued;
     }
     delivered += link.DeliverQueued([](const Message&) {});
