@@ -56,10 +56,10 @@ void CacheAgent::RecordRefresh(const Message& message, double /*t*/) {
   }
 }
 
-std::vector<int> CacheAgent::SelectFeedbackTargets(int64_t limit, double now) {
-  if (limit <= 0) return {};
+int CacheAgent::SelectFeedbackTargets(int64_t limit, double now) {
+  if (limit <= 0) return 0;
   const int64_t m = static_cast<int64_t>(sources_.size());
-  const int64_t take = std::min(limit, m);
+  const int take = static_cast<int>(std::min(limit, m));
 
   auto better = [this](int a, int b) {
     const SourceInfo& sa = sources_[a];
@@ -71,14 +71,8 @@ std::vector<int> CacheAgent::SelectFeedbackTargets(int64_t limit, double now) {
     std::nth_element(scratch_.begin(), scratch_.begin() + take, scratch_.end(), better);
     std::sort(scratch_.begin(), scratch_.begin() + take, better);
   }
-  std::vector<int> targets;
-  targets.reserve(static_cast<size_t>(take));
-  for (int64_t k = 0; k < take; ++k) {
-    const int slot = scratch_[k];
-    sources_[slot].last_fed = now;
-    targets.push_back(source_ids_[slot]);
-  }
-  return targets;
+  for (int k = 0; k < take; ++k) sources_[scratch_[k]].last_fed = now;
+  return take;
 }
 
 }  // namespace besync

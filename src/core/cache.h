@@ -35,8 +35,11 @@ class CacheAgent {
   /// are selected to receive feedback"); sources whose thresholds are still
   /// unknown sort first so they are bootstrapped quickly; ties go to the
   /// least recently fed source. Marks the selected sources as fed at `now`
-  /// and returns their source ids.
-  std::vector<int> SelectFeedbackTargets(int64_t limit, double now);
+  /// and returns how many it selected; feedback_target(k) is the k-th, in
+  /// selection order, until the next call.
+  int SelectFeedbackTargets(int64_t limit, double now);
+  /// Source id of the k-th target of the last SelectFeedbackTargets call.
+  int32_t feedback_target(int k) const { return source_ids_[scratch_[k]]; }
 
   /// Last threshold piggybacked by source `j` (a source id), or +infinity
   /// if none seen.
@@ -58,7 +61,9 @@ class CacheAgent {
   /// source id -> slot (-1 for uninterested sources).
   std::vector<int32_t> slot_of_source_;
   std::vector<SourceInfo> sources_;
-  std::vector<int> scratch_;  // reused slot buffer for selection
+  /// Slots in selection order: the last selection's targets first. Sorted
+  /// in place by each call, never reallocated.
+  std::vector<int> scratch_;
 };
 
 }  // namespace besync

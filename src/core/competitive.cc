@@ -73,9 +73,8 @@ void CompetitiveScheduler::Initialize(Harness* harness) {
   }
 }
 
-void CompetitiveScheduler::FillFeedback(ControlMessage* feedback, int source_index,
-                                        double /*t*/) {
-  feedback->granted_rate = granted_rate_[source_index];
+double CompetitiveScheduler::FeedbackGrant(int source_index) const {
+  return granted_rate_[source_index];
 }
 
 void CompetitiveScheduler::SendPhase(double t) {

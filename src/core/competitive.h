@@ -38,7 +38,7 @@ struct CompetitiveConfig {
 /// protocol on the primary queue) and its own (secondary queue, using the
 /// per-object source weights). The Ψ share of bandwidth is spent on
 /// source-priority refreshes according to the configured option; rate
-/// grants are communicated on feedback messages.
+/// grants are communicated with feedback.
 class CompetitiveScheduler : public CooperativeScheduler {
  public:
   explicit CompetitiveScheduler(const CompetitiveConfig& config);
@@ -47,7 +47,7 @@ class CompetitiveScheduler : public CooperativeScheduler {
   void Initialize(Harness* harness) override;
 
  protected:
-  void FillFeedback(ControlMessage* feedback, int source_index, double t) override;
+  double FeedbackGrant(int source_index) const override;
   void SendPhase(double t) override;
 
  private:

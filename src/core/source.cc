@@ -15,10 +15,12 @@ constexpr double kMinSamplingGap = 1.0;
 /// Link cost of one kInvalidate message: invalidations carry no value, so
 /// they are cheap relative to refreshes of costly objects.
 constexpr int64_t kInvalidateCost = 1;
-/// OnObjectUpdate's lookahead over the object's channels: the slot_of line
+/// OnObjectUpdate's lookahead over the object's channels: the Channel
+/// record kUpdateChannelAhead channels ahead, its slot_of line
 /// kUpdateSlotAhead channels ahead, then (the slot known by then) the
 /// replica's LocalState and the queue push position kUpdateStateAhead
 /// channels ahead.
+constexpr int kUpdateChannelAhead = 16;
 constexpr int kUpdateSlotAhead = 8;
 constexpr int kUpdateStateAhead = 4;
 
@@ -124,8 +126,10 @@ void SourceAgent::BuildChannels() {
   for (size_t k = 0; k < channels_.size(); ++k) {
     channel_of_cache_[channels_[k].cache_id] = static_cast<int32_t>(k);
   }
-  queued_ = arena->AllocateArray<uint64_t>((channels_.size() + 63) / 64, uint64_t{0});
+  const size_t words = (channels_.size() + 63) / 64;
+  queued_ = arena->AllocateArray<uint64_t>(words, uint64_t{0});
   visit_ = arena->AllocateArray<int32_t>(channels_.size());
+  feedback_ = arena->AllocateArray<uint64_t>(words, uint64_t{0});
 }
 
 SourceAgent::Channel* SourceAgent::ChannelFor(int32_t cache_id) {
@@ -151,15 +155,12 @@ SourceAgent::ChannelEpoch SourceAgent::MakeEpochFn(const Channel* channel) const
   return ChannelEpoch{channel->locals, channel->slot_of, first_member_};
 }
 
-PriorityContext SourceAgent::MakeContext(const Channel& channel, ObjectIndex index,
-                                         double now, bool use_source_weight) const {
-  const int slot = ChannelSlot(channel, index);
+PriorityContext SourceAgent::ObjectContext(ObjectIndex index, double now,
+                                           bool use_source_weight) const {
   // Reads only the object's hot record unless the object has a fluctuating
   // weight or a non-unit cost.
   const ObjectRuntime& object = harness_->object(index);
-  const DivergenceTracker& tracker = object.tracker(channel.replica_slots[slot]);
   PriorityContext context;
-  context.tracker = &tracker;
   context.weight = use_source_weight ? harness_->SourceWeightAt(index, now)
                                      : harness_->WeightAt(index, now);
   if (config_.cost_aware_priority && object.costly) {
@@ -167,8 +168,22 @@ PriorityContext SourceAgent::MakeContext(const Channel& channel, ObjectIndex ind
     context.weight /= static_cast<double>(object.spec->refresh_cost);
   }
   context.max_divergence_rate = object.max_divergence_rate;
-  context.history_rate = channel.locals[slot].history.rate();
   context.lambda_estimate = object.lambda;
+  return context;
+}
+
+void SourceAgent::SetReplicaContext(const Channel& channel, int32_t slot,
+                                    const ObjectRuntime& object,
+                                    PriorityContext* context) const {
+  context->tracker = &object.tracker(channel.replica_slots[slot]);
+  context->history_rate = channel.locals[slot].history.rate();
+}
+
+PriorityContext SourceAgent::MakeContext(const Channel& channel, ObjectIndex index,
+                                         double now, bool use_source_weight) const {
+  PriorityContext context = ObjectContext(index, now, use_source_weight);
+  SetReplicaContext(channel, ChannelSlot(channel, index), harness_->object(index),
+                    &context);
   return context;
 }
 
@@ -286,11 +301,22 @@ void SourceAgent::OnObjectUpdate(ObjectIndex index, double t) {
     }
     return;
   }
+  // The object-level half of the priority context is the same for every
+  // replica; only the tracker and the history rate differ per channel.
+  const ObjectRuntime& object = harness_->object(index);
+  PriorityContext context = ObjectContext(index, t, /*use_source_weight=*/false);
+  PriorityContext source_context;
+  if (secondary_enabled_) {
+    source_context = ObjectContext(index, t, /*use_source_weight=*/true);
+  }
   const int num = num_channels();
   for (int k = 0; k < num; ++k) {
     // Lookahead (PrefetchUpdate skips objects with many replicas): the
-    // slot_of line first, then the replica state and queue push position
-    // that slot addresses.
+    // channel record, then its slot_of line, then the replica state and
+    // queue push position that slot addresses.
+    if (k + kUpdateChannelAhead < num) {
+      __builtin_prefetch(&channels_[k + kUpdateChannelAhead].slot_of);
+    }
     if (k + kUpdateSlotAhead < num) {
       __builtin_prefetch(&channels_[k + kUpdateSlotAhead].slot_of[offset]);
     }
@@ -307,9 +333,11 @@ void SourceAgent::OnObjectUpdate(ObjectIndex index, double t) {
     if (slot < 0) continue;
     LocalState& state = channel.locals[slot];
     ++state.epoch;
-    channel.queue.Push(ChannelPriority(channel, index, t), index, state.epoch);
+    SetReplicaContext(channel, slot, object, &context);
+    channel.queue.Push(policy_->Priority(context, t), index, state.epoch);
     if (secondary_enabled_) {
-      channel.secondary_queue.Push(ChannelSourcePriority(channel, index, t), index,
+      SetReplicaContext(channel, slot, object, &source_context);
+      channel.secondary_queue.Push(policy_->Priority(source_context, t), index,
                                    state.epoch);
     }
     MarkQueued(&channel);
@@ -387,23 +415,45 @@ void SourceAgent::ScheduleNextSample(int channel_index, int32_t slot, double now
   sim_->ScheduleAt(next, kSampleEvent, SamplePayload(channel, slot));
 }
 
-void SourceAgent::OnFeedback(const ControlMessage& message, double t) {
-  ++control_received_;
-  Channel* channel = ChannelFor(message.cache_id);
+void SourceAgent::DepositFeedback(int32_t cache_id, double granted_rate) {
+  const Channel* channel = ChannelFor(cache_id);
   BESYNC_CHECK(channel != nullptr)
-      << "feedback from cache " << message.cache_id << " reached source " << index_
+      << "feedback from cache " << cache_id << " reached source " << index_
       << " which has no objects there";
-  channel->controller.OnFeedback(t, at_full_capacity_);
-  if (message.granted_rate > 0.0) granted_rate_ = message.granted_rate;
-  if (policy_->time_varying()) {
-    // The threshold may have dropped: re-arm this channel's wake-ups so
-    // crossings that are now earlier are not missed.
-    for (int32_t s = 0; s < channel->num_members; ++s) {
-      const ObjectIndex index = channel->members[s];
-      ++local(channel, index).epoch;
-      PushWake(channel, index, t);
+  const size_t k = static_cast<size_t>(channel - channels_.data());
+  const uint64_t bit = uint64_t{1} << (k & 63);
+  BESYNC_DCHECK((feedback_[k >> 6] & bit) == 0)
+      << "cache " << cache_id << " fed source " << index_ << " twice in one tick";
+  feedback_[k >> 6] |= bit;
+  if (granted_rate > 0.0) pending_grant_ = granted_rate;
+}
+
+int64_t SourceAgent::ApplyFeedback(double t, const Network& network) {
+  const bool time_varying = policy_->time_varying();
+  int64_t hops = 0;
+  const size_t words = (channels_.size() + 63) / 64;
+  for (size_t word = 0; word < words; ++word) {
+    for (uint64_t bits = feedback_[word]; bits != 0; bits &= bits - 1) {
+      Channel* channel = &channels_[word * 64 + __builtin_ctzll(bits)];
+      ++control_received_;
+      hops += network.control_hops(channel->cache_id);
+      channel->controller.OnFeedback(t, at_full_capacity_);
+      if (time_varying) {
+        // The threshold may have dropped: re-arm this channel's wake-ups so
+        // crossings that are now earlier are not missed.
+        for (int32_t s = 0; s < channel->num_members; ++s) {
+          ++channel->locals[s].epoch;
+          PushWake(channel, channel->members[s], t);
+        }
+      }
     }
+    feedback_[word] = 0;
   }
+  if (pending_grant_ > 0.0) {
+    granted_rate_ = pending_grant_;
+    pending_grant_ = 0.0;
+  }
+  return hops;
 }
 
 void SourceAgent::PushWake(Channel* channel, ObjectIndex index, double now) {
@@ -584,8 +634,6 @@ int64_t SourceAgent::SendPhase(double now, Link* source_link, Network* network) 
   const bool time_varying = policy_->time_varying();
   int64_t sent = 0;
   for (size_t i = 0; i < count; ++i) {
-    if (i + 2 < count) PrefetchChannel(channels_[visit_[i + 2]]);
-    if (i + 1 < count) PrefetchFront(channels_[visit_[i + 1]]);
     const int32_t k = visit_[i];
     Channel* channel = &channels_[k];
     // Messages enter the network at the cache's tier-1 ancestor edge (the
@@ -617,21 +665,6 @@ bool SourceAgent::UnqueuedChannelsIdle() const {
     }
   }
   return true;
-}
-
-void SourceAgent::PrefetchChannel(const Channel& channel) const {
-  PrefetchRange(&channel, sizeof(Channel));
-  channel.queue.PrefetchFront();
-  channel.wake_queue.PrefetchFront();
-}
-
-void SourceAgent::PrefetchFront(const Channel& channel) const {
-  if (channel.queue.empty()) return;
-  const ObjectIndex index = channel.queue.front().index;
-  const int32_t slot = channel.slot_of[index - first_member_];
-  __builtin_prefetch(&channel.locals[slot], /*rw=*/1);
-  __builtin_prefetch(&harness_->object(index).tracker(channel.replica_slots[slot]),
-                     /*rw=*/1);
 }
 
 int64_t SourceAgent::SendInvalidations(Channel* channel, double now, Link* source_link,

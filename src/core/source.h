@@ -138,9 +138,26 @@ class SourceAgent {
   /// bits of a kSampleEvent payload; see RegisterSampleEventHandler).
   void HandleSampleEvent(uint32_t sample_id, double t);
 
-  /// Handles a positive feedback message received at time `t`; the
-  /// message's cache_id selects which threshold T_{j,c} is adjusted.
-  void OnFeedback(const ControlMessage& message, double t);
+  /// Feedback phase: cache `cache_id` sends positive feedback to this
+  /// source. Sets the feedback bit of the cache's channel; ApplyFeedback
+  /// acts on it at the next tick. A cache feeds a source at most once per
+  /// tick. `granted_rate` > 0 is a competitive-mode rate grant (Section 7)
+  /// that ApplyFeedback installs along with the feedback.
+  void DepositFeedback(int32_t cache_id, double granted_rate);
+
+  /// Applies every feedback deposited since the last call, in ascending
+  /// channel order, at time `t`: per set bit, counts one control message
+  /// received and lowers T_{j,c} (ThresholdController::OnFeedback), and
+  /// under a time-varying policy re-arms the channel's wake-ups; then
+  /// installs any pending rate grant. Returns the relay hops the applied
+  /// feedback traveled under `network`'s current routing
+  /// (Network::control_hops of each channel's cache).
+  int64_t ApplyFeedback(double t, const Network& network);
+
+  /// Whether feedback from channel `k`'s cache awaits ApplyFeedback.
+  bool feedback_pending(int k) const {
+    return (feedback_[static_cast<size_t>(k) >> 6] >> (k & 63) & 1) != 0;
+  }
 
   /// The source's tick send phase. Clears the full-capacity flag, then
   /// visits every channel with queued work in ascending channel order and
@@ -314,6 +331,13 @@ class SourceAgent {
   int ChannelSlot(const Channel& channel, ObjectIndex index) const;
   LocalState& local(Channel* channel, ObjectIndex index);
   ChannelEpoch MakeEpochFn(const Channel* channel) const;
+  /// The object-level half of a priority context: weight (cache or source
+  /// scheme, cost-scaled), rate bound and lambda. No tracker yet.
+  PriorityContext ObjectContext(ObjectIndex index, double now,
+                                bool use_source_weight) const;
+  /// The replica-level half: channel slot `slot`'s tracker and history rate.
+  void SetReplicaContext(const Channel& channel, int32_t slot,
+                         const ObjectRuntime& object, PriorityContext* context) const;
   PriorityContext MakeContext(const Channel& channel, ObjectIndex index, double now,
                               bool use_source_weight) const;
   double ChannelPriority(const Channel& channel, ObjectIndex index, double now) const;
@@ -346,12 +370,6 @@ class SourceAgent {
     const size_t k = static_cast<size_t>(channel - channels_.data());
     queued_[k >> 6] |= uint64_t{1} << (k & 63);
   }
-  /// The two send-phase lookahead stages for a channel about to be
-  /// drained: its record and heap fronts (two channels ahead), then its
-  /// front entry's LocalState and DivergenceTracker (one ahead, once the
-  /// front is in cache). Hints only; change nothing.
-  void PrefetchChannel(const Channel& channel) const;
-  void PrefetchFront(const Channel& channel) const;
   /// Whether the push-refresh machinery (queues, wake-ups, sampling) drives
   /// this source.
   bool push_protocol() const { return protocol_->emits_push_refreshes(); }
@@ -395,6 +413,12 @@ class SourceAgent {
   /// `update_heavy`'s glibc heap history (DESIGN.md).
   uint64_t* queued_ = nullptr;
   int32_t* visit_ = nullptr;
+  /// One bit per channel: feedback deposited, not yet applied
+  /// (feedback_pending). An arena span like queued_.
+  uint64_t* feedback_ = nullptr;
+  /// Rate grant of the last deposited feedback that carried one; installed
+  /// as granted_rate_ by the next ApplyFeedback.
+  double pending_grant_ = 0.0;
   bool secondary_enabled_ = false;
   /// Set by Start: OnObjectUpdate pushes a fresh primary-queue entry per
   /// replica (push protocol, trigger monitoring, time-invariant policy).

@@ -291,9 +291,7 @@ RelayAgent& CooperativeScheduler::relay(int32_t node) {
   return *relays_[offset];
 }
 
-void CooperativeScheduler::FillFeedback(ControlMessage* /*feedback*/,
-                                        int /*source_index*/,
-                                        double /*t*/) {}
+double CooperativeScheduler::FeedbackGrant(int /*source_index*/) const { return 0.0; }
 
 void CooperativeScheduler::SendPhase(double t) {
   // Random source visiting order so no source systematically wins the race
@@ -341,17 +339,20 @@ void CooperativeScheduler::Tick(double t) {
     const double tick = harness_->config().tick_length;
     network_->BeginTick(t, tick);
 
-    // 1. Deliver control messages (feedback, pull requests) sent last
-    //    tick; feedback from cache c adjusts T_{j,c} only. In a tree the
-    //    relays forward the mail up to the tier-1 edges within the tick, so
-    //    control latency stays one tick at any depth.
+    // 1. Serve the pull requests sent last tick, then apply last tick's
+    //    feedback; feedback from cache c adjusts T_{j,c} only. In a tree
+    //    the relays forward control traffic up to the tier-1 edges within
+    //    the tick, so control latency stays one tick at any depth. The
+    //    split is exact (DESIGN.md, "Feedback as channel state"): feedback
+    //    touches only its own channel and per-source counters, and a cache
+    //    deposits its pulls before its feedback, so the merged drain served
+    //    each channel's pulls first too.
     tally_.relay_control_moved += network_->control_mail_hops();
-    for (const ControlMessage& message : network_->control_mail()) {
-      if (message.kind == MessageKind::kPullRequest) {
-        ServePull(message, t);
-      } else {
-        sources_[message.source_index]->OnFeedback(message, t);
-      }
+    for (const ControlMessage& request : network_->control_mail()) {
+      ServePull(request, t);
+    }
+    for (const auto& source : sources_) {
+      tally_.relay_control_moved += source->ApplyFeedback(t, *network_);
     }
   }
 
@@ -438,21 +439,17 @@ void CooperativeScheduler::Tick(double t) {
         if (cache == nullptr) continue;
         // A dead process sends no feedback.
         if (cache_down(c)) continue;
-        const int64_t surplus = network_->cache_link(c).remaining_budget();
+        Link& link = network_->cache_link(c);
+        const int64_t surplus = link.remaining_budget();
         if (surplus <= 0) continue;
-        const std::vector<int> targets = cache->SelectFeedbackTargets(surplus, t);
-        tally_.feedback_sent += static_cast<int64_t>(targets.size());
-        for (int j : targets) {
+        const int num_targets = cache->SelectFeedbackTargets(surplus, t);
+        tally_.feedback_sent += num_targets;
+        for (int k = 0; k < num_targets; ++k) {
+          const int32_t j = cache->feedback_target(k);
           // Feedback consumes the (otherwise idle) surplus capacity.
-          const int64_t granted = network_->cache_link(c).ConsumeBudget(1);
+          const int64_t granted = link.ConsumeBudget(1);
           BESYNC_DCHECK(granted == 1);
-          ControlMessage feedback;
-          feedback.kind = MessageKind::kFeedback;
-          feedback.source_index = j;
-          feedback.cache_id = c;
-          feedback.send_time = t;
-          FillFeedback(&feedback, j, t);
-          network_->SendToSource(feedback);
+          sources_[j]->DepositFeedback(c, FeedbackGrant(j));
         }
       }
     }

@@ -85,8 +85,9 @@ struct CooperativeConfig {
 /// scheduler of Section 5, running over the bandwidth-constrained network
 /// model and generalized so the cache count is a first-class topology
 /// parameter. Each tick it
-///   1. delivers pending feedback to sources — feedback from cache c
-///      adjusts the per-cache threshold T_{j,c} only,
+///   1. serves last tick's pull requests, then applies last tick's
+///      feedback — feedback from cache c adjusts the per-cache threshold
+///      T_{j,c} only,
 ///   2. lets every source emit refreshes for its over-threshold objects
 ///      within its source-side budget (sources visited in random order,
 ///      each source serving its cache channels in ascending cache order),
@@ -135,9 +136,9 @@ class CooperativeScheduler : public Scheduler {
   bool cache_down(int c) const { return read_path_.cache_down(c); }
 
  protected:
-  /// Hook for subclasses to decorate outgoing feedback (competitive rate
-  /// grants, Section 7).
-  virtual void FillFeedback(ControlMessage* feedback, int source_index, double t);
+  /// Hook for subclasses: the rate grant carried by feedback to source
+  /// `source_index` (competitive mode, Section 7); 0 grants nothing.
+  virtual double FeedbackGrant(int source_index) const;
 
   /// The send phase (step 2): sources in shuffled order drain their
   /// threshold queues (push protocols) or their pending-invalidation queues

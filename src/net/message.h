@@ -24,19 +24,10 @@ struct RefreshPayload {
 enum class MessageKind {
   /// Source -> cache: a refreshed object value (cooperative protocol).
   kRefresh,
-  /// Cache -> source: positive feedback asking the source to lower its
-  /// refresh threshold (Section 5); may carry a competitive-mode rate grant.
-  kFeedback,
   /// Cache -> source: poll request (CGM baselines, Section 6.3).
   kPollRequest,
   /// Source -> cache: poll response carrying the current value (CGM).
   kPollResponse,
-  /// Cache -> source: miss-triggered pull request from the read path — a
-  /// client read found the object evicted, so the cache demands a fetch.
-  /// Rides the upstream control channel like feedback; the response is a
-  /// regular kRefresh with `is_pull` set, contending for the same link
-  /// budgets as pushed refreshes.
-  kPullRequest,
   /// Source -> cache: invalidation notification (SyncProtocolKind::
   /// kInvalidation). Carries no value — only the object index (plus any
   /// batch-mates in `extra_refreshes`, values/versions ignored) — so it is
@@ -97,23 +88,22 @@ struct Message {
   std::vector<RefreshPayload> extra_refreshes;
 };
 
-/// A cache -> source control message (kFeedback or kPullRequest): the
-/// upstream channel's compact record. It carries only what the source acts
-/// on, so the per-tick control traffic of every cache pinging every source
-/// (Section 5's feedback loop) moves 40-byte records, not full Messages.
+/// A cache -> source pull request from the read path: a client read found
+/// the object evicted (or invalid), so the cache demands a fetch. The
+/// upstream channel's compact record, carrying only what the source acts
+/// on. The response is a regular kRefresh with `is_pull` set, contending
+/// for the same link budgets as pushed refreshes. Positive feedback
+/// (Section 5) is no message at all: it is a bit on the source's channel
+/// (SourceAgent::DepositFeedback).
 struct ControlMessage {
-  MessageKind kind = MessageKind::kFeedback;
   /// Target source.
   int32_t source_index = -1;
   /// Originating leaf cache.
   int32_t cache_id = 0;
-  /// Object a pull request asks for (-1 on feedback).
+  /// Object requested.
   int64_t object_index = -1;
   /// Simulated send time.
   double send_time = 0.0;
-  /// Competitive mode (Section 7): refresh rate granted to the source for
-  /// its own priority scheme, carried on feedback.
-  double granted_rate = 0.0;
 };
 
 }  // namespace besync

@@ -63,11 +63,14 @@ EdgeBandwidths ResolveEdgeBandwidths(const NetworkConfig& config);
 /// forwarding between edges). Every queued refresh lives in the network's
 /// one MessagePool; the links and relay agents move handles into it.
 ///
-/// Also carries the upstream control channel (feedback / pull requests) as
-/// ControlMessage records. Mail deposited by leaf c during tick t is
+/// Also carries the upstream control mail, the read path's pull requests,
+/// as ControlMessage records. Mail deposited by leaf c during tick t is
 /// delivered to its source at tick t+1 at any depth: relays forward control
 /// mail promptly (see DESIGN.md), so it never rests at a relay between
 /// ticks, and BeginTick hands the whole tick's mail over in one inbox.
+/// Positive feedback travels the same way but is no mail: it is a bit on
+/// the source's channel (SourceAgent::DepositFeedback), and the scheduler
+/// charges its relay hops from control_hops().
 class Network {
  public:
   Network(const NetworkConfig& config, Rng* rng);
@@ -140,8 +143,12 @@ class Network {
   const std::vector<ControlMessage>& control_mail() const { return control_inbox_; }
   /// Relay hops this tick's control mail traveled to reach the tier-1
   /// edges: the sum of each message's leaf-to-tier-1 hop count (0 when
-  /// flat) — the relay "feedback aggregation" traffic.
+  /// flat).
   int64_t control_mail_hops() const { return control_mail_hops_; }
+  /// Relay hops control traffic from leaf `cache_id` travels to its tier-1
+  /// edge under the current routing (0 when flat or when the leaf is
+  /// itself tier-1).
+  int32_t control_hops(int cache_id) const { return control_hops_[cache_id]; }
   /// Control mail deposited so far this tick, in deposit order.
   const std::vector<ControlMessage>& pending_control_mail() const {
     return control_outbox_;

@@ -64,9 +64,6 @@ class LazyMaxHeap {
     }
   }
 
-  /// Prefetches the heap's front, the first entry PopValid reads. A hint
-  /// only; reads and writes nothing.
-  void PrefetchFront() const { __builtin_prefetch(entries_.data()); }
   /// The front entry: the largest key, possibly stale. Requires !empty().
   const QueueEntry& front() const { return entries_.front(); }
 
@@ -139,10 +136,6 @@ class TimeMinHeap {
     entries_.push_back(QueueEntry{time, index, epoch});
     std::push_heap(entries_.begin(), entries_.end(), heap_internal::KeyGreater{});
   }
-
-  /// Prefetches the heap's front, the first entry PopDue reads. A hint
-  /// only; reads and writes nothing.
-  void PrefetchFront() const { __builtin_prefetch(entries_.data()); }
 
   /// Pops the earliest valid entry whose time is <= `now`; returns false if
   /// none is due.

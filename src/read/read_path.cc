@@ -200,7 +200,6 @@ void ReadPath::SendPullRequests(double t, Network* network) {
       pending.last_request_time = t;
       const ObjectIndex index = cache.store.member(slot);
       ControlMessage request;
-      request.kind = MessageKind::kPullRequest;
       request.source_index = workload.objects[index].source_index;
       request.cache_id = cache.cache_id;
       request.object_index = index;

@@ -27,7 +27,7 @@ namespace besync {
 ///     cache; hits sample the replica's current divergence, misses register
 ///     a pending pull (deduplicated per replica in flight).
 ///   - SendPullRequests(t) drains the per-cache request queues upstream as
-///     kPullRequest control mail, each request consuming one unit of the
+///     control mail (ControlMessage), each request consuming one unit of the
 ///     leaf edge's remaining tick budget — after refresh deliveries, ahead
 ///     of surplus feedback.
 ///   - OnRefreshDelivered(message, t) runs for every refresh landing at a

@@ -137,9 +137,8 @@ TEST_F(SourceAgentTest, FullCapacityFlagAndFeedbackSuppression) {
   EXPECT_TRUE(agent.at_full_capacity());
   // Feedback must NOT lower the threshold while saturated (footnote 3)...
   const double before = agent.threshold();
-  ControlMessage feedback;
-  feedback.kind = MessageKind::kFeedback;
-  agent.OnFeedback(feedback, 6.0);
+  agent.DepositFeedback(/*cache_id=*/0, /*granted_rate=*/0.0);
+  agent.ApplyFeedback(6.0, *network_);
   EXPECT_DOUBLE_EQ(agent.threshold(), before);
   // ...but once the backlog clears, feedback lowers it again.
   BeginTick(6.0);
@@ -148,7 +147,8 @@ TEST_F(SourceAgentTest, FullCapacityFlagAndFeedbackSuppression) {
   Send(&agent, 7.0);
   EXPECT_FALSE(agent.at_full_capacity());
   const double saturated = agent.threshold();
-  agent.OnFeedback(feedback, 8.0);
+  agent.DepositFeedback(/*cache_id=*/0, /*granted_rate=*/0.0);
+  agent.ApplyFeedback(8.0, *network_);
   EXPECT_LT(agent.threshold(), saturated);
 }
 

@@ -22,6 +22,14 @@ namespace {
 
 // -------------------------------------------------------------- CacheAgent
 
+/// The source ids SelectFeedbackTargets selects, in selection order.
+std::vector<int32_t> SelectTargets(CacheAgent* cache, int64_t limit, double now) {
+  const int count = cache->SelectFeedbackTargets(limit, now);
+  std::vector<int32_t> targets;
+  for (int k = 0; k < count; ++k) targets.push_back(cache->feedback_target(k));
+  return targets;
+}
+
 TEST(CacheAgentTest, UnknownThresholdsSelectedFirst) {
   CacheAgent cache(3);
   Message message;
@@ -30,7 +38,7 @@ TEST(CacheAgentTest, UnknownThresholdsSelectedFirst) {
   message.piggyback_threshold = 5.0;
   cache.RecordRefresh(message, 1.0);
   // Sources 1 and 2 are unknown (+inf) -> they outrank source 0.
-  auto targets = cache.SelectFeedbackTargets(2, 2.0);
+  auto targets = SelectTargets(&cache, 2, 2.0);
   ASSERT_EQ(targets.size(), 2u);
   EXPECT_TRUE((targets[0] == 1 && targets[1] == 2) ||
               (targets[0] == 2 && targets[1] == 1));
@@ -44,7 +52,7 @@ TEST(CacheAgentTest, HighestThresholdFirst) {
     message.piggyback_threshold = 1.0 + j;
     cache.RecordRefresh(message, 1.0);
   }
-  auto targets = cache.SelectFeedbackTargets(1, 2.0);
+  auto targets = SelectTargets(&cache, 1, 2.0);
   ASSERT_EQ(targets.size(), 1u);
   EXPECT_EQ(targets[0], 2);  // threshold 3.0 is the highest
 }
@@ -57,8 +65,8 @@ TEST(CacheAgentTest, TiesGoToLeastRecentlyFed) {
     message.piggyback_threshold = 7.0;
     cache.RecordRefresh(message, 1.0);
   }
-  auto first = cache.SelectFeedbackTargets(1, 2.0);
-  auto second = cache.SelectFeedbackTargets(1, 3.0);
+  auto first = SelectTargets(&cache, 1, 2.0);
+  auto second = SelectTargets(&cache, 1, 3.0);
   ASSERT_EQ(first.size(), 1u);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_NE(first[0], second[0]);  // alternates under equal thresholds
@@ -66,8 +74,8 @@ TEST(CacheAgentTest, TiesGoToLeastRecentlyFed) {
 
 TEST(CacheAgentTest, LimitRespectsSourceCount) {
   CacheAgent cache(3);
-  const std::vector<int> capped = cache.SelectFeedbackTargets(100, 1.0);
-  const std::vector<int> none = cache.SelectFeedbackTargets(0, 1.0);
+  const std::vector<int32_t> capped = SelectTargets(&cache, 100, 1.0);
+  const std::vector<int32_t> none = SelectTargets(&cache, 0, 1.0);
   EXPECT_EQ(capped.size(), 3u);
   EXPECT_EQ(none.size(), 0u);
   // The scheduler counts one feedback message per returned target.

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -380,9 +381,15 @@ TEST(FaultRelayTest, FailoverKeepsTheRunAliveAndCounts) {
   }
 }
 
-/// Audits the control channel tick by tick: the mail a tick delivers is
-/// exactly what the caches deposited in the previous tick (as a multiset),
-/// and each message is handled by its addressed source exactly once.
+/// Audits the control channel tick by tick. Pull requests: the mail a tick
+/// delivers is exactly what the caches deposited in the previous tick (as a
+/// multiset). Feedback: the channel bits pending at the start of a tick are
+/// exactly the feedback deposited in the previous tick, each is applied
+/// once, at this tick (its controller's feedback clock reads this tick, no
+/// other channel's moves), and the bits pending afterwards are exactly this
+/// tick's deposits. Each source handles exactly the pulls and feedback
+/// addressed to it, and relay_control_moved grows by the relay hops of the
+/// served pulls plus the applied feedback under the tick's routing.
 class MailAuditScheduler : public CooperativeScheduler {
  public:
   using CooperativeScheduler::CooperativeScheduler;
@@ -393,16 +400,58 @@ class MailAuditScheduler : public CooperativeScheduler {
     for (const ControlMessage& message : deposited) {
       EXPECT_EQ(message.send_time, previous_tick_) << "one-tick latency at t=" << t;
       ++expected[message.source_index];
-      ++(message.kind == MessageKind::kPullRequest ? pulls_ : feedback_);
+      ++pulls_;
     }
+    // (source, channel) of every pending feedback, and every channel's
+    // feedback clock before the tick.
+    std::vector<std::pair<int, int>> fed;
+    std::vector<std::vector<double>> clock_before;
+    for (int j = 0; j < num_sources(); ++j) {
+      clock_before.push_back(FeedbackClocks(j));
+      for (int k = 0; k < source(j).num_channels(); ++k) {
+        if (!source(j).feedback_pending(k)) continue;
+        fed.emplace_back(j, k);
+        ++expected[j];
+      }
+    }
+    EXPECT_EQ(static_cast<int64_t>(fed.size()), feedback_deposited_) << "t=" << t;
+    feedback_ += static_cast<int64_t>(fed.size());
+    const int64_t moved_before = tally_.relay_control_moved;
+    const int64_t sent_before = tally_.feedback_sent;
+
     CooperativeScheduler::Tick(t);
+
     EXPECT_EQ(Received(), expected) << "t=" << t;
     EXPECT_EQ(Keys(network().control_mail()), Keys(deposited)) << "t=" << t;
+    // This tick's faults fired before the drain, so the routing now is the
+    // routing the drain charged hops under.
+    int64_t hops = 0;
+    for (const ControlMessage& message : deposited) {
+      hops += network().control_hops(message.cache_id);
+    }
+    for (const auto& [j, k] : fed) {
+      hops += network().control_hops(source(j).channel_cache_id(k));
+      clock_before[j][k] = t;
+    }
+    EXPECT_EQ(tally_.relay_control_moved - moved_before, hops) << "t=" << t;
+    feedback_hops_ += hops;
+    for (int j = 0; j < num_sources(); ++j) {
+      EXPECT_EQ(FeedbackClocks(j), clock_before[j]) << "source " << j << " t=" << t;
+    }
+    feedback_deposited_ = tally_.feedback_sent - sent_before;
+    int64_t pending = 0;
+    for (int j = 0; j < num_sources(); ++j) {
+      for (int k = 0; k < source(j).num_channels(); ++k) {
+        pending += source(j).feedback_pending(k) ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(pending, feedback_deposited_) << "t=" << t;
     previous_tick_ = t;
   }
 
   int64_t pulls_ = 0;
   int64_t feedback_ = 0;
+  int64_t feedback_hops_ = 0;
 
  private:
   std::vector<int64_t> Received() const {
@@ -413,12 +462,19 @@ class MailAuditScheduler : public CooperativeScheduler {
     return received;
   }
 
-  static std::vector<std::tuple<int32_t, int32_t, int, int64_t, double>> Keys(
+  std::vector<double> FeedbackClocks(int j) const {
+    std::vector<double> clocks;
+    for (int k = 0; k < source(j).num_channels(); ++k) {
+      clocks.push_back(sources_[j]->controller(k).last_feedback_time());
+    }
+    return clocks;
+  }
+
+  static std::vector<std::tuple<int32_t, int32_t, int64_t, double>> Keys(
       const std::vector<ControlMessage>& mail) {
-    std::vector<std::tuple<int32_t, int32_t, int, int64_t, double>> keys;
+    std::vector<std::tuple<int32_t, int32_t, int64_t, double>> keys;
     for (const ControlMessage& message : mail) {
-      keys.emplace_back(message.cache_id, message.source_index,
-                        static_cast<int>(message.kind), message.object_index,
+      keys.emplace_back(message.cache_id, message.source_index, message.object_index,
                         message.send_time);
     }
     std::sort(keys.begin(), keys.end());
@@ -426,6 +482,7 @@ class MailAuditScheduler : public CooperativeScheduler {
   }
 
   double previous_tick_ = 0.0;
+  int64_t feedback_deposited_ = 0;
 };
 
 TEST(FaultRelayTest, ControlMailConservedAcrossFailover) {
@@ -461,6 +518,95 @@ TEST(FaultRelayTest, ControlMailConservedAcrossFailover) {
   EXPECT_EQ(result->scheduler.relay_failures, 2);
   EXPECT_GT(scheduler.pulls_, 0);
   EXPECT_GT(scheduler.feedback_, 0);
+  EXPECT_GT(scheduler.feedback_hops_, 0);
+}
+
+/// Watches the ticks where a cache's pull request and its feedback, both
+/// deposited in the previous tick, reach the same source. By the send
+/// phase (BeginTick done) the pull response must be queued carrying the
+/// channel's threshold from before the feedback, and the feedback must have
+/// divided the threshold since (unless the source was at full capacity).
+class SameTickFeedbackScheduler : public CooperativeScheduler {
+ public:
+  using CooperativeScheduler::CooperativeScheduler;
+
+  void Tick(double t) override {
+    before_.clear();
+    fed_.clear();
+    full_before_.clear();
+    pulled_.assign(num_sources(), {});
+    for (int j = 0; j < num_sources(); ++j) {
+      std::vector<double> thresholds;
+      std::vector<bool> fed;
+      for (int k = 0; k < source(j).num_channels(); ++k) {
+        thresholds.push_back(source(j).threshold(k));
+        fed.push_back(source(j).feedback_pending(k));
+      }
+      before_.push_back(std::move(thresholds));
+      fed_.push_back(std::move(fed));
+      full_before_.push_back(source(j).at_full_capacity());
+    }
+    for (const ControlMessage& request : network().pending_control_mail()) {
+      pulled_[request.source_index].push_back(request.cache_id);
+    }
+    CooperativeScheduler::Tick(t);
+  }
+
+  int64_t both_ = 0;
+  int64_t lowered_ = 0;
+
+ protected:
+  void SendPhase(double t) override {
+    const double decrease = config_.source.threshold.decrease;
+    for (int j = 0; j < num_sources(); ++j) {
+      const SourceAgent& agent = source(j);
+      for (int k = 0; k < agent.num_channels(); ++k) {
+        const int32_t c = agent.channel_cache_id(k);
+        const std::vector<int32_t>& pulled = pulled_[j];
+        if (!fed_[j][k]) continue;
+        if (std::find(pulled.begin(), pulled.end(), c) == pulled.end()) continue;
+        ++both_;
+        const double before = before_[j][k];
+        const double after =
+            full_before_[j] ? before : std::max(before / decrease, kMinThreshold);
+        EXPECT_DOUBLE_EQ(agent.threshold(k), after) << "t=" << t;
+        int responses = 0;
+        network().first_hop_link(c).ForEachQueued([&](const Message& message) {
+          if (!message.is_pull || message.send_time != t) return;
+          if (message.source_index != j || message.cache_id != c) return;
+          ++responses;
+          EXPECT_EQ(message.piggyback_threshold, before) << "t=" << t;
+        });
+        EXPECT_GT(responses, 0) << "t=" << t;
+        if (after != before) ++lowered_;
+      }
+    }
+    CooperativeScheduler::SendPhase(t);
+  }
+
+ private:
+  std::vector<std::vector<double>> before_;
+  std::vector<std::vector<bool>> fed_;
+  std::vector<bool> full_before_;
+  std::vector<std::vector<int32_t>> pulled_;
+};
+
+TEST(ControlChannelTest, SameTickPullIsServedBeforeFeedback) {
+  ExperimentConfig config = MultiCacheConfig();
+  config.workload.read.read_rate = 4.0;
+  config.workload.read.capacity = 6;
+  Workload workload = std::move(MakeWorkload(config.workload)).ValueOrDie();
+
+  CooperativeConfig cooperative;
+  cooperative.num_caches = config.workload.num_caches;
+  cooperative.cache_bandwidth_avg = config.cache_bandwidth_avg;
+  cooperative.source_bandwidth_avg = config.source_bandwidth_avg;
+  SameTickFeedbackScheduler scheduler(cooperative);
+  auto metric = MakeMetric(config.metric);
+  const auto result = RunScheduler(&workload, metric.get(), config.harness, &scheduler);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(scheduler.both_, 0);
+  EXPECT_GT(scheduler.lowered_, 0);
 }
 
 /// Checks after every tick that the network's message pool holds exactly

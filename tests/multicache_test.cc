@@ -135,7 +135,6 @@ TEST(MulticacheNetworkTest, MailIsKeyedByCacheAndSource) {
   network.BeginTick(0.0, 1.0);
 
   ControlMessage from_cache1;
-  from_cache1.kind = MessageKind::kFeedback;
   from_cache1.cache_id = 1;
   from_cache1.source_index = 0;
   network.SendToSource(from_cache1);

@@ -208,17 +208,17 @@ TEST(NetworkTest, ControlMailDeliveredNextTick) {
   Network network(config, &rng);
 
   network.BeginTick(0.0, 1.0);
-  ControlMessage feedback;
-  feedback.kind = MessageKind::kFeedback;
-  feedback.source_index = 1;
-  network.SendToSource(feedback);
+  ControlMessage request;
+  request.source_index = 1;
+  request.object_index = 7;
+  network.SendToSource(request);
   // Not deliverable within the same tick.
   EXPECT_TRUE(network.control_mail().empty());
 
   network.BeginTick(1.0, 1.0);
   const std::vector<ControlMessage>& mail = network.control_mail();
   ASSERT_EQ(mail.size(), 1u);
-  EXPECT_EQ(mail[0].kind, MessageKind::kFeedback);
+  EXPECT_EQ(mail[0].object_index, 7);
   // Addressed to source 1 only; the other source got nothing.
   EXPECT_EQ(mail[0].source_index, 1);
   EXPECT_EQ(mail[0].cache_id, 0);
@@ -241,11 +241,10 @@ TEST(NetworkTest, ControlMailInvisibleUntilNextTickAndDrainedOnce) {
   Network network(config, &rng);
 
   network.BeginTick(0.0, 1.0);
-  ControlMessage feedback;
-  feedback.kind = MessageKind::kFeedback;
-  feedback.source_index = 0;
-  network.SendToSource(feedback);
-  network.SendToSource(feedback);  // two deposits in the same tick
+  ControlMessage request;
+  request.source_index = 0;
+  network.SendToSource(request);
+  network.SendToSource(request);  // two deposits in the same tick
   EXPECT_TRUE(network.control_mail().empty());
   EXPECT_TRUE(network.control_mail().empty());  // still invisible
   EXPECT_EQ(network.pending_control_mail().size(), 2u);
@@ -268,17 +267,16 @@ TEST(NetworkTest, EachTickDeliversExactlyThePreviousTicksMail) {
   Network network(config, &rng);
 
   network.BeginTick(0.0, 1.0);
-  ControlMessage feedback;
-  feedback.kind = MessageKind::kFeedback;
-  feedback.source_index = 0;
-  feedback.send_time = 0.0;
-  network.SendToSource(feedback);
+  ControlMessage request;
+  request.source_index = 0;
+  request.send_time = 0.0;
+  network.SendToSource(request);
   network.BeginTick(1.0, 1.0);
   ASSERT_EQ(network.control_mail().size(), 1u);
-  feedback.send_time = 1.0;
-  network.SendToSource(feedback);
-  feedback.send_time = 1.5;
-  network.SendToSource(feedback);
+  request.send_time = 1.0;
+  network.SendToSource(request);
+  request.send_time = 1.5;
+  network.SendToSource(request);
   network.BeginTick(2.0, 1.0);
   const std::vector<ControlMessage>& mail = network.control_mail();
   ASSERT_EQ(mail.size(), 2u);
@@ -376,13 +374,12 @@ TEST(NetworkTest, ControlMailMatchesTwoPassOrderWithOrWithoutThePumpSort) {
   std::vector<int32_t> tier1;
   const std::vector<int32_t> pump_order = PumpOrder(network, &tier1);
   // Each leaf mails every source, sources descending (the second pass must
-  // regroup them), feedback and pull requests alternating.
+  // regroup them).
   int64_t tag = 0;
   const auto deposit = [&](const std::vector<int32_t>& leaves) {
     for (const int32_t leaf : leaves) {
       for (int32_t j = 2; j >= 0; --j) {
         ControlMessage message;
-        message.kind = tag % 2 == 0 ? MessageKind::kFeedback : MessageKind::kPullRequest;
         message.cache_id = leaf;
         message.source_index = j;
         message.object_index = tag++;

@@ -196,13 +196,12 @@ TEST(NetworkTopologyTest, ControlMailPumpsToTierOne) {
   config.topology = MakeRelayTree(4, 2, 1);  // relays 4, 5
   Rng rng(1);
   Network network(config, &rng);
-  ControlMessage feedback;
-  feedback.kind = MessageKind::kFeedback;
-  feedback.source_index = 0;
-  feedback.cache_id = 3;
-  network.SendToSource(feedback);
-  feedback.cache_id = 0;
-  network.SendToSource(feedback);
+  ControlMessage request;
+  request.source_index = 0;
+  request.cache_id = 3;
+  network.SendToSource(request);
+  request.cache_id = 0;
+  network.SendToSource(request);
   EXPECT_TRUE(network.control_mail().empty());
   // Deliverable at the next tick, exactly like the flat channel, after one
   // relay hop each.
@@ -333,13 +332,17 @@ TEST(NetworkTopologyTest, ControlMailMatchesEdgeByEdgePumpUnderFailover) {
     ASSERT_EQ(expected.size(), deposits.size()) << "tick " << tick;
     EXPECT_EQ(Tags(network.control_mail()), Tags(expected)) << "tick " << tick;
     EXPECT_EQ(network.control_mail_hops(), hops) << "tick " << tick;
+    // The per-leaf hop counts feedback is charged by add up the same way.
+    int64_t leaf_hops = 0;
+    for (const ControlMessage& message : deposits) {
+      leaf_hops += network.control_hops(message.cache_id);
+    }
+    EXPECT_EQ(leaf_hops, hops) << "tick " << tick;
     total_hops += hops;
 
     const int64_t count = rng.UniformInt(0, 30);
     for (int64_t k = 0; k < count; ++k) {
       ControlMessage message;
-      message.kind =
-          rng.Bernoulli(0.5) ? MessageKind::kFeedback : MessageKind::kPullRequest;
       message.cache_id = static_cast<int32_t>(rng.UniformInt(0, 8));
       message.source_index = static_cast<int32_t>(rng.UniformInt(0, 2));
       message.object_index = tag++;
