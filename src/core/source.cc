@@ -334,6 +334,8 @@ void SourceAgent::OnObjectUpdate(ObjectIndex index, double t) {
     LocalState& state = channel.locals[slot];
     ++state.epoch;
     SetReplicaContext(channel, slot, object, &context);
+    // MaybeCompact below keeps the queue within one push of its trigger.
+    channel.queue.ReserveForPush(CompactTrigger(channel) + 1);
     channel.queue.Push(policy_->Priority(context, t), index, state.epoch);
     if (secondary_enabled_) {
       SetReplicaContext(channel, slot, object, &source_context);
@@ -360,8 +362,12 @@ void SourceAgent::PrefetchUpdate(ObjectIndex index) const {
   }
 }
 
+size_t SourceAgent::CompactTrigger(const Channel& channel) {
+  return 4 * static_cast<size_t>(channel.num_members) + 64;
+}
+
 void SourceAgent::MaybeCompact(Channel* channel) {
-  const size_t trigger = 4 * static_cast<size_t>(channel->num_members) + 64;
+  const size_t trigger = CompactTrigger(*channel);
   const ChannelEpoch epoch_fn = MakeEpochFn(channel);
   if (channel->queue.size() > trigger) channel->queue.Compact(epoch_fn);
   if (secondary_enabled_ && channel->secondary_queue.size() > trigger) {

@@ -391,6 +391,8 @@ class SourceAgent {
   /// messages emitted.
   int64_t SendInvalidations(Channel* channel, double now, Link* source_link,
                             Link* cache_link);
+  /// A channel queue holding more entries than this is compacted.
+  static size_t CompactTrigger(const Channel& channel);
   void MaybeCompact(Channel* channel);
 
   int index_;

@@ -342,11 +342,11 @@ void CooperativeScheduler::Tick(double t) {
     // 1. Serve the pull requests sent last tick, then apply last tick's
     //    feedback; feedback from cache c adjusts T_{j,c} only. In a tree
     //    the relays forward control traffic up to the tier-1 edges within
-    //    the tick, so control latency stays one tick at any depth. The
-    //    split is exact (DESIGN.md, "Feedback as channel state"): feedback
-    //    touches only its own channel and per-source counters, and a cache
-    //    deposits its pulls before its feedback, so the merged drain served
-    //    each channel's pulls first too.
+    //    the tick, so control latency stays one tick at any depth.
+    //    Pulls-then-feedback is the deposit order on every channel (a cache
+    //    sends its pulls before its feedback), and feedback touches only
+    //    its own channel and per-source counters (DESIGN.md, "Feedback as
+    //    channel state").
     tally_.relay_control_moved += network_->control_mail_hops();
     for (const ControlMessage& request : network_->control_mail()) {
       ServePull(request, t);

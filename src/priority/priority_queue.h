@@ -48,6 +48,17 @@ struct KeyGreater {
 /// Max-heap on QueueEntry::key with lazy invalidation.
 class LazyMaxHeap {
  public:
+  /// Called before a Push by an owner that compacts the heap before it
+  /// holds more than `bound` entries: when the storage is full, grows it to
+  /// min(2 × capacity, bound) rather than letting the push double it, so a
+  /// heap kept near its bound never allocates twice the room it uses.
+  void ReserveForPush(size_t bound) {
+    const size_t capacity = entries_.capacity();
+    if (entries_.size() == capacity && capacity > 0) {
+      entries_.reserve(std::min(2 * capacity, bound));
+    }
+  }
+
   void Push(double key, ObjectIndex index, uint64_t epoch) {
     entries_.push_back(QueueEntry{key, index, epoch});
     std::push_heap(entries_.begin(), entries_.end(), heap_internal::KeyLess{});
@@ -111,6 +122,8 @@ class LazyMaxHeap {
   }
 
   size_t size() const { return entries_.size(); }
+  /// Entries the storage holds without reallocating.
+  size_t capacity() const { return entries_.capacity(); }
   bool empty() const { return entries_.empty(); }
   void Clear() { entries_.clear(); }
 

@@ -289,6 +289,22 @@ TEST(LazyMaxHeapTest, CompactDropsStale) {
   EXPECT_DOUBLE_EQ(entry.key, 102.0);  // round 99, i = 3
 }
 
+TEST(LazyMaxHeapTest, ReserveForPushStopsGrowthAtTheBound) {
+  LazyMaxHeap heap;
+  constexpr size_t kBound = 100;
+  for (ObjectIndex i = 0; i < static_cast<ObjectIndex>(kBound); ++i) {
+    heap.ReserveForPush(kBound);
+    heap.Push(static_cast<double>(i), i, 1);
+  }
+  // Doubling alone would have reached 128.
+  EXPECT_EQ(heap.size(), kBound);
+  EXPECT_EQ(heap.capacity(), kBound);
+  // Past the bound the heap still grows; the bound is a capacity hint only.
+  heap.ReserveForPush(kBound);
+  heap.Push(-1.0, 0, 1);
+  EXPECT_EQ(heap.size(), kBound + 1);
+}
+
 TEST(LazyMaxHeapTest, RestorePutsEntryBack) {
   LazyMaxHeap heap;
   std::vector<uint64_t> epochs(1, 1);
